@@ -442,7 +442,7 @@ let b7 () =
   let tests =
     List.concat_map
       (fun (label, db) ->
-        let vt = Vertical.load db in
+        let vt = Vertical.of_db db in
         let scratch = Vertical.make_scratch vt in
         let frequent1 =
           List.map fst (Apriori.mine db ~min_support ~max_size:1)
@@ -571,7 +571,7 @@ let b9 () =
         avg_transaction_size = 20.;
       }
   in
-  let vt = Vertical.load db in
+  let vt = Vertical.of_db db in
   let scratch = Vertical.make_scratch vt in
   let word_count = Vertical.word_count vt in
   let min_support = 0.02 in
@@ -700,7 +700,7 @@ let b10 () =
   let min_support = 0.02 in
   List.iter
     (fun (label, db) ->
-      let vt = Vertical.load db in
+      let vt = Vertical.of_db db in
       let frequent1 = List.map fst (Apriori.mine db ~min_support ~max_size:1) in
       let candidates = Apriori.candidates_from ~frequent:frequent1 ~size:2 in
       let reference = Vertical.support_counts vt candidates in
@@ -738,7 +738,7 @@ let b10 () =
   (* Kernel specialization: same dense AND/popcount loop with and without
      bounds checks, sequential, so the delta is the checks alone. *)
   let db = quest ~universe:100 ~avg:20. in
-  let vt = Vertical.load db in
+  let vt = Vertical.of_db db in
   let scratch = Vertical.make_scratch vt in
   let frequent1 = List.map fst (Apriori.mine db ~min_support ~max_size:1) in
   let candidates = Apriori.candidates_from ~frequent:frequent1 ~size:2 in
@@ -986,7 +986,7 @@ let b12 () =
           emit ~section:"b12"
             ~name:(Printf.sprintf "convert/%s" label)
             ~ns_per_op:(convert_dt *. 1e9) ~throughput:tx_per_sec ();
-          let vt = Vertical.load db in
+          let vt = Vertical.of_db db in
           let cf = Colfile.open_file dst in
           let cvt =
             Fun.protect

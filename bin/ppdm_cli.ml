@@ -65,7 +65,11 @@ type operator_spec =
   | Op_cut_and_paste of int * float
   | Op_optimized of float * float option (* gamma, fixed rho *)
 
-let scheme_of_spec ~universe = function
+(* Operator design (the optimized ρ search takes about a second) gets
+   its own span, so --stats accounts for it. *)
+let scheme_of_spec ~universe spec =
+  Ppdm_obs.Span.with_ ~name:"scheme" @@ fun () ->
+  match spec with
   | Op_uniform (p_keep, p_add) -> Randomizer.uniform ~universe ~p_keep ~p_add
   | Op_cut_and_paste (cutoff, rho) -> Randomizer.cut_and_paste ~universe ~cutoff ~rho
   | Op_optimized (gamma, rho) -> (

@@ -7,7 +7,9 @@ type miner = string * (Db.t -> min_support:float -> (Itemset.t * int) list)
 
 let sequential_miners ?max_size () =
   [
-    ("apriori", fun db ~min_support -> Apriori.mine ?max_size db ~min_support);
+    ( "apriori",
+      fun db ~min_support ->
+        Apriori.mine ?max_size ~counter:Apriori.Trie db ~min_support );
     ( "apriori-vertical",
       fun db ~min_support ->
         Apriori.mine ?max_size ~counter:Apriori.Vertical db ~min_support );
@@ -261,6 +263,68 @@ let brute_force_support_estimate ~scheme ~data ~itemset =
   in
   let x = solve_gaussian a frac in
   x.(k)
+
+(* ------------------------------------------------ private miner reference *)
+
+(* The level-wise private miner with nothing shared between candidates:
+   every candidate, singletons included, is estimated on its own by
+   Estimator.estimate, which rescans the whole tagged database. *)
+let ppmining_reference ~max_size ~sigma_slack ~sigma_cap ~scheme ~data
+    ~min_support =
+  let eps = 1e-12 in
+  let passes (d : Ppmining.discovery) =
+    d.sigma < sigma_cap
+    && d.est_support +. (sigma_slack *. d.sigma) >= min_support -. eps
+  in
+  let estimate itemset =
+    let e = Estimator.estimate ~scheme ~data ~itemset in
+    { Ppmining.itemset; est_support = e.Estimator.support; sigma = e.Estimator.sigma }
+  in
+  let rec levels acc k candidates =
+    if k > max_size || candidates = [] then acc
+    else begin
+      let next = List.filter passes (List.map estimate candidates) in
+      levels (List.rev_append next acc) (k + 1)
+        (Apriori.candidates_from
+           ~frequent:(List.map (fun (d : Ppmining.discovery) -> d.itemset) next)
+           ~size:(k + 1))
+    end
+  in
+  let explored =
+    List.sort
+      (fun (a : Ppmining.discovery) b -> Itemset.compare a.itemset b.itemset)
+      (levels [] 1 (List.init (Randomizer.universe scheme) Itemset.singleton))
+  in
+  {
+    Ppmining.discovered =
+      List.filter
+        (fun (d : Ppmining.discovery) -> d.est_support >= min_support -. eps)
+        explored;
+    explored;
+  }
+
+let same_explored ~(got : Ppmining.result) ~(want : Ppmining.result) =
+  let bits = Int64.bits_of_float in
+  let same (a : Ppmining.discovery) (b : Ppmining.discovery) =
+    Itemset.equal a.itemset b.itemset
+    && Int64.equal (bits a.est_support) (bits b.est_support)
+    && Int64.equal (bits a.sigma) (bits b.sigma)
+  in
+  let show (d : Ppmining.discovery) =
+    Printf.sprintf "%s est %h sigma %h" (Itemset.to_string d.itemset)
+      d.est_support d.sigma
+  in
+  let rec go i = function
+    | [], [] -> Ok ()
+    | a :: ra, b :: rb when same a b -> go (i + 1) (ra, rb)
+    | a :: _, b :: _ ->
+        Error (Printf.sprintf "explored entry %d: %s, expected %s" i (show a) (show b))
+    | _ ->
+        Error
+          (Printf.sprintf "explored %d itemsets, expected %d"
+             (List.length got.explored) (List.length want.explored))
+  in
+  go 0 (got.explored, want.explored)
 
 (* ------------------------------------------------------- server oracle *)
 

@@ -86,3 +86,25 @@ val brute_force_support_estimate :
     count aggregation cannot also hide in the oracle.
     @raise Invalid_argument on empty data, mixed transaction sizes, or a
     transaction size smaller than the itemset. *)
+
+(** {1 Private miner reference} *)
+
+val ppmining_reference :
+  max_size:int ->
+  sigma_slack:float ->
+  sigma_cap:float ->
+  scheme:Randomizer.t ->
+  data:(int * Itemset.t) array ->
+  min_support:float ->
+  Ppmining.result
+(** The level-wise private miner with no shared counting: every candidate
+    (all universe singletons, then the Apriori joins of each level's
+    survivors) is estimated on its own by {!Ppdm.Estimator.estimate}, a
+    full rescan of [data], and kept under the same slackened-threshold
+    and σ-cap filter as {!Ppdm.Ppmining.mine}. *)
+
+val same_explored :
+  got:Ppmining.result -> want:Ppmining.result -> (unit, string) result
+(** The two results explored the same itemsets, in the same order, with
+    the same estimate and σ bit for bit; [Error] names the first
+    difference. *)

@@ -92,6 +92,85 @@ let estimator_reference_check ~seed ~count =
              (Printf.sprintf "estimate %.9f but brute-force reference %.9f" est
                 reference)))
 
+(* ------------------------------------------- private miner differential *)
+
+(* Six hot items carry the patterns over a background universe.  Sizes
+   run 0..8; three rows are empty and one row is the only member of its
+   size class (12). *)
+let private_case_db ~universe rng =
+  Db.create ~universe
+    (Array.init 240 (fun i ->
+         if i < 3 then Itemset.empty
+         else if i = 3 then
+           Itemset.of_list (List.init 12 (fun j -> j * (universe / 12)))
+         else
+           Itemset.of_list
+             (List.filter (fun _ -> Rng.float rng < 0.5) (List.init 6 Fun.id)
+             @ List.init (Rng.int rng 3) (fun _ ->
+                   6 + Rng.int rng (universe - 6)))))
+
+(* Universes on both sides of 1024 (where the miner once switched pair
+   tables), the three operator families, max_size 1..4: the class-windowed
+   miner must explore exactly what per-candidate estimation explores.
+   Levels do not depend on the cap, so the reference runs once, at 4, and
+   is cut down for the smaller caps. *)
+let private_miner_differential ~seed =
+  let rng = Rng.create ~seed () in
+  let cases =
+    List.concat_map
+      (fun universe ->
+        let noise = 3. /. float_of_int universe in
+        [
+          ("cut-and-paste", Randomizer.cut_and_paste ~universe ~cutoff:6 ~rho:noise, 0.1);
+          ("uniform", Randomizer.uniform ~universe ~p_keep:0.8 ~p_add:noise, 0.1);
+          ( "optimized",
+            (* A small design point keeps the operator search cheap.  At
+               universe 1500, γ = 19 noise at 240 rows lets hundreds of
+               background singletons through the slack, and the
+               reference's per-candidate rescans of their pairs would
+               dominate the suite; γ = 200 keeps it small. *)
+            Optimizer.scheme_for_estimation ~k:2 ~representative_size:4
+              ~universe
+              ~gamma:(if universe > 1024 then 200. else 19.)
+              (),
+            0.4 );
+        ]
+        |> List.map (fun (name, scheme, min_support) ->
+               (universe, name, scheme, min_support)))
+      [ 60; 1500 ]
+  in
+  let sigma_slack = 2. and sigma_cap = 1. in
+  let up_to max_size (r : Ppmining.result) =
+    let keep (d : Ppmining.discovery) = Itemset.cardinal d.itemset <= max_size in
+    { r with explored = List.filter keep r.explored }
+  in
+  let rec go = function
+    | [] -> Ok ()
+    | (universe, name, scheme, min_support) :: rest ->
+        let db = private_case_db ~universe rng in
+        let data = Randomizer.apply_db_tagged scheme rng db in
+        let reference =
+          Oracle.ppmining_reference ~max_size:4 ~sigma_slack ~sigma_cap ~scheme
+            ~data ~min_support
+        in
+        let rec caps max_size =
+          if max_size > 4 then go rest
+          else
+            let got =
+              Ppmining.mine ~max_size ~sigma_slack ~sigma_cap ~scheme ~data
+                ~min_support ()
+            in
+            match Oracle.same_explored ~got ~want:(up_to max_size reference) with
+            | Ok () -> caps (max_size + 1)
+            | Error e ->
+                Error
+                  (Printf.sprintf "universe %d, %s, max_size %d: %s" universe
+                     name max_size e)
+        in
+        caps 1
+  in
+  go cases
+
 let p_floor = 0.001
 
 let transition_check ~rng () =
@@ -138,6 +217,19 @@ let estimator_bias_check ~rng () =
     Error
       (Printf.sprintf "estimator bias z-test rejected (p=%.2g < %.3f)" p p_floor)
   else Ok ()
+
+(* Mixed transaction sizes, so several size classes pool into every
+   estimate the miner reports. *)
+let private_sigma_check ~seed () =
+  let rng = Rng.create ~seed:5678 () in
+  let db =
+    Db.create ~universe:8
+      (Array.init 400 (fun _ ->
+           Itemset.of_list
+             (List.filter (fun _ -> Rng.float rng < 0.4) (List.init 8 Fun.id))))
+  in
+  let scheme = Randomizer.uniform ~universe:8 ~p_keep:0.8 ~p_add:0.1 in
+  Stat.private_sigma_coverage ~scheme ~db (Rng.create ~seed:(seed + 31) ())
 
 (* A database for the sampled-counting hypotheses: iid random transactions
    (so word-window cluster sampling has the same variance as uniform row
@@ -224,7 +316,7 @@ let scheduler_identity_check ~seed ~count pools =
          if u = 0 then Ok ()
          else begin
            let candidates = small_candidates u in
-           let vt = Ppdm_mining.Vertical.load db in
+           let vt = Ppdm_mining.Vertical.of_db db in
            let reference =
              Oracle.canonical
                (Ppdm_mining.Vertical.support_counts vt candidates)
@@ -321,7 +413,7 @@ let kernel_differential_check () =
   let check_one ~n ~rep_label ~dense_cutoff ~compress ~unsafe =
     let db = kernel_db n in
     let reference = Oracle.canonical (Ppdm_mining.Count.support_counts db cands) in
-    let vt = V.load ?dense_cutoff db in
+    let vt = V.of_db ?dense_cutoff db in
     let vt = if compress then V.compress vt else vt in
     Fun.protect
       ~finally:(fun () -> V.set_unsafe_kernels false)
@@ -621,6 +713,9 @@ let run ?count ?(seed = 42) ?(log = ignore) () =
             fun () -> differential_check ~seed ~count pools );
           ("metamorphic: duplicate/permute/pad laws", fun () ->
               metamorphic_check ~seed ~count);
+          ( "differential: private miner == per-candidate reference, bit \
+             for bit",
+            fun () -> private_miner_differential ~seed );
           ( "differential: estimator vs brute-force reference",
             fun () -> estimator_reference_check ~seed ~count );
           ("statistical: apply matches transition matrix (chi-square)", fun () ->
@@ -629,6 +724,8 @@ let run ?count ?(seed = 42) ?(log = ignore) () =
               amplification_check_ ~rng ());
           ("statistical: estimator unbiasedness (z-test)", fun () ->
               estimator_bias_check ~rng ());
+          ("statistical: private singleton and pair sigma coverage", fun () ->
+              private_sigma_check ~seed ());
           ("statistical: sampled counts unbiased vs exact (z-test)", fun () ->
               sampled_counts_check ());
           ("statistical: sampled sigma covers |sampled - exact|", fun () ->

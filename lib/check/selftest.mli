@@ -25,3 +25,10 @@ val run : ?count:int -> ?seed:int -> ?log:(string -> unit) -> unit -> report
 
 val ok : report -> bool
 (** [failed = 0]. *)
+
+val private_miner_differential : seed:int -> (unit, string) result
+(** {!Ppdm.Ppmining.mine} against {!Oracle.ppmining_reference} on
+    randomized databases over universes 60 and 1500, under cut-and-paste,
+    uniform and optimized operators, at [max_size] 1 to 4; the databases
+    include empty transactions and a size class holding a single row.
+    Explored itemsets, estimates and σ must agree bit for bit. *)

@@ -263,7 +263,7 @@ let estimator_bias_pvalue ?trials ~scheme ~db ~itemset rng =
 let sampled_support_zs ~db ~itemset ~fraction ~seeds =
   if not (fraction > 0. && fraction < 1.) then
     invalid_arg "Stat.sampled_support_zs: fraction must be inside (0,1)";
-  let vt = Ppdm_mining.Vertical.load db in
+  let vt = Ppdm_mining.Vertical.of_db db in
   let n = Db.length db in
   let word_count = Ppdm_mining.Vertical.word_count vt in
   let exact = Db.support_count db itemset in
@@ -397,3 +397,45 @@ let combined_sigma_coverage ?trials ?(z = 1.959964) ~scheme ~db ~itemset
   in
   coverage_of_zs ~what:"combined sigma coverage" ~z
     (combined_sigma_zs ~scheme ~db ~itemset ~fraction ~trials rng)
+
+(* ------------------------------------------------- private miner sigma *)
+
+(* Per trial: randomize afresh, mine privately up to pairs, and
+   standardize one singleton's and one pair's estimate against the exact
+   support by the σ the miner reported.  The probes rotate with the
+   trial, and each list holds one z per independent randomization.  A
+   probe the miner failed to explore counts as a miss. *)
+let private_sigma_zs ~scheme ~db ~trials rng =
+  let u = Db.universe db in
+  let singles = ref [] and pairs = ref [] in
+  for trial = 0 to trials - 1 do
+    let data =
+      Randomizer.apply_db_tagged scheme (Rng.derive rng ~index:trial) db
+    in
+    let mined =
+      Ppmining.mine ~max_size:2 ~sigma_slack:10. ~sigma_cap:1. ~scheme ~data
+        ~min_support:0.01 ()
+    in
+    let z itemset =
+      match
+        List.find_opt
+          (fun (d : Ppmining.discovery) -> Itemset.equal d.itemset itemset)
+          mined.explored
+      with
+      | Some d when d.sigma > 0. ->
+          (d.est_support -. Db.support db itemset) /. d.sigma
+      | Some _ | None -> Float.infinity
+    in
+    let a = trial mod u in
+    singles := z (Itemset.singleton a) :: !singles;
+    pairs := z (Itemset.of_list [ a; (a + 1) mod u ]) :: !pairs
+  done;
+  (List.rev !singles, List.rev !pairs)
+
+let private_sigma_coverage ~scheme ~db rng =
+  let trials = Property.scaled ~base:40 in
+  let singles, pairs = private_sigma_zs ~scheme ~db ~trials rng in
+  let z = 1.959964 in
+  match coverage_of_zs ~what:"private singleton sigma coverage" ~z singles with
+  | Error _ as e -> e
+  | Ok () -> coverage_of_zs ~what:"private pair sigma coverage" ~z pairs

@@ -133,3 +133,14 @@ val combined_sigma_coverage :
 (** Coverage form of {!combined_sigma_pvalue}: per-trial standardized
     differences must fall within [z] (default 1.96) except for a
     binomial-tail allowance. *)
+
+(** {2 Private mining} *)
+
+val private_sigma_coverage :
+  scheme:Randomizer.t -> db:Db.t -> Rng.t -> (unit, string) result
+(** The σ {!Ppdm.Ppmining.mine} reports, tested as a hypothesis: over
+    {!Property.scaled} [~base:40] independent randomizations of [db]
+    (universe of at least two items), the standardized errors
+    [(est - exact) / σ] of a rotating singleton and of a rotating pair
+    must each fall within 1.96 except for a binomial-tail allowance of
+    misses. *)

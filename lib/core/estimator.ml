@@ -56,29 +56,48 @@ let conditional_cov p partials n =
   done;
   cov
 
-(* One size class: solve for the class-conditional partial supports and
-   their covariance.  Square case inverts P; the rectangular case (m < k)
-   solves the normal equations and conjugates by the pseudo-inverse. *)
-let estimate_class (resolved : Randomizer.resolved) ~k counts =
+(* One size class's transition matrix, factorized once: P, its inverse
+   (or, when m < k, the normal-equation pseudo-inverse) and the number of
+   realizable columns.  A singular P, or one whose condition number
+   passes 1e12, carries no recoverable signal: it is rejected here, on
+   every route to an estimate. *)
+type class_solver = { p : Mat.t; pinv : Mat.t; cols : int }
+
+let class_solver scheme ~size ~k =
   Ppdm_obs.Metrics.incr "estimator.solves";
   Ppdm_obs.Metrics.time "estimator.solve_ns" @@ fun () ->
-  let m = Array.length resolved.keep_dist - 1 in
+  let resolved = Randomizer.resolve scheme ~size in
+  let cols = min k (Array.length resolved.keep_dist - 1) + 1 in
+  let p = Transition.rect_matrix resolved ~k in
+  let unrecoverable () =
+    invalid_arg
+      (Printf.sprintf
+         "Estimator: size class %d is unrecoverable at k = %d (singular \
+          transition matrix)"
+         size k)
+  in
+  match
+    if cols = k + 1 then Lu.inverse (Lu.decompose p)
+    else begin
+      let pt = Mat.transpose p in
+      Lu.solve_mat (Lu.decompose (Mat.mul pt p)) pt
+    end
+  with
+  | pinv when Mat.norm_inf p *. Mat.norm_inf pinv <= 1e12 ->
+      { p; pinv; cols }
+  | _ -> unrecoverable ()
+  | exception Lu.Singular -> unrecoverable ()
+
+(* The class-conditional partial supports and their covariance.  Square
+   case inverts P; the rectangular case (m < k) conjugates by the
+   pseudo-inverse. *)
+let estimate_class { p; pinv; cols } ~k counts =
   let n = Array.fold_left ( + ) 0 counts in
   (* n = 0 would divide the observed fractions by zero and propagate NaN
      through partials, covariance, and sigma. *)
   if n = 0 then invalid_arg "Estimator.estimate_class: empty size class";
   let observed =
     Array.map (fun c -> float_of_int c /. float_of_int n) counts
-  in
-  let cols = min k m + 1 in
-  let p = Transition.rect_matrix resolved ~k in
-  let pinv =
-    if cols = k + 1 then Lu.inverse (Lu.decompose p)
-    else begin
-      let pt = Mat.transpose p in
-      let gram = Mat.mul pt p in
-      Lu.solve_mat (Lu.decompose gram) pt
-    end
   in
   let short = Mat.mul_vec pinv observed in
   let cov_obs = conditional_cov p short n in
@@ -91,6 +110,18 @@ let estimate_class (resolved : Randomizer.resolved) ~k counts =
         if i < cols && j < cols then Mat.get cov_short i j else 0.)
   in
   (partials, covariance, n)
+
+(* Each size class's solver is built by the first estimate that needs it
+   and shared by the rest of the batch. *)
+let class_solvers scheme ~k =
+  let by_size = Hashtbl.create 16 in
+  fun size ->
+    match Hashtbl.find_opt by_size size with
+    | Some s -> s
+    | None ->
+        let s = class_solver scheme ~size ~k in
+        Hashtbl.replace by_size size s;
+        s
 
 (* Covariance contributed by counting on a uniform sample of [n]
    transactions drawn without replacement from a population of
@@ -126,8 +157,9 @@ let sampling_sigma ~support ~n ~population =
     (Float.max 0.
        (Mat.get (sampling_covariance ~partials:[| support |] ~n ~population) 0 0))
 
-let estimate_from_counts_gen ~population ~scheme ~k ~counts:groups =
-  Ppdm_obs.Span.with_ ~name:"estimator.estimate" @@ fun () ->
+(* Every estimate goes through here: pool the per-class solves with their
+   class weights, in the order the groups are given. *)
+let pool ~population ~k solver groups =
   let total =
     List.fold_left
       (fun acc (_, c) -> acc + Array.fold_left ( + ) 0 c)
@@ -149,8 +181,9 @@ let estimate_from_counts_gen ~population ~scheme ~k ~counts:groups =
   let covariance = Mat.create ~rows:(k + 1) ~cols:(k + 1) in
   List.iter
     (fun (size, counts) ->
-      let resolved = Randomizer.resolve scheme ~size in
-      let class_partials, class_cov, n = estimate_class resolved ~k counts in
+      let class_partials, class_cov, n =
+        estimate_class (solver size) ~k counts
+      in
       let w = float_of_int n /. float_of_int total in
       for l = 0 to k do
         partials.(l) <- partials.(l) +. (w *. class_partials.(l));
@@ -179,6 +212,14 @@ let estimate_from_counts_gen ~population ~scheme ~k ~counts:groups =
     n_transactions = total;
     n_population = population;
   }
+
+let for_batch ~scheme ~k =
+  let solver = class_solvers scheme ~k in
+  fun counts -> pool ~population:None ~k solver counts
+
+let estimate_from_counts_gen ~population ~scheme ~k ~counts =
+  Ppdm_obs.Span.with_ ~name:"estimator.estimate" @@ fun () ->
+  pool ~population ~k (class_solvers scheme ~k) counts
 
 let estimate_from_counts ~scheme ~k ~counts =
   estimate_from_counts_gen ~population:None ~scheme ~k ~counts

@@ -57,7 +57,21 @@ val estimate_from_counts :
     is the sufficient statistic — {!Stream} accumulates it online and
     {!estimate} is the one-shot wrapper.  All-zero size classes are
     skipped (they carry no observations).
-    @raise Invalid_argument on empty counts or mis-sized vectors. *)
+    @raise Invalid_argument on empty counts, mis-sized vectors, or an
+    unrecoverable size class (see {!for_batch}). *)
+
+val for_batch : scheme:Randomizer.t -> k:int -> (int * int array) list -> t
+(** {!estimate_from_counts} for a batch of [k]-itemsets (same validation,
+    same results bit for bit): apply it to [~scheme ~k] once per batch,
+    then to each itemset's counts.  Each size class's transition matrix
+    is factorized by the first estimate that needs it and reused by the
+    rest of the batch; the ["estimator.solves"] counter and
+    ["estimator.solve_ns"] histogram record the factorizations.  The
+    partial application holds a mutable table: keep it to one domain.
+    @raise Invalid_argument also when a size class is unrecoverable: its
+    transition matrix is singular or its condition number exceeds [1e12]
+    (as when an operator's keep and add probabilities coincide).  The
+    message names the size and [k]. *)
 
 val estimate_from_counts_sampled :
   population:int ->

@@ -4,199 +4,121 @@ open Ppdm_mining
 type discovery = { itemset : Itemset.t; est_support : float; sigma : float }
 type result = { discovered : discovery list; explored : discovery list }
 
-let estimate_candidate ~scheme ~data itemset =
-  let e = Estimator.estimate ~scheme ~data ~itemset in
-  { itemset; est_support = e.Estimator.support; sigma = e.Estimator.sigma }
+(* The tagged rows regrouped by original size, each class padded with
+   empty rows to a whole number of bitmap words, and transposed once.
+   Class [c] owns the word window [bounds.(c), bounds.(c + 1)); an empty
+   row holds no item, so padding changes no support a window reports. *)
+type classes = {
+  vt : Vertical.t;
+  sizes : int array;  (** ascending *)
+  rows : int array;  (** rows per class, padding excluded *)
+  bounds : int array;
+}
 
-(* Singletons get a fast path: one pass counts every item at once, giving
-   the k = 1 observed partials for all universe items. *)
-let level_one ~scheme ~data ~keep =
-  let universe = Randomizer.universe scheme in
-  (* counts.(size).(item) for transactions of each original size *)
-  let by_size = Hashtbl.create 8 in
+let transpose ~universe data =
+  Ppdm_obs.Span.with_ ~name:"ppmining.transpose" @@ fun () ->
+  let count = Hashtbl.create 16 in
+  Array.iter
+    (fun (size, _) ->
+      Hashtbl.replace count size
+        (1 + Option.value ~default:0 (Hashtbl.find_opt count size)))
+    data;
+  let sizes = Array.of_seq (Hashtbl.to_seq_keys count) in
+  Array.sort Int.compare sizes;
+  let rows = Array.map (Hashtbl.find count) sizes in
+  let bounds = Array.make (Array.length sizes + 1) 0 in
+  Array.iteri (fun c n -> bounds.(c + 1) <- bounds.(c) + Bitset.words_for n) rows;
+  let bits = Bitset.bits_per_word in
+  (* from here on [count] holds each class's next free row *)
+  Array.iteri (fun c size -> Hashtbl.replace count size (bits * bounds.(c))) sizes;
+  let padded = Array.make (bits * bounds.(Array.length sizes)) Itemset.empty in
   Array.iter
     (fun (size, y) ->
-      let slot =
-        match Hashtbl.find_opt by_size size with
-        | Some s -> s
-        | None ->
-            let s = (ref 0, Array.make universe 0) in
-            Hashtbl.replace by_size size s;
-            s
-      in
-      incr (fst slot);
-      Itemset.iter (fun item -> (snd slot).(item) <- (snd slot).(item) + 1) y)
+      let row = Hashtbl.find count size in
+      padded.(row) <- y;
+      Hashtbl.replace count size (row + 1))
     data;
-  let total = float_of_int (Array.length data) in
-  let out = ref [] in
-  for item = 0 to universe - 1 do
-    (* Pool the per-size 2x2 inversions: for k = 1 the transition matrix
-       is [[1-rho, 1-q]; [rho, q]] with q the keep probability. *)
-    let support = ref 0. and variance = ref 0. in
-    Hashtbl.iter
-      (fun size (n_ref, counts) ->
-        let n = !n_ref in
-        let resolved = Randomizer.resolve scheme ~size in
-        let q = Breach.keep_probability resolved and rho = resolved.rho in
-        let denom = q -. rho in
-        let w = float_of_int n /. total in
-        if Float.abs denom < 1e-12 then ()
-          (* degenerate operator: the class carries no signal; weight 0 *)
-        else begin
-          let observed = float_of_int counts.(item) /. float_of_int n in
-          let s = (observed -. rho) /. denom in
-          let var =
-            observed *. (1. -. observed)
-            /. (denom *. denom *. float_of_int n)
-          in
-          support := !support +. (w *. s);
-          variance := !variance +. (w *. w *. var)
-        end)
-      by_size;
-    let d =
-      { itemset = Itemset.singleton item; est_support = !support;
-        sigma = sqrt (Float.max 0. !variance) }
-    in
-    if keep d then out := d :: !out
+  { vt = Vertical.of_db (Db.create ~universe padded); sizes; rows; bounds }
+
+(* Inclusion-exclusion over the subsets of A: a row counts towards
+   supp(B) for every B ⊆ y ∩ A, so the Möbius transform over supersets
+   turns subset supports into the number of rows with y ∩ A = B exactly,
+   and N_l sums those over |B| = l.  (Grouped by |B| this is the binomial
+   inversion N_l = Σ_{j ≥ l} (-1)^(j-l) C(j, l) S_j.)  Exact integers. *)
+let partial_counts ~k support =
+  if k < 0 || k > 30 then invalid_arg "Ppmining.partial_counts: k outside [0, 30]";
+  let exact = Array.init (1 lsl k) support in
+  for b = 0 to k - 1 do
+    for mask = 0 to (1 lsl k) - 1 do
+      if mask land (1 lsl b) = 0 then
+        exact.(mask) <- exact.(mask) - exact.(mask lor (1 lsl b))
+    done
   done;
-  List.rev !out
+  let n = Array.make (k + 1) 0 in
+  Array.iteri (fun mask c -> n.(Bitset.popcount mask) <- n.(Bitset.popcount mask) + c) exact;
+  n
 
-(* Pair candidates also get a single-pass path: per original size, count
-   each candidate item's occurrences and each candidate pair's
-   co-occurrences; the k = 2 partial counts follow by inclusion-exclusion
-   (c2 = both, c1 = cnt_a + cnt_b - 2 c2, c0 = rest).  This turns
-   O(#pairs) data passes into one.  Counts live in flat per-size arrays
-   (universe-sized for items, universe^2 for pairs) because the inner
-   loop runs once per co-occurring pair per transaction. *)
-let level_two_dense ~scheme ~data candidates =
-  let universe = Randomizer.universe scheme in
-  let candidate_items = Array.make universe false in
-  List.iter
-    (fun c ->
-      candidate_items.(Itemset.nth c 0) <- true;
-      candidate_items.(Itemset.nth c 1) <- true)
-    candidates;
-  let item_counts : (int, int array) Hashtbl.t = Hashtbl.create 8 in
-  let pair_counts : (int, int array) Hashtbl.t = Hashtbl.create 8 in
-  let size_totals : (int, int ref) Hashtbl.t = Hashtbl.create 8 in
-  let slot table size len =
-    match Hashtbl.find_opt table size with
-    | Some a -> a
-    | None ->
-        let a = Array.make len 0 in
-        Hashtbl.replace table size a;
-        a
+module Table = Hashtbl.Make (struct
+  type t = Itemset.t
+
+  let equal = Itemset.equal
+  let hash = Itemset.hash
+end)
+
+(* One level: count the batch once per class window, recover each
+   candidate's per-class partial counts from its subsets' supports (every
+   proper subset survived a lower level, by the Apriori prune), estimate
+   the batch with one factorization per class, and keep the survivors'
+   supports for the levels above. *)
+let level cl supports ~scheme ~passes ~k candidates =
+  Ppdm_obs.Span.with_ ~name:"ppmining.level" @@ fun () ->
+  let candidates = Array.of_list (List.sort_uniq Itemset.compare candidates) in
+  Ppdm_obs.Metrics.add "ppmining.candidates" (Array.length candidates);
+  (* [prepare] keeps this order: already sorted and unique *)
+  let prepared = Vertical.prepare (Array.to_list candidates) in
+  let scratch = Vertical.make_scratch cl.vt in
+  let by_class =
+    Array.init (Array.length cl.sizes) (fun c ->
+        Vertical.count_into ~scratch cl.vt ~word_lo:cl.bounds.(c)
+          ~word_hi:cl.bounds.(c + 1) prepared)
   in
-  let scratch = Array.make universe 0 in
-  Array.iter
-    (fun (size, y) ->
-      (match Hashtbl.find_opt size_totals size with
-      | Some r -> incr r
-      | None -> Hashtbl.replace size_totals size (ref 1));
-      let items = slot item_counts size universe in
-      let pairs = slot pair_counts size (universe * universe) in
-      let n_present = ref 0 in
-      Itemset.iter
-        (fun item ->
-          if candidate_items.(item) then begin
-            items.(item) <- items.(item) + 1;
-            scratch.(!n_present) <- item;
-            incr n_present
-          end)
-        y;
-      for i = 0 to !n_present - 1 do
-        let base = scratch.(i) * universe in
-        for j = i + 1 to !n_present - 1 do
-          let idx = base + scratch.(j) in
-          pairs.(idx) <- pairs.(idx) + 1
-        done
-      done)
-    data;
-  List.map
-    (fun c ->
-      let a = Itemset.nth c 0 and b = Itemset.nth c 1 in
-      let counts =
-        Hashtbl.fold
-          (fun size total acc ->
-            let items = Hashtbl.find item_counts size in
-            let pairs = Hashtbl.find pair_counts size in
-            let c2 = pairs.((a * universe) + b) in
-            let c1 = items.(a) + items.(b) - (2 * c2) in
-            let c0 = !total - c1 - c2 in
-            (size, [| c0; c1; c2 |]) :: acc)
-          size_totals []
+  let estimate = Estimator.for_batch ~scheme ~k in
+  let full = (1 lsl k) - 1 in
+  let survivors = ref [] in
+  Array.iteri
+    (fun i itemset ->
+      let own = Array.map (fun counts -> counts.(i)) by_class in
+      let items = Itemset.unsafe_to_array itemset in
+      let subset mask =
+        if mask = 0 then cl.rows
+        else if mask = full then own
+        else begin
+          let sub = Array.make (Bitset.popcount mask) 0 and j = ref 0 in
+          Array.iteri
+            (fun b item ->
+              if (mask lsr b) land 1 = 1 then begin
+                sub.(!j) <- item;
+                incr j
+              end)
+            items;
+          Table.find supports (Itemset.of_sorted_array_unchecked sub)
+        end
       in
-      let e = Estimator.estimate_from_counts ~scheme ~k:2 ~counts in
-      { itemset = c; est_support = e.Estimator.support; sigma = e.Estimator.sigma })
-    candidates
-
-(* Sparse variant for large universes (the flat pair array would need
-   universe^2 cells per size class): per-size hash tables keyed by the
-   candidate pair. *)
-let level_two_sparse ~scheme ~data candidates =
-  let universe = Randomizer.universe scheme in
-  let candidate_items = Array.make universe false in
-  let pair_slots = Hashtbl.create (2 * List.length candidates) in
-  List.iter
-    (fun c ->
-      let a = Itemset.nth c 0 and b = Itemset.nth c 1 in
-      candidate_items.(a) <- true;
-      candidate_items.(b) <- true;
-      Hashtbl.replace pair_slots (a, b) (Hashtbl.create 4))
+      let subsets = Array.init (full + 1) subset in
+      let e =
+        estimate
+          (List.init (Array.length cl.sizes) (fun c ->
+               (cl.sizes.(c), partial_counts ~k (fun mask -> subsets.(mask).(c)))))
+      in
+      let d =
+        { itemset; est_support = e.Estimator.support; sigma = e.Estimator.sigma }
+      in
+      if passes d then begin
+        Table.replace supports itemset own;
+        survivors := d :: !survivors
+      end)
     candidates;
-  let item_counts = Hashtbl.create 64 in
-  let size_totals = Hashtbl.create 8 in
-  let bump table key =
-    Hashtbl.replace table key
-      (1 + Option.value ~default:0 (Hashtbl.find_opt table key))
-  in
-  Array.iter
-    (fun (size, y) ->
-      bump size_totals size;
-      let present =
-        List.rev
-          (Itemset.fold
-             (fun item acc -> if candidate_items.(item) then item :: acc else acc)
-             y [])
-      in
-      List.iter (fun item -> bump item_counts (size, item)) present;
-      let rec pairs = function
-        | [] -> ()
-        | a :: rest ->
-            List.iter
-              (fun b ->
-                match Hashtbl.find_opt pair_slots (a, b) with
-                | Some per_size -> bump per_size size
-                | None -> ())
-              rest;
-            pairs rest
-      in
-      pairs present)
-    data;
-  let count table key = Option.value ~default:0 (Hashtbl.find_opt table key) in
-  List.map
-    (fun c ->
-      let a = Itemset.nth c 0 and b = Itemset.nth c 1 in
-      let per_size = Hashtbl.find pair_slots (a, b) in
-      let counts =
-        Hashtbl.fold
-          (fun size total acc ->
-            let c2 = count per_size size in
-            let c1 =
-              count item_counts (size, a) + count item_counts (size, b) - (2 * c2)
-            in
-            (size, [| total - c1 - c2; c1; c2 |]) :: acc)
-          size_totals []
-      in
-      let e = Estimator.estimate_from_counts ~scheme ~k:2 ~counts in
-      { itemset = c; est_support = e.Estimator.support; sigma = e.Estimator.sigma })
-    candidates
-
-let level_two ~scheme ~data candidates =
-  (* the dense path allocates universe^2 cells per occurring size class *)
-  let universe = Randomizer.universe scheme in
-  if universe <= 1024 then level_two_dense ~scheme ~data candidates
-  else level_two_sparse ~scheme ~data candidates
+  List.rev !survivors
 
 let mine ?max_size ?(sigma_slack = 2.0) ?sigma_cap ~scheme ~data ~min_support
     () =
@@ -213,31 +135,31 @@ let mine ?max_size ?(sigma_slack = 2.0) ?sigma_cap ~scheme ~data ~min_support
     d.sigma < sigma_cap
     && d.est_support +. (sigma_slack *. d.sigma) >= min_support -. eps
   in
-  let explored = ref [] in
-  let rec levels current size =
-    if size > cap || current = [] then ()
+  let explored =
+    if cap < 1 then []
     else begin
-      let candidates =
-        Apriori.candidates_from
-          ~frequent:(List.map (fun d -> d.itemset) current)
-          ~size
+      let universe = Randomizer.universe scheme in
+      let cl = transpose ~universe data in
+      let supports = Table.create 256 in
+      let rec levels acc k candidates =
+        if candidates = [] then acc
+        else begin
+          let next = level cl supports ~scheme ~passes ~k candidates in
+          (* rev_append: the final sort fixes the order *)
+          let acc = List.rev_append next acc in
+          if k = cap then acc
+          else
+            levels acc (k + 1)
+              (Apriori.candidates_from
+                 ~frequent:(List.map (fun d -> d.itemset) next)
+                 ~size:(k + 1))
+        end
       in
-      let next =
-        let estimated =
-          if size = 2 then level_two ~scheme ~data candidates
-          else List.map (estimate_candidate ~scheme ~data) candidates
-        in
-        List.filter passes estimated
-      in
-      explored := !explored @ next;
-      levels next (size + 1)
+      levels [] 1 (List.init universe Itemset.singleton)
     end
   in
-  let first = if cap < 1 then [] else level_one ~scheme ~data ~keep:passes in
-  explored := first;
-  if cap >= 2 then levels first 2;
   let ordered =
-    List.sort (fun a b -> Itemset.compare a.itemset b.itemset) !explored
+    List.sort (fun a b -> Itemset.compare a.itemset b.itemset) explored
   in
   {
     discovered = List.filter (fun d -> d.est_support >= min_support -. eps) ordered;

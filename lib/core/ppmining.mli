@@ -40,8 +40,21 @@ val mine :
     past it the slackened bound is vacuous and exploration blows up
     combinatorially, precisely the regime the analysis calls
     undiscoverable at this privacy level.
-    @raise Invalid_argument if [min_support] is outside (0, 1] or the data
-    is empty. *)
+
+    Every level counts on one size-class-windowed transpose of [data] and
+    estimates its candidates together through {!Estimator.for_batch};
+    the result is bit-identical to estimating each candidate with
+    {!Estimator.estimate}.
+    @raise Invalid_argument if [min_support] is outside (0, 1], the data
+    is empty, or a size class is unrecoverable. *)
+
+val partial_counts : k:int -> (int -> int) -> int array
+(** The partial counts [N_l = #(|y ∩ A| = l)], [l = 0..k], of a
+    [k]-itemset [A] over one set of rows, from [support mask]: the number
+    of rows containing the items of [A] at the set bits of [mask]
+    ([support 0] is the row count).  Inclusion-exclusion over the subset
+    supports, exact in integers.
+    @raise Invalid_argument unless [0 <= k <= 30]. *)
 
 type accuracy = {
   true_positives : int;

@@ -165,7 +165,7 @@ let resolve_counter counter db =
         invalid_arg "Apriori.resolve_counter: sampled fraction out of (0,1]";
       `Sampled (fraction, seed)
 
-let mine ?max_size ?(counter = Trie) db ~min_support =
+let mine ?max_size ?(counter = Auto) db ~min_support =
   if min_support <= 0. || min_support > 1. then
     invalid_arg "Apriori.mine: min_support out of (0,1]";
   Ppdm_obs.Span.with_ ~name:"apriori.mine" (fun () ->

@@ -41,7 +41,8 @@ val mine :
     transactions) at least [min_support], paired with its absolute count,
     in {!Itemset.compare} order.  [max_size] caps the itemset cardinality
     explored (default: unbounded); [counter] selects the counting engine
-    (default [Trie], the historical behaviour).
+    (default [Auto], as on the command line; every exact engine mines the
+    same output).
     @raise Invalid_argument if [min_support] is outside (0, 1]. *)
 
 val mine_vertical :

@@ -333,7 +333,7 @@ let item_tidset t item = t.tidsets.(item)
 
 let of_db ?(dense_cutoff = 1.0 /. float_of_int bits_per_word) db =
   if not (dense_cutoff >= 0.) then
-    invalid_arg "Vertical.load: dense_cutoff must be >= 0";
+    invalid_arg "Vertical.of_db: dense_cutoff must be >= 0";
   Ppdm_obs.Span.with_ ~name:"vertical.load" (fun () ->
       let n = Db.length db in
       let universe = Db.universe db in
@@ -379,8 +379,6 @@ let of_db ?(dense_cutoff = 1.0 /. float_of_int bits_per_word) db =
         Ppdm_obs.Metrics.add "vertical.load.bytes" (8 * words)
       end;
       t)
-
-let load = of_db (* historic name *)
 
 (* --- compressed columns -------------------------------------------- *)
 

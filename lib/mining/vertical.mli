@@ -45,11 +45,6 @@ val of_db : ?dense_cutoff:float -> Db.t -> t
     is no larger than the tid array it replaces.
     @raise Invalid_argument if [dense_cutoff] is negative (or NaN). *)
 
-val load : ?dense_cutoff:float -> Db.t -> t
-(** Alias of {!of_db} (the historic name — [of_db] marks it as one
-    constructor among several now that columns can also come from a
-    {!Ppdm_data.Colfile}). *)
-
 val of_colfile : Colfile.t -> t
 (** Load from an open columnar file: every item arrives as a {e
     compressed} column counted in place — the row-major database is never

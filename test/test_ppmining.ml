@@ -85,7 +85,7 @@ let test_explored_superset () =
     (List.length mined.Ppmining.explored >= List.length mined.Ppmining.discovered)
 
 let test_level_two_fast_path_consistency () =
-  (* the one-pass pair estimator must agree exactly with the generic
+  (* pairs counted on the class windows must agree with the generic
      per-candidate estimator *)
   let rng = Rng.create ~seed:6 () in
   let universe = 40 in
@@ -151,6 +151,90 @@ let test_validation () =
     (Invalid_argument "Ppmining.mine: empty data") (fun () ->
       ignore (Ppmining.mine ~scheme ~data:[||] ~min_support:0.1 ()))
 
+let test_reference_differential () =
+  match Ppdm_check.Selftest.private_miner_differential ~seed:42 with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
+(* Binomial inversion of subset supports, taken straight from the rows of
+   each size class, must reproduce the per-class partial counts. *)
+let test_partial_counts_inversion () =
+  let open Ppdm_check in
+  Property.assert_ok
+    (Property.check_result ~name:"inclusion-exclusion partial counts"
+       (Gen.pair
+          (Gen.db ~min_universe:4 ~max_universe:10 ~max_transactions:40 ())
+          (Gen.int_range 0 1_000_000))
+       (fun (db, key) ->
+         let universe = Db.universe db in
+         let rng = Rng.create ~seed:key () in
+         let scheme = Gen.generate (Gen.scheme ~universe) rng ~size:4 in
+         let data = Randomizer.apply_db_tagged scheme rng db in
+         let rec ks k =
+           if k > 4 then Ok ()
+           else begin
+             let itemset =
+               Gen.generate (Gen.fixed_size_transaction ~universe ~card:k) rng
+                 ~size:k
+             in
+             let items = Itemset.to_array itemset in
+             let sizes =
+               List.sort_uniq Int.compare (Array.to_list (Array.map fst data))
+             in
+             let inverted =
+               List.map
+                 (fun size ->
+                   let support mask =
+                     let subset =
+                       Itemset.of_list
+                         (List.filteri
+                            (fun b _ -> (mask lsr b) land 1 = 1)
+                            (Array.to_list items))
+                     in
+                     Array.fold_left
+                       (fun acc (sz, y) ->
+                         if sz = size && Itemset.subset subset y then acc + 1
+                         else acc)
+                       0 data
+                   in
+                   (size, Ppmining.partial_counts ~k support))
+                 sizes
+             in
+             if inverted = Estimator.observed_partial_counts data ~itemset then
+               ks (k + 1)
+             else Error (Printf.sprintf "k = %d, itemset %s" k (Itemset.to_string itemset))
+           end
+         in
+         ks 1))
+
+(* An operator whose keep and add probabilities coincide carries no
+   signal: every route fails with the same typed error. *)
+let test_degenerate_class_rejected () =
+  let scheme = Randomizer.uniform ~universe:10 ~p_keep:0.3 ~p_add:0.3 in
+  let data =
+    [| (2, Itemset.of_list [ 0; 1 ]); (2, Itemset.of_list [ 3; 7 ]); (2, Itemset.empty) |]
+  in
+  let message k =
+    Printf.sprintf
+      "Estimator: size class 2 is unrecoverable at k = %d (singular transition \
+       matrix)"
+      k
+  in
+  Alcotest.check_raises "mine" (Invalid_argument (message 1)) (fun () ->
+      ignore (Ppmining.mine ~scheme ~data ~min_support:0.1 ()));
+  Alcotest.check_raises "estimate, k = 1" (Invalid_argument (message 1)) (fun () ->
+      ignore (Estimator.estimate ~scheme ~data ~itemset:(Itemset.singleton 0)));
+  Alcotest.check_raises "estimate, k = 2" (Invalid_argument (message 2)) (fun () ->
+      ignore (Estimator.estimate ~scheme ~data ~itemset:(Itemset.of_list [ 0; 1 ])))
+
+let test_max_size_zero () =
+  let rng = Rng.create ~seed:8 () in
+  let db = Quest.generate rng { Quest.default with n_transactions = 100; universe = 20 } in
+  let scheme = identity_scheme 20 in
+  let data = Randomizer.apply_db_tagged scheme rng db in
+  let mined = Ppmining.mine ~scheme ~data ~min_support:0.05 ~max_size:0 () in
+  Alcotest.(check int) "nothing explored" 0 (List.length mined.Ppmining.explored)
+
 let suite =
   [
     Alcotest.test_case "identity equals apriori" `Quick test_identity_equals_apriori;
@@ -162,4 +246,11 @@ let suite =
     Alcotest.test_case "sigma cap prunes" `Quick test_sigma_cap_prunes;
     Alcotest.test_case "accuracy bookkeeping" `Quick test_accuracy_bookkeeping;
     Alcotest.test_case "validation" `Quick test_validation;
+    Alcotest.test_case "bit-identical to the per-candidate reference" `Quick
+      test_reference_differential;
+    Alcotest.test_case "inclusion-exclusion partial counts" `Quick
+      test_partial_counts_inversion;
+    Alcotest.test_case "degenerate class rejected" `Quick
+      test_degenerate_class_rejected;
+    Alcotest.test_case "max size zero explores nothing" `Quick test_max_size_zero;
   ]

@@ -251,7 +251,7 @@ let test_stealing_mine_identical () =
    column-offset reduction is exercised on every cell shape. *)
 let test_grid_columns_identical () =
   let db = setup_db ~seed:62 in
-  let vt = Vertical.load db in
+  let vt = Vertical.of_db db in
   let candidates =
     List.map fst (Apriori.mine db ~min_support:0.03 ~max_size:2)
   in

@@ -95,7 +95,7 @@ let candidates =
 
 let test_exhaustive_equals_vertical () =
   let db = random_db ~seed:11 ~universe:6 ~n:500 ~p:0.4 in
-  let vt = Vertical.load db in
+  let vt = Vertical.of_db db in
   let plan =
     Sampled.plan ~n:(Vertical.length vt) ~word_count:(Vertical.word_count vt)
       ~fraction:1.0 ~seed:9 ()
@@ -144,7 +144,7 @@ let test_sharding_determinism () =
 
 let test_raw_counts_sum_over_runs () =
   let db = random_db ~seed:31 ~universe:6 ~n:2000 ~p:0.35 in
-  let vt = Vertical.load db in
+  let vt = Vertical.of_db db in
   let plan =
     Sampled.plan ~n:(Vertical.length vt) ~word_count:(Vertical.word_count vt)
       ~fraction:0.4 ~seed:2 ()
@@ -169,10 +169,10 @@ let test_raw_counts_sum_over_runs () =
 let test_plan_mismatch_rejected () =
   let db = random_db ~seed:41 ~universe:4 ~n:300 ~p:0.4 in
   let other = random_db ~seed:41 ~universe:4 ~n:301 ~p:0.4 in
-  let vt = Vertical.load db in
+  let vt = Vertical.of_db db in
   let plan =
     Sampled.plan ~n:301
-      ~word_count:(Vertical.word_count (Vertical.load other))
+      ~word_count:(Vertical.word_count (Vertical.of_db other))
       ~fraction:0.5 ~seed:0 ()
   in
   Alcotest.check_raises "plan for another database rejected"

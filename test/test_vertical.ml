@@ -35,7 +35,7 @@ let test_representation_choice () =
     db_of_tidsets ~universe:3 ~n
       [ List.init n Fun.id; List.init 10 (fun i -> 7 * i); [ 5; 150 ] ]
   in
-  let vt = Vertical.load db in
+  let vt = Vertical.of_db db in
   Alcotest.(check bool) "hot item is dense" true
     (Vertical.tidset_is_dense (Vertical.item_tidset vt 0));
   Alcotest.(check bool) "mid item is dense" true
@@ -45,15 +45,15 @@ let test_representation_choice () =
   Alcotest.(check int) "dense count" 2 (Vertical.dense_items vt);
   Alcotest.(check int) "sparse count" 1 (Vertical.sparse_items vt);
   (* cutoff 0: everything dense; cutoff above 1: nothing is *)
-  let all_dense = Vertical.load ~dense_cutoff:0. db in
+  let all_dense = Vertical.of_db ~dense_cutoff:0. db in
   Alcotest.(check int) "cutoff 0 makes all dense" 3
     (Vertical.dense_items all_dense);
-  let none_dense = Vertical.load ~dense_cutoff:1.1 db in
+  let none_dense = Vertical.of_db ~dense_cutoff:1.1 db in
   Alcotest.(check int) "cutoff 1.1 makes none dense" 0
     (Vertical.dense_items none_dense);
   Alcotest.check_raises "negative cutoff rejected"
-    (Invalid_argument "Vertical.load: dense_cutoff must be >= 0") (fun () ->
-      ignore (Vertical.load ~dense_cutoff:(-0.1) db))
+    (Invalid_argument "Vertical.of_db: dense_cutoff must be >= 0") (fun () ->
+      ignore (Vertical.of_db ~dense_cutoff:(-0.1) db))
 
 (* Every intersection kernel pair (dense/dense, dense/sparse,
    sparse/dense, sparse/sparse) against the sorted-array reference, on
@@ -98,7 +98,7 @@ let test_support_counts_vs_trie () =
             (List.init universe Fun.id))
     in
     let db = mk universe rows in
-    let vt = Vertical.load db in
+    let vt = Vertical.of_db db in
     (* all small itemsets as candidates, including never-occurring ones *)
     let candidates =
       List.concat_map
@@ -171,7 +171,7 @@ let test_boundary_widths () =
             List.filter (fun t -> t mod 2 = 0) (List.init n Fun.id);
           ]
       in
-      let vt = Vertical.load db in
+      let vt = Vertical.of_db db in
       Alcotest.(check int)
         (Printf.sprintf "n=%d word count" n)
         ((n + 61) / 62) (Vertical.word_count vt);
@@ -194,7 +194,7 @@ let test_boundary_widths () =
 
 let test_trie_parity_edge_cases () =
   let db = mk 4 [ [ 0; 1 ]; [ 0; 1; 2 ]; [ 2 ] ] in
-  let vt = Vertical.load db in
+  let vt = Vertical.of_db db in
   (* out-of-universe items count 0 (trie parity), empty candidates raise *)
   let ghost = Itemset.of_list [ 1; 9 ] in
   Alcotest.(check int) "out-of-universe candidate counts 0" 0
@@ -223,7 +223,7 @@ let test_word_window_sums () =
           (List.init universe Fun.id))
   in
   let db = mk universe rows in
-  let vt = Vertical.load db in
+  let vt = Vertical.of_db db in
   let candidates =
     List.concat_map
       (fun k ->
@@ -258,7 +258,7 @@ let test_parallel_sharding_determinism () =
           (List.init universe Fun.id))
   in
   let db = mk universe rows in
-  let vt = Vertical.load db in
+  let vt = Vertical.of_db db in
   let candidates =
     List.concat_map
       (fun k ->
@@ -313,8 +313,8 @@ let test_unsafe_kernel_differential () =
         (fun cutoff ->
           let vt =
             match cutoff with
-            | None -> Vertical.load db
-            | Some c -> Vertical.load ~dense_cutoff:c db
+            | None -> Vertical.of_db db
+            | Some c -> Vertical.of_db ~dense_cutoff:c db
           in
           Fun.protect
             ~finally:(fun () -> Vertical.set_unsafe_kernels false)
@@ -349,7 +349,7 @@ let test_candidate_ranges () =
           (List.init universe Fun.id))
   in
   let db = mk universe rows in
-  let vt = Vertical.load db in
+  let vt = Vertical.of_db db in
   let candidates =
     List.concat_map
       (fun k ->
@@ -426,7 +426,7 @@ let test_scratch_zero_alloc_steady_state () =
           (List.init universe Fun.id))
   in
   let db = mk universe rows in
-  let vt = Vertical.load db in
+  let vt = Vertical.of_db db in
   let scratch = Vertical.make_scratch vt in
   let candidates =
     List.concat_map
