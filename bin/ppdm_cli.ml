@@ -172,31 +172,6 @@ let jobs_term =
            job count for a fixed seed (randomization is seeded per chunk, \
            not per domain).")
 
-let sched_term =
-  let sched_conv =
-    Arg.enum [ ("chunked", Pool.Chunked); ("stealing", Pool.Stealing) ]
-  in
-  Arg.(
-    value & opt sched_conv Pool.Chunked
-    & info [ "sched" ]
-        ~doc:
-          "Pool scheduler: $(b,chunked) (workers pull tasks from a shared \
-           queue) or $(b,stealing) (per-worker deques with work stealing \
-           for skewed task costs).  Output is byte-identical under either \
-           scheduler — tasks and their reduction order never depend on \
-           the schedule.")
-
-let unsafe_kernels_term =
-  Arg.(
-    value & flag
-    & info [ "unsafe-kernels" ]
-        ~doc:
-          "Use the bounds-check-free counting kernels in the vertical \
-           engine.  Counts are identical (the differential test suite \
-           enforces it); only the per-word bounds checks go.")
-
-let set_kernels unsafe = if unsafe then Vertical.set_unsafe_kernels true
-
 (* ----------------------------------------------------------------- gen *)
 
 let gen_cmd =
@@ -426,7 +401,7 @@ let mine_cmd =
     Arg.(value & opt (some float) None & info [ "rules" ] ~doc:"Also emit rules at this confidence.")
   in
   let run input dbfile min_support max_size min_confidence counter_spec seed
-      jobs sched unsafe stats trace =
+      jobs stats trace =
     let source = resolve_source ~who:"mine" input dbfile in
     (match (source, counter_spec) with
     | `Columnar _, (Counter_exact Apriori.Trie | Counter_sampled _) ->
@@ -438,7 +413,6 @@ let mine_cmd =
         exit 2
     | _ -> ());
     with_obs stats trace @@ fun () ->
-    set_kernels unsafe;
     let n, frequent =
       match source with
       | `Row path ->
@@ -446,15 +420,15 @@ let mine_cmd =
           let counter = resolve_counter_spec counter_spec ~seed in
           ( Db.length db,
             Pool.with_pool ~jobs (fun pool ->
-                Parallel.apriori_mine pool ~sched db ~min_support ~max_size
-                  ~counter) )
+                Parallel.apriori_mine pool db ~min_support ~max_size ~counter)
+          )
       | `Columnar path ->
           with_colfile ~who:"mine" path @@ fun cf ->
           let vt = Vertical.of_colfile cf in
           ( Vertical.length vt,
             Pool.with_pool ~jobs (fun pool ->
-                Parallel.apriori_mine_vertical pool ~sched vt ~min_support
-                  ~max_size) )
+                Parallel.apriori_mine_vertical pool vt ~min_support ~max_size)
+          )
     in
     Printf.printf "%d frequent itemsets at minsup %.3f:\n" (List.length frequent) min_support;
     List.iter
@@ -473,17 +447,16 @@ let mine_cmd =
     (Cmd.info "mine" ~doc:"Non-private Apriori over a database file.")
     Term.(
       const run $ in_opt_term $ db_term $ minsup_term $ maxsize_term
-      $ min_confidence $ counter_term $ seed_term $ jobs_term $ sched_term
-      $ unsafe_kernels_term $ stats_term $ trace_term)
+      $ min_confidence $ counter_term $ seed_term $ jobs_term $ stats_term
+      $ trace_term)
 
 (* -------------------------------------------------------------- private *)
 
 let private_cmd =
-  let run input dbfile spec min_support max_size counter_spec seed jobs sched
-      unsafe stats trace =
+  let run input dbfile spec min_support max_size counter_spec seed jobs stats
+      trace =
     let source = resolve_source ~who:"private" input dbfile in
     with_obs stats trace @@ fun () ->
-    set_kernels unsafe;
     let db =
       match source with
       | `Row path -> Io.read_file path
@@ -499,8 +472,7 @@ let private_cmd =
     let data, truth =
       Pool.with_pool ~jobs (fun pool ->
           ( Parallel.randomize_db_tagged pool scheme rng db,
-            Parallel.apriori_mine pool ~sched db ~min_support ~max_size ~counter
-          ))
+            Parallel.apriori_mine pool db ~min_support ~max_size ~counter ))
     in
     let mined = Ppmining.mine ~scheme ~data ~min_support ~max_size () in
     Printf.printf "operator: %s\n" (Randomizer.name scheme);
@@ -520,9 +492,8 @@ let private_cmd =
        ~doc:"End-to-end demo: randomize, mine privately, compare to ground truth.")
     Term.(
       const run $ in_opt_term $ db_term $ operator_term $ minsup_term
-      $ maxsize_term
-      $ counter_term $ seed_term $ jobs_term $ sched_term
-      $ unsafe_kernels_term $ stats_term $ trace_term)
+      $ maxsize_term $ counter_term $ seed_term $ jobs_term $ stats_term
+      $ trace_term)
 
 (* -------------------------------------------------------------- recover *)
 
@@ -802,7 +773,7 @@ let serve_cmd =
       & info [ "sampler-period-ms" ]
           ~doc:"Admin sampler period in milliseconds (min 1).")
   in
-  let run port jobs sched shards batch queue_capacity max_frame spec universe
+  let run port jobs shards batch queue_capacity max_frame spec universe
       itemsets singletons admin_port sampler_period stats trace =
     with_obs stats trace @@ fun () ->
     let scheme = scheme_of_spec ~universe spec in
@@ -820,7 +791,6 @@ let serve_cmd =
         (Ppdm_server.Serve.default_config ~scheme ~itemsets:tracked) with
         port;
         jobs = max 1 jobs;
-        sched;
         shards;
         batch;
         queue_capacity;
@@ -857,7 +827,7 @@ let serve_cmd =
           live support estimates.  Stops when a client sends a shutdown \
           frame.")
     Term.(
-      const run $ port_term $ jobs_term $ sched_term $ shards $ batch
+      const run $ port_term $ jobs_term $ shards $ batch
       $ queue_capacity $ max_frame $ operator_term $ universe $ itemsets
       $ singletons $ admin_port $ sampler_period $ stats_term $ trace_term)
 

@@ -10,28 +10,33 @@ type t = {
   n_population : int;
 }
 
+type by_size = (int, int array) Hashtbl.t
+
+let size_slot by_size ~k size =
+  match Hashtbl.find_opt by_size size with
+  | Some counts -> counts
+  | None ->
+      let counts = Array.make (k + 1) 0 in
+      Hashtbl.replace by_size size counts;
+      counts
+
+(* Sort on the size key alone: polymorphic compare would descend into the
+   histogram arrays (sizes are unique, so the key determines the order). *)
+let sorted_by_size by_size =
+  List.sort
+    (fun (a, _) (b, _) -> Int.compare a b)
+    (Hashtbl.fold (fun size c acc -> (size, c) :: acc) by_size [])
+
 let observed_partial_counts data ~itemset =
   let k = Itemset.cardinal itemset in
   let by_size = Hashtbl.create 8 in
   Array.iter
     (fun (size, y) ->
-      let counts =
-        match Hashtbl.find_opt by_size size with
-        | Some c -> c
-        | None ->
-            let c = Array.make (k + 1) 0 in
-            Hashtbl.replace by_size size c;
-            c
-      in
+      let counts = size_slot by_size ~k size in
       let l' = Itemset.inter_size itemset y in
       counts.(l') <- counts.(l') + 1)
     data;
-  (* Sort on the size key alone: polymorphic compare would descend into
-     the histogram arrays (sizes are unique, so the key determines the
-     order) — same hazard Stream.estimate already avoids. *)
-  List.sort
-    (fun (a, _) (b, _) -> Int.compare a b)
-    (Hashtbl.fold (fun size c acc -> (size, c) :: acc) by_size [])
+  sorted_by_size by_size
 
 (* Conditional covariance of the observed fraction vector given the true
    database: the randomization is the only noise source (the paper

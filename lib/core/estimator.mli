@@ -29,6 +29,22 @@ val observed_partial_counts :
 (** Group the tagged randomized data by original transaction size; for
     each size, the counts of [|y ∩ A| = l'] for [l' = 0..k]. *)
 
+(** {2 The size-keyed accumulator}
+
+    The sufficient statistic of a [k]-itemset, shared by
+    {!observed_partial_counts} and {!Stream}: per original transaction
+    size, a histogram of length [k+1]. *)
+
+type by_size = (int, int array) Hashtbl.t
+
+val size_slot : by_size -> k:int -> int -> int array
+(** The histogram for one size, allocated (zeroed, length [k+1]) on
+    first use. *)
+
+val sorted_by_size : by_size -> (int * int array) list
+(** The histograms in increasing size order — the [counts] argument of
+    {!estimate_from_counts}.  The arrays are shared, not copied. *)
+
 val estimate :
   scheme:Randomizer.t ->
   data:(int * Itemset.t) array ->

@@ -4,7 +4,7 @@ type t = {
   scheme : Randomizer.t;
   itemset : Itemset.t;
   k : int;
-  by_size : (int, int array) Hashtbl.t;
+  by_size : Estimator.by_size;
   mutable observed : int;
 }
 
@@ -20,13 +20,7 @@ let create ~scheme ~itemset =
 let itemset t = t.itemset
 let observed t = t.observed
 
-let slot t size =
-  match Hashtbl.find_opt t.by_size size with
-  | Some counts -> counts
-  | None ->
-      let counts = Array.make (t.k + 1) 0 in
-      Hashtbl.replace t.by_size size counts;
-      counts
+let slot t size = Estimator.size_slot t.by_size ~k:t.k size
 
 let observe t ~size y =
   Ppdm_obs.Metrics.incr "stream.observed";
@@ -72,14 +66,5 @@ let merge = function
 let estimate t =
   if t.observed = 0 then invalid_arg "Stream.estimate: no observations yet";
   Ppdm_obs.Span.with_ ~name:"stream.estimate" (fun () ->
-      (* Sort on the size key explicitly: the histogram arrays ride along
-         and must not participate in the order (sizes are unique, so the
-         key alone determines it). *)
-      let counts =
-        List.sort
-          (fun (a, _) (b, _) -> Int.compare a b)
-          (Hashtbl.fold
-             (fun size c acc -> (size, Array.copy c) :: acc)
-             t.by_size [])
-      in
-      Estimator.estimate_from_counts ~scheme:t.scheme ~k:t.k ~counts)
+      Estimator.estimate_from_counts ~scheme:t.scheme ~k:t.k
+        ~counts:(Estimator.sorted_by_size t.by_size))

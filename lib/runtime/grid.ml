@@ -1,7 +1,7 @@
 (* 2-D work-grid planning for the vertical counting engine: cut a
    (bitmap-word x candidate) rectangle into cache-sized cells.  The plan
    is a pure function of the data shape and the explicit overrides —
-   never of the job count — which is what lets any scheduler execute the
+   never of the job count — which is what lets the pool execute the
    cells in any order while the reduction stays bit-identical. *)
 
 type cell = { word_lo : int; word_hi : int; cand_lo : int; cand_hi : int }
@@ -24,10 +24,11 @@ let word_chunk_for ?(l2_bytes = default_l2_bytes) ~n_words () =
   max 256 (min l2_cap ((n_words + 63) / 64))
 
 (* Candidate columns bound the per-cell partial-count array (8 bytes per
-   candidate, <= 32 KiB at the cap) and give stealing its second axis:
-   at most 16 columns of at least 512 candidates, so small batches stay
-   one column (zero overhead vs the 1-D sharding) and the huge level-2
-   batches split without losing prefix reuse inside a column. *)
+   candidate, <= 32 KiB at the cap) and give the pool a second axis to
+   spread over: at most 16 columns of at least 512 candidates, so small
+   batches stay one column (zero overhead vs the 1-D sharding) and the
+   huge level-2 batches split without losing prefix reuse inside a
+   column. *)
 let cand_chunk_for ~n_candidates =
   max 512 (min 4096 ((n_candidates + 15) / 16))
 

@@ -55,7 +55,7 @@ let observe_all pool ?(chunk = Pool.default_chunk) ~scheme ~itemset data =
     Stream.merge (Array.to_list (Pool.run pool tasks))
   end
 
-let support_counts pool ?chunk ?sched db candidates =
+let support_counts pool ?chunk db candidates =
   Ppdm_obs.Span.with_ ~name:"parallel.count" @@ fun () ->
   let txs = Db.transactions db in
   let n = Array.length txs in
@@ -82,7 +82,7 @@ let support_counts pool ?chunk ?sched db candidates =
   if candidates = [] then []
   else if n = 0 then Count.to_list (count_range ~pos:0 ~len:0)
   else begin
-    let tries = Pool.run ?sched pool (chunk_tasks ~n ~chunk count_range) in
+    let tries = Pool.run pool (chunk_tasks ~n ~chunk count_range) in
     let merged = tries.(0) in
     for i = 1 to Array.length tries - 1 do
       Count.merge_into merged ~from:tries.(i)
@@ -98,8 +98,8 @@ let support_counts pool ?chunk ?sched db candidates =
    into the totals at its column offset, in cell-index order, gives the
    full counts (counts over disjoint tid ranges are sums of non-negative
    ints, and columns just concatenate), so the result is bit-identical
-   to the sequential count at any job count and under either scheduler. *)
-let support_counts_vertical pool ?chunk ?cand_chunk ?sched vt candidates =
+   to the sequential count at any job count. *)
+let support_counts_vertical pool ?chunk ?cand_chunk vt candidates =
   Ppdm_obs.Span.with_ ~name:"parallel.count" @@ fun () ->
   let n_words = Vertical.word_count vt in
   (match chunk with
@@ -125,7 +125,7 @@ let support_counts_vertical pool ?chunk ?cand_chunk ?sched vt candidates =
               ~cand_hi:c.Grid.cand_hi prepared)
         grid.Grid.cells
     in
-    let parts = Pool.run ?sched pool tasks in
+    let parts = Pool.run pool tasks in
     let totals = Array.make n_cands 0 in
     Array.iteri
       (fun idx part ->
@@ -143,9 +143,8 @@ let support_counts_vertical pool ?chunk ?cand_chunk ?sched vt candidates =
    columns the grid planner would cut, and the per-cell arrays are summed
    at their column offsets.  The plan itself is fixed before any task
    runs, so the raw sums — and the scaled counts — are bit-identical to
-   the sequential [Sampled.support_counts] at any job count and under
-   either scheduler. *)
-let support_counts_sampled pool ?chunk ?cand_chunk ?sched vt
+   the sequential [Sampled.support_counts] at any job count. *)
+let support_counts_sampled pool ?chunk ?cand_chunk vt
     (plan : Sampled.plan) candidates =
   Ppdm_obs.Span.with_ ~name:"parallel.count" @@ fun () ->
   let selected_words =
@@ -203,7 +202,7 @@ let support_counts_sampled pool ?chunk ?cand_chunk ?sched vt
               ~cand_hi:chi prepared)
         cells
     in
-    let parts = Pool.run ?sched pool tasks in
+    let parts = Pool.run pool tasks in
     let totals = Array.make len 0 in
     Array.iteri
       (fun idx part ->
@@ -215,7 +214,7 @@ let support_counts_sampled pool ?chunk ?cand_chunk ?sched vt
     Vertical.assemble prepared (Sampled.scale_counts plan totals)
   end
 
-let apriori_mine pool ?chunk ?sched ?max_size ?(counter = Apriori.Trie) db
+let apriori_mine pool ?chunk ?max_size ?(counter = Apriori.Trie) db
     ~min_support =
   if min_support <= 0. || min_support > 1. then
     invalid_arg "Parallel.apriori_mine: min_support out of (0,1]";
@@ -224,12 +223,12 @@ let apriori_mine pool ?chunk ?sched ?max_size ?(counter = Apriori.Trie) db
     match Apriori.resolve_counter counter db with
     | `Trie ->
         Ppdm_obs.Metrics.incr "apriori.counter.trie";
-        fun candidates -> support_counts pool ?chunk ?sched db candidates
+        fun candidates -> support_counts pool ?chunk db candidates
     | `Vertical ->
         Ppdm_obs.Metrics.incr "apriori.counter.vertical";
         let state = lazy (Vertical.of_db db) in
         fun candidates ->
-          support_counts_vertical pool ?chunk ?sched (Lazy.force state)
+          support_counts_vertical pool ?chunk (Lazy.force state)
             candidates
     | `Sampled (fraction, seed) ->
         Ppdm_obs.Metrics.incr "apriori.counter.sampled";
@@ -244,7 +243,7 @@ let apriori_mine pool ?chunk ?sched ?max_size ?(counter = Apriori.Trie) db
         in
         fun candidates ->
           let vt, plan = Lazy.force state in
-          support_counts_sampled pool ?chunk ?sched vt plan candidates
+          support_counts_sampled pool ?chunk vt plan candidates
   in
   let threshold = Apriori.absolute_threshold ~n:(Db.length db) ~min_support in
   Apriori.run_levels ?max_size ~threshold
@@ -255,8 +254,8 @@ let apriori_mine pool ?chunk ?sched ?max_size ?(counter = Apriori.Trie) db
    parallel entry point for columnar input, where no Db.t ever exists.
    Same level loop, same cell-order reduction: the output is
    bit-identical to [Apriori.mine_vertical] (and, via the differential
-   suite, to every other engine) at any job count and scheduler. *)
-let apriori_mine_vertical pool ?chunk ?cand_chunk ?sched ?max_size vt
+   suite, to every other engine) at any job count. *)
+let apriori_mine_vertical pool ?chunk ?cand_chunk ?max_size vt
     ~min_support =
   if min_support <= 0. || min_support > 1. then
     invalid_arg "Parallel.apriori_mine_vertical: min_support out of (0,1]";
@@ -269,10 +268,10 @@ let apriori_mine_vertical pool ?chunk ?cand_chunk ?sched ?max_size vt
   Apriori.run_levels ?max_size ~threshold
     ~level1:(fun () -> Apriori.level1_of_counts counts ~threshold)
     ~count_level:(fun candidates ->
-      support_counts_vertical pool ?chunk ?cand_chunk ?sched vt candidates)
+      support_counts_vertical pool ?chunk ?cand_chunk vt candidates)
     ()
 
-let eclat_mine pool ?sched ?max_size db ~min_support =
+let eclat_mine pool ?max_size db ~min_support =
   Ppdm_obs.Span.with_ ~name:"parallel.eclat" @@ fun () ->
   let atoms = Eclat.atoms db ~min_support in
   let n = Eclat.atom_count atoms in
@@ -287,7 +286,7 @@ let eclat_mine pool ?sched ?max_size db ~min_support =
           let lo = i * n / pieces and hi = (i + 1) * n / pieces in
           fun () -> Eclat.mine_atoms ?max_size atoms ~lo ~hi)
     in
-    let parts = Pool.run ?sched pool tasks in
+    let parts = Pool.run pool tasks in
     List.sort
       (fun (a, _) (b, _) -> Itemset.compare a b)
       (List.concat (Array.to_list parts))

@@ -16,9 +16,8 @@ let worker_id_key = Domain.DLS.new_key (fun () -> 0)
    disabled path stays a single branch).  [queued_at] is the submission
    timestamp; its distance to the dequeue time is the queue wait.  The
    wait is attributed to the worker that {e executes} the task — read
-   from the executing domain's DLS at dequeue time — so under stealing a
-   stolen task lands on the thief's histogram, not its home worker's, and
-   the per-worker busy fractions stay truthful. *)
+   from the executing domain's DLS at dequeue time — so the per-worker
+   wait histograms and busy fractions stay truthful. *)
 let timed_task ?queued_at f =
   let t0 = Ppdm_obs.Metrics.now_ns () in
   let id = Domain.DLS.get worker_id_key in
@@ -63,47 +62,6 @@ let take_fault () =
       false
 
 let injected_task () = raise (Injected_fault "Pool: injected task failure")
-
-(* ------------------------------------------------------- scheduling *)
-
-type sched = Chunked | Stealing
-
-(* One worker's share of a stealing batch: a contiguous slice of the
-   task array tracked by two cursors.  The owner consumes from the front
-   (its tasks in submission order), thieves take from the back (the work
-   the owner is farthest from reaching).  A plain mutex per deque: batch
-   cells are coarse by construction (the grid planner sizes them to an L2
-   footprint), so the lock is uncontended and the simplicity is free. *)
-type deque = {
-  d_lock : Mutex.t;
-  mutable front : int;
-  mutable back : int; (* unclaimed tasks are [front, back) *)
-}
-
-let deque_pop_own d =
-  Mutex.lock d.d_lock;
-  let r =
-    if d.front < d.back then begin
-      let i = d.front in
-      d.front <- d.front + 1;
-      Some i
-    end
-    else None
-  in
-  Mutex.unlock d.d_lock;
-  r
-
-let deque_steal d =
-  Mutex.lock d.d_lock;
-  let r =
-    if d.front < d.back then begin
-      d.back <- d.back - 1;
-      Some d.back
-    end
-    else None
-  in
-  Mutex.unlock d.d_lock;
-  r
 
 type t = {
   jobs : int;
@@ -169,7 +127,7 @@ let with_pool ~jobs f =
 (* Run every closure in [fns]; collect the first exception rather than
    letting it kill a worker, and re-raise it in the caller only after the
    whole batch has drained (so the pool is quiescent again). *)
-let run_all ?(sched = Chunked) pool fns =
+let run_all pool fns =
   (* Decide fault substitution here, on the caller's thread and in task
      order, so which task fails is deterministic at any job count.  The
      replaced task raises through the normal collection path below: the
@@ -223,8 +181,7 @@ let run_all ?(sched = Chunked) pool fns =
       Array.iter
         (fun _ -> Ppdm_obs.Trace.instant ~name:"pool.task.submit" ~cat:"pool")
         fns;
-    (* The caller is the jobs-th worker: it helps drain the shared queue
-       (chunked tasks, or the stealing drivers of slow-to-wake workers),
+    (* The caller is the jobs-th worker: it helps drain the shared queue,
        then waits for stragglers running on other domains. *)
     let rec help () =
       Mutex.lock pool.lock;
@@ -235,107 +192,16 @@ let run_all ?(sched = Chunked) pool fns =
           help ()
       | None -> Mutex.unlock pool.lock
     in
-    (match sched with
-    | Chunked ->
-        let wrap f () =
-          (try run_task ?queued_at f
-           with e -> ignore (Atomic.compare_and_set failed None (Some e)));
-          finish_one ()
-        in
-        Mutex.lock pool.lock;
-        Array.iter (fun f -> Queue.add (wrap f) pool.queue) fns;
-        Condition.broadcast pool.work_available;
-        Mutex.unlock pool.lock;
-        help ()
-    | Stealing ->
-        (* Work stealing: the batch is pre-split into one contiguous
-           deque per worker; what goes through the shared queue is only
-           [jobs - 1] driver closures (the caller runs the remaining
-           one).  A driver drains its own deque front-to-back, then
-           probes the other deques in a randomized order, stealing from
-           the back of the first non-empty victim; a full pass of empty
-           probes means every deque is drained, and — since tasks never
-           submit tasks — no work can reappear, so the driver quiesces.
-           Which domain runs which task is scheduling-dependent, but
-           every task writes to its own result slot and the caller
-           reduces in task-index order, so output is bit-identical to
-           the chunked and sequential paths. *)
-        let jobs = pool.jobs in
-        let deques =
-          Array.init jobs (fun w ->
-              {
-                d_lock = Mutex.create ();
-                front = w * n / jobs;
-                back = (w + 1) * n / jobs;
-              })
-        in
-        let exec ~stolen i =
-          (try
-             if traced && stolen then
-               Ppdm_obs.Trace.with_ ~name:"pool.task.stolen" ~cat:"pool"
-                 (fun () ->
-                   if instrument then timed_task ?queued_at fns.(i)
-                   else fns.(i) ())
-             else run_task ?queued_at fns.(i)
-           with e -> ignore (Atomic.compare_and_set failed None (Some e)));
-          if instrument then
-            Ppdm_obs.Metrics.incr
-              ("pool.cells.w"
-              ^ string_of_int (Domain.DLS.get worker_id_key));
-          finish_one ()
-        in
-        let driver me () =
-          (* xorshift victim order: scheduling freedom only — the steal
-             order cannot reach the results, per the argument above. *)
-          let state = ref (((me + 1) * 0x9E3779B1) lor 1) in
-          let rand () =
-            let x = !state in
-            let x = x lxor (x lsl 13) in
-            let x = x lxor (x lsr 7) in
-            let x = x lxor (x lsl 17) in
-            state := x land max_int;
-            !state
-          in
-          let rec own () =
-            match deque_pop_own deques.(me) with
-            | Some i ->
-                exec ~stolen:false i;
-                own ()
-            | None -> ()
-          in
-          own ();
-          if jobs > 1 then begin
-            let rec pass () =
-              let offset = rand () mod (jobs - 1) in
-              let stolen = ref false in
-              let v = ref 0 in
-              while (not !stolen) && !v < jobs - 1 do
-                let victim =
-                  (me + 1 + ((offset + !v) mod (jobs - 1))) mod jobs
-                in
-                (match deque_steal deques.(victim) with
-                | Some i ->
-                    stolen := true;
-                    if instrument then Ppdm_obs.Metrics.incr "pool.steals";
-                    exec ~stolen:true i
-                | None ->
-                    if instrument then
-                      Ppdm_obs.Metrics.incr "pool.steal_failures");
-                incr v
-              done;
-              if !stolen then pass ()
-            in
-            pass ()
-          end
-        in
-        Mutex.lock pool.lock;
-        for w = 1 to jobs - 1 do
-          Queue.add (driver w) pool.queue
-        done;
-        Condition.broadcast pool.work_available;
-        Mutex.unlock pool.lock;
-        driver 0 ();
-        help ());
+    let wrap f () =
+      (try run_task ?queued_at f
+       with e -> ignore (Atomic.compare_and_set failed None (Some e)));
+      finish_one ()
+    in
+    Mutex.lock pool.lock;
+    Array.iter (fun f -> Queue.add (wrap f) pool.queue) fns;
+    Condition.broadcast pool.work_available;
+    Mutex.unlock pool.lock;
+    help ();
     Mutex.lock batch_lock;
     while Atomic.get remaining > 0 do
       Condition.wait batch_done batch_lock
@@ -344,9 +210,9 @@ let run_all ?(sched = Chunked) pool fns =
     match Atomic.get failed with Some e -> raise e | None -> ()
   end
 
-let run ?sched pool fns =
+let run pool fns =
   let results = Array.make (Array.length fns) None in
-  run_all ?sched pool
+  run_all pool
     (Array.mapi (fun i f -> fun () -> results.(i) <- Some (f ())) fns);
   Array.map Option.get results
 

@@ -10,7 +10,6 @@ type config = {
   linger_ns : int;
   queue_capacity : int;
   max_frame : int;
-  sched : Pool.sched;
   scheme : Randomizer.t;
   itemsets : Itemset.t list;
   admin_port : int option;
@@ -26,7 +25,6 @@ let default_config ~scheme ~itemsets =
     linger_ns = 0;
     queue_capacity = 4096;
     max_frame = Framing.default_max_frame;
-    sched = Pool.Chunked;
     scheme;
     itemsets;
     admin_port = None;
@@ -334,7 +332,7 @@ let serve_on listener ?admin sh =
      loop and sampler when the admin plane is on). *)
   Fun.protect ~finally:restore_metrics (fun () ->
       Pool.with_pool ~jobs:(Array.length tasks) (fun pool ->
-          ignore (Pool.run ~sched:config.sched pool tasks)));
+          ignore (Pool.run pool tasks)));
   { reports = shared_folded sh; sessions = Atomic.get sh.sessions }
 
 (* ------------------------------------------------------------- handles *)

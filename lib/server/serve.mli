@@ -30,11 +30,6 @@ type config = {
   linger_ns : int;  (** how long a folder waits to fill a batch (0: none) *)
   queue_capacity : int;  (** per-shard queue bound (the backpressure knob) *)
   max_frame : int;  (** frame payload cap on every session *)
-  sched : Ppdm_runtime.Pool.sched;
-      (** pool scheduler for the server stages.  Every stage is a
-          long-lived task and the pool is sized to run them all at once,
-          so the choice cannot affect behaviour — it is exposed so the
-          stealing scheduler's dispatch path gets exercised end to end. *)
   scheme : Randomizer.t;  (** the operator clients must match *)
   itemsets : Itemset.t list;  (** tracked itemsets (estimates served) *)
   admin_port : int option;
@@ -48,8 +43,7 @@ type config = {
 
 val default_config : scheme:Randomizer.t -> itemsets:Itemset.t list -> config
 (** port 0, jobs 2, shards 2, batch 256, no linger, queue capacity 4096,
-    {!Framing.default_max_frame}, chunked scheduling, no admin plane,
-    1s sampler period. *)
+    {!Framing.default_max_frame}, no admin plane, 1s sampler period. *)
 
 type stats = { reports : int; sessions : int }
 (** Totals over the server's lifetime (reports = folded into shards). *)

@@ -225,26 +225,21 @@ let test_pool_survives_exception () =
         (Array.init 8 (fun i -> i * i))
         again)
 
-(* Stealing scheduler: bit-identical mining output at every job count,
-   under a word chunk small enough to cut many grid cells. *)
-let test_stealing_mine_identical () =
+(* Bit-identical mining output at every job count, under a word chunk
+   small enough to cut many grid cells. *)
+let test_fine_grid_mine_identical () =
   let db = setup_db ~seed:61 in
   let expected =
     Apriori.mine ~counter:Apriori.Vertical db ~min_support:0.02 ~max_size:3
   in
   List.iter
     (fun jobs ->
-      List.iter
-        (fun (sname, sched) ->
-          let got =
-            Pool.with_pool ~jobs (fun pool ->
-                Parallel.apriori_mine pool ~chunk:7 ~sched
-                  ~counter:Apriori.Vertical db ~min_support:0.02 ~max_size:3)
-          in
-          check_itemsets_equal
-            (Printf.sprintf "%s at jobs=%d" sname jobs)
-            expected got)
-        [ ("chunked", Pool.Chunked); ("stealing", Pool.Stealing) ])
+      let got =
+        Pool.with_pool ~jobs (fun pool ->
+            Parallel.apriori_mine pool ~chunk:7 ~counter:Apriori.Vertical db
+              ~min_support:0.02 ~max_size:3)
+      in
+      check_itemsets_equal (Printf.sprintf "jobs=%d" jobs) expected got)
     [ 1; 2; 4; 8 ]
 
 (* A candidate chunk of 1 forces one grid column per candidate: the
@@ -260,29 +255,13 @@ let test_grid_columns_identical () =
     (fun (chunk, cand_chunk) ->
       let got =
         Pool.with_pool ~jobs:4 (fun pool ->
-            Parallel.support_counts_vertical pool ~chunk ~cand_chunk
-              ~sched:Pool.Stealing vt candidates)
+            Parallel.support_counts_vertical pool ~chunk ~cand_chunk vt
+              candidates)
       in
       check_itemsets_equal
         (Printf.sprintf "grid %dx%d" chunk cand_chunk)
         expected got)
     [ (5, 1); (1, 7); (13, 13); (1_000_000, 1_000_000) ]
-
-let test_stealing_pool_survives_exception () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let failing =
-        Array.init 16 (fun i ->
-            fun () -> if i = 7 then failwith "stolen boom" else i)
-      in
-      Alcotest.check_raises "exception propagates" (Failure "stolen boom")
-        (fun () -> ignore (Pool.run ~sched:Pool.Stealing pool failing));
-      let again =
-        Pool.run ~sched:Pool.Stealing pool
-          (Array.init 8 (fun i -> fun () -> i * i))
-      in
-      Alcotest.(check (array int)) "stealing run works after failure"
-        (Array.init 8 (fun i -> i * i))
-        again)
 
 (* Grid planning: exact partition, column-major cell order, and the
    documented defaults. *)
@@ -332,13 +311,12 @@ let test_grid_plan () =
     (Invalid_argument "Grid: l2_bytes must be positive") (fun () ->
       ignore (Grid.word_chunk_for ~l2_bytes:0 ~n_words:1 ()))
 
-(* Queue-wait accounting under stealing: a stolen task's wait must land
-   on the histogram of the worker that executed it.  Task 0 parks the
-   caller (worker 0) until task 1 has run, so worker 1 must steal at
-   least one of worker 0's remaining tasks before the batch can finish —
-   and its per-worker histogram must therefore hold more than its own
-   three tasks. *)
-let test_stealing_wait_accounting () =
+(* Queue-wait accounting: a task's wait must land on the histogram of
+   the worker that executed it.  Task 0 parks whichever worker takes it
+   until task 1 has run, so the other worker must execute at least one
+   task before the batch can finish — and the two per-worker histograms
+   must partition the six waits with neither left empty. *)
+let test_wait_accounting () =
   Ppdm_obs.Metrics.set_enabled true;
   Ppdm_obs.Metrics.reset ();
   Fun.protect
@@ -361,31 +339,22 @@ let test_stealing_wait_accounting () =
         else if i = 1 then Atomic.set unblock true
       in
       Pool.with_pool ~jobs:2 (fun pool ->
-          ignore (Pool.run ~sched:Pool.Stealing pool (Array.init 6 task)));
-      Alcotest.(check bool) "a steal released the parked owner" false
+          ignore (Pool.run pool (Array.init 6 task)));
+      Alcotest.(check bool) "the other worker released the parked one" false
         !timed_out;
       let snap = Ppdm_obs.Metrics.snapshot () in
-      let counter name =
-        match List.assoc_opt name snap.Ppdm_obs.Metrics.counters with
-        | Some v -> v
-        | None -> 0
-      in
       let hist_count name =
         match List.assoc_opt name snap.Ppdm_obs.Metrics.histograms with
         | Some h -> h.Ppdm_obs.Metrics.count
         | None -> 0
       in
-      Alcotest.(check bool) "steals recorded" true (counter "pool.steals" >= 1);
+      let w0 = hist_count "pool.queue_wait_ns.w0"
+      and w1 = hist_count "pool.queue_wait_ns.w1" in
       Alcotest.(check int) "every wait observed once" 6
         (hist_count "pool.queue_wait_ns");
-      Alcotest.(check int) "per-worker waits partition the total" 6
-        (hist_count "pool.queue_wait_ns.w0"
-        + hist_count "pool.queue_wait_ns.w1");
-      Alcotest.(check bool)
-        "the thief's histogram holds its slice plus the stolen work" true
-        (hist_count "pool.queue_wait_ns.w1" >= 4);
-      Alcotest.(check int) "per-worker cell counts partition the batch" 6
-        (counter "pool.cells.w0" + counter "pool.cells.w1"))
+      Alcotest.(check int) "per-worker waits partition the total" 6 (w0 + w1);
+      Alcotest.(check bool) "both workers executed a task" true
+        (w0 >= 1 && w1 >= 1))
 
 let test_pool_edge_cases () =
   (* jobs <= 1 spawns nothing and still works; empty inputs are fine *)
@@ -430,14 +399,12 @@ let suite =
       test_map_reduce_advances_rng;
     Alcotest.test_case "pool survives worker exception" `Quick
       test_pool_survives_exception;
-    Alcotest.test_case "stealing mine = sequential at jobs 1/2/4/8" `Quick
-      test_stealing_mine_identical;
+    Alcotest.test_case "fine-grid mine = sequential at jobs 1/2/4/8" `Quick
+      test_fine_grid_mine_identical;
     Alcotest.test_case "grid columns reduce identically" `Quick
       test_grid_columns_identical;
-    Alcotest.test_case "stealing pool survives worker exception" `Quick
-      test_stealing_pool_survives_exception;
     Alcotest.test_case "grid plan partitions exactly" `Quick test_grid_plan;
-    Alcotest.test_case "stolen waits land on the executing worker" `Quick
-      test_stealing_wait_accounting;
+    Alcotest.test_case "queue waits land on the executing worker" `Quick
+      test_wait_accounting;
     Alcotest.test_case "pool edge cases" `Quick test_pool_edge_cases;
   ]
