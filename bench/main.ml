@@ -331,7 +331,10 @@ let b4 () =
         let t0 = Unix.gettimeofday () in
         let tagged = Parallel.randomize_db_tagged pool scheme rng db in
         let noisy = Db.create ~universe (Array.map snd tagged) in
-        let counts = Parallel.support_counts pool noisy candidates in
+        let counts =
+          Parallel.support_counts_vertical pool (Vertical.of_db noisy)
+            candidates
+        in
         (Unix.gettimeofday () -. t0, tagged, counts))
   in
   let same_tagged a b =
@@ -466,7 +469,7 @@ let b7 () =
             ~name:(Printf.sprintf "%s apriori trie" label)
             (Bechamel.Staged.stage (fun () ->
                  ignore
-                   (Apriori.mine ~counter:Apriori.Trie db ~min_support
+                   (Ppdm_check.Oracle.trie_apriori db ~min_support
                       ~max_size:3)));
           Bechamel.Test.make
             ~name:(Printf.sprintf "%s apriori vertical" label)

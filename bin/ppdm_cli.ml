@@ -1,12 +1,23 @@
 (* ppdm: command-line front end for the privacy-preserving mining library.
 
    Subcommands:
-     gen        generate a synthetic transaction database
-     randomize  apply a randomization operator (client side)
-     analyze    print the privacy certificate of an operator
-     mine       non-private Apriori over a database file
-     private    end-to-end demo: randomize + privacy-preserving mining,
-                compared against the non-private ground truth *)
+     gen         generate a synthetic transaction database
+     randomize   apply a randomization operator (client side)
+     analyze     print the privacy certificate of an operator
+     mine        non-private Apriori over a database file
+     private     end-to-end demo: randomize + privacy-preserving mining,
+                 compared against the non-private ground truth
+     recover     estimate one itemset's support from a tagged randomized
+                 file (or count it exactly from a columnar file)
+     convert     transpose a transaction file into the columnar format
+     stats       summarize a transaction database file
+     experiment  recompute one experiment of the evaluation
+     serve       run the ingest service (randomized reports over TCP)
+     load        load-generate against a running serve
+     top         live dashboard over a serve admin plane
+     stat        one-shot scrape of a serve admin plane
+     selftest    property, differential, statistical and fault checks
+     bench-diff  compare two benchmark files and gate regressions *)
 
 open Cmdliner
 open Ppdm_prng
@@ -15,48 +26,6 @@ open Ppdm_datagen
 open Ppdm_mining
 open Ppdm
 open Ppdm_runtime
-
-(* ------------------------------------------------------------ tagged io *)
-
-(* Randomized data is (original_size, itemset) pairs: the size is public
-   protocol metadata the estimator needs.  Format: header as in Io, then
-   "size|items" lines. *)
-let write_tagged path ~universe data =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc "tagged %d transactions %d\n" universe (Array.length data);
-      Array.iter
-        (fun (size, items) ->
-          Printf.fprintf oc "%d|%s\n" size
-            (String.concat " "
-               (List.map string_of_int (Itemset.to_list items))))
-        data)
-
-let read_tagged path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let header = input_line ic in
-      match String.split_on_char ' ' (String.trim header) with
-      | [ "tagged"; u; "transactions"; c ] ->
-          let universe = int_of_string u and count = int_of_string c in
-          let data =
-            Array.init count (fun _ ->
-                let line = input_line ic in
-                match String.split_on_char '|' line with
-                | [ size; items ] ->
-                    let items =
-                      List.filter_map int_of_string_opt
-                        (String.split_on_char ' ' items)
-                    in
-                    (int_of_string size, Itemset.of_list items)
-                | _ -> failwith "malformed tagged line")
-          in
-          (universe, data)
-      | _ -> failwith "not a tagged randomized-data file")
 
 (* ------------------------------------------------------- operator specs *)
 
@@ -276,7 +245,7 @@ let randomize_cmd =
       Pool.with_pool ~jobs (fun pool ->
           Parallel.randomize_db_tagged pool scheme rng db)
     in
-    write_tagged out ~universe:(Db.universe db) data;
+    Io.write_tagged out ~universe:(Db.universe db) data;
     Option.iter
       (fun path ->
         Scheme_io.write_file path scheme ~sizes:(Scheme_io.sizes_of_db db);
@@ -338,78 +307,62 @@ let minsup_term =
 let maxsize_term =
   Arg.(value & opt int 3 & info [ "max-size" ] ~doc:"Largest itemset size explored.")
 
-(* The counter flag accepts the three exact engines plus a parameterized
-   sampled spec; the sampling seed is supplied separately (--seed), so
-   the spec parses to an intermediate form resolved at run time. *)
-type counter_spec = Counter_exact of Apriori.counter | Counter_sampled of float
+(* --counter names the exact engine or a sampled fraction; the sampling
+   seed comes from --seed.  Validated in the commands rather than by a
+   cmdliner converter, so a bad value is a usage error (exit 2) like the
+   commands' other flag checks. *)
+type counter_spec = Exact | Sampled_at of float
 
-let counter_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "trie" -> Ok (Counter_exact Apriori.Trie)
-    | "vertical" -> Ok (Counter_exact Apriori.Vertical)
-    | "auto" -> Ok (Counter_exact Apriori.Auto)
-    | spec when String.length spec > 8 && String.sub spec 0 8 = "sampled:" -> (
-        let frac = String.sub spec 8 (String.length spec - 8) in
-        match float_of_string_opt frac with
-        | Some f when f > 0. && f <= 1. -> Ok (Counter_sampled f)
-        | _ ->
-            Error
-              (`Msg
-                (Printf.sprintf
-                   "sampled fraction %S must be a float in (0,1]" frac)))
-    | _ ->
-        Error
-          (`Msg
-            (Printf.sprintf
-               "counter %S must be trie, vertical, auto, or sampled:F" s))
+let counter_spec ~who flag =
+  let usage fmt =
+    Printf.ksprintf
+      (fun msg ->
+        Printf.eprintf "%s: %s\n" who msg;
+        exit 2)
+      fmt
   in
-  let print ppf = function
-    | Counter_exact Apriori.Trie -> Format.pp_print_string ppf "trie"
-    | Counter_exact Apriori.Vertical -> Format.pp_print_string ppf "vertical"
-    | Counter_exact Apriori.Auto -> Format.pp_print_string ppf "auto"
-    | Counter_exact (Apriori.Sampled { fraction; _ }) | Counter_sampled fraction
-      ->
-        Format.fprintf ppf "sampled:%g" fraction
-  in
-  Arg.conv (parse, print)
+  match String.lowercase_ascii flag with
+  | "vertical" -> Exact
+  | spec when String.starts_with ~prefix:"sampled:" spec -> (
+      let frac = String.sub spec 8 (String.length spec - 8) in
+      match float_of_string_opt frac with
+      | Some f when f > 0. && f <= 1. -> Sampled_at f
+      | _ ->
+          usage "--counter: sampled fraction %S must be a float in (0,1]" frac)
+  | _ -> usage "--counter %S must be vertical or sampled:F" flag
 
-let resolve_counter_spec spec ~seed =
+let apriori_counter spec ~seed =
   match spec with
-  | Counter_exact c -> c
-  | Counter_sampled fraction -> Apriori.Sampled { fraction; seed }
+  | Exact -> Apriori.Vertical
+  | Sampled_at fraction -> Apriori.Sampled { fraction; seed }
 
-(* The mined output is byte-identical across exact engines, so the
-   default can follow the data (auto) without breaking anyone's diff. *)
 let counter_term =
   Arg.(
     value
-    & opt counter_conv (Counter_exact Apriori.Auto)
-    & info [ "counter" ]
+    & opt string "vertical"
+    & info [ "counter" ] ~docv:"ENGINE"
         ~doc:
-          "Support-counting engine for Apriori: $(b,trie) (horizontal hash \
-           trie), $(b,vertical) (word-level tid bitmaps), $(b,auto) \
-           (vertical once the database fills a bitmap word), or \
-           $(b,sampled:F) (count levels >= 2 on a deterministic seeded \
-           uniform sample covering fraction F of the transactions — \
-           faster, with known sampling noise; F = 1.0 is byte-identical \
-           to vertical).  The mined output is identical across the exact \
-           engines.")
+          "Support-counting engine for Apriori: $(b,vertical) (word-level \
+           tid bitmaps, the exact engine) or $(b,sampled:F) (count levels \
+           >= 2 on a deterministic seeded uniform sample covering fraction \
+           F of the transactions — faster, with known sampling noise; F = \
+           1.0 is byte-identical to vertical).")
 
 let mine_cmd =
   let min_confidence =
     Arg.(value & opt (some float) None & info [ "rules" ] ~doc:"Also emit rules at this confidence.")
   in
-  let run input dbfile min_support max_size min_confidence counter_spec seed
-      jobs stats trace =
+  let run input dbfile min_support max_size min_confidence counter seed jobs
+      stats trace =
     let source = resolve_source ~who:"mine" input dbfile in
-    (match (source, counter_spec) with
-    | `Columnar _, (Counter_exact Apriori.Trie | Counter_sampled _) ->
-        (* the trie walks transactions and the sampler plans over an
-           in-RAM transpose; columnar input counts on its containers *)
+    let spec = counter_spec ~who:"mine" counter in
+    (match (source, spec) with
+    | `Columnar _, Sampled_at _ ->
+        (* the sampler plans over an in-RAM transpose; columnar input
+           counts on its containers *)
         prerr_endline
-          "mine: --db supports only the vertical/auto counters (use --in \
-           for trie or sampled counting)";
+          "mine: --db supports only the vertical counter (use --in for \
+           sampled counting)";
         exit 2
     | _ -> ());
     with_obs stats trace @@ fun () ->
@@ -417,7 +370,7 @@ let mine_cmd =
       match source with
       | `Row path ->
           let db = Io.read_file path in
-          let counter = resolve_counter_spec counter_spec ~seed in
+          let counter = apriori_counter spec ~seed in
           ( Db.length db,
             Pool.with_pool ~jobs (fun pool ->
                 Parallel.apriori_mine pool db ~min_support ~max_size ~counter)
@@ -453,9 +406,10 @@ let mine_cmd =
 (* -------------------------------------------------------------- private *)
 
 let private_cmd =
-  let run input dbfile spec min_support max_size counter_spec seed jobs stats
+  let run input dbfile spec min_support max_size counter seed jobs stats
       trace =
     let source = resolve_source ~who:"private" input dbfile in
+    let counter = apriori_counter (counter_spec ~who:"private" counter) ~seed in
     with_obs stats trace @@ fun () ->
     let db =
       match source with
@@ -467,7 +421,6 @@ let private_cmd =
               Vertical.to_db (Vertical.of_colfile cf))
     in
     let scheme = scheme_of_spec ~universe:(Db.universe db) spec in
-    let counter = resolve_counter_spec counter_spec ~seed in
     let rng = Rng.create ~seed () in
     let data, truth =
       Pool.with_pool ~jobs (fun pool ->
@@ -529,8 +482,9 @@ let recover_cmd =
       Array.map (fun i -> data.(i)) chosen
     end
   in
-  let run input dbfile spec scheme_file items counter_spec seed stats trace =
+  let run input dbfile spec scheme_file items counter seed stats trace =
     let source = resolve_source ~who:"recover" input dbfile in
+    let counter = counter_spec ~who:"recover" counter in
     match source with
     | `Columnar path ->
         (* the un-randomized columnar file: the itemset's support is a
@@ -547,7 +501,17 @@ let recover_cmd =
           n
     | `Row input ->
     with_obs stats trace @@ fun () ->
-    let universe, data = read_tagged input in
+    let universe, data =
+      match Io.read_tagged input with
+      | tagged -> tagged
+      | exception Io.Item_out_of_universe { item; universe } ->
+          Printf.eprintf "recover: %s: item %d outside the declared universe %d\n"
+            input item universe;
+          exit 1
+      | exception Failure msg ->
+          Printf.eprintf "recover: %s: %s\n" input msg;
+          exit 1
+    in
     let scheme =
       match scheme_file with
       | Some path -> Scheme_io.read_file path
@@ -555,12 +519,12 @@ let recover_cmd =
     in
     let itemset = Itemset.of_list items in
     let e =
-      match counter_spec with
-      | Counter_exact _ ->
-          (* The exact engines all read every row here; the flag is
-             accepted for CLI symmetry with mine/private. *)
+      match counter with
+      | Exact ->
+          (* The exact engine reads every row here; the flag is accepted
+             for CLI symmetry with mine/private. *)
           Estimator.estimate ~scheme ~data ~itemset
-      | Counter_sampled fraction ->
+      | Sampled_at fraction ->
           let population = Array.length data in
           let sampled = sample_rows data ~fraction ~seed in
           if Array.length sampled = population then
@@ -1063,16 +1027,7 @@ let stat_cmd =
       & info [ "raw" ]
           ~doc:"Print the raw OpenMetrics exposition instead of the summary.")
   in
-  let once =
-    Arg.(
-      value & flag
-      & info [ "once" ]
-          ~doc:
-            "Scrape exactly once and exit (the default; the flag exists so \
-             scripts can state it).")
-  in
-  let run port raw once =
-    ignore once;
+  let run port raw =
     match fetch_metrics port with
     | Error msg ->
         Printf.eprintf "ppdm stat: %s\n" msg;
@@ -1088,7 +1043,7 @@ let stat_cmd =
           dashboard summary once (or the raw OpenMetrics text with \
           --raw) and exit.  Exits non-zero if the admin plane is \
           unreachable or the exposition does not parse.")
-    Term.(const run $ admin_port_term $ raw $ once)
+    Term.(const run $ admin_port_term $ raw)
 
 (* ------------------------------------------------------------ bench-diff *)
 

@@ -5,14 +5,20 @@ open Ppdm
 
 type miner = string * (Db.t -> min_support:float -> (Itemset.t * int) list)
 
+(* Apriori over the reference trie kernel: the shared level loop, but
+   counted by a horizontal walk of every transaction that shares no code
+   with the vertical engine every other Apriori entry point runs on. *)
+let trie_apriori ?max_size db ~min_support =
+  let threshold = Apriori.absolute_threshold ~n:(Db.length db) ~min_support in
+  Apriori.run_levels ?max_size ~threshold
+    ~level1:(fun () -> Apriori.level1 db ~threshold)
+    ~count_level:(Count.support_counts db) ()
+
 let sequential_miners ?max_size () =
   [
-    ( "apriori",
-      fun db ~min_support ->
-        Apriori.mine ?max_size ~counter:Apriori.Trie db ~min_support );
+    ("apriori", trie_apriori ?max_size);
     ( "apriori-vertical",
-      fun db ~min_support ->
-        Apriori.mine ?max_size ~counter:Apriori.Vertical db ~min_support );
+      fun db ~min_support -> Apriori.mine ?max_size db ~min_support );
     (* the compressed-container kernels, driven file-free: transpose,
        re-encode every tid-set as a roaring-style column, mine in place *)
     ( "apriori-columnar",
@@ -23,7 +29,7 @@ let sequential_miners ?max_size () =
     ("eclat", fun db ~min_support -> Eclat.mine ?max_size db ~min_support);
     ("fp-growth", fun db ~min_support -> Fptree.mine ?max_size db ~min_support);
     (* sampled at F = 1.0 is contractually byte-identical to the exact
-       engines (the plan is exhaustive and scaling is the identity), so
+       engine (the plan is exhaustive and scaling is the identity), so
        it can join the differential suite; F < 1 cannot — it gets its
        own statistical checks in Stat. *)
     ( "apriori-sampled-1.0",
@@ -39,18 +45,11 @@ let parallel_miners ?max_size pool =
     ( "parallel-apriori/j" ^ j,
       fun db ~min_support ->
         Ppdm_runtime.Parallel.apriori_mine pool ?max_size db ~min_support );
-    ( "parallel-apriori-vertical/j" ^ j,
-      fun db ~min_support ->
-        Ppdm_runtime.Parallel.apriori_mine pool ?max_size
-          ~counter:Apriori.Vertical db ~min_support );
     ( "parallel-apriori-columnar/j" ^ j,
       fun db ~min_support ->
         Ppdm_runtime.Parallel.apriori_mine_vertical pool ?max_size
           (Vertical.compress (Vertical.of_db db))
           ~min_support );
-    ( "parallel-eclat/j" ^ j,
-      fun db ~min_support ->
-        Ppdm_runtime.Parallel.eclat_mine pool ?max_size db ~min_support );
     ( "parallel-apriori-sampled-1.0/j" ^ j,
       fun db ~min_support ->
         Ppdm_runtime.Parallel.apriori_mine pool ?max_size

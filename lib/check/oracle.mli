@@ -13,14 +13,23 @@ open Ppdm
 type miner = string * (Db.t -> min_support:float -> (Itemset.t * int) list)
 (** A named frequent-itemset miner under test. *)
 
+val trie_apriori :
+  ?max_size:int -> Db.t -> min_support:float -> (Itemset.t * int) list
+(** The reference Apriori: {!Ppdm_mining.Apriori.run_levels} seeded
+    from {!Ppdm_mining.Apriori.level1} and counting every later level
+    with the {!Ppdm_mining.Count} trie, a horizontal walk
+    that shares no kernel with the vertical engine the library's Apriori
+    entry points run on.  Listed as ["apriori"] in {!sequential_miners}. *)
+
 val sequential_miners : ?max_size:int -> unit -> miner list
-(** Apriori on both counting engines (the hash trie and the vertical
-    bitmap engine), Eclat, and FP-growth. *)
+(** The trie-reference Apriori, Apriori on the vertical engine (row-major,
+    compressed columnar, and sampled at fraction 1), Eclat, and
+    FP-growth. *)
 
 val parallel_miners : ?max_size:int -> Ppdm_runtime.Pool.t -> miner list
-(** The parallel Apriori (trie-sharded, 2-D-grid-sharded vertical,
-    columnar, and sampled at fraction 1) and Eclat drivers on the given
-    pool, labelled with its job count. *)
+(** The parallel Apriori miners (2-D-grid-sharded vertical, columnar,
+    and sampled at fraction 1) on the given pool, labelled with its job
+    count. *)
 
 val canonical : (Itemset.t * int) list -> string
 (** Sorted ({!Itemset.compare}) and printed: the byte-comparable form the

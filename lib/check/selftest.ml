@@ -629,6 +629,11 @@ let fuzz_roundtrip_checks ~seed ~count =
                if
                  survives Io.read_file s
                  && survives (fun p -> Io.read_fimi p) s
+                 && survives
+                      (fun p ->
+                        try ignore (Io.read_tagged p)
+                        with Io.Item_out_of_universe _ -> ())
+                      s
                  && survives Scheme_io.read_file s
                  && survives
                       (fun p ->

@@ -75,9 +75,12 @@ let candidates_from ~frequent ~size =
   done;
   List.rev !acc
 
-let absolute_threshold ~n ~min_support =
+let check_min_support ~who min_support =
   if min_support <= 0. || min_support > 1. then
-    invalid_arg "Apriori.absolute_threshold: min_support out of (0,1]";
+    invalid_arg (who ^ ": min_support out of (0,1]")
+
+let absolute_threshold ~n ~min_support =
+  check_min_support ~who:"Apriori.absolute_threshold" min_support;
   Threshold.absolute ~n ~min_support
 
 (* Level 1 straight from per-item counts — an array is all it takes, so
@@ -145,88 +148,52 @@ let run_levels ?max_size ~threshold ~level1 ~count_level () =
   let result = if cap < 1 then [] else levels level1 level1 2 in
   List.sort (fun (a, _) (b, _) -> Itemset.compare a b) result
 
+(* The level loop over a transposed database: level 1 seeds from the
+   per-item counts, every later level goes through [count_level]. *)
+let run_vertical_levels ?max_size vt ~min_support ~count_level =
+  let threshold = absolute_threshold ~n:(Vertical.length vt) ~min_support in
+  let counts = Array.init (Vertical.universe vt) (Vertical.item_count vt) in
+  run_levels ?max_size ~threshold
+    ~level1:(fun () -> level1_of_counts counts ~threshold)
+    ~count_level ()
+
+(* The one exact engine: word-level intersections on the vertical
+   tid-sets, whether they came from a transpose or a columnar file. *)
+let exact_levels ?max_size vt ~min_support =
+  Ppdm_obs.Metrics.incr "apriori.counter.vertical";
+  let scratch = Vertical.make_scratch vt in
+  run_vertical_levels ?max_size vt ~min_support
+    ~count_level:(Vertical.support_counts ~scratch vt)
+
 type counter =
-  | Trie
   | Vertical
   | Auto
   | Sampled of { fraction : float; seed : int }
 
-(* Auto: the transpose pays off once dense tid-sets span at least one
-   full word; below 62 transactions the trie's per-transaction walk is
-   already trivially cheap. *)
-let resolve_counter counter db =
-  match counter with
-  | Trie -> `Trie
-  | Vertical -> `Vertical
-  | Auto ->
-      if Db.length db >= Bitset.bits_per_word then `Vertical else `Trie
-  | Sampled { fraction; seed } ->
-      if not (fraction > 0. && fraction <= 1.) then
-        invalid_arg "Apriori.resolve_counter: sampled fraction out of (0,1]";
-      `Sampled (fraction, seed)
-
-let mine ?max_size ?(counter = Auto) db ~min_support =
-  if min_support <= 0. || min_support > 1. then
-    invalid_arg "Apriori.mine: min_support out of (0,1]";
+let mine ?max_size ?(counter = Vertical) db ~min_support =
+  check_min_support ~who:"Apriori.mine" min_support;
   Ppdm_obs.Span.with_ ~name:"apriori.mine" (fun () ->
-      let n = Db.length db in
-      let threshold = absolute_threshold ~n ~min_support in
-      let count_level =
-        match resolve_counter counter db with
-        | `Trie ->
-            Ppdm_obs.Metrics.incr "apriori.counter.trie";
-            fun candidates -> Count.support_counts db candidates
-        | `Vertical ->
-            Ppdm_obs.Metrics.incr "apriori.counter.vertical";
-            (* Lazy: a run capped at level 1 never needs the transpose. *)
-            let state =
-              lazy
-                (let vt = Vertical.of_db db in
-                 (vt, Vertical.make_scratch vt))
-            in
-            fun candidates ->
-              let vt, scratch = Lazy.force state in
-              Vertical.support_counts ~scratch vt candidates
-        | `Sampled (fraction, seed) ->
-            Ppdm_obs.Metrics.incr "apriori.counter.sampled";
-            (* Counts come back pre-scaled to full-database equivalents,
-               so the threshold comparison below is unchanged; level 1
-               stays exact (it reads Db.item_counts, not the sample). *)
-            let state =
-              lazy
-                (let vt = Vertical.of_db db in
-                 let plan =
-                   Sampled.plan ~n:(Vertical.length vt)
-                     ~word_count:(Vertical.word_count vt) ~fraction ~seed ()
-                 in
-                 (vt, Vertical.make_scratch vt, plan))
-            in
-            fun candidates ->
-              let vt, scratch, plan = Lazy.force state in
-              Sampled.support_counts ~scratch vt plan candidates
-      in
-      run_levels ?max_size ~threshold
-        ~level1:(fun () -> level1 db ~threshold)
-        ~count_level ())
+      match counter with
+      | Vertical | Auto ->
+          exact_levels ?max_size (Vertical.of_db db) ~min_support
+      | Sampled { fraction; seed } ->
+          Ppdm_obs.Metrics.incr "apriori.counter.sampled";
+          (* Counts come back pre-scaled to full-database equivalents,
+             so the threshold comparison is unchanged; level 1 stays
+             exact (it reads the per-item counts, not the sample). *)
+          let vt = Vertical.of_db db in
+          let plan =
+            Sampled.plan ~n:(Vertical.length vt)
+              ~word_count:(Vertical.word_count vt) ~fraction ~seed ()
+          in
+          let scratch = Vertical.make_scratch vt in
+          run_vertical_levels ?max_size vt ~min_support
+            ~count_level:(Sampled.support_counts ~scratch vt plan))
 
 (* Mine an already-vertical database — the entry point for columnar
-   input, where no Db.t ever exists: level 1 seeds from the per-item
-   counts and every level counts on the (possibly compressed) tid-sets
-   in place. *)
+   input, where no Db.t ever exists: every level counts on the (possibly
+   compressed) tid-sets in place. *)
 let mine_vertical ?max_size vt ~min_support =
-  if min_support <= 0. || min_support > 1. then
-    invalid_arg "Apriori.mine_vertical: min_support out of (0,1]";
+  check_min_support ~who:"Apriori.mine_vertical" min_support;
   Ppdm_obs.Span.with_ ~name:"apriori.mine" (fun () ->
-      Ppdm_obs.Metrics.incr "apriori.counter.vertical";
-      let threshold =
-        absolute_threshold ~n:(Vertical.length vt) ~min_support
-      in
-      let counts =
-        Array.init (Vertical.universe vt) (Vertical.item_count vt)
-      in
-      let scratch = Vertical.make_scratch vt in
-      run_levels ?max_size ~threshold
-        ~level1:(fun () -> level1_of_counts counts ~threshold)
-        ~count_level:(fun candidates ->
-          Vertical.support_counts ~scratch vt candidates)
-        ())
+      exact_levels ?max_size vt ~min_support)

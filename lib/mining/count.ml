@@ -48,30 +48,6 @@ let count_transaction t tx =
 
 let count_db t db = Db.iter (count_transaction t) db
 
-let merge_into t ~from =
-  let rec go a b =
-    if b.terminal then begin
-      if not a.terminal then begin
-        a.terminal <- true;
-        t.candidates <- t.candidates + 1
-      end;
-      a.count <- a.count + b.count
-    end;
-    Hashtbl.iter
-      (fun item b_child ->
-        let a_child =
-          match Hashtbl.find_opt a.children item with
-          | Some child -> child
-          | None ->
-              let child = make_node () in
-              Hashtbl.replace a.children item child;
-              child
-        in
-        go a_child b_child)
-      b.children
-  in
-  go t.root from.root
-
 let get t itemset =
   let rec descend node = function
     | [] -> if node.terminal then Some node.count else None

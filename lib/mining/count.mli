@@ -1,9 +1,15 @@
-(** Candidate support counting over a prefix trie.
+(** Candidate support counting over a prefix trie: the reference kernel.
 
     Candidates are inserted as item paths (items in increasing order); a
     single pass over each transaction then increments every candidate it
     contains, touching only trie paths that match — the standard
-    subset-counting structure of Apriori implementations. *)
+    subset-counting structure of Apriori implementations.
+
+    No miner dispatches here: {!Apriori} and the parallel runtime count
+    on {!Vertical}.  The trie is kept as the independent, horizontally
+    walked reference that the differential checks ([lib/check]), the
+    tests and the micro-benchmarks compare the vertical engine
+    against. *)
 
 open Ppdm_data
 
@@ -20,12 +26,6 @@ val count_transaction : t -> Itemset.t -> unit
 (** Increment every registered candidate contained in the transaction. *)
 
 val count_db : t -> Db.t -> unit
-
-val merge_into : t -> from:t -> unit
-(** [merge_into t ~from] adds every count of [from] into [t], registering
-    any candidate [t] lacks.  [from] is unchanged (no nodes are shared).
-    Counts are sums, so sharded counting — one trie per database shard,
-    merged afterwards — yields exactly the counts of a single pass. *)
 
 val get : t -> Itemset.t -> int option
 (** Count accumulated for a candidate; [None] if it was never added. *)

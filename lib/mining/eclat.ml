@@ -5,17 +5,10 @@ open Ppdm_data
    against a dense one probes bit by bit, two sparse ones merge.  Counts
    come back with every intersection, so patterns never recount. *)
 
-type atoms = {
-  threshold : int;
-  items : (int * Vertical.tidset * int) array;
-      (* frequent (item, tid-set, count), in item order *)
-}
-
-let atoms db ~min_support =
-  if min_support <= 0. || min_support > 1. then
-    invalid_arg "Eclat.atoms: min_support out of (0,1]";
+(* The frequent (item, tid-set, count) triples, in item order: one
+   vertical scan, and the roots of the prefix classes. *)
+let atoms db ~threshold =
   Ppdm_obs.Span.with_ ~name:"eclat.atoms" @@ fun () ->
-  let threshold = Threshold.absolute ~n:(Db.length db) ~min_support in
   let vt = Vertical.of_db db in
   let items =
     List.filter_map Fun.id
@@ -36,14 +29,12 @@ let atoms db ~min_support =
     Ppdm_obs.Metrics.add "eclat.atoms.dense" dense;
     Ppdm_obs.Metrics.add "eclat.atoms.sparse" (Array.length items - dense)
   end;
-  { threshold; items }
-
-let atom_count t = Array.length t.items
+  items
 
 (* DFS over prefix classes: [atoms] holds (item, tid-set, count) triples
    usable to extend the current prefix, all items greater than the
    prefix's last item. *)
-let rec dfs t cap results prefix depth atoms =
+let rec dfs ~threshold cap results prefix depth atoms =
   List.iteri
     (fun idx (item, tids, count) ->
       let pattern = item :: prefix in
@@ -56,55 +47,52 @@ let rec dfs t cap results prefix depth atoms =
                  let joint, joint_count =
                    Vertical.inter_tidsets tids other_tids
                  in
-                 if joint_count >= t.threshold then
+                 if joint_count >= threshold then
                    Some (other, joint, joint_count)
                  else None)
         in
-        if extensions <> [] then dfs t cap results pattern (depth + 1) extensions
+        if extensions <> [] then
+          dfs ~threshold cap results pattern (depth + 1) extensions
       end)
     atoms
 
-let mine_atoms ?max_size t ~lo ~hi =
-  if lo < 0 || hi > Array.length t.items || lo > hi then
-    invalid_arg "Eclat.mine_atoms: bad atom range";
-  let cap = Option.value max_size ~default:max_int in
-  if cap < 1 then []
-  else begin
-    (* A span per atom range: the parallel driver calls this once per
-       shard, so each prefix-class batch is a slice on its worker's
-       timeline lane. *)
-    Ppdm_obs.Span.with_ ~name:"eclat.extend" @@ fun () ->
-    let results = ref [] in
-    (* Each root atom owns its prefix class; extensions come from every
-       atom after it, so classes rooted in disjoint ranges partition the
-       output (the basis of the parallel driver). *)
-    for i = lo to hi - 1 do
-      let item, tids, count = t.items.(i) in
-      Ppdm_obs.Metrics.incr "eclat.patterns";
-      results := (Itemset.singleton item, count) :: !results;
-      if cap > 1 then begin
-        let extensions = ref [] in
-        for j = Array.length t.items - 1 downto i + 1 do
-          let other, other_tids, _ = t.items.(j) in
-          let joint, joint_count = Vertical.inter_tidsets tids other_tids in
-          if joint_count >= t.threshold then
-            extensions := (other, joint, joint_count) :: !extensions
-        done;
-        (* The frontier of each prefix class: how evenly the DFS work is
-           cut, which is what the parallel driver load-balances over. *)
-        if Ppdm_obs.Metrics.enabled () then
-          Ppdm_obs.Metrics.observe "eclat.prefix_class.extensions"
-            (List.length !extensions);
-        if !extensions <> [] then dfs t cap results [ item ] 2 !extensions
-      end
-    done;
-    !results
-  end
+(* Each root atom owns its prefix class; extensions come from every
+   atom after it, so the classes partition the output. *)
+let extend ~cap atoms ~threshold =
+  Ppdm_obs.Span.with_ ~name:"eclat.extend" @@ fun () ->
+  let results = ref [] in
+  let n = Array.length atoms in
+  for i = 0 to n - 1 do
+    let item, tids, count = atoms.(i) in
+    Ppdm_obs.Metrics.incr "eclat.patterns";
+    results := (Itemset.singleton item, count) :: !results;
+    if cap > 1 then begin
+      let extensions = ref [] in
+      for j = n - 1 downto i + 1 do
+        let other, other_tids, _ = atoms.(j) in
+        let joint, joint_count = Vertical.inter_tidsets tids other_tids in
+        if joint_count >= threshold then
+          extensions := (other, joint, joint_count) :: !extensions
+      done;
+      (* The frontier of each prefix class: how unevenly the DFS work
+         falls across the roots. *)
+      if Ppdm_obs.Metrics.enabled () then
+        Ppdm_obs.Metrics.observe "eclat.prefix_class.extensions"
+          (List.length !extensions);
+      if !extensions <> [] then
+        dfs ~threshold cap results [ item ] 2 !extensions
+    end
+  done;
+  !results
 
 let mine ?max_size db ~min_support =
   if min_support <= 0. || min_support > 1. then
     invalid_arg "Eclat.mine: min_support out of (0,1]";
   Ppdm_obs.Span.with_ ~name:"eclat.mine" (fun () ->
-      let t = atoms db ~min_support in
-      let results = mine_atoms ?max_size t ~lo:0 ~hi:(atom_count t) in
-      List.sort (fun (a, _) (b, _) -> Itemset.compare a b) results)
+      let cap = Option.value max_size ~default:max_int in
+      if cap < 1 then []
+      else begin
+        let threshold = Threshold.absolute ~n:(Db.length db) ~min_support in
+        let results = extend ~cap (atoms db ~threshold) ~threshold in
+        List.sort (fun (a, _) (b, _) -> Itemset.compare a b) results
+      end)

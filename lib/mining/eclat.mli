@@ -2,7 +2,8 @@
     over the vertical (tid-set) representation.  A third miner alongside
     {!Apriori} and {!Fptree} — identical output, different runtime shape
     (intersection-bound rather than candidate- or tree-bound), used by the
-    miner-comparison benchmark.  Tid-sets are the adaptive dense/sparse
+    miner-comparison benchmark and the differential checks; {!mine} is
+    its only entry point.  Tid-sets are the adaptive dense/sparse
     hybrids of {!Vertical}: frequent items start as packed bitmaps
     (word-AND intersections), and the DFS degrades to sorted-tid probes
     and merges as intersections shrink. *)
@@ -14,30 +15,3 @@ val mine :
 (** Same contract as {!Apriori.mine}: every itemset with support at least
     [min_support], with absolute counts, in {!Itemset.compare} order.
     @raise Invalid_argument if [min_support] is outside (0, 1]. *)
-
-(** {2 Partitioned mining}
-
-    The DFS decomposes into independent prefix classes, one per frequent
-    item: the class rooted at atom [i] extends only with atoms [> i].
-    Building the atoms once and mining disjoint atom ranges therefore
-    partitions the output exactly — the parallel runtime fans the ranges
-    out across domains and sorts the concatenation. *)
-
-type atoms
-(** The frequent single items of a database with their tid-sets, plus the
-    absolute count threshold.  Immutable once built; safe to share across
-    domains. *)
-
-val atoms : Db.t -> min_support:float -> atoms
-(** One vertical scan of the database.
-    @raise Invalid_argument if [min_support] is outside (0, 1]. *)
-
-val atom_count : atoms -> int
-(** How many frequent items there are (the number of prefix classes). *)
-
-val mine_atoms :
-  ?max_size:int -> atoms -> lo:int -> hi:int -> (Itemset.t * int) list
-(** Frequent itemsets of the prefix classes rooted at atom indices
-    [lo..hi-1], in no particular order.  [mine db ~min_support] is
-    [mine_atoms (atoms db ~min_support) ~lo:0 ~hi:(atom_count _)] sorted.
-    @raise Invalid_argument on a range outside [0, atom_count]. *)

@@ -142,7 +142,8 @@ type prepared
     result list. *)
 
 val prepare : Itemset.t list -> prepared
-(** @raise Invalid_argument on an empty candidate (as {!Count.add}). *)
+(** @raise Invalid_argument on an empty candidate (as the reference
+    trie, {!Count}, does). *)
 
 val prepared_length : prepared -> int
 
@@ -171,15 +172,14 @@ val count_runs :
 
 val assemble : prepared -> int array -> (Itemset.t * int) list
 (** Pair a {!count_into} result (or a sum of them) back with its
-    itemsets, in {!Itemset.compare} order — the exact shape
-    {!Count.support_counts} returns.
+    itemsets, in {!Itemset.compare} order — the exact shape the
+    reference trie ({!Count}) returns.
     @raise Invalid_argument on a length mismatch. *)
 
 val support_counts :
   ?scratch:scratch -> t -> Itemset.t list -> (Itemset.t * int) list
-(** [prepare] + [count_into] + [assemble]: drop-in replacement for
-    {!Count.support_counts} — byte-identical output on the same
-    database. *)
+(** [prepare] + [count_into] + [assemble]: byte-identical to the
+    reference trie's support counts ({!Count}) on the same database. *)
 
 val support_count : ?scratch:scratch -> t -> Itemset.t -> int
 (** Support of a single itemset.

@@ -7,23 +7,9 @@ open Ppdm
 let warm scheme db =
   Randomizer.warm_cache scheme ~sizes:(List.map fst (Db.size_histogram db))
 
-let check_universe ~who scheme db =
-  if Db.universe db <> Randomizer.universe scheme then
-    invalid_arg (Printf.sprintf "Parallel.%s: universe mismatch" who)
-
-let randomize_db pool ?chunk scheme rng db =
-  check_universe ~who:"randomize_db" scheme db;
-  Ppdm_obs.Span.with_ ~name:"parallel.randomize" @@ fun () ->
-  warm scheme db;
-  let randomized =
-    Pool.map_array pool ~rng ?chunk
-      ~f:(fun child tx -> Randomizer.apply scheme child tx)
-      (Db.transactions db)
-  in
-  Db.create ~universe:(Db.universe db) randomized
-
 let randomize_db_tagged pool ?chunk scheme rng db =
-  check_universe ~who:"randomize_db_tagged" scheme db;
+  if Db.universe db <> Randomizer.universe scheme then
+    invalid_arg "Parallel.randomize_db_tagged: universe mismatch";
   Ppdm_obs.Span.with_ ~name:"parallel.randomize" @@ fun () ->
   warm scheme db;
   Pool.map_array pool ~rng ?chunk
@@ -53,41 +39,6 @@ let observe_all pool ?(chunk = Pool.default_chunk) ~scheme ~itemset data =
           acc)
     in
     Stream.merge (Array.to_list (Pool.run pool tasks))
-  end
-
-let support_counts pool ?chunk db candidates =
-  Ppdm_obs.Span.with_ ~name:"parallel.count" @@ fun () ->
-  let txs = Db.transactions db in
-  let n = Array.length txs in
-  (* Each chunk re-inserts the whole candidate list into its own trie, so
-     unlike randomization the default chunking scales with the input to
-     bound the number of tries; counts are sums, so this cannot change
-     the result. *)
-  let chunk =
-    match chunk with
-    | Some c ->
-        if c <= 0 then
-          invalid_arg "Parallel.support_counts: chunk must be positive";
-        c
-    | None -> max Pool.default_chunk ((n + 63) / 64)
-  in
-  let count_range ~pos ~len =
-    let t = Count.create () in
-    List.iter (Count.add t) candidates;
-    for j = pos to pos + len - 1 do
-      Count.count_transaction t txs.(j)
-    done;
-    t
-  in
-  if candidates = [] then []
-  else if n = 0 then Count.to_list (count_range ~pos:0 ~len:0)
-  else begin
-    let tries = Pool.run pool (chunk_tasks ~n ~chunk count_range) in
-    let merged = tries.(0) in
-    for i = 1 to Array.length tries - 1 do
-      Count.merge_into merged ~from:tries.(i)
-    done;
-    Count.to_list merged
   end
 
 (* 2-D grid sharding of the vertical engine: the (bitmap-word x
@@ -214,80 +165,39 @@ let support_counts_sampled pool ?chunk ?cand_chunk vt
     Vertical.assemble prepared (Sampled.scale_counts plan totals)
   end
 
-let apriori_mine pool ?chunk ?max_size ?(counter = Apriori.Trie) db
-    ~min_support =
-  if min_support <= 0. || min_support > 1. then
-    invalid_arg "Parallel.apriori_mine: min_support out of (0,1]";
-  Ppdm_obs.Span.with_ ~name:"parallel.apriori" @@ fun () ->
-  let count_level =
-    match Apriori.resolve_counter counter db with
-    | `Trie ->
-        Ppdm_obs.Metrics.incr "apriori.counter.trie";
-        fun candidates -> support_counts pool ?chunk db candidates
-    | `Vertical ->
-        Ppdm_obs.Metrics.incr "apriori.counter.vertical";
-        let state = lazy (Vertical.of_db db) in
-        fun candidates ->
-          support_counts_vertical pool ?chunk (Lazy.force state)
-            candidates
-    | `Sampled (fraction, seed) ->
-        Ppdm_obs.Metrics.incr "apriori.counter.sampled";
-        let state =
-          lazy
-            (let vt = Vertical.of_db db in
-             let plan =
-               Sampled.plan ~n:(Vertical.length vt)
-                 ~word_count:(Vertical.word_count vt) ~fraction ~seed ()
-             in
-             (vt, plan))
-        in
-        fun candidates ->
-          let vt, plan = Lazy.force state in
-          support_counts_sampled pool ?chunk vt plan candidates
-  in
-  let threshold = Apriori.absolute_threshold ~n:(Db.length db) ~min_support in
-  Apriori.run_levels ?max_size ~threshold
-    ~level1:(fun () -> Apriori.level1 db ~threshold)
-    ~count_level ()
+(* The one exact engine, grid-sharded: same level loop as
+   [Apriori.mine_vertical], same cell-order reduction, so the output is
+   bit-identical to it at any job count. *)
+let exact_levels pool ?chunk ?cand_chunk ?max_size vt ~min_support =
+  Ppdm_obs.Metrics.incr "apriori.counter.vertical";
+  Apriori.run_vertical_levels ?max_size vt ~min_support
+    ~count_level:(support_counts_vertical pool ?chunk ?cand_chunk vt)
 
-(* Mine an already-vertical database with grid-sharded counting — the
-   parallel entry point for columnar input, where no Db.t ever exists.
-   Same level loop, same cell-order reduction: the output is
-   bit-identical to [Apriori.mine_vertical] (and, via the differential
-   suite, to every other engine) at any job count. *)
+let check_min_support ~who min_support =
+  if min_support <= 0. || min_support > 1. then
+    invalid_arg (who ^ ": min_support out of (0,1]")
+
+let apriori_mine pool ?chunk ?max_size ?(counter = Apriori.Vertical) db
+    ~min_support =
+  check_min_support ~who:"Parallel.apriori_mine" min_support;
+  Ppdm_obs.Span.with_ ~name:"parallel.apriori" @@ fun () ->
+  match counter with
+  | Apriori.Vertical | Apriori.Auto ->
+      exact_levels pool ?chunk ?max_size (Vertical.of_db db) ~min_support
+  | Apriori.Sampled { fraction; seed } ->
+      Ppdm_obs.Metrics.incr "apriori.counter.sampled";
+      let vt = Vertical.of_db db in
+      let plan =
+        Sampled.plan ~n:(Vertical.length vt)
+          ~word_count:(Vertical.word_count vt) ~fraction ~seed ()
+      in
+      Apriori.run_vertical_levels ?max_size vt ~min_support
+        ~count_level:(support_counts_sampled pool ?chunk vt plan)
+
+(* The parallel entry point for columnar input, where no Db.t ever
+   exists. *)
 let apriori_mine_vertical pool ?chunk ?cand_chunk ?max_size vt
     ~min_support =
-  if min_support <= 0. || min_support > 1. then
-    invalid_arg "Parallel.apriori_mine_vertical: min_support out of (0,1]";
+  check_min_support ~who:"Parallel.apriori_mine_vertical" min_support;
   Ppdm_obs.Span.with_ ~name:"parallel.apriori" @@ fun () ->
-  Ppdm_obs.Metrics.incr "apriori.counter.vertical";
-  let threshold =
-    Apriori.absolute_threshold ~n:(Vertical.length vt) ~min_support
-  in
-  let counts = Array.init (Vertical.universe vt) (Vertical.item_count vt) in
-  Apriori.run_levels ?max_size ~threshold
-    ~level1:(fun () -> Apriori.level1_of_counts counts ~threshold)
-    ~count_level:(fun candidates ->
-      support_counts_vertical pool ?chunk ?cand_chunk vt candidates)
-    ()
-
-let eclat_mine pool ?max_size db ~min_support =
-  Ppdm_obs.Span.with_ ~name:"parallel.eclat" @@ fun () ->
-  let atoms = Eclat.atoms db ~min_support in
-  let n = Eclat.atom_count atoms in
-  if n = 0 || Option.value max_size ~default:max_int < 1 then []
-  else begin
-    (* Prefix classes shrink as the root item grows (extensions only look
-       rightwards), so over-partition relative to the job count to even
-       the load.  The output set is partition-independent. *)
-    let pieces = min n (4 * Pool.jobs pool) in
-    let tasks =
-      Array.init pieces (fun i ->
-          let lo = i * n / pieces and hi = (i + 1) * n / pieces in
-          fun () -> Eclat.mine_atoms ?max_size atoms ~lo ~hi)
-    in
-    let parts = Pool.run pool tasks in
-    List.sort
-      (fun (a, _) (b, _) -> Itemset.compare a b)
-      (List.concat (Array.to_list parts))
-  end
+  exact_levels pool ?chunk ?cand_chunk ?max_size vt ~min_support

@@ -4,13 +4,14 @@
     Every function here returns {e exactly} what its sequential
     counterpart in the same module family returns — bit-identical at any
     job count, per the {!Pool} determinism contract — so callers opt
-    into parallelism by swapping the call site, nothing else.  The
-    counting functions shard over a {!Grid} plan that depends only on
-    the data shape, never on the job count.
+    into parallelism by swapping the call site, nothing else.  Counting
+    runs on the vertical tid-sets only (exact or sampled) and shards over
+    a {!Grid} plan that depends only on the data shape, never on the job
+    count.
 
     Two caveats inherited from the seeding scheme:
 
-    - the randomizing functions consume the caller's [Rng.t] differently
+    - the randomizing function consumes the caller's [Rng.t] differently
       from [Randomizer.apply_db]'s single sequential stream (each chunk
       uses a derived child), so their output matches the [jobs = 1] run of
       the {e same} function, not the legacy single-stream pass;
@@ -21,12 +22,6 @@
 open Ppdm_prng
 open Ppdm_data
 open Ppdm
-
-val randomize_db :
-  Pool.t -> ?chunk:int -> Randomizer.t -> Rng.t -> Db.t -> Db.t
-(** Sharded [Randomizer.apply_db]: the database is cut into fixed-size
-    chunks, each randomized on some domain with its derived child stream.
-    @raise Invalid_argument on a universe mismatch. *)
 
 val randomize_db_tagged :
   Pool.t -> ?chunk:int -> Randomizer.t -> Rng.t -> Db.t ->
@@ -42,14 +37,6 @@ val observe_all :
     fold them with [Stream.merge]: same statistic as a sequential
     [Stream.observe_all] into one accumulator (observation is
     deterministic, so no seeding is involved). *)
-
-val support_counts :
-  Pool.t -> ?chunk:int -> Db.t -> Itemset.t list ->
-  (Itemset.t * int) list
-(** Sharded [Count.support_counts]: one counting trie per database chunk,
-    merged with [Count.merge_into].  When [?chunk] is omitted the chunk
-    size is scaled so at most 64 tries are built (counts are sums, so
-    unlike randomization the chunking cannot affect the result). *)
 
 val support_counts_vertical :
   Pool.t -> ?chunk:int -> ?cand_chunk:int ->
@@ -84,17 +71,14 @@ val apriori_mine :
   Pool.t -> ?chunk:int -> ?max_size:int ->
   ?counter:Ppdm_mining.Apriori.counter -> Db.t -> min_support:float ->
   (Itemset.t * int) list
-(** [Apriori.mine] with every level's candidate counting sharded through
-    {!support_counts} ([counter = Trie], the default),
-    {!support_counts_vertical} ([counter = Vertical]), or
-    {!support_counts_sampled} ([counter = Sampled _]; [Auto] resolves via
-    [Apriori.resolve_counter]).  [?chunk] is in transactions for the trie
-    and in bitmap words for the vertical and sampled engines.  Candidate
-    generation and thresholding replicate [Apriori] exactly
-    ([Apriori.absolute_threshold], [Apriori.level1],
-    [Apriori.candidates_from]), and the mined output is byte-identical
-    across exact engines and job counts (sampled output matches the
-    sequential sampled run for the same fraction and seed).
+(** [Apriori.mine] with every level's candidate counting sharded: the
+    exact engine ([counter = Vertical], the default as in [Apriori.mine];
+    [Auto] is its alias) is [apriori_mine_vertical pool
+    (Vertical.of_db db)], and [counter = Sampled _] counts through
+    {!support_counts_sampled}.  [?chunk] is in bitmap words.  The mined
+    output is byte-identical to [Apriori.mine] at any job count (sampled
+    output matches the sequential sampled run for the same fraction and
+    seed).
     @raise Invalid_argument if [min_support] is outside (0, 1]. *)
 
 val apriori_mine_vertical :
@@ -108,15 +92,5 @@ val apriori_mine_vertical :
     aligns its word windows to container-block seams
     ([Vertical.word_alignment]) — a locality hint that, like the rest of
     the plan, never depends on the job count.  Output is byte-identical
-    to [Apriori.mine_vertical] and to [apriori_mine ~counter:Vertical]
-    on the equivalent database, at any job count.
-    @raise Invalid_argument if [min_support] is outside (0, 1]. *)
-
-val eclat_mine :
-  Pool.t -> ?max_size:int -> Db.t -> min_support:float ->
-  (Itemset.t * int) list
-(** [Eclat.mine] with the independent prefix classes fanned out across
-    domains ([Eclat.mine_atoms] over atom ranges).  The output set is
-    range-independent and gets the same final sort, so the partitioning
-    is free to depend on the job count.
+    to [Apriori.mine_vertical] at any job count.
     @raise Invalid_argument if [min_support] is outside (0, 1]. *)

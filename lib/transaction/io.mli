@@ -17,6 +17,25 @@ val read_channel : in_channel -> Db.t
 
 val read_file : string -> Db.t
 
+(** {1 Tagged randomized data}
+
+    What a client sends after randomizing: each row pairs the
+    transaction's original size — public protocol metadata the estimator
+    needs — with the randomized itemset.  Format: a header line
+    ["tagged <universe> transactions <count>"], then one ["size|items"]
+    line per row, the items as in the plain format. *)
+
+val write_tagged : string -> universe:int -> (int * Itemset.t) array -> unit
+
+val read_tagged : string -> int * (int * Itemset.t) array
+(** The declared universe and the rows, on the same item-line parser and
+    count contract as {!read_channel}.
+    @raise Failure on malformed input (bad header, a row without the
+    [|] separator, a negative or non-integer size, a non-integer item,
+    fewer rows than declared, or trailing non-blank content).
+    @raise Item_out_of_universe on an item outside the declared
+    universe. *)
+
 (** {1 FIMI format}
 
     The header-less format of the FIMI repository datasets
@@ -28,10 +47,10 @@ val read_file : string -> Db.t
 val write_fimi : string -> Db.t -> unit
 
 exception Item_out_of_universe of { item : int; universe : int }
-(** A FIMI stream carried an item id at or above the declared universe.
-    Typed (unlike the [Failure]-based parse errors) because callers that
-    stream untrusted data — `ppdm convert`, the columnar transpose —
-    need to distinguish "this database does not fit the declared shape"
+(** A FIMI stream or a tagged file carried an item id outside the
+    declared universe.  Typed (unlike the [Failure]-based parse errors)
+    because callers that read untrusted data — `ppdm convert`, `ppdm
+    recover`, the columnar transpose — need to distinguish "this database does not fit the declared shape"
     from a syntax error. *)
 
 val read_fimi : ?universe:int -> string -> Db.t

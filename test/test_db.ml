@@ -89,7 +89,7 @@ let test_io_roundtrip () =
             (Itemset.to_list (Db.get back i)))
         sample)
 
-let read_string s =
+let read_string_with read s =
   let path = Filename.temp_file "ppdm_bad" ".txt" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -97,7 +97,9 @@ let read_string s =
       let oc = open_out path in
       output_string oc s;
       close_out oc;
-      Io.read_file path)
+      read path)
+
+let read_string = read_string_with Io.read_file
 
 let test_io_malformed () =
   let expect_failure msg input =
@@ -116,6 +118,54 @@ let test_io_malformed () =
   (* trailing blank lines (e.g. editor-added final newline) stay legal *)
   let db = read_string "universe 2 transactions 1\n0 1\n\n  \n" in
   Alcotest.(check int) "blank tail tolerated" 1 (Db.length db)
+
+(* Tagged randomized data: (original size, randomized itemset) rows,
+   including an empty itemset and a size that differs from the row. *)
+let test_tagged_roundtrip () =
+  let rows =
+    [|
+      (3, Itemset.of_list [ 0; 4; 9 ]);
+      (2, Itemset.empty);
+      (5, Itemset.of_list [ 7 ]);
+    |]
+  in
+  let path = Filename.temp_file "ppdm_tagged" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Io.write_tagged path ~universe:10 rows;
+      let universe, back = Io.read_tagged path in
+      Alcotest.(check int) "universe" 10 universe;
+      Alcotest.(check int) "rows" (Array.length rows) (Array.length back);
+      Array.iteri
+        (fun i (size, items) ->
+          let size', items' = back.(i) in
+          Alcotest.(check int) (Printf.sprintf "row %d size" i) size size';
+          Alcotest.(check (list int))
+            (Printf.sprintf "row %d items" i)
+            (Itemset.to_list items) (Itemset.to_list items'))
+        rows)
+
+let test_tagged_malformed () =
+  let read = read_string_with Io.read_tagged in
+  let expect_failure msg input =
+    match read input with
+    | exception Failure _ -> ()
+    | _ -> Alcotest.fail msg
+  in
+  expect_failure "bad token" "tagged 10 transactions 1\n2|1 x 3\n";
+  expect_failure "truncated body" "tagged 10 transactions 2\n2|1 3\n";
+  expect_failure "bad size field" "tagged 10 transactions 1\nz|1 3\n";
+  expect_failure "negative size" "tagged 10 transactions 1\n-1|1 3\n";
+  expect_failure "missing separator" "tagged 10 transactions 1\n1 3\n";
+  expect_failure "bad header" "universe 10 transactions 1\n2|1 3\n";
+  expect_failure "empty input" "";
+  expect_failure "trailing row" "tagged 10 transactions 1\n2|1 3\n2|4\n";
+  match read "tagged 10 transactions 1\n2|1 42\n" with
+  | exception Io.Item_out_of_universe { item = 42; universe = 10 } -> ()
+  | exception Io.Item_out_of_universe _ ->
+      Alcotest.fail "wrong item/universe in the typed error"
+  | _ -> Alcotest.fail "out-of-universe item accepted"
 
 let test_fimi_roundtrip () =
   let path = Filename.temp_file "ppdm_fimi" ".dat" in
@@ -211,6 +261,8 @@ let suite =
     Alcotest.test_case "density/split/quantiles" `Quick test_density_split_quantiles;
     Alcotest.test_case "io round-trip" `Quick test_io_roundtrip;
     Alcotest.test_case "io malformed inputs" `Quick test_io_malformed;
+    Alcotest.test_case "tagged round-trip" `Quick test_tagged_roundtrip;
+    Alcotest.test_case "tagged malformed inputs" `Quick test_tagged_malformed;
     Alcotest.test_case "fimi round-trip" `Quick test_fimi_roundtrip;
     Alcotest.test_case "fimi malformed" `Quick test_fimi_malformed;
   ]

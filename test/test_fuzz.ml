@@ -29,6 +29,25 @@ let survives reader content =
       | exception Invalid_argument _ -> true
       | exception _ -> false)
 
+(* The typed out-of-universe error is part of the tagged reader's
+   documented contract. *)
+let read_tagged path =
+  try ignore (Io.read_tagged path) with Io.Item_out_of_universe _ -> ()
+
+(* almost_db_text under a tagged header, each row behind a size field:
+   the structured garbage of the tagged format. *)
+let almost_tagged_text =
+  Gen.map ~print:String.escaped
+    (fun text ->
+      match String.split_on_char '\n' text with
+      | header :: rows ->
+          let rest = String.sub header 8 (String.length header - 8) in
+          String.concat "\n"
+            (("tagged" ^ rest)
+            :: List.mapi (fun i row -> Printf.sprintf "%d|%s" i row) rows)
+      | [] -> text)
+    Gen.almost_db_text
+
 let prop name gen p =
   Alcotest.test_case name `Quick (fun () ->
       Property.assert_ok
@@ -40,6 +59,8 @@ let survival_tests =
       (survives Io.read_file);
     prop "Io.read_file survives structured garbage" Gen.almost_db_text
       (survives Io.read_file);
+    prop "Io.read_tagged survives structured garbage" almost_tagged_text
+      (survives read_tagged);
     prop "Io.read_fimi survives random bytes" Gen.garbage_string
       (survives (fun p -> Io.read_fimi p));
     prop "Scheme_io.read_file survives random bytes" Gen.garbage_string

@@ -325,7 +325,7 @@ let test_instrumentation_coverage () =
           Alcotest.(check bool) (name ^ " recorded") true (counter name))
         [
           "randomizer.apply";
-          "count.transactions";
+          "vertical.candidates";
           "apriori.level1.frequent";
           "stream.observed";
           "estimator.solves";

@@ -1,6 +1,6 @@
 (* Parallel runtime tests: the determinism contract (parallel output
    bit-identical to sequential at any job count) across randomization,
-   stream aggregation, and both miners; plus pool robustness — a worker
+   stream aggregation, counting and mining; plus pool robustness — a worker
    exception must neither kill the pool nor deadlock the batch. *)
 
 open Ppdm_prng
@@ -67,25 +67,6 @@ let test_randomize_determinism () =
         rest
   | [] -> assert false
 
-let test_randomize_db_roundtrip () =
-  let db = setup_db ~seed:12 in
-  let scheme = scheme_for db in
-  let a =
-    Pool.with_pool ~jobs:1 (fun pool ->
-        Parallel.randomize_db ~chunk:100 pool scheme (Rng.create ~seed:3 ()) db)
-  in
-  let b =
-    Pool.with_pool ~jobs:4 (fun pool ->
-        Parallel.randomize_db ~chunk:100 pool scheme (Rng.create ~seed:3 ()) db)
-  in
-  Alcotest.(check int) "universe kept" (Db.universe db) (Db.universe a);
-  Alcotest.(check int) "length kept" (Db.length db) (Db.length a);
-  Db.iteri
-    (fun i tx ->
-      if not (Itemset.equal tx (Db.get b i)) then
-        Alcotest.failf "transaction %d differs across job counts" i)
-    a
-
 (* Streaming: the fanned-out accumulator carries exactly the sequential
    statistic — estimates match to the last bit. *)
 let test_stream_parallel_equals_sequential () =
@@ -114,18 +95,20 @@ let test_stream_parallel_equals_sequential () =
         expected.Estimator.sigma e.Estimator.sigma)
     job_counts
 
-(* Counting and mining: parallel support counts and both parallel miners
-   reproduce their sequential counterparts exactly. *)
+(* Counting and mining: the grid-sharded vertical counts reproduce the
+   reference trie, and the parallel miner its sequential counterpart,
+   exactly. *)
 let test_support_counts () =
   let db = setup_db ~seed:31 in
   let candidates = List.map fst (Apriori.mine db ~min_support:0.03 ~max_size:2) in
   Alcotest.(check bool) "have candidates" true (candidates <> []);
   let expected = Count.support_counts db candidates in
+  let vt = Vertical.of_db db in
   List.iter
     (fun jobs ->
       let got =
         Pool.with_pool ~jobs (fun pool ->
-            Parallel.support_counts pool ~chunk:300 db candidates)
+            Parallel.support_counts_vertical pool ~chunk:5 vt candidates)
       in
       check_itemsets_equal (Printf.sprintf "counts at jobs=%d" jobs) expected got)
     job_counts
@@ -137,22 +120,10 @@ let test_apriori_parallel () =
     (fun jobs ->
       let got =
         Pool.with_pool ~jobs (fun pool ->
-            Parallel.apriori_mine pool ~chunk:300 db ~min_support:0.02
+            Parallel.apriori_mine pool ~chunk:5 db ~min_support:0.02
               ~max_size:3)
       in
       check_itemsets_equal (Printf.sprintf "apriori at jobs=%d" jobs) expected got)
-    job_counts
-
-let test_eclat_parallel () =
-  let db = setup_db ~seed:51 in
-  let expected = Eclat.mine db ~min_support:0.02 ~max_size:3 in
-  List.iter
-    (fun jobs ->
-      let got =
-        Pool.with_pool ~jobs (fun pool ->
-            Parallel.eclat_mine pool db ~min_support:0.02 ~max_size:3)
-      in
-      check_itemsets_equal (Printf.sprintf "eclat at jobs=%d" jobs) expected got)
     job_counts
 
 (* map_reduce seeding: same seed -> same reduction at every job count,
@@ -384,15 +355,12 @@ let suite =
   [
     Alcotest.test_case "randomize determinism across jobs" `Quick
       test_randomize_determinism;
-    Alcotest.test_case "randomize_db across jobs" `Quick
-      test_randomize_db_roundtrip;
     Alcotest.test_case "stream parallel = sequential" `Quick
       test_stream_parallel_equals_sequential;
     Alcotest.test_case "support counts parallel = sequential" `Quick
       test_support_counts;
     Alcotest.test_case "apriori parallel = sequential" `Quick
       test_apriori_parallel;
-    Alcotest.test_case "eclat parallel = sequential" `Quick test_eclat_parallel;
     Alcotest.test_case "map_reduce determinism" `Quick
       test_map_reduce_determinism;
     Alcotest.test_case "map_reduce advances rng" `Quick

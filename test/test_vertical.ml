@@ -133,28 +133,47 @@ let test_mine_parity_and_brute_force () =
     check_same_result
       (Printf.sprintf "round %d: vertical mine = brute force" round)
       brute
-      (Apriori.mine ~counter:Apriori.Vertical ~max_size:4 db ~min_support);
+      (Apriori.mine ~max_size:4 db ~min_support);
     check_same_result
-      (Printf.sprintf "round %d: trie mine = brute force" round)
+      (Printf.sprintf "round %d: trie-reference mine = brute force" round)
       brute
-      (Apriori.mine ~counter:Apriori.Trie ~max_size:4 db ~min_support)
+      (Ppdm_check.Oracle.trie_apriori ~max_size:4 db ~min_support)
   done
 
-let test_auto_resolution () =
-  let small = mk 3 (List.init 61 (fun _ -> [ 0; 1 ])) in
-  let big = mk 3 (List.init 62 (fun _ -> [ 0; 1 ])) in
-  let is_vertical db =
-    match Apriori.resolve_counter Apriori.Auto db with
-    | `Vertical -> true
-    | `Trie | `Sampled _ -> false
-  in
-  Alcotest.(check bool) "61 transactions resolve to trie" false
-    (is_vertical small);
-  Alcotest.(check bool) "62 transactions resolve to vertical" true
-    (is_vertical big);
-  Alcotest.(check bool) "explicit choices resolve to themselves" true
-    (Apriori.resolve_counter Apriori.Trie big = `Trie
-    && Apriori.resolve_counter Apriori.Vertical small = `Vertical)
+(* 61 and 62 rows straddle the old Auto rule, which fell back to the
+   trie below one full bitmap word.  Every route must mine the same bytes
+   on both sides: the default Apriori, the Auto alias, the parallel miner
+   at jobs 1 and 2, and the oracle's trie-reference Apriori. *)
+let test_old_auto_boundary () =
+  let rng = Ppdm_prng.Rng.create ~seed:61 () in
+  let min_support = 0.05 in
+  List.iter
+    (fun n ->
+      let rows =
+        List.init n (fun _ ->
+            List.filter
+              (fun _ -> Ppdm_prng.Rng.int rng 3 = 0)
+              (List.init 8 Fun.id))
+      in
+      let db = mk 8 rows in
+      let reference = Ppdm_check.Oracle.trie_apriori db ~min_support in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d rows: reference reaches level 2" n)
+        true
+        (List.exists (fun (s, _) -> Itemset.cardinal s >= 2) reference);
+      let check label got =
+        check_same_result (Printf.sprintf "%d rows: %s" n label) reference got
+      in
+      check "default" (Apriori.mine db ~min_support);
+      check "auto alias" (Apriori.mine ~counter:Apriori.Auto db ~min_support);
+      List.iter
+        (fun jobs ->
+          check
+            (Printf.sprintf "parallel jobs=%d" jobs)
+            (Pool.with_pool ~jobs (fun pool ->
+                 Parallel.apriori_mine pool db ~min_support)))
+        [ 1; 2 ])
+    [ 61; 62 ]
 
 (* Word-boundary widths: tid-sets exactly at, one past, and at double the
    word width, with the last tid set so tail-word handling shows. *)
@@ -459,7 +478,8 @@ let suite =
       test_support_counts_vs_trie;
     Alcotest.test_case "mine parity with brute force" `Quick
       test_mine_parity_and_brute_force;
-    Alcotest.test_case "auto counter resolution" `Quick test_auto_resolution;
+    Alcotest.test_case "old auto boundary: routes agree" `Quick
+      test_old_auto_boundary;
     Alcotest.test_case "word-boundary widths 62/63/124" `Quick
       test_boundary_widths;
     Alcotest.test_case "trie parity edge cases" `Quick
