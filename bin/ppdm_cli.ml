@@ -203,8 +203,9 @@ let db_term =
         ~docv:"FILE"
         ~doc:
           "Columnar database file (.ppdmc, written by $(b,ppdm convert)): \
-           per-item compressed tid-set containers are loaded and counted \
-           in place — the row-major database is never materialized.  \
+           each item's compressed column is decoded once at load into the \
+           tid-set the in-RAM engine builds — the row-major database is \
+           never materialized.  \
            Mutually exclusive with $(b,--in).")
 
 let resolve_source ~who input dbfile =
@@ -358,8 +359,7 @@ let mine_cmd =
     let spec = counter_spec ~who:"mine" counter in
     (match (source, spec) with
     | `Columnar _, Sampled_at _ ->
-        (* the sampler plans over an in-RAM transpose; columnar input
-           counts on its containers *)
+        (* the sampled counter is wired to the row-major path only *)
         prerr_endline
           "mine: --db supports only the vertical counter (use --in for \
            sampled counting)";

@@ -14,18 +14,39 @@ let trie_apriori ?max_size db ~min_support =
     ~level1:(fun () -> Apriori.level1 db ~threshold)
     ~count_level:(Count.support_counts db) ()
 
+(* A database round-tripped through the on-disk columnar format: one
+   column per item written to a temporary PPDMC file, then decoded by
+   [Vertical.of_colfile] — the load path `ppdm mine --db` runs.  The tids
+   come straight from the rows, not from the engine under test. *)
+let via_colfile db =
+  let n = Db.length db and universe = Db.universe db in
+  let tids = Array.make universe [] in
+  for tid = n - 1 downto 0 do
+    Array.iter
+      (fun item -> tids.(item) <- tid :: tids.(item))
+      (Itemset.to_array (Db.get db tid))
+  done;
+  let columns =
+    Array.map (fun l -> Column.of_tids ~n (Array.of_list l)) tids
+  in
+  let path = Filename.temp_file "ppdm_oracle" ".ppdmc" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Colfile.write path ~n columns;
+      let cf = Colfile.open_file path in
+      Fun.protect
+        ~finally:(fun () -> Colfile.close cf)
+        (fun () -> Vertical.of_colfile cf))
+
 let sequential_miners ?max_size () =
   [
     ("apriori", trie_apriori ?max_size);
     ( "apriori-vertical",
       fun db ~min_support -> Apriori.mine ?max_size db ~min_support );
-    (* the compressed-container kernels, driven file-free: transpose,
-       re-encode every tid-set as a roaring-style column, mine in place *)
     ( "apriori-columnar",
       fun db ~min_support ->
-        Apriori.mine_vertical ?max_size
-          (Vertical.compress (Vertical.of_db db))
-          ~min_support );
+        Apriori.mine_vertical ?max_size (via_colfile db) ~min_support );
     ("eclat", fun db ~min_support -> Eclat.mine ?max_size db ~min_support);
     ("fp-growth", fun db ~min_support -> Fptree.mine ?max_size db ~min_support);
     (* sampled at F = 1.0 is contractually byte-identical to the exact
@@ -48,8 +69,7 @@ let parallel_miners ?max_size pool =
     ( "parallel-apriori-columnar/j" ^ j,
       fun db ~min_support ->
         Ppdm_runtime.Parallel.apriori_mine_vertical pool ?max_size
-          (Vertical.compress (Vertical.of_db db))
-          ~min_support );
+          (via_colfile db) ~min_support );
     ( "parallel-apriori-sampled-1.0/j" ^ j,
       fun db ~min_support ->
         Ppdm_runtime.Parallel.apriori_mine pool ?max_size

@@ -22,14 +22,15 @@ val trie_apriori :
     entry points run on.  Listed as ["apriori"] in {!sequential_miners}. *)
 
 val sequential_miners : ?max_size:int -> unit -> miner list
-(** The trie-reference Apriori, Apriori on the vertical engine (row-major,
-    compressed columnar, and sampled at fraction 1), Eclat, and
-    FP-growth. *)
+(** The trie-reference Apriori, Apriori on the vertical engine (loaded
+    from rows, loaded from a PPDMC file written by {!Ppdm_data.Colfile.write}
+    and decoded by [Vertical.of_colfile], and sampled at fraction 1),
+    Eclat, and FP-growth. *)
 
 val parallel_miners : ?max_size:int -> Ppdm_runtime.Pool.t -> miner list
-(** The parallel Apriori miners (2-D-grid-sharded vertical, columnar,
-    and sampled at fraction 1) on the given pool, labelled with its job
-    count. *)
+(** The parallel Apriori miners (2-D-grid-sharded vertical loaded from
+    rows and from a PPDMC round-trip, and sampled at fraction 1) on the
+    given pool, labelled with its job count. *)
 
 val canonical : (Itemset.t * int) list -> string
 (** Sorted ({!Itemset.compare}) and printed: the byte-comparable form the

@@ -401,11 +401,10 @@ let kernel_differential_check () =
     small_candidates 6
     @ [ Itemset.of_list [ 0; 2; 4 ]; Itemset.of_list [ 2; 3; 4 ] ]
   in
-  let check_one ~n ~rep_label ~dense_cutoff ~compress =
+  let check_one ~n ~rep_label ~dense_cutoff =
     let db = kernel_db n in
     let reference = Oracle.canonical (Ppdm_mining.Count.support_counts db cands) in
     let vt = V.of_db ?dense_cutoff db in
-    let vt = if compress then V.compress vt else vt in
     let label = Printf.sprintf "n=%d %s" n rep_label in
     let got = Oracle.canonical (V.support_counts vt cands) in
     if not (String.equal got reference) then
@@ -444,24 +443,15 @@ let kernel_differential_check () =
     end
   in
   let reps =
-    [
-      ("adaptive", None, false);
-      ("all-dense", Some 0.0, false);
-      ("all-sparse", Some 2.0, false);
-      (* roaring-style containers counted without decompression; both
-         plain starting representations so the container chooser sees
-         dense words and sparse tid arrays *)
-      ("compressed-of-dense", Some 0.0, true);
-      ("compressed-of-sparse", Some 2.0, true);
-    ]
+    [ ("adaptive", None); ("all-dense", Some 0.0); ("all-sparse", Some 2.0) ]
   in
   let rec widths = function
     | [] -> Ok ()
     | n :: rest ->
         let rec by_rep = function
           | [] -> widths rest
-          | (rep_label, dense_cutoff, compress) :: more -> (
-              match check_one ~n ~rep_label ~dense_cutoff ~compress with
+          | (rep_label, dense_cutoff) :: more -> (
+              match check_one ~n ~rep_label ~dense_cutoff with
               | Error _ as e -> e
               | Ok () -> by_rep more)
         in

@@ -191,8 +191,7 @@ let mine ?max_size ?(counter = Vertical) db ~min_support =
             ~count_level:(Sampled.support_counts ~scratch vt plan))
 
 (* Mine an already-vertical database — the entry point for columnar
-   input, where no Db.t ever exists: every level counts on the (possibly
-   compressed) tid-sets in place. *)
+   input, where no Db.t ever exists. *)
 let mine_vertical ?max_size vt ~min_support =
   check_min_support ~who:"Apriori.mine_vertical" min_support;
   Ppdm_obs.Span.with_ ~name:"apriori.mine" (fun () ->

@@ -45,7 +45,7 @@ val mine_vertical :
 (** [mine] for a database already in vertical form — the entry point for
     columnar input ({!Vertical.of_colfile}), where the row-major [Db.t]
     never exists: level 1 seeds from the per-item counts and every level
-    counts on the (possibly compressed) tid-sets in place.
+    counts on the loaded tid-sets.
     @raise Invalid_argument if [min_support] is outside (0, 1]. *)
 
 val run_levels :

@@ -3,13 +3,10 @@ open Ppdm_data
 let bits_per_word = Bitset.bits_per_word
 
 (* A tid-set is the set of transaction indices containing an item, in one
-   of three shapes: a packed bitmap (bit [tid mod 62] of word [tid / 62],
-   tail bits zero), a strictly increasing tid array, or a compressed
-   column of roaring-style per-block containers (the shape a columnar
-   file loads into — counted directly, never decompressed).
-   Cardinalities and counts never depend on which shape a set happens to
-   be in. *)
-type tidset = Dense of int array | Sparse of int array | Col of Column.t
+   of two shapes: a packed bitmap (bit [tid mod 62] of word [tid / 62],
+   tail bits zero) or a strictly increasing tid array.  Cardinalities and
+   counts never depend on which shape a set happens to be in. *)
+type tidset = Dense of int array | Sparse of int array
 
 type t = {
   n : int;
@@ -26,18 +23,10 @@ let item_count t item = t.counts.(item)
 
 let dense_items t =
   Array.fold_left
-    (fun acc ts -> match ts with Dense _ -> acc + 1 | Sparse _ | Col _ -> acc)
+    (fun acc ts -> match ts with Dense _ -> acc + 1 | Sparse _ -> acc)
     0 t.tidsets
 
-let sparse_items t =
-  Array.fold_left
-    (fun acc ts -> match ts with Sparse _ -> acc + 1 | Dense _ | Col _ -> acc)
-    0 t.tidsets
-
-let compressed_items t =
-  Array.fold_left
-    (fun acc ts -> match ts with Col _ -> acc + 1 | Dense _ | Sparse _ -> acc)
-    0 t.tidsets
+let sparse_items t = t.universe - dense_items t
 
 (* --- kernels ------------------------------------------------------- *)
 
@@ -149,13 +138,11 @@ let lower_bound tids bound =
 
 (* --- standalone tid-set algebra (the Eclat interface) -------------- *)
 
-let tidset_is_dense = function Dense _ -> true | Sparse _ | Col _ -> false
-let tidset_is_compressed = function Col _ -> true | Dense _ | Sparse _ -> false
+let tidset_is_dense = function Dense _ -> true | Sparse _ -> false
 
 let tidset_cardinal = function
   | Sparse tids -> Array.length tids
   | Dense words -> and_words_card words words ~wlo:0 ~whi:(Array.length words)
-  | Col col -> Column.cardinal col
 
 let tidset_tids = function
   | Sparse tids -> Array.copy tids
@@ -164,7 +151,6 @@ let tidset_tids = function
       let out = Array.make card 0 in
       ignore (write_tids_of_words words ~wlo:0 ~whi:(Array.length words) out);
       out
-  | Col col -> Column.to_tids col
 
 let tidset_of_tids ~n ~dense tids =
   if n < 0 then invalid_arg "Vertical.tidset_of_tids: negative n";
@@ -190,18 +176,8 @@ let tidset_of_tids ~n ~dense tids =
    soon as the tid array is no larger than the bitmap.  Exact-size
    allocations (count pass, then fill pass) because Eclat keeps results
    alive down a whole DFS branch. *)
-(* Eclat's DFS leaves the compressed domain at its first intersection: a
-   Col operand materializes into whichever plain shape is smaller (the
-   same break-even rule as below), and the plain kernels take over for
-   the rest of the branch. *)
-let decompress_tidset col =
-  if Column.cardinal col >= Column.word_count col then
-    Dense (Column.to_words col)
-  else Sparse (Column.to_tids col)
-
-let rec inter_tidsets a b =
+let inter_tidsets a b =
   match (a, b) with
-  | Col c, other | other, Col c -> inter_tidsets (decompress_tidset c) other
   | Dense wa, Dense wb ->
       let nw = Array.length wa in
       if Array.length wb <> nw then
@@ -244,7 +220,32 @@ let rec inter_tidsets a b =
 
 let item_tidset t item = t.tidsets.(item)
 
-let of_db ?(dense_cutoff = 1.0 /. float_of_int bits_per_word) db =
+let default_dense_cutoff = 1.0 /. float_of_int bits_per_word
+
+(* The one density rule every loader applies: an item goes dense when its
+   support fraction is at least [dense_cutoff].  The default 1/62 is the
+   memory break-even point, where the bitmap is no larger than the tid
+   array it replaces. *)
+let goes_dense ~dense_cutoff ~n count =
+  n > 0 && float_of_int count >= dense_cutoff *. float_of_int n
+
+let resident_bytes t =
+  Array.fold_left
+    (fun acc ts ->
+      match ts with
+      | Dense words -> acc + (8 * Array.length words)
+      | Sparse tids -> acc + (8 * Array.length tids))
+    0 t.tidsets
+
+let emit_load_metrics t =
+  if Ppdm_obs.Metrics.enabled () then begin
+    let dense = dense_items t in
+    Ppdm_obs.Metrics.add "vertical.load.dense_items" dense;
+    Ppdm_obs.Metrics.add "vertical.load.sparse_items" (t.universe - dense);
+    Ppdm_obs.Metrics.add "vertical.load.bytes" (resident_bytes t)
+  end
+
+let of_db ?(dense_cutoff = default_dense_cutoff) db =
   if not (dense_cutoff >= 0.) then
     invalid_arg "Vertical.of_db: dense_cutoff must be >= 0";
   Ppdm_obs.Span.with_ ~name:"vertical.load" (fun () ->
@@ -252,10 +253,9 @@ let of_db ?(dense_cutoff = 1.0 /. float_of_int bits_per_word) db =
       let universe = Db.universe db in
       let n_words = Bitset.words_for n in
       let counts = Db.item_counts db in
-      let cutoff = dense_cutoff *. float_of_int n in
       let tidsets =
         Array.init universe (fun item ->
-            if n > 0 && float_of_int counts.(item) >= cutoff then
+            if goes_dense ~dense_cutoff ~n counts.(item) then
               Dense (Array.make n_words 0)
             else Sparse (Array.make counts.(item) 0))
       in
@@ -272,82 +272,30 @@ let of_db ?(dense_cutoff = 1.0 /. float_of_int bits_per_word) db =
                 let item = items.(idx) in
                 tids.(cursor.(item)) <- tid;
                 cursor.(item) <- cursor.(item) + 1
-            | Col _ -> assert false (* of_db builds only plain shapes *)
           done)
         db;
       let t = { n; n_words; universe; tidsets; counts } in
-      if Ppdm_obs.Metrics.enabled () then begin
-        let dense = dense_items t in
-        Ppdm_obs.Metrics.add "vertical.load.dense_items" dense;
-        Ppdm_obs.Metrics.add "vertical.load.sparse_items" (universe - dense);
-        let words =
-          Array.fold_left
-            (fun acc ts ->
-              match ts with
-              | Dense words -> acc + Array.length words
-              | Sparse tids -> acc + Array.length tids
-              | Col _ -> acc)
-            0 tidsets
-        in
-        Ppdm_obs.Metrics.add "vertical.load.bytes" (8 * words)
-      end;
+      emit_load_metrics t;
       t)
 
-(* --- compressed columns -------------------------------------------- *)
-
-let container_stats t =
-  Array.fold_left
-    (fun acc ts ->
-      match ts with
-      | Col col -> Column.add_stats acc col
-      | Dense _ | Sparse _ -> acc)
-    Column.zero_stats t.tidsets
-
-let resident_bytes t =
-  Array.fold_left
-    (fun acc ts ->
-      match ts with
-      | Dense words -> acc + (8 * Array.length words)
-      | Sparse tids -> acc + (8 * Array.length tids)
-      | Col col -> acc + (Column.stats col).Column.bytes)
-    0 t.tidsets
-
-let word_alignment t = if compressed_items t > 0 then Column.block_words else 1
-
-let emit_columnar_metrics stats =
-  if Ppdm_obs.Metrics.enabled () then begin
-    Ppdm_obs.Metrics.add "columnar.containers.dense" stats.Column.dense;
-    Ppdm_obs.Metrics.add "columnar.containers.sparse" stats.Column.sparse;
-    Ppdm_obs.Metrics.add "columnar.containers.run" stats.Column.run;
-    Ppdm_obs.Metrics.add "columnar.blocks"
-      (stats.Column.dense + stats.Column.sparse + stats.Column.run);
-    Ppdm_obs.Metrics.add "columnar.bytes" stats.Column.bytes
-  end
-
-let compress t =
-  let tidsets =
-    Array.map
-      (function
-        | Dense words -> Col (Column.of_words ~n:t.n words)
-        | Sparse tids -> Col (Column.of_tids ~n:t.n tids)
-        | Col _ as ts -> ts)
-      t.tidsets
-  in
-  let t = { t with tidsets } in
-  emit_columnar_metrics (container_stats t);
-  t
-
+(* PPDMC is only the on-disk form: each column is decoded once, as it is
+   read, into the shape [of_db] picks for the item, so counting sees the
+   same two shapes however the data arrived.  At most one decoded column
+   is alive besides the result. *)
 let of_colfile cf =
   Ppdm_obs.Span.with_ ~name:"columnar.load" (fun () ->
       let n = Colfile.length cf in
       let universe = Colfile.universe cf in
-      let n_words = Bitset.words_for n in
-      let tidsets =
-        Array.init universe (fun item -> Col (Colfile.column cf item))
-      in
       let counts = Array.init universe (Colfile.item_count cf) in
-      let t = { n; n_words; universe; tidsets; counts } in
-      emit_columnar_metrics (container_stats t);
+      let tidsets =
+        Array.init universe (fun item ->
+            let col = Colfile.column cf item in
+            if goes_dense ~dense_cutoff:default_dense_cutoff ~n counts.(item)
+            then Dense (Column.to_words col)
+            else Sparse (Column.to_tids col))
+      in
+      let t = { n; n_words = Bitset.words_for n; universe; tidsets; counts } in
+      emit_load_metrics t;
       t)
 
 let iter_tidset f = function
@@ -362,7 +310,6 @@ let iter_tidset f = function
           v := !v land (!v - 1)
         done
       done
-  | Col col -> Column.iter_tids f col
 
 let to_db t =
   let buckets = Array.make (max t.n 1) [] in
@@ -395,10 +342,6 @@ type scratch = {
   mutable prev : int array; (* last counted candidate's items *)
   mutable prev_len : int;
   mutable valid_depth : int; (* max d with bufs.(d) = /\ prev.(0..d) *)
-  col_buf : buf; (* dense expansion of one compressed prefix column *)
-  mutable col_item : int; (* item [col_buf] expands, -1 = none *)
-  mutable col_wlo : int; (* window the expansion was made for *)
-  mutable col_whi : int;
   mutable allocs : int;
   mutable touched : int; (* words (dense) or tids (sparse) read *)
 }
@@ -412,10 +355,6 @@ let make_scratch t =
     prev = [||];
     prev_len = 0;
     valid_depth = 0;
-    col_buf = fresh_buf ();
-    col_item = -1;
-    col_wlo = 0;
-    col_whi = 0;
     allocs = 0;
     touched = 0;
   }
@@ -441,18 +380,13 @@ let ensure_tids scratch buf capacity =
   end
 
 (* An intersection operand inside one windowed counting run: a bitmap
-   (always read through the window), a tid index range that is already
-   window-restricted, or a compressed column (windowed at the kernel —
-   its containers are walked through the same [wlo, whi) word range). *)
-type view =
-  | V_dense of int array
-  | V_sparse of int array * int * int
-  | V_col of Column.t
+   (always read through the window) or a tid index range that is already
+   window-restricted. *)
+type view = V_dense of int array | V_sparse of int array * int * int
 
 let view_of_tidset ts ~wlo ~whi ~full =
   match ts with
   | Dense words -> V_dense words
-  | Col col -> V_col col
   | Sparse tids ->
       if full then V_sparse (tids, 0, Array.length tids)
       else
@@ -477,38 +411,23 @@ let count_view scratch a b ~wlo ~whi =
   | V_sparse (ta, alo, ahi), V_sparse (tb, blo, bhi) ->
       scratch.touched <- scratch.touched + (ahi - alo) + (bhi - blo);
       merge_card ta ~alo ~ahi tb ~blo ~bhi
-  | V_col col, V_dense words | V_dense words, V_col col ->
-      scratch.touched <- scratch.touched + (2 * (whi - wlo));
-      Column.and_words_card col words ~wlo ~whi
-  | V_col col, V_sparse (tids, slo, shi)
-  | V_sparse (tids, slo, shi), V_col col ->
-      scratch.touched <- scratch.touched + (shi - slo);
-      Column.probe_card col tids ~slo ~shi
-  | V_col ca, V_col cb ->
-      scratch.touched <- scratch.touched + (2 * (whi - wlo));
-      Column.and_col_card ca cb ~wlo ~whi
 
 (* Store acc /\ item into [dst].  A dense result converts to sparse when
    its cardinality drops below the window width in words — every later
    intersection along this prefix then probes instead of scanning. *)
-(* Shared dense-result finishing: sparsify when the cardinality drops
-   below the window width in words. *)
-let finish_dense_result scratch dst ~wlo ~whi card =
-  if card < whi - wlo then begin
-    ensure_tids scratch dst card;
-    ignore (write_tids_of_words dst.words ~wlo ~whi dst.tids);
-    dst.dense <- false;
-    dst.len <- card
-  end
-  else dst.dense <- true
-
 let build_view scratch a b dst ~wlo ~whi =
   match (a, b) with
   | V_dense wa, V_dense wb ->
       scratch.touched <- scratch.touched + (2 * (whi - wlo));
       ensure_words scratch dst;
       let card = and_words_into wa wb dst.words ~wlo ~whi in
-      finish_dense_result scratch dst ~wlo ~whi card
+      if card < whi - wlo then begin
+        ensure_tids scratch dst card;
+        ignore (write_tids_of_words dst.words ~wlo ~whi dst.tids);
+        dst.dense <- false;
+        dst.len <- card
+      end
+      else dst.dense <- true
   | V_dense words, V_sparse (tids, slo, shi)
   | V_sparse (tids, slo, shi), V_dense words ->
       scratch.touched <- scratch.touched + (shi - slo);
@@ -520,22 +439,6 @@ let build_view scratch a b dst ~wlo ~whi =
       ensure_tids scratch dst (min (ahi - alo) (bhi - blo));
       dst.len <- merge_into ta ~alo ~ahi tb ~blo ~bhi dst.tids;
       dst.dense <- false
-  | V_col col, V_dense words | V_dense words, V_col col ->
-      scratch.touched <- scratch.touched + (2 * (whi - wlo));
-      ensure_words scratch dst;
-      let card = Column.and_words_into col words dst.words ~wlo ~whi in
-      finish_dense_result scratch dst ~wlo ~whi card
-  | V_col col, V_sparse (tids, slo, shi)
-  | V_sparse (tids, slo, shi), V_col col ->
-      scratch.touched <- scratch.touched + (shi - slo);
-      ensure_tids scratch dst (shi - slo);
-      dst.len <- Column.probe_into col tids ~slo ~shi dst.tids;
-      dst.dense <- false
-  | V_col ca, V_col cb ->
-      scratch.touched <- scratch.touched + (2 * (whi - wlo));
-      ensure_words scratch dst;
-      let card = Column.and_col_into ca cb dst.words ~wlo ~whi in
-      finish_dense_result scratch dst ~wlo ~whi card
 
 let common_prefix prev prev_len items k =
   let cap = min prev_len k in
@@ -568,48 +471,14 @@ let count_one t scratch ~wlo ~whi ~full items =
         | Sparse tids ->
             lower_bound tids (whi * bits_per_word)
             - lower_bound tids (wlo * bits_per_word)
-        | Col col ->
-            scratch.touched <- scratch.touched + (whi - wlo);
-            Column.window_card col ~wlo ~whi
     end
     else begin
       let item_view i = view_of_tidset t.tidsets.(i) ~wlo ~whi ~full in
-      (* A compressed first item is consulted once per candidate sharing
-         it (the batch is sorted), and two heavy containers merge far
-         slower than a bitmap AND.  When its expansion would stay dense
-         anyway, expand it once into [col_buf] and let every candidate
-         with this prefix scan plain words; light columns keep the
-         container merge, which wins at low cardinality. *)
-      let prefix_view i =
-        match t.tidsets.(i) with
-        | Col col ->
-            if
-              scratch.col_item = i && scratch.col_wlo = wlo
-              && scratch.col_whi = whi
-            then V_dense scratch.col_buf.words
-            else begin
-              let card =
-                if full then Column.cardinal col
-                else Column.window_card col ~wlo ~whi
-              in
-              if card >= whi - wlo then begin
-                ensure_words scratch scratch.col_buf;
-                Column.write_into col scratch.col_buf.words ~wlo ~whi;
-                scratch.col_item <- i;
-                scratch.col_wlo <- wlo;
-                scratch.col_whi <- whi;
-                scratch.touched <- scratch.touched + (whi - wlo);
-                V_dense scratch.col_buf.words
-              end
-              else V_col col
-            end
-        | Dense _ | Sparse _ -> item_view i
-      in
       if k >= 3 then begin
         ensure_depth scratch (k - 2);
         for d = max 1 (scratch.valid_depth + 1) to k - 2 do
           let acc =
-            if d = 1 then prefix_view items.(0)
+            if d = 1 then item_view items.(0)
             else view_of_buf scratch.bufs.(d - 1)
           in
           build_view scratch acc (item_view items.(d)) scratch.bufs.(d) ~wlo
@@ -618,7 +487,7 @@ let count_one t scratch ~wlo ~whi ~full items =
         scratch.valid_depth <- k - 2
       end;
       let acc =
-        if k = 2 then prefix_view items.(0)
+        if k = 2 then item_view items.(0)
         else view_of_buf scratch.bufs.(k - 2)
       in
       count_view scratch acc (item_view items.(k - 1)) ~wlo ~whi
@@ -670,7 +539,6 @@ let count_into ?scratch t ?(word_lo = 0) ?word_hi ?(cand_lo = 0) ?cand_hi
   scratch.prev <- [||];
   scratch.prev_len <- 0;
   scratch.valid_depth <- 0;
-  scratch.col_item <- -1;
   let full = word_lo = 0 && word_hi = t.n_words in
   (* The range keeps the batch's sort order, so prefix reuse works inside
      a candidate column exactly as it does over the whole batch. *)
@@ -759,14 +627,6 @@ let count_runs ?scratch t ~runs prepared =
                           - lower_bound tids (wlo * bits_per_word))
                       runs;
                     !card
-                | Col col ->
-                    let card = ref 0 in
-                    Array.iter
-                      (fun (wlo, whi) ->
-                        scratch.touched <- scratch.touched + (whi - wlo);
-                        card := !card + Column.window_card col ~wlo ~whi)
-                      runs;
-                    !card
               end
               else begin
                 let acc = ref 0 in
@@ -795,26 +655,6 @@ let count_runs ?scratch t ~runs prepared =
                         scratch.touched <-
                           scratch.touched + (ahi - alo) + (bhi - blo);
                         acc := !acc + merge_card ta ~alo ~ahi tb ~blo ~bhi)
-                      runs
-                | Col col, Dense words | Dense words, Col col ->
-                    Array.iter
-                      (fun (wlo, whi) ->
-                        scratch.touched <- scratch.touched + (2 * (whi - wlo));
-                        acc := !acc + Column.and_words_card col words ~wlo ~whi)
-                      runs
-                | Col col, Sparse tids | Sparse tids, Col col ->
-                    Array.iter
-                      (fun (wlo, whi) ->
-                        let slo = lower_bound tids (wlo * bits_per_word) in
-                        let shi = lower_bound tids (whi * bits_per_word) in
-                        scratch.touched <- scratch.touched + (shi - slo);
-                        acc := !acc + Column.probe_card col tids ~slo ~shi)
-                      runs
-                | Col ca, Col cb ->
-                    Array.iter
-                      (fun (wlo, whi) ->
-                        scratch.touched <- scratch.touched + (2 * (whi - wlo));
-                        acc := !acc + Column.and_col_card ca cb ~wlo ~whi)
                       runs);
                 !acc
               end)

@@ -41,19 +41,14 @@ val of_db : ?dense_cutoff:float -> Db.t -> t
     @raise Invalid_argument if [dense_cutoff] is negative (or NaN). *)
 
 val of_colfile : Colfile.t -> t
-(** Load from an open columnar file: every item arrives as a {e
-    compressed} column counted in place — the row-major database is never
-    materialized, so peak memory is the compressed payload plus the
-    directory.  Emits the ["columnar.load"] span and [columnar.*]
-    counters when observation is enabled.
+(** Load from an open columnar file: every PPDMC column is decoded once,
+    as it is read, into the dense or sparse tid-set that {!of_db} (at the
+    default cutoff) picks for that item, so the result equals [of_db] of
+    the same data in shapes, {!resident_bytes} and counts.  The row-major
+    database is never materialized; at most one decoded column is alive
+    besides the result.  Emits the ["columnar.load"] span and the
+    [vertical.load.*] counters when observation is enabled.
     @raise Colfile.Error on corrupt container data. *)
-
-val compress : t -> t
-(** Re-encode every tid-set as a compressed column (shares nothing with
-    the input's bitmaps/arrays).  Counts are unchanged — the differential
-    suite holds [compress]ed counting bit-identical to the plain
-    engine — which makes this the file-free way to drive the compressed
-    kernels. *)
 
 val to_db : t -> Db.t
 (** Transpose back to the row-major form (exact inverse of {!of_db} up to
@@ -61,19 +56,7 @@ val to_db : t -> Db.t
     a database that was loaded from a columnar file. *)
 
 val resident_bytes : t -> int
-(** Bytes held by the tid-set payloads under the current representations
-    (8 per bitmap word or tid, serialized container size per compressed
-    column) — the number the columnar format is trying to shrink. *)
-
-val container_stats : t -> Column.stats
-(** Aggregate container census over the compressed columns (zero if
-    nothing is compressed). *)
-
-val word_alignment : t -> int
-(** Preferred word-window alignment for sharding: {!Column.block_words}
-    when any column is compressed (cells then cut at container-block
-    seams), 1 otherwise.  Alignment is a locality hint only — windows of
-    any alignment count correctly. *)
+(** Bytes held by the tid-set payloads: 8 per bitmap word or tid. *)
 
 val length : t -> int
 (** Number of transactions (the tid range is [0..length-1]). *)
@@ -88,7 +71,6 @@ val item_count : t -> int -> int
 
 val dense_items : t -> int
 val sparse_items : t -> int
-val compressed_items : t -> int
 (** How many items landed in each representation. *)
 
 (** {2 Tid-sets}
@@ -104,9 +86,6 @@ val item_tidset : t -> int -> tidset
 val tidset_cardinal : tidset -> int
 
 val tidset_is_dense : tidset -> bool
-(** [false] for sparse {e and} compressed tid-sets. *)
-
-val tidset_is_compressed : tidset -> bool
 
 val tidset_tids : tidset -> int array
 (** The ascending tids, materialized (fresh array). *)
@@ -121,11 +100,8 @@ val inter_tidsets : tidset -> tidset -> tidset * int
 (** Intersection and its cardinality.  The result representation is
     adaptive: it goes sparse when that is the smaller encoding, so deep
     Eclat chains degrade from word ANDs to cheap probes as tid-sets
-    shrink.  A compressed operand is materialized into the cheaper plain
-    shape first (Eclat leaves the compressed domain at its first
-    intersection; the windowed batch kernels never do).  Cardinalities
-    (and therefore all mined counts) never depend on representation
-    choices.
+    shrink.  Cardinalities (and therefore all mined counts) never depend
+    on representation choices.
     @raise Invalid_argument on dense operands of different word counts. *)
 
 (** {2 Batch counting} *)

@@ -32,12 +32,10 @@ let word_chunk_for ?(l2_bytes = default_l2_bytes) ~n_words () =
 let cand_chunk_for ~n_candidates =
   max 512 (min 4096 ((n_candidates + 15) / 16))
 
-let plan ?l2_bytes ?word_chunk ?(align = 1) ?cand_chunk ~n_words ~n_candidates
-    () =
+let plan ?l2_bytes ?word_chunk ?cand_chunk ~n_words ~n_candidates () =
   if n_words <= 0 then invalid_arg "Grid.plan: n_words must be positive";
   if n_candidates <= 0 then
     invalid_arg "Grid.plan: n_candidates must be positive";
-  if align <= 0 then invalid_arg "Grid.plan: align must be positive";
   let word_chunk =
     match word_chunk with
     | Some c ->
@@ -45,11 +43,6 @@ let plan ?l2_bytes ?word_chunk ?(align = 1) ?cand_chunk ~n_words ~n_candidates
         c
     | None -> word_chunk_for ?l2_bytes ~n_words ()
   in
-  (* Rounding up to the alignment (compressed-container block seams) is a
-     pure function of the shape and the alignment — still independent of
-     the job count, so determinism is untouched; only the final window of
-     the database may stay unaligned. *)
-  let word_chunk = (word_chunk + align - 1) / align * align in
   let cand_chunk =
     match cand_chunk with
     | Some c ->

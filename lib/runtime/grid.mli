@@ -41,18 +41,12 @@ val cand_chunk_for : n_candidates:int -> int
 val plan :
   ?l2_bytes:int ->
   ?word_chunk:int ->
-  ?align:int ->
   ?cand_chunk:int ->
   n_words:int ->
   n_candidates:int ->
   unit ->
   t
 (** Cut the rectangle.  Cells partition it exactly: every (word,
-    candidate) pair lands in exactly one cell.  [align] (default 1)
-    rounds the resolved word chunk up to a multiple of itself —
-    {!Ppdm_mining.Vertical.word_alignment} passes the compressed
-    container-block width here so cells cut at block seams; it is a
-    locality hint only and, being independent of the job count, leaves
-    the determinism contract intact.
-    @raise Invalid_argument if [n_words <= 0], [n_candidates <= 0],
-    [align <= 0], or an explicit chunk is non-positive. *)
+    candidate) pair lands in exactly one cell.
+    @raise Invalid_argument if [n_words <= 0], [n_candidates <= 0], or
+    an explicit chunk is non-positive. *)

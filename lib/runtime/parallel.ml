@@ -64,8 +64,8 @@ let support_counts_vertical pool ?chunk ?cand_chunk vt candidates =
     Vertical.assemble prepared (Vertical.count_into vt prepared)
   else begin
     let grid =
-      Grid.plan ?word_chunk:chunk ~align:(Vertical.word_alignment vt)
-        ?cand_chunk ~n_words ~n_candidates:n_cands ()
+      Grid.plan ?word_chunk:chunk ?cand_chunk ~n_words ~n_candidates:n_cands
+        ()
     in
     let tasks =
       Array.map

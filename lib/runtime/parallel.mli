@@ -88,9 +88,6 @@ val apriori_mine_vertical :
 (** [Apriori.mine_vertical] with every level sharded through
     {!support_counts_vertical} — the parallel entry point for columnar
     input ([Vertical.of_colfile]), where no [Db.t] ever exists.  Level 1
-    seeds from the per-item counts; when columns are compressed the grid
-    aligns its word windows to container-block seams
-    ([Vertical.word_alignment]) — a locality hint that, like the rest of
-    the plan, never depends on the job count.  Output is byte-identical
-    to [Apriori.mine_vertical] at any job count.
+    seeds from the per-item counts.  Output is byte-identical to
+    [Apriori.mine_vertical] at any job count.
     @raise Invalid_argument if [min_support] is outside (0, 1]. *)

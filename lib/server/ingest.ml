@@ -50,45 +50,21 @@ let pop t =
           Some x
       | None -> None)
 
-let pop_batch t ~max ~linger_ns =
+let pop_batch t ~max =
   if max < 1 then invalid_arg "Ingest.pop_batch: max < 1";
-  if linger_ns < 0 then invalid_arg "Ingest.pop_batch: negative linger";
   let acc = ref [] and count = ref 0 in
-  let take_upto () =
-    while !count < max && not (Queue.is_empty t.q) do
-      acc := Queue.take t.q :: !acc;
-      incr count
-    done
-  in
   locked t (fun () ->
       while Queue.is_empty t.q && not t.closed do
         Condition.wait t.not_empty t.lock
       done;
-      take_upto ();
+      while !count < max && not (Queue.is_empty t.q) do
+        acc := Queue.take t.q :: !acc;
+        incr count
+      done;
       if !count > 0 then begin
         t.in_flight <- t.in_flight + 1;
         Condition.broadcast t.not_full
       end);
-  (* Linger outside the lock: short sleeps, re-draining under the lock
-     each wake, until the batch fills or the deadline passes.  Pure
-     polling — the stdlib has no timed condition wait — but bounded and
-     off by default (linger_ns = 0). *)
-  if !count > 0 && !count < max && linger_ns > 0 then begin
-    let deadline = Ppdm_obs.Metrics.now_ns () + linger_ns in
-    let stop = ref false in
-    while (not !stop) && !count < max && Ppdm_obs.Metrics.now_ns () < deadline do
-      Unix.sleepf 0.0005;
-      locked t (fun () ->
-          let before = !count in
-          take_upto ();
-          (* Only wake producers when this poll actually freed queue
-             space; a blanket broadcast every 0.5 ms stampedes blocked
-             pushers just to have them re-check a still-full queue. *)
-          if !count > before && Queue.length t.q < t.capacity then
-            Condition.broadcast t.not_full;
-          if t.closed && Queue.is_empty t.q then stop := true)
-    done
-  end;
   if !count = 0 then [||] else Array.of_list (List.rev !acc)
 
 let done_with t =

@@ -7,10 +7,10 @@
     consumer pushes back on its producers instead of growing memory.
 
     {!pop_batch} drains greedily: it blocks until at least one element is
-    queued, takes everything up to [max], and only then (optionally)
-    lingers for stragglers — batches grow with load and cost no latency
-    when the queue runs dry.  An element count of in-flight batches backs
-    {!wait_idle}, the quiescence barrier consistent snapshots need. *)
+    queued and takes everything up to [max] — batches grow with load and
+    cost no latency when the queue runs dry.  An element count of
+    in-flight batches backs {!wait_idle}, the quiescence barrier
+    consistent snapshots need. *)
 
 type 'a t
 
@@ -26,13 +26,11 @@ val pop : 'a t -> 'a option
     the queue is closed {e and} drained.  The element counts as in-flight
     until {!done_with} is called. *)
 
-val pop_batch : 'a t -> max:int -> linger_ns:int -> 'a array
-(** Dequeue up to [max] elements: block for the first, drain what is
-    queued, then — if the batch is not yet full and [linger_ns > 0] —
-    poll for up to [linger_ns] nanoseconds for more.  [[||]] iff the
-    queue is closed and drained.  The whole batch counts as in-flight
-    until {!done_with}.
-    @raise Invalid_argument if [max < 1] or [linger_ns < 0]. *)
+val pop_batch : 'a t -> max:int -> 'a array
+(** Dequeue up to [max] elements: block for the first, then take what is
+    queued.  [[||]] iff the queue is closed and drained.  The whole batch
+    counts as in-flight until {!done_with}.
+    @raise Invalid_argument if [max < 1]. *)
 
 val done_with : 'a t -> unit
 (** The consumer finished processing its last {!pop}/{!pop_batch} result;

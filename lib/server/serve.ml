@@ -7,7 +7,6 @@ type config = {
   jobs : int;
   shards : int;
   batch : int;
-  linger_ns : int;
   queue_capacity : int;
   max_frame : int;
   scheme : Randomizer.t;
@@ -22,7 +21,6 @@ let default_config ~scheme ~itemsets =
     jobs = 2;
     shards = 2;
     batch = 256;
-    linger_ns = 0;
     queue_capacity = 4096;
     max_frame = Framing.default_max_frame;
     scheme;
@@ -51,7 +49,6 @@ let validate config =
   if config.jobs < 1 then invalid_arg "Serve: jobs < 1";
   if config.shards < 1 then invalid_arg "Serve: shards < 1";
   if config.batch < 1 then invalid_arg "Serve: batch < 1";
-  if config.linger_ns < 0 then invalid_arg "Serve: negative linger";
   if config.queue_capacity < 1 then invalid_arg "Serve: queue capacity < 1";
   if config.max_frame < 16 then invalid_arg "Serve: max_frame < 16";
   if config.sampler_period_ns < 1_000_000 then
@@ -290,9 +287,7 @@ let serve_on listener ?admin sh =
     if Atomic.fetch_and_add workers_left (-1) = 1 then
       Array.iter Shard.close sh.shards
   in
-  let folder shard () =
-    Shard.fold_loop shard ~batch:config.batch ~linger_ns:config.linger_ns
-  in
+  let folder shard () = Shard.fold_loop shard ~batch:config.batch in
   (* The admin plane rides on metrics; turn them on for its lifetime
      (restored at exit) so the registry has content to expose.  This
      cannot change data-plane results or stdout — the determinism

@@ -27,7 +27,6 @@ type config = {
   jobs : int;  (** session-worker domains *)
   shards : int;  (** ingest shards, one folder domain each *)
   batch : int;  (** max reports folded per batch *)
-  linger_ns : int;  (** how long a folder waits to fill a batch (0: none) *)
   queue_capacity : int;  (** per-shard queue bound (the backpressure knob) *)
   max_frame : int;  (** frame payload cap on every session *)
   scheme : Randomizer.t;  (** the operator clients must match *)
@@ -42,7 +41,7 @@ type config = {
 }
 
 val default_config : scheme:Randomizer.t -> itemsets:Itemset.t list -> config
-(** port 0, jobs 2, shards 2, batch 256, no linger, queue capacity 4096,
+(** port 0, jobs 2, shards 2, batch 256, queue capacity 4096,
     {!Framing.default_max_frame}, no admin plane, 1s sampler period. *)
 
 type stats = { reports : int; sessions : int }

@@ -32,10 +32,10 @@ let fold_batch t batch =
         batch;
       t.folded <- t.folded + Array.length batch)
 
-let fold_loop t ~batch ~linger_ns =
+let fold_loop t ~batch =
   let instrument = Ppdm_obs.Metrics.any_enabled () in
   let rec go () =
-    match Ingest.pop_batch t.queue ~max:batch ~linger_ns with
+    match Ingest.pop_batch t.queue ~max:batch with
     | [||] -> ()
     | b ->
         if instrument then begin

@@ -26,10 +26,10 @@ val submit : t -> int * Itemset.t * int -> bool
     (the folder then skips the latency observation).  [false] iff the
     shard is closed. *)
 
-val fold_loop : t -> batch:int -> linger_ns:int -> unit
-(** Drain batches (at most [batch] reports each, lingering up to
-    [linger_ns] for a fuller batch) and fold them into the accumulators
-    until the shard is closed and empty.  Run on exactly one domain. *)
+val fold_loop : t -> batch:int -> unit
+(** Drain batches (at most [batch] reports each) and fold them into the
+    accumulators until the shard is closed and empty.  Run on exactly one
+    domain. *)
 
 val close : t -> unit
 (** Stop accepting reports; {!fold_loop} returns once the queue drains. *)

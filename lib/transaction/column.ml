@@ -5,18 +5,17 @@
    block independently picks the cheapest of three physical containers —
    dense bitmap, packed sorted offsets, run-length intervals — by its
    serialized size, so the randomization-induced dense regions compress
-   as runs while genuinely sparse tails stay as 2-byte offsets.  Every
-   kernel below works directly on the chosen containers over an explicit
-   word window; nothing is decompressed except into a caller's result
-   buffer. *)
+   as runs while genuinely sparse tails stay as 2-byte offsets.  This is
+   the on-disk form only: loaders decode a column back to tids or to a
+   packed bitmap ([to_tids], [write_into]) and count on those. *)
 
 let bpw = Bitset.bits_per_word
 let block_words = 64
 let block_bits = block_words * bpw
 
 (* Quotient by [bpw] for block-relative bit positions.  ocamlopt does not
-   strength-reduce division by non-power-of-two constants, and the hot
-   kernels divide on every decoded offset; [(off * 16913) lsr 20] equals
+   strength-reduce division by non-power-of-two constants, and decoding
+   divides on every offset; [(off * 16913) lsr 20] equals
    [off / 62] for every off in [0, block_bits] (checked below), at about
    60% of the hardware-divide latency. *)
 let div62 off = (off * 16913) lsr 20
@@ -279,47 +278,6 @@ let rep t b =
   | Sparse _ -> R_sparse
   | Runs _ -> R_run
 
-type stats = {
-  blocks : int;
-  empty : int;
-  dense : int;
-  sparse : int;
-  run : int;
-  bytes : int;
-}
-
-let zero_stats = { blocks = 0; empty = 0; dense = 0; sparse = 0; run = 0; bytes = 0 }
-
-let add_stats acc (t : t) =
-  Array.fold_left
-    (fun acc block ->
-      match block with
-      | Empty -> { acc with blocks = acc.blocks + 1; empty = acc.empty + 1 }
-      | Dense ws ->
-          {
-            acc with
-            blocks = acc.blocks + 1;
-            dense = acc.dense + 1;
-            bytes = acc.bytes + (8 * Array.length ws);
-          }
-      | Sparse (_, packed) ->
-          {
-            acc with
-            blocks = acc.blocks + 1;
-            sparse = acc.sparse + 1;
-            bytes = acc.bytes + (8 * Array.length packed);
-          }
-      | Runs rs ->
-          {
-            acc with
-            blocks = acc.blocks + 1;
-            run = acc.run + 1;
-            bytes = acc.bytes + (8 * Array.length rs);
-          })
-    acc t.blocks
-
-let stats t = add_stats zero_stats t
-
 let mem (t : t) tid =
   if tid < 0 || tid >= t.n then invalid_arg "Column.mem: tid out of range";
   let b = tid / block_bits in
@@ -379,11 +337,11 @@ let to_tids t =
 let equal (a : t) (b : t) =
   a.n = b.n && a.card = b.card && a.blocks = b.blocks
 
-(* --- window iteration ----------------------------------------------- *)
+(* --- window expansion ----------------------------------------------- *)
 
 (* Walk the blocks intersecting the word window [wlo, whi), handing each
    its block-relative word sub-range [lo, hi). *)
-let iter_blocks (_ : t) ~wlo ~whi f =
+let iter_blocks ~wlo ~whi f =
   if whi > wlo then begin
     let b0 = wlo / block_words and b1 = (whi - 1) / block_words in
     for b = b0 to b1 do
@@ -393,326 +351,12 @@ let iter_blocks (_ : t) ~wlo ~whi f =
     done
   end
 
-let check_window t ~who ~wlo ~whi =
-  if wlo < 0 || wlo > whi || whi > word_count t then
-    invalid_arg (Printf.sprintf "Column.%s: word window out of range" who)
-
-(* Popcount of a block-local dense word array over the bit range [s, e)
-   (block-relative bits, s < e). *)
-let count_bits_local ws ~s ~e =
-  let fw = div62 s and lw = div62 (e - 1) in
-  if fw = lw then
-    Bitset.popcount (ws.(fw) land word_mask ~lo:(s - (fw * bpw)) ~hi:(e - (fw * bpw)))
-  else begin
-    let acc =
-      ref (Bitset.popcount (ws.(fw) land word_mask ~lo:(s - (fw * bpw)) ~hi:bpw))
-    in
-    for w = fw + 1 to lw - 1 do
-      acc := !acc + Bitset.popcount ws.(w)
-    done;
-    !acc + Bitset.popcount (ws.(lw) land word_mask ~lo:0 ~hi:(e - (lw * bpw)))
-  end
-
-(* --- window kernels -------------------------------------------------- *)
-
-let window_card (t : t) ~wlo ~whi =
-  check_window t ~who:"window_card" ~wlo ~whi;
-  let acc = ref 0 in
-  iter_blocks t ~wlo ~whi (fun b ~base:_ ~lo ~hi ->
-      match t.blocks.(b) with
-      | Empty -> ()
-      | Dense ws ->
-          for w = lo to hi - 1 do
-            acc := !acc + Bitset.popcount ws.(w)
-          done
-      | Sparse (card, packed) ->
-          acc :=
-            !acc
-            + sparse_lower packed card (hi * bpw)
-            - sparse_lower packed card (lo * bpw)
-      | Runs rs ->
-          let lob = lo * bpw and hib = hi * bpw in
-          let nr = Array.length rs in
-          let i = ref (runs_lower rs lob) in
-          let continue = ref true in
-          while !continue && !i < nr do
-            let s = run_start rs.(!i) and e = run_stop rs.(!i) in
-            if s >= hib then continue := false
-            else begin
-              acc := !acc + (min e hib - max s lob);
-              incr i
-            end
-          done);
-  !acc
-
-(* col AND a plain full-width bitmap, cardinality only.  [words] is
-   indexed by global word (the vertical engine's scratch/dense layout). *)
-let and_words_card (t : t) words ~wlo ~whi =
-  check_window t ~who:"and_words_card" ~wlo ~whi;
-  let acc = ref 0 in
-  iter_blocks t ~wlo ~whi (fun b ~base ~lo ~hi ->
-      match t.blocks.(b) with
-      | Empty -> ()
-      | Dense ws ->
-          for w = lo to hi - 1 do
-            acc := !acc + Bitset.popcount (ws.(w) land words.(base + w))
-          done
-      | Sparse (card, packed) ->
-          let i0 = sparse_lower packed card (lo * bpw) in
-          let i1 = sparse_lower packed card (hi * bpw) in
-          if i0 < i1 then begin
-            let r = ref (packed.(i0 lsr 2) lsr ((i0 land 3) lsl 4)) in
-            let i = ref i0 in
-            while !i < i1 do
-              let off = !r land 0xFFFF in
-              let w = div62 off in
-              (* branchless membership: random probes mispredict ~50% *)
-              acc := !acc + (words.(base + w) lsr (off - (w * bpw)) land 1);
-              incr i;
-              if !i < i1 then
-                r := if !i land 3 = 0 then packed.(!i lsr 2) else !r lsr 16
-            done
-          end
-      | Runs rs ->
-          let lob = lo * bpw and hib = hi * bpw in
-          let nr = Array.length rs in
-          let i = ref (runs_lower rs lob) in
-          let continue = ref true in
-          while !continue && !i < nr do
-            let s = run_start rs.(!i) and e = run_stop rs.(!i) in
-            if s >= hib then continue := false
-            else begin
-              let s = max s lob and e = min e hib in
-              (* count the bitmap's bits inside the run, word by word *)
-              let fw = s / bpw and lw = (e - 1) / bpw in
-              if fw = lw then
-                acc :=
-                  !acc
-                  + Bitset.popcount
-                      (words.(base + fw)
-                      land word_mask ~lo:(s - (fw * bpw)) ~hi:(e - (fw * bpw)))
-              else begin
-                acc :=
-                  !acc
-                  + Bitset.popcount
-                      (words.(base + fw)
-                      land word_mask ~lo:(s - (fw * bpw)) ~hi:bpw);
-                for w = fw + 1 to lw - 1 do
-                  acc := !acc + Bitset.popcount words.(base + w)
-                done;
-                acc :=
-                  !acc
-                  + Bitset.popcount
-                      (words.(base + lw) land word_mask ~lo:0 ~hi:(e - (lw * bpw)))
-              end;
-              incr i
-            end
-          done);
-  !acc
-
-(* col AND a plain bitmap, result written into [dst.(wlo..whi-1)] (same
-   global indexing); returns the cardinality. *)
-let and_words_into (t : t) words dst ~wlo ~whi =
-  check_window t ~who:"and_words_into" ~wlo ~whi;
-  let acc = ref 0 in
-  iter_blocks t ~wlo ~whi (fun b ~base ~lo ~hi ->
-      match t.blocks.(b) with
-      | Empty -> Array.fill dst (base + lo) (hi - lo) 0
-      | Dense ws ->
-          for w = lo to hi - 1 do
-            let v = ws.(w) land words.(base + w) in
-            dst.(base + w) <- v;
-            acc := !acc + Bitset.popcount v
-          done
-      | Sparse (card, packed) ->
-          Array.fill dst (base + lo) (hi - lo) 0;
-          let i0 = sparse_lower packed card (lo * bpw) in
-          let i1 = sparse_lower packed card (hi * bpw) in
-          for i = i0 to i1 - 1 do
-            let off = sparse_get packed i in
-            let lw = div62 off in
-            let w = base + lw and bit = 1 lsl (off - (lw * bpw)) in
-            if words.(w) land bit <> 0 then begin
-              dst.(w) <- dst.(w) lor bit;
-              incr acc
-            end
-          done
-      | Runs rs ->
-          Array.fill dst (base + lo) (hi - lo) 0;
-          let lob = lo * bpw and hib = hi * bpw in
-          let nr = Array.length rs in
-          let i = ref (runs_lower rs lob) in
-          let continue = ref true in
-          while !continue && !i < nr do
-            let s = run_start rs.(!i) and e = run_stop rs.(!i) in
-            if s >= hib then continue := false
-            else begin
-              let s = max s lob and e = min e hib in
-              let fw = s / bpw and lw = (e - 1) / bpw in
-              for w = fw to lw do
-                let mlo = if w = fw then s - (w * bpw) else 0 in
-                let mhi = if w = lw then e - (w * bpw) else bpw in
-                let v = words.(base + w) land word_mask ~lo:mlo ~hi:mhi in
-                dst.(base + w) <- dst.(base + w) lor v;
-                acc := !acc + Bitset.popcount v
-              done;
-              incr i
-            end
-          done);
-  !acc
-
-(* Probe the tids [tids.(slo..shi-1)] (strictly increasing) for
-   membership. *)
-let probe_card t tids ~slo ~shi =
-  let acc = ref 0 in
-  for i = slo to shi - 1 do
-    if mem t tids.(i) then incr acc
-  done;
-  !acc
-
-let probe_into t tids ~slo ~shi dst =
-  let len = ref 0 in
-  for i = slo to shi - 1 do
-    let tid = tids.(i) in
-    if mem t tid then begin
-      dst.(!len) <- tid;
-      incr len
-    end
-  done;
-  !len
-
-(* --- col AND col ----------------------------------------------------- *)
-
-(* Cardinality of the intersection of two blocks over the block-relative
-   bit range [lob, hib).  Every pairing stays inside the compressed
-   forms: dense x dense is the word AND, run x run is interval
-   arithmetic, and the probe/merge pairs decode offsets on the fly. *)
-let and_block_card a b ~lob ~hib =
-  match (a, b) with
-  | Empty, _ | _, Empty -> 0
-  | Dense wa, Dense wb ->
-      let acc = ref 0 in
-      for w = div62 lob to div62 hib - 1 do
-        acc := !acc + Bitset.popcount (wa.(w) land wb.(w))
-      done;
-      !acc
-  | Dense ws, Sparse (card, packed) | Sparse (card, packed), Dense ws ->
-      let acc = ref 0 in
-      let i0 = sparse_lower packed card lob in
-      let i1 = sparse_lower packed card hib in
-      if i0 < i1 then begin
-        (* shift-register decode: load each packed word once, pull the
-           next offset out of the low 16 bits *)
-        let r = ref (packed.(i0 lsr 2) lsr ((i0 land 3) lsl 4)) in
-        let i = ref i0 in
-        while !i < i1 do
-          let off = !r land 0xFFFF in
-          let w = div62 off in
-          (* branchless membership: random probes mispredict ~50% *)
-          acc := !acc + (ws.(w) lsr (off - (w * bpw)) land 1);
-          incr i;
-          if !i < i1 then
-            r := if !i land 3 = 0 then packed.(!i lsr 2) else !r lsr 16
-        done
-      end;
-      !acc
-  | Dense ws, Runs rs | Runs rs, Dense ws ->
-      let acc = ref 0 in
-      let nr = Array.length rs in
-      let i = ref (runs_lower rs lob) in
-      let continue = ref true in
-      while !continue && !i < nr do
-        let s = run_start rs.(!i) and e = run_stop rs.(!i) in
-        if s >= hib then continue := false
-        else begin
-          acc := !acc + count_bits_local ws ~s:(max s lob) ~e:(min e hib);
-          incr i
-        end
-      done;
-      !acc
-  | Sparse (ca, pa), Sparse (cb, pb) ->
-      let i0 = sparse_lower pa ca lob and j0 = sparse_lower pb cb lob in
-      let ihi = sparse_lower pa ca hib and jhi = sparse_lower pb cb hib in
-      let acc = ref 0 in
-      if i0 < ihi && j0 < jhi then begin
-        (* merge over shift registers: only the side that advances
-           re-decodes, and a decode is one [lsr 16] except at packed-word
-           boundaries *)
-        let i = ref i0 and j = ref j0 in
-        let ra = ref (pa.(i0 lsr 2) lsr ((i0 land 3) lsl 4)) in
-        let rb = ref (pb.(j0 lsr 2) lsr ((j0 land 3) lsl 4)) in
-        let continue = ref true in
-        while !continue do
-          let x = !ra land 0xFFFF and y = !rb land 0xFFFF in
-          if x < y then begin
-            incr i;
-            if !i >= ihi then continue := false
-            else ra := if !i land 3 = 0 then pa.(!i lsr 2) else !ra lsr 16
-          end
-          else if y < x then begin
-            incr j;
-            if !j >= jhi then continue := false
-            else rb := if !j land 3 = 0 then pb.(!j lsr 2) else !rb lsr 16
-          end
-          else begin
-            incr acc;
-            incr i;
-            incr j;
-            if !i >= ihi || !j >= jhi then continue := false
-            else begin
-              ra := if !i land 3 = 0 then pa.(!i lsr 2) else !ra lsr 16;
-              rb := if !j land 3 = 0 then pb.(!j lsr 2) else !rb lsr 16
-            end
-          end
-        done
-      end;
-      !acc
-  | Sparse (card, packed), Runs rs | Runs rs, Sparse (card, packed) ->
-      let acc = ref 0 in
-      let nr = Array.length rs in
-      let r = ref (runs_lower rs lob) in
-      let i1 = sparse_lower packed card hib in
-      for i = sparse_lower packed card lob to i1 - 1 do
-        let off = sparse_get packed i in
-        while !r < nr && run_stop rs.(!r) <= off do
-          incr r
-        done;
-        if !r < nr && run_start rs.(!r) <= off then incr acc
-      done;
-      !acc
-  | Runs ra, Runs rb ->
-      let na = Array.length ra and nb = Array.length rb in
-      let i = ref (runs_lower ra lob) and j = ref (runs_lower rb lob) in
-      let acc = ref 0 in
-      let continue = ref true in
-      while !continue && !i < na && !j < nb do
-        let sa = max lob (run_start ra.(!i)) and ea = min hib (run_stop ra.(!i)) in
-        let sb = max lob (run_start rb.(!j)) and eb = min hib (run_stop rb.(!j)) in
-        if sa >= hib || sb >= hib then continue := false
-        else begin
-          let overlap = min ea eb - max sa sb in
-          if overlap > 0 then acc := !acc + overlap;
-          if ea <= eb then incr i else incr j
-        end
-      done;
-      !acc
-
-let and_col_card (a : t) (b : t) ~wlo ~whi =
-  check_window a ~who:"and_col_card" ~wlo ~whi;
-  if a.n <> b.n then invalid_arg "Column.and_col_card: length mismatch";
-  let acc = ref 0 in
-  iter_blocks a ~wlo ~whi (fun bk ~base:_ ~lo ~hi ->
-      acc :=
-        !acc
-        + and_block_card a.blocks.(bk) b.blocks.(bk) ~lob:(lo * bpw)
-            ~hib:(hi * bpw));
-  !acc
-
 (* Expand the column's window into [dst] (a plain full-width bitmap):
    every word of [dst.(wlo..whi-1)] is written. *)
 let write_into (t : t) dst ~wlo ~whi =
-  check_window t ~who:"write_into" ~wlo ~whi;
-  iter_blocks t ~wlo ~whi (fun b ~base ~lo ~hi ->
+  if wlo < 0 || wlo > whi || whi > word_count t then
+    invalid_arg "Column.write_into: word window out of range";
+  iter_blocks ~wlo ~whi (fun b ~base ~lo ~hi ->
       match t.blocks.(b) with
       | Empty -> Array.fill dst (base + lo) (hi - lo) 0
       | Dense ws -> Array.blit ws lo dst (base + lo) (hi - lo)
@@ -750,67 +394,3 @@ let to_words t =
   let out = Array.make nw 0 in
   write_into t out ~wlo:0 ~whi:nw;
   out
-
-(* AND the column into [dst] in place over the window: dst := dst land
-   col.  Used to intersect a second column into a freshly expanded
-   one. *)
-let and_into_words (t : t) dst ~wlo ~whi =
-  check_window t ~who:"and_into_words" ~wlo ~whi;
-  iter_blocks t ~wlo ~whi (fun b ~base ~lo ~hi ->
-      match t.blocks.(b) with
-      | Empty -> Array.fill dst (base + lo) (hi - lo) 0
-      | Dense ws ->
-          for w = lo to hi - 1 do
-            dst.(base + w) <- dst.(base + w) land ws.(w)
-          done
-      | Sparse (card, packed) ->
-          (* walk the offsets once, building each word's mask *)
-          let p = ref (sparse_lower packed card (lo * bpw)) in
-          for w = lo to hi - 1 do
-            let wb = w * bpw in
-            let we = wb + bpw in
-            let m = ref 0 in
-            let continue = ref true in
-            while !continue && !p < card do
-              let off = sparse_get packed !p in
-              if off < we then begin
-                m := !m lor (1 lsl (off - wb));
-                incr p
-              end
-              else continue := false
-            done;
-            dst.(base + w) <- dst.(base + w) land !m
-          done
-      | Runs rs ->
-          let nr = Array.length rs in
-          let p = ref (runs_lower rs (lo * bpw)) in
-          for w = lo to hi - 1 do
-            let wb = w * bpw and we = (w + 1) * bpw in
-            let m = ref 0 in
-            let q = ref !p in
-            let continue = ref true in
-            while !continue && !q < nr do
-              let s = run_start rs.(!q) and e = run_stop rs.(!q) in
-              if s >= we then continue := false
-              else begin
-                if e > wb then
-                  m := !m lor word_mask ~lo:(max s wb - wb) ~hi:(min e we - wb);
-                if e <= we then incr q else continue := false
-              end
-            done;
-            p := !q;
-            dst.(base + w) <- dst.(base + w) land !m
-          done)
-
-(* a AND b over the window, written into [dst.(wlo..whi-1)]; returns the
-   cardinality.  The containers themselves stay compressed — only the
-   result materializes, and only into the caller's buffer. *)
-let and_col_into (a : t) (b : t) dst ~wlo ~whi =
-  if a.n <> b.n then invalid_arg "Column.and_col_into: length mismatch";
-  write_into a dst ~wlo ~whi;
-  and_into_words b dst ~wlo ~whi;
-  let acc = ref 0 in
-  for w = wlo to whi - 1 do
-    acc := !acc + Bitset.popcount dst.(w)
-  done;
-  !acc

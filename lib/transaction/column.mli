@@ -9,11 +9,9 @@
     regions compress as runs while sparse tails stay as short offset
     lists.  Empty blocks store nothing.
 
-    All counting kernels work {e directly on the compressed containers}
-    over an explicit word window [wlo, whi) (the vertical engine's
-    sharding unit): dense x dense is a word AND, run x run is interval
-    arithmetic, probe/merge pairs decode offsets on the fly.  Nothing is
-    decompressed except a result written into a caller's buffer.
+    This is the on-disk form ({!Colfile}): nothing counts on the
+    containers.  A loader decodes each column once, to ascending tids
+    ({!to_tids}) or a packed bitmap ({!to_words}), and counts on those.
 
     The block type is exposed so the on-disk codec ({!Colfile}) can
     serialize containers verbatim and the test harness can assert
@@ -78,19 +76,6 @@ type rep = R_empty | R_dense | R_sparse | R_run
 val rep : t -> int -> rep
 (** Which container block [b] chose. *)
 
-type stats = {
-  blocks : int;
-  empty : int;
-  dense : int;
-  sparse : int;
-  run : int;
-  bytes : int;  (** resident payload bytes across all containers *)
-}
-
-val zero_stats : stats
-val stats : t -> stats
-val add_stats : stats -> t -> stats
-
 val mem : t -> int -> bool
 (** @raise Invalid_argument if the tid is outside [0..length-1]. *)
 
@@ -125,45 +110,12 @@ val words_in_block : n:int -> int -> int
 (** Words block [b] of an [n]-transaction column spans (the final block
     may be short). *)
 
-(** {1 Window kernels}
-
-    All windows are half-open global word ranges [wlo, whi) within
-    [0, word_count]; plain bitmap operands ([words], [dst]) use the same
-    global word indexing as the vertical engine's dense tid-sets.
-    Results over disjoint windows sum/concatenate exactly, which is what
-    lets the 2-D grid shard compressed columns bit-identically.
-    @raise Invalid_argument on a window outside [0, word_count]. *)
-
-val window_card : t -> wlo:int -> whi:int -> int
-(** Members with tids in the window. *)
-
-val and_words_card : t -> int array -> wlo:int -> whi:int -> int
-(** |col AND bitmap| over the window, without materializing. *)
-
-val and_words_into : t -> int array -> int array -> wlo:int -> whi:int -> int
-(** [and_words_into t words dst] writes (col AND words) into
-    [dst.(wlo..whi-1)] (every window word is written) and returns the
-    cardinality. *)
-
-val probe_card : t -> int array -> slo:int -> shi:int -> int
-(** How many of [tids.(slo..shi-1)] (strictly increasing) are members. *)
-
-val probe_into : t -> int array -> slo:int -> shi:int -> int array -> int
-(** The surviving tids, written to the prefix of [dst]; returns how
-    many. *)
-
-val and_col_card : t -> t -> wlo:int -> whi:int -> int
-(** |a AND b| over the window, entirely on the compressed containers.
-    @raise Invalid_argument if the columns cover different lengths. *)
-
-val and_col_into : t -> t -> int array -> wlo:int -> whi:int -> int
-(** (a AND b) written into [dst.(wlo..whi-1)]; returns the cardinality.
-    @raise Invalid_argument if the columns cover different lengths. *)
+(** {1 Expansion} *)
 
 val write_into : t -> int array -> wlo:int -> whi:int -> unit
-(** Expand the window into a plain bitmap (every window word written) —
-    the one deliberate decompression, used when a caller leaves the
-    compressed domain (e.g. Eclat materializing an intersection). *)
+(** Expand the word window [wlo, whi) into a plain bitmap [dst] indexed
+    by global word (every window word is written).
+    @raise Invalid_argument on a window outside [0, word_count]. *)
 
 val to_words : t -> int array
 (** [write_into] over the full width, freshly allocated. *)

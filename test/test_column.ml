@@ -1,8 +1,8 @@
 (* Compressed columnar storage tests: container representation choice and
-   round-trips on the word-boundary width classes, window kernels held
-   against a brute-force reference, the PPDMC codec (including every
-   corruption class as its typed error), the streaming converter, and the
-   compressed counting path end to end against the in-RAM engine. *)
+   round-trips on the word-boundary width classes, bitmap expansion, the
+   PPDMC codec (including every corruption class as its typed error), the
+   streaming converter, and the columnar load end to end against the
+   in-RAM engine. *)
 
 open Ppdm_data
 open Ppdm_mining
@@ -54,8 +54,8 @@ let test_empty_column () =
       let col = Column.of_tids ~n [||] in
       Alcotest.(check int) "cardinal" 0 (Column.cardinal col);
       check_tids "no tids" [] col;
-      Alcotest.(check int) "window empty" 0
-        (Column.window_card col ~wlo:0 ~whi:(Column.word_count col));
+      Alcotest.(check bool) "expands to zero words" true
+        (Array.for_all (( = ) 0) (Column.to_words col));
       Array.iter
         (function
           | Column.Empty -> ()
@@ -117,12 +117,16 @@ let test_block_boundaries () =
         (Column.mem col tid))
     tids;
   Alcotest.(check bool) "absent" false (Column.mem col 1);
-  (* window cut exactly at the seam *)
+  (* expansion windows cut exactly at the seam *)
   let seam_w = Column.block_bits / bpw in
-  Alcotest.(check int) "left of seam" 2
-    (Column.window_card col ~wlo:0 ~whi:seam_w);
-  Alcotest.(check int) "right of seam" 2
-    (Column.window_card col ~wlo:seam_w ~whi:(Column.word_count col))
+  let n_words = Column.word_count col in
+  let window_pop ~wlo ~whi =
+    let dst = Array.make n_words 0 in
+    Column.write_into col dst ~wlo ~whi;
+    Array.fold_left (fun acc w -> acc + Bitset.popcount w) 0 dst
+  in
+  Alcotest.(check int) "left of seam" 2 (window_pop ~wlo:0 ~whi:seam_w);
+  Alcotest.(check int) "right of seam" 2 (window_pop ~wlo:seam_w ~whi:n_words)
 
 let test_of_words_equals_of_tids () =
   List.iter
@@ -150,111 +154,7 @@ let test_of_blocks_validation () =
   reject "run out of range" [| Column.Runs [| (99 lsl 16) lor 105 |] |];
   reject "runs adjacent" [| Column.Runs [| (0 lsl 16) lor 5; (5 lsl 16) lor 9 |] |]
 
-(* --- window kernels vs brute force ---------------------------------- *)
-
-let reference_card mem_a mem_b ~n ~wlo ~whi =
-  let count = ref 0 in
-  for tid = 0 to n - 1 do
-    if tid / bpw >= wlo && tid / bpw < whi && mem_a.(tid) && mem_b.(tid) then
-      incr count
-  done;
-  !count
-
-let mem_array ~n tids =
-  let a = Array.make n false in
-  List.iter (fun tid -> a.(tid) <- true) tids;
-  a
-
-(* Three columns per width — one likely dense/run-heavy, one sparse, one
-   mixed — crossed pairwise under several windows, against the
-   brute-force count.  Covers all six block-pair combinations. *)
-let test_kernel_differential () =
-  List.iter
-    (fun n ->
-      let shapes =
-        [
-          ("heavy", List.filter (fun t -> t mod 7 <> 3) (List.init n Fun.id));
-          ("sparse", scatter ~n ~seed:5 ~period:40);
-          ("mixed", List.filter (fun t -> t mod 3 = 0 || t < n / 4) (List.init n Fun.id));
-        ]
-      in
-      let cols =
-        List.map
-          (fun (name, tids) ->
-            (name, tids, Column.of_tids ~n (Array.of_list tids)))
-          shapes
-      in
-      let n_words = Bitset.words_for n in
-      let windows =
-        [ (0, n_words); (0, (n_words / 2) + 1); (n_words / 3, n_words) ]
-        |> List.filter (fun (lo, hi) -> lo < hi)
-      in
-      List.iter
-        (fun (na, ta, ca) ->
-          let mem_a = mem_array ~n ta in
-          let words_a = words_of_tids ~n ta in
-          let arr_a = Array.of_list ta in
-          List.iter
-            (fun (nb, tb, cb) ->
-              let mem_b = mem_array ~n tb in
-              List.iter
-                (fun (wlo, whi) ->
-                  let expect = reference_card mem_a mem_b ~n ~wlo ~whi in
-                  let tag k =
-                    Printf.sprintf "n=%d %s^%s [%d,%d) %s" n na nb wlo whi k
-                  in
-                  Alcotest.(check int) (tag "col^col")
-                    expect
-                    (Column.and_col_card ca cb ~wlo ~whi);
-                  Alcotest.(check int) (tag "col^words")
-                    expect
-                    (Column.and_words_card cb words_a ~wlo ~whi);
-                  let dst = Array.make n_words 0 in
-                  Alcotest.(check int) (tag "col^col into")
-                    expect
-                    (Column.and_col_into ca cb dst ~wlo ~whi);
-                  let pop = ref 0 in
-                  for w = wlo to whi - 1 do
-                    pop := !pop + Bitset.popcount dst.(w)
-                  done;
-                  Alcotest.(check int) (tag "into payload") expect !pop;
-                  (* probe col-b with a's tids restricted to the window *)
-                  let slo = ref 0 and shi = ref (Array.length arr_a) in
-                  Array.iteri
-                    (fun i t ->
-                      if t < wlo * bpw then slo := i + 1;
-                      if t < whi * bpw then shi := i + 1)
-                    arr_a;
-                  Alcotest.(check int) (tag "probe")
-                    expect
-                    (Column.probe_card cb arr_a ~slo:!slo ~shi:!shi))
-                windows)
-            cols)
-        cols)
-    [ 63; 124; 3967; 3969 ]
-
-let test_window_partition () =
-  let n = 8000 in
-  let tids = scatter ~n ~seed:23 ~period:200 in
-  let col = Column.of_tids ~n (Array.of_list tids) in
-  let n_words = Column.word_count col in
-  (* any partition of [0, n_words) must sum to the cardinality *)
-  List.iter
-    (fun step ->
-      let total = ref 0 in
-      let pos = ref 0 in
-      while !pos < n_words do
-        let hi = min n_words (!pos + step) in
-        total := !total + Column.window_card col ~wlo:!pos ~whi:hi;
-        pos := hi
-      done;
-      Alcotest.(check int)
-        (Printf.sprintf "partition step %d" step)
-        (Column.cardinal col) !total)
-    [ 1; 7; 64; 100; n_words ];
-  Alcotest.check_raises "window past the end"
-    (Invalid_argument "Column.window_card: word window out of range")
-    (fun () -> ignore (Column.window_card col ~wlo:0 ~whi:(n_words + 1)))
+(* --- expansion ------------------------------------------------------ *)
 
 let test_write_into_expansion () =
   List.iter
@@ -463,45 +363,7 @@ let test_fold_transactions () =
   Alcotest.(check int) "fimi inferred universe" 8 info.Io.universe;
   Alcotest.(check int) "fimi transactions" 3 info.Io.transactions
 
-(* --- compressed counting end to end --------------------------------- *)
-
-let test_compress_counting_parity () =
-  let rng_tids item n = scatter ~n ~seed:(13 * item) ~period:(100 + (50 * item)) in
-  let n = 4100 in
-  let universe = 8 in
-  let rows = Array.make n [] in
-  for item = 0 to universe - 1 do
-    List.iter (fun tid -> rows.(tid) <- item :: rows.(tid)) (rng_tids item n)
-  done;
-  let db = Db.create ~universe (Array.map Itemset.of_list rows) in
-  let plain = Apriori.mine ~counter:Apriori.Vertical db ~min_support:0.01 in
-  let compressed =
-    Apriori.mine_vertical (Vertical.compress (Vertical.of_db db))
-      ~min_support:0.01
-  in
-  Alcotest.(check bool) "compressed mining = plain mining" true
-    (plain = compressed);
-  (* windowed counts shard identically: sum over a partition = full *)
-  let vt = Vertical.compress (Vertical.of_db db) in
-  Alcotest.(check int) "alignment hint" Column.block_words
-    (Vertical.word_alignment vt);
-  let prepared =
-    Vertical.prepare
-      (List.map (fun (s, _) -> s) (List.filter (fun (s, _) -> Itemset.cardinal s >= 2) plain))
-  in
-  if Vertical.prepared_length prepared > 0 then begin
-    let full = Vertical.count_into vt prepared in
-    let n_words = Vertical.word_count vt in
-    let totals = Array.make (Vertical.prepared_length prepared) 0 in
-    let pos = ref 0 in
-    while !pos < n_words do
-      let hi = min n_words (!pos + 17) in
-      let part = Vertical.count_into vt ~word_lo:!pos ~word_hi:hi prepared in
-      Array.iteri (fun i c -> totals.(i) <- totals.(i) + c) part;
-      pos := hi
-    done;
-    Alcotest.(check bool) "unaligned window partition sums" true (full = totals)
-  end
+(* --- columnar load end to end ---------------------------------------- *)
 
 let test_of_colfile_mining () =
   with_temp @@ fun src ->
@@ -523,7 +385,6 @@ let test_of_colfile_mining () =
     ~finally:(fun () -> Colfile.close cf)
     (fun () ->
       let vt = Vertical.of_colfile cf in
-      Alcotest.(check int) "compressed items" 6 (Vertical.compressed_items vt);
       let from_file = Apriori.mine_vertical vt ~min_support:0.05 in
       let from_ram = Apriori.mine ~counter:Apriori.Vertical db ~min_support:0.05 in
       Alcotest.(check bool) "colfile mining = in-RAM mining" true
@@ -532,7 +393,68 @@ let test_of_colfile_mining () =
       let back = Vertical.to_db vt in
       Alcotest.(check bool) "to_db inverts the transpose" true
         (Array.for_all2 Itemset.equal (Db.transactions db)
-           (Db.transactions back)))
+           (Db.transactions back)));
+  (* A file written column by column loads into exactly what [of_db]
+     builds: n = 620 puts the 1/62 density cutoff at 10 transactions, so
+     item 0 (10 tids) must go dense and item 1 (9 tids) sparse, beside a
+     heavy item, a sparse one, an empty one and a full one. *)
+  let n = 620 in
+  let db =
+    Db.create ~universe:6
+      (Array.init n (fun tid ->
+           Itemset.of_list
+             (List.filter
+                (fun item ->
+                  match item with
+                  | 0 -> tid mod 62 = 0
+                  | 1 -> tid mod 62 = 1 && tid < 9 * 62
+                  | 2 -> tid mod 3 = 0
+                  | 3 -> tid mod 100 = 7
+                  | 4 -> false
+                  | _ -> true)
+                (List.init 6 Fun.id))))
+  in
+  let ram = Vertical.of_db db in
+  with_temp @@ fun path ->
+  Colfile.write path ~n
+    (Array.init 6 (fun item ->
+         Column.of_tids ~n (Vertical.tidset_tids (Vertical.item_tidset ram item))));
+  let cf = Colfile.open_file path in
+  Fun.protect
+    ~finally:(fun () -> Colfile.close cf)
+    (fun () ->
+      let vt = Vertical.of_colfile cf in
+      Alcotest.(check int) "item at the cutoff" 10 (Vertical.item_count vt 0);
+      Alcotest.(check bool) "at the cutoff goes dense" true
+        (Vertical.tidset_is_dense (Vertical.item_tidset vt 0));
+      Alcotest.(check int) "item below the cutoff" 9 (Vertical.item_count vt 1);
+      Alcotest.(check bool) "below the cutoff goes sparse" false
+        (Vertical.tidset_is_dense (Vertical.item_tidset vt 1));
+      Alcotest.(check int) "dense items" (Vertical.dense_items ram)
+        (Vertical.dense_items vt);
+      Alcotest.(check int) "sparse items" (Vertical.sparse_items ram)
+        (Vertical.sparse_items vt);
+      Alcotest.(check int) "resident bytes" (Vertical.resident_bytes ram)
+        (Vertical.resident_bytes vt);
+      for item = 0 to 5 do
+        Alcotest.(check bool)
+          (Printf.sprintf "item %d shape" item)
+          (Vertical.tidset_is_dense (Vertical.item_tidset ram item))
+          (Vertical.tidset_is_dense (Vertical.item_tidset vt item))
+      done;
+      let candidates =
+        List.concat_map
+          (fun a -> List.init 6 (fun b -> Itemset.of_list [ a; b ]))
+          (List.init 6 Fun.id)
+        @ [ Itemset.of_list [ 0; 2; 5 ]; Itemset.of_list [ 1; 3; 5 ] ]
+      in
+      Alcotest.(check (list (pair string int))) "counts"
+        (List.map
+           (fun (s, c) -> (Itemset.to_string s, c))
+           (Vertical.support_counts ram candidates))
+        (List.map
+           (fun (s, c) -> (Itemset.to_string s, c))
+           (Vertical.support_counts vt candidates)))
 
 let suite =
   [
@@ -543,8 +465,6 @@ let suite =
     Alcotest.test_case "block boundaries" `Quick test_block_boundaries;
     Alcotest.test_case "of_words = of_tids" `Quick test_of_words_equals_of_tids;
     Alcotest.test_case "of_blocks validation" `Quick test_of_blocks_validation;
-    Alcotest.test_case "kernel differential" `Quick test_kernel_differential;
-    Alcotest.test_case "window partition" `Quick test_window_partition;
     Alcotest.test_case "write_into expansion" `Quick test_write_into_expansion;
     Alcotest.test_case "colfile round-trip" `Quick test_colfile_roundtrip;
     Alcotest.test_case "colfile corruption" `Quick test_colfile_corruption;
@@ -552,7 +472,5 @@ let suite =
     Alcotest.test_case "convert header + errors" `Quick
       test_convert_header_format_and_errors;
     Alcotest.test_case "fold_transactions" `Quick test_fold_transactions;
-    Alcotest.test_case "compressed counting parity" `Quick
-      test_compress_counting_parity;
     Alcotest.test_case "of_colfile mining" `Quick test_of_colfile_mining;
   ]

@@ -229,19 +229,17 @@ let test_ingest_batches () =
   List.iter (fun i -> ignore (Ingest.push q i)) [ 1; 2; 3; 4; 5 ];
   Ingest.close q;
   Alcotest.(check (array int)) "greedy batch up to max" [| 1; 2; 3 |]
-    (Ingest.pop_batch q ~max:3 ~linger_ns:0);
+    (Ingest.pop_batch q ~max:3);
   Ingest.done_with q;
   Alcotest.(check (array int)) "remainder" [| 4; 5 |]
-    (Ingest.pop_batch q ~max:3 ~linger_ns:0);
+    (Ingest.pop_batch q ~max:3);
   Ingest.done_with q;
   Alcotest.(check (array int)) "closed and drained" [||]
-    (Ingest.pop_batch q ~max:3 ~linger_ns:0)
+    (Ingest.pop_batch q ~max:3)
 
-(* Regression for the linger wakeup: pop_batch used to broadcast not_full
-   on every linger tick even when it drained nothing, a thundering-herd
-   wakeup for blocked producers.  The fix signals only when space was
-   actually freed — this drives a blocked producer through the lingering
-   batch path and checks nothing is lost, reordered, or deadlocked. *)
+(* A producer blocked on a queue smaller than the batch size: every
+   pop_batch must wake it, so plain batch drains alone carry the whole
+   stream through — nothing lost, reordered, or deadlocked. *)
 let test_ingest_linger_with_blocked_producer () =
   let q = Ingest.create ~capacity:2 in
   let n = 60 in
@@ -253,7 +251,7 @@ let test_ingest_linger_with_blocked_producer () =
   in
   let out = ref [] in
   let rec drain () =
-    let batch = Ingest.pop_batch q ~max:5 ~linger_ns:2_000_000 in
+    let batch = Ingest.pop_batch q ~max:5 in
     if Array.length batch > 0 then begin
       Array.iter (fun v -> out := v :: !out) batch;
       Ingest.done_with q;
@@ -267,7 +265,7 @@ let test_ingest_linger_with_blocked_producer () =
   in
   drain ();
   Domain.join closer;
-  Alcotest.(check (list int)) "lingering batches lose nothing"
+  Alcotest.(check (list int)) "batches lose nothing"
     (List.init n (fun i -> i + 1))
     (List.rev !out)
 
