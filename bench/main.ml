@@ -1017,6 +1017,35 @@ let b12 () =
             (if identical then "yes" else "NO — CORRECTNESS VIOLATION")))
     datasets
 
+let b14 () =
+  header "B14 Operator design: the (m, rho, k) basis and the vertex search";
+  (* The design [ppdm private --operator optimized] runs at its defaults
+     before it randomizes.  Best of five; the optimizer's counters show
+     the work. *)
+  let design () = Optimizer.design_for_estimation ~m:8 ~gamma:19. () in
+  Ppdm_obs.Metrics.reset ();
+  Ppdm_obs.Metrics.set_enabled true;
+  let d = design () in
+  let counters = (Ppdm_obs.Metrics.snapshot ()).Ppdm_obs.Metrics.counters in
+  Ppdm_obs.Metrics.set_enabled false;
+  Ppdm_obs.Metrics.reset ();
+  let count name = Option.value (List.assoc_opt name counters) ~default:0 in
+  let vertices = count "optimizer.vertices" in
+  let best = ref infinity in
+  for _ = 1 to 5 do
+    let t0 = Unix.gettimeofday () in
+    ignore (Sys.opaque_identity (design ()));
+    best := Float.min !best (Unix.gettimeofday () -. t0)
+  done;
+  let dt = !best in
+  Printf.printf "  %-24s rho %.4f, %d rho evaluations, %d vertices\n"
+    "design m=8 gamma=19" d.Optimizer.rho (count "optimizer.rho_evals") vertices;
+  Printf.printf "  %-24s %10.3f ms (%.0f ns per vertex)\n" "design m=8 gamma=19"
+    (dt *. 1e3)
+    (dt *. 1e9 /. float_of_int (max 1 vertices));
+  emit ~section:"b14" ~name:"design m=8 gamma=19" ~ns_per_op:(dt *. 1e9)
+    ~throughput:(1. /. dt) ()
+
 (* Wall-clock per section keeps the harness honest about its own cost. *)
 let timed f =
   let t0 = Unix.gettimeofday () in
@@ -1028,7 +1057,7 @@ let sections =
     ("f4", f4); ("f5", f5); ("a1", a1); ("a2", a2); ("a4", a4); ("e1", e1);
     ("b1", b1); ("b2", b2); ("a3", a3); ("b3", b3); ("b4", b4); ("b5", b5);
     ("b6", b6); ("b7", b7); ("b8", b8); ("b9", b9); ("b10", b10);
-    ("b11", b11); ("b12", b12) ]
+    ("b11", b11); ("b12", b12); ("b14", b14) ]
 
 (* Value of `--flag V` anywhere in argv, or None. *)
 let argv_opt flag =

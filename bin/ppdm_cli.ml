@@ -34,29 +34,15 @@ type operator_spec =
   | Op_cut_and_paste of int * float
   | Op_optimized of float * float option (* gamma, fixed rho *)
 
-(* Operator design (the optimized ρ search takes about a second) gets
-   its own span, so --stats accounts for it. *)
+(* Operator design gets its own span, so --stats accounts for it (the
+   optimized ρ search is the bulk of it). *)
 let scheme_of_spec ~universe spec =
   Ppdm_obs.Span.with_ ~name:"scheme" @@ fun () ->
   match spec with
   | Op_uniform (p_keep, p_add) -> Randomizer.uniform ~universe ~p_keep ~p_add
   | Op_cut_and_paste (cutoff, rho) -> Randomizer.cut_and_paste ~universe ~cutoff ~rho
-  | Op_optimized (gamma, rho) -> (
-      match rho with
-      | None -> Optimizer.scheme_for_estimation ~universe ~gamma ()
-      | Some rho ->
-          Randomizer.per_size ~universe
-            ~name:(Printf.sprintf "optimized-sas(gamma=%g,rho=%g)" gamma rho)
-            (fun m ->
-              if m = 0 then { Randomizer.keep_dist = [| 1. |]; rho }
-              else begin
-                let objective =
-                  Optimizer.Min_sigma_upto
-                    { k_max = min 3 m; n = 100_000; p_bg = 0.02; support = 0.01 }
-                in
-                { Randomizer.keep_dist = Optimizer.keep_dist ~m ~rho ~gamma objective;
-                  rho }
-              end))
+  | Op_optimized (gamma, rho) ->
+      Optimizer.scheme_for_estimation ?rho ~universe ~gamma ()
 
 let operator_term =
   let operator =

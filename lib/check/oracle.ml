@@ -257,6 +257,137 @@ let brute_force_support_estimate ~scheme ~data ~itemset =
   let x = solve_gaussian a frac in
   x.(k)
 
+(* ------------------------------------------------ transition reference *)
+
+(* P(l' | l) summed entry by entry, every pmf recomputed in log space:
+   the direct form of the transition probability, sharing nothing with
+   the basis the library builds its matrices from. *)
+let transition_probability (r : Randomizer.resolved) ~k ~l ~l' =
+  let m = Array.length r.keep_dist - 1 in
+  if l < 0 || l > min k m then
+    invalid_arg "Oracle.transition_probability: l out of range";
+  if l' < 0 || l' > k then
+    invalid_arg "Oracle.transition_probability: l' out of range";
+  let acc = ref 0. in
+  for j = 0 to m do
+    let pj = r.keep_dist.(j) in
+    if pj > 0. then begin
+      let q_lo = max 0 (l' - (k - l)) and q_hi = min l (min j l') in
+      for q = q_lo to q_hi do
+        let keep = Binomial.hypergeom_pmf ~total:m ~good:l ~draws:j q in
+        if keep > 0. then
+          acc :=
+            !acc
+            +. (pj *. keep *. Binomial.binomial_pmf ~n:(k - l) ~p:r.rho (l' - q))
+      done
+    end
+  done;
+  !acc
+
+let transition_matrix (r : Randomizer.resolved) ~k =
+  let m = Array.length r.keep_dist - 1 in
+  Mat.init ~rows:(k + 1) ~cols:(min k m + 1) (fun l' l ->
+      transition_probability r ~k ~l ~l')
+
+(* The optimizer's vertex search and ρ search, restated with every
+   transition matrix built by [transition_matrix].  Same objective as
+   [Optimizer.design_for_estimation]'s defaults: Σ_{k ≤ min 3 m} σ_k. *)
+let reference_search ~m ~rho ~gamma =
+  let profiles =
+    List.init (min 3 m) (fun i ->
+        let k = i + 1 in
+        (k, Estimator.binomial_profile ~k ~p_bg:0.02 ~support:0.01))
+  in
+  let score dist =
+    let r = { Randomizer.keep_dist = dist; rho } in
+    match
+      List.fold_left
+        (fun acc (k, partials) ->
+          acc
+          +. Estimator.predicted_sigma_of_matrix (transition_matrix r ~k) ~k
+               ~partials ~n:100_000)
+        0. profiles
+    with
+    | total -> -.total
+    | exception Lu.Singular -> neg_infinity
+  in
+  let dist_of high =
+    let logs =
+      Array.init (m + 1) (fun j ->
+          Binomial.log_choose m j
+          +. (float_of_int j *. (log rho -. log (1. -. rho)))
+          +. if high.(j) then log gamma else 0.)
+    in
+    let top = Array.fold_left Float.max neg_infinity logs in
+    let unnorm = Array.map (fun l -> exp (l -. top)) logs in
+    let total = Array.fold_left ( +. ) 0. unnorm in
+    Array.map (fun v -> v /. total) unnorm
+  in
+  let best = ref None in
+  let consider high =
+    let dist = dist_of high in
+    let v = score dist in
+    match !best with
+    | Some (_, _, bv) when bv >= v -> ()
+    | _ -> best := Some (Array.copy high, dist, v)
+  in
+  for threshold = 0 to m + 1 do
+    consider (Array.init (m + 1) (fun j -> j >= threshold))
+  done;
+  if m <= 8 then
+    for mask = 0 to (1 lsl (m + 1)) - 1 do
+      consider (Array.init (m + 1) (fun j -> mask land (1 lsl j) <> 0))
+    done
+  else begin
+    let improved = ref true and rounds = ref 0 in
+    while !improved && !rounds < 10 do
+      improved := false;
+      incr rounds;
+      let high, _, value = Option.get !best in
+      for j = 0 to m do
+        let candidate = Array.copy high in
+        candidate.(j) <- not candidate.(j);
+        let dist = dist_of candidate in
+        let v = score dist in
+        if v > value +. 1e-15 then begin
+          best := Some (candidate, dist, v);
+          improved := true
+        end
+      done
+    done
+  end;
+  let _, dist, v = Option.get !best in
+  (dist, v)
+
+let reference_keep_dist ~m ~rho ~gamma = fst (reference_search ~m ~rho ~gamma)
+
+let reference_design_rho ~m ~gamma =
+  let grid =
+    Array.init 20 (fun i ->
+        let t = float_of_int i /. 19. in
+        exp (log 1e-3 +. (t *. (log 0.5 -. log 1e-3))))
+  in
+  let value rho = snd (reference_search ~m ~rho ~gamma) in
+  let best_rho = ref grid.(0) and best_value = ref neg_infinity in
+  Array.iter
+    (fun rho ->
+      let v = value rho in
+      if v > !best_value then begin
+        best_value := v;
+        best_rho := rho
+      end)
+    grid;
+  let lo = Float.max 1e-4 (!best_rho /. 3.)
+  and hi = Float.min 0.5 (!best_rho *. 3.) in
+  let phi = (sqrt 5. -. 1.) /. 2. in
+  let a = ref (log lo) and b = ref (log hi) in
+  for _ = 1 to 14 do
+    let x1 = !b -. (phi *. (!b -. !a)) and x2 = !a +. (phi *. (!b -. !a)) in
+    if value (exp x1) > value (exp x2) then b := x2 else a := x1
+  done;
+  let refined = exp (0.5 *. (!a +. !b)) in
+  if value refined > !best_value then refined else !best_rho
+
 (* ------------------------------------------------ private miner reference *)
 
 (* The level-wise private miner with nothing shared between candidates:

@@ -97,6 +97,30 @@ val brute_force_support_estimate :
     @raise Invalid_argument on empty data, mixed transaction sizes, or a
     transaction size smaller than the itemset. *)
 
+(** {1 Transition and operator-design reference} *)
+
+val transition_probability :
+  Randomizer.resolved -> k:int -> l:int -> l':int -> float
+(** One entry [P(l' | l)] in the direct form: the sum over [j] and [q] of
+    [p_j · Hyp(q; m, l, j) · Bin(l' - q; k - l, ρ)], every pmf recomputed
+    for the entry.  It shares nothing with {!Ppdm.Transition.basis}.
+    [l] must not exceed [min (k, m)]; [l'] ranges over [0..k]. *)
+
+val transition_matrix : Randomizer.resolved -> k:int -> Ppdm_linalg.Mat.t
+(** The [(k+1) × (min(k,m)+1)] matrix of {!transition_probability}
+    entries: the reference for {!Ppdm.Transition.rect_matrix}. *)
+
+val reference_keep_dist : m:int -> rho:float -> gamma:float -> float array
+(** {!Ppdm.Optimizer.keep_dist} for the [Min_sigma_upto] objective with
+    [design_for_estimation]'s defaults ([k_max = 3], [n = 100_000],
+    [p_bg = 0.02], [support = 0.01]), restated with every vertex scored
+    through {!transition_matrix}. *)
+
+val reference_design_rho : m:int -> gamma:float -> float
+(** The ρ of {!Ppdm.Optimizer.design_for_estimation} at its defaults
+    (20-point grid, golden-section refinement), every vertex of every ρ
+    scored through {!transition_matrix}. *)
+
 (** {1 Private miner reference} *)
 
 val ppmining_reference :

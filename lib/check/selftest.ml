@@ -171,6 +171,70 @@ let private_miner_differential ~seed =
   in
   go cases
 
+(* ------------------------------------------ operator design differential *)
+
+let design_gammas = [ 3.; 9.; 19.; 50. ]
+
+(* Basis-built matrices against the direct form, entry by entry; the
+   vertex the optimizer picks against the one picked when every vertex
+   is scored through the direct form; and, for [m <= design_max_m], the
+   designed ρ against the reference design's.  The basis adds the direct
+   form's products in its order, so all three must agree bit for bit. *)
+let operator_design_differential ~max_m ~rhos ~design_max_m =
+  let rec all f = function
+    | [] -> Ok ()
+    | c :: rest -> ( match f c with Ok () -> all f rest | Error _ as e -> e)
+  in
+  let cases =
+    List.concat_map
+      (fun m ->
+        List.concat_map
+          (fun gamma -> List.map (fun rho -> (m, gamma, rho)) rhos)
+          design_gammas)
+      (List.init max_m (fun i -> i + 1))
+  in
+  let check_case (m, gamma, rho) =
+    let label = Printf.sprintf "m=%d gamma=%g rho=%g" m gamma rho in
+    let dist =
+      Optimizer.keep_dist ~m ~rho ~gamma
+        (Optimizer.Min_sigma_upto
+           { k_max = min 3 m; n = 100_000; p_bg = 0.02; support = 0.01 })
+    in
+    let r = { Randomizer.keep_dist = dist; rho } in
+    let same_matrix k =
+      let diff =
+        Ppdm_linalg.Mat.max_abs_diff (Transition.matrix r ~k)
+          (Oracle.transition_matrix r ~k)
+      in
+      if diff = 0. then Ok ()
+      else
+        Error
+          (Printf.sprintf "%s k=%d: basis P differs from the direct form by %g"
+             label k diff)
+    in
+    match all same_matrix (List.init (min 3 m) (fun i -> i + 1)) with
+    | Error _ as e -> e
+    | Ok () ->
+        if dist = Oracle.reference_keep_dist ~m ~rho ~gamma then Ok ()
+        else Error (label ^ ": keep_dist picks a different vertex than the direct form")
+  in
+  let check_design (m, gamma) =
+    let got = (Optimizer.design_for_estimation ~m ~gamma ()).rho in
+    let want = Oracle.reference_design_rho ~m ~gamma in
+    if got = want then Ok ()
+    else
+      Error
+        (Printf.sprintf "m=%d gamma=%g: designed rho %.17g, reference %.17g" m
+           gamma got want)
+  in
+  match all check_case cases with
+  | Error _ as e -> e
+  | Ok () ->
+      all check_design
+        (List.concat_map
+           (fun m -> List.map (fun gamma -> (m, gamma)) design_gammas)
+           (List.init design_max_m (fun i -> i + 1)))
+
 let p_floor = 0.001
 
 let transition_check ~rng () =
@@ -690,6 +754,18 @@ let run ?count ?(seed = 42) ?(log = ignore) () =
             fun () -> private_miner_differential ~seed );
           ( "differential: estimator vs brute-force reference",
             fun () -> estimator_reference_check ~seed ~count );
+          ( "differential: operator design on the basis == direct form",
+            (* The direct form allocates on every entry, and the idle
+               pools above make each minor collection a stop-the-world
+               across their domains: the full grid (the unit test's)
+               costs ~8 s here, so only deep runs take it. *)
+            fun () ->
+              if count >= 1000 then
+                operator_design_differential ~max_m:12
+                  ~rhos:[ 0.02; 0.1; 0.3 ] ~design_max_m:6
+              else
+                operator_design_differential ~max_m:12 ~rhos:[ 0.1 ]
+                  ~design_max_m:3 );
           ("statistical: apply matches transition matrix (chi-square)", fun () ->
               transition_check ~rng ());
           ("statistical: amplification bound on sampled pairs", fun () ->

@@ -32,3 +32,13 @@ val private_miner_differential : seed:int -> (unit, string) result
     uniform and optimized operators, at [max_size] 1 to 4; the databases
     include empty transactions and a size class holding a single row.
     Explored itemsets, estimates and σ must agree bit for bit. *)
+
+val operator_design_differential :
+  max_m:int -> rhos:float list -> design_max_m:int -> (unit, string) result
+(** The operator design against {!Oracle}'s direct transition form, for
+    every [m <= max_m], γ ∈ {3, 9, 19, 50} and ρ in [rhos], bit for
+    bit: the basis-built matrix of the chosen keep distribution
+    equals {!Oracle.transition_matrix} at every [k <= min (3, m)];
+    {!Ppdm.Optimizer.keep_dist} picks the vertex
+    {!Oracle.reference_keep_dist} picks; and for [m <= design_max_m] the
+    designed ρ equals {!Oracle.reference_design_rho}. *)

@@ -40,13 +40,14 @@ let itemset_posterior r ~partials =
   if Float.abs (total -. 1.) > 1e-6 then
     invalid_arg "Breach.itemset_posterior: partials must sum to 1";
   (* P(A ⊆ R(t)) = Σ_l s_l P(k | l); the l = k term is the "cause". *)
+  let p = Transition.matrix r ~k in
   let denom = ref 0. in
   for l = 0 to k do
     if partials.(l) > 0. then
-      denom := !denom +. (partials.(l) *. Transition.probability r ~k ~l ~l':k)
+      denom := !denom +. (partials.(l) *. Ppdm_linalg.Mat.get p k l)
   done;
   if !denom <= 0. then 0.
-  else partials.(k) *. Transition.probability r ~k ~l:k ~l':k /. !denom
+  else partials.(k) *. Ppdm_linalg.Mat.get p k k /. !denom
 
 let empirical_item_posteriors ~original ~randomized ~item =
   if Db.length original <> Db.length randomized then

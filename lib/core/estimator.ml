@@ -46,7 +46,7 @@ let observed_partial_counts data ~itemset =
    partials are clamped; an exact operator (identity) yields zero. *)
 let conditional_cov p partials n =
   let rows = Mat.rows p and cols = Mat.cols p in
-  let cov = Mat.create ~rows ~cols:rows in
+  let cov = Array.make (rows * rows) 0. in
   for l = 0 to cols - 1 do
     let w = Float.max 0. partials.(l) /. float_of_int n in
     if w > 0. then begin
@@ -54,12 +54,12 @@ let conditional_cov p partials n =
       for i = 0 to rows - 1 do
         for j = 0 to rows - 1 do
           let v = if i = j then col.(i) *. (1. -. col.(i)) else -.(col.(i) *. col.(j)) in
-          Mat.set cov i j (Mat.get cov i j +. (w *. v))
+          cov.((i * rows) + j) <- cov.((i * rows) + j) +. (w *. v)
         done
       done
     end
   done;
-  cov
+  Mat.of_flat ~rows ~cols:rows cov
 
 (* One size class's transition matrix, factorized once: P, its inverse
    (or, when m < k, the normal-equation pseudo-inverse) and the number of
@@ -88,9 +88,13 @@ let class_solver scheme ~size ~k =
       Lu.solve_mat (Lu.decompose (Mat.mul pt p)) pt
     end
   with
-  | pinv when Mat.norm_inf p *. Mat.norm_inf pinv <= 1e12 ->
-      { p; pinv; cols }
-  | _ -> unrecoverable ()
+  | pinv ->
+      let cond = Mat.norm_inf p *. Mat.norm_inf pinv in
+      if Ppdm_obs.Metrics.enabled () then
+        Ppdm_obs.Metrics.gauge
+          (Printf.sprintf "estimator.cond.s%d.k%d" size k)
+          cond;
+      if cond <= 1e12 then { p; pinv; cols } else unrecoverable ()
   | exception Lu.Singular -> unrecoverable ()
 
 (* The class-conditional partial supports and their covariance.  Square
@@ -244,17 +248,15 @@ let estimate ~scheme ~data ~itemset =
 let estimate_sampled ~population ~scheme ~data ~itemset =
   estimate_gen ~population:(Some population) ~scheme ~data ~itemset
 
-let predicted_sigma ?population (resolved : Randomizer.resolved) ~k ~partials
-    ~n =
-  let m = Array.length resolved.keep_dist - 1 in
-  if k > m then invalid_arg "Estimator.predicted_sigma: k exceeds size";
+let predicted_sigma_of_matrix ?population p ~k ~partials ~n =
+  if Mat.rows p <> k + 1 || Mat.cols p <> k + 1 then
+    invalid_arg "Estimator.predicted_sigma: P must be (k+1) x (k+1)";
   if Array.length partials <> k + 1 then
     invalid_arg "Estimator.predicted_sigma: partials must have length k+1";
   if n <= 0 then invalid_arg "Estimator.predicted_sigma: n must be positive";
   let population = Option.value population ~default:n in
   if population < n then
     invalid_arg "Estimator.predicted_sigma: population smaller than sample";
-  let p = Transition.matrix resolved ~k in
   let cov_obs = conditional_cov p partials n in
   let pinv = Lu.inverse (Lu.decompose p) in
   let cov = Mat.mul pinv (Mat.mul cov_obs (Mat.transpose pinv)) in
@@ -264,6 +266,13 @@ let predicted_sigma ?population (resolved : Randomizer.resolved) ~k ~partials
     else 0.
   in
   sqrt (Float.max 0. (Mat.get cov k k +. sampling))
+
+let predicted_sigma ?population (resolved : Randomizer.resolved) ~k ~partials
+    ~n =
+  let m = Array.length resolved.keep_dist - 1 in
+  if k > m then invalid_arg "Estimator.predicted_sigma: k exceeds size";
+  predicted_sigma_of_matrix ?population (Transition.matrix resolved ~k)
+    ~k ~partials ~n
 
 let confidence_interval t ~level =
   if not (level > 0. && level < 1.) then

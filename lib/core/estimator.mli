@@ -82,7 +82,9 @@ val for_batch : scheme:Randomizer.t -> k:int -> (int * int array) list -> t
     then to each itemset's counts.  Each size class's transition matrix
     is factorized by the first estimate that needs it and reused by the
     rest of the batch; the ["estimator.solves"] counter and
-    ["estimator.solve_ns"] histogram record the factorizations.  The
+    ["estimator.solve_ns"] histogram record the factorizations, and the
+    gauge ["estimator.cond.s<size>.k<k>"] the condition number
+    [‖P‖∞·‖P⁺‖∞] of each.  The
     partial application holds a mutable table: keep it to one domain.
     @raise Invalid_argument also when a size class is unrecoverable: its
     transition matrix is singular or its condition number exceeds [1e12]
@@ -129,6 +131,20 @@ val predicted_sigma :
     observed — the paper's accuracy formula (used by F1/F2 and the
     optimizer).  Requires [k <= m].  With [?population] the sampling
     variance of an [n]-of-[population] uniform sample is added. *)
+
+val predicted_sigma_of_matrix :
+  ?population:int ->
+  Mat.t ->
+  k:int ->
+  partials:float array ->
+  n:int ->
+  float
+(** {!predicted_sigma} for a transition matrix already built (a
+    {!Transition.weighted_sum}), so a caller scoring many operators at one
+    ρ does not rebuild it: the full inverse of [P] conjugating the
+    conditional covariance, read at entry [(k, k)].
+    @raise Ppdm_linalg.Lu.Singular on a singular [P].
+    @raise Invalid_argument unless [P] is [(k+1) × (k+1)]. *)
 
 val confidence_interval : t -> level:float -> float * float
 (** Normal-approximation confidence interval for the recovered support at

@@ -9,19 +9,47 @@ let log_g ~m ~rho j =
   Binomial.log_choose m j +. (float_of_int j *. (log rho -. log (1. -. rho)))
 
 (* Normalized keep distribution from a vertex u ∈ {1, γ}^(m+1), computed
-   through log-sum-exp so extreme m / rho combinations stay finite. *)
-let dist_of_vertex ~m ~rho ~gamma high =
+   through log-sum-exp so extreme m / rho combinations stay finite.
+   [log_gs] holds log g_j for j = 0..m. *)
+let dist_of_vertex ~log_gs ~log_gamma high =
   let logs =
-    Array.init (m + 1) (fun j ->
-        log_g ~m ~rho j +. if high.(j) then log gamma else 0.)
+    Array.mapi (fun j lg -> lg +. if high.(j) then log_gamma else 0.) log_gs
   in
   let top = Array.fold_left Float.max neg_infinity logs in
   let unnorm = Array.map (fun l -> exp (l -. top)) logs in
   let total = Array.fold_left ( +. ) 0. unnorm in
   Array.map (fun v -> v /. total) unnorm
 
-(* Build the scoring closure once per (rho, objective): the Min_sigma
-   profile is shared by every vertex evaluation. *)
+(* Σ_k σ_k for the given itemset sizes.  The transition-matrix basis of
+   each k is built once per ρ; every vertex is then one weighted sum per
+   k.  An uninformative vertex (all u_j equal) has a singular transition
+   matrix: infinite sigma, never optimal. *)
+let sigma_scorer ~m ~rho ~n ~p_bg ~support ks =
+  let terms =
+    List.map
+      (fun k ->
+        if k > m then invalid_arg "Optimizer: itemset size exceeds m";
+        ( k,
+          Transition.basis ~m ~rho ~k,
+          Estimator.binomial_profile ~k ~p_bg ~support ))
+      ks
+  in
+  fun dist ->
+    match
+      List.fold_left
+        (fun acc (k, basis, partials) ->
+          acc
+          +. Estimator.predicted_sigma_of_matrix
+               (Transition.weighted_sum basis dist)
+               ~k ~partials ~n)
+        0. terms
+    with
+    (* Negated so that "higher is better" holds for every objective. *)
+    | total -> -.total
+    | exception Lu.Singular -> neg_infinity
+
+(* Build the scoring closure once per (rho, objective): the bases and
+   profiles are shared by every vertex evaluation. *)
 let make_scorer ~m ~rho objective =
   match objective with
   | Max_kept ->
@@ -30,32 +58,10 @@ let make_scorer ~m ~rho objective =
         Array.iteri (fun j p -> acc := !acc +. (p *. float_of_int j)) dist;
         !acc /. float_of_int m
   | Min_sigma { k; n; p_bg; support } ->
-      let partials = Estimator.binomial_profile ~k ~p_bg ~support in
-      fun dist -> (
-        let resolved : Randomizer.resolved = { keep_dist = dist; rho } in
-        (* Negated so that "higher is better" holds for every objective.
-           An uninformative vertex (all u_j equal) has a singular
-           transition matrix: infinite sigma, never optimal. *)
-        match Estimator.predicted_sigma resolved ~k ~partials ~n with
-        | sigma -> -.sigma
-        | exception Lu.Singular -> neg_infinity)
+      sigma_scorer ~m ~rho ~n ~p_bg ~support [ k ]
   | Min_sigma_upto { k_max; n; p_bg; support } ->
-      let ks = List.init (min k_max m) (fun i -> i + 1) in
-      let profiles =
-        List.map (fun k -> (k, Estimator.binomial_profile ~k ~p_bg ~support)) ks
-      in
-      fun dist -> (
-        let resolved : Randomizer.resolved = { keep_dist = dist; rho } in
-        match
-          List.fold_left
-            (fun acc (k, partials) ->
-              acc +. Estimator.predicted_sigma resolved ~k ~partials ~n)
-            0. profiles
-        with
-        | total -> -.total
-        | exception Lu.Singular -> neg_infinity)
-
-let score ~m ~rho objective dist = make_scorer ~m ~rho objective dist
+      sigma_scorer ~m ~rho ~n ~p_bg ~support
+        (List.init (min k_max m) (fun i -> i + 1))
 
 let validate ~m ~rho ~gamma =
   if m < 1 then invalid_arg "Optimizer: m must be >= 1";
@@ -65,13 +71,20 @@ let validate ~m ~rho ~gamma =
   | g when Float.is_nan g -> invalid_arg "Optimizer: gamma is NaN"
   | _ -> ())
 
-let keep_dist ~m ~rho ~gamma objective =
+(* The best vertex's keep distribution and its objective value. *)
+let search ~m ~rho ~gamma objective =
   validate ~m ~rho ~gamma;
   let scorer = make_scorer ~m ~rho objective in
+  let log_gs = Array.init (m + 1) (log_g ~m ~rho) and log_gamma = log gamma in
+  let vertices = ref 0 in
+  let score high =
+    incr vertices;
+    let dist = dist_of_vertex ~log_gs ~log_gamma high in
+    (dist, scorer dist)
+  in
   let best = ref None in
   let consider high =
-    let dist = dist_of_vertex ~m ~rho ~gamma high in
-    let value = scorer dist in
+    let dist, value = score high in
     match !best with
     | Some (_, v) when v >= value -> ()
     | _ -> best := Some ((Array.copy high, dist), value)
@@ -97,16 +110,18 @@ let keep_dist ~m ~rho ~gamma objective =
         for j = 0 to m do
           let candidate = Array.copy high in
           candidate.(j) <- not candidate.(j);
-          let dist = dist_of_vertex ~m ~rho ~gamma candidate in
-          let v = scorer dist in
+          let dist, v = score candidate in
           if v > value +. 1e-15 then begin
             best := Some ((candidate, dist), v);
             improved := true
           end
         done
       done);
-  let (_, dist), _ = Option.get !best in
-  dist
+  Ppdm_obs.Metrics.add "optimizer.vertices" !vertices;
+  let (_, dist), value = Option.get !best in
+  (dist, value)
+
+let keep_dist ~m ~rho ~gamma objective = fst (search ~m ~rho ~gamma objective)
 
 type design = {
   rho : float;
@@ -121,8 +136,8 @@ let default_rho_grid =
       exp (log 1e-3 +. (t *. (log 0.5 -. log 1e-3))))
 
 let evaluate_rho ~m ~gamma objective rho =
-  let dist = keep_dist ~m ~rho ~gamma objective in
-  (dist, score ~m ~rho objective dist)
+  Ppdm_obs.Metrics.incr "optimizer.rho_evals";
+  search ~m ~rho ~gamma objective
 
 let design ?(rho_grid = default_rho_grid) ~m ~gamma objective =
   if Array.length rho_grid = 0 then invalid_arg "Optimizer.design: empty grid";
@@ -164,14 +179,19 @@ let design_for_estimation ?k ?(n = 100_000) ?(p_bg = 0.02) ?(support = 0.01)
   design ~m ~gamma (Min_sigma_upto { k_max; n; p_bg; support })
 
 let scheme_for_estimation ?k ?(n = 100_000) ?(p_bg = 0.02) ?(support = 0.01)
-    ?(representative_size = 8) ~universe ~gamma () =
-  let shared_rho =
-    (design_for_estimation ?k ~n ~p_bg ~support ~m:representative_size ~gamma ())
-      .rho
+    ?(representative_size = 8) ?rho ~universe ~gamma () =
+  let name, shared_rho =
+    match rho with
+    | Some rho -> (Printf.sprintf "optimized-sas(gamma=%g,rho=%g)" gamma rho, rho)
+    | None ->
+        let rho =
+          (design_for_estimation ?k ~n ~p_bg ~support ~m:representative_size
+             ~gamma ())
+            .rho
+        in
+        (Printf.sprintf "optimized-sas(gamma=%g,rho=%.4g)" gamma rho, rho)
   in
-  Randomizer.per_size ~universe
-    ~name:(Printf.sprintf "optimized-sas(gamma=%g,rho=%.4g)" gamma shared_rho)
-    (fun m ->
+  Randomizer.per_size ~universe ~name (fun m ->
       if m = 0 then { Randomizer.keep_dist = [| 1. |]; rho = shared_rho }
       else begin
         let objective =

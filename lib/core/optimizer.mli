@@ -8,9 +8,13 @@
     - {e expected items kept} [Σ p_j j/m] is a linear-fractional objective,
       whose optimum is provably a *threshold* vertex ([u_j = γ] exactly
       for [j >= j*]); the search over thresholds is exact.
-    - {e predicted estimator σ} is evaluated per vertex; the search starts
-      from the best threshold vertex and descends by single-coordinate
-      flips (exact for small [m] by exhaustion in the test suite). *)
+    - {e predicted estimator σ} is evaluated per vertex: exhaustively
+      over all [2^(m+1)] vertices for [m <= 8], otherwise starting from
+      the best threshold vertex and descending by single-coordinate flips.
+
+    For one ρ the σ objectives build each [k]'s {!Transition.basis} once;
+    every vertex is then a {!Transition.weighted_sum} per [k], scored by
+    {!Estimator.predicted_sigma_of_matrix}. *)
 
 type objective =
   | Max_kept  (** maximize the expected fraction of items kept *)
@@ -43,7 +47,7 @@ type design = {
 val design :
   ?rho_grid:float array -> m:int -> gamma:float -> objective -> design
 (** Optimize ρ jointly with the keep distribution by scanning a ρ grid
-    (default: 40 log-spaced points in [1e-3, 0.5]) and refining with
+    (default: 20 log-spaced points in [1e-3, 0.5]) and refining with
     golden-section search around the best grid point. *)
 
 val design_for_estimation :
@@ -69,6 +73,7 @@ val scheme_for_estimation :
   ?p_bg:float ->
   ?support:float ->
   ?representative_size:int ->
+  ?rho:float ->
   universe:int ->
   gamma:float ->
   unit ->
@@ -78,7 +83,12 @@ val scheme_for_estimation :
     and shared by every size — as in the paper's deployments — while each
     size gets its own optimal keep distribution at that ρ (solved lazily
     on first use and cached).  This is the constructor applications should
-    reach for. *)
+    reach for.  A given [?rho] skips the ρ search and is used as is; the
+    name then prints it with [%g] instead of [%.4g].
+
+    Each ρ the design scores bumps the ["optimizer.rho_evals"] counter,
+    and every keep-distribution search adds the vertices it scored to
+    ["optimizer.vertices"] (both also for {!design} and {!keep_dist}). *)
 
 val cut_and_paste_best :
   universe:int -> m:int -> worst_posterior:float -> prior:float ->

@@ -8,14 +8,32 @@
 
     (keep [q] of the [l] in-transaction items of [A], add noise on the
     [k - l] out-of-transaction ones).  The matrix [P] with entry [(l', l)]
-    is column-stochastic; support recovery is [s = P⁻¹ ŝ'].  Everything is
-    computed in log space through {!Ppdm_linalg.Binomial}. *)
+    is column-stochastic; support recovery is [s = P⁻¹ ŝ'].
+
+    For fixed [(m, ρ, k)], [P] is linear in the keep distribution:
+    [P = Σ_j p_j · B_j] with [B_j(l', l) = Σ_q Hyp(q; m, l, j) · Bin(l' - q;
+    k - l, ρ)].  {!basis} tabulates the [B_j] once, in log space through
+    {!Ppdm_linalg.Binomial}, keeping each entry's [(Hyp, Bin)] factor pairs
+    so that {!weighted_sum} adds [p_j · Hyp · Bin] in the order of the
+    entry-by-entry sum: the result is bit-identical to summing the formula
+    above per entry.  Every transition matrix in the library is a
+    {!weighted_sum} of a basis, so an operator search over many keep
+    distributions at one ρ pays for the pmfs once. *)
 
 open Ppdm_linalg
 
-val probability : Randomizer.resolved -> k:int -> l:int -> l':int -> float
-(** One entry [P(l' | l)].  [l] must not exceed [min (k, m)]; [l'] ranges
-    over [0..k]. *)
+type basis
+(** The [m + 1] matrices [B_0 .. B_m] of one [(m, ρ, k)], each
+    [(k+1) × (min(k,m)+1)]. *)
+
+val basis : m:int -> rho:float -> k:int -> basis
+(** @raise Invalid_argument on negative [m] or [k]. *)
+
+val weighted_sum : basis -> float array -> Mat.t
+(** [weighted_sum b p] is [Σ_j p_j · B_j], skipping every [j] with
+    [p_j = 0]: the transition matrix of keep distribution [p] (length
+    [m + 1]) at the basis's ρ and [k].
+    @raise Invalid_argument on a length mismatch. *)
 
 val matrix : Randomizer.resolved -> k:int -> Mat.t
 (** Square [(k+1) × (k+1)] matrix, entry [(l', l) = P(l' | l)].  Requires

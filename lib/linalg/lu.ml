@@ -70,7 +70,16 @@ let solve_mat t b =
   done;
   out
 
-let inverse t = solve_mat t (Mat.identity (dim t))
+let inverse t =
+  let n = dim t in
+  let out = Array.make (n * n) 0. in
+  for j = 0 to n - 1 do
+    let x = solve t (Array.init n (fun i -> if i = j then 1. else 0.)) in
+    for i = 0 to n - 1 do
+      out.((i * n) + j) <- x.(i)
+    done
+  done;
+  Mat.of_flat ~rows:n ~cols:n out
 
 let det t =
   let n = dim t in

@@ -13,6 +13,11 @@ let init ~rows ~cols f =
   done;
   m
 
+let of_flat ~rows ~cols data =
+  if rows <= 0 || cols <= 0 || Array.length data <> rows * cols then
+    invalid_arg "Mat.of_flat: size mismatch";
+  { rows; cols; data }
+
 let identity n = init ~rows:n ~cols:n (fun i j -> if i = j then 1. else 0.)
 
 let of_arrays arr =
@@ -38,11 +43,17 @@ let set m i j v =
     invalid_arg "Mat.set: index out of bounds";
   m.data.((i * m.cols) + j) <- v
 
-let to_arrays m =
-  Array.init m.rows (fun i -> Array.init m.cols (fun j -> get m i j))
+let to_arrays m = Array.init m.rows (fun i -> Array.sub m.data (i * m.cols) m.cols)
 
 let copy m = { m with data = Array.copy m.data }
-let transpose m = init ~rows:m.cols ~cols:m.rows (fun i j -> get m j i)
+let transpose m =
+  let t = create ~rows:m.cols ~cols:m.rows in
+  for i = 0 to m.rows - 1 do
+    for j = 0 to m.cols - 1 do
+      t.data.((j * m.rows) + i) <- m.data.((i * m.cols) + j)
+    done
+  done;
+  t
 
 let same_shape name a b =
   if a.rows <> b.rows || a.cols <> b.cols then
@@ -82,7 +93,9 @@ let mul_vec m v =
       done;
       !acc)
 
-let col m j = Array.init m.rows (fun i -> get m i j)
+let col m j =
+  if j < 0 || j >= m.cols then invalid_arg "Mat.col: index out of bounds";
+  Array.init m.rows (fun i -> m.data.((i * m.cols) + j))
 let row m i = Array.init m.cols (fun j -> get m i j)
 
 let outer u v =

@@ -8,6 +8,11 @@ val create : rows:int -> cols:int -> t
 val init : rows:int -> cols:int -> (int -> int -> float) -> t
 (** [init ~rows ~cols f] has entry [f i j] at row [i], column [j]. *)
 
+val of_flat : rows:int -> cols:int -> float array -> t
+(** [of_flat ~rows ~cols a] is the matrix whose row-major entries are [a]
+    (taken over, not copied).
+    @raise Invalid_argument unless [a] has [rows * cols] entries. *)
+
 val identity : int -> t
 
 val of_arrays : float array array -> t

@@ -326,6 +326,60 @@ let test_population_widens_predictions () =
     (Printf.sprintf "discoverability threshold rises: %.4f -> %.4f" lds lds_pop)
     true (lds_pop >= lds)
 
+(* Every size class the private miner factorizes reports its condition
+   number as a gauge named after the class and k, and the JSON report of
+   [--stats json] carries it. *)
+let test_condition_gauges () =
+  let open Ppdm_obs in
+  Metrics.reset ();
+  Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset ())
+    (fun () ->
+      let rng = Rng.create ~seed:11 () in
+      let universe = 12 in
+      let db =
+        Simple.planted rng ~universe ~size:5 ~count:2_000
+          ~itemset:(Itemset.of_list [ 1; 2 ]) ~support:0.3
+      in
+      let scheme = Randomizer.uniform ~universe ~p_keep:0.8 ~p_add:0.05 in
+      let data = Randomizer.apply_db_tagged scheme rng db in
+      ignore (Ppmining.mine ~scheme ~data ~min_support:0.1 ~max_size:2 ());
+      let snap = Metrics.snapshot () in
+      let solves =
+        Option.value (List.assoc_opt "estimator.solves" snap.Metrics.counters)
+          ~default:0
+      in
+      let cond =
+        List.filter
+          (fun (name, _) -> String.starts_with ~prefix:"estimator.cond." name)
+          snap.Metrics.gauges
+      in
+      Alcotest.(check bool) "some solves" true (solves > 0);
+      Alcotest.(check int) "one gauge per factorization" solves (List.length cond);
+      List.iter
+        (fun k ->
+          let name = Printf.sprintf "estimator.cond.s5.k%d" k in
+          let want =
+            Ppdm_linalg.Lu.cond_inf_estimate (Transition.of_scheme scheme ~size:5 ~k)
+          in
+          match List.assoc_opt name cond with
+          | None -> Alcotest.failf "missing gauge %s" name
+          | Some got -> Alcotest.(check (float 1e-9)) name want got)
+        [ 1; 2 ];
+      let json = Report.to_string Report.Json in
+      Alcotest.(check bool) "gauge in the JSON report" true
+        (List.exists
+           (fun line ->
+             match Json.parse line with
+             | Ok v ->
+                 Json.member "type" v = Some (Json.String "gauge")
+                 && Json.member "name" v = Some (Json.String "estimator.cond.s5.k2")
+             | Error _ -> false)
+           (String.split_on_char '\n' json)))
+
 let suite =
   [
     Alcotest.test_case "identity recovers exactly" `Quick test_identity_exact_recovery;
@@ -343,6 +397,7 @@ let suite =
     Alcotest.test_case "empty data rejected" `Quick test_empty_data_rejected;
     Alcotest.test_case "all-zero size class skipped" `Quick test_all_zero_size_class;
     Alcotest.test_case "sampling covariance closed form" `Quick test_sampling_covariance;
+    Alcotest.test_case "condition-number gauges" `Quick test_condition_gauges;
     Alcotest.test_case "estimate from sampled counts" `Quick
       test_estimate_from_counts_sampled;
     Alcotest.test_case "population widens predictions" `Quick

@@ -157,6 +157,58 @@ let test_cut_and_paste_best_infeasible () =
        ~prior:0.05
     = None)
 
+(* The metrics registry is global: leave it disabled and empty. *)
+let with_metrics f =
+  Ppdm_obs.Metrics.reset ();
+  Ppdm_obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Ppdm_obs.Metrics.set_enabled false;
+      Ppdm_obs.Metrics.reset ())
+    f
+
+let test_design_counters () =
+  with_metrics (fun () ->
+      ignore (Optimizer.design_for_estimation ~m:8 ~gamma:19. ());
+      let counters = (Ppdm_obs.Metrics.snapshot ()).Ppdm_obs.Metrics.counters in
+      let get name = Option.value (List.assoc_opt name counters) ~default:0 in
+      (* 20 grid points, 14 golden-section steps of two, one refined ρ *)
+      Alcotest.(check int) "rho evaluations" 49 (get "optimizer.rho_evals");
+      (* per ρ: 10 threshold vertices, then all 2^9 vertices at m = 8 *)
+      Alcotest.(check int) "vertices" (49 * (10 + 512)) (get "optimizer.vertices"))
+
+let test_fixed_rho_scheme () =
+  let rho = 0.1 and gamma = 19. in
+  let scheme = Optimizer.scheme_for_estimation ~rho ~universe:50 ~gamma () in
+  Alcotest.(check string) "name prints rho with %g"
+    "optimized-sas(gamma=19,rho=0.1)" (Randomizer.name scheme);
+  List.iter
+    (fun m ->
+      let r = Randomizer.resolve scheme ~size:m in
+      Alcotest.(check (float 0.)) "rho as given" rho r.Randomizer.rho;
+      Alcotest.(check bool)
+        (Printf.sprintf "size %d: per-size optimum at the given rho" m)
+        true
+        (r.Randomizer.keep_dist
+        = Optimizer.keep_dist ~m ~rho ~gamma
+            (Optimizer.Min_sigma_upto
+               { k_max = min 3 m; n = 100_000; p_bg = 0.02; support = 0.01 })))
+    [ 1; 2; 5; 9 ];
+  (* without ?rho the search runs and the name keeps %.4g *)
+  let designed = Optimizer.scheme_for_estimation ~universe:50 ~gamma () in
+  let rho = (Optimizer.design_for_estimation ~m:8 ~gamma ()).Optimizer.rho in
+  Alcotest.(check string) "searched name"
+    (Printf.sprintf "optimized-sas(gamma=19,rho=%.4g)" rho)
+    (Randomizer.name designed)
+
+let test_design_differential () =
+  match
+    Ppdm_check.Selftest.operator_design_differential ~max_m:12
+      ~rhos:[ 0.02; 0.1; 0.3 ] ~design_max_m:6
+  with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -187,5 +239,8 @@ let suite =
     Alcotest.test_case "validation" `Quick test_validation;
     Alcotest.test_case "cut-and-paste tuning" `Quick test_cut_and_paste_best;
     Alcotest.test_case "cut-and-paste infeasible" `Quick test_cut_and_paste_best_infeasible;
+    Alcotest.test_case "design counters" `Quick test_design_counters;
+    Alcotest.test_case "fixed-rho scheme" `Quick test_fixed_rho_scheme;
+    Alcotest.test_case "basis vs direct-form design" `Quick test_design_differential;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_tests
