@@ -10,6 +10,9 @@ open Ppdm_prng
 open Ppdm_data
 open Ppdm_mining
 open Ppdm_runtime
+module Count = Ppdm_check.Count
+module Eclat = Ppdm_check.Eclat
+module Fptree = Ppdm_check.Fptree
 
 let header title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')

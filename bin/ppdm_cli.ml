@@ -291,6 +291,16 @@ let analyze_cmd =
 let minsup_term =
   Arg.(value & opt float 0.02 & info [ "min-support" ] ~doc:"Minimum support fraction.")
 
+(* A support fraction outside (0,1], or NaN, is a usage error (exit 2)
+   like a bad --counter, not an uncaught Invalid_argument from the
+   miners' own check. *)
+let check_min_support ~who min_support =
+  try Threshold.check_min_support ~who min_support
+  with Invalid_argument _ ->
+    Printf.eprintf "%s: --min-support %g must be a fraction in (0,1]\n" who
+      min_support;
+    exit 2
+
 let maxsize_term =
   Arg.(value & opt int 3 & info [ "max-size" ] ~doc:"Largest itemset size explored.")
 
@@ -342,21 +352,13 @@ let mine_cmd =
   let run input dbfile min_support max_size min_confidence counter seed jobs
       stats trace =
     let source = resolve_source ~who:"mine" input dbfile in
-    let spec = counter_spec ~who:"mine" counter in
-    (match (source, spec) with
-    | `Columnar _, Sampled_at _ ->
-        (* the sampled counter is wired to the row-major path only *)
-        prerr_endline
-          "mine: --db supports only the vertical counter (use --in for \
-           sampled counting)";
-        exit 2
-    | _ -> ());
+    check_min_support ~who:"mine" min_support;
+    let counter = apriori_counter (counter_spec ~who:"mine" counter) ~seed in
     with_obs stats trace @@ fun () ->
     let n, frequent =
       match source with
       | `Row path ->
           let db = Io.read_file path in
-          let counter = apriori_counter spec ~seed in
           ( Db.length db,
             Pool.with_pool ~jobs (fun pool ->
                 Parallel.apriori_mine pool db ~min_support ~max_size ~counter)
@@ -366,7 +368,8 @@ let mine_cmd =
           let vt = Vertical.of_colfile cf in
           ( Vertical.length vt,
             Pool.with_pool ~jobs (fun pool ->
-                Parallel.apriori_mine_vertical pool vt ~min_support ~max_size)
+                Parallel.apriori_mine_vertical pool vt ~min_support ~max_size
+                  ~counter)
           )
     in
     Printf.printf "%d frequent itemsets at minsup %.3f:\n" (List.length frequent) min_support;
@@ -395,6 +398,7 @@ let private_cmd =
   let run input dbfile spec min_support max_size counter seed jobs stats
       trace =
     let source = resolve_source ~who:"private" input dbfile in
+    check_min_support ~who:"private" min_support;
     let counter = apriori_counter (counter_spec ~who:"private" counter) ~seed in
     with_obs stats trace @@ fun () ->
     let db =

@@ -5,11 +5,11 @@
     contains, touching only trie paths that match — the standard
     subset-counting structure of Apriori implementations.
 
-    No miner dispatches here: {!Apriori} and the parallel runtime count
-    on {!Vertical}.  The trie is kept as the independent, horizontally
-    walked reference that the differential checks ([lib/check]), the
-    tests and the micro-benchmarks compare the vertical engine
-    against. *)
+    No miner dispatches here: {!Ppdm_mining.Apriori} and the parallel
+    runtime count on {!Ppdm_mining.Vertical}.  The trie is kept as the
+    independent, horizontally walked reference that the differential
+    checks ({!Oracle.trie_apriori}), the tests and the micro-benchmarks
+    compare the vertical engine against. *)
 
 open Ppdm_data
 

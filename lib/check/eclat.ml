@@ -1,4 +1,5 @@
 open Ppdm_data
+open Ppdm_mining
 
 (* Tid-sets are the adaptive dense/sparse hybrids of the vertical
    engine: dense atoms intersect by word-wide AND, a sparse operand
@@ -86,8 +87,7 @@ let extend ~cap atoms ~threshold =
   !results
 
 let mine ?max_size db ~min_support =
-  if min_support <= 0. || min_support > 1. then
-    invalid_arg "Eclat.mine: min_support out of (0,1]";
+  Threshold.check_min_support ~who:"Eclat.mine" min_support;
   Ppdm_obs.Span.with_ ~name:"eclat.mine" (fun () ->
       let cap = Option.value max_size ~default:max_int in
       if cap < 1 then []

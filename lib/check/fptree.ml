@@ -1,4 +1,5 @@
 open Ppdm_data
+open Ppdm_mining
 
 type node = {
   item : int;
@@ -98,8 +99,7 @@ let item_total tree item =
   | Some nodes -> List.fold_left (fun acc n -> acc + n.count) 0 !nodes
 
 let mine ?max_size db ~min_support =
-  if min_support <= 0. || min_support > 1. then
-    invalid_arg "Fptree.mine: min_support out of (0,1]";
+  Threshold.check_min_support ~who:"Fptree.mine" min_support;
   let threshold = Threshold.absolute ~n:(Db.length db) ~min_support in
   let cap = Option.value max_size ~default:max_int in
   if cap < 1 then []

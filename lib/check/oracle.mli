@@ -17,7 +17,7 @@ val trie_apriori :
   ?max_size:int -> Db.t -> min_support:float -> (Itemset.t * int) list
 (** The reference Apriori: {!Ppdm_mining.Apriori.run_levels} seeded
     from {!Ppdm_mining.Apriori.level1} and counting every later level
-    with the {!Ppdm_mining.Count} trie, a horizontal walk
+    with the {!Count} trie, a horizontal walk
     that shares no kernel with the vertical engine the library's Apriori
     entry points run on.  Listed as ["apriori"] in {!sequential_miners}. *)
 

@@ -467,7 +467,7 @@ let kernel_differential_check () =
   in
   let check_one ~n ~rep_label ~dense_cutoff =
     let db = kernel_db n in
-    let reference = Oracle.canonical (Ppdm_mining.Count.support_counts db cands) in
+    let reference = Oracle.canonical (Count.support_counts db cands) in
     let vt = V.of_db ?dense_cutoff db in
     let label = Printf.sprintf "n=%d %s" n rep_label in
     let got = Oracle.canonical (V.support_counts vt cands) in

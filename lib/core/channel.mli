@@ -58,18 +58,19 @@ val compose : t -> t -> t
 val apply : t -> Rng.t -> int -> int
 (** Randomize one input symbol. *)
 
-val posterior : t -> prior:Vec.t -> y:int -> Vec.t
+val posterior : t -> prior:float array -> y:int -> float array
 (** Exact Bayes posterior over inputs given output [y] under a prior.
     @raise Invalid_argument if the output has zero probability under the
     prior or the prior is not a probability vector. *)
 
 (** {1 Distribution recovery from randomized outputs} *)
 
-val estimate_inversion : t -> counts:int array -> Vec.t
+val estimate_inversion : t -> counts:int array -> float array
 (** Unbiased recovery of the input distribution from output counts:
     [C⁻¹ ĉ/N].  Requires a square channel.
     @raise Ppdm_linalg.Lu.Singular on non-invertible channels. *)
 
 val estimate_em :
-  ?max_iterations:int -> ?tolerance:float -> t -> counts:int array -> Vec.t
+  ?max_iterations:int -> ?tolerance:float -> t -> counts:int array ->
+  float array
 (** Maximum-likelihood recovery by EM; always a probability vector. *)

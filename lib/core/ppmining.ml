@@ -122,8 +122,7 @@ let level cl supports ~scheme ~passes ~k candidates =
 
 let mine ?max_size ?(sigma_slack = 2.0) ?sigma_cap ~scheme ~data ~min_support
     () =
-  if min_support <= 0. || min_support > 1. then
-    invalid_arg "Ppmining.mine: min_support out of (0,1]";
+  Threshold.check_min_support ~who:"Ppmining.mine" min_support;
   if Array.length data = 0 then invalid_arg "Ppmining.mine: empty data";
   let cap = Option.value max_size ~default:max_int in
   let sigma_cap = Option.value sigma_cap ~default:(min_support /. 2.) in

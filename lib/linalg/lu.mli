@@ -13,7 +13,7 @@ val decompose : Mat.t -> t
 (** Factorize a square matrix.  @raise Singular on singular input and
     [Invalid_argument] on non-square input. *)
 
-val solve : t -> Vec.t -> Vec.t
+val solve : t -> float array -> float array
 (** [solve lu b] is the [x] with [A x = b]. *)
 
 val solve_mat : t -> Mat.t -> Mat.t

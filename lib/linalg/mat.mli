@@ -36,16 +36,16 @@ val scale : float -> t -> t
 val mul : t -> t -> t
 (** Matrix product; inner dimensions must agree. *)
 
-val mul_vec : t -> Vec.t -> Vec.t
+val mul_vec : t -> float array -> float array
 (** Matrix-vector product. *)
 
-val col : t -> int -> Vec.t
-val row : t -> int -> Vec.t
+val col : t -> int -> float array
+val row : t -> int -> float array
 
-val outer : Vec.t -> Vec.t -> t
+val outer : float array -> float array -> t
 (** Outer product [u v^T]. *)
 
-val diag : Vec.t -> t
+val diag : float array -> t
 (** Diagonal matrix from a vector. *)
 
 val max_abs_diff : t -> t -> float

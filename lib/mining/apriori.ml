@@ -75,12 +75,8 @@ let candidates_from ~frequent ~size =
   done;
   List.rev !acc
 
-let check_min_support ~who min_support =
-  if min_support <= 0. || min_support > 1. then
-    invalid_arg (who ^ ": min_support out of (0,1]")
-
 let absolute_threshold ~n ~min_support =
-  check_min_support ~who:"Apriori.absolute_threshold" min_support;
+  Threshold.check_min_support ~who:"Apriori.absolute_threshold" min_support;
   Threshold.absolute ~n ~min_support
 
 (* Level 1 straight from per-item counts — an array is all it takes, so
@@ -171,7 +167,7 @@ type counter =
   | Sampled of { fraction : float; seed : int }
 
 let mine ?max_size ?(counter = Vertical) db ~min_support =
-  check_min_support ~who:"Apriori.mine" min_support;
+  Threshold.check_min_support ~who:"Apriori.mine" min_support;
   Ppdm_obs.Span.with_ ~name:"apriori.mine" (fun () ->
       match counter with
       | Vertical | Auto ->
@@ -193,6 +189,6 @@ let mine ?max_size ?(counter = Vertical) db ~min_support =
 (* Mine an already-vertical database — the entry point for columnar
    input, where no Db.t ever exists. *)
 let mine_vertical ?max_size vt ~min_support =
-  check_min_support ~who:"Apriori.mine_vertical" min_support;
+  Threshold.check_min_support ~who:"Apriori.mine_vertical" min_support;
   Ppdm_obs.Span.with_ ~name:"apriori.mine" (fun () ->
       exact_levels ?max_size vt ~min_support)

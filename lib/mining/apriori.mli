@@ -3,8 +3,9 @@
     downward-closure pruning.  This is both the non-private baseline and
     the skeleton the privacy-preserving miner re-instantiates with
     estimated supports.  Exact counting runs on one engine, the
-    word-level tid-sets of {!Vertical}; the {!Count} trie survives only
-    as the reference the differential checks compare against. *)
+    word-level tid-sets of {!Vertical}; the {!Ppdm_check.Count} trie
+    survives only as the reference the differential checks compare
+    against. *)
 
 open Ppdm_data
 
@@ -25,7 +26,7 @@ type counter =
           variance downstream.  [fraction = 1.0] is byte-identical to
           [Vertical]. *)
 (** Which support-counting engine the level loop runs on.  The horizontal
-    hash trie of {!Count} is not among them: it is kept only as the
+    hash trie of {!Ppdm_check.Count} is not among them: it is kept only as the
     independent reference the differential checks compare against. *)
 
 val mine :

@@ -1,11 +1,12 @@
 (** Vertical bitmap counting engine: word-level support counting for the
     level-wise miners.
 
-    The horizontal layouts pay per-transaction costs — {!Count} walks a
-    hash trie per transaction per level, {!Eclat} merged sorted tid arrays
-    element by element.  This engine transposes the database {e once} into
-    per-item {e tid-sets} (the set of transaction indices containing the
-    item) in one of two adaptive representations chosen by item density:
+    The horizontal layouts pay per-transaction costs — the reference trie
+    {!Ppdm_check.Count} walks a hash trie per transaction per level, and
+    a plain Eclat merges sorted tid arrays element by element.  This
+    engine transposes the database {e once} into per-item {e tid-sets}
+    (the set of transaction indices containing the item) in one of two
+    adaptive representations chosen by item density:
 
     - {b dense}: one bit per transaction, packed into 62-bit words
       ({!Ppdm_data.Bitset.bits_per_word}) — intersections are word-wide
@@ -75,8 +76,9 @@ val sparse_items : t -> int
 
 (** {2 Tid-sets}
 
-    The adaptive tid-set itself, exposed so {!Eclat} can run its
-    depth-first search on the same hybrid representation:
+    The adaptive tid-set itself, exposed so the reference Eclat miner
+    ({!Ppdm_check.Eclat}) can run its depth-first search on the same
+    hybrid representation:
     dense∧dense is a word-wide AND, sparse∧dense a probe, sparse∧sparse
     the classic sorted merge. *)
 
@@ -119,7 +121,7 @@ type prepared
 
 val prepare : Itemset.t list -> prepared
 (** @raise Invalid_argument on an empty candidate (as the reference
-    trie, {!Count}, does). *)
+    trie, {!Ppdm_check.Count}, does). *)
 
 val prepared_length : prepared -> int
 
@@ -149,13 +151,14 @@ val count_runs :
 val assemble : prepared -> int array -> (Itemset.t * int) list
 (** Pair a {!count_into} result (or a sum of them) back with its
     itemsets, in {!Itemset.compare} order — the exact shape the
-    reference trie ({!Count}) returns.
+    reference trie ({!Ppdm_check.Count}) returns.
     @raise Invalid_argument on a length mismatch. *)
 
 val support_counts :
   ?scratch:scratch -> t -> Itemset.t list -> (Itemset.t * int) list
 (** [prepare] + [count_into] + [assemble]: byte-identical to the
-    reference trie's support counts ({!Count}) on the same database. *)
+    reference trie's support counts ({!Ppdm_check.Count}) on the same
+    database. *)
 
 val support_count : ?scratch:scratch -> t -> Itemset.t -> int
 (** Support of a single itemset.

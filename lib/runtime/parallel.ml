@@ -173,31 +173,28 @@ let exact_levels pool ?chunk ?cand_chunk ?max_size vt ~min_support =
   Apriori.run_vertical_levels ?max_size vt ~min_support
     ~count_level:(support_counts_vertical pool ?chunk ?cand_chunk vt)
 
-let check_min_support ~who min_support =
-  if min_support <= 0. || min_support > 1. then
-    invalid_arg (who ^ ": min_support out of (0,1]")
-
-let apriori_mine pool ?chunk ?max_size ?(counter = Apriori.Vertical) db
-    ~min_support =
-  check_min_support ~who:"Parallel.apriori_mine" min_support;
+(* The parallel entry point for any source: a transposed [Db.t]
+   ([apriori_mine]) or a columnar file's [Vertical.of_colfile], which
+   yields the same tid-sets. *)
+let apriori_mine_vertical pool ?chunk ?cand_chunk ?max_size
+    ?(counter = Apriori.Vertical) vt ~min_support =
+  Threshold.check_min_support ~who:"Parallel.apriori_mine_vertical" min_support;
   Ppdm_obs.Span.with_ ~name:"parallel.apriori" @@ fun () ->
   match counter with
   | Apriori.Vertical | Apriori.Auto ->
-      exact_levels pool ?chunk ?max_size (Vertical.of_db db) ~min_support
+      exact_levels pool ?chunk ?cand_chunk ?max_size vt ~min_support
   | Apriori.Sampled { fraction; seed } ->
       Ppdm_obs.Metrics.incr "apriori.counter.sampled";
-      let vt = Vertical.of_db db in
       let plan =
         Sampled.plan ~n:(Vertical.length vt)
           ~word_count:(Vertical.word_count vt) ~fraction ~seed ()
       in
       Apriori.run_vertical_levels ?max_size vt ~min_support
-        ~count_level:(support_counts_sampled pool ?chunk vt plan)
+        ~count_level:(support_counts_sampled pool ?chunk ?cand_chunk vt plan)
 
-(* The parallel entry point for columnar input, where no Db.t ever
-   exists. *)
-let apriori_mine_vertical pool ?chunk ?cand_chunk ?max_size vt
-    ~min_support =
-  check_min_support ~who:"Parallel.apriori_mine_vertical" min_support;
-  Ppdm_obs.Span.with_ ~name:"parallel.apriori" @@ fun () ->
-  exact_levels pool ?chunk ?cand_chunk ?max_size vt ~min_support
+let apriori_mine pool ?chunk ?max_size ?counter db ~min_support =
+  (* checked here too, so the error names this entry and no transpose
+     runs first *)
+  Threshold.check_min_support ~who:"Parallel.apriori_mine" min_support;
+  apriori_mine_vertical pool ?chunk ?max_size ?counter (Vertical.of_db db)
+    ~min_support

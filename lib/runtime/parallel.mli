@@ -71,11 +71,8 @@ val apriori_mine :
   Pool.t -> ?chunk:int -> ?max_size:int ->
   ?counter:Ppdm_mining.Apriori.counter -> Db.t -> min_support:float ->
   (Itemset.t * int) list
-(** [Apriori.mine] with every level's candidate counting sharded: the
-    exact engine ([counter = Vertical], the default as in [Apriori.mine];
-    [Auto] is its alias) is [apriori_mine_vertical pool
-    (Vertical.of_db db)], and [counter = Sampled _] counts through
-    {!support_counts_sampled}.  [?chunk] is in bitmap words.  The mined
+(** [Apriori.mine] with every level's candidate counting sharded:
+    [apriori_mine_vertical pool ?counter (Vertical.of_db db)].  The mined
     output is byte-identical to [Apriori.mine] at any job count (sampled
     output matches the sequential sampled run for the same fraction and
     seed).
@@ -83,11 +80,14 @@ val apriori_mine :
 
 val apriori_mine_vertical :
   Pool.t -> ?chunk:int -> ?cand_chunk:int -> ?max_size:int ->
-  Ppdm_mining.Vertical.t -> min_support:float ->
-  (Itemset.t * int) list
-(** [Apriori.mine_vertical] with every level sharded through
-    {!support_counts_vertical} — the parallel entry point for columnar
-    input ([Vertical.of_colfile]), where no [Db.t] ever exists.  Level 1
-    seeds from the per-item counts.  Output is byte-identical to
-    [Apriori.mine_vertical] at any job count.
+  ?counter:Ppdm_mining.Apriori.counter -> Ppdm_mining.Vertical.t ->
+  min_support:float -> (Itemset.t * int) list
+(** [Apriori.mine_vertical] with every level sharded: the exact engine
+    ([counter = Vertical], the default; [Auto] is its alias) counts
+    through {!support_counts_vertical}, and [counter = Sampled _] through
+    {!support_counts_sampled}.  Level 1 seeds from the per-item counts.
+    [?chunk] is in bitmap words.  The tid-sets may come from a transpose
+    ([Vertical.of_db]) or a columnar file ([Vertical.of_colfile]), which
+    are equal, so both sources mine the same bytes.  Exact output is
+    byte-identical to [Apriori.mine_vertical] at any job count.
     @raise Invalid_argument if [min_support] is outside (0, 1]. *)

@@ -379,7 +379,6 @@ let stop t =
   wait t
 
 let snapshot_estimates t ~flush = shared_estimates t.sh ~flush
-let snapshot_json t ~flush = shared_snapshot_json t.sh ~flush
 
 let run ?(ready = ignore) ?(admin_ready = ignore) config =
   validate config;

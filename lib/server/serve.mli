@@ -74,9 +74,6 @@ val snapshot_estimates : t -> flush:bool -> (Itemset.t * Estimator.t option) lis
     every queued report to be folded first.  This is the same computation
     the wire snapshot serves, exposed for in-process verification. *)
 
-val snapshot_json : t -> flush:bool -> string
-(** The wire snapshot: what a [Snapshot_request] returns. *)
-
 val run : ?ready:(int -> unit) -> ?admin_ready:(int -> unit) -> config -> stats
 (** Blocking variant for the CLI: serve until a client sends [Shutdown].
     [ready] is called with the bound data port once listening;

@@ -69,7 +69,7 @@ let test_posterior_bayes () =
   let post = Channel.posterior c ~prior ~y:0 in
   (* P(x=0 | y=0) = 0.9 / (0.9 + 0.2) *)
   Alcotest.(check (float 1e-12)) "bayes" (0.9 /. 1.1) post.(0);
-  Alcotest.(check (float 1e-9)) "normalized" 1. (Vec.sum post);
+  Alcotest.(check (float 1e-9)) "normalized" 1. (Array.fold_left ( +. ) 0. post);
   (* posterior respects the gamma bound *)
   let gamma = Channel.gamma c in
   Alcotest.(check bool) "bounded by amplification" true
@@ -125,7 +125,8 @@ let test_recovery_both_methods () =
     truth;
   (* EM output is a distribution *)
   Alcotest.(check bool) "em simplex" true
-    (Array.for_all (fun v -> v >= 0.) em && Float.abs (Vec.sum em -. 1.) < 1e-6)
+    (Array.for_all (fun v -> v >= 0.) em
+    && Float.abs (Array.fold_left ( +. ) 0. em -. 1.) < 1e-6)
 
 let qcheck_tests =
   let open QCheck in

@@ -24,13 +24,10 @@ let () =
       ("em", Test_em.suite);
       ("channel", Test_channel.suite);
       ("numeric", Test_numeric.suite);
-      ("split", Test_split.suite);
       ("experiment", Test_experiment.suite);
       ("fuzz", Test_fuzz.suite);
       ("rules", Test_rules.suite);
-      ("summarize", Test_summarize.suite);
       ("check", Test_check.suite);
-      ("accountant", Test_accountant.suite);
       ("runtime", Test_runtime.suite);
       ("obs", Test_obs.suite);
       ("telemetry", Test_telemetry.suite);

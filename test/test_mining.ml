@@ -4,6 +4,9 @@
 
 open Ppdm_data
 open Ppdm_mining
+module Count = Ppdm_check.Count
+module Eclat = Ppdm_check.Eclat
+module Fptree = Ppdm_check.Fptree
 
 let mk universe rows = Db.create ~universe (Array.of_list (List.map Itemset.of_list rows))
 
@@ -79,6 +82,41 @@ let test_apriori_validation () =
   Alcotest.check_raises "min_support 0"
     (Invalid_argument "Apriori.mine: min_support out of (0,1]") (fun () ->
       ignore (Apriori.mine toy ~min_support:0.))
+
+(* Every entry point that takes a support fraction rejects NaN along
+   with the out-of-range values: NaN fails every comparison, so a check
+   written as a negative test used to let it through. *)
+let test_min_support_range () =
+  let open Ppdm_runtime in
+  let vt = Vertical.of_db toy in
+  Pool.with_pool ~jobs:1 @@ fun pool ->
+  let entries =
+    [
+      ( "Threshold.check_min_support",
+        Threshold.check_min_support ~who:"Threshold.check_min_support" );
+      ("Threshold.absolute", fun m -> ignore (Threshold.absolute ~n:8 ~min_support:m));
+      ( "Apriori.absolute_threshold",
+        fun m -> ignore (Apriori.absolute_threshold ~n:8 ~min_support:m) );
+      ("Apriori.mine", fun m -> ignore (Apriori.mine toy ~min_support:m));
+      ("Apriori.mine_vertical", fun m -> ignore (Apriori.mine_vertical vt ~min_support:m));
+      ("Eclat.mine", fun m -> ignore (Eclat.mine toy ~min_support:m));
+      ("Fptree.mine", fun m -> ignore (Fptree.mine toy ~min_support:m));
+      ( "Parallel.apriori_mine",
+        fun m -> ignore (Parallel.apriori_mine pool toy ~min_support:m) );
+      ( "Parallel.apriori_mine_vertical",
+        fun m -> ignore (Parallel.apriori_mine_vertical pool vt ~min_support:m) );
+    ]
+  in
+  List.iter
+    (fun (who, f) ->
+      List.iter
+        (fun m ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s rejects %g" who m)
+            (Invalid_argument (who ^ ": min_support out of (0,1]"))
+            (fun () -> f m))
+        [ nan; 0.; 1.5 ])
+    entries
 
 let test_candidates_from () =
   let frequent = List.map Itemset.of_list [ [ 0; 1 ]; [ 0; 2 ]; [ 1; 2 ]; [ 1; 3 ] ] in
@@ -230,6 +268,7 @@ let suite =
     Alcotest.test_case "apriori on toy db" `Quick test_apriori_toy;
     Alcotest.test_case "apriori max_size" `Quick test_apriori_max_size;
     Alcotest.test_case "apriori validation" `Quick test_apriori_validation;
+    Alcotest.test_case "min_support range rejects NaN" `Quick test_min_support_range;
     Alcotest.test_case "candidate generation" `Quick test_candidates_from;
     Alcotest.test_case "eclat on toy db" `Quick test_eclat_toy;
     Alcotest.test_case "fp-growth on toy db" `Quick test_fptree_toy;

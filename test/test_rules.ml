@@ -16,8 +16,8 @@ let with_miners f =
       f
         [
           ("apriori", fun db ~min_support -> Apriori.mine db ~min_support);
-          ("eclat", fun db ~min_support -> Eclat.mine db ~min_support);
-          ("fp-growth", fun db ~min_support -> Fptree.mine db ~min_support);
+          ("eclat", fun db ~min_support -> Ppdm_check.Eclat.mine db ~min_support);
+          ("fp-growth", fun db ~min_support -> Ppdm_check.Fptree.mine db ~min_support);
           ( "parallel-apriori",
             fun db ~min_support -> Parallel.apriori_mine pool db ~min_support
           );

@@ -102,7 +102,7 @@ let test_support_counts () =
   let db = setup_db ~seed:31 in
   let candidates = List.map fst (Apriori.mine db ~min_support:0.03 ~max_size:2) in
   Alcotest.(check bool) "have candidates" true (candidates <> []);
-  let expected = Count.support_counts db candidates in
+  let expected = Ppdm_check.Count.support_counts db candidates in
   let vt = Vertical.of_db db in
   List.iter
     (fun jobs ->

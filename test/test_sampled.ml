@@ -142,6 +142,40 @@ let test_sharding_determinism () =
       check_same_result "chunk 3 equals sequential" sequential
         (Parallel.apriori_mine pool ~chunk:3 ~counter db ~min_support:0.05))
 
+(* A columnar file mines the same sample as its rows: [of_colfile] and
+   [of_db] give equal tid-sets, and the plan depends only on their
+   shape, the fraction and the seed. *)
+let test_colfile_equals_db () =
+  let db = random_db ~seed:61 ~universe:8 ~n:4000 ~p:0.3 in
+  let counter = Apriori.Sampled { fraction = 0.1; seed = 42 } in
+  let src = Filename.temp_file "ppdm_sampled" ".txt" in
+  let dst = Filename.temp_file "ppdm_sampled" ".ppdmc" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ src; dst ])
+    (fun () ->
+      Io.write_file src db;
+      ignore (Colfile.convert ~src ~dst ());
+      let cf = Colfile.open_file dst in
+      let vt =
+        Fun.protect
+          ~finally:(fun () -> Colfile.close cf)
+          (fun () -> Vertical.of_colfile cf)
+      in
+      List.iter
+        (fun jobs ->
+          Pool.with_pool ~jobs (fun pool ->
+              let from_rows =
+                Parallel.apriori_mine pool ~counter db ~min_support:0.05
+              in
+              Alcotest.(check bool) "sampled mine is non-trivial" true
+                (List.length from_rows > 0);
+              check_same_result
+                (Printf.sprintf "of_colfile equals of_db at jobs %d" jobs)
+                from_rows
+                (Parallel.apriori_mine_vertical pool ~counter vt
+                   ~min_support:0.05)))
+        [ 1; 4 ])
+
 let test_raw_counts_sum_over_runs () =
   let db = random_db ~seed:31 ~universe:6 ~n:2000 ~p:0.35 in
   let vt = Vertical.of_db db in
@@ -206,6 +240,8 @@ let suite =
       test_exhaustive_equals_vertical;
     Alcotest.test_case "sharding determinism jobs 1/2/4" `Quick
       test_sharding_determinism;
+    Alcotest.test_case "columnar sample equals row sample" `Quick
+      test_colfile_equals_db;
     Alcotest.test_case "raw counts sum over runs" `Quick
       test_raw_counts_sum_over_runs;
     Alcotest.test_case "plan mismatch rejected" `Quick

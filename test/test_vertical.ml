@@ -110,7 +110,7 @@ let test_support_counts_vs_trie () =
     in
     check_same_result
       (Printf.sprintf "round %d: vertical = trie" round)
-      (Count.support_counts db candidates)
+      (Ppdm_check.Count.support_counts db candidates)
       (Vertical.support_counts vt candidates)
   done
 
@@ -219,7 +219,7 @@ let test_trie_parity_edge_cases () =
   Alcotest.(check int) "out-of-universe candidate counts 0" 0
     (Vertical.support_count vt ghost);
   check_same_result "mixed batch matches trie"
-    (Count.support_counts db [ ghost; Itemset.of_list [ 0; 1 ] ])
+    (Ppdm_check.Count.support_counts db [ ghost; Itemset.of_list [ 0; 1 ] ])
     (Vertical.support_counts vt [ ghost; Itemset.of_list [ 0; 1 ] ]);
   Alcotest.check_raises "empty candidate rejected"
     (Invalid_argument "Vertical.prepare: empty candidate") (fun () ->
@@ -326,7 +326,7 @@ let test_kernel_differential () =
             Itemset.subsets_of_size (Itemset.of_list (List.init 5 Fun.id)) k)
           [ 1; 2; 3 ]
       in
-      let reference = Count.support_counts db candidates in
+      let reference = Ppdm_check.Count.support_counts db candidates in
       List.iter
         (fun cutoff ->
           let vt =
@@ -418,7 +418,7 @@ let test_eclat_hybrid_parity () =
     check_same_result
       (Printf.sprintf "round %d: eclat on hybrid tid-sets = apriori" round)
       (Apriori.mine ~max_size:4 db ~min_support:0.1)
-      (Eclat.mine ~max_size:4 db ~min_support:0.1)
+      (Ppdm_check.Eclat.mine ~max_size:4 db ~min_support:0.1)
   done
 
 (* The steady-state promise: once the scratch is warm, re-counting a
