@@ -4,12 +4,16 @@ open Ppdm_linalg
 
 type resolved = { keep_dist : float array; rho : float }
 
+(* The validated operator for one size, with what [apply] needs to run it:
+   the alias sampler of the keep size ([None] for the empty transaction,
+   where there is no choice) and [log1p (-rho)] for the noise gaps. *)
+type entry = { op : resolved; sampler : Dist.discrete option; log_q : float }
+
 type t = {
   universe : int;
   name : string;
   produce : int -> resolved;
-  (* Per-size cache of the validated operator and its alias sampler. *)
-  cache : (int, resolved * Dist.discrete option) Hashtbl.t;
+  cache : (int, entry) Hashtbl.t;
 }
 
 let validate_resolved ~size { keep_dist; rho } =
@@ -28,17 +32,16 @@ let make ~universe ~name produce =
   { universe; name; produce; cache = Hashtbl.create 8 }
 
 let resolved_cached t size =
-  match Hashtbl.find_opt t.cache size with
-  | Some entry ->
+  match Hashtbl.find t.cache size with
+  | entry ->
       Ppdm_obs.Metrics.incr "randomizer.cache.hit";
       entry
-  | None ->
+  | exception Not_found ->
       Ppdm_obs.Metrics.incr "randomizer.cache.miss";
-      let r = t.produce size in
-      validate_resolved ~size r;
-      (* The alias table is only needed when there is a real choice. *)
-      let sampler = if size = 0 then None else Some (Dist.discrete r.keep_dist) in
-      let entry = (r, sampler) in
+      let op = t.produce size in
+      validate_resolved ~size op;
+      let sampler = if size = 0 then None else Some (Dist.discrete op.keep_dist) in
+      let entry = { op; sampler; log_q = Float.log1p (-.op.rho) } in
       Hashtbl.replace t.cache size entry;
       entry
 
@@ -56,7 +59,7 @@ let same_parameters a b ~sizes =
   && List.for_all
        (fun size ->
          match (resolved_cached a size, resolved_cached b size) with
-         | (ra, _), (rb, _) ->
+         | { op = ra; _ }, { op = rb; _ } ->
              ra.rho = rb.rho && ra.keep_dist = rb.keep_dist
          | exception Invalid_argument _ -> false)
        sizes
@@ -69,13 +72,13 @@ let warm_cache t ~sizes =
       List.iter (fun size -> ignore (resolved_cached t size)) sizes)
 
 let resolve t ~size =
-  let r, _ = resolved_cached t size in
+  let r = (resolved_cached t size).op in
   { keep_dist = Array.copy r.keep_dist; rho = r.rho }
 
 let expected_kept_fraction t ~size =
   if size = 0 then 1.
   else begin
-    let r, _ = resolved_cached t size in
+    let r = (resolved_cached t size).op in
     let acc = ref 0. in
     Array.iteri (fun j p -> acc := !acc +. (p *. float_of_int j)) r.keep_dist;
     !acc /. float_of_int size
@@ -119,42 +122,69 @@ let cut_and_paste ~universe ~cutoff ~rho =
 
 let per_size ~universe ~name produce = make ~universe ~name produce
 
-(* Map sorted complement ranks to items: the rank-r element of
-   [universe \ tx] is [r + j] where [j] counts transaction items <= it.
-   Both inputs are increasing, so a single forward pass suffices. *)
-let unrank_complement tx ranks =
-  let m = Array.length tx in
-  let j = ref 0 in
-  Array.map
-    (fun r ->
-      let item = ref (r + !j) in
-      let stable = ref false in
-      while not !stable do
-        if !j < m && tx.(!j) <= !item then begin
-          incr j;
-          item := r + !j
-        end
-        else stable := true
-      done;
-      !item)
-    ranks
+(* Output buffer of the domain running [apply]: an output never exceeds the
+   universe, so after the first call at a universe no call allocates
+   anything but its exact-length result.  Two systhreads of one domain
+   would share it; the library starts none. *)
+let scratch_key = Domain.DLS.new_key (fun () -> ref [||])
 
+let scratch universe =
+  let buf = Domain.DLS.get scratch_key in
+  if Array.length !buf < universe then buf := Array.make universe 0;
+  !buf
+
+(* The complement rank after [rank] that receives noise: every rank enters
+   independently with probability rho, so the gap to the next one is
+   Geometric(rho), drawn by inversion as floor (log u / log (1 - rho)).
+   [n] once the gap runs past the last rank [n - 1]; the comparison is in
+   floating point, so a gap of 1e300 (rho = 1e-300) cannot overflow
+   [int_of_float].  rho = 0 never gets here, and rho = 1 draws nothing. *)
+let[@inline] next_noise rng ~log_q ~n rank =
+  if log_q = Float.neg_infinity then rank + 1
+  else
+    let u = float_of_int ((1 lsl 53) - Rng.bits53 rng) *. 0x1p-53 in
+    let gap = Float.log u /. log_q in
+    if gap >= float_of_int (n - rank - 1) then n else rank + 1 + int_of_float gap
+
+(* One merge walk over the transaction items and the noise, in item order.
+   The j kept items come from selection sampling (Knuth's Algorithm S):
+   with [need] items still to keep and [left] still to see, keep the next
+   one with probability need/left, which makes every j-subset equally
+   likely.  Noise is drawn as increasing ranks in the complement
+   universe \ t; the rank-r complement item is r + (items of t <= it), so
+   a pointer into t maps ranks to items as both advance.  Together each
+   complement item enters with probability rho independently of the rest,
+   which is the select-a-size operator: p(t -> y) is unchanged. *)
 let apply t rng tx =
   Ppdm_obs.Metrics.incr "randomizer.apply";
   let m = Itemset.cardinal tx in
-  let r, sampler = resolved_cached t m in
+  let e = resolved_cached t m in
   if m > t.universe then invalid_arg "Randomizer.apply: transaction too large";
   let j =
-    match sampler with None -> 0 | Some s -> Dist.discrete_sample rng s
+    match e.sampler with None -> 0 | Some s -> Dist.discrete_sample rng s
   in
-  let items = Itemset.to_array tx in
-  let kept = Dist.subset rng ~k:j items in
-  let noise_count = Dist.binomial rng ~n:(t.universe - m) ~p:r.rho in
-  let ranks = Dist.sample_distinct rng ~k:noise_count ~bound:(t.universe - m) in
-  let noise = unrank_complement items ranks in
-  Itemset.union
-    (Itemset.of_sorted_array_unchecked kept)
-    (Itemset.of_sorted_array_unchecked noise)
+  let items = Itemset.unsafe_to_array tx in
+  let buf = scratch t.universe in
+  let n = t.universe - m and log_q = e.log_q in
+  let len = ref 0 and need = ref j and pos = ref 0 in
+  let rank = ref (if e.op.rho = 0. then n else next_noise rng ~log_q ~n (-1)) in
+  while !pos < m || !rank < n do
+    if !pos < m && (!rank >= n || items.(!pos) <= !rank + !pos) then begin
+      let left = m - !pos in
+      if !need > 0 && (!need = left || Rng.int rng left < !need) then begin
+        buf.(!len) <- items.(!pos);
+        incr len;
+        decr need
+      end;
+      incr pos
+    end
+    else begin
+      buf.(!len) <- !rank + !pos;
+      incr len;
+      rank := next_noise rng ~log_q ~n !rank
+    end
+  done;
+  Itemset.of_sorted_array_unchecked (Array.sub buf 0 !len)
 
 let apply_db t rng db =
   if Db.universe db <> t.universe then

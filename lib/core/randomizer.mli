@@ -79,7 +79,10 @@ val expected_kept_fraction : t -> size:int -> float
     (1.0 for the empty-transaction size). *)
 
 val apply : t -> Rng.t -> Itemset.t -> Itemset.t
-(** Randomize one transaction. *)
+(** Randomize one transaction.  One pass in item order, O(m + noise)
+    time: selection sampling picks the kept items and geometric gaps over
+    the complement pick the noise.  Apart from a per-domain scratch buffer
+    sized to the universe on first use, it allocates only its result. *)
 
 val apply_db : t -> Rng.t -> Db.t -> Db.t
 (** Randomize a whole database. *)

@@ -2,37 +2,6 @@ let bernoulli rng p =
   if p < 0. || p > 1. then invalid_arg "Dist.bernoulli: p out of [0,1]";
   Rng.float rng < p
 
-let geometric rng ~p =
-  if p <= 0. || p > 1. then invalid_arg "Dist.geometric: p out of (0,1]";
-  if p = 1. then 0
-  else
-    let u = 1. -. Rng.float rng (* u in (0,1] *) in
-    int_of_float (Float.floor (log u /. log (1. -. p)))
-
-let rec binomial rng ~n ~p =
-  if n < 0 then invalid_arg "Dist.binomial: negative n";
-  if p < 0. || p > 1. then invalid_arg "Dist.binomial: p out of [0,1]";
-  if p = 0. || n = 0 then 0
-  else if p = 1. then n
-  else if n <= 64 then (
-    let count = ref 0 in
-    for _ = 1 to n do
-      if Rng.float rng < p then incr count
-    done;
-    !count)
-  else if p > 0.5 then n - binomial_tail rng ~n ~p:(1. -. p)
-  else binomial_tail rng ~n ~p
-
-(* Geometric skipping: jump between successes; expected O(np). *)
-and binomial_tail rng ~n ~p =
-  let count = ref 0 in
-  let i = ref (geometric rng ~p) in
-  while !i < n do
-    incr count;
-    i := !i + 1 + geometric rng ~p
-  done;
-  !count
-
 let rec poisson rng ~mean =
   if mean < 0. then invalid_arg "Dist.poisson: negative mean";
   if mean = 0. then 0
@@ -64,23 +33,26 @@ let shuffle rng arr =
     arr.(j) <- tmp
   done
 
+module Int_set = Hashtbl.Make (Int)
+
 let sample_distinct rng ~k ~bound =
   if k < 0 || k > bound then invalid_arg "Dist.sample_distinct: bad k";
-  (* Floyd's algorithm: k hash operations, uniform over k-subsets. *)
-  let chosen = Hashtbl.create (2 * k) in
+  (* Floyd's algorithm: k hash operations, uniform over k-subsets.  The
+     chosen set depends only on the draws; it is returned sorted, so the
+     table's iteration order never shows. *)
+  let chosen = Int_set.create (2 * k) in
   for j = bound - k to bound - 1 do
     let v = Rng.int rng (j + 1) in
-    if Hashtbl.mem chosen v then Hashtbl.replace chosen j ()
-    else Hashtbl.replace chosen v ()
+    Int_set.replace chosen (if Int_set.mem chosen v then j else v) ()
   done;
   let out = Array.make k 0 in
   let idx = ref 0 in
-  Hashtbl.iter
+  Int_set.iter
     (fun v () ->
       out.(!idx) <- v;
       incr idx)
     chosen;
-  Array.sort compare out;
+  Array.sort Int.compare out;
   out
 
 let subset rng ~k arr =

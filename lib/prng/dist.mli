@@ -6,16 +6,6 @@ val bernoulli : Rng.t -> float -> bool
 (** [bernoulli rng p] is [true] with probability [p].  Requires
     [0 <= p <= 1]. *)
 
-val binomial : Rng.t -> n:int -> p:float -> int
-(** [binomial rng ~n ~p] draws from Binomial(n, p).  Uses direct summation
-    for small [n] and geometric waiting-time skipping otherwise, which is
-    O(np) expected — fast in the small-[p] regimes the randomization
-    operators use. *)
-
-val geometric : Rng.t -> p:float -> int
-(** Number of failures before the first success, support {0, 1, ...}.
-    Requires [0 < p <= 1]. *)
-
 val poisson : Rng.t -> mean:float -> int
 (** Poisson sample.  Knuth's product method, accurate for the moderate
     means used by the data generators.  Requires [mean >= 0]. *)

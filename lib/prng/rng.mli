@@ -45,5 +45,12 @@ val int_in_range : t -> lo:int -> hi:int -> int
 val float : t -> float
 (** Uniform on [0, 1) with 53 bits of precision. *)
 
+val bits53 : t -> int
+(** Uniform on [0, 2{^53}-1]: the draw behind {!float}, which is
+    [float_of_int (bits53 t) *. 0x1p-53] on the same stream.  It returns
+    an immediate, so a loop in another module can draw uniforms without
+    boxing a float per call when cross-module inlining is off (dune's
+    default dev profile compiles with [-opaque]). *)
+
 val bool : t -> bool
 (** Fair coin. *)

@@ -134,40 +134,6 @@ let test_bernoulli_rate () =
     true
     (Float.abs (m -. 0.3) < 0.015)
 
-let test_binomial_moments () =
-  (* large-n path (geometric skipping) *)
-  let m = mean_of 5_000 (fun rng -> float_of_int (Dist.binomial rng ~n:1000 ~p:0.02)) in
-  Alcotest.(check bool)
-    (Printf.sprintf "binomial mean %.2f near 20" m)
-    true
-    (Float.abs (m -. 20.) < 1.);
-  (* small-n path (direct summation) *)
-  let m2 = mean_of 20_000 (fun rng -> float_of_int (Dist.binomial rng ~n:10 ~p:0.5)) in
-  Alcotest.(check bool)
-    (Printf.sprintf "binomial mean %.2f near 5" m2)
-    true
-    (Float.abs (m2 -. 5.) < 0.1);
-  (* complementary path p > 1/2 with large n *)
-  let m3 = mean_of 2_000 (fun rng -> float_of_int (Dist.binomial rng ~n:200 ~p:0.9)) in
-  Alcotest.(check bool)
-    (Printf.sprintf "binomial mean %.1f near 180" m3)
-    true
-    (Float.abs (m3 -. 180.) < 2.)
-
-let test_binomial_degenerate () =
-  let rng = Rng.create () in
-  check Alcotest.int "p=0" 0 (Dist.binomial rng ~n:100 ~p:0.);
-  check Alcotest.int "p=1" 100 (Dist.binomial rng ~n:100 ~p:1.);
-  check Alcotest.int "n=0" 0 (Dist.binomial rng ~n:0 ~p:0.5)
-
-let test_geometric_mean () =
-  let m = mean_of 20_000 (fun rng -> float_of_int (Dist.geometric rng ~p:0.25)) in
-  (* mean = (1-p)/p = 3 *)
-  Alcotest.(check bool)
-    (Printf.sprintf "geometric mean %.2f near 3" m)
-    true
-    (Float.abs (m -. 3.) < 0.15)
-
 let test_poisson_mean () =
   let m = mean_of 20_000 (fun rng -> float_of_int (Dist.poisson rng ~mean:6.5)) in
   Alcotest.(check bool)
@@ -187,6 +153,47 @@ let test_normal_moments () =
   let xs = Array.init 20_000 (fun _ -> Dist.normal rng ~mean:3. ~std:2.) in
   Alcotest.(check bool) "mean near 3" true (Float.abs (Stats.mean xs -. 3.) < 0.1);
   Alcotest.(check bool) "std near 2" true (Float.abs (Stats.std xs -. 2.) < 0.1)
+
+(* The first outputs of every stream primitive for two seeds.  Any change
+   to the generator's arithmetic or state layout moves a bit here. *)
+let test_stream_golden () =
+  let expect seed ~bits ~ints ~floats ~split ~after_split ~derive ~after_derive =
+    let r = Rng.create ~seed () in
+    let name what = Printf.sprintf "seed %d %s" seed what in
+    List.iter (fun v -> check Alcotest.int64 (name "bits64") v (Rng.bits64 r)) bits;
+    List.iter (fun v -> check Alcotest.int (name "int 1000") v (Rng.int r 1000)) ints;
+    List.iter
+      (fun v -> check (Alcotest.float 0.) (name "float") v (Rng.float r))
+      floats;
+    let child = Rng.split r in
+    check Alcotest.int64 (name "split child") split (Rng.bits64 child);
+    check Alcotest.int64 (name "after split") after_split (Rng.bits64 r);
+    let d = Rng.derive r ~index:7 in
+    check Alcotest.int64 (name "derive 7") derive (Rng.bits64 d);
+    check Alcotest.int64 (name "after derive") after_derive (Rng.bits64 r)
+  in
+  expect 1
+    ~bits:[ -3475142291704528229L; -4665094578477473651L; 1847458086238483744L ]
+    ~ints:[ 117; 945; 121 ]
+    ~floats:[ 0x1.f9478f2a11e82p-1; 0x1.0bfd4b9206c7ep-1 ]
+    ~split:(-5969713029300760893L) ~after_split:2477283028068920342L
+    ~derive:(-4462678492829440922L) ~after_derive:(-1468719962161945015L);
+  expect 42
+    ~bits:[ -3425465463722317665L; 5881210131331364753L; -297100157724070516L ]
+    ~ints:[ 366; 332; 991 ]
+    ~floats:[ 0x1.00b8c7f910d18p-3; 0x1.35d29c0e1db19p-1 ]
+    ~split:1381520278231224474L ~after_split:(-1229528662580879148L)
+    ~derive:(-3720932534224915042L) ~after_derive:(-8125062621930030782L)
+
+let test_bits53_is_float () =
+  let a = Rng.create ~seed:5 () in
+  let b = Rng.copy a in
+  for _ = 1 to 100 do
+    let v = Rng.bits53 a in
+    Alcotest.(check bool) "in [0, 2^53)" true (v >= 0 && v < 1 lsl 53);
+    check (Alcotest.float 0.) "float is bits53 / 2^53"
+      (float_of_int v *. 0x1p-53) (Rng.float b)
+  done
 
 let test_shuffle_permutation () =
   let rng = Rng.create ~seed:21 () in
@@ -278,9 +285,6 @@ let test_validation_errors () =
   Alcotest.check_raises "bernoulli p>1"
     (Invalid_argument "Dist.bernoulli: p out of [0,1]") (fun () ->
       ignore (Dist.bernoulli rng 1.5));
-  Alcotest.check_raises "geometric p=0"
-    (Invalid_argument "Dist.geometric: p out of (0,1]") (fun () ->
-      ignore (Dist.geometric rng ~p:0.));
   Alcotest.check_raises "sample_distinct k>bound"
     (Invalid_argument "Dist.sample_distinct: bad k") (fun () ->
       ignore (Dist.sample_distinct rng ~k:5 ~bound:3));
@@ -337,12 +341,11 @@ let suite =
     Alcotest.test_case "float range" `Quick test_float_range;
     Alcotest.test_case "int_in_range" `Quick test_int_in_range;
     Alcotest.test_case "bernoulli rate" `Quick test_bernoulli_rate;
-    Alcotest.test_case "binomial moments" `Quick test_binomial_moments;
-    Alcotest.test_case "binomial degenerate" `Quick test_binomial_degenerate;
-    Alcotest.test_case "geometric mean" `Quick test_geometric_mean;
     Alcotest.test_case "poisson mean" `Quick test_poisson_mean;
     Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
     Alcotest.test_case "normal moments" `Quick test_normal_moments;
+    Alcotest.test_case "stream golden values" `Quick test_stream_golden;
+    Alcotest.test_case "bits53 is float's draw" `Quick test_bits53_is_float;
     Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
     Alcotest.test_case "sample_distinct basics" `Quick test_sample_distinct;
     Alcotest.test_case "sample_distinct uniformity" `Quick test_sample_distinct_uniform;

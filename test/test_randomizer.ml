@@ -232,6 +232,152 @@ let test_universe_mismatch () =
     (Invalid_argument "Randomizer.apply_db: universe mismatch") (fun () ->
       ignore (Randomizer.apply_db scheme rng db))
 
+(* Distribution of the one-pass sampler.  Each check is a chi-square
+   goodness of fit at the p-value floor of the [Stat] helpers (0.001). *)
+
+let p_floor = 0.001
+
+let fit name ~observed ~expected =
+  let p = Ppdm_check.Stat.chi_square_fit ~observed ~expected in
+  Alcotest.(check bool) (Printf.sprintf "%s: p = %.4f" name p) true (p >= p_floor)
+
+(* Universe 10 around t = {2, 3, 7}: the complement {0,1,4,5,6,8,9} holds
+   both ends of the universe and an item on each side of every run of t. *)
+let noise_universe = 10
+let noise_tx = Itemset.of_list [ 2; 3; 7 ]
+let noise_rho = 0.3
+
+let noise_samples f =
+  let scheme =
+    Randomizer.select_a_size ~universe:noise_universe ~size:3
+      ~keep_dist:[| 0.1; 0.2; 0.3; 0.4 |] ~rho:noise_rho
+  in
+  let rng = Rng.create ~seed:11 () in
+  let trials = Ppdm_check.Property.scaled ~base:20_000 in
+  for _ = 1 to trials do
+    f (Randomizer.apply scheme rng noise_tx)
+  done;
+  trials
+
+let test_noise_marginals () =
+  let hits = Array.make noise_universe 0 in
+  let trials =
+    noise_samples (fun y -> Itemset.iter (fun x -> hits.(x) <- hits.(x) + 1) y)
+  in
+  let n = float_of_int trials in
+  List.iter
+    (fun x ->
+      fit
+        (Printf.sprintf "item %d enters at rate rho" x)
+        ~observed:[| hits.(x); trials - hits.(x) |]
+        ~expected:[| n *. noise_rho; n *. (1. -. noise_rho) |])
+    [ 0; 1; 4; 5; 6; 8; 9 ]
+
+(* Adjacent complement items: 1 and 4 are consecutive ranks across the run
+   {2, 3} of t, 8 and 9 the last two; their joint cells must factor. *)
+let test_noise_pairs_independent () =
+  let pairs = [ (1, 4); (4, 5); (8, 9) ] in
+  let cells = List.map (fun _ -> Array.make 4 0) pairs in
+  let trials =
+    noise_samples (fun y ->
+        List.iter2
+          (fun (a, b) c ->
+            let i = (if Itemset.mem a y then 2 else 0) + if Itemset.mem b y then 1 else 0 in
+            c.(i) <- c.(i) + 1)
+          pairs cells)
+  in
+  let n = float_of_int trials and r = noise_rho in
+  let q = 1. -. r in
+  List.iter2
+    (fun (a, b) c ->
+      fit
+        (Printf.sprintf "items %d, %d independent" a b)
+        ~observed:c
+        ~expected:[| n *. q *. q; n *. q *. r; n *. r *. q; n *. r *. r |])
+    pairs cells
+
+(* For a fixed keep size j, every j-subset of t is equally likely. *)
+let test_kept_subsets_uniform () =
+  let tx = Itemset.of_list [ 3; 8; 11; 12; 19 ] in
+  List.iter
+    (fun j ->
+      let keep_dist = Array.init 6 (fun i -> if i = j then 1. else 0.) in
+      let scheme =
+        Randomizer.select_a_size ~universe:20 ~size:5 ~keep_dist ~rho:0.
+      in
+      let subsets = Array.of_list (Itemset.subsets_of_size tx j) in
+      let counts = Array.make (Array.length subsets) 0 in
+      let rng = Rng.create ~seed:(12 + j) () in
+      let trials = Ppdm_check.Property.scaled ~base:10_000 in
+      for _ = 1 to trials do
+        let y = Randomizer.apply scheme rng tx in
+        let i = ref 0 in
+        while not (Itemset.equal subsets.(!i) y) do
+          incr i
+        done;
+        counts.(!i) <- counts.(!i) + 1
+      done;
+      let cell = float_of_int trials /. float_of_int (Array.length subsets) in
+      fit
+        (Printf.sprintf "all C(5,%d) kept subsets" j)
+        ~observed:counts
+        ~expected:(Array.make (Array.length subsets) cell))
+    [ 1; 2; 3 ]
+
+let test_sampler_edges () =
+  let rng = Rng.create ~seed:13 () in
+  let tx = Itemset.of_list [ 0; 4; 9 ] in
+  let keep_dist = [| 0.25; 0.25; 0.25; 0.25 |] in
+  let mk ~universe rho = Randomizer.select_a_size ~universe ~size:3 ~keep_dist ~rho in
+  let no_noise = mk ~universe:10 0. in
+  for _ = 1 to 1_000 do
+    Alcotest.(check bool) "rho = 0 adds nothing" true
+      (Itemset.subset (Randomizer.apply no_noise rng tx) tx)
+  done;
+  (* A gap of ~1e300 ranks must clamp, not overflow int_of_float. *)
+  let tiny = mk ~universe:1_000 1e-300 in
+  for _ = 1 to 10_000 do
+    Alcotest.(check bool) "rho = 1e-300 adds nothing" true
+      (Itemset.subset (Randomizer.apply tiny rng tx) tx)
+  done;
+  (* m = universe: no complement to draw noise from, at any rho. *)
+  let full = Itemset.of_list [ 0; 1; 2 ] in
+  List.iter
+    (fun rho ->
+      let scheme = mk ~universe:3 rho in
+      for _ = 1 to 200 do
+        Alcotest.(check bool) "m = universe keeps a subset" true
+          (Itemset.subset (Randomizer.apply scheme rng full) full)
+      done)
+    [ 0.; 0.5; 1. ];
+  let empty_with rho universe =
+    Randomizer.apply (Randomizer.uniform ~universe ~p_keep:0.5 ~p_add:rho) rng
+      Itemset.empty
+  in
+  Alcotest.(check bool) "empty, rho = 0" true (Itemset.is_empty (empty_with 0. 7));
+  Alcotest.(check (list int)) "empty, rho = 1" [ 0; 1; 2; 3; 4; 5; 6 ]
+    (Itemset.to_list (empty_with 1. 7))
+
+(* Randomizing a transaction allocates its output and little else: a boxed
+   generator state or a per-call closure would cost thousands of words. *)
+let test_allocation_guard () =
+  let universe = 100 and calls = 10_000 in
+  let scheme =
+    Randomizer.select_a_size ~universe ~size:5
+      ~keep_dist:[| 0.05; 0.1; 0.15; 0.2; 0.2; 0.3 |] ~rho:0.2949
+  in
+  let rng = Rng.create ~seed:14 () in
+  let tx = Itemset.of_list [ 3; 17; 42; 60; 99 ] in
+  ignore (Randomizer.apply scheme rng tx);
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Randomizer.apply scheme rng tx))
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per call <= 256" per_call)
+    true (per_call <= 256.)
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -282,6 +428,11 @@ let suite =
     Alcotest.test_case "kept-fraction statistics" `Quick test_kept_fraction_statistics;
     Alcotest.test_case "noise-rate statistics" `Quick test_noise_rate_statistics;
     Alcotest.test_case "transition probability formula" `Slow test_transition_probability_formula;
+    Alcotest.test_case "noise marginals" `Quick test_noise_marginals;
+    Alcotest.test_case "adjacent noise independent" `Quick test_noise_pairs_independent;
+    Alcotest.test_case "kept subsets uniform" `Quick test_kept_subsets_uniform;
+    Alcotest.test_case "sampler edge cases" `Quick test_sampler_edges;
+    Alcotest.test_case "allocation guard" `Quick test_allocation_guard;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "tagged application" `Quick test_apply_db_tagged;
     Alcotest.test_case "universe mismatch" `Quick test_universe_mismatch;
