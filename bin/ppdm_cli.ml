@@ -118,6 +118,9 @@ let with_obs stats trace f =
       f
   end
 
+(* Everything a command prints or writes once its work is done. *)
+let emit f = Ppdm_obs.Span.with_ ~name:"emit" f
+
 let jobs_term =
   Arg.(
     value & opt int 1
@@ -158,6 +161,7 @@ let gen_cmd =
           Simple.zipf_clickstream rng ~universe ~exponent:1.1
             ~avg_size:(float_of_int size) ~count
     in
+    emit @@ fun () ->
     Io.write_file out db;
     Printf.printf "wrote %d transactions over %d items to %s (avg size %.2f)\n"
       (Db.length db) (Db.universe db) out (Db.avg_size db)
@@ -205,16 +209,28 @@ let resolve_source ~who input dbfile =
       Printf.eprintf "%s: one of --in or --db is required\n" who;
       exit 2
 
-let with_colfile ~who path f =
-  let cf =
-    try Colfile.open_file path with
-    | Colfile.Error e ->
-        Printf.eprintf "%s: %s: %s\n" who path (Colfile.error_message e);
-        exit 1
-    | Sys_error msg ->
-        Printf.eprintf "%s: %s\n" who msg;
-        exit 1
+(* The one error path for an input file: a malformed or missing file is
+   "<cmd>: <path>: <message>" and exit 1, never an uncaught exception. *)
+let with_input ~who path read =
+  let fail msg =
+    Printf.eprintf "%s: %s: %s\n" who path msg;
+    exit 1
   in
+  match read path with
+  | v -> v
+  | exception Failure msg -> fail msg
+  | exception Io.Item_out_of_universe { item; universe } ->
+      fail (Printf.sprintf "item %d outside the declared universe %d" item universe)
+  | exception Colfile.Error e -> fail (Colfile.error_message e)
+  | exception Sys_error msg ->
+      (* an open failure's message already starts with "<path>: " *)
+      let n = String.length path + 2 in
+      if String.starts_with ~prefix:(path ^ ": ") msg then
+        fail (String.sub msg n (String.length msg - n))
+      else fail msg
+
+let with_colfile ~who path f =
+  let cf = with_input ~who path Colfile.open_file in
   Fun.protect ~finally:(fun () -> Colfile.close cf) (fun () -> f cf)
 
 let randomize_cmd =
@@ -225,13 +241,14 @@ let randomize_cmd =
   in
   let run input out scheme_out spec seed jobs stats trace =
     with_obs stats trace @@ fun () ->
-    let db = Io.read_file input in
+    let db = with_input ~who:"randomize" input Io.read_file in
     let scheme = scheme_of_spec ~universe:(Db.universe db) spec in
     let rng = Rng.create ~seed () in
     let data =
       Pool.with_pool ~jobs (fun pool ->
           Parallel.randomize_db_tagged pool scheme rng db)
     in
+    emit @@ fun () ->
     Io.write_tagged out ~universe:(Db.universe db) data;
     Option.iter
       (fun path ->
@@ -358,7 +375,7 @@ let mine_cmd =
     let n, frequent =
       match source with
       | `Row path ->
-          let db = Io.read_file path in
+          let db = with_input ~who:"mine" path Io.read_file in
           ( Db.length db,
             Pool.with_pool ~jobs (fun pool ->
                 Parallel.apriori_mine pool db ~min_support ~max_size ~counter)
@@ -372,6 +389,7 @@ let mine_cmd =
                   ~counter)
           )
     in
+    emit @@ fun () ->
     Printf.printf "%d frequent itemsets at minsup %.3f:\n" (List.length frequent) min_support;
     List.iter
       (fun (s, c) ->
@@ -403,7 +421,7 @@ let private_cmd =
     with_obs stats trace @@ fun () ->
     let db =
       match source with
-      | `Row path -> Io.read_file path
+      | `Row path -> with_input ~who:"private" path Io.read_file
       | `Columnar path ->
           (* randomization is inherently row-major (it rewrites
              transactions), so a columnar source is transposed back *)
@@ -418,6 +436,7 @@ let private_cmd =
             Parallel.apriori_mine pool db ~min_support ~max_size ~counter ))
     in
     let mined = Ppmining.mine ~scheme ~data ~min_support ~max_size () in
+    emit @@ fun () ->
     Printf.printf "operator: %s\n" (Randomizer.name scheme);
     Printf.printf "%d itemsets discovered privately (truth: %d)\n"
       (List.length mined.Ppmining.discovered) (List.length truth);
@@ -485,26 +504,17 @@ let recover_cmd =
         let itemset = Itemset.of_list items in
         let n = Vertical.length vt in
         let count = Vertical.support_count vt itemset in
+        emit @@ fun () ->
         Printf.printf "exact support of %s: %.5f (sigma 0.00000, N = %d)\n"
           (Itemset.to_string itemset)
           (if n = 0 then 0. else float_of_int count /. float_of_int n)
           n
     | `Row input ->
     with_obs stats trace @@ fun () ->
-    let universe, data =
-      match Io.read_tagged input with
-      | tagged -> tagged
-      | exception Io.Item_out_of_universe { item; universe } ->
-          Printf.eprintf "recover: %s: item %d outside the declared universe %d\n"
-            input item universe;
-          exit 1
-      | exception Failure msg ->
-          Printf.eprintf "recover: %s: %s\n" input msg;
-          exit 1
-    in
+    let universe, data = with_input ~who:"recover" input Io.read_tagged in
     let scheme =
       match scheme_file with
-      | Some path -> Scheme_io.read_file path
+      | Some path -> with_input ~who:"recover" path Scheme_io.read_file
       | None -> scheme_of_spec ~universe spec
     in
     let itemset = Itemset.of_list items in
@@ -523,6 +533,7 @@ let recover_cmd =
             Estimator.estimate_sampled ~population ~scheme ~data:sampled
               ~itemset
     in
+    emit @@ fun () ->
     if e.Estimator.n_population > e.Estimator.n_transactions then
       Printf.printf
         "estimated support of %s: %.5f (combined sigma %.5f, n = %d of N = %d)\n"
@@ -550,7 +561,11 @@ let stats_cmd =
   in
   let run input fimi stats trace =
     with_obs stats trace @@ fun () ->
-    let db = if fimi then Io.read_fimi input else Io.read_file input in
+    let db =
+      with_input ~who:"stats" input
+        (if fimi then fun path -> Io.read_fimi path else Io.read_file)
+    in
+    emit @@ fun () ->
     Printf.printf "transactions:   %d\n" (Db.length db);
     Printf.printf "universe:       %d items\n" (Db.universe db);
     Printf.printf "average size:   %.2f\n" (Db.avg_size db);
@@ -1131,21 +1146,17 @@ let convert_cmd =
   in
   let run src dst universe stats trace =
     with_obs stats trace @@ fun () ->
-    match Colfile.convert ?universe ~src ~dst () with
-    | s ->
-        Printf.printf
-          "wrote %s: %d transactions over %d items, %d containers (%d \
-           dense, %d sparse, %d run), %d payload bytes\n"
-          dst s.Colfile.cv_transactions s.Colfile.cv_universe
-          s.Colfile.cv_blocks s.Colfile.cv_dense s.Colfile.cv_sparse
-          s.Colfile.cv_run s.Colfile.cv_payload_bytes
-    | exception Io.Item_out_of_universe { item; universe } ->
-        Printf.eprintf "convert: item %d outside the declared universe %d\n"
-          item universe;
-        exit 1
-    | exception Failure msg ->
-        Printf.eprintf "convert: %s\n" msg;
-        exit 1
+    let s =
+      with_input ~who:"convert" src (fun src ->
+          Colfile.convert ?universe ~src ~dst ())
+    in
+    emit @@ fun () ->
+    Printf.printf
+      "wrote %s: %d transactions over %d items, %d containers (%d dense, %d \
+       sparse, %d run), %d payload bytes\n"
+      dst s.Colfile.cv_transactions s.Colfile.cv_universe s.Colfile.cv_blocks
+      s.Colfile.cv_dense s.Colfile.cv_sparse s.Colfile.cv_run
+      s.Colfile.cv_payload_bytes
   in
   Cmd.v
     (Cmd.info "convert"

@@ -6,8 +6,8 @@
     amplification is [γ = max_y max_{x1,x2} C(y|x1)/C(y|x2)], and the
     breach-prevention theorem applies verbatim.  This module provides that
     general form — the itemset transition matrices of {!Transition} are
-    one instance, the binned numeric-attribute channels of
-    {!Ppdm_numeric} (built on this) another.
+    one instance, the binned numeric-attribute channels of experiment E1
+    another.
 
     Distribution recovery mirrors the itemset estimators: unbiased matrix
     inversion or maximum-likelihood EM over observed output counts. *)

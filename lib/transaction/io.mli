@@ -2,18 +2,30 @@
 
     Format: a header line ["universe <n> transactions <count>"] followed by
     one line per transaction of space-separated item ids (an empty
-    transaction is an empty line).  Human-inspectable and diff-friendly. *)
+    transaction is an empty line).  Human-inspectable and diff-friendly.
+
+    Every reader below runs on one item decoder and one line loop,
+    inside one [io.read] span.  A line is trimmed as by [String.trim]
+    and split on spaces (so CRLF files read as LF files do); a token is
+    read as [int_of_string_opt] reads it, so [+3], [0x3], [1_0] and
+    [007] are items.  Items may come in any order and repeat; a row is
+    the set.  A header format takes exactly the declared count of rows,
+    then only blank lines.  The count sizes the row array only up to
+    2{^20} rows, so a corrupt count fails as a short body rather than
+    as an allocation. *)
 
 val write_channel : out_channel -> Db.t -> unit
 val write_file : string -> Db.t -> unit
 
 val read_channel : in_channel -> Db.t
-(** Reads to the end of the channel.  @raise Failure on malformed input
-    (bad header, non-integer item, item outside the declared universe,
-    fewer transactions than declared, or trailing non-blank content after
-    the declared count — either direction of a count/body mismatch is an
-    error, so a truncated or corrupted header never silently under-reads
-    the file). *)
+(** Reads to the end of the channel.  @raise Failure on malformed input,
+    with a message starting ["Io.read: "]: ["empty input"], ["malformed
+    header"], ["malformed header values"], ["bad item \"tok\""], ["item
+    outside the declared universe"] (a negative id included), ["fewer
+    transactions than declared"] or ["trailing content after the
+    declared transactions"].  Either direction of a count/body mismatch
+    is an error, so a truncated or corrupted header never silently
+    under-reads the file. *)
 
 val read_file : string -> Db.t
 
@@ -28,13 +40,14 @@ val read_file : string -> Db.t
 val write_tagged : string -> universe:int -> (int * Itemset.t) array -> unit
 
 val read_tagged : string -> int * (int * Itemset.t) array
-(** The declared universe and the rows, on the same item-line parser and
-    count contract as {!read_channel}.
-    @raise Failure on malformed input (bad header, a row without the
-    [|] separator, a negative or non-integer size, a non-integer item,
-    fewer rows than declared, or trailing non-blank content).
+(** The declared universe and the rows, on the same decoder and count
+    contract as {!read_channel}.
+    @raise Failure on malformed input, with a message starting
+    ["Io.read_tagged: "]: those of {!read_channel}, plus ["row without
+    a size|items separator"] and ["bad size \"tok\""] (a negative or
+    non-integer size).
     @raise Item_out_of_universe on an item outside the declared
-    universe. *)
+    universe, a negative one included. *)
 
 (** {1 FIMI format}
 
@@ -54,7 +67,8 @@ exception Item_out_of_universe of { item : int; universe : int }
     from a syntax error. *)
 
 val read_fimi : ?universe:int -> string -> Db.t
-(** @raise Failure on non-integer tokens.
+(** @raise Failure ["Io.read_fimi: bad item \"tok\""] on a non-integer
+    or negative token.
     @raise Item_out_of_universe the moment an item at or above an
     explicitly given [universe] is read — an out-of-range item is never
     silently folded into a too-small universe.  An empty file yields an

@@ -115,6 +115,10 @@ let test_io_malformed () =
   (* an understated header count must not silently drop the tail *)
   expect_failure "trailing transaction" "universe 2 transactions 1\n0 1\n0\n";
   expect_failure "trailing garbage" "universe 2 transactions 1\n0 1\nhello\n";
+  (* a corrupt count sizes no allocation: it fails as a short body *)
+  Alcotest.check_raises "huge declared count"
+    (Failure "Io.read: fewer transactions than declared") (fun () ->
+      ignore (read_string "universe 2 transactions 99999999999\n0 1\n"));
   (* trailing blank lines (e.g. editor-added final newline) stay legal *)
   let db = read_string "universe 2 transactions 1\n0 1\n\n  \n" in
   Alcotest.(check int) "blank tail tolerated" 1 (Db.length db)
@@ -161,11 +165,140 @@ let test_tagged_malformed () =
   expect_failure "bad header" "universe 10 transactions 1\n2|1 3\n";
   expect_failure "empty input" "";
   expect_failure "trailing row" "tagged 10 transactions 1\n2|1 3\n2|4\n";
+  Alcotest.check_raises "huge declared count"
+    (Failure "Io.read_tagged: fewer transactions than declared") (fun () ->
+      ignore (read "tagged 2 transactions 99999999999\n2|0 1\n"));
   match read "tagged 10 transactions 1\n2|1 42\n" with
   | exception Io.Item_out_of_universe { item = 42; universe = 10 } -> ()
   | exception Io.Item_out_of_universe _ ->
       Alcotest.fail "wrong item/universe in the typed error"
   | _ -> Alcotest.fail "out-of-universe item accepted"
+
+(* The reader contract as a table: every reader [Failure] with its exact
+   message, the fields of the typed out-of-universe error, CRLF line
+   ends, and the non-decimal tokens [int_of_string_opt] accepts. *)
+type outcome =
+  | Rows of int * int list list  (** universe, rows *)
+  | Fails of string
+  | Outside of int * int  (** item, universe *)
+
+let reader_contract =
+  let plain s = read_string_with Io.read_file s in
+  let tagged s = read_string_with Io.read_tagged s in
+  let fimi ?universe s = read_string_with (Io.read_fimi ?universe) s in
+  let fold ?universe s =
+    read_string_with
+      (fun p ->
+        let rows, info =
+          Io.fold_transactions ?universe p ~init:[] ~f:(fun acc tx ->
+              tx :: acc)
+        in
+        (info.Io.universe, List.rev rows))
+      s
+  in
+  let db r =
+    let db = r () in
+    Rows (Db.universe db, List.map Itemset.to_list (Array.to_list (Db.transactions db)))
+  in
+  let rows r =
+    let u, rows = r () in
+    Rows (u, List.map Itemset.to_list rows)
+  in
+  (* a tagged row's size becomes its first element *)
+  let tagged_rows s =
+    let u, rows = tagged s in
+    Rows (u, Array.to_list (Array.map (fun (n, t) -> n :: Itemset.to_list t) rows))
+  in
+  [
+    ("plain: no header", (fun () -> db (fun () -> plain "1 2 3\n")),
+     Fails "Io.read: malformed header");
+    ("plain: negative universe", (fun () -> db (fun () -> plain "universe -1 transactions 0\n")),
+     Fails "Io.read: malformed header values");
+    ("plain: bad item", (fun () -> db (fun () -> plain "universe 4 transactions 1\n1 foo\n")),
+     Fails "Io.read: bad item \"foo\"");
+    ("plain: item outside", (fun () -> db (fun () -> plain "universe 2 transactions 1\n5\n")),
+     Fails "Io.read: item outside the declared universe");
+    ("plain: negative item", (fun () -> db (fun () -> plain "universe 2 transactions 1\n-1\n")),
+     Fails "Io.read: item outside the declared universe");
+    ("plain: truncated", (fun () -> db (fun () -> plain "universe 2 transactions 2\n0\n")),
+     Fails "Io.read: fewer transactions than declared");
+    ("plain: trailing", (fun () -> db (fun () -> plain "universe 2 transactions 1\n0\n1\n")),
+     Fails "Io.read: trailing content after the declared transactions");
+    ("plain: empty", (fun () -> db (fun () -> plain "")), Fails "Io.read: empty input");
+    ("plain: CRLF", (fun () -> db (fun () -> plain "universe 5 transactions 2\r\n3 1\r\n\r\n")),
+     Rows (5, [ [ 1; 3 ]; [] ]));
+    ("plain: non-decimal tokens",
+     (fun () -> db (fun () -> plain "universe 20 transactions 1\n+3 0x3 1_0 007  0b1 0o7\n")),
+     Rows (20, [ [ 1; 3; 7; 10 ] ]));
+    ("tagged: bad header", (fun () -> tagged_rows "universe 10 transactions 1\n2|1\n"),
+     Fails "Io.read_tagged: malformed header");
+    ("tagged: bad item", (fun () -> tagged_rows "tagged 10 transactions 1\n2|1 x 3\n"),
+     Fails "Io.read_tagged: bad item \"x\"");
+    ("tagged: no separator", (fun () -> tagged_rows "tagged 10 transactions 1\n1 3\n"),
+     Fails "Io.read_tagged: row without a size|items separator");
+    ("tagged: bad size", (fun () -> tagged_rows "tagged 10 transactions 1\n z|1 3\n"),
+     Fails "Io.read_tagged: bad size \" z\"");
+    ("tagged: negative size", (fun () -> tagged_rows "tagged 10 transactions 1\n-1|1 3\n"),
+     Fails "Io.read_tagged: bad size \"-1\"");
+    ("tagged: truncated", (fun () -> tagged_rows "tagged 10 transactions 2\n2|1 3\n"),
+     Fails "Io.read_tagged: fewer transactions than declared");
+    ("tagged: trailing", (fun () -> tagged_rows "tagged 10 transactions 1\n2|1\n2|4\n"),
+     Fails "Io.read_tagged: trailing content after the declared transactions");
+    ("tagged: empty", (fun () -> tagged_rows ""), Fails "Io.read_tagged: empty input");
+    ("tagged: item outside", (fun () -> tagged_rows "tagged 10 transactions 1\n2|1 42\n"),
+     Outside (42, 10));
+    ("tagged: negative item", (fun () -> tagged_rows "tagged 10 transactions 1\n2|-4\n"),
+     Outside (-4, 10));
+    ("tagged: CRLF and tokens",
+     (fun () -> tagged_rows "tagged 10 transactions 2\r\n 3 |9 +2 0x1\r\n0|\r\n"),
+     Rows (10, [ [ 3; 1; 2; 9 ]; [ 0 ] ]));
+    ("fimi: bad item", (fun () -> db (fun () -> fimi "1 2 x\n")),
+     Fails "Io.read_fimi: bad item \"x\"");
+    ("fimi: negative item", (fun () -> db (fun () -> fimi "1 -2\n")),
+     Fails "Io.read_fimi: bad item \"-2\"");
+    ("fimi: item outside", (fun () -> db (fun () -> fimi ~universe:3 "0 1\n2 7\n")),
+     Outside (7, 3));
+    ("fimi: CRLF and tokens", (fun () -> db (fun () -> fimi "5 0x2 +1\r\n\r\n007\r\n")),
+     Rows (8, [ [ 1; 2; 5 ]; []; [ 7 ] ]));
+    ("fimi: empty", (fun () -> db (fun () -> fimi "")), Rows (1, []));
+    (* 18 digits is the widest token that cannot overflow *)
+    ("fimi: 18 digits", (fun () -> rows (fun () -> fold "999999999999999999\n")),
+     Rows (1_000_000_000_000_000_000, [ [ 999_999_999_999_999_999 ] ]));
+    ("fimi: 19 digits", (fun () -> db (fun () -> fimi "9999999999999999999\n")),
+     Fails "Io.read_fimi: bad item \"9999999999999999999\"");
+    ("fold: header", (fun () -> rows (fun () -> fold "universe 6 transactions 1\r\n5 1\r\n")),
+     Rows (6, [ [ 1; 5 ] ]));
+    ("fold: override disagrees",
+     (fun () -> rows (fun () -> fold ~universe:7 "universe 6 transactions 0\n")),
+     Fails "Io.fold_transactions: universe override disagrees with the header");
+    ("fold: truncated", (fun () -> rows (fun () -> fold "universe 6 transactions 2\n1\n")),
+     Fails "Io.read: fewer transactions than declared");
+    ("fold: fimi", (fun () -> rows (fun () -> fold "3 +1\n\n")), Rows (4, [ [ 1; 3 ]; [] ]));
+    ("fold: fimi outside", (fun () -> rows (fun () -> fold ~universe:2 "1\n0 2\n")),
+     Outside (2, 2));
+    ("fold: fimi bad item", (fun () -> rows (fun () -> fold "1 -1\n")),
+     Fails "Io.read_fimi: bad item \"-1\"");
+  ]
+
+let test_reader_contract () =
+  let show = function
+    | Rows (u, rows) ->
+        Printf.sprintf "universe %d: %s" u
+          (String.concat " / "
+             (List.map (fun r -> String.concat "," (List.map string_of_int r)) rows))
+    | Fails msg -> "Failure " ^ msg
+    | Outside (item, universe) -> Printf.sprintf "Item_out_of_universe %d/%d" item universe
+  in
+  List.iter
+    (fun (name, run, expected) ->
+      let got =
+        match run () with
+        | r -> r
+        | exception Failure msg -> Fails msg
+        | exception Io.Item_out_of_universe { item; universe } -> Outside (item, universe)
+      in
+      Alcotest.(check string) name (show expected) (show got))
+    reader_contract
 
 let test_fimi_roundtrip () =
   let path = Filename.temp_file "ppdm_fimi" ".dat" in
@@ -265,5 +398,6 @@ let suite =
     Alcotest.test_case "tagged malformed inputs" `Quick test_tagged_malformed;
     Alcotest.test_case "fimi round-trip" `Quick test_fimi_roundtrip;
     Alcotest.test_case "fimi malformed" `Quick test_fimi_malformed;
+    Alcotest.test_case "reader contract" `Quick test_reader_contract;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_tests

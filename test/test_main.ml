@@ -23,7 +23,6 @@ let () =
       ("scheme_io", Test_scheme_io.suite);
       ("em", Test_em.suite);
       ("channel", Test_channel.suite);
-      ("numeric", Test_numeric.suite);
       ("experiment", Test_experiment.suite);
       ("fuzz", Test_fuzz.suite);
       ("rules", Test_rules.suite);
