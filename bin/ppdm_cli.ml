@@ -229,6 +229,15 @@ let with_input ~who path read =
         fail (String.sub msg n (String.length msg - n))
       else fail msg
 
+(* An operator under which a size class carries no signal fails the
+   estimate with a typed error: "<cmd>: size class S is unrecoverable at
+   k = K" and exit 1. *)
+let recoverable ~who f =
+  try f ()
+  with Estimator.Unrecoverable { size; k } ->
+    Printf.eprintf "%s: size class %d is unrecoverable at k = %d\n" who size k;
+    exit 1
+
 let with_colfile ~who path f =
   let cf = with_input ~who path Colfile.open_file in
   Fun.protect ~finally:(fun () -> Colfile.close cf) (fun () -> f cf)
@@ -295,8 +304,10 @@ let analyze_cmd =
           (100. *. Breach.worst_item_posterior r ~prior))
       [ 0.01; 0.05 ];
     for k = 1 to min 3 size do
-      Printf.printf "lowest discoverable support (k=%d, N=100k): %.4f\n" k
-        (Estimator.lowest_discoverable_support r ~k ~n:100_000 ~p_bg:0.02)
+      Printf.printf "lowest discoverable support (k=%d, N=100k): %s\n" k
+        (match Estimator.lowest_discoverable_support r ~k ~n:100_000 ~p_bg:0.02 with
+        | s -> Printf.sprintf "%.4f" s
+        | exception Estimator.Unrecoverable _ -> "unrecoverable")
     done
   in
   Cmd.v
@@ -435,7 +446,10 @@ let private_cmd =
           ( Parallel.randomize_db_tagged pool scheme rng db,
             Parallel.apriori_mine pool db ~min_support ~max_size ~counter ))
     in
-    let mined = Ppmining.mine ~scheme ~data ~min_support ~max_size () in
+    let mined =
+      recoverable ~who:"private" (fun () ->
+          Ppmining.mine ~scheme ~data ~min_support ~max_size ())
+    in
     emit @@ fun () ->
     Printf.printf "operator: %s\n" (Randomizer.name scheme);
     Printf.printf "%d itemsets discovered privately (truth: %d)\n"
@@ -519,6 +533,7 @@ let recover_cmd =
     in
     let itemset = Itemset.of_list items in
     let e =
+      recoverable ~who:"recover" @@ fun () ->
       match counter with
       | Exact ->
           (* The exact engine reads every row here; the flag is accepted

@@ -33,7 +33,7 @@ let sigma_at (d : Optimizer.design) ~k =
       ~n:100_000
   with
   | sigma -> sigma
-  | exception Ppdm_linalg.Lu.Singular -> Float.infinity
+  | exception Estimator.Unrecoverable _ -> Float.infinity
 
 let () =
   let m = 5 in

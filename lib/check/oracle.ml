@@ -257,6 +257,112 @@ let brute_force_support_estimate ~scheme ~data ~itemset =
   let x = solve_gaussian a frac in
   x.(k)
 
+(* ------------------------------------------------ estimator matrix route *)
+
+(* The estimator as it was first written: the whole conditional
+   covariance, conjugated by the whole inverse (or pseudo-inverse) with
+   Mat.mul, then read at (k, k).  The library forms only that entry;
+   these must agree with it bit for bit. *)
+
+(* Cov(s') = (1/N) Σ_l s_l (diag(p_l) - p_l p_lᵀ), negative partials
+   clamped. *)
+let conditional_cov p partials n =
+  let rows = Mat.rows p and cols = Mat.cols p in
+  let cov = Array.make (rows * rows) 0. in
+  for l = 0 to cols - 1 do
+    let w = Float.max 0. partials.(l) /. float_of_int n in
+    if w > 0. then begin
+      let col = Mat.col p l in
+      for i = 0 to rows - 1 do
+        for j = 0 to rows - 1 do
+          let v = if i = j then col.(i) *. (1. -. col.(i)) else -.(col.(i) *. col.(j)) in
+          cov.((i * rows) + j) <- cov.((i * rows) + j) +. (w *. v)
+        done
+      done
+    end
+  done;
+  Mat.of_flat ~rows ~cols:rows cov
+
+(* One class: P⁻¹ (or the normal-equation pseudo-inverse when m < k)
+   applied to the observed fractions, the covariance conjugated whole,
+   both padded with structural zeros past column m. *)
+let reference_class scheme ~size ~k counts =
+  let resolved = Randomizer.resolve scheme ~size in
+  let cols = min k (Array.length resolved.keep_dist - 1) + 1 in
+  let p = Transition.rect_matrix resolved ~k in
+  let unrecoverable () = raise (Estimator.Unrecoverable { size; k }) in
+  let pinv =
+    match
+      if cols = k + 1 then Lu.inverse (Lu.decompose p)
+      else
+        let pt = Mat.transpose p in
+        Lu.solve_mat (Lu.decompose (Mat.mul pt p)) pt
+    with
+    | pinv when Mat.norm_inf p *. Mat.norm_inf pinv <= 1e12 -> pinv
+    | _ -> unrecoverable ()
+    | exception Lu.Singular -> unrecoverable ()
+  in
+  let n = Array.fold_left ( + ) 0 counts in
+  let observed = Array.map (fun c -> float_of_int c /. float_of_int n) counts in
+  let short = Mat.mul_vec pinv observed in
+  let cov_obs = conditional_cov p short n in
+  let cov_short = Mat.mul pinv (Mat.mul cov_obs (Mat.transpose pinv)) in
+  let partials = Array.make (k + 1) 0. in
+  Array.blit short 0 partials 0 cols;
+  let covariance =
+    Mat.init ~rows:(k + 1) ~cols:(k + 1) (fun i j ->
+        if i < cols && j < cols then Mat.get cov_short i j else 0.)
+  in
+  (partials, covariance, n)
+
+let reference_estimate ?population ~scheme ~k counts =
+  let total =
+    List.fold_left (fun acc (_, c) -> acc + Array.fold_left ( + ) 0 c) 0 counts
+  in
+  let counts = List.filter (fun (_, c) -> Array.exists (( <> ) 0) c) counts in
+  let partials = Array.make (k + 1) 0. in
+  let covariance = Mat.create ~rows:(k + 1) ~cols:(k + 1) in
+  List.iter
+    (fun (size, c) ->
+      let class_partials, class_cov, n = reference_class scheme ~size ~k c in
+      let w = float_of_int n /. float_of_int total in
+      for l = 0 to k do
+        partials.(l) <- partials.(l) +. (w *. class_partials.(l));
+        for l2 = 0 to k do
+          Mat.set covariance l l2
+            (Mat.get covariance l l2 +. (w *. w *. Mat.get class_cov l l2))
+        done
+      done)
+    counts;
+  let population = Option.value population ~default:total in
+  if population > total then begin
+    let extra = Estimator.sampling_covariance ~partials ~n:total ~population in
+    for l = 0 to k do
+      for l2 = 0 to k do
+        Mat.set covariance l l2 (Mat.get covariance l l2 +. Mat.get extra l l2)
+      done
+    done
+  end;
+  {
+    Estimator.support = partials.(k);
+    partials;
+    sigma = sqrt (Float.max 0. (Mat.get covariance k k));
+    n_transactions = total;
+    n_population = population;
+  }
+
+let reference_predicted_sigma ?population p ~k ~partials ~n =
+  let population = Option.value population ~default:n in
+  let cov_obs = conditional_cov p partials n in
+  let pinv = Lu.inverse (Lu.decompose p) in
+  let cov = Mat.mul pinv (Mat.mul cov_obs (Mat.transpose pinv)) in
+  let sampling =
+    if population > n then
+      Mat.get (Estimator.sampling_covariance ~partials ~n ~population) k k
+    else 0.
+  in
+  sqrt (Float.max 0. (Mat.get cov k k +. sampling))
+
 (* ------------------------------------------------ transition reference *)
 
 (* P(l' | l) summed entry by entry, every pmf recomputed in log space:
@@ -304,8 +410,8 @@ let reference_search ~m ~rho ~gamma =
       List.fold_left
         (fun acc (k, partials) ->
           acc
-          +. Estimator.predicted_sigma_of_matrix (transition_matrix r ~k) ~k
-               ~partials ~n:100_000)
+          +. reference_predicted_sigma (transition_matrix r ~k) ~k ~partials
+               ~n:100_000)
         0. profiles
     with
     | total -> -.total
@@ -391,8 +497,9 @@ let reference_design_rho ~m ~gamma =
 (* ------------------------------------------------ private miner reference *)
 
 (* The level-wise private miner with nothing shared between candidates:
-   every candidate, singletons included, is estimated on its own by
-   Estimator.estimate, which rescans the whole tagged database. *)
+   every candidate, singletons included, is counted on its own by a
+   rescan of the whole tagged database and estimated by the matrix
+   route. *)
 let ppmining_reference ~max_size ~sigma_slack ~sigma_cap ~scheme ~data
     ~min_support =
   let eps = 1e-12 in
@@ -401,7 +508,10 @@ let ppmining_reference ~max_size ~sigma_slack ~sigma_cap ~scheme ~data
     && d.est_support +. (sigma_slack *. d.sigma) >= min_support -. eps
   in
   let estimate itemset =
-    let e = Estimator.estimate ~scheme ~data ~itemset in
+    let e =
+      reference_estimate ~scheme ~k:(Itemset.cardinal itemset)
+        (Estimator.observed_partial_counts data ~itemset)
+    in
     { Ppmining.itemset; est_support = e.Estimator.support; sigma = e.Estimator.sigma }
   in
   let rec levels acc k candidates =

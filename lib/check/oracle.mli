@@ -97,6 +97,35 @@ val brute_force_support_estimate :
     @raise Invalid_argument on empty data, mixed transaction sizes, or a
     transaction size smaller than the itemset. *)
 
+(** {1 Estimator matrix route} *)
+
+val reference_estimate :
+  ?population:int ->
+  scheme:Randomizer.t ->
+  k:int ->
+  (int * int array) list ->
+  Estimator.t
+(** {!Ppdm.Estimator.estimate_from_counts} (or [_sampled] with
+    [population]) the way it was first written: per size class the whole
+    conditional covariance is built and conjugated by the whole inverse
+    (pseudo-inverse when the class is smaller than [k]) with
+    {!Ppdm_linalg.Mat.mul}, the classes' vectors and matrices are pooled
+    whole, and σ is read at entry [(k, k)].  The library forms only that
+    entry; the two must agree bit for bit.  Skips all-zero classes; does
+    not validate its input.
+    @raise Ppdm.Estimator.Unrecoverable as the library does. *)
+
+val reference_predicted_sigma :
+  ?population:int ->
+  Ppdm_linalg.Mat.t ->
+  k:int ->
+  partials:float array ->
+  n:int ->
+  float
+(** {!Ppdm.Estimator.predicted_sigma_of_matrix} by the matrix route: the
+    full inverse conjugating the full conditional covariance.
+    @raise Ppdm_linalg.Lu.Singular on a singular matrix. *)
+
 (** {1 Transition and operator-design reference} *)
 
 val transition_probability :
@@ -114,7 +143,7 @@ val reference_keep_dist : m:int -> rho:float -> gamma:float -> float array
 (** {!Ppdm.Optimizer.keep_dist} for the [Min_sigma_upto] objective with
     [design_for_estimation]'s defaults ([k_max = 3], [n = 100_000],
     [p_bg = 0.02], [support = 0.01]), restated with every vertex scored
-    through {!transition_matrix}. *)
+    through {!transition_matrix} and {!reference_predicted_sigma}. *)
 
 val reference_design_rho : m:int -> gamma:float -> float
 (** The ρ of {!Ppdm.Optimizer.design_for_estimation} at its defaults
@@ -133,8 +162,9 @@ val ppmining_reference :
   Ppmining.result
 (** The level-wise private miner with no shared counting: every candidate
     (all universe singletons, then the Apriori joins of each level's
-    survivors) is estimated on its own by {!Ppdm.Estimator.estimate}, a
-    full rescan of [data], and kept under the same slackened-threshold
+    survivors) is counted on its own by a full rescan of [data]
+    ({!Ppdm.Estimator.observed_partial_counts}), estimated by
+    {!reference_estimate}, and kept under the same slackened-threshold
     and σ-cap filter as {!Ppdm.Ppmining.mine}. *)
 
 val same_explored :

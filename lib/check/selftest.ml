@@ -92,6 +92,130 @@ let estimator_reference_check ~seed ~count =
              (Printf.sprintf "estimate %.9f but brute-force reference %.9f" est
                 reference)))
 
+(* ------------------------------------------ estimator kernel differential *)
+
+(* The library's σ kernel against the matrix route in Oracle, bit for bit:
+   estimates from random per-class histograms (sizes 0..12, so classes
+   smaller than k take the pseudo-inverse; some classes all zero; half
+   the cases sampled out of a larger population), and predicted σ on the
+   class matrices.  A class the library rejects as unrecoverable must be
+   rejected by the reference too. *)
+let estimator_kernel_differential ~seed ~count =
+  let universe = 40 in
+  let optimized =
+    Optimizer.scheme_for_estimation ~rho:0.2 ~universe ~gamma:19. ()
+  in
+  let bits = Int64.bits_of_float in
+  let same_float a b = Int64.equal (bits a) (bits b) in
+  let outcome f =
+    match f () with
+    | v -> Ok v
+    | exception (Estimator.Unrecoverable _ as e) -> Error e
+    | exception (Ppdm_linalg.Lu.Singular as e) -> Error e
+  in
+  let compare_outcomes ~what ~same ~show got want =
+    match (outcome got, outcome want) with
+    | Ok a, Ok b when same a b -> Ok ()
+    | Error a, Error b when a = b -> Ok ()
+    | a, b ->
+        let show = function Ok v -> show v | Error e -> Printexc.to_string e in
+        Error (Printf.sprintf "%s: kernel %s, matrix route %s" what (show a) (show b))
+  in
+  let same_estimate (a : Estimator.t) (b : Estimator.t) =
+    same_float a.support b.support
+    && same_float a.sigma b.sigma
+    && Array.length a.partials = Array.length b.partials
+    && Array.for_all2 same_float a.partials b.partials
+    && a.n_transactions = b.n_transactions
+    && a.n_population = b.n_population
+  in
+  prop
+    (Property.check_result ~seed ~count:(max 300 (10 * count))
+       ~name:"estimator kernel == matrix route, bit for bit"
+       (Gen.int_range 0 1_000_000)
+       (fun key ->
+         let rng = Rng.create ~seed:key () in
+         let scheme =
+           match Rng.int rng 3 with
+           | 0 ->
+               Randomizer.uniform ~universe
+                 ~p_keep:(0.3 +. (0.65 *. Rng.float rng))
+                 ~p_add:(0.01 +. (0.3 *. Rng.float rng))
+           | 1 ->
+               Randomizer.cut_and_paste ~universe ~cutoff:(Rng.int rng 9)
+                 ~rho:(0.01 +. (0.4 *. Rng.float rng))
+           | _ -> optimized
+         in
+         let k = 1 + Rng.int rng 3 in
+         let sizes =
+           List.sort_uniq Int.compare (List.init (1 + Rng.int rng 5) (fun _ -> Rng.int rng 13))
+         in
+         let counts =
+           List.map
+             (fun size ->
+               ( size,
+                 if Rng.int rng 5 = 0 then Array.make (k + 1) 0
+                 else Array.init (k + 1) (fun _ -> Rng.int rng 60) ))
+             sizes
+         in
+         let total =
+           List.fold_left (fun acc (_, c) -> acc + Array.fold_left ( + ) 0 c) 0 counts
+         in
+         let population =
+           if Rng.int rng 2 = 0 then None else Some (total + Rng.int rng 1000)
+         in
+         let estimate () =
+           match population with
+           | None -> Estimator.estimate_from_counts ~scheme ~k ~counts
+           | Some population ->
+               Estimator.estimate_from_counts_sampled ~population ~scheme ~k ~counts
+         in
+         let label =
+           Printf.sprintf "%s k=%d classes %s%s" (Randomizer.name scheme) k
+             (String.concat ","
+                (List.map
+                   (fun (size, c) ->
+                     Printf.sprintf "%d:[%s]" size
+                       (String.concat " " (Array.to_list (Array.map string_of_int c))))
+                   counts))
+             (match population with
+             | None -> ""
+             | Some p -> Printf.sprintf " population %d" p)
+         in
+         let m = k + Rng.int rng (13 - k) in
+         let partials =
+           Estimator.binomial_profile ~k ~p_bg:(0.3 *. Rng.float rng)
+             ~support:(Rng.float rng)
+         in
+         let n = 1 + Rng.int rng 100_000 in
+         let population_p =
+           if Rng.int rng 2 = 0 then None else Some (n + Rng.int rng 100_000)
+         in
+         let p = Transition.matrix (Randomizer.resolve scheme ~size:m) ~k in
+         if total = 0 then Ok ()
+         else
+           match
+             compare_outcomes ~what:label ~same:same_estimate
+               ~show:(fun (e : Estimator.t) ->
+                 Printf.sprintf "support %h sigma %h partials [%s]" e.support e.sigma
+                   (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") e.partials))))
+               estimate (fun () ->
+                 Oracle.reference_estimate ?population ~scheme ~k counts)
+           with
+           | Error _ as e -> e
+           | Ok () ->
+               compare_outcomes
+                 ~what:
+                   (Printf.sprintf "%s predicted sigma at m=%d n=%d"
+                      (Randomizer.name scheme) m n)
+                 ~same:same_float ~show:(Printf.sprintf "%h")
+                 (fun () ->
+                   Estimator.predicted_sigma_of_matrix ?population:population_p p
+                     ~k ~partials ~n)
+                 (fun () ->
+                   Oracle.reference_predicted_sigma ?population:population_p p ~k
+                     ~partials ~n)))
+
 (* ------------------------------------------- private miner differential *)
 
 (* Six hot items carry the patterns over a background universe.  Sizes
@@ -752,6 +876,8 @@ let run ?count ?(seed = 42) ?(log = ignore) () =
           ( "differential: private miner == per-candidate reference, bit \
              for bit",
             fun () -> private_miner_differential ~seed );
+          ( "differential: estimator kernel == matrix route, bit for bit",
+            fun () -> estimator_kernel_differential ~seed ~count );
           ( "differential: estimator vs brute-force reference",
             fun () -> estimator_reference_check ~seed ~count );
           ( "differential: operator design on the basis == direct form",

@@ -5,7 +5,6 @@ type t = {
   support : float;
   partials : float array;
   sigma : float;
-  covariance : Mat.t;
   n_transactions : int;
   n_population : int;
 }
@@ -38,35 +37,57 @@ let observed_partial_counts data ~itemset =
     data;
   sorted_by_size by_size
 
-(* Conditional covariance of the observed fraction vector given the true
-   database: the randomization is the only noise source (the paper
-   conditions on the data), so
+exception Unrecoverable of { size : int; k : int }
+
+(* The (k, k) entry of P⁻¹ Cov(ŝ') P⁻ᵀ for a square (k+1) × (k+1) P, given
+   row-major in [p], with row k of P⁻¹ at [pinv.(row) ..].  Cov(ŝ') is the
+   covariance of the observed fraction vector given the true database:
+   the randomization is the only noise source (the paper conditions on
+   the data), so
    Cov(s') = (1/N) Σ_l s_l (diag(p_l) - p_l p_lᵀ)
-   with p_l the l-th column of the transition matrix.  Negative estimated
-   partials are clamped; an exact operator (identity) yields zero. *)
-let conditional_cov p partials n =
-  let rows = Mat.rows p and cols = Mat.cols p in
-  let cov = Array.make (rows * rows) 0. in
-  for l = 0 to cols - 1 do
-    let w = Float.max 0. partials.(l) /. float_of_int n in
-    if w > 0. then begin
-      let col = Mat.col p l in
-      for i = 0 to rows - 1 do
-        for j = 0 to rows - 1 do
-          let v = if i = j then col.(i) *. (1. -. col.(i)) else -.(col.(i) *. col.(j)) in
-          cov.((i * rows) + j) <- cov.((i * rows) + j) +. (w *. v)
-        done
-      done
+   with p_l the l-th column of P.  Negative estimated partials are
+   clamped; an exact operator (identity) yields zero.
+
+   Only the entry is formed, yet it is bit for bit the (k, k) entry of
+   [P⁻¹ (Cov P⁻ᵀ)] built with [Mat.mul]: each Cov(i, j) is the same sum
+   over l in the same order, and both products add their terms in the
+   same order and skip the same zero factors.  [w] (length k+1) is
+   scratch for the class weights s_l / N; nothing is allocated. *)
+let conjugated_kk ~dim ~p ~pinv ~row ~partials ~n ~w =
+  for l = 0 to dim - 1 do
+    w.(l) <- Float.max 0. partials.(l) /. float_of_int n
+  done;
+  let acc = ref 0. in
+  for i = 0 to dim - 1 do
+    let a = pinv.(row + i) in
+    if a <> 0. then begin
+      (* (Cov P⁻ᵀ)(i, k) *)
+      let t = ref 0. in
+      for j = 0 to dim - 1 do
+        let c = ref 0. in
+        for l = 0 to dim - 1 do
+          if w.(l) > 0. then begin
+            let pi = p.((i * dim) + l) in
+            let v =
+              if i = j then pi *. (1. -. pi) else -.(pi *. p.((j * dim) + l))
+            in
+            c := !c +. (w.(l) *. v)
+          end
+        done;
+        if !c <> 0. then t := !t +. (!c *. pinv.(row + j))
+      done;
+      acc := !acc +. (a *. !t)
     end
   done;
-  Mat.of_flat ~rows ~cols:rows cov
+  !acc
 
-(* One size class's transition matrix, factorized once: P, its inverse
-   (or, when m < k, the normal-equation pseudo-inverse) and the number of
-   realizable columns.  A singular P, or one whose condition number
-   passes 1e12, carries no recoverable signal: it is rejected here, on
-   every route to an estimate. *)
-type class_solver = { p : Mat.t; pinv : Mat.t; cols : int }
+(* One size class's transition matrix, factorized once: P ((k+1) × cols,
+   row-major), its inverse (or, when m < k, the normal-equation
+   pseudo-inverse; cols × (k+1)) and the number of realizable columns.  A
+   singular P, or one whose condition number passes 1e12, carries no
+   recoverable signal: it is rejected here, on every route to an
+   estimate. *)
+type class_solver = { cols : int; p : float array; pinv : float array }
 
 let class_solver scheme ~size ~k =
   Ppdm_obs.Metrics.incr "estimator.solves";
@@ -74,13 +95,6 @@ let class_solver scheme ~size ~k =
   let resolved = Randomizer.resolve scheme ~size in
   let cols = min k (Array.length resolved.keep_dist - 1) + 1 in
   let p = Transition.rect_matrix resolved ~k in
-  let unrecoverable () =
-    invalid_arg
-      (Printf.sprintf
-         "Estimator: size class %d is unrecoverable at k = %d (singular \
-          transition matrix)"
-         size k)
-  in
   match
     if cols = k + 1 then Lu.inverse (Lu.decompose p)
     else begin
@@ -94,43 +108,92 @@ let class_solver scheme ~size ~k =
         Ppdm_obs.Metrics.gauge
           (Printf.sprintf "estimator.cond.s%d.k%d" size k)
           cond;
-      if cond <= 1e12 then { p; pinv; cols } else unrecoverable ()
-  | exception Lu.Singular -> unrecoverable ()
+      if cond <= 1e12 then { cols; p = Mat.flat p; pinv = Mat.flat pinv }
+      else raise (Unrecoverable { size; k })
+  | exception Lu.Singular -> raise (Unrecoverable { size; k })
 
-(* The class-conditional partial supports and their covariance.  Square
-   case inverts P; the rectangular case (m < k) conjugates by the
-   pseudo-inverse. *)
-let estimate_class { p; pinv; cols } ~k counts =
-  let n = Array.fold_left ( + ) 0 counts in
-  (* n = 0 would divide the observed fractions by zero and propagate NaN
-     through partials, covariance, and sigma. *)
-  if n = 0 then invalid_arg "Estimator.estimate_class: empty size class";
-  let observed =
-    Array.map (fun c -> float_of_int c /. float_of_int n) counts
-  in
-  let short = Mat.mul_vec pinv observed in
-  let cov_obs = conditional_cov p short n in
-  let cov_short = Mat.mul pinv (Mat.mul cov_obs (Mat.transpose pinv)) in
-  (* Pad with structural zeros: s_l = 0 exactly for l > m. *)
-  let partials = Array.make (k + 1) 0. in
-  Array.blit short 0 partials 0 cols;
-  let covariance =
-    Mat.init ~rows:(k + 1) ~cols:(k + 1) (fun i j ->
-        if i < cols && j < cols then Mat.get cov_short i j else 0.)
-  in
-  (partials, covariance, n)
+type batch = {
+  k : int;
+  solvers : class_solver array;
+  short : float array;  (** one class's partials, P⁺ · observed *)
+  w : float array;  (** their weights in Cov(ŝ') *)
+}
 
-(* Each size class's solver is built by the first estimate that needs it
-   and shared by the rest of the batch. *)
-let class_solvers scheme ~k =
-  let by_size = Hashtbl.create 16 in
-  fun size ->
-    match Hashtbl.find_opt by_size size with
-    | Some s -> s
-    | None ->
-        let s = class_solver scheme ~size ~k in
-        Hashtbl.replace by_size size s;
-        s
+let batch ~scheme ~k sizes =
+  {
+    k;
+    solvers = Array.map (fun size -> class_solver scheme ~size ~k) sizes;
+    short = Array.make (k + 1) 0.;
+    w = Array.make (k + 1) 0.;
+  }
+
+(* Variance of the support fraction from counting on a uniform sample of
+   [n] transactions drawn without replacement from [population]: the
+   finite-population-corrected multinomial term, its support clamped to
+   [0, 1]. *)
+let sampling_weight ~n ~population =
+  float_of_int (population - n) /. float_of_int (population - 1)
+  /. float_of_int n
+
+let sampling_variance ~support ~n ~population =
+  let s = Float.max 0. (Float.min 1. support) in
+  sampling_weight ~n ~population *. (s *. (1. -. s))
+
+(* Every estimate goes through here.  Class c's histogram is
+   [counts.(c (k+1) ..)]; each class is solved into [b.short], and its
+   partials and its σ² entry are pooled with the class weight, in class
+   order.  A rectangular class (m < k) has s_l = 0 exactly for l > m, so
+   its partials are padded with zeros and its (k, k) entry is 0. *)
+let pooled ?population b counts =
+  let k = b.k and dim = b.k + 1 in
+  let total = Array.fold_left ( + ) 0 counts in
+  let partials = Array.make dim 0. and var = ref 0. in
+  for c = 0 to Array.length b.solvers - 1 do
+    let { cols; p; pinv } = b.solvers.(c) and off = c * dim in
+    let n = ref 0 in
+    for l = 0 to k do
+      n := !n + counts.(off + l)
+    done;
+    let n = !n in
+    (* n = 0 would divide the observed fractions by zero and propagate NaN
+       through partials and sigma. *)
+    if n = 0 then invalid_arg "Estimator: empty size class";
+    let nf = float_of_int n in
+    for r = 0 to cols - 1 do
+      let acc = ref 0. in
+      for l = 0 to k do
+        acc :=
+          !acc +. (pinv.((r * dim) + l) *. (float_of_int counts.(off + l) /. nf))
+      done;
+      b.short.(r) <- !acc
+    done;
+    let class_var =
+      if cols = dim then
+        conjugated_kk ~dim ~p ~pinv ~row:(k * dim) ~partials:b.short ~n
+          ~w:b.w
+      else 0.
+    in
+    let w = nf /. float_of_int total in
+    for l = 0 to k do
+      let s = if l < cols then b.short.(l) else 0. in
+      partials.(l) <- partials.(l) +. (w *. s)
+    done;
+    var := !var +. (w *. w *. class_var)
+  done;
+  (* Counting on a sample composes a second, independent noise source:
+     randomization noise (above, conditional on the sampled rows) plus
+     the sampling fluctuation of the rows themselves. *)
+  let population = Option.value population ~default:total in
+  if population > total then
+    var :=
+      !var +. sampling_variance ~support:partials.(k) ~n:total ~population;
+  {
+    support = partials.(k);
+    partials;
+    sigma = sqrt (Float.max 0. !var);
+    n_transactions = total;
+    n_population = population;
+  }
 
 (* Covariance contributed by counting on a uniform sample of [n]
    transactions drawn without replacement from a population of
@@ -148,10 +211,7 @@ let sampling_covariance ~partials ~n ~population =
   let cov = Mat.create ~rows:dim ~cols:dim in
   if population > n then begin
     let s = Array.map (fun v -> Float.max 0. (Float.min 1. v)) partials in
-    let fpc =
-      float_of_int (population - n) /. float_of_int (population - 1)
-    in
-    let w = fpc /. float_of_int n in
+    let w = sampling_weight ~n ~population in
     for i = 0 to dim - 1 do
       for j = 0 to dim - 1 do
         let v = if i = j then s.(i) *. (1. -. s.(i)) else -.(s.(i) *. s.(j)) in
@@ -166,9 +226,10 @@ let sampling_sigma ~support ~n ~population =
     (Float.max 0.
        (Mat.get (sampling_covariance ~partials:[| support |] ~n ~population) 0 0))
 
-(* Every estimate goes through here: pool the per-class solves with their
-   class weights, in the order the groups are given. *)
-let pool ~population ~k solver groups =
+(* The list-of-histograms route ([recover], [Stream], the [serve]
+   snapshot): validate, drop the all-zero classes (they carry no
+   observations), factorize the rest and pool them. *)
+let pool ~population ~scheme ~k groups =
   let total =
     List.fold_left
       (fun acc (_, c) -> acc + Array.fold_left ( + ) 0 c)
@@ -180,55 +241,18 @@ let pool ~population ~k solver groups =
       if Array.length c <> k + 1 then
         invalid_arg "Estimator.estimate_from_counts: count vector length")
     groups;
-  let population = Option.value population ~default:total in
-  if population < total then
-    invalid_arg "Estimator.estimate_from_counts: population smaller than sample";
-  (* An all-zero size class carries no observations; estimate_class would
-     divide by n = 0 and poison everything downstream with NaN. *)
+  (match population with
+  | Some population when population < total ->
+      invalid_arg "Estimator.estimate_from_counts: population smaller than sample"
+  | _ -> ());
   let groups = List.filter (fun (_, c) -> Array.exists (( <> ) 0) c) groups in
-  let partials = Array.make (k + 1) 0. in
-  let covariance = Mat.create ~rows:(k + 1) ~cols:(k + 1) in
-  List.iter
-    (fun (size, counts) ->
-      let class_partials, class_cov, n =
-        estimate_class (solver size) ~k counts
-      in
-      let w = float_of_int n /. float_of_int total in
-      for l = 0 to k do
-        partials.(l) <- partials.(l) +. (w *. class_partials.(l));
-        for l2 = 0 to k do
-          Mat.set covariance l l2
-            (Mat.get covariance l l2 +. (w *. w *. Mat.get class_cov l l2))
-        done
-      done)
-    groups;
-  (* Counting on a sample composes a second, independent noise source:
-     randomization noise (above, conditional on the sampled rows) plus
-     the sampling fluctuation of the rows themselves. *)
-  if population > total then begin
-    let extra = sampling_covariance ~partials ~n:total ~population in
-    for l = 0 to k do
-      for l2 = 0 to k do
-        Mat.set covariance l l2 (Mat.get covariance l l2 +. Mat.get extra l l2)
-      done
-    done
-  end;
-  {
-    support = partials.(k);
-    partials;
-    sigma = sqrt (Float.max 0. (Mat.get covariance k k));
-    covariance;
-    n_transactions = total;
-    n_population = population;
-  }
-
-let for_batch ~scheme ~k =
-  let solver = class_solvers scheme ~k in
-  fun counts -> pool ~population:None ~k solver counts
+  let sizes = Array.of_list (List.map fst groups) in
+  pooled ?population (batch ~scheme ~k sizes)
+    (Array.concat (List.map snd groups))
 
 let estimate_from_counts_gen ~population ~scheme ~k ~counts =
   Ppdm_obs.Span.with_ ~name:"estimator.estimate" @@ fun () ->
-  pool ~population ~k (class_solvers scheme ~k) counts
+  pool ~population ~scheme ~k counts
 
 let estimate_from_counts ~scheme ~k ~counts =
   estimate_from_counts_gen ~population:None ~scheme ~k ~counts
@@ -257,22 +281,26 @@ let predicted_sigma_of_matrix ?population p ~k ~partials ~n =
   let population = Option.value population ~default:n in
   if population < n then
     invalid_arg "Estimator.predicted_sigma: population smaller than sample";
-  let cov_obs = conditional_cov p partials n in
-  let pinv = Lu.inverse (Lu.decompose p) in
-  let cov = Mat.mul pinv (Mat.mul cov_obs (Mat.transpose pinv)) in
+  let row = Lu.inverse_last_row (Lu.decompose p) in
+  let var =
+    conjugated_kk ~dim:(k + 1) ~p:(Mat.flat p) ~pinv:row ~row:0 ~partials ~n
+      ~w:(Array.make (k + 1) 0.)
+  in
   let sampling =
     if population > n then
-      Mat.get (sampling_covariance ~partials ~n ~population) k k
+      sampling_variance ~support:partials.(k) ~n ~population
     else 0.
   in
-  sqrt (Float.max 0. (Mat.get cov k k +. sampling))
+  sqrt (Float.max 0. (var +. sampling))
 
 let predicted_sigma ?population (resolved : Randomizer.resolved) ~k ~partials
     ~n =
   let m = Array.length resolved.keep_dist - 1 in
   if k > m then invalid_arg "Estimator.predicted_sigma: k exceeds size";
-  predicted_sigma_of_matrix ?population (Transition.matrix resolved ~k)
-    ~k ~partials ~n
+  try
+    predicted_sigma_of_matrix ?population (Transition.matrix resolved ~k)
+      ~k ~partials ~n
+  with Lu.Singular -> raise (Unrecoverable { size = m; k })
 
 let confidence_interval t ~level =
   if not (level > 0. && level < 1.) then

@@ -2,7 +2,10 @@
 
     For a [k]-itemset the server observes the randomized partial-support
     fractions [ŝ'] with [E ŝ' = P s]; the estimator returns [ŝ = P⁻¹ ŝ']
-    together with its covariance [P⁻¹ Σ̂ P⁻ᵀ] (plug-in multinomial [Σ̂]).
+    together with σ, the square root of the [(k, k)] entry of its
+    covariance [P⁻¹ Σ̂ P⁻ᵀ] (plug-in multinomial [Σ̂]).  Only that entry is
+    formed, bit for bit as the full conjugation would give it; the matrix
+    route is kept as the reference in [Ppdm_check.Oracle].
     Databases with mixed transaction sizes are handled by partitioning by
     size — each size class has its own operator and transition matrix —
     and pooling the per-class estimates with their class weights.
@@ -17,12 +20,17 @@ type t = {
   support : float;  (** estimated support [ŝ_k] (may fall outside [0,1]) *)
   partials : float array;  (** full estimated partial-support vector *)
   sigma : float;  (** estimated standard deviation of [support] *)
-  covariance : Mat.t;  (** covariance of [partials] *)
   n_transactions : int;  (** transactions actually counted (the sample) *)
   n_population : int;
       (** full database size the estimate refers to; equals
           [n_transactions] unless counting ran on a sample *)
 }
+
+exception Unrecoverable of { size : int; k : int }
+(** A size class whose transition matrix carries no recoverable signal at
+    itemset size [k]: it is singular, or (for an estimate) its condition
+    number [‖P‖∞·‖P⁺‖∞] exceeds [1e12], as when an operator's keep and add
+    probabilities coincide. *)
 
 val observed_partial_counts :
   (int * Itemset.t) array -> itemset:Itemset.t -> ((int * int array) list)
@@ -62,8 +70,7 @@ val estimate_sampled :
   t
 (** {!estimate} for [data] that is a uniform without-replacement sample of
     a database of [population] transactions: the sampling variance is
-    folded into [sigma] and [covariance], and [n_population] records the
-    full size.
+    folded into [sigma], and [n_population] records the full size.
     @raise Invalid_argument on empty data or [population < length data]. *)
 
 val estimate_from_counts :
@@ -73,23 +80,33 @@ val estimate_from_counts :
     is the sufficient statistic — {!Stream} accumulates it online and
     {!estimate} is the one-shot wrapper.  All-zero size classes are
     skipped (they carry no observations).
-    @raise Invalid_argument on empty counts, mis-sized vectors, or an
-    unrecoverable size class (see {!for_batch}). *)
+    @raise Invalid_argument on empty counts or mis-sized vectors.
+    @raise Unrecoverable on an unrecoverable size class (see {!batch}). *)
 
-val for_batch : scheme:Randomizer.t -> k:int -> (int * int array) list -> t
-(** {!estimate_from_counts} for a batch of [k]-itemsets (same validation,
-    same results bit for bit): apply it to [~scheme ~k] once per batch,
-    then to each itemset's counts.  Each size class's transition matrix
-    is factorized by the first estimate that needs it and reused by the
-    rest of the batch; the ["estimator.solves"] counter and
-    ["estimator.solve_ns"] histogram record the factorizations, and the
-    gauge ["estimator.cond.s<size>.k<k>"] the condition number
-    [‖P‖∞·‖P⁺‖∞] of each.  The
-    partial application holds a mutable table: keep it to one domain.
-    @raise Invalid_argument also when a size class is unrecoverable: its
-    transition matrix is singular or its condition number exceeds [1e12]
-    (as when an operator's keep and add probabilities coincide).  The
-    message names the size and [k]. *)
+(** {2 Batch estimation}
+
+    The private miner estimates a whole level of candidates over the same
+    size classes. *)
+
+type batch
+(** Every size class's transition matrix at one [k], factorized once,
+    and the scratch the estimate writes into.  Holds mutable state: keep
+    it to one domain. *)
+
+val batch : scheme:Randomizer.t -> k:int -> int array -> batch
+(** [batch ~scheme ~k sizes] factorizes the class of each size in
+    [sizes]; the ["estimator.solves"] counter and ["estimator.solve_ns"]
+    histogram record the factorizations, and the gauge
+    ["estimator.cond.s<size>.k<k>"] the condition number of each.
+    @raise Unrecoverable at the first size whose class is unrecoverable. *)
+
+val pooled : ?population:int -> batch -> int array -> t
+(** [pooled b counts] is the estimate from class [c]'s histogram of
+    [|y ∩ A| = l'], [l' = 0..k], at [counts.(c (k+1) ..)] for each class of
+    [b] in order: the same result, bit for bit, as
+    {!estimate_from_counts} (or {!estimate_from_counts_sampled} with
+    [population]) on those classes.
+    @raise Invalid_argument if a class's histogram is all zero. *)
 
 val estimate_from_counts_sampled :
   population:int ->
@@ -130,7 +147,8 @@ val predicted_sigma :
     partial-support vector is [partials] and [n] size-[m] transactions are
     observed — the paper's accuracy formula (used by F1/F2 and the
     optimizer).  Requires [k <= m].  With [?population] the sampling
-    variance of an [n]-of-[population] uniform sample is added. *)
+    variance of an [n]-of-[population] uniform sample is added.
+    @raise Unrecoverable when the transition matrix is singular. *)
 
 val predicted_sigma_of_matrix :
   ?population:int ->
@@ -141,8 +159,9 @@ val predicted_sigma_of_matrix :
   float
 (** {!predicted_sigma} for a transition matrix already built (a
     {!Transition.weighted_sum}), so a caller scoring many operators at one
-    ρ does not rebuild it: the full inverse of [P] conjugating the
-    conditional covariance, read at entry [(k, k)].
+    ρ does not rebuild it: the [(k, k)] entry of [P⁻¹] conjugating the
+    conditional covariance, from the last row of [P⁻¹] alone
+    ({!Ppdm_linalg.Lu.inverse_last_row}).
     @raise Ppdm_linalg.Lu.Singular on a singular [P].
     @raise Invalid_argument unless [P] is [(k+1) × (k+1)]. *)
 
@@ -163,4 +182,5 @@ val lowest_discoverable_support :
     binomial profile: the paper's discoverability threshold.  Returns 1.0
     when even full support is not discoverable.  With [?population] the
     threshold accounts for sampled counting ([n] of [population] rows)
-    and rises accordingly. *)
+    and rises accordingly.
+    @raise Unrecoverable as {!predicted_sigma}. *)

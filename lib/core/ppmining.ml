@@ -40,22 +40,30 @@ let transpose ~universe data =
     data;
   { vt = Vertical.of_db (Db.create ~universe padded); sizes; rows; bounds }
 
-(* Inclusion-exclusion over the subsets of A: a row counts towards
-   supp(B) for every B ⊆ y ∩ A, so the Möbius transform over supersets
-   turns subset supports into the number of rows with y ∩ A = B exactly,
-   and N_l sums those over |B| = l.  (Grouped by |B| this is the binomial
-   inversion N_l = Σ_{j ≥ l} (-1)^(j-l) C(j, l) S_j.)  Exact integers. *)
-let partial_counts ~k support =
-  if k < 0 || k > 30 then invalid_arg "Ppmining.partial_counts: k outside [0, 30]";
-  let exact = Array.init (1 lsl k) support in
+(* Inclusion-exclusion over the subsets of A, in place: [exact] holds
+   supp(B) for each subset mask B on entry.  A row counts towards supp(B)
+   for every B ⊆ y ∩ A, so the Möbius transform over supersets turns
+   subset supports into the number of rows with y ∩ A = B exactly, and
+   N_l, written to [out.(off + l)], sums those over |B| = l.  (Grouped by
+   |B| this is the binomial inversion N_l = Σ_{j ≥ l} (-1)^(j-l) C(j, l)
+   S_j.)  Exact integers. *)
+let mobius_into ~k exact out ~off =
   for b = 0 to k - 1 do
     for mask = 0 to (1 lsl k) - 1 do
       if mask land (1 lsl b) = 0 then
         exact.(mask) <- exact.(mask) - exact.(mask lor (1 lsl b))
     done
   done;
+  Array.fill out off (k + 1) 0;
+  for mask = 0 to (1 lsl k) - 1 do
+    let l = off + Bitset.popcount mask in
+    out.(l) <- out.(l) + exact.(mask)
+  done
+
+let partial_counts ~k support =
+  if k < 0 || k > 30 then invalid_arg "Ppmining.partial_counts: k outside [0, 30]";
   let n = Array.make (k + 1) 0 in
-  Array.iteri (fun mask c -> n.(Bitset.popcount mask) <- n.(Bitset.popcount mask) + c) exact;
+  mobius_into ~k (Array.init (1 lsl k) support) n ~off:0;
   n
 
 module Table = Hashtbl.Make (struct
@@ -65,59 +73,72 @@ module Table = Hashtbl.Make (struct
   let hash = Itemset.hash
 end)
 
+(* What the discovery rule makes of one estimate. *)
+type verdict = Kept | Over_sigma_cap | Below_support
+
 (* One level: count the batch once per class window, recover each
    candidate's per-class partial counts from its subsets' supports (every
    proper subset survived a lower level, by the Apriori prune), estimate
    the batch with one factorization per class, and keep the survivors'
    supports for the levels above. *)
-let level cl supports ~scheme ~passes ~k candidates =
+let level cl supports ~scheme ~verdict ~k candidates =
   Ppdm_obs.Span.with_ ~name:"ppmining.level" @@ fun () ->
   let candidates = Array.of_list (List.sort_uniq Itemset.compare candidates) in
   Ppdm_obs.Metrics.add "ppmining.candidates" (Array.length candidates);
-  (* [prepare] keeps this order: already sorted and unique *)
-  let prepared = Vertical.prepare (Array.to_list candidates) in
-  let scratch = Vertical.make_scratch cl.vt in
   let by_class =
+    Ppdm_obs.Span.with_ ~name:"ppmining.count" @@ fun () ->
+    (* [prepare] keeps this order: already sorted and unique *)
+    let prepared = Vertical.prepare (Array.to_list candidates) in
+    let scratch = Vertical.make_scratch cl.vt in
     Array.init (Array.length cl.sizes) (fun c ->
         Vertical.count_into ~scratch cl.vt ~word_lo:cl.bounds.(c)
           ~word_hi:cl.bounds.(c + 1) prepared)
   in
-  let estimate = Estimator.for_batch ~scheme ~k in
-  let full = (1 lsl k) - 1 in
-  let survivors = ref [] in
+  Ppdm_obs.Span.with_ ~name:"ppmining.estimate" @@ fun () ->
+  let batch = Estimator.batch ~scheme ~k cl.sizes in
+  let classes = Array.length cl.sizes and full = (1 lsl k) - 1 in
+  (* Reused by every candidate: each subset mask's per-class supports,
+     one lookup key per subset size, the Möbius table and the classes'
+     histograms. *)
+  let subsets = Array.make (full + 1) cl.rows in
+  let keys = Array.init (k + 1) (fun j -> Array.make j 0) in
+  let exact = Array.make (full + 1) 0 in
+  let counts = Array.make (classes * (k + 1)) 0 in
+  let survivors = ref [] and over_cap = ref 0 and below = ref 0 in
   Array.iteri
     (fun i itemset ->
       let own = Array.map (fun counts -> counts.(i)) by_class in
       let items = Itemset.unsafe_to_array itemset in
-      let subset mask =
-        if mask = 0 then cl.rows
-        else if mask = full then own
-        else begin
-          let sub = Array.make (Bitset.popcount mask) 0 and j = ref 0 in
-          Array.iteri
-            (fun b item ->
-              if (mask lsr b) land 1 = 1 then begin
-                sub.(!j) <- item;
-                incr j
-              end)
-            items;
-          Table.find supports (Itemset.of_sorted_array_unchecked sub)
-        end
-      in
-      let subsets = Array.init (full + 1) subset in
-      let e =
-        estimate
-          (List.init (Array.length cl.sizes) (fun c ->
-               (cl.sizes.(c), partial_counts ~k (fun mask -> subsets.(mask).(c)))))
-      in
+      for mask = 1 to full - 1 do
+        let key = keys.(Bitset.popcount mask) and j = ref 0 in
+        for b = 0 to k - 1 do
+          if (mask lsr b) land 1 = 1 then begin
+            key.(!j) <- items.(b);
+            incr j
+          end
+        done;
+        subsets.(mask) <- Table.find supports (Itemset.of_sorted_array_unchecked key)
+      done;
+      subsets.(full) <- own;
+      for c = 0 to classes - 1 do
+        for mask = 0 to full do
+          exact.(mask) <- subsets.(mask).(c)
+        done;
+        mobius_into ~k exact counts ~off:(c * (k + 1))
+      done;
+      let e = Estimator.pooled batch counts in
       let d =
         { itemset; est_support = e.Estimator.support; sigma = e.Estimator.sigma }
       in
-      if passes d then begin
-        Table.replace supports itemset own;
-        survivors := d :: !survivors
-      end)
+      match verdict d with
+      | Kept ->
+          Table.replace supports itemset own;
+          survivors := d :: !survivors
+      | Over_sigma_cap -> incr over_cap
+      | Below_support -> incr below)
     candidates;
+  Ppdm_obs.Metrics.add "ppmining.pruned.sigma_cap" !over_cap;
+  Ppdm_obs.Metrics.add "ppmining.pruned.support" !below;
   List.rev !survivors
 
 let mine ?max_size ?(sigma_slack = 2.0) ?sigma_cap ~scheme ~data ~min_support
@@ -130,9 +151,11 @@ let mine ?max_size ?(sigma_slack = 2.0) ?sigma_cap ~scheme ~data ~min_support
      carry a one-ulp tolerance: an exact-support itemset must not be
      dropped by rounding. *)
   let eps = 1e-12 in
-  let passes d =
-    d.sigma < sigma_cap
-    && d.est_support +. (sigma_slack *. d.sigma) >= min_support -. eps
+  let verdict d =
+    if not (d.sigma < sigma_cap) then Over_sigma_cap
+    else if d.est_support +. (sigma_slack *. d.sigma) >= min_support -. eps then
+      Kept
+    else Below_support
   in
   let explored =
     if cap < 1 then []
@@ -143,7 +166,7 @@ let mine ?max_size ?(sigma_slack = 2.0) ?sigma_cap ~scheme ~data ~min_support
       let rec levels acc k candidates =
         if candidates = [] then acc
         else begin
-          let next = level cl supports ~scheme ~passes ~k candidates in
+          let next = level cl supports ~scheme ~verdict ~k candidates in
           (* rev_append: the final sort fixes the order *)
           let acc = List.rev_append next acc in
           if k = cap then acc

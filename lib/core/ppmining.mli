@@ -41,12 +41,16 @@ val mine :
     combinatorially, precisely the regime the analysis calls
     undiscoverable at this privacy level.
 
-    Every level counts on one size-class-windowed transpose of [data] and
-    estimates its candidates together through {!Estimator.for_batch};
-    the result is bit-identical to estimating each candidate with
-    {!Estimator.estimate}.
-    @raise Invalid_argument if [min_support] is outside (0, 1], the data
-    is empty, or a size class is unrecoverable. *)
+    Every level counts on one size-class-windowed transpose of [data]
+    (span ["ppmining.count"]) and estimates its candidates against one
+    {!Estimator.batch} (span ["ppmining.estimate"]); the result is
+    bit-identical to estimating each candidate with {!Estimator.estimate}.
+    The counters ["ppmining.pruned.sigma_cap"] and
+    ["ppmining.pruned.support"] count the candidates dropped by the σ cap
+    and by the slackened support test.
+    @raise Invalid_argument if [min_support] is outside (0, 1] or the
+    data is empty.
+    @raise Estimator.Unrecoverable if a size class is unrecoverable. *)
 
 val partial_counts : k:int -> (int -> int) -> int array
 (** The partial counts [N_l = #(|y ∩ A| = l)], [l = 0..k], of a

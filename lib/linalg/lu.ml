@@ -38,16 +38,19 @@ let decompose m =
 
 let dim t = Array.length t.lu
 
+(* Forward substitution with the unit-diagonal L, in place. *)
+let forward t x =
+  for i = 1 to Array.length x - 1 do
+    for j = 0 to i - 1 do
+      x.(i) <- x.(i) -. (t.lu.(i).(j) *. x.(j))
+    done
+  done
+
 let solve t b =
   let n = dim t in
   if Array.length b <> n then invalid_arg "Lu.solve: dimension mismatch";
   let x = Array.init n (fun i -> b.(t.perm.(i))) in
-  (* Forward substitution with the unit-diagonal L. *)
-  for i = 1 to n - 1 do
-    for j = 0 to i - 1 do
-      x.(i) <- x.(i) -. (t.lu.(i).(j) *. x.(j))
-    done
-  done;
+  forward t x;
   (* Backward substitution with U. *)
   for i = n - 1 downto 0 do
     for j = i + 1 to n - 1 do
@@ -80,6 +83,18 @@ let inverse t =
     done
   done;
   Mat.of_flat ~rows:n ~cols:n out
+
+(* Entry (n-1, j) of the inverse is the last component of [solve] on e_j:
+   the whole forward pass, then only the first back-substitution step. *)
+let inverse_last_row t =
+  let n = dim t in
+  let x = Array.make n 0. in
+  Array.init n (fun j ->
+      for i = 0 to n - 1 do
+        x.(i) <- (if t.perm.(i) = j then 1. else 0.)
+      done;
+      forward t x;
+      x.(n - 1) /. t.lu.(n - 1).(n - 1))
 
 let det t =
   let n = dim t in

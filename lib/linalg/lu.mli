@@ -21,6 +21,11 @@ val solve_mat : t -> Mat.t -> Mat.t
 
 val inverse : t -> Mat.t
 
+val inverse_last_row : t -> float array
+(** The last row of {!inverse}, bit for bit, without the other rows: per
+    column, the forward pass and the first back-substitution step of
+    {!solve}. *)
+
 val det : t -> float
 (** Determinant of the factorized matrix. *)
 

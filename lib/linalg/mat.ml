@@ -18,6 +18,8 @@ let of_flat ~rows ~cols data =
     invalid_arg "Mat.of_flat: size mismatch";
   { rows; cols; data }
 
+let flat m = m.data
+
 let identity n = init ~rows:n ~cols:n (fun i j -> if i = j then 1. else 0.)
 
 let of_arrays arr =
@@ -58,16 +60,6 @@ let transpose m =
 let same_shape name a b =
   if a.rows <> b.rows || a.cols <> b.cols then
     invalid_arg (Printf.sprintf "Mat.%s: shape mismatch" name)
-
-let add a b =
-  same_shape "add" a b;
-  { a with data = Array.mapi (fun i x -> x +. b.data.(i)) a.data }
-
-let sub a b =
-  same_shape "sub" a b;
-  { a with data = Array.mapi (fun i x -> x -. b.data.(i)) a.data }
-
-let scale c m = { m with data = Array.map (fun x -> c *. x) m.data }
 
 let mul a b =
   if a.cols <> b.rows then invalid_arg "Mat.mul: inner dimension mismatch";

@@ -13,6 +13,10 @@ val of_flat : rows:int -> cols:int -> float array -> t
     (taken over, not copied).
     @raise Invalid_argument unless [a] has [rows * cols] entries. *)
 
+val flat : t -> float array
+(** The row-major entries, shared with the matrix (not copied): the
+    inverse of {!of_flat}. *)
+
 val identity : int -> t
 
 val of_arrays : float array array -> t
@@ -28,10 +32,6 @@ val set : t -> int -> int -> float -> unit
 
 val copy : t -> t
 val transpose : t -> t
-
-val add : t -> t -> t
-val sub : t -> t -> t
-val scale : float -> t -> t
 
 val mul : t -> t -> t
 (** Matrix product; inner dimensions must agree. *)

@@ -1,7 +1,9 @@
 #!/bin/sh
 # Every command that reads a data file must reject a malformed file, a
 # missing file and a header with a huge transaction count with exit 1
-# and a "<cmd>: " message on stderr, never an uncaught exception.
+# and a "<cmd>: " message on stderr, never an uncaught exception.  An
+# operator whose keep and add probabilities coincide carries no signal:
+# private and recover reject it the same way, and analyze reports it.
 # Usage: bad_input.sh PPDM_CLI
 set -eu
 # Bare names (no slash) are files in the current directory.
@@ -44,4 +46,29 @@ expect_rejected stats stats .txt
 expect_rejected stats_fimi stats .txt
 expect_rejected recover recover .tagged
 expect_rejected convert convert .txt
+
+# An unrecoverable operator on valid input.
+uninformative="--operator uniform --p-keep 0.5 --p-add 0.5"
+"$cli" gen --universe 10 --count 200 --size 3 --seed 1 -o "$dir/db.txt" >/dev/null
+"$cli" randomize --in "$dir/db.txt" -o "$dir/db.tagged" >/dev/null
+expect_unrecoverable() {
+  status=0
+  "$cli" "$@" >/dev/null 2>"$dir/err" || status=$?
+  if [ "$status" -ne 1 ] ||
+    ! grep -q "^$1: size class [0-9]* is unrecoverable at k = [0-9]*$" "$dir/err"; then
+    echo "FAIL: $1 with an unrecoverable operator: exit $status" >&2
+    cat "$dir/err" >&2
+    failures=$((failures + 1))
+  fi
+}
+expect_unrecoverable private --in "$dir/db.txt" --min-support 0.5 $uninformative
+expect_unrecoverable recover --in "$dir/db.tagged" --itemset 1,2 $uninformative
+status=0
+"$cli" analyze $uninformative >"$dir/out" 2>"$dir/err" || status=$?
+if [ "$status" -ne 0 ] ||
+  ! grep -q "^lowest discoverable support (k=1, N=100k): unrecoverable$" "$dir/out"; then
+  echo "FAIL: analyze with an unrecoverable operator: exit $status" >&2
+  cat "$dir/out" "$dir/err" >&2
+  failures=$((failures + 1))
+fi
 test "$failures" -eq 0

@@ -205,7 +205,6 @@ let test_confidence_interval () =
       support = 0.2;
       partials = [| 0.8; 0.2 |];
       sigma = 0.05;
-      covariance = Ppdm_linalg.Mat.identity 2;
       n_transactions = 100;
       n_population = 100;
     }
@@ -380,6 +379,32 @@ let test_condition_gauges () =
              | Error _ -> false)
            (String.split_on_char '\n' json)))
 
+(* The σ kernel forms one covariance entry; the matrix route in
+   lib/check forms them all.  Every estimate and every predicted σ must
+   agree bit for bit. *)
+let test_kernel_matches_matrix_route () =
+  match Ppdm_check.Selftest.estimator_kernel_differential ~seed:7 ~count:200 with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
+(* A level estimates thousands of candidates over every size class: the
+   kernel allocates only the estimate it returns, whatever the number of
+   classes (13 here, square and rectangular). *)
+let test_kernel_allocation_guard () =
+  let scheme = Randomizer.uniform ~universe:50 ~p_keep:0.7 ~p_add:0.1 in
+  let k = 2 and calls = 10_000 in
+  let batch = Estimator.batch ~scheme ~k (Array.init 13 Fun.id) in
+  let counts = Array.init (13 * (k + 1)) (fun i -> 1 + (i * 7 mod 11)) in
+  ignore (Estimator.pooled batch counts);
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Estimator.pooled batch counts))
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per estimate <= 64" per_call)
+    true (per_call <= 64.)
+
 let suite =
   [
     Alcotest.test_case "identity recovers exactly" `Quick test_identity_exact_recovery;
@@ -402,4 +427,7 @@ let suite =
       test_estimate_from_counts_sampled;
     Alcotest.test_case "population widens predictions" `Quick
       test_population_widens_predictions;
+    Alcotest.test_case "kernel == matrix route, bit for bit" `Quick
+      test_kernel_matches_matrix_route;
+    Alcotest.test_case "kernel allocation guard" `Quick test_kernel_allocation_guard;
   ]

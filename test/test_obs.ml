@@ -307,6 +307,7 @@ let test_instrumentation_coverage () =
   let rng = Rng.create ~seed:13 () in
   let db = Simple.fixed_size rng ~universe ~size:5 ~count:500 in
   let scheme = Randomizer.uniform ~universe ~p_keep:0.6 ~p_add:0.02 in
+  let mined = ref 0 in
   scoped (fun () ->
       Metrics.set_enabled true;
       Pool.with_pool ~jobs:2 (fun pool ->
@@ -317,9 +318,18 @@ let test_instrumentation_coverage () =
           ignore (Parallel.apriori_mine pool ~chunk:64 db ~min_support:0.05 ~max_size:2);
           let itemset = Itemset.of_list [ 1; 2 ] in
           let stream = Parallel.observe_all pool ~chunk:64 ~scheme ~itemset tagged in
-          ignore (Stream.estimate stream));
+          ignore (Stream.estimate stream);
+          mined :=
+            List.length
+              (Ppmining.mine ~scheme ~data:tagged ~min_support:0.05 ~max_size:2 ())
+                .Ppmining.explored);
       let snap = Metrics.snapshot () in
       let counter name = List.mem_assoc name snap.Metrics.counters in
+      (* every candidate a level estimates is kept or pruned by one rule *)
+      let count name = List.assoc name snap.Metrics.counters in
+      Alcotest.(check int) "candidates = explored + pruned"
+        (count "ppmining.candidates")
+        (!mined + count "ppmining.pruned.sigma_cap" + count "ppmining.pruned.support");
       List.iter
         (fun name ->
           Alcotest.(check bool) (name ^ " recorded") true (counter name))
@@ -329,6 +339,9 @@ let test_instrumentation_coverage () =
           "apriori.level1.frequent";
           "stream.observed";
           "estimator.solves";
+          "ppmining.candidates";
+          "ppmining.pruned.sigma_cap";
+          "ppmining.pruned.support";
           "pool.tasks";
           "pool.batches";
         ];
@@ -339,7 +352,15 @@ let test_instrumentation_coverage () =
         (fun name ->
           Alcotest.(check bool) (name ^ " span") true (List.mem name roots))
         [ "parallel.randomize"; "parallel.apriori"; "parallel.observe";
-          "stream.estimate" ])
+          "stream.estimate"; "ppmining.level" ];
+      (* no dark time inside a level: counting and estimation are its
+         children *)
+      let level =
+        List.find (fun s -> s.Span.name = "ppmining.level") (Span.tree ())
+      in
+      Alcotest.(check (list string)) "level children"
+        [ "ppmining.count"; "ppmining.estimate" ]
+        (List.map (fun s -> s.Span.name) level.Span.children))
 
 (* Span.with_ serves both layers off one flag word: with metrics and
    tracing both on, a span must land in the span tree and put a matched

@@ -78,7 +78,7 @@ let test_min_sigma_exhaustive () =
         -.exhaustive_best ~m ~rho ~gamma (fun d ->
             match sigma_of ~rho d with
             | sigma -> -.sigma
-            | exception Ppdm_linalg.Lu.Singular -> neg_infinity)
+            | exception Estimator.Unrecoverable _ -> neg_infinity)
       in
       Alcotest.(check bool)
         (Printf.sprintf "m=%d: local %.6f vs exhaustive %.6f" m got best)

@@ -220,18 +220,18 @@ let test_degenerate_class_rejected () =
   let data =
     [| (2, Itemset.of_list [ 0; 1 ]); (2, Itemset.of_list [ 3; 7 ]); (2, Itemset.empty) |]
   in
-  let message k =
-    Printf.sprintf
-      "Estimator: size class 2 is unrecoverable at k = %d (singular transition \
-       matrix)"
-      k
-  in
-  Alcotest.check_raises "mine" (Invalid_argument (message 1)) (fun () ->
+  let unrecoverable k = Estimator.Unrecoverable { size = 2; k } in
+  Alcotest.check_raises "mine" (unrecoverable 1) (fun () ->
       ignore (Ppmining.mine ~scheme ~data ~min_support:0.1 ()));
-  Alcotest.check_raises "estimate, k = 1" (Invalid_argument (message 1)) (fun () ->
+  Alcotest.check_raises "estimate, k = 1" (unrecoverable 1) (fun () ->
       ignore (Estimator.estimate ~scheme ~data ~itemset:(Itemset.singleton 0)));
-  Alcotest.check_raises "estimate, k = 2" (Invalid_argument (message 2)) (fun () ->
-      ignore (Estimator.estimate ~scheme ~data ~itemset:(Itemset.of_list [ 0; 1 ])))
+  Alcotest.check_raises "estimate, k = 2" (unrecoverable 2) (fun () ->
+      ignore (Estimator.estimate ~scheme ~data ~itemset:(Itemset.of_list [ 0; 1 ])));
+  Alcotest.check_raises "predicted sigma" (unrecoverable 2) (fun () ->
+      ignore
+        (Estimator.predicted_sigma (Randomizer.resolve scheme ~size:2) ~k:2
+           ~partials:(Estimator.binomial_profile ~k:2 ~p_bg:0.02 ~support:0.01)
+           ~n:1000))
 
 let test_max_size_zero () =
   let rng = Rng.create ~seed:8 () in
