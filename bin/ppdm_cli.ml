@@ -441,14 +441,14 @@ let private_cmd =
     in
     let scheme = scheme_of_spec ~universe:(Db.universe db) spec in
     let rng = Rng.create ~seed () in
-    let data, truth =
+    let reports, truth =
       Pool.with_pool ~jobs (fun pool ->
-          ( Parallel.randomize_db_tagged pool scheme rng db,
+          ( Parallel.randomize pool scheme rng db,
             Parallel.apriori_mine pool db ~min_support ~max_size ~counter ))
     in
     let mined =
       recoverable ~who:"private" (fun () ->
-          Ppmining.mine ~scheme ~data ~min_support ~max_size ())
+          Ppmining.mine_reports ~scheme ~reports ~min_support ~max_size ())
     in
     emit @@ fun () ->
     Printf.printf "operator: %s\n" (Randomizer.name scheme);

@@ -537,6 +537,66 @@ let ppmining_reference ~max_size ~sigma_slack ~sigma_cap ~scheme ~data
     explored;
   }
 
+(* The transpose the private miner ran before its report store: the
+   tagged rows regrouped by original size through a table, each class
+   padded with empty rows to a whole number of bitmap words, and the
+   padded database transposed by [Vertical.of_db]. *)
+let reference_transpose ~universe data : Reports.frozen =
+  let count = Hashtbl.create 16 in
+  Array.iter
+    (fun (size, _) ->
+      Hashtbl.replace count size
+        (1 + Option.value ~default:0 (Hashtbl.find_opt count size)))
+    data;
+  let sizes = Array.of_seq (Hashtbl.to_seq_keys count) in
+  Array.sort Int.compare sizes;
+  let rows = Array.map (Hashtbl.find count) sizes in
+  let bounds = Array.make (Array.length sizes + 1) 0 in
+  Array.iteri (fun c n -> bounds.(c + 1) <- bounds.(c) + Bitset.words_for n) rows;
+  let bits = Bitset.bits_per_word in
+  (* from here on [count] holds each class's next free row *)
+  Array.iteri (fun c size -> Hashtbl.replace count size (bits * bounds.(c))) sizes;
+  let padded = Array.make (bits * bounds.(Array.length sizes)) Itemset.empty in
+  Array.iter
+    (fun (size, y) ->
+      let row = Hashtbl.find count size in
+      padded.(row) <- y;
+      Hashtbl.replace count size (row + 1))
+    data;
+  { vt = Vertical.of_db (Db.create ~universe padded); sizes; rows; bounds }
+
+let same_frozen ~(got : Reports.frozen) ~(want : Reports.frozen) =
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  let field name a b =
+    if a = b then Ok ()
+    else Error (Printf.sprintf "%s [%s], expected [%s]" name (ints a) (ints b))
+  in
+  let ( >>= ) r f = match r with Ok () -> f () | Error _ as e -> e in
+  field "sizes" got.sizes want.sizes >>= fun () ->
+  field "rows" got.rows want.rows >>= fun () ->
+  field "bounds" got.bounds want.bounds >>= fun () ->
+  let g = got.vt and w = want.vt in
+  field "length, words, universe"
+    [| Vertical.length g; Vertical.word_count g; Vertical.universe g |]
+    [| Vertical.length w; Vertical.word_count w; Vertical.universe w |]
+  >>= fun () ->
+  let rec items i =
+    if i = Vertical.universe w then Ok ()
+    else
+      let a = Vertical.item_tidset g i and b = Vertical.item_tidset w i in
+      if Vertical.tidset_is_dense a <> Vertical.tidset_is_dense b then
+        Error (Printf.sprintf "item %d: dense %b, expected %b" i
+                 (Vertical.tidset_is_dense a) (Vertical.tidset_is_dense b))
+      else if Vertical.item_count g i <> Vertical.item_count w i then
+        Error (Printf.sprintf "item %d: count %d, expected %d" i
+                 (Vertical.item_count g i) (Vertical.item_count w i))
+      else
+        field (Printf.sprintf "item %d tids" i) (Vertical.tidset_tids a)
+          (Vertical.tidset_tids b)
+        >>= fun () -> items (i + 1)
+  in
+  items 0
+
 let same_explored ~(got : Ppmining.result) ~(want : Ppmining.result) =
   let bits = Int64.bits_of_float in
   let same (a : Ppmining.discovery) (b : Ppmining.discovery) =

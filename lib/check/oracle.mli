@@ -167,6 +167,19 @@ val ppmining_reference :
     {!reference_estimate}, and kept under the same slackened-threshold
     and σ-cap filter as {!Ppdm.Ppmining.mine}. *)
 
+val reference_transpose :
+  universe:int -> (int * Itemset.t) array -> Reports.frozen
+(** The private miner's transpose before {!Ppdm.Reports.freeze}: the
+    tagged rows regrouped by original size through a table, each class
+    padded with empty rows to whole 62-bit words, and the padded database
+    transposed by {!Ppdm_mining.Vertical.of_db}. *)
+
+val same_frozen :
+  got:Reports.frozen -> want:Reports.frozen -> (unit, string) result
+(** Same sizes, rows and word windows, same length and word count, and
+    for every item the same tid-set shape, count and tids; [Error] names
+    the first difference. *)
+
 val same_explored :
   got:Ppmining.result -> want:Ppmining.result -> (unit, string) result
 (** The two results explored the same itemsets, in the same order, with

@@ -295,6 +295,123 @@ let private_miner_differential ~seed =
   in
   go cases
 
+(* ------------------------------------------------- report store differential *)
+
+(* 124 rows of size 3 (a class of exactly two bitmap words), one row of
+   size 12 (a one-row class), five empty rows and 1,000 rows of the other
+   sizes up to 8, shuffled so every class is spread over every chunk.
+   Half the rows draw from the first 40 items, so a wide universe holds
+   dense items next to sparse ones. *)
+let store_case_db ~universe rng =
+  let draw size =
+    let bound = if Rng.bool rng then min 40 universe else universe in
+    Itemset.of_sorted_array_unchecked (Dist.sample_distinct rng ~k:size ~bound)
+  in
+  let others = [| 1; 2; 4; 5; 6; 7; 8 |] in
+  let rows =
+    Array.concat
+      [
+        Array.init 124 (fun _ -> draw 3);
+        [| draw 12 |];
+        Array.make 5 Itemset.empty;
+        Array.init 1_000 (fun _ ->
+            draw others.(Rng.int rng (Array.length others)));
+      ]
+  in
+  for i = Array.length rows - 1 downto 1 do
+    let j = Rng.int rng (i + 1) in
+    let x = rows.(i) in
+    rows.(i) <- rows.(j);
+    rows.(j) <- x
+  done;
+  Db.create ~universe rows
+
+(* The store against the routes it replaced, at chunk sizes 1, 7, 64 and
+   1024 and every pool: [rng] advances by one draw, [randomize_db_tagged]
+   returns sequential [Randomizer.apply] over the chunks' derived
+   children, and the store's freeze equals the regrouped, padded
+   transpose of those rows in every window, shape and tid.  A tid names
+   one row, so that equality pins every stored report too.  The
+   operators cover a dense universe (optimized), a sparse one
+   (cut-and-paste, rho = 0.001, universe 1500) and one that erases every
+   report. *)
+let report_store_differential ~seed pools =
+  let rng = Rng.create ~seed () in
+  let cases =
+    [
+      ( "optimized, universe 60",
+        Optimizer.scheme_for_estimation ~k:2 ~representative_size:4
+          ~universe:60 ~gamma:19. () );
+      ( "cut-and-paste, universe 1500",
+        Randomizer.cut_and_paste ~universe:1500 ~cutoff:5 ~rho:0.001 );
+      ( "erasing, universe 60",
+        Randomizer.uniform ~universe:60 ~p_keep:0. ~p_add:0. );
+    ]
+  in
+  let same_rows a b =
+    Array.length a = Array.length b
+    && Array.for_all2 (fun (s, y) (s', y') -> s = s' && Itemset.equal y y') a b
+  in
+  let check_case (name, scheme) chunk =
+    let universe = Randomizer.universe scheme in
+    let db = store_case_db ~universe rng in
+    let key = Rng.int rng 1_000_000 in
+    let seeded () = Rng.create ~seed:key () in
+    let want =
+      let parent = seeded () in
+      let txs = Db.transactions db in
+      let children =
+        Array.init ((Array.length txs + chunk - 1) / chunk) (fun i ->
+            Rng.derive parent ~index:i)
+      in
+      Array.mapi
+        (fun r tx ->
+          (Itemset.cardinal tx, Randomizer.apply scheme children.(r / chunk) tx))
+        txs
+    in
+    let next_draw =
+      let r = seeded () in
+      ignore (Rng.bits64 r);
+      Rng.bits64 r
+    in
+    let reference = Oracle.reference_transpose ~universe want in
+    let rec pools_from = function
+      | [] -> Ok ()
+      | pool :: rest -> (
+          let fail what =
+            Error
+              (Printf.sprintf "%s, chunk %d, jobs %d: %s" name chunk
+                 (Pool.jobs pool) what)
+          in
+          let r = seeded () in
+          let store = Parallel.randomize pool ~chunk scheme r db in
+          if not (Int64.equal (Rng.bits64 r) next_draw) then
+            fail "rng not advanced by one draw"
+          else if
+            not
+              (same_rows
+                 (Parallel.randomize_db_tagged pool ~chunk scheme (seeded ()) db)
+                 want)
+          then fail "randomize_db_tagged differs from sequential apply"
+          else
+            match
+              Oracle.same_frozen ~got:(Reports.freeze store) ~want:reference
+            with
+            | Ok () -> pools_from rest
+            | Error e -> fail e)
+    in
+    pools_from pools
+  in
+  let rec go = function
+    | [] -> Ok ()
+    | (case, chunk) :: rest -> (
+        match check_case case chunk with Ok () -> go rest | Error _ as e -> e)
+  in
+  go
+    (List.concat_map
+       (fun case -> List.map (fun c -> (case, c)) [ 1; 7; 64; 1024 ])
+       cases)
+
 (* ------------------------------------------ operator design differential *)
 
 let design_gammas = [ 3.; 9.; 19.; 50. ]
@@ -876,6 +993,9 @@ let run ?count ?(seed = 42) ?(log = ignore) () =
           ( "differential: private miner == per-candidate reference, bit \
              for bit",
             fun () -> private_miner_differential ~seed );
+          ( "differential: report store == sequential apply and regrouped \
+             transpose at jobs 1/2/4",
+            fun () -> report_store_differential ~seed pools );
           ( "differential: estimator kernel == matrix route, bit for bit",
             fun () -> estimator_kernel_differential ~seed ~count );
           ( "differential: estimator vs brute-force reference",

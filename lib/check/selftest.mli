@@ -43,6 +43,20 @@ val private_miner_differential : seed:int -> (unit, string) result
     include empty transactions and a size class holding a single row.
     Explored itemsets, estimates and σ must agree bit for bit. *)
 
+val report_store_differential :
+  seed:int -> Ppdm_runtime.Pool.t list -> (unit, string) result
+(** {!Ppdm_runtime.Parallel.randomize} at chunk sizes 1, 7, 64 and 1024
+    on every given pool, on a database with empty rows, a one-row size
+    class and a class of exactly 124 rows, under an optimized operator
+    (universe 60, dense items), cut-and-paste at [rho = 0.001] (universe
+    1500, sparse and dense items) and an operator that erases every
+    report.  The generator must advance by one draw,
+    {!Ppdm_runtime.Parallel.randomize_db_tagged} must return sequential
+    {!Ppdm.Randomizer.apply} over the chunks' derived children, and
+    {!Ppdm.Reports.freeze} of the store must equal
+    {!Oracle.reference_transpose} of those rows in windows, shapes and
+    tids. *)
+
 val operator_design_differential :
   max_m:int -> rhos:float list -> design_max_m:int -> (unit, string) result
 (** The operator design against {!Oracle}'s direct transition form, for

@@ -4,42 +4,6 @@ open Ppdm_mining
 type discovery = { itemset : Itemset.t; est_support : float; sigma : float }
 type result = { discovered : discovery list; explored : discovery list }
 
-(* The tagged rows regrouped by original size, each class padded with
-   empty rows to a whole number of bitmap words, and transposed once.
-   Class [c] owns the word window [bounds.(c), bounds.(c + 1)); an empty
-   row holds no item, so padding changes no support a window reports. *)
-type classes = {
-  vt : Vertical.t;
-  sizes : int array;  (** ascending *)
-  rows : int array;  (** rows per class, padding excluded *)
-  bounds : int array;
-}
-
-let transpose ~universe data =
-  Ppdm_obs.Span.with_ ~name:"ppmining.transpose" @@ fun () ->
-  let count = Hashtbl.create 16 in
-  Array.iter
-    (fun (size, _) ->
-      Hashtbl.replace count size
-        (1 + Option.value ~default:0 (Hashtbl.find_opt count size)))
-    data;
-  let sizes = Array.of_seq (Hashtbl.to_seq_keys count) in
-  Array.sort Int.compare sizes;
-  let rows = Array.map (Hashtbl.find count) sizes in
-  let bounds = Array.make (Array.length sizes + 1) 0 in
-  Array.iteri (fun c n -> bounds.(c + 1) <- bounds.(c) + Bitset.words_for n) rows;
-  let bits = Bitset.bits_per_word in
-  (* from here on [count] holds each class's next free row *)
-  Array.iteri (fun c size -> Hashtbl.replace count size (bits * bounds.(c))) sizes;
-  let padded = Array.make (bits * bounds.(Array.length sizes)) Itemset.empty in
-  Array.iter
-    (fun (size, y) ->
-      let row = Hashtbl.find count size in
-      padded.(row) <- y;
-      Hashtbl.replace count size (row + 1))
-    data;
-  { vt = Vertical.of_db (Db.create ~universe padded); sizes; rows; bounds }
-
 (* Inclusion-exclusion over the subsets of A, in place: [exact] holds
    supp(B) for each subset mask B on entry.  A row counts towards supp(B)
    for every B ⊆ y ∩ A, so the Möbius transform over supersets turns
@@ -81,7 +45,7 @@ type verdict = Kept | Over_sigma_cap | Below_support
    proper subset survived a lower level, by the Apriori prune), estimate
    the batch with one factorization per class, and keep the survivors'
    supports for the levels above. *)
-let level cl supports ~scheme ~verdict ~k candidates =
+let level (cl : Reports.frozen) supports ~scheme ~verdict ~k candidates =
   Ppdm_obs.Span.with_ ~name:"ppmining.level" @@ fun () ->
   let candidates = Array.of_list (List.sort_uniq Itemset.compare candidates) in
   Ppdm_obs.Metrics.add "ppmining.candidates" (Array.length candidates);
@@ -141,10 +105,10 @@ let level cl supports ~scheme ~verdict ~k candidates =
   Ppdm_obs.Metrics.add "ppmining.pruned.support" !below;
   List.rev !survivors
 
-let mine ?max_size ?(sigma_slack = 2.0) ?sigma_cap ~scheme ~data ~min_support
-    () =
+let mine_reports ?max_size ?(sigma_slack = 2.0) ?sigma_cap ~scheme ~reports
+    ~min_support () =
   Threshold.check_min_support ~who:"Ppmining.mine" min_support;
-  if Array.length data = 0 then invalid_arg "Ppmining.mine: empty data";
+  if Reports.length reports = 0 then invalid_arg "Ppmining.mine: empty data";
   let cap = Option.value max_size ~default:max_int in
   let sigma_cap = Option.value sigma_cap ~default:(min_support /. 2.) in
   (* Estimates travel through matrix inversions, so threshold comparisons
@@ -161,7 +125,10 @@ let mine ?max_size ?(sigma_slack = 2.0) ?sigma_cap ~scheme ~data ~min_support
     if cap < 1 then []
     else begin
       let universe = Randomizer.universe scheme in
-      let cl = transpose ~universe data in
+      let cl =
+        Ppdm_obs.Span.with_ ~name:"ppmining.transpose" (fun () ->
+            Reports.freeze reports)
+      in
       let supports = Table.create 256 in
       let rec levels acc k candidates =
         if candidates = [] then acc
@@ -187,6 +154,10 @@ let mine ?max_size ?(sigma_slack = 2.0) ?sigma_cap ~scheme ~data ~min_support
     discovered = List.filter (fun d -> d.est_support >= min_support -. eps) ordered;
     explored = ordered;
   }
+
+let mine ?max_size ?sigma_slack ?sigma_cap ~scheme ~data ~min_support () =
+  let reports = Reports.of_tagged ~universe:(Randomizer.universe scheme) data in
+  mine_reports ?max_size ?sigma_slack ?sigma_cap ~scheme ~reports ~min_support ()
 
 type accuracy = {
   true_positives : int;

@@ -42,15 +42,29 @@ val mine :
     undiscoverable at this privacy level.
 
     Every level counts on one size-class-windowed transpose of [data]
-    (span ["ppmining.count"]) and estimates its candidates against one
-    {!Estimator.batch} (span ["ppmining.estimate"]); the result is
+    ({!Reports.freeze}; counting in span ["ppmining.count"]) and
+    estimates its candidates against one {!Estimator.batch} (span
+    ["ppmining.estimate"]); the result is
     bit-identical to estimating each candidate with {!Estimator.estimate}.
     The counters ["ppmining.pruned.sigma_cap"] and
     ["ppmining.pruned.support"] count the candidates dropped by the σ cap
     and by the slackened support test.
-    @raise Invalid_argument if [min_support] is outside (0, 1] or the
-    data is empty.
+    @raise Invalid_argument if [min_support] is outside (0, 1], the data
+    is empty, or a row's size or item lies outside the universe.
     @raise Estimator.Unrecoverable if a size class is unrecoverable. *)
+
+val mine_reports :
+  ?max_size:int ->
+  ?sigma_slack:float ->
+  ?sigma_cap:float ->
+  scheme:Randomizer.t ->
+  reports:Reports.t ->
+  min_support:float ->
+  unit ->
+  result
+(** {!mine} on a report store: [mine ~data] is [mine_reports] of
+    [Reports.of_tagged data].  The store is frozen once, in the span
+    ["ppmining.transpose"]. *)
 
 val partial_counts : k:int -> (int -> int) -> int array
 (** The partial counts [N_l = #(|y ∩ A| = l)], [l = 0..k], of a

@@ -154,19 +154,22 @@ let[@inline] next_noise rng ~log_q ~n rank =
    universe \ t; the rank-r complement item is r + (items of t <= it), so
    a pointer into t maps ranks to items as both advance.  Together each
    complement item enters with probability rho independently of the rest,
-   which is the select-a-size operator: p(t -> y) is unchanged. *)
-let apply t rng tx =
+   which is the select-a-size operator: p(t -> y) is unchanged.  The size
+   is checked before the operator is resolved, so an impossible size
+   never reaches [produce] or the cache. *)
+let apply_into t rng tx buf ~off =
   Ppdm_obs.Metrics.incr "randomizer.apply";
   let m = Itemset.cardinal tx in
-  let e = resolved_cached t m in
   if m > t.universe then invalid_arg "Randomizer.apply: transaction too large";
+  if off < 0 || Array.length buf - off < t.universe then
+    invalid_arg "Randomizer.apply_into: fewer than universe slots after off";
+  let e = resolved_cached t m in
   let j =
     match e.sampler with None -> 0 | Some s -> Dist.discrete_sample rng s
   in
   let items = Itemset.unsafe_to_array tx in
-  let buf = scratch t.universe in
   let n = t.universe - m and log_q = e.log_q in
-  let len = ref 0 and need = ref j and pos = ref 0 in
+  let len = ref off and need = ref j and pos = ref 0 in
   let rank = ref (if e.op.rho = 0. then n else next_noise rng ~log_q ~n (-1)) in
   while !pos < m || !rank < n do
     if !pos < m && (!rank >= n || items.(!pos) <= !rank + !pos) then begin
@@ -184,7 +187,12 @@ let apply t rng tx =
       rank := next_noise rng ~log_q ~n !rank
     end
   done;
-  Itemset.of_sorted_array_unchecked (Array.sub buf 0 !len)
+  !len - off
+
+let apply t rng tx =
+  let buf = scratch t.universe in
+  let len = apply_into t rng tx buf ~off:0 in
+  Itemset.of_sorted_array_unchecked (Array.sub buf 0 len)
 
 let apply_db t rng db =
   if Db.universe db <> t.universe then

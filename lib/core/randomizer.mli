@@ -82,7 +82,18 @@ val apply : t -> Rng.t -> Itemset.t -> Itemset.t
 (** Randomize one transaction.  One pass in item order, O(m + noise)
     time: selection sampling picks the kept items and geometric gaps over
     the complement pick the noise.  Apart from a per-domain scratch buffer
-    sized to the universe on first use, it allocates only its result. *)
+    sized to the universe on first use, it allocates only its result:
+    {!apply_into} on that buffer plus one exact copy.
+    @raise Invalid_argument if the transaction is larger than the
+    universe (checked before the size's operator is resolved) or the
+    scheme does not cover its size. *)
+
+val apply_into : t -> Rng.t -> Itemset.t -> int array -> off:int -> int
+(** [apply_into t rng tx buf ~off] writes the report {!apply} would return
+    (same draws, same order) ascending into [buf.(off ..)] and returns its
+    length.  It allocates nothing.
+    @raise Invalid_argument as {!apply} does, or if [buf] has fewer than
+    [universe t] slots from [off] on. *)
 
 val apply_db : t -> Rng.t -> Db.t -> Db.t
 (** Randomize a whole database. *)

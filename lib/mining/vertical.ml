@@ -278,6 +278,28 @@ let of_db ?(dense_cutoff = default_dense_cutoff) db =
       emit_load_metrics t;
       t)
 
+let dense_for ~n count = goes_dense ~dense_cutoff:default_dense_cutoff ~n count
+
+(* Adopted, not copied: a caller that fills its own arrays (the private
+   miner's report store) must not pay a second transpose. *)
+let of_payloads ~n ~counts payloads =
+  let universe = Array.length counts and n_words = Bitset.words_for n in
+  if Array.length payloads <> universe then
+    invalid_arg "Vertical.of_payloads: one payload per item";
+  let tidsets =
+    Array.mapi
+      (fun item p ->
+        let dense = dense_for ~n counts.(item) in
+        if Array.length p <> if dense then n_words else counts.(item) then
+          invalid_arg
+            "Vertical.of_payloads: payload length disagrees with its shape";
+        if dense then Dense p else Sparse p)
+      payloads
+  in
+  let t = { n; n_words; universe; tidsets; counts } in
+  emit_load_metrics t;
+  t
+
 (* PPDMC is only the on-disk form: each column is decoded once, as it is
    read, into the shape [of_db] picks for the item, so counting sees the
    same two shapes however the data arrived.  At most one decoded column
@@ -285,18 +307,14 @@ let of_db ?(dense_cutoff = default_dense_cutoff) db =
 let of_colfile cf =
   Ppdm_obs.Span.with_ ~name:"columnar.load" (fun () ->
       let n = Colfile.length cf in
-      let universe = Colfile.universe cf in
-      let counts = Array.init universe (Colfile.item_count cf) in
-      let tidsets =
-        Array.init universe (fun item ->
-            let col = Colfile.column cf item in
-            if goes_dense ~dense_cutoff:default_dense_cutoff ~n counts.(item)
-            then Dense (Column.to_words col)
-            else Sparse (Column.to_tids col))
-      in
-      let t = { n; n_words = Bitset.words_for n; universe; tidsets; counts } in
-      emit_load_metrics t;
-      t)
+      let counts = Array.init (Colfile.universe cf) (Colfile.item_count cf) in
+      of_payloads ~n ~counts
+        (Array.mapi
+           (fun item count ->
+             let col = Colfile.column cf item in
+             if dense_for ~n count then Column.to_words col
+             else Column.to_tids col)
+           counts))
 
 let iter_tidset f = function
   | Sparse tids -> Array.iter f tids

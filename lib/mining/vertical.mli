@@ -51,6 +51,20 @@ val of_colfile : Colfile.t -> t
     [vertical.load.*] counters when observation is enabled.
     @raise Colfile.Error on corrupt container data. *)
 
+val dense_for : n:int -> int -> bool
+(** Whether an item with this many tids among [n] transactions is stored
+    as a bitmap: the rule {!of_db} applies at its default cutoff. *)
+
+val of_payloads : n:int -> counts:int array -> int array array -> t
+(** Adopt per-item payloads built elsewhere, without copying: item [i]
+    holds [counts.(i)] tids, and its payload is its
+    [ceil (n / 62)]-word bitmap (tail bits zero) when
+    [dense_for ~n counts.(i)], its ascending tid array otherwise.  Only
+    the lengths are checked; the result then equals {!of_db} of the same
+    rows.  Emits the [vertical.load.*] counters as {!of_db} does.
+    @raise Invalid_argument on a payload count or length that disagrees
+    with [counts]. *)
+
 val to_db : t -> Db.t
 (** Transpose back to the row-major form (exact inverse of {!of_db} up to
     representation), for pipelines that need a [Db.t] — e.g. randomizing

@@ -85,10 +85,13 @@ let discrete weights =
   (* Remaining entries keep prob = 1 (self-alias); numerically exact. *)
   { prob; alias }
 
+(* [Rng.float] drawn as [bits53] and scaled here, the same value with no
+   float boxed across the module boundary: the randomizer calls this once
+   per transaction. *)
 let discrete_sample rng { prob; alias } =
   let n = Array.length prob in
   let i = Rng.int rng n in
-  if Rng.float rng < prob.(i) then i else alias.(i)
+  if float_of_int (Rng.bits53 rng) *. 0x1p-53 < prob.(i) then i else alias.(i)
 
 let categorical rng weights =
   let total = Array.fold_left ( +. ) 0. weights in

@@ -1,3 +1,4 @@
+open Ppdm_prng
 open Ppdm_data
 open Ppdm_mining
 open Ppdm
@@ -7,14 +8,46 @@ open Ppdm
 let warm scheme db =
   Randomizer.warm_cache scheme ~sizes:(List.map fst (Db.size_histogram db))
 
-let randomize_db_tagged pool ?chunk scheme rng db =
+(* One pool task per chunk of [chunk] rows: chunk [i] draws from
+   [Rng.derive rng ~index:i], and [rng] advances by one draw before any
+   task runs, as in [Pool.map_reduce].  Every draw then depends on the
+   seed, the chunk and the row, never on the job count. *)
+let randomize_chunks pool ~chunk scheme rng db fill =
   if Db.universe db <> Randomizer.universe scheme then
-    invalid_arg "Parallel.randomize_db_tagged: universe mismatch";
+    invalid_arg "Parallel.randomize: universe mismatch";
+  if chunk <= 0 then invalid_arg "Parallel.randomize: chunk must be positive";
   Ppdm_obs.Span.with_ ~name:"parallel.randomize" @@ fun () ->
   warm scheme db;
-  Pool.map_array pool ~rng ?chunk
-    ~f:(fun child tx -> (Itemset.cardinal tx, Randomizer.apply scheme child tx))
-    (Db.transactions db)
+  let n = Db.length db in
+  let tasks =
+    Array.init ((n + chunk - 1) / chunk) (fun i ->
+        let child = Rng.derive rng ~index:i in
+        fun () -> fill i child)
+  in
+  ignore (Rng.bits64 rng);
+  ignore (Pool.run pool tasks)
+
+let randomize pool ?(chunk = Pool.default_chunk) scheme rng db =
+  let txs = Db.transactions db in
+  let store =
+    Reports.create ~universe:(Db.universe db) ~rows:(Array.length txs) ~chunk
+  in
+  randomize_chunks pool ~chunk scheme rng db (fun i child ->
+      Reports.randomize_chunk store i scheme child txs);
+  store
+
+(* The same chunks and children, each row through [Randomizer.apply]: the
+   tagged rows are built as they are drawn, so no store is alive next to
+   them. *)
+let randomize_db_tagged pool ?(chunk = Pool.default_chunk) scheme rng db =
+  let txs = Db.transactions db in
+  let out = Array.make (Array.length txs) (0, Itemset.empty) in
+  randomize_chunks pool ~chunk scheme rng db (fun i child ->
+      for r = i * chunk to min (Array.length txs) ((i + 1) * chunk) - 1 do
+        out.(r) <-
+          (Itemset.cardinal txs.(r), Randomizer.apply scheme child txs.(r))
+      done);
+  out
 
 let chunk_tasks ~n ~chunk make =
   let pieces = (n + chunk - 1) / chunk in

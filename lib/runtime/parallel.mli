@@ -23,12 +23,22 @@ open Ppdm_prng
 open Ppdm_data
 open Ppdm
 
+val randomize :
+  Pool.t -> ?chunk:int -> Randomizer.t -> Rng.t -> Db.t -> Reports.t
+(** Randomize every transaction into a report store, one pool task per
+    chunk of [chunk] rows (default {!Pool.default_chunk}).  Chunk [i]
+    draws its rows in order from [Rng.derive rng ~index:i]; [rng] itself
+    advances by one draw, as in {!Pool.map_reduce}.  Each chunk writes
+    into its own flat buffer, so the pass allocates O(chunks).
+    @raise Invalid_argument on a universe mismatch or [chunk <= 0]. *)
+
 val randomize_db_tagged :
   Pool.t -> ?chunk:int -> Randomizer.t -> Rng.t -> Db.t ->
   (int * Itemset.t) array
-(** Sharded [Randomizer.apply_db_tagged] (outputs paired with original
-    sizes, the server-side protocol format).
-    @raise Invalid_argument on a universe mismatch. *)
+(** The rows of {!randomize} as [(original size, report)] pairs, the
+    server-side protocol format: the same chunks and children, each row
+    drawn by [Randomizer.apply].
+    @raise Invalid_argument as {!randomize}. *)
 
 val observe_all :
   Pool.t -> ?chunk:int -> scheme:Randomizer.t -> itemset:Itemset.t ->

@@ -246,28 +246,3 @@ let map_reduce pool ~rng ~n ?(chunk = default_chunk) ~map ~reduce () =
     done;
     Some !acc
   end
-
-let map_array pool ~rng ?(chunk = default_chunk) ~f arr =
-  let n = Array.length arr in
-  let pieces = piece_count ~n ~chunk in
-  if pieces = 0 then [||]
-  else begin
-    let out = Array.make pieces [||] in
-    let tasks =
-      Array.init pieces (fun i ->
-          let child = Rng.derive rng ~index:i in
-          let pos = i * chunk in
-          let len = min chunk (n - pos) in
-          fun () ->
-            (* Explicit loop: element order within the chunk is part of
-               the determinism contract (the child stream is sequential). *)
-            let piece = Array.make len (f child arr.(pos)) in
-            for j = 1 to len - 1 do
-              piece.(j) <- f child arr.(pos + j)
-            done;
-            out.(i) <- piece)
-    in
-    ignore (Rng.bits64 rng);
-    run_all pool tasks;
-    Array.concat (Array.to_list out)
-  end

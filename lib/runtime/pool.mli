@@ -91,8 +91,8 @@ val run : t -> (unit -> 'a) array -> 'a array
     their results in task order.  If tasks raise, every task still runs
     and the first exception (in completion order) is re-raised after the
     batch drains.  For
-    deterministic randomized work, prefer {!map_reduce} / {!map_array},
-    which handle seeding. *)
+    deterministic randomized work, prefer {!map_reduce}, which handles
+    seeding. *)
 
 val map_reduce :
   t ->
@@ -110,16 +110,3 @@ val map_reduce :
     once (by one draw), identically at every job count, so consecutive
     calls see fresh randomness.
     @raise Invalid_argument if [n < 0] or [chunk <= 0]. *)
-
-val map_array :
-  t ->
-  rng:Rng.t ->
-  ?chunk:int ->
-  f:(Rng.t -> 'a -> 'b) ->
-  'a array ->
-  'b array
-(** [map_array pool ~rng ~f arr] is [Array.map] with per-chunk derived
-    generators: element [i] is transformed with its chunk's child stream,
-    elements within a chunk strictly in index order.  Advances [rng] once,
-    like {!map_reduce}.
-    @raise Invalid_argument if [chunk <= 0]. *)

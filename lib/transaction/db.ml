@@ -58,18 +58,17 @@ let item_counts db =
   iter (Itemset.iter (fun x -> counts.(x) <- counts.(x) + 1)) db;
   counts
 
+(* Counted in an array indexed by size: no allocation per transaction. *)
 let size_histogram db =
-  let tbl = Hashtbl.create 16 in
+  let largest = fold (fun acc tx -> max acc (Itemset.cardinal tx)) 0 db in
+  let hist = Array.make (largest + 1) 0 in
   iter
     (fun tx ->
       let m = Itemset.cardinal tx in
-      Hashtbl.replace tbl m (1 + Option.value ~default:0 (Hashtbl.find_opt tbl m)))
+      hist.(m) <- hist.(m) + 1)
     db;
-  (* Sizes are unique keys, so sort on them alone; polymorphic [compare]
-     over the pairs would also inspect the counts. *)
-  List.sort
-    (fun (a, _) (b, _) -> Int.compare a b)
-    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+  List.filter (fun (_, c) -> c > 0)
+    (List.init (largest + 1) (fun m -> (m, hist.(m))))
 
 let density db =
   if length db = 0 then 0.

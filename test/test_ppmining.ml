@@ -155,7 +155,13 @@ let test_validation () =
     [ 0.; nan; 1.5 ];
   Alcotest.check_raises "empty data"
     (Invalid_argument "Ppmining.mine: empty data") (fun () ->
-      ignore (Ppmining.mine ~scheme ~data:[||] ~min_support:0.1 ()))
+      ignore (Ppmining.mine ~scheme ~data:[||] ~min_support:0.1 ()));
+  List.iter
+    (fun row ->
+      Alcotest.check_raises "row outside the universe"
+        (Invalid_argument "Reports.of_tagged: size or item outside the universe")
+        (fun () -> ignore (Ppmining.mine ~scheme ~data:[| row |] ~min_support:0.1 ())))
+    [ (1, Itemset.singleton 10); (11, Itemset.singleton 0); (-1, Itemset.empty) ]
 
 let test_reference_differential () =
   match Ppdm_check.Selftest.private_miner_differential ~seed:42 with

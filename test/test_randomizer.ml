@@ -378,6 +378,56 @@ let test_allocation_guard () =
     (Printf.sprintf "%.1f minor words per call <= 256" per_call)
     true (per_call <= 256.)
 
+(* Randomizing into the report store allocates per chunk, not per row: the
+   tagged route's pair and itemset cost ~37 words a row. *)
+let test_store_allocation_guard () =
+  let universe = 100 and rows = 10_000 in
+  let scheme =
+    Randomizer.select_a_size ~universe ~size:5
+      ~keep_dist:[| 0.05; 0.1; 0.15; 0.2; 0.2; 0.3 |] ~rho:0.2949
+  in
+  let db = fixed_db (Rng.create ~seed:15 ()) ~universe ~size:5 ~count:rows in
+  Ppdm_runtime.Pool.with_pool ~jobs:1 (fun pool ->
+      let randomize seed =
+        Ppdm_runtime.Parallel.randomize pool scheme (Rng.create ~seed ()) db
+      in
+      (* the first run warms the scheme's cache and the scratch buffer *)
+      ignore (randomize 1);
+      let before = Gc.minor_words () in
+      let store = Sys.opaque_identity (randomize 2) in
+      let per_row = (Gc.minor_words () -. before) /. float_of_int rows in
+      Alcotest.(check int) "every row stored" rows (Reports.length store);
+      Alcotest.(check bool)
+        (Printf.sprintf "%.2f minor words per row <= 4" per_row)
+        true (per_row <= 4.))
+
+(* An oversize transaction fails on its size, before its operator is
+   produced and cached. *)
+let test_oversize_checked_first () =
+  let scheme = Randomizer.cut_and_paste ~universe:5 ~cutoff:2 ~rho:0.1 in
+  let tx = Itemset.of_list [ 0; 1; 2; 3; 4; 5; 6 ] in
+  let misses () =
+    Option.value ~default:0
+      (List.assoc_opt "randomizer.cache.miss"
+         (Ppdm_obs.Metrics.snapshot ()).Ppdm_obs.Metrics.counters)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Ppdm_obs.Metrics.set_enabled false;
+      Ppdm_obs.Metrics.reset ())
+    (fun () ->
+      Ppdm_obs.Metrics.reset ();
+      Ppdm_obs.Metrics.set_enabled true;
+      let before = misses () in
+      let too_large = Invalid_argument "Randomizer.apply: transaction too large" in
+      Alcotest.check_raises "apply" too_large (fun () ->
+          ignore (Randomizer.apply scheme (Rng.create ~seed:1 ()) tx));
+      Alcotest.check_raises "apply_into" too_large (fun () ->
+          ignore
+            (Randomizer.apply_into scheme (Rng.create ~seed:1 ()) tx
+               (Array.make 64 0) ~off:0));
+      Alcotest.(check int) "no operator resolved" before (misses ()))
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -433,6 +483,10 @@ let suite =
     Alcotest.test_case "kept subsets uniform" `Quick test_kept_subsets_uniform;
     Alcotest.test_case "sampler edge cases" `Quick test_sampler_edges;
     Alcotest.test_case "allocation guard" `Quick test_allocation_guard;
+    Alcotest.test_case "allocation guard, report store" `Quick
+      test_store_allocation_guard;
+    Alcotest.test_case "oversize transaction fails before resolving" `Quick
+      test_oversize_checked_first;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "tagged application" `Quick test_apply_db_tagged;
     Alcotest.test_case "universe mismatch" `Quick test_universe_mismatch;

@@ -338,11 +338,14 @@ let test_pool_edge_cases () =
            ~n:0
            ~map:(fun _ ~pos:_ ~len:_ -> 0)
            ~reduce:( + ) ());
-      Alcotest.(check (array int)) "empty map_array" [||]
-        (Pool.map_array pool
-           ~rng:(Rng.create ~seed:1 ())
-           ~f:(fun _ x -> x)
-           [||]));
+      let empty = Db.create ~universe:5 [||] in
+      let store =
+        Parallel.randomize pool
+          (Randomizer.cut_and_paste ~universe:5 ~cutoff:2 ~rho:0.1)
+          (Rng.create ~seed:1 ()) empty
+      in
+      Alcotest.(check int) "empty database randomizes to no rows" 0
+        (Reports.length store));
   (* shutdown is idempotent and the pool degrades to sequential after *)
   let pool = Pool.create ~jobs:3 in
   Pool.shutdown pool;
@@ -351,8 +354,19 @@ let test_pool_edge_cases () =
     [| 0; 1; 2 |]
     (Pool.run pool (Array.init 3 Fun.id |> Array.map (fun i -> fun () -> i)))
 
+let test_report_store_differential () =
+  let pools = List.map (fun jobs -> Pool.create ~jobs) job_counts in
+  Fun.protect
+    ~finally:(fun () -> List.iter Pool.shutdown pools)
+    (fun () ->
+      match Ppdm_check.Selftest.report_store_differential ~seed:42 pools with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e)
+
 let suite =
   [
+    Alcotest.test_case "report store == sequential apply and old transpose"
+      `Quick test_report_store_differential;
     Alcotest.test_case "randomize determinism across jobs" `Quick
       test_randomize_determinism;
     Alcotest.test_case "stream parallel = sequential" `Quick
