@@ -406,7 +406,8 @@ let b5 () =
           let noisy = Db.create ~universe (Array.map snd tagged) in
           ignore (Parallel.apriori_mine pool noisy ~min_support:0.05 ~max_size:3);
           let itemset = Itemset.of_list [ 0; 1 ] in
-          let stream = Parallel.observe_all pool ~scheme ~itemset tagged in
+          let stream = Stream.create ~scheme ~itemset in
+          Stream.observe_all stream tagged;
           ignore (Stream.estimate stream)))
 
 let b6 () =

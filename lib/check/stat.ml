@@ -331,28 +331,6 @@ let sampled_sigma_coverage ?seeds ?(z = 1.959964) ~db ~itemset ~fraction () =
   coverage_of_zs ~what:"sampled sigma coverage" ~z
     (sampled_support_zs ~db ~itemset ~fraction ~seeds)
 
-(* Deterministic seeded uniform row sample, the recover-side sampling
-   design (kept in sync with the CLI's). *)
-let sample_rows data ~fraction ~seed =
-  let n = Array.length data in
-  let m =
-    max 1 (min n (int_of_float (Float.round (fraction *. float_of_int n))))
-  in
-  if m = n then data
-  else begin
-    let idx = Array.init n Fun.id in
-    let rng = Rng.create ~seed () in
-    for i = 0 to m - 1 do
-      let j = i + Rng.int rng (n - i) in
-      let tmp = idx.(i) in
-      idx.(i) <- idx.(j);
-      idx.(j) <- tmp
-    done;
-    let chosen = Array.sub idx 0 m in
-    Array.sort Int.compare chosen;
-    Array.map (fun i -> data.(i)) chosen
-  end
-
 (* End-to-end honest-sigma errors: per trial, randomize the database
    afresh, estimate from a row sample with the sampling variance folded
    in, and standardize against the full-data estimate — the difference's
@@ -366,7 +344,7 @@ let combined_sigma_zs ~scheme ~db ~itemset ~fraction ~trials rng =
   for trial = 0 to trials - 1 do
     let child = Rng.derive rng ~index:trial in
     let data = Randomizer.apply_db_tagged scheme child db in
-    let sampled = sample_rows data ~fraction ~seed:trial in
+    let sampled = Ppdm_mining.Sampled.sample_rows data ~fraction ~seed:trial in
     if Array.length sampled < n then begin
       let e_f = Estimator.estimate ~scheme ~data ~itemset in
       let e_s =

@@ -7,7 +7,8 @@
    region with one [Vertical.count_into] window.  Everything downstream
    of the (fraction, seed, geometry) triple is deterministic, so the
    same plan is recomputed identically by every process and every
-   domain — the parallel driver only re-shards the runs. *)
+   domain — the parallel driver cuts the runs into the same grid cells
+   it cuts the full word range into for an exact count. *)
 
 let default_window_words = 4
 
@@ -42,6 +43,26 @@ let merge_adjacent sorted ~window_words ~word_count =
   (match !cur with Some r -> runs := r :: !runs | None -> ());
   Array.of_list (List.rev !runs)
 
+(* A seeded uniform draw of round(F * n) of [0, n) (at least one),
+   ascending; [None] when that is all of them.  Partial Fisher-Yates: the
+   first [m] slots are a uniform without-replacement draw. *)
+let choose ~n ~fraction ~seed =
+  let m = max 1 (min n (int_of_float (Float.round (fraction *. float_of_int n)))) in
+  if m >= n then None
+  else begin
+    let idx = Array.init n Fun.id in
+    let rng = Ppdm_prng.Rng.create ~seed () in
+    for i = 0 to m - 1 do
+      let j = i + Ppdm_prng.Rng.int rng (n - i) in
+      let tmp = idx.(i) in
+      idx.(i) <- idx.(j);
+      idx.(j) <- tmp
+    done;
+    let chosen = Array.sub idx 0 m in
+    Array.sort Int.compare chosen;
+    Some chosen
+  end
+
 let plan ?(window_words = default_window_words) ~n ~word_count ~fraction ~seed
     () =
   if not (fraction > 0. && fraction <= 1.) then
@@ -56,27 +77,10 @@ let plan ?(window_words = default_window_words) ~n ~word_count ~fraction ~seed
     { population = n; sample = n; fraction; seed; runs = [||] }
   else begin
     let windows = (word_count + window_words - 1) / window_words in
-    let m =
-      max 1
-        (min windows (int_of_float (Float.round (fraction *. float_of_int windows))))
-    in
     let runs =
-      if m = windows then [| (0, word_count) |]
-      else begin
-        (* Partial Fisher-Yates: the first [m] slots are a uniform
-           without-replacement draw of window indices. *)
-        let idx = Array.init windows Fun.id in
-        let rng = Ppdm_prng.Rng.create ~seed () in
-        for i = 0 to m - 1 do
-          let j = i + Ppdm_prng.Rng.int rng (windows - i) in
-          let tmp = idx.(i) in
-          idx.(i) <- idx.(j);
-          idx.(j) <- tmp
-        done;
-        let chosen = Array.sub idx 0 m in
-        Array.sort Int.compare chosen;
-        merge_adjacent chosen ~window_words ~word_count
-      end
+      match choose ~n:windows ~fraction ~seed with
+      | None -> [| (0, word_count) |]
+      | Some chosen -> merge_adjacent chosen ~window_words ~word_count
     in
     let sample =
       Array.fold_left
@@ -103,7 +107,13 @@ let scale_counts plan counts =
   if is_exhaustive plan then counts else Array.map (scale_count plan) counts
 
 let raw_counts ?scratch vt plan prepared =
-  Vertical.count_runs ?scratch vt ~runs:plan.runs prepared
+  let totals = Array.make (Vertical.prepared_length prepared) 0 in
+  Array.iter
+    (fun (lo, hi) ->
+      let part = Vertical.count_into ?scratch vt ~word_lo:lo ~word_hi:hi prepared in
+      Array.iteri (fun i c -> totals.(i) <- totals.(i) + c) part)
+    plan.runs;
+  totals
 
 let support_counts ?scratch vt plan candidates =
   if Vertical.length vt <> plan.population then
@@ -113,3 +123,10 @@ let support_counts ?scratch vt plan candidates =
   else
     Vertical.assemble prepared
       (scale_counts plan (raw_counts ?scratch vt plan prepared))
+
+(* Rows rather than word windows: tagged reports have no tid geometry,
+   so [recover] samples them directly, keeping input order. *)
+let sample_rows data ~fraction ~seed =
+  match choose ~n:(Array.length data) ~fraction ~seed with
+  | None -> data
+  | Some chosen -> Array.map (fun i -> data.(i)) chosen

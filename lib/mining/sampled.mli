@@ -11,10 +11,14 @@
     range is partitioned into windows of {!default_window_words} bitmap
     words (62 tids each), and a seeded partial Fisher-Yates shuffle
     selects a uniform subset of windows covering fraction [F] of them.
-    Adjacent selections are merged into runs, so counting stays on the
-    word-window fast path of {!Vertical.count_into} and a plan at
-    [F = 1.0] degenerates to one full-range window — byte-identical to
-    the exact vertical count.
+    Adjacent selections are merged into runs.  A sampled count is the
+    exact count restricted to the runs: {!raw_counts} sums
+    {!Vertical.count_into} over them, and the parallel miner
+    ([Ppdm_runtime.Parallel]) hands them to the same grid planner that
+    exact counting gives the single run [\[0, word_count)].  A plan at
+    [F = 1.0] is that single run, so its counts are byte-identical to
+    the exact vertical count.  Per-run dispatch makes small fractions
+    cost more per counted word than the exact count (EXPERIMENTS B9).
 
     Raw sample counts are scaled to full-database equivalents with
     round-half-up integer arithmetic, so the level-wise miners compare
@@ -63,10 +67,10 @@ val scale_counts : plan -> int array -> int array
 val raw_counts :
   ?scratch:Vertical.scratch -> Vertical.t -> plan -> Vertical.prepared ->
   int array
-(** Unscaled sample counts in prepared order: {!Vertical.count_runs}
-    over the plan's runs — equal to summing {!Vertical.count_into} over
-    any partition of them, which is what lets the parallel driver
-    re-shard them. *)
+(** Unscaled sample counts in prepared order: the sum of
+    {!Vertical.count_into} over the plan's runs.  Integer sums do not
+    depend on how the runs are cut, which is what lets the parallel
+    driver cut them into grid cells. *)
 
 val support_counts :
   ?scratch:Vertical.scratch ->
@@ -78,3 +82,10 @@ val support_counts :
     counterpart of {!Vertical.support_counts}, in the same output shape.
     @raise Invalid_argument if the plan was built for a database of a
     different size, or on an empty candidate itemset. *)
+
+val sample_rows : 'a array -> fraction:float -> seed:int -> 'a array
+(** A seeded uniform sample of [round (fraction * n)] rows (at least
+    one), without replacement and in input order, drawn like the plan's
+    windows; the input itself when that is every row.  [recover]'s
+    sampling design: tagged reports have no tid geometry, so it samples
+    rows where the miners sample word windows. *)

@@ -572,120 +572,6 @@ let count_into ?scratch t ?(word_lo = 0) ?word_hi ?(cand_lo = 0) ?cand_hi
   end;
   out
 
-(* Sum of windowed counts over several [lo, hi) word runs — the sampled
-   counter's kernel.  Calling [count_into] once per run pays the whole
-   per-candidate dispatch (item lookup, view construction, prefix
-   bookkeeping) once per run; with thousands of candidates and runs of a
-   handful of words that fixed cost dwarfs the scan itself.  Candidates
-   of size <= 2 — level 2, where the candidate count peaks — never touch
-   the prefix buffers, so for them the loop inverts to candidate-outer:
-   tid-sets are fetched and dispatched once, and the inner loop is the
-   raw window scan.  Larger candidates keep the run-outer [count_into]
-   path, where the prefix cache works within each window. *)
-let count_runs ?scratch t ~runs prepared =
-  Array.iter
-    (fun (lo, hi) ->
-      if lo < 0 || lo > hi || hi > t.n_words then
-        invalid_arg "Vertical.count_runs: run out of range")
-    runs;
-  match runs with
-  | [||] -> Array.make (Array.length prepared) 0
-  | [| (lo, hi) |] -> count_into ?scratch t ~word_lo:lo ~word_hi:hi prepared
-  | _ ->
-      let scratch =
-        match scratch with
-        | Some s ->
-            if s.s_n_words <> t.n_words then
-              invalid_arg "Vertical.count_runs: scratch built for another width";
-            s
-        | None -> make_scratch t
-      in
-      let small =
-        Array.for_all (fun c -> Itemset.cardinal c <= 2) prepared
-      in
-      if not small then begin
-        (* run-outer: count_into per run, summed (integer sums are
-           independent of the run partition) *)
-        let len = Array.length prepared in
-        let totals = Array.make len 0 in
-        Array.iter
-          (fun (lo, hi) ->
-            let part = count_into ~scratch t ~word_lo:lo ~word_hi:hi prepared in
-            for i = 0 to len - 1 do
-              totals.(i) <- totals.(i) + part.(i)
-            done)
-          runs;
-        totals
-      end
-      else begin
-        let touched0 = scratch.touched in
-        let out =
-          Array.map
-            (fun c ->
-              let items = Itemset.unsafe_to_array c in
-              let k = Array.length items in
-              if items.(k - 1) >= t.universe then 0
-              else if k = 1 then begin
-                match t.tidsets.(items.(0)) with
-                | Dense words ->
-                    let card = ref 0 in
-                    Array.iter
-                      (fun (wlo, whi) ->
-                        scratch.touched <- scratch.touched + (whi - wlo);
-                        card := !card + popcount_words words ~wlo ~whi)
-                      runs;
-                    !card
-                | Sparse tids ->
-                    let card = ref 0 in
-                    Array.iter
-                      (fun (wlo, whi) ->
-                        card :=
-                          !card
-                          + lower_bound tids (whi * bits_per_word)
-                          - lower_bound tids (wlo * bits_per_word))
-                      runs;
-                    !card
-              end
-              else begin
-                let acc = ref 0 in
-                (match (t.tidsets.(items.(0)), t.tidsets.(items.(1))) with
-                | Dense wa, Dense wb ->
-                    Array.iter
-                      (fun (wlo, whi) ->
-                        scratch.touched <- scratch.touched + (2 * (whi - wlo));
-                        acc := !acc + and_words_card wa wb ~wlo ~whi)
-                      runs
-                | Dense words, Sparse tids | Sparse tids, Dense words ->
-                    Array.iter
-                      (fun (wlo, whi) ->
-                        let slo = lower_bound tids (wlo * bits_per_word) in
-                        let shi = lower_bound tids (whi * bits_per_word) in
-                        scratch.touched <- scratch.touched + (shi - slo);
-                        acc := !acc + probe_card words tids ~slo ~shi)
-                      runs
-                | Sparse ta, Sparse tb ->
-                    Array.iter
-                      (fun (wlo, whi) ->
-                        let alo = lower_bound ta (wlo * bits_per_word)
-                        and ahi = lower_bound ta (whi * bits_per_word)
-                        and blo = lower_bound tb (wlo * bits_per_word)
-                        and bhi = lower_bound tb (whi * bits_per_word) in
-                        scratch.touched <-
-                          scratch.touched + (ahi - alo) + (bhi - blo);
-                        acc := !acc + merge_card ta ~alo ~ahi tb ~blo ~bhi)
-                      runs);
-                !acc
-              end)
-            prepared
-        in
-        if Ppdm_obs.Metrics.enabled () then begin
-          Ppdm_obs.Metrics.add "vertical.candidates" (Array.length prepared);
-          Ppdm_obs.Metrics.add "vertical.words.touched"
-            (scratch.touched - touched0)
-        end;
-        out
-      end
-
 let assemble prepared counts =
   if Array.length prepared <> Array.length counts then
     invalid_arg "Vertical.assemble: length mismatch";

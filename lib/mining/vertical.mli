@@ -26,7 +26,9 @@
     disjoint windows sum to the full count, and candidate columns simply
     concatenate — which is how the parallel runtime shards the engine
     over a 2-D (tid-window x candidate-range) grid without changing any
-    result. *)
+    result.  Windows are also the only sampled-counting kernel: a
+    {!Sampled} count is this windowed count summed over the sample's
+    word runs, so the engine has one counting loop for both. *)
 
 open Ppdm_data
 
@@ -151,16 +153,6 @@ val count_into :
     containing an item outside the universe counts 0, as with the trie.
     @raise Invalid_argument on a window outside [0, word_count] or a
     candidate range outside [0, prepared_length]. *)
-
-val count_runs :
-  ?scratch:scratch -> t -> runs:(int * int) array -> prepared -> int array
-(** Sum of {!count_into} over several [\[lo, hi)] word runs, in one pass:
-    equal to per-run [count_into] results added together, but candidates
-    of size at most 2 are counted candidate-outer so the per-candidate
-    dispatch cost is paid once rather than once per run — the sampled
-    counter's kernel, where runs are a few words wide and the candidate
-    batch is large.
-    @raise Invalid_argument on a run outside [0, word_count]. *)
 
 val assemble : prepared -> int array -> (Itemset.t * int) list
 (** Pair a {!count_into} result (or a sum of them) back with its

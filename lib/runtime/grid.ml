@@ -1,7 +1,9 @@
-(* 2-D work-grid planning for the vertical counting engine: cut a
-   (bitmap-word x candidate) rectangle into cache-sized cells.  The plan
-   is a pure function of the data shape and the explicit overrides —
-   never of the job count — which is what lets the pool execute the
+(* 2-D work-grid planning for the vertical counting engine: cut the
+   (bitmap-word x candidate) rectangle over some word runs into
+   cache-sized cells.  Exact counting plans over the one run
+   [0, n_words); sampled counting over the sample's runs.  The plan is a
+   pure function of the runs, the batch size and the explicit overrides
+   — never of the job count — which is what lets the pool execute the
    cells in any order while the reduction stays bit-identical. *)
 
 type cell = { word_lo : int; word_hi : int; cand_lo : int; cand_hi : int }
@@ -32,36 +34,55 @@ let word_chunk_for ?(l2_bytes = default_l2_bytes) ~n_words () =
 let cand_chunk_for ~n_candidates =
   max 512 (min 4096 ((n_candidates + 15) / 16))
 
-let plan ?l2_bytes ?word_chunk ?cand_chunk ~n_words ~n_candidates () =
-  if n_words <= 0 then invalid_arg "Grid.plan: n_words must be positive";
-  if n_candidates <= 0 then
-    invalid_arg "Grid.plan: n_candidates must be positive";
+let positive name = function
+  | Some c when c <= 0 ->
+      invalid_arg (Printf.sprintf "Grid.plan: %s must be positive" name)
+  | c -> c
+
+let plan ?l2_bytes ?word_chunk ?cand_chunk ~runs ~n_candidates () =
+  if n_candidates < 0 then invalid_arg "Grid.plan: negative n_candidates";
+  let n_words, _ =
+    Array.fold_left
+      (fun (words, prev_hi) (lo, hi) ->
+        if lo < prev_hi || hi < lo then
+          invalid_arg "Grid.plan: runs must be ascending and disjoint";
+        (words + hi - lo, hi))
+      (0, 0) runs
+  in
   let word_chunk =
-    match word_chunk with
-    | Some c ->
-        if c <= 0 then invalid_arg "Grid.plan: word_chunk must be positive";
-        c
+    match positive "word_chunk" word_chunk with
+    | Some c -> c
     | None -> word_chunk_for ?l2_bytes ~n_words ()
   in
   let cand_chunk =
-    match cand_chunk with
-    | Some c ->
-        if c <= 0 then invalid_arg "Grid.plan: cand_chunk must be positive";
-        c
+    match positive "cand_chunk" cand_chunk with
+    | Some c -> c
     | None -> cand_chunk_for ~n_candidates
   in
-  let windows = (n_words + word_chunk - 1) / word_chunk in
+  (* The word axis: each run cut into windows of at most [word_chunk]
+     words, in run order. *)
+  let windows =
+    Array.concat
+      (List.map
+         (fun (lo, hi) ->
+           Array.init
+             ((hi - lo + word_chunk - 1) / word_chunk)
+             (fun i -> (lo + (i * word_chunk), min hi (lo + ((i + 1) * word_chunk)))))
+         (Array.to_list runs))
+  in
+  let n_windows = Array.length windows in
   let columns = (n_candidates + cand_chunk - 1) / cand_chunk in
   (* Column-major: a column's windows are adjacent in cell order, so a
      worker's contiguous deque slice walks one candidate range across
      ascending tid windows — the access pattern the prefix scratch and
      the sparse lower-bound cursors like best. *)
   let cells =
-    Array.init (windows * columns) (fun idx ->
-        let col = idx / windows and win = idx mod windows in
+    Array.init (n_windows * columns) (fun idx ->
+        let col = idx / n_windows and win = idx mod n_windows in
+        let word_lo, word_hi = windows.(win) in
         {
-          word_lo = win * word_chunk;
-          word_hi = min n_words ((win + 1) * word_chunk);
+          word_lo;
+          word_hi;
           cand_lo = col * cand_chunk;
           cand_hi = min n_candidates ((col + 1) * cand_chunk);
         })

@@ -274,7 +274,8 @@ let test_stats_do_not_change_results () =
               Parallel.apriori_mine pool ~chunk:128 db ~min_support:0.05 ~max_size:3
             in
             let itemset = Itemset.of_list [ 1; 2 ] in
-            let stream = Parallel.observe_all pool ~scheme ~itemset tagged in
+            let stream = Stream.create ~scheme ~itemset in
+            Stream.observe_all stream tagged;
             (tagged, mined, (Stream.estimate stream).Estimator.support)))
   in
   let base_tagged, base_mined, base_support = run ~stats:false ~jobs:1 in
@@ -317,7 +318,8 @@ let test_instrumentation_coverage () =
           let tagged = Parallel.randomize_db_tagged pool ~chunk:64 scheme rng db in
           ignore (Parallel.apriori_mine pool ~chunk:64 db ~min_support:0.05 ~max_size:2);
           let itemset = Itemset.of_list [ 1; 2 ] in
-          let stream = Parallel.observe_all pool ~chunk:64 ~scheme ~itemset tagged in
+          let stream = Stream.create ~scheme ~itemset in
+          Stream.observe_all stream tagged;
           ignore (Stream.estimate stream);
           mined :=
             List.length
@@ -351,8 +353,8 @@ let test_instrumentation_coverage () =
       List.iter
         (fun name ->
           Alcotest.(check bool) (name ^ " span") true (List.mem name roots))
-        [ "parallel.randomize"; "parallel.apriori"; "parallel.observe";
-          "stream.estimate"; "ppmining.level" ];
+        [ "parallel.randomize"; "parallel.apriori"; "stream.estimate";
+          "ppmining.level" ];
       (* no dark time inside a level: counting and estimation are its
          children *)
       let level =

@@ -67,34 +67,6 @@ let test_randomize_determinism () =
         rest
   | [] -> assert false
 
-(* Streaming: the fanned-out accumulator carries exactly the sequential
-   statistic — estimates match to the last bit. *)
-let test_stream_parallel_equals_sequential () =
-  let db = setup_db ~seed:21 in
-  let scheme = scheme_for db in
-  let itemset = Itemset.of_list [ 3; 7 ] in
-  let data = Randomizer.apply_db_tagged scheme (Rng.create ~seed:9 ()) db in
-  let seq = Stream.create ~scheme ~itemset in
-  Stream.observe_all seq data;
-  let expected = Stream.estimate seq in
-  List.iter
-    (fun jobs ->
-      let fanned =
-        Pool.with_pool ~jobs (fun pool ->
-            Parallel.observe_all pool ~chunk:256 ~scheme ~itemset data)
-      in
-      Alcotest.(check int)
-        (Printf.sprintf "observed at jobs=%d" jobs)
-        (Array.length data) (Stream.observed fanned);
-      let e = Stream.estimate fanned in
-      Alcotest.(check (float 0.))
-        (Printf.sprintf "support at jobs=%d" jobs)
-        expected.Estimator.support e.Estimator.support;
-      Alcotest.(check (float 0.))
-        (Printf.sprintf "sigma at jobs=%d" jobs)
-        expected.Estimator.sigma e.Estimator.sigma)
-    job_counts
-
 (* Counting and mining: the grid-sharded vertical counts reproduce the
    reference trie, and the parallel miner its sequential counterpart,
    exactly. *)
@@ -234,16 +206,16 @@ let test_grid_columns_identical () =
         expected got)
     [ (5, 1); (1, 7); (13, 13); (1_000_000, 1_000_000) ]
 
-(* Grid planning: exact partition, column-major cell order, and the
-   documented defaults. *)
-let test_grid_plan () =
-  let g =
-    Grid.plan ~word_chunk:10 ~cand_chunk:100 ~n_words:25 ~n_candidates:250 ()
-  in
-  Alcotest.(check int) "3 windows x 3 columns" 9 (Array.length g.Grid.cells);
-  let cover = Array.make_matrix 25 250 0 in
+(* Every (word, candidate) pair inside the runs lies in exactly one
+   cell, and no cell reaches outside them. *)
+let check_cover ~what ~n_words ~runs ~n_candidates (g : Grid.t) =
+  let in_runs w = Array.exists (fun (lo, hi) -> lo <= w && w < hi) runs in
+  let cover = Array.make_matrix n_words n_candidates 0 in
   Array.iter
     (fun (c : Grid.cell) ->
+      if c.Grid.word_hi - c.Grid.word_lo > g.Grid.word_chunk then
+        Alcotest.failf "%s: window [%d,%d) wider than %d" what c.Grid.word_lo
+          c.Grid.word_hi g.Grid.word_chunk;
       for w = c.Grid.word_lo to c.Grid.word_hi - 1 do
         for q = c.Grid.cand_lo to c.Grid.cand_hi - 1 do
           cover.(w).(q) <- cover.(w).(q) + 1
@@ -252,17 +224,48 @@ let test_grid_plan () =
     g.Grid.cells;
   Array.iteri
     (fun w row ->
+      let want = if in_runs w then 1 else 0 in
       Array.iteri
         (fun q hits ->
-          if hits <> 1 then
-            Alcotest.failf "cell (%d,%d) covered %d times" w q hits)
+          if hits <> want then
+            Alcotest.failf "%s: cell (%d,%d) covered %d times" what w q hits)
         row)
-    cover;
+    cover
+
+(* Grid planning: exact partition, column-major cell order, and the
+   documented defaults. *)
+let test_grid_plan () =
+  let full = [| (0, 25) |] in
+  let g =
+    Grid.plan ~word_chunk:10 ~cand_chunk:100 ~runs:full ~n_candidates:250 ()
+  in
+  Alcotest.(check int) "3 windows x 3 columns" 9 (Array.length g.Grid.cells);
+  check_cover ~what:"one run" ~n_words:25 ~runs:full ~n_candidates:250 g;
   let c0 = g.Grid.cells.(0) and c1 = g.Grid.cells.(1) in
   Alcotest.(check (list int))
     "column-major: second cell is the next window of column 0"
     [ 0; 0; 10; 0 ]
     [ c0.Grid.word_lo; c0.Grid.cand_lo; c1.Grid.word_lo; c1.Grid.cand_lo ];
+  (* A sample's runs: the 23-word run is cut at the chunk, the others
+     are one window each; windows go in run order inside each column. *)
+  let runs = [| (2, 5); (7, 30); (40, 41) |] in
+  let g =
+    Grid.plan ~word_chunk:10 ~cand_chunk:100 ~runs ~n_candidates:250 ()
+  in
+  Alcotest.(check int) "5 windows x 3 columns" 15 (Array.length g.Grid.cells);
+  check_cover ~what:"three runs" ~n_words:45 ~runs ~n_candidates:250 g;
+  Alcotest.(check (list (pair int int)))
+    "column-major over run windows"
+    [ (2, 0); (7, 0); (17, 0); (27, 0); (40, 0); (2, 100); (7, 100) ]
+    (List.init 7 (fun i ->
+         let c = g.Grid.cells.(i) in
+         (c.Grid.word_lo, c.Grid.cand_lo)));
+  Alcotest.(check int) "default window sized by the runs' words, not their span"
+    (Grid.word_chunk_for ~n_words:164_000 ())
+    (Grid.plan ~runs:[| (0, 100_000); (200_000, 264_000) |] ~n_candidates:1 ())
+      .Grid.word_chunk;
+  Alcotest.(check int) "no words, no cells" 0
+    (Array.length (Grid.plan ~runs:[| (0, 0) |] ~n_candidates:5 ()).Grid.cells);
   Alcotest.(check int) "small db keeps the 1-D default" 256
     (Grid.word_chunk_for ~n_words:100 ());
   Alcotest.(check int) "huge db capped by the L2 budget"
@@ -272,12 +275,15 @@ let test_grid_plan () =
     (Grid.cand_chunk_for ~n_candidates:100);
   Alcotest.(check int) "huge batch capped at 4096" 4096
     (Grid.cand_chunk_for ~n_candidates:1_000_000);
-  Alcotest.check_raises "n_words must be positive"
-    (Invalid_argument "Grid.plan: n_words must be positive") (fun () ->
-      ignore (Grid.plan ~n_words:0 ~n_candidates:1 ()));
+  List.iter
+    (fun runs ->
+      Alcotest.check_raises "runs must be ascending and disjoint"
+        (Invalid_argument "Grid.plan: runs must be ascending and disjoint")
+        (fun () -> ignore (Grid.plan ~runs ~n_candidates:1 ())))
+    [ [| (-1, 3) |]; [| (3, 2) |]; [| (0, 4); (3, 6) |] ];
   Alcotest.check_raises "word_chunk must be positive"
     (Invalid_argument "Grid.plan: word_chunk must be positive") (fun () ->
-      ignore (Grid.plan ~word_chunk:0 ~n_words:1 ~n_candidates:1 ()));
+      ignore (Grid.plan ~word_chunk:0 ~runs:[| (0, 1) |] ~n_candidates:1 ()));
   Alcotest.check_raises "l2_bytes must be positive"
     (Invalid_argument "Grid: l2_bytes must be positive") (fun () ->
       ignore (Grid.word_chunk_for ~l2_bytes:0 ~n_words:1 ()))
@@ -369,8 +375,6 @@ let suite =
       `Quick test_report_store_differential;
     Alcotest.test_case "randomize determinism across jobs" `Quick
       test_randomize_determinism;
-    Alcotest.test_case "stream parallel = sequential" `Quick
-      test_stream_parallel_equals_sequential;
     Alcotest.test_case "support counts parallel = sequential" `Quick
       test_support_counts;
     Alcotest.test_case "apriori parallel = sequential" `Quick

@@ -198,7 +198,26 @@ let test_raw_counts_sum_over_runs () =
     (fun c ->
       Alcotest.(check bool) "scaled count within population" true
         (Sampled.scale_count plan c <= plan.Sampled.population))
-    raw
+    raw;
+  (* The parallel miner cuts the same runs into grid cells; at one word
+     per window every multi-word run is cut, and the sums must not
+     move. *)
+  let cut = Grid.plan ~word_chunk:1 ~runs:plan.Sampled.runs ~n_candidates:1 () in
+  Alcotest.(check bool) "some run spans more than one window" true
+    (Array.length cut.Grid.cells > Array.length plan.Sampled.runs);
+  let counter = Apriori.Sampled { fraction = 0.4; seed = 2 } in
+  let sequential = Apriori.mine ~counter db ~min_support:0.05 ~max_size:3 in
+  Alcotest.(check bool) "sampled mine reaches pairs" true
+    (List.exists (fun (s, _) -> Itemset.cardinal s >= 2) sequential);
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun pool ->
+          check_same_result
+            (Printf.sprintf "chunk 1 at jobs %d equals sequential" jobs)
+            sequential
+            (Parallel.apriori_mine pool ~chunk:1 ~counter db ~min_support:0.05
+               ~max_size:3)))
+    [ 1; 2; 4 ]
 
 let test_plan_mismatch_rejected () =
   let db = random_db ~seed:41 ~universe:4 ~n:300 ~p:0.4 in
