@@ -479,8 +479,7 @@ let b7 () =
             ~name:(Printf.sprintf "%s apriori vertical" label)
             (Bechamel.Staged.stage (fun () ->
                  ignore
-                   (Apriori.mine ~counter:Apriori.Vertical db ~min_support
-                      ~max_size:3)));
+                   (Apriori.mine db ~min_support ~max_size:3)));
           Bechamel.Test.make
             ~name:(Printf.sprintf "%s eclat" label)
             (Bechamel.Staged.stage (fun () ->
@@ -561,102 +560,6 @@ let b8 () =
         [ 1; 64; 1024 ])
     [ 1; 2; 4 ]
 
-let b9 () =
-  header "B9  Sampled counting: word-window sample vs exact vertical (QUEST dense, 20k)";
-  (* The hot loop sampling accelerates is per-level candidate counting,
-     so the kernel comparison holds the prepared candidate set fixed and
-     times only the tid-window scan: one full-range count_into for the
-     exact engine against the plan's runs for each fraction.  The mined
-     end-to-end output at F = 1.0 must stay byte-identical to exact. *)
-  let rng = Rng.create ~seed:13 () in
-  let db =
-    Ppdm_datagen.Quest.generate rng
-      {
-        Ppdm_datagen.Quest.default with
-        universe = 100;
-        n_transactions = 20_000;
-        avg_transaction_size = 20.;
-      }
-  in
-  let vt = Vertical.of_db db in
-  let scratch = Vertical.make_scratch vt in
-  let word_count = Vertical.word_count vt in
-  let min_support = 0.02 in
-  let frequent1 = List.map fst (Apriori.mine db ~min_support ~max_size:1) in
-  let candidates = Apriori.candidates_from ~frequent:frequent1 ~size:2 in
-  let prepared = Vertical.prepare candidates in
-  Printf.printf "  transactions=%d words=%d level-2 candidates=%d\n"
-    (Vertical.length vt) word_count (List.length candidates);
-  (* Best of several reps of an inner loop: immune to scheduler blips at
-     these sub-millisecond scales. *)
-  let time f =
-    let inner = 20 and reps = 5 in
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to inner do
-        f ()
-      done;
-      best := Float.min !best ((Unix.gettimeofday () -. t0) /. float_of_int inner)
-    done;
-    !best
-  in
-  let exact_dt =
-    time (fun () ->
-        ignore
-          (Vertical.count_into ~scratch vt ~word_lo:0 ~word_hi:word_count
-             prepared))
-  in
-  emit ~section:"b9" ~name:"count/exact" ~ns_per_op:(exact_dt *. 1e9)
-    ~throughput:(1. /. exact_dt) ();
-  Printf.printf "%-10s %-8s %-12s %-9s %s\n" "fraction" "words" "seconds"
-    "speedup" "runs";
-  Printf.printf "%-10s %-8d %-12.6f %-9s %s\n" "exact" word_count exact_dt
-    "1.00x" "-";
-  List.iter
-    (fun fraction ->
-      let plan =
-        Sampled.plan ~n:(Vertical.length vt) ~word_count ~fraction ~seed:17 ()
-      in
-      let dt = time (fun () -> ignore (Sampled.raw_counts ~scratch vt plan prepared)) in
-      let words =
-        Array.fold_left (fun acc (lo, hi) -> acc + hi - lo) 0 plan.Sampled.runs
-      in
-      emit ~section:"b9"
-        ~name:(Printf.sprintf "count/sampled F=%g" fraction)
-        ~ns_per_op:(dt *. 1e9) ~throughput:(1. /. dt) ();
-      Printf.printf "%-10g %-8d %-12.6f %-9s %d\n" fraction words dt
-        (Printf.sprintf "%.2fx" (exact_dt /. dt))
-        (Array.length plan.Sampled.runs))
-    [ 1.0; 0.5; 0.1; 0.02 ];
-  (* End-to-end miner: level 1 stays exact and candidate generation is
-     shared, so the whole-run speedup is smaller than the kernel's. *)
-  let mine_exact =
-    time (fun () ->
-        ignore (Apriori.mine ~counter:Apriori.Vertical db ~min_support ~max_size:3))
-  in
-  let mine_sampled =
-    time (fun () ->
-        ignore
-          (Apriori.mine
-             ~counter:(Apriori.Sampled { fraction = 0.1; seed = 17 })
-             db ~min_support ~max_size:3))
-  in
-  emit ~section:"b9" ~name:"mine/exact" ~ns_per_op:(mine_exact *. 1e9)
-    ~throughput:(1. /. mine_exact) ();
-  emit ~section:"b9" ~name:"mine/sampled F=0.1" ~ns_per_op:(mine_sampled *. 1e9)
-    ~throughput:(1. /. mine_sampled) ();
-  Printf.printf "full mine:   exact %.4fs   sampled F=0.1 %.4fs   (%.2fx)\n"
-    mine_exact mine_sampled (mine_exact /. mine_sampled);
-  let identical =
-    Apriori.mine ~counter:Apriori.Vertical db ~min_support ~max_size:3
-    = Apriori.mine
-        ~counter:(Apriori.Sampled { fraction = 1.0; seed = 17 })
-        db ~min_support ~max_size:3
-  in
-  Printf.printf "sampled F=1.0 output identical to exact: %s\n"
-    (if identical then "yes" else "NO — EXACTNESS VIOLATION")
-
 let b10 () =
   header
     "B10 Scaling efficiency: 2-D grid counting on the pool (QUEST)";
@@ -691,7 +594,8 @@ let b10 () =
       ("skewed", skewed (quest ~universe:2_000 ~avg:5.));
     ]
   in
-  (* Best of several reps of an inner loop, as in B9. *)
+  (* Best of several reps of an inner loop: immune to scheduler blips at
+     these sub-millisecond scales. *)
   let time f =
     let inner = 10 and reps = 5 in
     let best = ref infinity in
@@ -1012,7 +916,7 @@ let b12 () =
              must stay byte-identical to the in-RAM engine *)
           let identical =
             Apriori.mine_vertical cvt ~min_support ~max_size:3
-            = Apriori.mine ~counter:Apriori.Vertical db ~min_support ~max_size:3
+            = Apriori.mine db ~min_support ~max_size:3
           in
           Printf.printf
             "  [%s] level-2 count: in-RAM %.6fs, columnar %.6fs (%.2fx \
@@ -1060,7 +964,7 @@ let sections =
   [ ("t1", t1); ("t2", t2); ("t3", t3); ("f1", f1); ("f2", f2); ("f3", f3);
     ("f4", f4); ("f5", f5); ("a1", a1); ("a2", a2); ("a4", a4); ("e1", e1);
     ("b1", b1); ("b2", b2); ("a3", a3); ("b3", b3); ("b4", b4); ("b5", b5);
-    ("b6", b6); ("b7", b7); ("b8", b8); ("b9", b9); ("b10", b10);
+    ("b6", b6); ("b7", b7); ("b8", b8); ("b10", b10);
     ("b11", b11); ("b12", b12); ("b14", b14) ]
 
 (* Value of `--flag V` anywhere in argv, or None. *)

@@ -147,6 +147,7 @@ let gen_cmd =
     with_obs stats trace @@ fun () ->
     let rng = Rng.create ~seed () in
     let db =
+      Ppdm_obs.Span.with_ ~name:"datagen.generate" @@ fun () ->
       match kind with
       | `Quest ->
           Quest.generate rng
@@ -209,13 +210,15 @@ let resolve_source ~who input dbfile =
       Printf.eprintf "%s: one of --in or --db is required\n" who;
       exit 2
 
-(* The one error path for an input file: a malformed or missing file is
-   "<cmd>: <path>: <message>" and exit 1, never an uncaught exception. *)
+(* The one error path for an input file: a malformed, missing or empty
+   file is "<cmd>: <path>: <message>" and exit 1, never an uncaught
+   exception. *)
+let input_error ~who path msg =
+  Printf.eprintf "%s: %s: %s\n" who path msg;
+  exit 1
+
 let with_input ~who path read =
-  let fail msg =
-    Printf.eprintf "%s: %s: %s\n" who path msg;
-    exit 1
-  in
+  let fail = input_error ~who path in
   match read path with
   | v -> v
   | exception Failure msg -> fail msg
@@ -332,34 +335,14 @@ let check_min_support ~who min_support =
 let maxsize_term =
   Arg.(value & opt int 3 & info [ "max-size" ] ~doc:"Largest itemset size explored.")
 
-(* --counter names the exact engine or a sampled fraction; the sampling
-   seed comes from --seed.  Validated in the commands rather than by a
-   cmdliner converter, so a bad value is a usage error (exit 2) like the
-   commands' other flag checks. *)
-type counter_spec = Exact | Sampled_at of float
-
-let counter_spec ~who flag =
-  let usage fmt =
-    Printf.ksprintf
-      (fun msg ->
-        Printf.eprintf "%s: %s\n" who msg;
-        exit 2)
-      fmt
-  in
-  match String.lowercase_ascii flag with
-  | "vertical" -> Exact
-  | spec when String.starts_with ~prefix:"sampled:" spec -> (
-      let frac = String.sub spec 8 (String.length spec - 8) in
-      match float_of_string_opt frac with
-      | Some f when f > 0. && f <= 1. -> Sampled_at f
-      | _ ->
-          usage "--counter: sampled fraction %S must be a float in (0,1]" frac)
-  | _ -> usage "--counter %S must be vertical or sampled:F" flag
-
-let apriori_counter spec ~seed =
-  match spec with
-  | Exact -> Apriori.Vertical
-  | Sampled_at fraction -> Apriori.Sampled { fraction; seed }
+(* Validated in the command rather than by a cmdliner converter, so a
+   bad value is a usage error (exit 2) like the commands' other flag
+   checks. *)
+let check_counter ~who flag =
+  if String.lowercase_ascii flag <> "vertical" then begin
+    Printf.eprintf "%s: --counter %S must be vertical\n" who flag;
+    exit 2
+  end
 
 let counter_term =
   Arg.(
@@ -367,24 +350,18 @@ let counter_term =
     & opt string "vertical"
     & info [ "counter" ] ~docv:"ENGINE"
         ~doc:
-          "Support-counting engine for Apriori: $(b,vertical) (word-level \
-           tid bitmaps, the exact engine) or $(b,sampled:F) (count levels \
-           >= 2 on a deterministic seeded uniform sample covering fraction \
-           F of the transactions, with known sampling noise; F = 1.0 is \
-           byte-identical to vertical).  A sample is not always faster: \
-           each sampled word run re-pays every candidate's dispatch.  On a \
-           1M-row, 100-item file at --jobs 1 (2-core VM), counting took \
-           0.36 s exact, 0.69 s at F = 0.5 and 0.25 s at F = 0.1.")
+          "Support-counting engine for Apriori: $(b,vertical) (exact counts \
+           on word-level tid bitmaps) is the only engine.")
 
 let mine_cmd =
   let min_confidence =
     Arg.(value & opt (some float) None & info [ "rules" ] ~doc:"Also emit rules at this confidence.")
   in
-  let run input dbfile min_support max_size min_confidence counter seed jobs
-      stats trace =
+  let run input dbfile min_support max_size min_confidence counter jobs stats
+      trace =
     let source = resolve_source ~who:"mine" input dbfile in
     check_min_support ~who:"mine" min_support;
-    let counter = apriori_counter (counter_spec ~who:"mine" counter) ~seed in
+    check_counter ~who:"mine" counter;
     with_obs stats trace @@ fun () ->
     let n, frequent =
       match source with
@@ -392,15 +369,13 @@ let mine_cmd =
           let db = with_input ~who:"mine" path Io.read_file in
           ( Db.length db,
             Pool.with_pool ~jobs (fun pool ->
-                Parallel.apriori_mine pool db ~min_support ~max_size ~counter)
-          )
+                Parallel.apriori_mine pool db ~min_support ~max_size) )
       | `Columnar path ->
           with_colfile ~who:"mine" path @@ fun cf ->
           let vt = Vertical.of_colfile cf in
           ( Vertical.length vt,
             Pool.with_pool ~jobs (fun pool ->
-                Parallel.apriori_mine_vertical pool vt ~min_support ~max_size
-                  ~counter)
+                Parallel.apriori_mine_vertical pool vt ~min_support ~max_size)
           )
     in
     emit @@ fun () ->
@@ -421,33 +396,32 @@ let mine_cmd =
     (Cmd.info "mine" ~doc:"Non-private Apriori over a database file.")
     Term.(
       const run $ in_opt_term $ db_term $ minsup_term $ maxsize_term
-      $ min_confidence $ counter_term $ seed_term $ jobs_term $ stats_term
-      $ trace_term)
+      $ min_confidence $ counter_term $ jobs_term $ stats_term $ trace_term)
 
 (* -------------------------------------------------------------- private *)
 
 let private_cmd =
-  let run input dbfile spec min_support max_size counter seed jobs stats
-      trace =
+  let run input dbfile spec min_support max_size seed jobs stats trace =
     let source = resolve_source ~who:"private" input dbfile in
     check_min_support ~who:"private" min_support;
-    let counter = apriori_counter (counter_spec ~who:"private" counter) ~seed in
     with_obs stats trace @@ fun () ->
-    let db =
+    let path, db =
       match source with
-      | `Row path -> with_input ~who:"private" path Io.read_file
+      | `Row path -> (path, with_input ~who:"private" path Io.read_file)
       | `Columnar path ->
           (* randomization is inherently row-major (it rewrites
              transactions), so a columnar source is transposed back *)
-          with_colfile ~who:"private" path (fun cf ->
-              Vertical.to_db (Vertical.of_colfile cf))
+          ( path,
+            with_colfile ~who:"private" path (fun cf ->
+                Vertical.to_db (Vertical.of_colfile cf)) )
     in
+    if Db.length db = 0 then input_error ~who:"private" path "no transactions";
     let scheme = scheme_of_spec ~universe:(Db.universe db) spec in
     let rng = Rng.create ~seed () in
     let reports, truth =
       Pool.with_pool ~jobs (fun pool ->
           ( Parallel.randomize pool scheme rng db,
-            Parallel.apriori_mine pool db ~min_support ~max_size ~counter ))
+            Parallel.apriori_mine pool db ~min_support ~max_size ))
     in
     let mined =
       recoverable ~who:"private" (fun () ->
@@ -471,8 +445,7 @@ let private_cmd =
        ~doc:"End-to-end demo: randomize, mine privately, compare to ground truth.")
     Term.(
       const run $ in_opt_term $ db_term $ operator_term $ minsup_term
-      $ maxsize_term $ counter_term $ seed_term $ jobs_term $ stats_term
-      $ trace_term)
+      $ maxsize_term $ seed_term $ jobs_term $ stats_term $ trace_term)
 
 (* -------------------------------------------------------------- recover *)
 
@@ -485,9 +458,8 @@ let recover_cmd =
          & info [ "scheme" ] ~doc:"Operator parameter file written by randomize --scheme-out \
                                    (overrides --operator).")
   in
-  let run input dbfile spec scheme_file items counter seed stats trace =
+  let run input dbfile spec scheme_file items stats trace =
     let source = resolve_source ~who:"recover" input dbfile in
-    let counter = counter_spec ~who:"recover" counter in
     match source with
     | `Columnar path ->
         (* the un-randomized columnar file: the itemset's support is a
@@ -506,6 +478,8 @@ let recover_cmd =
     | `Row input ->
     with_obs stats trace @@ fun () ->
     let universe, data = with_input ~who:"recover" input Io.read_tagged in
+    if Array.length data = 0 then
+      input_error ~who:"recover" input "no transactions";
     let scheme =
       match scheme_file with
       | Some path -> with_input ~who:"recover" path Scheme_io.read_file
@@ -514,30 +488,12 @@ let recover_cmd =
     let itemset = Itemset.of_list items in
     let e =
       recoverable ~who:"recover" @@ fun () ->
-      match counter with
-      | Exact ->
-          (* The exact engine reads every row here; the flag is accepted
-             for CLI symmetry with mine/private. *)
-          Estimator.estimate ~scheme ~data ~itemset
-      | Sampled_at fraction ->
-          let population = Array.length data in
-          let sampled = Sampled.sample_rows data ~fraction ~seed in
-          if Array.length sampled = population then
-            Estimator.estimate ~scheme ~data ~itemset
-          else
-            Estimator.estimate_sampled ~population ~scheme ~data:sampled
-              ~itemset
+      Estimator.estimate ~scheme ~data ~itemset
     in
     emit @@ fun () ->
-    if e.Estimator.n_population > e.Estimator.n_transactions then
-      Printf.printf
-        "estimated support of %s: %.5f (combined sigma %.5f, n = %d of N = %d)\n"
-        (Itemset.to_string itemset) e.Estimator.support e.Estimator.sigma
-        e.Estimator.n_transactions e.Estimator.n_population
-    else
-      Printf.printf "estimated support of %s: %.5f (sigma %.5f, N = %d)\n"
-        (Itemset.to_string itemset) e.Estimator.support e.Estimator.sigma
-        e.Estimator.n_transactions
+    Printf.printf "estimated support of %s: %.5f (sigma %.5f, N = %d)\n"
+      (Itemset.to_string itemset) e.Estimator.support e.Estimator.sigma
+      e.Estimator.n_transactions
   in
   Cmd.v
     (Cmd.info "recover"
@@ -546,7 +502,7 @@ let recover_cmd =
           count it exactly from a columnar $(b,--db) file).")
     Term.(
       const run $ in_opt_term $ db_term $ operator_term $ scheme_file
-      $ itemset_term $ counter_term $ seed_term $ stats_term $ trace_term)
+      $ itemset_term $ stats_term $ trace_term)
 
 (* ---------------------------------------------------------------- stats *)
 

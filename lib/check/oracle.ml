@@ -49,15 +49,6 @@ let sequential_miners ?max_size () =
         Apriori.mine_vertical ?max_size (via_colfile db) ~min_support );
     ("eclat", fun db ~min_support -> Eclat.mine ?max_size db ~min_support);
     ("fp-growth", fun db ~min_support -> Fptree.mine ?max_size db ~min_support);
-    (* sampled at F = 1.0 is contractually byte-identical to the exact
-       engine (the plan is exhaustive and scaling is the identity), so
-       it can join the differential suite; F < 1 cannot — it gets its
-       own statistical checks in Stat. *)
-    ( "apriori-sampled-1.0",
-      fun db ~min_support ->
-        Apriori.mine ?max_size
-          ~counter:(Apriori.Sampled { fraction = 1.0; seed = 0 })
-          db ~min_support );
   ]
 
 let parallel_miners ?max_size pool =
@@ -70,11 +61,6 @@ let parallel_miners ?max_size pool =
       fun db ~min_support ->
         Ppdm_runtime.Parallel.apriori_mine_vertical pool ?max_size
           (via_colfile db) ~min_support );
-    ( "parallel-apriori-sampled-1.0/j" ^ j,
-      fun db ~min_support ->
-        Ppdm_runtime.Parallel.apriori_mine pool ?max_size
-          ~counter:(Apriori.Sampled { fraction = 1.0; seed = 0 })
-          db ~min_support );
   ]
 
 let canonical l =
@@ -315,7 +301,7 @@ let reference_class scheme ~size ~k counts =
   in
   (partials, covariance, n)
 
-let reference_estimate ?population ~scheme ~k counts =
+let reference_estimate ~scheme ~k counts =
   let total =
     List.fold_left (fun acc (_, c) -> acc + Array.fold_left ( + ) 0 c) 0 counts
   in
@@ -334,34 +320,18 @@ let reference_estimate ?population ~scheme ~k counts =
         done
       done)
     counts;
-  let population = Option.value population ~default:total in
-  if population > total then begin
-    let extra = Estimator.sampling_covariance ~partials ~n:total ~population in
-    for l = 0 to k do
-      for l2 = 0 to k do
-        Mat.set covariance l l2 (Mat.get covariance l l2 +. Mat.get extra l l2)
-      done
-    done
-  end;
   {
     Estimator.support = partials.(k);
     partials;
     sigma = sqrt (Float.max 0. (Mat.get covariance k k));
     n_transactions = total;
-    n_population = population;
   }
 
-let reference_predicted_sigma ?population p ~k ~partials ~n =
-  let population = Option.value population ~default:n in
+let reference_predicted_sigma p ~k ~partials ~n =
   let cov_obs = conditional_cov p partials n in
   let pinv = Lu.inverse (Lu.decompose p) in
   let cov = Mat.mul pinv (Mat.mul cov_obs (Mat.transpose pinv)) in
-  let sampling =
-    if population > n then
-      Mat.get (Estimator.sampling_covariance ~partials ~n ~population) k k
-    else 0.
-  in
-  sqrt (Float.max 0. (Mat.get cov k k +. sampling))
+  sqrt (Float.max 0. (Mat.get cov k k))
 
 (* ------------------------------------------------ transition reference *)
 

@@ -24,13 +24,12 @@ val trie_apriori :
 val sequential_miners : ?max_size:int -> unit -> miner list
 (** The trie-reference Apriori, Apriori on the vertical engine (loaded
     from rows, loaded from a PPDMC file written by {!Ppdm_data.Colfile.write}
-    and decoded by [Vertical.of_colfile], and sampled at fraction 1),
-    Eclat, and FP-growth. *)
+    and decoded by [Vertical.of_colfile]), Eclat, and FP-growth. *)
 
 val parallel_miners : ?max_size:int -> Ppdm_runtime.Pool.t -> miner list
 (** The parallel Apriori miners (2-D-grid-sharded vertical loaded from
-    rows and from a PPDMC round-trip, and sampled at fraction 1) on the
-    given pool, labelled with its job count. *)
+    rows and from a PPDMC round-trip) on the given pool, labelled with
+    its job count. *)
 
 val canonical : (Itemset.t * int) list -> string
 (** Sorted ({!Itemset.compare}) and printed: the byte-comparable form the
@@ -100,28 +99,18 @@ val brute_force_support_estimate :
 (** {1 Estimator matrix route} *)
 
 val reference_estimate :
-  ?population:int ->
-  scheme:Randomizer.t ->
-  k:int ->
-  (int * int array) list ->
-  Estimator.t
-(** {!Ppdm.Estimator.estimate_from_counts} (or [_sampled] with
-    [population]) the way it was first written: per size class the whole
-    conditional covariance is built and conjugated by the whole inverse
-    (pseudo-inverse when the class is smaller than [k]) with
-    {!Ppdm_linalg.Mat.mul}, the classes' vectors and matrices are pooled
+  scheme:Randomizer.t -> k:int -> (int * int array) list -> Estimator.t
+(** {!Ppdm.Estimator.estimate_from_counts} the way it was first written:
+    per size class the whole conditional covariance is built and
+    conjugated by the whole inverse (pseudo-inverse when the class is
+    smaller than [k]) with {!Ppdm_linalg.Mat.mul}, the classes' vectors and matrices are pooled
     whole, and σ is read at entry [(k, k)].  The library forms only that
     entry; the two must agree bit for bit.  Skips all-zero classes; does
     not validate its input.
     @raise Ppdm.Estimator.Unrecoverable as the library does. *)
 
 val reference_predicted_sigma :
-  ?population:int ->
-  Ppdm_linalg.Mat.t ->
-  k:int ->
-  partials:float array ->
-  n:int ->
-  float
+  Ppdm_linalg.Mat.t -> k:int -> partials:float array -> n:int -> float
 (** {!Ppdm.Estimator.predicted_sigma_of_matrix} by the matrix route: the
     full inverse conjugating the full conditional covariance.
     @raise Ppdm_linalg.Lu.Singular on a singular matrix. *)

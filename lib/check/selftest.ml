@@ -96,9 +96,8 @@ let estimator_reference_check ~seed ~count =
 
 (* The library's σ kernel against the matrix route in Oracle, bit for bit:
    estimates from random per-class histograms (sizes 0..12, so classes
-   smaller than k take the pseudo-inverse; some classes all zero; half
-   the cases sampled out of a larger population), and predicted σ on the
-   class matrices.  A class the library rejects as unrecoverable must be
+   smaller than k take the pseudo-inverse; some classes all zero), and
+   predicted σ on the class matrices.  A class the library rejects as unrecoverable must be
    rejected by the reference too. *)
 let estimator_kernel_differential ~seed ~count =
   let universe = 40 in
@@ -127,7 +126,6 @@ let estimator_kernel_differential ~seed ~count =
     && Array.length a.partials = Array.length b.partials
     && Array.for_all2 same_float a.partials b.partials
     && a.n_transactions = b.n_transactions
-    && a.n_population = b.n_population
   in
   prop
     (Property.check_result ~seed ~count:(max 300 (10 * count))
@@ -161,26 +159,14 @@ let estimator_kernel_differential ~seed ~count =
          let total =
            List.fold_left (fun acc (_, c) -> acc + Array.fold_left ( + ) 0 c) 0 counts
          in
-         let population =
-           if Rng.int rng 2 = 0 then None else Some (total + Rng.int rng 1000)
-         in
-         let estimate () =
-           match population with
-           | None -> Estimator.estimate_from_counts ~scheme ~k ~counts
-           | Some population ->
-               Estimator.estimate_from_counts_sampled ~population ~scheme ~k ~counts
-         in
          let label =
-           Printf.sprintf "%s k=%d classes %s%s" (Randomizer.name scheme) k
+           Printf.sprintf "%s k=%d classes %s" (Randomizer.name scheme) k
              (String.concat ","
                 (List.map
                    (fun (size, c) ->
                      Printf.sprintf "%d:[%s]" size
                        (String.concat " " (Array.to_list (Array.map string_of_int c))))
                    counts))
-             (match population with
-             | None -> ""
-             | Some p -> Printf.sprintf " population %d" p)
          in
          let m = k + Rng.int rng (13 - k) in
          let partials =
@@ -188,9 +174,6 @@ let estimator_kernel_differential ~seed ~count =
              ~support:(Rng.float rng)
          in
          let n = 1 + Rng.int rng 100_000 in
-         let population_p =
-           if Rng.int rng 2 = 0 then None else Some (n + Rng.int rng 100_000)
-         in
          let p = Transition.matrix (Randomizer.resolve scheme ~size:m) ~k in
          if total = 0 then Ok ()
          else
@@ -199,8 +182,8 @@ let estimator_kernel_differential ~seed ~count =
                ~show:(fun (e : Estimator.t) ->
                  Printf.sprintf "support %h sigma %h partials [%s]" e.support e.sigma
                    (String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") e.partials))))
-               estimate (fun () ->
-                 Oracle.reference_estimate ?population ~scheme ~k counts)
+               (fun () -> Estimator.estimate_from_counts ~scheme ~k ~counts)
+               (fun () -> Oracle.reference_estimate ~scheme ~k counts)
            with
            | Error _ as e -> e
            | Ok () ->
@@ -210,11 +193,9 @@ let estimator_kernel_differential ~seed ~count =
                       (Randomizer.name scheme) m n)
                  ~same:same_float ~show:(Printf.sprintf "%h")
                  (fun () ->
-                   Estimator.predicted_sigma_of_matrix ?population:population_p p
-                     ~k ~partials ~n)
+                   Estimator.predicted_sigma_of_matrix p ~k ~partials ~n)
                  (fun () ->
-                   Oracle.reference_predicted_sigma ?population:population_p p ~k
-                     ~partials ~n)))
+                   Oracle.reference_predicted_sigma p ~k ~partials ~n)))
 
 (* ------------------------------------------- private miner differential *)
 
@@ -535,60 +516,6 @@ let private_sigma_check ~seed () =
   in
   let scheme = Randomizer.uniform ~universe:8 ~p_keep:0.8 ~p_add:0.1 in
   Stat.private_sigma_coverage ~scheme ~db (Rng.create ~seed:(seed + 31) ())
-
-(* A database for the sampled-counting hypotheses: iid random transactions
-   (so word-window cluster sampling has the same variance as uniform row
-   sampling, which is what the FPC sigma predicts) and exactly 200 bitmap
-   words — 50 windows, enough for the seeded selection to fluctuate. *)
-let sampled_counting_db =
-  let rng = Rng.create ~seed:1234 () in
-  Db.create ~universe:8
-    (Array.init (200 * 62) (fun _ ->
-         Itemset.of_list
-           (List.filter (fun _ -> Rng.float rng < 0.3) (List.init 8 Fun.id))))
-
-let sampled_counts_check () =
-  let itemset = Itemset.of_list [ 0; 1 ] in
-  let p =
-    Stat.sampled_counts_pvalue ~db:sampled_counting_db ~itemset ~fraction:0.25
-      ()
-  in
-  if p < p_floor then
-    Error
-      (Printf.sprintf "sampled-vs-exact z-test rejected (p=%.2g < %.3f)" p
-         p_floor)
-  else Ok ()
-
-let sampled_sigma_check () =
-  let itemset = Itemset.of_list [ 0; 1 ] in
-  Stat.sampled_sigma_coverage ~db:sampled_counting_db ~itemset ~fraction:0.25
-    ()
-
-let combined_sigma_check ~seed () =
-  let scheme = Randomizer.uniform ~universe:8 ~p_keep:0.85 ~p_add:0.05 in
-  let rng = Rng.create ~seed:4321 () in
-  let db =
-    Db.create ~universe:8
-      (Array.init 400 (fun _ ->
-           Itemset.of_list
-             (List.filter (fun _ -> Rng.float rng < 0.35) (List.init 8 Fun.id))))
-  in
-  let itemset = Itemset.of_list [ 0; 1 ] in
-  match
-    Stat.combined_sigma_coverage ~scheme ~db ~itemset ~fraction:0.3
-      (Rng.create ~seed:(seed + 23) ())
-  with
-  | Error _ as e -> e
-  | Ok () ->
-      let p =
-        Stat.combined_sigma_pvalue ~scheme ~db ~itemset ~fraction:0.3
-          (Rng.create ~seed:(seed + 24) ())
-      in
-      if p < p_floor then
-        Error
-          (Printf.sprintf "combined-sigma z-test rejected (p=%.2g < %.3f)" p
-             p_floor)
-      else Ok ()
 
 (* ----------------------------------------------- parallel determinism *)
 
@@ -1020,12 +947,6 @@ let run ?count ?(seed = 42) ?(log = ignore) () =
               estimator_bias_check ~rng ());
           ("statistical: private singleton and pair sigma coverage", fun () ->
               private_sigma_check ~seed ());
-          ("statistical: sampled counts unbiased vs exact (z-test)", fun () ->
-              sampled_counts_check ());
-          ("statistical: sampled sigma covers |sampled - exact|", fun () ->
-              sampled_sigma_check ());
-          ("statistical: combined sigma honest on sampled recovery", fun () ->
-              combined_sigma_check ~seed ());
           ( "pool: parallel == sequential on random grids at jobs 1/2/4/8",
             fun () -> grid_identity_check ~seed ~count wide_pools );
           ("pool: parallel == sequential on skewed cell costs", fun () ->

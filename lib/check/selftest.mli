@@ -27,13 +27,13 @@ val ok : report -> bool
 (** [failed = 0]. *)
 
 val estimator_kernel_differential : seed:int -> count:int -> (unit, string) result
-(** {!Ppdm.Estimator.estimate_from_counts} (plain and sampled) and
+(** {!Ppdm.Estimator.estimate_from_counts} and
     {!Ppdm.Estimator.predicted_sigma_of_matrix} against
     {!Oracle.reference_estimate} and {!Oracle.reference_predicted_sigma}
     on [max 300 (10 count)] random cases: uniform, cut-and-paste and
     optimized operators, [k = 1..3], size classes [0..12] (so classes
-    smaller than [k]), all-zero classes, and sampled populations.
-    Support, σ, every partial and both counts must agree bit for bit, and
+    smaller than [k]) and all-zero classes.
+    Support, σ, every partial and the count must agree bit for bit, and
     an unrecoverable class must fail both routes alike. *)
 
 val private_miner_differential : seed:int -> (unit, string) result

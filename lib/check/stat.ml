@@ -254,53 +254,7 @@ let estimator_bias_pvalue ?trials ~scheme ~db ~itemset rng =
   if sd = 0. then if Float.abs (mean -. truth) < 1e-9 then 1. else 0.
   else z_pvalue ((mean -. truth) /. (sd /. sqrt (float_of_int trials)))
 
-(* --------------------------------------------------- sampled counting *)
-
-(* Standardized sampled-vs-exact errors of the counting layer: one z per
-   plan seed, each normalized by the FPC sampling sigma at the exact
-   support.  Exhaustive plans (tiny databases or a fraction rounding to
-   everything) carry no sampling noise and are skipped. *)
-let sampled_support_zs ~db ~itemset ~fraction ~seeds =
-  if not (fraction > 0. && fraction < 1.) then
-    invalid_arg "Stat.sampled_support_zs: fraction must be inside (0,1)";
-  let vt = Ppdm_mining.Vertical.of_db db in
-  let n = Db.length db in
-  let word_count = Ppdm_mining.Vertical.word_count vt in
-  let exact = Db.support_count db itemset in
-  let s_exact = float_of_int exact /. float_of_int n in
-  let zs = ref [] in
-  for seed = 0 to seeds - 1 do
-    let plan = Ppdm_mining.Sampled.plan ~n ~word_count ~fraction ~seed () in
-    if not (Ppdm_mining.Sampled.is_exhaustive plan) then begin
-      let sigma =
-        Estimator.sampling_sigma ~support:s_exact
-          ~n:plan.Ppdm_mining.Sampled.sample ~population:n
-      in
-      let c =
-        match Ppdm_mining.Sampled.support_counts vt plan [ itemset ] with
-        | [ (_, c) ] -> c
-        | _ -> assert false
-      in
-      let s_hat = float_of_int c /. float_of_int n in
-      if sigma > 0. then zs := ((s_hat -. s_exact) /. sigma) :: !zs
-      else if Float.abs (s_hat -. s_exact) > 1e-9 then
-        (* zero predicted noise but a wrong count: certain failure *)
-        zs := Float.infinity :: !zs
-    end
-  done;
-  List.rev !zs
-
-let mean_z_pvalue = function
-  | [] -> 1.
-  | zs ->
-      let k = List.length zs in
-      z_pvalue (List.fold_left ( +. ) 0. zs /. sqrt (float_of_int k))
-
-let sampled_counts_pvalue ?seeds ~db ~itemset ~fraction () =
-  let seeds =
-    match seeds with Some s -> max 3 s | None -> Property.scaled ~base:40
-  in
-  mean_z_pvalue (sampled_support_zs ~db ~itemset ~fraction ~seeds)
+(* ------------------------------------------------- private miner sigma *)
 
 (* Binomial-tail allowance: with [k] independent trials each missing with
    probability [alpha], allow up to mean + 3.1 sd misses (one-sided
@@ -323,60 +277,6 @@ let coverage_of_zs ~what ~z zs =
            "%s: %d of %d runs fell outside %.2f sigma (allowed %d)" what
            misses k z allowed)
   end
-
-let sampled_sigma_coverage ?seeds ?(z = 1.959964) ~db ~itemset ~fraction () =
-  let seeds =
-    match seeds with Some s -> max 3 s | None -> Property.scaled ~base:40
-  in
-  coverage_of_zs ~what:"sampled sigma coverage" ~z
-    (sampled_support_zs ~db ~itemset ~fraction ~seeds)
-
-(* End-to-end honest-sigma errors: per trial, randomize the database
-   afresh, estimate from a row sample with the sampling variance folded
-   in, and standardize against the full-data estimate — the difference's
-   variance is the combined variance minus the shared randomization
-   part, sigma_s^2 - sigma_f^2. *)
-let combined_sigma_zs ~scheme ~db ~itemset ~fraction ~trials rng =
-  if not (fraction > 0. && fraction < 1.) then
-    invalid_arg "Stat.combined_sigma_zs: fraction must be inside (0,1)";
-  let n = Db.length db in
-  let zs = ref [] in
-  for trial = 0 to trials - 1 do
-    let child = Rng.derive rng ~index:trial in
-    let data = Randomizer.apply_db_tagged scheme child db in
-    let sampled = Ppdm_mining.Sampled.sample_rows data ~fraction ~seed:trial in
-    if Array.length sampled < n then begin
-      let e_f = Estimator.estimate ~scheme ~data ~itemset in
-      let e_s =
-        Estimator.estimate_sampled ~population:n ~scheme ~data:sampled ~itemset
-      in
-      let var_d =
-        (e_s.Estimator.sigma *. e_s.Estimator.sigma)
-        -. (e_f.Estimator.sigma *. e_f.Estimator.sigma)
-      in
-      if var_d > 0. then
-        zs :=
-          ((e_s.Estimator.support -. e_f.Estimator.support) /. sqrt var_d)
-          :: !zs
-    end
-  done;
-  List.rev !zs
-
-let combined_sigma_pvalue ?trials ~scheme ~db ~itemset ~fraction rng =
-  let trials =
-    match trials with Some t -> max 3 t | None -> Property.scaled ~base:30
-  in
-  mean_z_pvalue (combined_sigma_zs ~scheme ~db ~itemset ~fraction ~trials rng)
-
-let combined_sigma_coverage ?trials ?(z = 1.959964) ~scheme ~db ~itemset
-    ~fraction rng =
-  let trials =
-    match trials with Some t -> max 3 t | None -> Property.scaled ~base:30
-  in
-  coverage_of_zs ~what:"combined sigma coverage" ~z
-    (combined_sigma_zs ~scheme ~db ~itemset ~fraction ~trials rng)
-
-(* ------------------------------------------------- private miner sigma *)
 
 (* Per trial: randomize afresh, mine privately up to pairs, and
    standardize one singleton's and one pair's estimate against the exact

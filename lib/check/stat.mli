@@ -74,66 +74,6 @@ val estimator_bias_pvalue :
     recovered support against the true support — the estimator's
     unbiasedness claim as a hypothesis test. *)
 
-(** {2 Sampled counting}
-
-    The sampled counter ({!Ppdm_mining.Sampled}) claims its scaled counts
-    are unbiased for the exact counts with the finite-population-corrected
-    sigma [Estimator.sampling_sigma], and the estimator claims the
-    combined sigma of a sampled recovery is honest.  Both claims are
-    tested as hypotheses over independent plan seeds. *)
-
-val sampled_counts_pvalue :
-  ?seeds:int -> db:Db.t -> itemset:Itemset.t -> fraction:float -> unit -> float
-(** Count [itemset] on [seeds] (default {!Property.scaled} [~base:40])
-    independently seeded sampling plans at [fraction], standardize each
-    scaled count against the exact count by the predicted sampling sigma,
-    and z-test the mean standardized error against zero — the sampled
-    counter's unbiasedness claim.  Seeds whose plan degenerates to
-    exhaustive are skipped ([1.] if all do).
-    @raise Invalid_argument unless [fraction] is inside (0,1). *)
-
-val sampled_sigma_coverage :
-  ?seeds:int ->
-  ?z:float ->
-  db:Db.t ->
-  itemset:Itemset.t ->
-  fraction:float ->
-  unit ->
-  (unit, string) result
-(** Coverage form of the same hypothesis: across plan seeds, the observed
-    |sampled - exact| must fall within [z] (default 1.96) predicted
-    sigmas except for a binomial-tail allowance of misses.  The
-    acceptance check behind `ppdm selftest`'s sampled-sigma gate. *)
-
-val combined_sigma_pvalue :
-  ?trials:int ->
-  scheme:Randomizer.t ->
-  db:Db.t ->
-  itemset:Itemset.t ->
-  fraction:float ->
-  Rng.t ->
-  float
-(** End-to-end honest-sigma test: per trial, randomize [db] afresh,
-    estimate from a [fraction] row sample with
-    [Estimator.estimate_sampled], and standardize the sampled-vs-full
-    estimate difference by [sqrt (sigma_sampled^2 - sigma_full^2)] (the
-    predicted sampling-only part of the combined variance); z-test the
-    mean.  Default trials: {!Property.scaled} [~base:30].
-    @raise Invalid_argument unless [fraction] is inside (0,1). *)
-
-val combined_sigma_coverage :
-  ?trials:int ->
-  ?z:float ->
-  scheme:Randomizer.t ->
-  db:Db.t ->
-  itemset:Itemset.t ->
-  fraction:float ->
-  Rng.t ->
-  (unit, string) result
-(** Coverage form of {!combined_sigma_pvalue}: per-trial standardized
-    differences must fall within [z] (default 1.96) except for a
-    binomial-tail allowance. *)
-
 (** {2 Private mining} *)
 
 val private_sigma_coverage :

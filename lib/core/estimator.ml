@@ -6,7 +6,6 @@ type t = {
   partials : float array;
   sigma : float;
   n_transactions : int;
-  n_population : int;
 }
 
 type by_size = (int, int array) Hashtbl.t
@@ -127,24 +126,12 @@ let batch ~scheme ~k sizes =
     w = Array.make (k + 1) 0.;
   }
 
-(* Variance of the support fraction from counting on a uniform sample of
-   [n] transactions drawn without replacement from [population]: the
-   finite-population-corrected multinomial term, its support clamped to
-   [0, 1]. *)
-let sampling_weight ~n ~population =
-  float_of_int (population - n) /. float_of_int (population - 1)
-  /. float_of_int n
-
-let sampling_variance ~support ~n ~population =
-  let s = Float.max 0. (Float.min 1. support) in
-  sampling_weight ~n ~population *. (s *. (1. -. s))
-
 (* Every estimate goes through here.  Class c's histogram is
    [counts.(c (k+1) ..)]; each class is solved into [b.short], and its
    partials and its σ² entry are pooled with the class weight, in class
    order.  A rectangular class (m < k) has s_l = 0 exactly for l > m, so
    its partials are padded with zeros and its (k, k) entry is 0. *)
-let pooled ?population b counts =
+let pooled b counts =
   let k = b.k and dim = b.k + 1 in
   let total = Array.fold_left ( + ) 0 counts in
   let partials = Array.make dim 0. and var = ref 0. in
@@ -180,126 +167,60 @@ let pooled ?population b counts =
     done;
     var := !var +. (w *. w *. class_var)
   done;
-  (* Counting on a sample composes a second, independent noise source:
-     randomization noise (above, conditional on the sampled rows) plus
-     the sampling fluctuation of the rows themselves. *)
-  let population = Option.value population ~default:total in
-  if population > total then
-    var :=
-      !var +. sampling_variance ~support:partials.(k) ~n:total ~population;
   {
     support = partials.(k);
     partials;
     sigma = sqrt (Float.max 0. !var);
     n_transactions = total;
-    n_population = population;
   }
-
-(* Covariance contributed by counting on a uniform sample of [n]
-   transactions drawn without replacement from a population of
-   [population]: the sample's true partial-support vector fluctuates
-   around the population's with (finite-population-corrected) multinomial
-   covariance, and that noise passes into the recovered partials
-   unattenuated (it perturbs the target itself, not the observation
-   channel).  Plug-in [partials] are clamped to [0, 1]; a full count
-   ([population = n]) contributes exactly zero. *)
-let sampling_covariance ~partials ~n ~population =
-  if n <= 0 then invalid_arg "Estimator.sampling_covariance: n must be positive";
-  if population < n then
-    invalid_arg "Estimator.sampling_covariance: population smaller than sample";
-  let dim = Array.length partials in
-  let cov = Mat.create ~rows:dim ~cols:dim in
-  if population > n then begin
-    let s = Array.map (fun v -> Float.max 0. (Float.min 1. v)) partials in
-    let w = sampling_weight ~n ~population in
-    for i = 0 to dim - 1 do
-      for j = 0 to dim - 1 do
-        let v = if i = j then s.(i) *. (1. -. s.(i)) else -.(s.(i) *. s.(j)) in
-        Mat.set cov i j (w *. v)
-      done
-    done
-  end;
-  cov
-
-let sampling_sigma ~support ~n ~population =
-  sqrt
-    (Float.max 0.
-       (Mat.get (sampling_covariance ~partials:[| support |] ~n ~population) 0 0))
 
 (* The list-of-histograms route ([recover], [Stream], the [serve]
    snapshot): validate, drop the all-zero classes (they carry no
    observations), factorize the rest and pool them. *)
-let pool ~population ~scheme ~k groups =
+let estimate_from_counts ~scheme ~k ~counts =
+  Ppdm_obs.Span.with_ ~name:"estimator.estimate" @@ fun () ->
   let total =
     List.fold_left
       (fun acc (_, c) -> acc + Array.fold_left ( + ) 0 c)
-      0 groups
+      0 counts
   in
   if total = 0 then invalid_arg "Estimator.estimate_from_counts: empty counts";
   List.iter
     (fun (_, c) ->
       if Array.length c <> k + 1 then
         invalid_arg "Estimator.estimate_from_counts: count vector length")
-    groups;
-  (match population with
-  | Some population when population < total ->
-      invalid_arg "Estimator.estimate_from_counts: population smaller than sample"
-  | _ -> ());
-  let groups = List.filter (fun (_, c) -> Array.exists (( <> ) 0) c) groups in
+    counts;
+  let groups = List.filter (fun (_, c) -> Array.exists (( <> ) 0) c) counts in
   let sizes = Array.of_list (List.map fst groups) in
-  pooled ?population (batch ~scheme ~k sizes)
-    (Array.concat (List.map snd groups))
-
-let estimate_from_counts_gen ~population ~scheme ~k ~counts =
-  Ppdm_obs.Span.with_ ~name:"estimator.estimate" @@ fun () ->
-  pool ~population ~scheme ~k counts
-
-let estimate_from_counts ~scheme ~k ~counts =
-  estimate_from_counts_gen ~population:None ~scheme ~k ~counts
-
-let estimate_from_counts_sampled ~population ~scheme ~k ~counts =
-  estimate_from_counts_gen ~population:(Some population) ~scheme ~k ~counts
-
-let estimate_gen ~population ~scheme ~data ~itemset =
-  if Array.length data = 0 then invalid_arg "Estimator.estimate: empty data";
-  let k = Itemset.cardinal itemset in
-  let counts = observed_partial_counts data ~itemset in
-  estimate_from_counts_gen ~population ~scheme ~k ~counts
+  pooled (batch ~scheme ~k sizes) (Array.concat (List.map snd groups))
 
 let estimate ~scheme ~data ~itemset =
-  estimate_gen ~population:None ~scheme ~data ~itemset
+  if Array.length data = 0 then invalid_arg "Estimator.estimate: empty data";
+  let k = Itemset.cardinal itemset in
+  let counts =
+    Ppdm_obs.Span.with_ ~name:"estimator.count" @@ fun () ->
+    observed_partial_counts data ~itemset
+  in
+  estimate_from_counts ~scheme ~k ~counts
 
-let estimate_sampled ~population ~scheme ~data ~itemset =
-  estimate_gen ~population:(Some population) ~scheme ~data ~itemset
-
-let predicted_sigma_of_matrix ?population p ~k ~partials ~n =
+let predicted_sigma_of_matrix p ~k ~partials ~n =
   if Mat.rows p <> k + 1 || Mat.cols p <> k + 1 then
     invalid_arg "Estimator.predicted_sigma: P must be (k+1) x (k+1)";
   if Array.length partials <> k + 1 then
     invalid_arg "Estimator.predicted_sigma: partials must have length k+1";
   if n <= 0 then invalid_arg "Estimator.predicted_sigma: n must be positive";
-  let population = Option.value population ~default:n in
-  if population < n then
-    invalid_arg "Estimator.predicted_sigma: population smaller than sample";
   let row = Lu.inverse_last_row (Lu.decompose p) in
   let var =
     conjugated_kk ~dim:(k + 1) ~p:(Mat.flat p) ~pinv:row ~row:0 ~partials ~n
       ~w:(Array.make (k + 1) 0.)
   in
-  let sampling =
-    if population > n then
-      sampling_variance ~support:partials.(k) ~n ~population
-    else 0.
-  in
-  sqrt (Float.max 0. (var +. sampling))
+  sqrt (Float.max 0. var)
 
-let predicted_sigma ?population (resolved : Randomizer.resolved) ~k ~partials
-    ~n =
+let predicted_sigma (resolved : Randomizer.resolved) ~k ~partials ~n =
   let m = Array.length resolved.keep_dist - 1 in
   if k > m then invalid_arg "Estimator.predicted_sigma: k exceeds size";
   try
-    predicted_sigma_of_matrix ?population (Transition.matrix resolved ~k)
-      ~k ~partials ~n
+    predicted_sigma_of_matrix (Transition.matrix resolved ~k) ~k ~partials ~n
   with Lu.Singular -> raise (Unrecoverable { size = m; k })
 
 let confidence_interval t ~level =
@@ -325,9 +246,9 @@ let binomial_profile ~k ~p_bg ~support =
   profile.(k) <- support;
   profile
 
-let lowest_discoverable_support ?population resolved ~k ~n ~p_bg =
+let lowest_discoverable_support resolved ~k ~n ~p_bg =
   let sigma_at s =
-    predicted_sigma ?population resolved ~k
+    predicted_sigma resolved ~k
       ~partials:(binomial_profile ~k ~p_bg ~support:s)
       ~n
   in

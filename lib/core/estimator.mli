@@ -20,10 +20,7 @@ type t = {
   support : float;  (** estimated support [ŝ_k] (may fall outside [0,1]) *)
   partials : float array;  (** full estimated partial-support vector *)
   sigma : float;  (** estimated standard deviation of [support] *)
-  n_transactions : int;  (** transactions actually counted (the sample) *)
-  n_population : int;
-      (** full database size the estimate refers to; equals
-          [n_transactions] unless counting ran on a sample *)
+  n_transactions : int;  (** transactions counted *)
 }
 
 exception Unrecoverable of { size : int; k : int }
@@ -59,19 +56,9 @@ val estimate :
   itemset:Itemset.t ->
   t
 (** Full pipeline on tagged randomized data (see
-    {!Randomizer.apply_db_tagged}).
+    {!Randomizer.apply_db_tagged}): {!observed_partial_counts} under the
+    span ["estimator.count"], then {!estimate_from_counts}.
     @raise Invalid_argument on empty data. *)
-
-val estimate_sampled :
-  population:int ->
-  scheme:Randomizer.t ->
-  data:(int * Itemset.t) array ->
-  itemset:Itemset.t ->
-  t
-(** {!estimate} for [data] that is a uniform without-replacement sample of
-    a database of [population] transactions: the sampling variance is
-    folded into [sigma], and [n_population] records the full size.
-    @raise Invalid_argument on empty data or [population < length data]. *)
 
 val estimate_from_counts :
   scheme:Randomizer.t -> k:int -> counts:(int * int array) list -> t
@@ -100,63 +87,23 @@ val batch : scheme:Randomizer.t -> k:int -> int array -> batch
     ["estimator.cond.s<size>.k<k>"] the condition number of each.
     @raise Unrecoverable at the first size whose class is unrecoverable. *)
 
-val pooled : ?population:int -> batch -> int array -> t
+val pooled : batch -> int array -> t
 (** [pooled b counts] is the estimate from class [c]'s histogram of
     [|y ∩ A| = l'], [l' = 0..k], at [counts.(c (k+1) ..)] for each class of
     [b] in order: the same result, bit for bit, as
-    {!estimate_from_counts} (or {!estimate_from_counts_sampled} with
-    [population]) on those classes.
+    {!estimate_from_counts} on those classes.
     @raise Invalid_argument if a class's histogram is all zero. *)
 
-val estimate_from_counts_sampled :
-  population:int ->
-  scheme:Randomizer.t ->
-  k:int ->
-  counts:(int * int array) list ->
-  t
-(** {!estimate_from_counts} when the counts were taken over a uniform
-    sample out of [population] transactions ({!estimate_sampled} from the
-    sufficient statistic).
-    @raise Invalid_argument additionally when [population] is smaller
-    than the total count. *)
-
-val sampling_covariance :
-  partials:float array -> n:int -> population:int -> Mat.t
-(** Covariance contributed by counting on a uniform without-replacement
-    sample of [n] transactions out of [population]: the
-    finite-population-corrected multinomial covariance
-    [(population-n)/(population-1) · 1/n · (diag s − s sᵀ)] of the
-    sample's true partial-support vector around the population's.  It
-    composes additively with the randomization covariance (the two noise
-    sources are independent).  [partials] are clamped to [0,1]; the
-    result is zero when [population = n].
-    @raise Invalid_argument if [n <= 0] or [population < n]. *)
-
-val sampling_sigma : support:float -> n:int -> population:int -> float
-(** [sqrt] of the support entry of {!sampling_covariance} for a 1-vector
-    profile — the standalone sampling noise on one support estimate. *)
-
 val predicted_sigma :
-  ?population:int ->
-  Randomizer.resolved ->
-  k:int ->
-  partials:float array ->
-  n:int ->
-  float
+  Randomizer.resolved -> k:int -> partials:float array -> n:int -> float
 (** Theoretical standard deviation of the recovered support when the true
     partial-support vector is [partials] and [n] size-[m] transactions are
     observed — the paper's accuracy formula (used by F1/F2 and the
-    optimizer).  Requires [k <= m].  With [?population] the sampling
-    variance of an [n]-of-[population] uniform sample is added.
+    optimizer).  Requires [k <= m].
     @raise Unrecoverable when the transition matrix is singular. *)
 
 val predicted_sigma_of_matrix :
-  ?population:int ->
-  Mat.t ->
-  k:int ->
-  partials:float array ->
-  n:int ->
-  float
+  Mat.t -> k:int -> partials:float array -> n:int -> float
 (** {!predicted_sigma} for a transition matrix already built (a
     {!Transition.weighted_sum}), so a caller scoring many operators at one
     ρ does not rebuild it: the [(k, k)] entry of [P⁻¹] conjugating the
@@ -177,10 +124,8 @@ val binomial_profile : k:int -> p_bg:float -> support:float -> float array
     {!predicted_sigma} at a hypothetical support level. *)
 
 val lowest_discoverable_support :
-  ?population:int -> Randomizer.resolved -> k:int -> n:int -> p_bg:float -> float
+  Randomizer.resolved -> k:int -> n:int -> p_bg:float -> float
 (** Smallest support [s] whose predicted σ is at most [s / 2] under the
     binomial profile: the paper's discoverability threshold.  Returns 1.0
-    when even full support is not discoverable.  With [?population] the
-    threshold accounts for sampled counting ([n] of [population] rows)
-    and rises accordingly.
+    when even full support is not discoverable.
     @raise Unrecoverable as {!predicted_sigma}. *)

@@ -161,30 +161,12 @@ let exact_levels ?max_size vt ~min_support =
   run_vertical_levels ?max_size vt ~min_support
     ~count_level:(Vertical.support_counts ~scratch vt)
 
-type counter =
-  | Vertical
-  | Auto
-  | Sampled of { fraction : float; seed : int }
+type counter = Vertical | Auto
 
-let mine ?max_size ?(counter = Vertical) db ~min_support =
+let mine ?max_size db ~min_support =
   Threshold.check_min_support ~who:"Apriori.mine" min_support;
   Ppdm_obs.Span.with_ ~name:"apriori.mine" (fun () ->
-      match counter with
-      | Vertical | Auto ->
-          exact_levels ?max_size (Vertical.of_db db) ~min_support
-      | Sampled { fraction; seed } ->
-          Ppdm_obs.Metrics.incr "apriori.counter.sampled";
-          (* Counts come back pre-scaled to full-database equivalents,
-             so the threshold comparison is unchanged; level 1 stays
-             exact (it reads the per-item counts, not the sample). *)
-          let vt = Vertical.of_db db in
-          let plan =
-            Sampled.plan ~n:(Vertical.length vt)
-              ~word_count:(Vertical.word_count vt) ~fraction ~seed ()
-          in
-          let scratch = Vertical.make_scratch vt in
-          run_vertical_levels ?max_size vt ~min_support
-            ~count_level:(Sampled.support_counts ~scratch vt plan))
+      exact_levels ?max_size (Vertical.of_db db) ~min_support)
 
 (* Mine an already-vertical database — the entry point for columnar
    input, where no Db.t ever exists. *)

@@ -18,28 +18,20 @@ type counter =
       (** an alias of [Vertical], kept only because the end-to-end
           benchmark ([bench/e2e/batch.ml]) passes it; it goes away once
           that benchmark passes [Vertical]. *)
-  | Sampled of { fraction : float; seed : int }
-      (** count levels >= 2 on a deterministic uniform word-window sample
-          covering [fraction] of the tid range (see {!Sampled}); counts
-          are scaled to full-database equivalents, so thresholds apply
-          unchanged, but they are {e estimates} — compose the sampling
-          variance downstream.  [fraction = 1.0] is byte-identical to
-          [Vertical]. *)
-(** Which support-counting engine the level loop runs on.  The horizontal
-    hash trie of {!Ppdm_check.Count} is not among them: it is kept only as the
-    independent reference the differential checks compare against. *)
+(** The support-counting engine, as [Ppdm_runtime.Parallel.apriori_mine]'s
+    [?counter] names it; both constructors run the one exact engine.  The
+    horizontal hash trie of {!Ppdm_check.Count} is not among them: it is
+    kept only as the independent reference the differential checks
+    compare against. *)
 
 val mine :
-  ?max_size:int -> ?counter:counter -> Db.t -> min_support:float ->
-  (Itemset.t * int) list
+  ?max_size:int -> Db.t -> min_support:float -> (Itemset.t * int) list
 (** [mine db ~min_support] returns every itemset with support (fraction of
     transactions) at least [min_support], paired with its absolute count,
     in {!Itemset.compare} order.  [max_size] caps the itemset cardinality
-    explored (default: unbounded); [counter] selects the counting engine
-    (default [Vertical], as on the command line); the exact arm is
+    explored (default: unbounded).  It is
     [mine_vertical (Vertical.of_db db)].
-    @raise Invalid_argument if [min_support] is outside (0, 1], or on a
-    sampled fraction outside (0, 1]. *)
+    @raise Invalid_argument if [min_support] is outside (0, 1]. *)
 
 val mine_vertical :
   ?max_size:int -> Vertical.t -> min_support:float -> (Itemset.t * int) list
@@ -70,8 +62,8 @@ val run_vertical_levels :
   count_level:(Itemset.t list -> (Itemset.t * int) list) ->
   (Itemset.t * int) list
 (** {!run_levels} on a transposed database: the threshold comes from its
-    length and level 1 from its per-item counts.  Every exact and sampled
-    miner, sequential and parallel, runs through it.
+    length and level 1 from its per-item counts.  Every miner, sequential
+    and parallel, runs through it.
     @raise Invalid_argument if [min_support] is outside (0, 1]. *)
 
 val candidates_from :

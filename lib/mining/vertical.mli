@@ -26,9 +26,7 @@
     disjoint windows sum to the full count, and candidate columns simply
     concatenate — which is how the parallel runtime shards the engine
     over a 2-D (tid-window x candidate-range) grid without changing any
-    result.  Windows are also the only sampled-counting kernel: a
-    {!Sampled} count is this windowed count summed over the sample's
-    word runs, so the engine has one counting loop for both. *)
+    result. *)
 
 open Ppdm_data
 

@@ -1,10 +1,10 @@
 (* 2-D work-grid planning for the vertical counting engine: cut the
    (bitmap-word x candidate) rectangle over some word runs into
-   cache-sized cells.  Exact counting plans over the one run
-   [0, n_words); sampled counting over the sample's runs.  The plan is a
-   pure function of the runs, the batch size and the explicit overrides
-   — never of the job count — which is what lets the pool execute the
-   cells in any order while the reduction stays bit-identical. *)
+   cache-sized cells.  Counting a whole database plans over the one run
+   [0, n_words).  The plan is a pure function of the runs, the batch size
+   and the explicit overrides — never of the job count — which is what
+   lets the pool execute the cells in any order while the reduction stays
+   bit-identical. *)
 
 type cell = { word_lo : int; word_hi : int; cand_lo : int; cand_hi : int }
 

@@ -1,13 +1,11 @@
 (** 2-D work-grid planning: cut a (word-run x candidate-range)
     rectangle into cache-sized cells for the vertical counting engine.
 
-    The word axis is a list of runs of bitmap words (tid ranges).  Exact
-    counting passes the single run [\[0, n_words)]; sampled counting
-    ({!Ppdm_mining.Sampled}) passes its plan's runs, so a sampled count
-    is the exact grid count restricted to the sample.  Each run is cut
-    into windows of at most [word_chunk] words, and each window is
-    crossed with a candidate sub-range; counting a cell yields partial
-    counts for its candidates over its tids, and because counts over
+    The word axis is a list of runs of bitmap words (tid ranges); the
+    count of a whole database passes the single run [\[0, n_words)].
+    Each run is cut into windows of at most [word_chunk] words, and each
+    window is crossed with a candidate sub-range; counting a cell yields
+    partial counts for its candidates over its tids, and because counts over
     disjoint tid windows are sums of non-negative integers, adding every
     cell's partials into a totals array — in any order — gives the
     counts over the runs exactly.  The plan is a pure function of the

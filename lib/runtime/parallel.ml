@@ -49,21 +49,24 @@ let randomize_db_tagged pool ?(chunk = Pool.default_chunk) scheme rng db =
       done);
   out
 
-(* 2-D grid sharding of the vertical engine: the (word-run x candidate)
-   rectangle is cut into cache-sized cells by [Grid.plan] — word windows
-   sized to an L2 footprint, candidate columns bounding the per-cell
-   partial array.  Every cell counts its candidate range over its word
-   window into a plain int array; adding each cell's partials into the
-   totals at its column offset, in cell-index order, gives the counts
-   over the runs (counts over disjoint tid ranges are sums of
-   non-negative ints, and columns just concatenate), so the result is
-   bit-identical to the sequential count at any job count. *)
-let count_cells pool ?chunk ?cand_chunk vt ~runs candidates =
+(* 2-D grid sharding of the vertical engine: the (word x candidate)
+   rectangle over the one run [0, word_count) is cut into cache-sized
+   cells by [Grid.plan] — word windows sized to an L2 footprint,
+   candidate columns bounding the per-cell partial array.  Every cell
+   counts its candidate range over its word window into a plain int
+   array; adding each cell's partials into the totals at its column
+   offset, in cell-index order, gives the full counts (counts over
+   disjoint tid ranges are sums of non-negative ints, and columns just
+   concatenate), so the result is bit-identical to the sequential count
+   at any job count. *)
+let support_counts_vertical pool ?chunk ?cand_chunk vt candidates =
   Ppdm_obs.Span.with_ ~name:"parallel.count" @@ fun () ->
   let prepared = Vertical.prepare candidates in
   let n_cands = Vertical.prepared_length prepared in
   let grid =
-    Grid.plan ?word_chunk:chunk ?cand_chunk ~runs ~n_candidates:n_cands ()
+    Grid.plan ?word_chunk:chunk ?cand_chunk
+      ~runs:[| (0, Vertical.word_count vt) |]
+      ~n_candidates:n_cands ()
   in
   let parts =
     Pool.run pool
@@ -83,52 +86,24 @@ let count_cells pool ?chunk ?cand_chunk vt ~runs candidates =
         totals.(base + i) <- totals.(base + i) + part.(i)
       done)
     parts;
-  (prepared, totals)
-
-let support_counts_vertical pool ?chunk ?cand_chunk vt candidates =
-  let prepared, totals =
-    count_cells pool ?chunk ?cand_chunk vt
-      ~runs:[| (0, Vertical.word_count vt) |]
-      candidates
-  in
   Vertical.assemble prepared totals
 
-(* The one exact engine, grid-sharded: same level loop as
-   [Apriori.mine_vertical], same cell-order reduction, so the output is
-   bit-identical to it at any job count. *)
-let exact_levels pool ?chunk ?cand_chunk ?max_size vt ~min_support =
+(* The parallel entry point for any source: a transposed [Db.t]
+   ([apriori_mine]) or a columnar file's [Vertical.of_colfile], which
+   yields the same tid-sets.  Same level loop as [Apriori.mine_vertical]
+   and a cell-order reduction, so the output is bit-identical to it at
+   any job count. *)
+let apriori_mine_vertical pool ?chunk ?cand_chunk ?max_size vt ~min_support =
+  Threshold.check_min_support ~who:"Parallel.apriori_mine_vertical" min_support;
+  Ppdm_obs.Span.with_ ~name:"parallel.apriori" @@ fun () ->
   Ppdm_obs.Metrics.incr "apriori.counter.vertical";
   Apriori.run_vertical_levels ?max_size vt ~min_support
     ~count_level:(support_counts_vertical pool ?chunk ?cand_chunk vt)
 
-(* The parallel entry point for any source: a transposed [Db.t]
-   ([apriori_mine]) or a columnar file's [Vertical.of_colfile], which
-   yields the same tid-sets. *)
-let apriori_mine_vertical pool ?chunk ?cand_chunk ?max_size
-    ?(counter = Apriori.Vertical) vt ~min_support =
-  Threshold.check_min_support ~who:"Parallel.apriori_mine_vertical" min_support;
-  Ppdm_obs.Span.with_ ~name:"parallel.apriori" @@ fun () ->
-  match counter with
-  | Apriori.Vertical | Apriori.Auto ->
-      exact_levels pool ?chunk ?cand_chunk ?max_size vt ~min_support
-  | Apriori.Sampled { fraction; seed } ->
-      Ppdm_obs.Metrics.incr "apriori.counter.sampled";
-      let plan =
-        Sampled.plan ~n:(Vertical.length vt)
-          ~word_count:(Vertical.word_count vt) ~fraction ~seed ()
-      in
-      (* the exact grid restricted to the sample's runs, then scaled *)
-      Apriori.run_vertical_levels ?max_size vt ~min_support
-        ~count_level:(fun candidates ->
-          let prepared, raw =
-            count_cells pool ?chunk ?cand_chunk vt ~runs:plan.Sampled.runs
-              candidates
-          in
-          Vertical.assemble prepared (Sampled.scale_counts plan raw))
-
-let apriori_mine pool ?chunk ?max_size ?counter db ~min_support =
+(* [counter] only names the engine: both constructors are the exact one. *)
+let apriori_mine pool ?chunk ?max_size ?counter:(_ : Apriori.counter option)
+    db ~min_support =
   (* checked here too, so the error names this entry and no transpose
      runs first *)
   Threshold.check_min_support ~who:"Parallel.apriori_mine" min_support;
-  apriori_mine_vertical pool ?chunk ?max_size ?counter (Vertical.of_db db)
-    ~min_support
+  apriori_mine_vertical pool ?chunk ?max_size (Vertical.of_db db) ~min_support

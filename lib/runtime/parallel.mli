@@ -6,9 +6,7 @@
     job count, per the {!Pool} determinism contract — so callers opt
     into parallelism by swapping the call site, nothing else.  Counting
     runs on the vertical tid-sets only and shards over a {!Grid} plan
-    that depends only on the data shape, never on the job count: exact
-    counting plans over all words, sampled counting over the sample's
-    word runs, through the same cells and the same reduction.
+    that depends only on the data shape, never on the job count.
 
     Two caveats inherited from the seeding scheme:
 
@@ -61,25 +59,19 @@ val apriori_mine :
   ?counter:Ppdm_mining.Apriori.counter -> Db.t -> min_support:float ->
   (Itemset.t * int) list
 (** [Apriori.mine] with every level's candidate counting sharded:
-    [apriori_mine_vertical pool ?counter (Vertical.of_db db)].  The mined
-    output is byte-identical to [Apriori.mine] at any job count (sampled
-    output matches the sequential sampled run for the same fraction and
-    seed).
+    [apriori_mine_vertical pool (Vertical.of_db db)].  [counter] names
+    the engine and changes nothing: every constructor is the one exact
+    engine.  The mined output is byte-identical to [Apriori.mine] at any
+    job count.
     @raise Invalid_argument if [min_support] is outside (0, 1]. *)
 
 val apriori_mine_vertical :
   Pool.t -> ?chunk:int -> ?cand_chunk:int -> ?max_size:int ->
-  ?counter:Ppdm_mining.Apriori.counter -> Ppdm_mining.Vertical.t ->
-  min_support:float -> (Itemset.t * int) list
-(** [Apriori.mine_vertical] with every level sharded: the exact engine
-    ([counter = Vertical], the default; [Auto] is its alias) counts
-    through {!support_counts_vertical}, and [counter = Sampled _] through
-    the same grid and reduction with the sample plan's word runs in
-    place of the one full run, then [Sampled.scale_counts]; the sampled
-    output equals the sequential sampled run for the same fraction and
-    seed at any job count.  Level 1 seeds from the per-item counts.
+  Ppdm_mining.Vertical.t -> min_support:float -> (Itemset.t * int) list
+(** [Apriori.mine_vertical] with every level counted through
+    {!support_counts_vertical}.  Level 1 seeds from the per-item counts.
     [?chunk] is in bitmap words.  The tid-sets may come from a transpose
     ([Vertical.of_db]) or a columnar file ([Vertical.of_colfile]), which
-    are equal, so both sources mine the same bytes.  Exact output is
+    are equal, so both sources mine the same bytes.  The output is
     byte-identical to [Apriori.mine_vertical] at any job count.
     @raise Invalid_argument if [min_support] is outside (0, 1]. *)

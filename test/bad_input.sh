@@ -1,9 +1,11 @@
 #!/bin/sh
 # Every command that reads a data file must reject a malformed file, a
 # missing file and a header with a huge transaction count with exit 1
-# and a "<cmd>: " message on stderr, never an uncaught exception.  An
-# operator whose keep and add probabilities coincide carries no signal:
-# private and recover reject it the same way, and analyze reports it.
+# and a "<cmd>: " message on stderr, never an uncaught exception.  The
+# commands that estimate (private, recover) reject a file with no rows
+# the same way, as "<cmd>: <path>: ".  An operator whose keep and add
+# probabilities coincide carries no signal: private and recover reject
+# it the same way, and analyze reports it.
 # Usage: bad_input.sh PPDM_CLI
 set -eu
 # Bare names (no slash) are files in the current directory.
@@ -46,6 +48,28 @@ expect_rejected stats stats .txt
 expect_rejected stats_fimi stats .txt
 expect_rejected recover recover .tagged
 expect_rejected convert convert .txt
+
+# Files with no rows, as gen, randomize and convert write them from an
+# empty database.
+printf 'universe 100 transactions 0\n' >"$dir/empty.txt"
+printf 'tagged 100 transactions 0\n' >"$dir/empty.tagged"
+"$cli" convert "$dir/empty.txt" "$dir/empty.ppdmc" >/dev/null
+# expect_empty CMD FILE ARGS...: CMD on the empty FILE must fail with exit
+# 1 and a "CMD: FILE: " message
+expect_empty() {
+  cmd=$1 file=$2
+  shift 2
+  status=0
+  "$cli" "$cmd" "$@" >/dev/null 2>"$dir/err" || status=$?
+  if [ "$status" -ne 1 ] || ! grep -q "^$cmd: $file: " "$dir/err"; then
+    echo "FAIL: $cmd on the empty $file: exit $status" >&2
+    cat "$dir/err" >&2
+    failures=$((failures + 1))
+  fi
+}
+expect_empty recover "$dir/empty.tagged" --in "$dir/empty.tagged" --itemset 1
+expect_empty private "$dir/empty.txt" --in "$dir/empty.txt" --min-support 0.5
+expect_empty private "$dir/empty.ppdmc" --db "$dir/empty.ppdmc" --min-support 0.5
 
 # An unrecoverable operator on valid input.
 uninformative="--operator uniform --p-keep 0.5 --p-add 0.5"

@@ -386,7 +386,7 @@ let test_of_colfile_mining () =
     (fun () ->
       let vt = Vertical.of_colfile cf in
       let from_file = Apriori.mine_vertical vt ~min_support:0.05 in
-      let from_ram = Apriori.mine ~counter:Apriori.Vertical db ~min_support:0.05 in
+      let from_ram = Apriori.mine db ~min_support:0.05 in
       Alcotest.(check bool) "colfile mining = in-RAM mining" true
         (from_file = from_ram);
       (* the round-trip back to row-major is exact *)

@@ -206,7 +206,6 @@ let test_confidence_interval () =
       partials = [| 0.8; 0.2 |];
       sigma = 0.05;
       n_transactions = 100;
-      n_population = 100;
     }
   in
   let lo, hi = Estimator.confidence_interval e ~level:0.95 in
@@ -241,89 +240,6 @@ let test_all_zero_size_class () =
   Alcotest.(check (float 1e-12)) "same support" only.Estimator.support e.Estimator.support;
   Alcotest.(check (float 1e-12)) "same sigma" only.Estimator.sigma e.Estimator.sigma;
   Alcotest.(check int) "n counts observed rows only" 100 e.Estimator.n_transactions
-
-let test_sampling_covariance () =
-  let partials = [| 0.7; 0.2; 0.1 |] in
-  (* no sampling -> exactly zero *)
-  let m0 = Estimator.sampling_covariance ~partials ~n:50 ~population:50 in
-  for i = 0 to 2 do
-    for j = 0 to 2 do
-      Alcotest.(check (float 0.)) "zero at full census" 0. (Ppdm_linalg.Mat.get m0 i j)
-    done
-  done;
-  (* FPC multinomial form at n of N *)
-  let n = 100 and population = 1000 in
-  let m = Estimator.sampling_covariance ~partials ~n ~population in
-  let fpc =
-    float_of_int (population - n) /. float_of_int (population - 1)
-  in
-  let expect i j =
-    let s = partials.(i) in
-    fpc /. float_of_int n
-    *. (if i = j then s *. (1. -. s) else -.s *. partials.(j))
-  in
-  for i = 0 to 2 do
-    for j = 0 to 2 do
-      Alcotest.(check (float 1e-12))
-        (Printf.sprintf "entry (%d,%d)" i j)
-        (expect i j) (Ppdm_linalg.Mat.get m i j)
-    done
-  done;
-  Alcotest.(check (float 1e-12)) "sampling_sigma is the sqrt diagonal"
-    (sqrt (expect 2 2))
-    (Estimator.sampling_sigma ~support:partials.(2) ~n ~population);
-  Alcotest.check_raises "population below sample"
-    (Invalid_argument "Estimator.sampling_covariance: population smaller than sample")
-    (fun () -> ignore (Estimator.sampling_covariance ~partials ~n:10 ~population:9))
-
-let test_estimate_from_counts_sampled () =
-  let scheme = Randomizer.uniform ~universe:20 ~p_keep:0.9 ~p_add:0.05 in
-  let counts = [ (5, [| 70; 20; 10 |]) ] in
-  let plain = Estimator.estimate_from_counts ~scheme ~k:2 ~counts in
-  let sampled =
-    Estimator.estimate_from_counts_sampled ~population:1000 ~scheme ~k:2 ~counts
-  in
-  Alcotest.(check (float 1e-12)) "same point estimate"
-    plain.Estimator.support sampled.Estimator.support;
-  Alcotest.(check bool)
-    (Printf.sprintf "combined sigma %.5f exceeds randomization-only %.5f"
-       sampled.Estimator.sigma plain.Estimator.sigma)
-    true
-    (sampled.Estimator.sigma > plain.Estimator.sigma);
-  Alcotest.(check int) "n_transactions is the sample" 100 sampled.Estimator.n_transactions;
-  Alcotest.(check int) "n_population is the database" 1000 sampled.Estimator.n_population;
-  Alcotest.(check int) "plain population equals sample" 100 plain.Estimator.n_population;
-  (* population = total degenerates to the plain estimate *)
-  let full = Estimator.estimate_from_counts_sampled ~population:100 ~scheme ~k:2 ~counts in
-  Alcotest.(check (float 1e-12)) "census sigma unchanged"
-    plain.Estimator.sigma full.Estimator.sigma;
-  Alcotest.check_raises "population below total"
-    (Invalid_argument "Estimator.estimate_from_counts: population smaller than sample")
-    (fun () ->
-      ignore (Estimator.estimate_from_counts_sampled ~population:99 ~scheme ~k:2 ~counts))
-
-let test_population_widens_predictions () =
-  let resolved =
-    Randomizer.resolve (Randomizer.uniform ~universe:50 ~p_keep:0.8 ~p_add:0.1) ~size:5
-  in
-  let partials = Estimator.binomial_profile ~k:2 ~p_bg:0.1 ~support:0.1 in
-  let without = Estimator.predicted_sigma resolved ~k:2 ~partials ~n:2_000 in
-  let with_pop =
-    Estimator.predicted_sigma ~population:50_000 resolved ~k:2 ~partials ~n:2_000
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "sampled sigma %.5f > census sigma %.5f" with_pop without)
-    true (with_pop > without);
-  Alcotest.(check (float 1e-12)) "population = n is a census" without
-    (Estimator.predicted_sigma ~population:2_000 resolved ~k:2 ~partials ~n:2_000);
-  let lds = Estimator.lowest_discoverable_support resolved ~k:2 ~n:2_000 ~p_bg:0.1 in
-  let lds_pop =
-    Estimator.lowest_discoverable_support ~population:50_000 resolved ~k:2 ~n:2_000
-      ~p_bg:0.1
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "discoverability threshold rises: %.4f -> %.4f" lds lds_pop)
-    true (lds_pop >= lds)
 
 (* Every size class the private miner factorizes reports its condition
    number as a gauge named after the class and k, and the JSON report of
@@ -421,12 +337,7 @@ let suite =
     Alcotest.test_case "confidence interval" `Quick test_confidence_interval;
     Alcotest.test_case "empty data rejected" `Quick test_empty_data_rejected;
     Alcotest.test_case "all-zero size class skipped" `Quick test_all_zero_size_class;
-    Alcotest.test_case "sampling covariance closed form" `Quick test_sampling_covariance;
     Alcotest.test_case "condition-number gauges" `Quick test_condition_gauges;
-    Alcotest.test_case "estimate from sampled counts" `Quick
-      test_estimate_from_counts_sampled;
-    Alcotest.test_case "population widens predictions" `Quick
-      test_population_widens_predictions;
     Alcotest.test_case "kernel == matrix route, bit for bit" `Quick
       test_kernel_matches_matrix_route;
     Alcotest.test_case "kernel allocation guard" `Quick test_kernel_allocation_guard;

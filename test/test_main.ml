@@ -19,7 +19,6 @@ let () =
       ("bitset", Test_bitset.suite);
       ("vertical", Test_vertical.suite);
       ("column", Test_column.suite);
-      ("sampled", Test_sampled.suite);
       ("scheme_io", Test_scheme_io.suite);
       ("em", Test_em.suite);
       ("channel", Test_channel.suite);

@@ -173,7 +173,7 @@ let test_pool_survives_exception () =
 let test_fine_grid_mine_identical () =
   let db = setup_db ~seed:61 in
   let expected =
-    Apriori.mine ~counter:Apriori.Vertical db ~min_support:0.02 ~max_size:3
+    Apriori.mine db ~min_support:0.02 ~max_size:3
   in
   List.iter
     (fun jobs ->
@@ -246,8 +246,8 @@ let test_grid_plan () =
     "column-major: second cell is the next window of column 0"
     [ 0; 0; 10; 0 ]
     [ c0.Grid.word_lo; c0.Grid.cand_lo; c1.Grid.word_lo; c1.Grid.cand_lo ];
-  (* A sample's runs: the 23-word run is cut at the chunk, the others
-     are one window each; windows go in run order inside each column. *)
+  (* Several runs: the 23-word run is cut at the chunk, the others are
+     one window each; windows go in run order inside each column. *)
   let runs = [| (2, 5); (7, 30); (40, 41) |] in
   let g =
     Grid.plan ~word_chunk:10 ~cand_chunk:100 ~runs ~n_candidates:250 ()

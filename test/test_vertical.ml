@@ -165,7 +165,9 @@ let test_old_auto_boundary () =
         check_same_result (Printf.sprintf "%d rows: %s" n label) reference got
       in
       check "default" (Apriori.mine db ~min_support);
-      check "auto alias" (Apriori.mine ~counter:Apriori.Auto db ~min_support);
+      check "auto alias"
+        (Pool.with_pool ~jobs:1 (fun pool ->
+             Parallel.apriori_mine pool ~counter:Apriori.Auto db ~min_support));
       List.iter
         (fun jobs ->
           check
@@ -296,10 +298,9 @@ let test_parallel_sharding_determinism () =
             (Parallel.support_counts_vertical pool ~chunk:2 vt candidates);
           check_same_result
             (Printf.sprintf "parallel vertical mine at jobs=%d" jobs)
-            (Apriori.mine ~counter:Apriori.Vertical db ~min_support:0.05
-               ~max_size:3)
-            (Parallel.apriori_mine pool ~counter:Apriori.Vertical ~chunk:2 db
-               ~min_support:0.05 ~max_size:3)))
+            (Apriori.mine db ~min_support:0.05 ~max_size:3)
+            (Parallel.apriori_mine pool ~chunk:2 db ~min_support:0.05
+               ~max_size:3)))
     [ 1; 2; 4 ]
 
 (* Kernel differential: on widths one short of a word, exactly a word,
