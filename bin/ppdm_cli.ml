@@ -194,9 +194,9 @@ let db_term =
         ~docv:"FILE"
         ~doc:
           "Columnar database file (.ppdmc, written by $(b,ppdm convert)): \
-           each item's compressed column is decoded once at load into the \
-           tid-set the in-RAM engine builds — the row-major database is \
-           never materialized.  \
+           each item's tid-set is stored in the shape the in-RAM engine \
+           builds and is read and validated once at load — the row-major \
+           database is never materialized.  \
            Mutually exclusive with $(b,--in).")
 
 let resolve_source ~who input dbfile =
@@ -217,6 +217,13 @@ let input_error ~who path msg =
   Printf.eprintf "%s: %s: %s\n" who path msg;
   exit 1
 
+(* An open failure's message already starts with "<path>: ". *)
+let strip_path path msg =
+  let n = String.length path + 2 in
+  if String.starts_with ~prefix:(path ^ ": ") msg then
+    Some (String.sub msg n (String.length msg - n))
+  else None
+
 let with_input ~who path read =
   let fail = input_error ~who path in
   match read path with
@@ -226,11 +233,7 @@ let with_input ~who path read =
       fail (Printf.sprintf "item %d outside the declared universe %d" item universe)
   | exception Colfile.Error e -> fail (Colfile.error_message e)
   | exception Sys_error msg ->
-      (* an open failure's message already starts with "<path>: " *)
-      let n = String.length path + 2 in
-      if String.starts_with ~prefix:(path ^ ": ") msg then
-        fail (String.sub msg n (String.length msg - n))
-      else fail msg
+      fail (Option.value (strip_path path msg) ~default:msg)
 
 (* An operator under which a size class carries no signal fails the
    estimate with a typed error: "<cmd>: size class S is unrecoverable at
@@ -241,9 +244,14 @@ let recoverable ~who f =
     Printf.eprintf "%s: size class %d is unrecoverable at k = %d\n" who size k;
     exit 1
 
-let with_colfile ~who path f =
-  let cf = with_input ~who path Colfile.open_file in
-  Fun.protect ~finally:(fun () -> Colfile.close cf) (fun () -> f cf)
+(* Open and load a .ppdmc file: a bad header and a corrupt payload both
+   take the input-error path. *)
+let load_colfile ~who path =
+  with_input ~who path (fun path ->
+      let cf = Colfile.open_file path in
+      Fun.protect
+        ~finally:(fun () -> Colfile.close cf)
+        (fun () -> Vertical.of_colfile cf))
 
 let randomize_cmd =
   let out = Arg.(required & opt (some string) None & info [ "out"; "o" ] ~doc:"Output tagged file.") in
@@ -371,8 +379,7 @@ let mine_cmd =
             Pool.with_pool ~jobs (fun pool ->
                 Parallel.apriori_mine pool db ~min_support ~max_size) )
       | `Columnar path ->
-          with_colfile ~who:"mine" path @@ fun cf ->
-          let vt = Vertical.of_colfile cf in
+          let vt = load_colfile ~who:"mine" path in
           ( Vertical.length vt,
             Pool.with_pool ~jobs (fun pool ->
                 Parallel.apriori_mine_vertical pool vt ~min_support ~max_size)
@@ -411,9 +418,7 @@ let private_cmd =
       | `Columnar path ->
           (* randomization is inherently row-major (it rewrites
              transactions), so a columnar source is transposed back *)
-          ( path,
-            with_colfile ~who:"private" path (fun cf ->
-                Vertical.to_db (Vertical.of_colfile cf)) )
+          (path, Vertical.to_db (load_colfile ~who:"private" path))
     in
     if Db.length db = 0 then input_error ~who:"private" path "no transactions";
     let scheme = scheme_of_spec ~universe:(Db.universe db) spec in
@@ -450,6 +455,22 @@ let private_cmd =
 (* -------------------------------------------------------------- recover *)
 
 let recover_cmd =
+  (* Checked against the input's universe once it is read, so both
+     routes reject the same itemsets as a usage error. *)
+  let check_itemset ~universe items =
+    let reject why =
+      Printf.eprintf "recover: --itemset: %s\n" why;
+      exit 2
+    in
+    if items = [] then reject "empty itemset";
+    List.iter
+      (fun item ->
+        if item < 0 || item >= universe then
+          reject
+            (Printf.sprintf "item %d outside the universe [0, %d)" item universe))
+      items;
+    Itemset.of_list items
+  in
   let itemset_term =
     Arg.(required & opt (some (list int)) None & info [ "itemset" ] ~doc:"Comma-separated item ids.")
   in
@@ -465,9 +486,8 @@ let recover_cmd =
         (* the un-randomized columnar file: the itemset's support is a
            direct count, no estimator and no variance *)
         with_obs stats trace @@ fun () ->
-        with_colfile ~who:"recover" path @@ fun cf ->
-        let vt = Vertical.of_colfile cf in
-        let itemset = Itemset.of_list items in
+        let vt = load_colfile ~who:"recover" path in
+        let itemset = check_itemset ~universe:(Vertical.universe vt) items in
         let n = Vertical.length vt in
         let count = Vertical.support_count vt itemset in
         emit @@ fun () ->
@@ -485,7 +505,7 @@ let recover_cmd =
       | Some path -> with_input ~who:"recover" path Scheme_io.read_file
       | None -> scheme_of_spec ~universe spec
     in
-    let itemset = Itemset.of_list items in
+    let itemset = check_itemset ~universe items in
     let e =
       recoverable ~who:"recover" @@ fun () ->
       Estimator.estimate ~scheme ~data ~itemset
@@ -1096,26 +1116,36 @@ let convert_cmd =
              silently folded in.")
   in
   let run src dst universe stats trace =
+    (match universe with
+    | Some u when u < 1 ->
+        Printf.eprintf "convert: --universe %d must be positive\n" u;
+        exit 2
+    | _ -> ());
     with_obs stats trace @@ fun () ->
     let s =
       with_input ~who:"convert" src (fun src ->
-          Colfile.convert ?universe ~src ~dst ())
+          match Colfile.convert ?universe ~src ~dst () with
+          | s -> s
+          | exception (Sys_error msg as e) -> (
+              (* the output's failures name the output, not the source *)
+              match strip_path dst msg with
+              | Some msg -> input_error ~who:"convert" dst msg
+              | None -> raise e))
     in
     emit @@ fun () ->
-    Printf.printf
-      "wrote %s: %d transactions over %d items, %d containers (%d dense, %d \
-       sparse, %d run), %d payload bytes\n"
-      dst s.Colfile.cv_transactions s.Colfile.cv_universe s.Colfile.cv_blocks
-      s.Colfile.cv_dense s.Colfile.cv_sparse s.Colfile.cv_run
+    Printf.printf "wrote %s: %d transactions over %d items, %d payload bytes\n"
+      dst s.Colfile.cv_transactions s.Colfile.cv_universe
       s.Colfile.cv_payload_bytes
   in
   Cmd.v
     (Cmd.info "convert"
        ~doc:
-         "Transpose a transaction file into the compressed columnar \
-          format (.ppdmc) in one streaming pass — the source database is \
-          never resident, so files larger than RAM convert fine.  The \
-          result feeds $(b,--db) on mine/private/recover.")
+         "Transpose a transaction file into the columnar format (.ppdmc): \
+          each item's tid-set as the bitmap or tid array the in-RAM engine \
+          counts on.  Two streaming passes over the source (count, then \
+          fill) — the source database is never resident, only the output; \
+          the source must not change between them, so it cannot be a \
+          pipe.  The result feeds $(b,--db) on mine/private/recover.")
     Term.(const run $ src $ dst $ universe $ stats_term $ trace_term)
 
 let main =

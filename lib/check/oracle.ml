@@ -14,10 +14,11 @@ let trie_apriori ?max_size db ~min_support =
     ~level1:(fun () -> Apriori.level1 db ~threshold)
     ~count_level:(Count.support_counts db) ()
 
-(* A database round-tripped through the on-disk columnar format: one
-   column per item written to a temporary PPDMC file, then decoded by
-   [Vertical.of_colfile] — the load path `ppdm mine --db` runs.  The tids
-   come straight from the rows, not from the engine under test. *)
+(* A database round-tripped through the on-disk columnar format: each
+   item's tids written to a temporary PPDMC file by [Colfile.write], then
+   loaded by [Vertical.of_colfile] — the load path `ppdm mine --db` runs.
+   The tids come straight from the rows, not from the engine under test
+   or from [Colfile.convert]. *)
 let via_colfile db =
   let n = Db.length db and universe = Db.universe db in
   let tids = Array.make universe [] in
@@ -26,14 +27,11 @@ let via_colfile db =
       (fun item -> tids.(item) <- tid :: tids.(item))
       (Itemset.to_array (Db.get db tid))
   done;
-  let columns =
-    Array.map (fun l -> Column.of_tids ~n (Array.of_list l)) tids
-  in
   let path = Filename.temp_file "ppdm_oracle" ".ppdmc" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      Colfile.write path ~n columns;
+      Colfile.write path ~n (Array.map Array.of_list tids);
       let cf = Colfile.open_file path in
       Fun.protect
         ~finally:(fun () -> Colfile.close cf)

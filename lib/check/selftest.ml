@@ -766,7 +766,7 @@ let fuzz_roundtrip_checks ~seed ~count =
             ~finally:(fun () -> Colfile.close cf)
             (fun () ->
               for item = 0 to Colfile.universe cf - 1 do
-                ignore (Colfile.column cf item)
+                ignore (Colfile.payload cf item)
               done)
         in
         with_temp ".txt" (fun p -> Io.write_file p db) (fun src ->

@@ -127,7 +127,7 @@ let freeze t =
     (fun ch ->
       Array.iteri (fun item k -> counts.(item) <- counts.(item) + k) ch.counts)
     t.chunks;
-  let dense = Array.map (Vertical.dense_for ~n) counts in
+  let dense = Array.map (Bitset.dense_for ~n) counts in
   let payloads =
     Array.mapi
       (fun item count ->

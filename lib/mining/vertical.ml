@@ -220,15 +220,6 @@ let inter_tidsets a b =
 
 let item_tidset t item = t.tidsets.(item)
 
-let default_dense_cutoff = 1.0 /. float_of_int bits_per_word
-
-(* The one density rule every loader applies: an item goes dense when its
-   support fraction is at least [dense_cutoff].  The default 1/62 is the
-   memory break-even point, where the bitmap is no larger than the tid
-   array it replaces. *)
-let goes_dense ~dense_cutoff ~n count =
-  n > 0 && float_of_int count >= dense_cutoff *. float_of_int n
-
 let resident_bytes t =
   Array.fold_left
     (fun acc ts ->
@@ -245,9 +236,11 @@ let emit_load_metrics t =
     Ppdm_obs.Metrics.add "vertical.load.bytes" (resident_bytes t)
   end
 
-let of_db ?(dense_cutoff = default_dense_cutoff) db =
-  if not (dense_cutoff >= 0.) then
-    invalid_arg "Vertical.of_db: dense_cutoff must be >= 0";
+let of_db ?dense_cutoff db =
+  (match dense_cutoff with
+  | Some c when not (c >= 0.) ->
+      invalid_arg "Vertical.of_db: dense_cutoff must be >= 0"
+  | _ -> ());
   Ppdm_obs.Span.with_ ~name:"vertical.load" (fun () ->
       let n = Db.length db in
       let universe = Db.universe db in
@@ -255,7 +248,7 @@ let of_db ?(dense_cutoff = default_dense_cutoff) db =
       let counts = Db.item_counts db in
       let tidsets =
         Array.init universe (fun item ->
-            if goes_dense ~dense_cutoff ~n counts.(item) then
+            if Bitset.dense_for ?cutoff:dense_cutoff ~n counts.(item) then
               Dense (Array.make n_words 0)
             else Sparse (Array.make counts.(item) 0))
       in
@@ -278,8 +271,6 @@ let of_db ?(dense_cutoff = default_dense_cutoff) db =
       emit_load_metrics t;
       t)
 
-let dense_for ~n count = goes_dense ~dense_cutoff:default_dense_cutoff ~n count
-
 (* Adopted, not copied: a caller that fills its own arrays (the private
    miner's report store) must not pay a second transpose. *)
 let of_payloads ~n ~counts payloads =
@@ -289,7 +280,7 @@ let of_payloads ~n ~counts payloads =
   let tidsets =
     Array.mapi
       (fun item p ->
-        let dense = dense_for ~n counts.(item) in
+        let dense = Bitset.dense_for ~n counts.(item) in
         if Array.length p <> if dense then n_words else counts.(item) then
           invalid_arg
             "Vertical.of_payloads: payload length disagrees with its shape";
@@ -300,21 +291,14 @@ let of_payloads ~n ~counts payloads =
   emit_load_metrics t;
   t
 
-(* PPDMC is only the on-disk form: each column is decoded once, as it is
-   read, into the shape [of_db] picks for the item, so counting sees the
-   same two shapes however the data arrived.  At most one decoded column
-   is alive besides the result. *)
+(* A PPDMC payload already is the tid-set in the shape [of_db] picks, so
+   the load adopts what the reader validated: one pass over the file, no
+   second layout. *)
 let of_colfile cf =
   Ppdm_obs.Span.with_ ~name:"columnar.load" (fun () ->
-      let n = Colfile.length cf in
       let counts = Array.init (Colfile.universe cf) (Colfile.item_count cf) in
-      of_payloads ~n ~counts
-        (Array.mapi
-           (fun item count ->
-             let col = Colfile.column cf item in
-             if dense_for ~n count then Column.to_words col
-             else Column.to_tids col)
-           counts))
+      of_payloads ~n:(Colfile.length cf) ~counts
+        (Array.init (Array.length counts) (Colfile.payload cf)))
 
 let iter_tidset f = function
   | Sparse tids -> Array.iter f tids

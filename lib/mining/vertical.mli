@@ -36,32 +36,29 @@ type t
 
 val of_db : ?dense_cutoff:float -> Db.t -> t
 (** Transpose an in-RAM database (one pass after {!Db.item_counts}).  An
-    item goes dense when its support fraction is at least [dense_cutoff];
-    the default [1/62] is the memory break-even point, where the bitmap
-    is no larger than the tid array it replaces.
+    item goes dense when its support fraction is at least [dense_cutoff]
+    ({!Ppdm_data.Bitset.dense_for}); the default 1/62 is the memory
+    break-even point, where the bitmap is no larger than the tid array it
+    replaces.
     @raise Invalid_argument if [dense_cutoff] is negative (or NaN). *)
 
 val of_colfile : Colfile.t -> t
-(** Load from an open columnar file: every PPDMC column is decoded once,
-    as it is read, into the dense or sparse tid-set that {!of_db} (at the
-    default cutoff) picks for that item, so the result equals [of_db] of
-    the same data in shapes, {!resident_bytes} and counts.  The row-major
-    database is never materialized; at most one decoded column is alive
-    besides the result.  Emits the ["columnar.load"] span and the
-    [vertical.load.*] counters when observation is enabled.
-    @raise Colfile.Error on corrupt container data. *)
-
-val dense_for : n:int -> int -> bool
-(** Whether an item with this many tids among [n] transactions is stored
-    as a bitmap: the rule {!of_db} applies at its default cutoff. *)
+(** Load from an open columnar file: each item's PPDMC payload is read
+    and validated ({!Colfile.payload}) and adopted as it is, since the
+    file already holds the dense or sparse tid-set {!of_db} (at the
+    default cutoff) picks for that item.  The result equals [of_db] of
+    the same data in shapes, {!resident_bytes} and counts, and the
+    row-major database is never materialized.  Emits the
+    ["columnar.load"] span and the [vertical.load.*] counters when
+    observation is enabled.
+    @raise Colfile.Error on a corrupt payload. *)
 
 val of_payloads : n:int -> counts:int array -> int array array -> t
 (** Adopt per-item payloads built elsewhere, without copying: item [i]
-    holds [counts.(i)] tids, and its payload is its
-    [ceil (n / 62)]-word bitmap (tail bits zero) when
-    [dense_for ~n counts.(i)], its ascending tid array otherwise.  Only
-    the lengths are checked; the result then equals {!of_db} of the same
-    rows.  Emits the [vertical.load.*] counters as {!of_db} does.
+    holds [counts.(i)] tids, and its payload is its [ceil (n / 62)]-word
+    bitmap (tail bits zero) when [Bitset.dense_for ~n counts.(i)], its
+    ascending tid array otherwise.  Only the lengths are checked; the
+    result then equals {!of_db} of the same rows.  Emits the [vertical.load.*] counters as {!of_db} does.
     @raise Invalid_argument on a payload count or length that disagrees
     with [counts]. *)
 

@@ -76,12 +76,15 @@ let diff = zip "diff" (fun x y -> x land lnot y)
 
 (* The one definition of the trailing-word mask: every packed
    representation in the repo (this module, the vertical engine's
-   bitmaps, the columnar containers) keeps the bits above its width
+   bitmaps, the dense PPDMC payloads) keeps the bits above its width
    zero, and this is the mask they zero against. *)
 let last_word_mask ~width =
   if width <= 0 then invalid_arg "Bitset.last_word_mask: width must be positive";
   let tail = width mod bits_per_word in
   if tail = 0 then (1 lsl bits_per_word) - 1 else (1 lsl tail) - 1
+
+let dense_for ?(cutoff = 1.0 /. float_of_int bits_per_word) ~n count =
+  n > 0 && float_of_int count >= cutoff *. float_of_int n
 
 let complement t =
   (* [lnot] also sets the bits above the width (up to OCaml's 63); mask

@@ -33,10 +33,19 @@ val last_word_mask : width:int -> int
 (** The bits the final word of a packed set of [width] bits actually
     uses: all [bits_per_word] bits when the width is a multiple, the low
     [width mod bits_per_word] bits otherwise.  Every packed
-    representation (this module, the vertical engine, the columnar
-    containers) keeps the bits above its width zero; this is the single
+    representation (this module, the vertical engine, the dense PPDMC
+    payloads) keeps the bits above its width zero; this is the single
     definition of the mask they zero against.
     @raise Invalid_argument if [width <= 0]. *)
+
+val dense_for : ?cutoff:float -> n:int -> int -> bool
+(** Whether a tid-set of this many tids among [n] transactions is held
+    as a packed bitmap of [words_for n] words rather than as an
+    ascending tid array: its support fraction is at least [cutoff].  The
+    default [1 / bits_per_word] is the memory break-even point, where the
+    bitmap is no larger than the tid array it replaces.  The one density
+    rule of the vertical engine, the report store's freeze and the PPDMC
+    file. *)
 
 val popcount : int -> int
 (** Population count of a single word: branch-free SWAR, no table.

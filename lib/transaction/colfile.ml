@@ -3,41 +3,36 @@
    Layout (all integers little-endian):
 
      offset 0   6 bytes   magic "PPDMC\x00"
-            6   u16       format version (1)
+            6   u16       format version (2)
             8   u64       universe
            16   u64       transactions (n)
            24   u64       payload bytes
            32   directory: universe entries of (u64 card, u64 offset,
                            u64 length) — offsets relative to the payload
                            area, so the directory alone locates any
-                           item's containers with one seek
-     32 + 24u   payload:  per item, its non-empty blocks in ascending
-                           block order, each as
-                             u32 block index | u8 tag | u16 count | body
-                           tag 0 dense  — count 62-bit words as i64
-                             1 sparse — count u16 bit offsets
-                             2 runs   — count (u16 start, u16 stop) pairs
+                           item's payload with one seek
+     32 + 24u   payload:  per item, its tid-set in the shape the vertical
+                           engine counts on, chosen by [Bitset.dense_for
+                           ~n card]:
+                             dense  — [Bitset.words_for n] 62-bit words
+                                      as i64, tail bits above n zero
+                             sparse — [card] ascending tids as u32
 
-   The format is mmap-friendly by construction — fixed header, a
-   directory of (offset, length) slices, and position-independent
-   container payloads — but the reader here uses plain channel seeks:
-   one seek + read per item, so a load streams the file without ever
-   holding more than one item's containers in flight.  Every value is
-   validated on decode; violations raise the typed {!Error}, never a
-   partial column. *)
+   A payload is the loaded tid-set itself, so a load is one read and one
+   validation pass per item, with no decoding into a second layout.  The
+   reader uses plain channel seeks into one reused buffer: a load streams
+   the file without ever holding more than one item's bytes in flight.
+   Every value is validated; violations raise the typed {!Error}, never a
+   partial tid-set. *)
 
 let magic = "PPDMC\x00"
-let version = 1
+let version = 2
 let header_bytes = 32
 let dir_entry_bytes = 24
 
-(* A corrupt header must fail with a typed error before any allocation it
-   implies.  Decoding one column allocates a block-grid array of
-   [n / block_bits] entries even when the payload is tiny, so the cap has
-   to keep that grid small enough to always allocate (2^32 transactions
-   is ~1.1M blocks, 8.6MB — far past any dataset the in-RAM engines
-   could hold anyway): the corruption fuzz flips every header byte and
-   demands a typed error, never Out_of_memory. *)
+(* A sparse tid is a u32, so no file covers more transactions than that;
+   a corrupt header must fail with a typed error before anything it
+   implies is allocated. *)
 let max_transactions = 1 lsl 32
 
 type error =
@@ -61,102 +56,88 @@ let () =
 
 let fail e = raise (Error e)
 
-(* --- encoding -------------------------------------------------------- *)
+(* The payload bytes an item of [card] tids takes, and whether it is
+   dense: the file stores exactly what [Vertical.of_db] would build. *)
+let payload_shape ~n card =
+  if Bitset.dense_for ~n card then (true, 8 * Bitset.words_for n)
+  else (false, 4 * card)
+
+(* --- writing --------------------------------------------------------- *)
 
 let add_u16 buf v = Buffer.add_uint16_le buf v
-let add_u32 buf v = Buffer.add_int32_le buf (Int32.of_int v)
 let add_u64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
 
-type counters = {
-  mutable c_blocks : int;
-  mutable c_dense : int;
-  mutable c_sparse : int;
-  mutable c_run : int;
-}
-
-let fresh_counters () = { c_blocks = 0; c_dense = 0; c_sparse = 0; c_run = 0 }
-
-let encode_block buf counters ~idx (block : Column.block) =
-  match block with
-  | Column.Empty -> ()
-  | Column.Dense words ->
-      counters.c_blocks <- counters.c_blocks + 1;
-      counters.c_dense <- counters.c_dense + 1;
-      add_u32 buf idx;
-      Buffer.add_uint8 buf 0;
-      add_u16 buf (Array.length words);
-      Array.iter (fun w -> Buffer.add_int64_le buf (Int64.of_int w)) words
-  | Column.Sparse (card, packed) ->
-      counters.c_blocks <- counters.c_blocks + 1;
-      counters.c_sparse <- counters.c_sparse + 1;
-      add_u32 buf idx;
-      Buffer.add_uint8 buf 1;
-      add_u16 buf card;
-      for i = 0 to card - 1 do
-        add_u16 buf (Column.sparse_get packed i)
-      done
-  | Column.Runs rs ->
-      counters.c_blocks <- counters.c_blocks + 1;
-      counters.c_run <- counters.c_run + 1;
-      add_u32 buf idx;
-      Buffer.add_uint8 buf 2;
-      add_u16 buf (Array.length rs);
-      Array.iter
-        (fun r ->
-          add_u16 buf (Column.run_start r);
-          add_u16 buf (Column.run_stop r))
-        rs
-
-let encode_column buf counters col =
-  Array.iteri (fun idx block -> encode_block buf counters ~idx block)
-    (Column.blocks col)
-
-let write_out path ~universe ~n ~cards ~payloads =
+(* Header, directory, then each payload through one reused buffer: the
+   payloads are already in their loaded shape ([counts.(i)] tids, dense
+   or sparse by [payload_shape]).  Returns the payload bytes. *)
+let write_payloads path ~n ~counts payloads =
+  let universe = Array.length counts in
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      let header = Buffer.create (header_bytes + (dir_entry_bytes * universe)) in
+      let shapes = Array.map (payload_shape ~n) counts in
+      let lens = Array.map snd shapes in
+      let payload_bytes = Array.fold_left ( + ) 0 lens in
+      let header =
+        Buffer.create (header_bytes + (dir_entry_bytes * universe))
+      in
       Buffer.add_string header magic;
       add_u16 header version;
       add_u64 header universe;
       add_u64 header n;
-      let payload_bytes =
-        Array.fold_left (fun acc s -> acc + String.length s) 0 payloads
-      in
       add_u64 header payload_bytes;
       let off = ref 0 in
       Array.iteri
-        (fun i s ->
-          add_u64 header cards.(i);
+        (fun i len ->
+          add_u64 header counts.(i);
           add_u64 header !off;
-          add_u64 header (String.length s);
-          off := !off + String.length s)
-        payloads;
+          add_u64 header len;
+          off := !off + len)
+        lens;
       Buffer.output_buffer oc header;
-      Array.iter (output_string oc) payloads;
+      let buf = Bytes.create (Array.fold_left max 0 lens) in
+      Array.iteri
+        (fun i p ->
+          if fst shapes.(i) then
+            Array.iteri
+              (fun j w -> Bytes.set_int64_le buf (8 * j) (Int64.of_int w))
+              p
+          else
+            Array.iteri
+              (fun j tid -> Bytes.set_int32_le buf (4 * j) (Int32.of_int tid))
+              p;
+          output oc buf 0 lens.(i))
+        payloads;
       payload_bytes)
 
-let write path ~n columns =
-  let universe = Array.length columns in
+let write path ~n tids =
+  let universe = Array.length tids in
   if universe = 0 then invalid_arg "Colfile.write: empty universe";
-  Array.iter
-    (fun c ->
-      if Column.length c <> n then
-        invalid_arg "Colfile.write: column length mismatch")
-    columns;
-  let counters = fresh_counters () in
+  if n < 0 || n > max_transactions then
+    invalid_arg "Colfile.write: transaction count out of range";
+  let counts = Array.map Array.length tids in
   let payloads =
     Array.map
-      (fun c ->
-        let buf = Buffer.create 256 in
-        encode_column buf counters c;
-        Buffer.contents buf)
-      columns
+      (fun ts ->
+        Array.iteri
+          (fun i tid ->
+            if tid < 0 || tid >= n || (i > 0 && ts.(i - 1) >= tid) then
+              invalid_arg "Colfile.write: tids not ascending in [0, n)")
+          ts;
+        if fst (payload_shape ~n (Array.length ts)) then begin
+          let words = Array.make (Bitset.words_for n) 0 in
+          Array.iter
+            (fun tid ->
+              let w = tid / Bitset.bits_per_word in
+              words.(w) <- words.(w) lor (1 lsl (tid mod Bitset.bits_per_word)))
+            ts;
+          words
+        end
+        else ts)
+      tids
   in
-  ignore
-    (write_out path ~universe ~n ~cards:(Array.map Column.cardinal columns)
-       ~payloads)
+  ignore (write_payloads path ~n ~counts payloads)
 
 (* --- reading --------------------------------------------------------- *)
 
@@ -168,6 +149,7 @@ type t = {
   cards : int array;
   offs : int array;
   lens : int array;
+  mutable buf : Bytes.t; (* reused by every [payload] read *)
   mutable closed : bool;
 }
 
@@ -185,10 +167,8 @@ let close t =
     close_in_noerr t.ic
   end
 
-let really_read ic len ~what =
-  let b = Bytes.create len in
-  (try really_input ic b 0 len with End_of_file -> fail (Truncated what));
-  b
+let really_read ic b len ~what =
+  try really_input ic b 0 len with End_of_file -> fail (Truncated what)
 
 let get_u64 b pos ~what =
   let v = Bytes.get_int64_le b pos in
@@ -201,7 +181,8 @@ let open_file path =
   match
     let total = in_channel_length ic in
     if total < header_bytes then fail (Truncated "header");
-    let header = really_read ic header_bytes ~what:"header" in
+    let header = Bytes.create header_bytes in
+    really_read ic header header_bytes ~what:"header";
     if Bytes.sub_string header 0 6 <> magic then fail Bad_magic;
     let v = Bytes.get_uint16_le header 6 in
     if v <> version then fail (Unsupported_version v);
@@ -210,9 +191,11 @@ let open_file path =
     let n = get_u64 header 16 ~what:"transaction count" in
     if n > max_transactions then fail (Corrupt "transaction count out of range");
     let payload_bytes = get_u64 header 24 ~what:"payload size" in
-    if total - header_bytes < dir_entry_bytes * universe then
+    (* divided, not multiplied: a corrupt universe must not overflow *)
+    if universe > (total - header_bytes) / dir_entry_bytes then
       fail (Truncated "directory");
-    let dir = really_read ic (dir_entry_bytes * universe) ~what:"directory" in
+    let dir = Bytes.create (dir_entry_bytes * universe) in
+    really_read ic dir (dir_entry_bytes * universe) ~what:"directory";
     let payload_pos = header_bytes + (dir_entry_bytes * universe) in
     if total < payload_pos + payload_bytes then fail (Truncated "payload");
     if total > payload_pos + payload_bytes then
@@ -232,83 +215,67 @@ let open_file path =
       offs.(item) <- off;
       lens.(item) <- len
     done;
-    { ic; universe; n; payload_pos; cards; offs; lens; closed = false }
+    {
+      ic;
+      universe;
+      n;
+      payload_pos;
+      cards;
+      offs;
+      lens;
+      buf = Bytes.empty;
+      closed = false;
+    }
   with
   | t -> t
   | exception e ->
       close_in_noerr ic;
       raise e
 
-let max_word = Int64.of_int ((1 lsl Bitset.bits_per_word) - 1)
+let max_word = (1 lsl Bitset.bits_per_word) - 1
 
-let column t item =
-  if t.closed then invalid_arg "Colfile.column: file closed";
+let payload t item =
+  if t.closed then invalid_arg "Colfile.payload: file closed";
   if item < 0 || item >= t.universe then
-    invalid_arg "Colfile.column: item out of range";
-  let len = t.lens.(item) in
+    invalid_arg "Colfile.payload: item out of range";
+  let card = t.cards.(item) and len = t.lens.(item) and n = t.n in
+  let dense, expect = payload_shape ~n card in
+  if len <> expect then
+    fail (Corrupt "payload length disagrees with the directory cardinality");
+  if Bytes.length t.buf < len then t.buf <- Bytes.create len;
+  let b = t.buf in
   seek_in t.ic (t.payload_pos + t.offs.(item));
-  let b = really_read t.ic len ~what:"container payload" in
-  let n_blocks = Column.n_blocks_for t.n in
-  let blocks = Array.make n_blocks Column.Empty in
-  let pos = ref 0 in
-  let last = ref (-1) in
-  while !pos < len do
-    if len - !pos < 7 then fail (Corrupt "block header truncated");
-    let idx =
-      let v = Int32.to_int (Bytes.get_int32_le b !pos) in
-      if v < 0 then fail (Corrupt "block index out of range");
-      v
-    in
-    let tag = Bytes.get_uint8 b (!pos + 4) in
-    let count = Bytes.get_uint16_le b (!pos + 5) in
-    pos := !pos + 7;
-    if idx <= !last then fail (Corrupt "block indices not ascending");
-    if idx >= n_blocks then fail (Corrupt "block index out of range");
-    last := idx;
-    let need bytes =
-      if len - !pos < bytes then fail (Corrupt "container body truncated")
-    in
-    let block =
-      match tag with
-      | 0 ->
-          need (8 * count);
-          let words =
-            Array.init count (fun i ->
-                let v = Bytes.get_int64_le b (!pos + (8 * i)) in
-                if Int64.compare v 0L < 0 || Int64.compare v max_word > 0 then
-                  fail (Corrupt "dense word out of range");
-                Int64.to_int v)
-          in
-          pos := !pos + (8 * count);
-          Column.Dense words
-      | 1 ->
-          need (2 * count);
-          let offs =
-            Array.init count (fun i -> Bytes.get_uint16_le b (!pos + (2 * i)))
-          in
-          pos := !pos + (2 * count);
-          Column.Sparse (count, Column.pack_offsets offs)
-      | 2 ->
-          need (4 * count);
-          let rs =
-            Array.init count (fun i ->
-                let s = Bytes.get_uint16_le b (!pos + (4 * i)) in
-                let e = Bytes.get_uint16_le b (!pos + (4 * i) + 2) in
-                (s lsl 16) lor e)
-          in
-          pos := !pos + (4 * count);
-          Column.Runs rs
-      | _ -> fail (Corrupt "unknown container tag")
-    in
-    blocks.(idx) <- block
-  done;
-  let col =
-    try Column.of_blocks ~n:t.n blocks
-    with Invalid_argument msg -> fail (Corrupt msg)
-  in
-  if Column.cardinal col <> t.cards.(item) then
-    fail (Corrupt "directory cardinality disagrees with the containers");
-  col
+  really_read t.ic b len ~what:"payload";
+  if dense then begin
+    let words = Array.make (len / 8) 0 in
+    let card' = ref 0 in
+    for j = 0 to Array.length words - 1 do
+      let v = Bytes.get_int64_le b (8 * j) in
+      if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_word) > 0
+      then fail (Corrupt "dense word out of range");
+      let w = Int64.to_int v in
+      words.(j) <- w;
+      card' := !card' + Bitset.popcount w
+    done;
+    let last = Array.length words - 1 in
+    if words.(last) land lnot (Bitset.last_word_mask ~width:n) <> 0 then
+      fail (Corrupt "dense word sets a bit past the last transaction");
+    if !card' <> card then
+      fail (Corrupt "directory cardinality disagrees with the payload");
+    words
+  end
+  else begin
+    let tids = Array.make card 0 in
+    let prev = ref (-1) in
+    for j = 0 to card - 1 do
+      let tid = Int32.to_int (Bytes.get_int32_le b (4 * j)) land 0xFFFF_FFFF in
+      if tid <= !prev then fail (Corrupt "sparse tids not strictly increasing");
+      if tid >= n then fail (Corrupt "sparse tid out of range");
+      tids.(j) <- tid;
+      prev := tid
+    done;
+    tids
+  end
 
 (* --- streaming conversion ------------------------------------------- *)
 
@@ -316,104 +283,73 @@ type convert_stats = {
   cv_universe : int;
   cv_transactions : int;
   cv_payload_bytes : int;
-  cv_blocks : int;
-  cv_dense : int;
-  cv_sparse : int;
-  cv_run : int;
 }
 
-(* One-pass transpose: transactions stream through Io.fold_transactions
-   (the source Db is never resident); each item accumulates the current
-   block's bit offsets, and a block is encoded and appended to its
-   item's payload buffer the moment the stream crosses a block boundary.
-   The working set is one block's offsets plus the growing compressed
-   payloads — the memory the *output* needs, not the input. *)
+(* Two streaming passes through [Io.fold_transactions]: the first counts
+   each item's tids, which fixes every payload's shape and exact size;
+   the second sets the bits and appends the tids.  The source database is
+   never resident — the working set is the output's payloads.  The second
+   pass must see the rows the first one counted. *)
 let convert ?universe ~src ~dst () =
   (match universe with
   | Some u when u < 1 -> invalid_arg "Colfile.convert: universe must be positive"
   | _ -> ());
   Ppdm_obs.Span.with_ ~name:"columnar.convert" @@ fun () ->
-  let cap = ref (match universe with Some u -> u | None -> 16) in
-  let bufs = ref (Array.init !cap (fun _ -> Buffer.create 16)) in
-  let cards = ref (Array.make !cap 0) in
-  let pending = ref (Array.make !cap []) in
-  let touched = ref [] in
-  let cur_block = ref 0 in
-  let counters = fresh_counters () in
-  let grow item =
-    if item >= !cap then begin
-      let cap' = ref (2 * !cap) in
-      while item >= !cap' do
-        cap' := 2 * !cap'
-      done;
-      let bufs' = Array.init !cap' (fun _ -> Buffer.create 16) in
-      Array.blit !bufs 0 bufs' 0 !cap;
-      let cards' = Array.make !cap' 0 in
-      Array.blit !cards 0 cards' 0 !cap;
-      let pending' = Array.make !cap' [] in
-      Array.blit !pending 0 pending' 0 !cap;
-      bufs := bufs';
-      cards := cards';
-      pending := pending';
-      cap := !cap'
-    end
-  in
-  let flush ~wib =
-    (* ascending item order inside a block is not required — each item's
-       buffer only ever receives its own blocks, in block order *)
-    List.iter
+  let counts = ref [||] in
+  let count () tx =
+    Array.iter
       (fun item ->
-        let offs = Array.of_list (List.rev (!pending).(item)) in
-        (!pending).(item) <- [];
-        encode_block (!bufs).(item) counters ~idx:!cur_block
-          (Column.block_of_offsets ~wib offs))
-      !touched;
-    touched := []
+        let c = !counts in
+        if item >= Array.length c then begin
+          counts := Array.make (max (item + 1) (2 * Array.length c)) 0;
+          Array.blit c 0 !counts 0 (Array.length c)
+        end;
+        !counts.(item) <- !counts.(item) + 1)
+      (Itemset.unsafe_to_array tx)
   in
-  let tid = ref 0 in
-  let handle tx =
-    let b = !tid / Column.block_bits in
-    if b <> !cur_block then begin
-      (* the stream moved past it, so the previous block is full-width *)
-      flush ~wib:Column.block_words;
-      cur_block := b
-    end;
-    let base = !cur_block * Column.block_bits in
-    let off = !tid - base in
-    Itemset.iter
-      (fun item ->
-        (match universe with None -> grow item | Some _ -> ());
-        if (!pending).(item) = [] then touched := item :: !touched;
-        (!pending).(item) <- off :: (!pending).(item);
-        (!cards).(item) <- (!cards).(item) + 1)
-      tx;
-    incr tid
-  in
-  let (), info = Io.fold_transactions ?universe src ~init:() ~f:(fun () tx -> handle tx) in
-  let n = info.Io.transactions in
-  if !touched <> [] then flush ~wib:(Column.words_in_block ~n !cur_block);
-  let universe = info.Io.universe in
-  let payloads =
+  let (), info = Io.fold_transactions ?universe src ~init:() ~f:count in
+  let n = info.Io.transactions and universe = info.Io.universe in
+  if n > max_transactions then failwith "more transactions than PPDMC holds";
+  let counts =
     Array.init universe (fun i ->
-        if i < !cap then Buffer.contents (!bufs).(i) else "")
+        if i < Array.length !counts then !counts.(i) else 0)
   in
-  let cards =
-    Array.init universe (fun i -> if i < !cap then (!cards).(i) else 0)
+  let dense = Array.map (fun c -> fst (payload_shape ~n c)) counts in
+  let payloads =
+    Array.mapi
+      (fun i c -> Array.make (if dense.(i) then Bitset.words_for n else c) 0)
+      counts
   in
-  let payload_bytes = write_out dst ~universe ~n ~cards ~payloads in
-  if Ppdm_obs.Metrics.enabled () then begin
-    Ppdm_obs.Metrics.add "columnar.containers.dense" counters.c_dense;
-    Ppdm_obs.Metrics.add "columnar.containers.sparse" counters.c_sparse;
-    Ppdm_obs.Metrics.add "columnar.containers.run" counters.c_run;
-    Ppdm_obs.Metrics.add "columnar.blocks" counters.c_blocks;
-    Ppdm_obs.Metrics.add "columnar.bytes" payload_bytes
-  end;
+  let changed () =
+    failwith
+      "the source changed between convert's two passes (it must be a file, \
+       not a pipe)"
+  in
+  let filled = Array.make universe 0 in
+  let fill tid tx =
+    if tid >= n then changed ();
+    let items = Itemset.unsafe_to_array tx in
+    for idx = 0 to Array.length items - 1 do
+      let item = items.(idx) in
+      let k = filled.(item) in
+      if k = counts.(item) then changed ();
+      filled.(item) <- k + 1;
+      let p = payloads.(item) in
+      if dense.(item) then begin
+        let w = tid / Bitset.bits_per_word in
+        p.(w) <- p.(w) lor (1 lsl (tid mod Bitset.bits_per_word))
+      end
+      else p.(k) <- tid
+    done;
+    tid + 1
+  in
+  let seen, _ = Io.fold_transactions ~universe src ~init:0 ~f:fill in
+  if seen <> n || filled <> counts then changed ();
+  let payload_bytes = write_payloads dst ~n ~counts payloads in
+  if Ppdm_obs.Metrics.enabled () then
+    Ppdm_obs.Metrics.add "columnar.bytes" payload_bytes;
   {
     cv_universe = universe;
     cv_transactions = n;
     cv_payload_bytes = payload_bytes;
-    cv_blocks = counters.c_blocks;
-    cv_dense = counters.c_dense;
-    cv_sparse = counters.c_sparse;
-    cv_run = counters.c_run;
   }

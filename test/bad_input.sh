@@ -5,7 +5,13 @@
 # commands that estimate (private, recover) reject a file with no rows
 # the same way, as "<cmd>: <path>: ".  An operator whose keep and add
 # probabilities coincide carries no signal: private and recover reject
-# it the same way, and analyze reports it.
+# it the same way, and analyze reports it.  The --db readers (mine,
+# private, recover) reject a garbage, a missing, a truncated and a
+# version-1 .ppdmc file as "<cmd>: <path>: ", exit 1.  recover rejects an
+# empty itemset or an item outside the input's universe on both routes
+# as a usage error, exit 2, and so does convert a non-positive
+# --universe; convert names its output when it cannot write it, and
+# rejects a source that changes between its two passes (a pipe).
 # Usage: bad_input.sh PPDM_CLI
 set -eu
 # Bare names (no slash) are files in the current directory.
@@ -95,4 +101,60 @@ if [ "$status" -ne 0 ] ||
   cat "$dir/out" "$dir/err" >&2
   failures=$((failures + 1))
 fi
+
+# expect_fail STATUS PATTERN ARGS...: the command must exit STATUS with a
+# stderr line matching PATTERN and no uncaught exception
+expect_fail() {
+  want=$1 pattern=$2
+  shift 2
+  status=0
+  "$cli" "$@" >/dev/null 2>"$dir/err" || status=$?
+  if [ "$status" -ne "$want" ] || ! grep -q "$pattern" "$dir/err" ||
+    grep -q "uncaught exception" "$dir/err"; then
+    echo "FAIL: $* (want exit $want, /$pattern/): exit $status" >&2
+    cat "$dir/err" >&2
+    failures=$((failures + 1))
+  fi
+}
+
+# Bad .ppdmc files for the --db readers.
+"$cli" convert "$dir/db.txt" "$dir/db.ppdmc" >/dev/null
+printf 'not a columnar file\n' >"$dir/garbage.ppdmc"
+head -c 100 "$dir/db.ppdmc" >"$dir/truncated.ppdmc"
+# a complete version-1 file: universe 1, no transactions, one empty item
+{
+  printf 'PPDMC\000\001\000\001'
+  head -c 47 /dev/zero
+} >"$dir/v1.ppdmc"
+for kind in garbage missing truncated v1; do
+  f="$dir/$kind.ppdmc"
+  expect_fail 1 "^mine: $f: " mine --db "$f" --min-support 0.5
+  expect_fail 1 "^private: $f: " private --db "$f" --min-support 0.5
+  expect_fail 1 "^recover: $f: " recover --db "$f" --itemset 1
+done
+expect_fail 1 "^mine: $dir/v1.ppdmc: unsupported PPDMC version 1$" \
+  mine --db "$dir/v1.ppdmc" --min-support 0.5
+
+# recover --itemset: empty or outside the universe (10) on both routes.
+for itemset in "" 500; do
+  expect_fail 2 "^recover: --itemset: " recover --in "$dir/db.tagged" \
+    --itemset "$itemset"
+  expect_fail 2 "^recover: --itemset: " recover --db "$dir/db.ppdmc" \
+    --itemset "$itemset"
+done
+
+# convert: a usage error, an output it cannot open, a changing source.
+expect_fail 2 "^convert: --universe 0 must be positive$" \
+  convert --universe 0 "$dir/db.txt" "$dir/out.ppdmc"
+expect_fail 1 "^convert: $dir/no/such/dir/out.ppdmc: " \
+  convert "$dir/db.txt" "$dir/no/such/dir/out.ppdmc"
+status=0
+cat "$dir/db.txt" | "$cli" convert /dev/stdin "$dir/out.ppdmc" >/dev/null \
+  2>"$dir/err" || status=$?
+if [ "$status" -ne 1 ] || ! grep -q "^convert: /dev/stdin: " "$dir/err"; then
+  echo "FAIL: convert from a pipe: exit $status" >&2
+  cat "$dir/err" >&2
+  failures=$((failures + 1))
+fi
+
 test "$failures" -eq 0

@@ -18,7 +18,7 @@ let () =
       ("stream", Test_stream.suite);
       ("bitset", Test_bitset.suite);
       ("vertical", Test_vertical.suite);
-      ("column", Test_column.suite);
+      ("column", Test_colfile.suite);
       ("scheme_io", Test_scheme_io.suite);
       ("em", Test_em.suite);
       ("channel", Test_channel.suite);
