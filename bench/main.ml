@@ -267,34 +267,6 @@ let b2 () =
   in
   run_benchmarks ~section:"b2" (Bechamel.Test.make_grouped ~name:"mine" tests)
 
-let a3 () =
-  header "A3  Ablation: trie vs dense-bitset candidate counting (universe 150)";
-  let db = Experiment.quest_db ~count:5_000 () in
-  (* restrict to a dense sub-universe so bitsets make sense *)
-  let width = Db.universe db in
-  let dense = Array.map (Bitset.of_itemset ~width) (Db.transactions db) in
-  let candidates =
-    List.filteri (fun i _ -> i < 50)
-      (List.map fst (Apriori.mine db ~min_support:0.01 ~max_size:2))
-  in
-  let dense_candidates = List.map (Bitset.of_itemset ~width) candidates in
-  let tests =
-    [
-      Bechamel.Test.make ~name:"trie counting (50 candidates)"
-        (Bechamel.Staged.stage (fun () ->
-             ignore (Count.support_counts db candidates)));
-      Bechamel.Test.make ~name:"bitset counting (50 candidates)"
-        (Bechamel.Staged.stage (fun () ->
-             List.iter
-               (fun c ->
-                 let acc = ref 0 in
-                 Array.iter (fun tx -> if Bitset.subset c tx then incr acc) dense;
-                 ignore !acc)
-               dense_candidates));
-    ]
-  in
-  run_benchmarks ~section:"a3" (Bechamel.Test.make_grouped ~name:"counting" tests)
-
 let b3 () =
   header "B3  Estimator cost vs itemset size (m=8, 20k transactions)";
   let universe = 500 and size = 8 and count = 20_000 in
@@ -963,7 +935,7 @@ let timed f =
 let sections =
   [ ("t1", t1); ("t2", t2); ("t3", t3); ("f1", f1); ("f2", f2); ("f3", f3);
     ("f4", f4); ("f5", f5); ("a1", a1); ("a2", a2); ("a4", a4); ("e1", e1);
-    ("b1", b1); ("b2", b2); ("a3", a3); ("b3", b3); ("b4", b4); ("b5", b5);
+    ("b1", b1); ("b2", b2); ("b3", b3); ("b4", b4); ("b5", b5);
     ("b6", b6); ("b7", b7); ("b8", b8); ("b10", b10);
     ("b11", b11); ("b12", b12); ("b14", b14) ]
 
@@ -996,6 +968,6 @@ let () =
         names
   | None ->
       List.iter timed [ t1; t2; t3; f1; f2; f3; f4; f5; a1; a2; a4; e1 ];
-      if not tables_only then List.iter timed [ b1; b2; a3; b3; b4; b5; b6 ]);
+      if not tables_only then List.iter timed [ b1; b2; b3; b4; b5; b6 ]);
   write_measurements ~json_dir ~json_out;
   print_newline ()

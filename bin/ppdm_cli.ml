@@ -44,7 +44,25 @@ let scheme_of_spec ~universe spec =
   | Op_optimized (gamma, rho) ->
       Optimizer.scheme_for_estimation ?rho ~universe ~gamma ()
 
-let operator_term =
+(* A flag value out of range is "<cmd>: --flag …" and exit 2, found
+   while the flags are parsed, before any input is read. *)
+let usage_error ~who fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "%s: %s\n" who msg;
+      exit 2)
+    fmt
+
+let check_fraction ~who flag v =
+  if not (v >= 0. && v <= 1.) then
+    usage_error ~who "--%s %g must be in [0,1]" flag v
+
+let check_at_least ~who flag low v =
+  if v < low then usage_error ~who "--%s %d must be at least %d" flag v low
+
+(* Every operator flag is checked, whichever operator is picked: each
+   range is that of the flag, not of the operator using it. *)
+let operator_term ~who =
   let operator =
     Arg.(
       value
@@ -57,10 +75,24 @@ let operator_term =
   let rho = Arg.(value & opt (some float) None & info [ "rho" ] ~doc:"noise rate (optional for optimized).") in
   let gamma = Arg.(value & opt float 19. & info [ "gamma" ] ~doc:"optimized: amplification budget.") in
   let build operator p_keep p_add cutoff rho gamma =
+    check_fraction ~who "p-keep" p_keep;
+    check_fraction ~who "p-add" p_add;
+    check_at_least ~who "cutoff" 0 cutoff;
+    Option.iter (check_fraction ~who "rho") rho;
+    if not (gamma >= 1.) then
+      usage_error ~who "--gamma %g must be at least 1" gamma;
     match operator with
     | `Uniform -> Op_uniform (p_keep, p_add)
     | `Cutpaste -> Op_cut_and_paste (cutoff, Option.value rho ~default:0.1)
-    | `Optimized -> Op_optimized (gamma, rho)
+    | `Optimized ->
+        (* the designed operator needs some noise and some signal *)
+        Option.iter
+          (fun r ->
+            if r = 0. || r = 1. then
+              usage_error ~who
+                "--rho %g must be in (0,1) for the optimized operator" r)
+          rho;
+        Op_optimized (gamma, rho)
   in
   Term.(const build $ operator $ p_keep $ p_add $ cutoff $ rho $ gamma)
 
@@ -144,6 +176,16 @@ let gen_cmd =
   let size = Arg.(value & opt int 5 & info [ "size" ] ~doc:"fixed: transaction size; quest/zipf: average size.") in
   let out = Arg.(required & opt (some string) None & info [ "out"; "o" ] ~doc:"Output file.") in
   let run kind universe count size out seed stats trace =
+    let who = "gen" in
+    check_at_least ~who "universe" 1 universe;
+    check_at_least ~who "count" 0 count;
+    (match kind with
+    | `Fixed ->
+        check_at_least ~who "size" 0 size;
+        if size > universe then
+          usage_error ~who "--size %d must be at most --universe %d" size universe
+    | `Quest -> check_at_least ~who "size" 1 size
+    | `Zipf -> check_at_least ~who "size" 0 size);
     with_obs stats trace @@ fun () ->
     let rng = Rng.create ~seed () in
     let db =
@@ -281,7 +323,9 @@ let randomize_cmd =
   Cmd.v
     (Cmd.info "randomize" ~doc:"Apply a randomization operator to a database (client side).")
     Term.(
-      const run $ in_term $ out $ scheme_out $ operator_term $ seed_term
+      const run $ in_term $ out $ scheme_out
+      $ operator_term ~who:"randomize"
+      $ seed_term
       $ jobs_term $ stats_term $ trace_term)
 
 (* -------------------------------------------------------------- analyze *)
@@ -290,6 +334,11 @@ let analyze_cmd =
   let size = Arg.(value & opt int 5 & info [ "size" ] ~doc:"Transaction size to analyze.") in
   let universe = Arg.(value & opt int 1000 & info [ "universe" ] ~doc:"Universe size.") in
   let run spec universe size stats trace =
+    let who = "analyze" in
+    check_at_least ~who "universe" 1 universe;
+    check_at_least ~who "size" 0 size;
+    if size > universe then
+      usage_error ~who "--size %d must be at most --universe %d" size universe;
     with_obs stats trace @@ fun () ->
     let scheme = scheme_of_spec ~universe spec in
     let r = Randomizer.resolve scheme ~size in
@@ -323,7 +372,9 @@ let analyze_cmd =
   in
   Cmd.v
     (Cmd.info "analyze" ~doc:"Print the privacy certificate and utility profile of an operator.")
-    Term.(const run $ operator_term $ universe $ size $ stats_term $ trace_term)
+    Term.(
+      const run $ operator_term ~who:"analyze" $ universe $ size $ stats_term
+      $ trace_term)
 
 (* ----------------------------------------------------------------- mine *)
 
@@ -336,9 +387,7 @@ let minsup_term =
 let check_min_support ~who min_support =
   try Threshold.check_min_support ~who min_support
   with Invalid_argument _ ->
-    Printf.eprintf "%s: --min-support %g must be a fraction in (0,1]\n" who
-      min_support;
-    exit 2
+    usage_error ~who "--min-support %g must be a fraction in (0,1]" min_support
 
 let maxsize_term =
   Arg.(value & opt int 3 & info [ "max-size" ] ~doc:"Largest itemset size explored.")
@@ -347,10 +396,8 @@ let maxsize_term =
    bad value is a usage error (exit 2) like the commands' other flag
    checks. *)
 let check_counter ~who flag =
-  if String.lowercase_ascii flag <> "vertical" then begin
-    Printf.eprintf "%s: --counter %S must be vertical\n" who flag;
-    exit 2
-  end
+  if String.lowercase_ascii flag <> "vertical" then
+    usage_error ~who "--counter %S must be vertical" flag
 
 let counter_term =
   Arg.(
@@ -449,8 +496,9 @@ let private_cmd =
     (Cmd.info "private"
        ~doc:"End-to-end demo: randomize, mine privately, compare to ground truth.")
     Term.(
-      const run $ in_opt_term $ db_term $ operator_term $ minsup_term
-      $ maxsize_term $ seed_term $ jobs_term $ stats_term $ trace_term)
+      const run $ in_opt_term $ db_term
+      $ operator_term ~who:"private"
+      $ minsup_term $ maxsize_term $ seed_term $ jobs_term $ stats_term $ trace_term)
 
 (* -------------------------------------------------------------- recover *)
 
@@ -521,7 +569,9 @@ let recover_cmd =
          "Estimate an itemset's support from a tagged randomized file (or \
           count it exactly from a columnar $(b,--db) file).")
     Term.(
-      const run $ in_opt_term $ db_term $ operator_term $ scheme_file
+      const run $ in_opt_term $ db_term
+      $ operator_term ~who:"recover"
+      $ scheme_file
       $ itemset_term $ stats_term $ trace_term)
 
 (* ---------------------------------------------------------------- stats *)
@@ -715,6 +765,12 @@ let serve_cmd =
   in
   let run port jobs shards batch queue_capacity max_frame spec universe
       itemsets singletons admin_port sampler_period stats trace =
+    let who = "serve" in
+    check_at_least ~who "universe" 1 universe;
+    check_at_least ~who "shards" 1 shards;
+    check_at_least ~who "batch" 1 batch;
+    check_at_least ~who "queue-capacity" 1 queue_capacity;
+    check_at_least ~who "max-frame" Ppdm_server.Serve.min_max_frame max_frame;
     with_obs stats trace @@ fun () ->
     let scheme = scheme_of_spec ~universe spec in
     let tracked =
@@ -768,7 +824,9 @@ let serve_cmd =
           frame.")
     Term.(
       const run $ port_term $ jobs_term $ shards $ batch
-      $ queue_capacity $ max_frame $ operator_term $ universe $ itemsets
+      $ queue_capacity $ max_frame
+      $ operator_term ~who:"serve"
+      $ universe $ itemsets
       $ singletons $ admin_port $ sampler_period $ stats_term $ trace_term)
 
 (* -------------------------------------------------------------- load *)
@@ -794,11 +852,20 @@ let load_cmd =
       & info [ "shutdown" ] ~doc:"Send a shutdown frame once done (stops the server).")
   in
   let run port clients count size spec universe seed do_shutdown stats trace =
-    if clients < 1 then begin
-      prerr_endline "load: clients < 1";
-      exit 2
-    end;
-    let ok =
+    let who = "load" in
+    check_at_least ~who "clients" 1 clients;
+    check_at_least ~who "universe" 1 universe;
+    check_at_least ~who "count" 0 count;
+    check_at_least ~who "size" 0 size;
+    if size > universe then
+      usage_error ~who "--size %d must be at most --universe %d" size universe;
+    (* A server that cannot be reached or refuses the session is "load:
+       127.0.0.1:<port>: …" and exit 1, as a bad input file is. *)
+    let server_error msg =
+      Printf.eprintf "load: 127.0.0.1:%d: %s\n" port msg;
+      exit 1
+    in
+    let load () =
       with_obs stats trace @@ fun () ->
       let scheme = scheme_of_spec ~universe spec in
       let rng = Rng.create ~seed () in
@@ -809,7 +876,7 @@ let load_cmd =
          sessions at once, so surplus clients wait for a free worker —
          progress needs every client to eventually disconnect on its own,
          which is why the connections must not be driven in lockstep from
-         one thread. *)
+         one thread.  Every client is joined before a failure is raised. *)
       let slice i =
         let lo = i * count / clients and hi = (i + 1) * count / clients in
         Array.sub data lo (hi - lo)
@@ -828,8 +895,13 @@ let load_cmd =
                report above has been routed into the shard queues. *)
             ignore (Ppdm_server.Client.snapshot c ~flush:false))
       in
-      Array.init clients (fun i -> Domain.spawn (drive (slice i)))
-      |> Array.iter Domain.join;
+      Array.init clients (fun i ->
+          Domain.spawn (fun () ->
+              match drive (slice i) () with
+              | () -> Ok ()
+              | exception e -> Error e))
+      |> Array.map Domain.join
+      |> Array.iter (function Ok () -> () | Error e -> raise e);
       let ctl = Ppdm_server.Client.connect ~port () in
       ignore (Ppdm_server.Client.handshake ctl ~sizes:[] ());
       let json = Ppdm_server.Client.snapshot ctl ~flush:true in
@@ -841,6 +913,16 @@ let load_cmd =
       Ppdm_server.Client.close ctl;
       Result.is_ok parsed
     in
+    let ok =
+      try load () with
+      | Unix.Unix_error (e, _, _) -> server_error (Unix.error_message e)
+      | Ppdm_server.Client.Server_error (code, detail) ->
+          server_error
+            (Printf.sprintf "%s: %s"
+               (Ppdm_server.Wire.error_code_name code)
+               detail)
+      | Failure msg -> server_error msg
+    in
     if not ok then exit 1
   in
   Cmd.v
@@ -851,7 +933,8 @@ let load_cmd =
           loopback connections, then print the server's flushed snapshot \
           JSON (exits non-zero if it does not parse).")
     Term.(
-      const run $ port_term $ clients $ count $ size $ operator_term
+      const run $ port_term $ clients $ count $ size
+      $ operator_term ~who:"load"
       $ universe $ seed_term $ do_shutdown $ stats_term $ trace_term)
 
 (* ----------------------------------------------------------- top / stat *)
@@ -1118,8 +1201,7 @@ let convert_cmd =
   let run src dst universe stats trace =
     (match universe with
     | Some u when u < 1 ->
-        Printf.eprintf "convert: --universe %d must be positive\n" u;
-        exit 2
+        usage_error ~who:"convert" "--universe %d must be positive" u
     | _ -> ());
     with_obs stats trace @@ fun () ->
     let s =

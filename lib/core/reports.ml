@@ -127,46 +127,33 @@ let freeze t =
     (fun ch ->
       Array.iteri (fun item k -> counts.(item) <- counts.(item) + k) ch.counts)
     t.chunks;
-  let dense = Array.map (Bitset.dense_for ~n) counts in
-  let payloads =
-    Array.mapi
-      (fun item count ->
-        Array.make (if dense.(item) then bounds.(classes) else count) 0)
-      counts
-  in
+  let b = Bitset.builder ~n counts in
   let next_tid = Array.map (fun w -> bits * w) bounds in
-  let filled = Array.make u 0 in
-  for ci = 0 to Array.length t.chunks - 1 do
-    let ch = t.chunks.(ci) in
-    let items = ch.items and tags = ch.tags and lens = ch.lens in
-    let off = ref 0 in
-    for j = 0 to Array.length lens - 1 do
-      let len = lens.(j) and c = class_of.(tags.(j)) in
-      let tid = next_tid.(c) in
-      next_tid.(c) <- tid + 1;
-      let w = tid / bits and bit = 1 lsl (tid mod bits) in
-      for p = !off to !off + len - 1 do
-        let item = items.(p) in
-        let payload = payloads.(item) in
-        if dense.(item) then payload.(w) <- payload.(w) lor bit
-        else begin
-          payload.(filled.(item)) <- tid;
-          filled.(item) <- filled.(item) + 1
-        end
-      done;
-      off := !off + len
-    done
-  done;
+  Array.iter
+    (fun ch ->
+      let off = ref 0 in
+      for j = 0 to Array.length ch.lens - 1 do
+        let len = ch.lens.(j) and c = class_of.(ch.tags.(j)) in
+        let tid = next_tid.(c) in
+        next_tid.(c) <- tid + 1;
+        Bitset.fill_row b ~tid ch.items ~off:!off ~len;
+        off := !off + len
+      done)
+    t.chunks;
+  let payloads = Bitset.finish b in
   (* the stable counting sort by class; a tid's word names its class *)
+  let sparse item = not (Bitset.dense_for ~n counts.(item)) in
   let class_of_word = Array.make bounds.(classes) 0 in
   for c = 0 to classes - 1 do
     Array.fill class_of_word bounds.(c) (bounds.(c + 1) - bounds.(c)) c
   done;
   let start = Array.make (classes + 1) 0 in
-  let sorted = Array.make (Array.fold_left max 0 filled) 0 in
+  let longest = ref 0 in
+  Array.iteri (fun item k -> if sparse item then longest := max !longest k) counts;
+  let sorted = Array.make !longest 0 in
   Array.iteri
     (fun item tids ->
-      if not dense.(item) then begin
+      if sparse item then begin
         Array.fill start 0 (classes + 1) 0;
         Array.iter
           (fun tid ->

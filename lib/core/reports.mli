@@ -42,9 +42,11 @@ val of_tagged : universe:int -> (int * Itemset.t) array -> t
 val length : t -> int
 
 val freeze : t -> frozen
-(** Give every item the bitmap or ascending tid array {!Vertical.of_db}
-    would at the padded length (the counts were taken as each chunk was
-    filled), set its bits or write its tids in one pass over the items,
-    and sort each tid array by class.  Equal in word windows, tid-set
-    shapes and every tid to regrouping the rows by size, padding each
-    class and calling {!Vertical.of_db}. *)
+(** Feed every row, in input order and with its class-window tid, to one
+    {!Ppdm_data.Bitset.builder} over the padded length (the counts were
+    taken as each chunk was filled), so each item gets the bitmap or tid
+    array {!Vertical.of_db} would; then sort each tid array by class.
+    Equal in word windows, tid-set shapes and every tid to regrouping
+    the rows by size, padding each class and calling {!Vertical.of_db}.
+    @raise Invalid_argument if a chunk's counts disagree with its
+    items. *)

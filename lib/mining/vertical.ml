@@ -140,10 +140,6 @@ let lower_bound tids bound =
 
 let tidset_is_dense = function Dense _ -> true | Sparse _ -> false
 
-let tidset_cardinal = function
-  | Sparse tids -> Array.length tids
-  | Dense words -> and_words_card words words ~wlo:0 ~whi:(Array.length words)
-
 let tidset_tids = function
   | Sparse tids -> Array.copy tids
   | Dense words ->
@@ -151,26 +147,6 @@ let tidset_tids = function
       let out = Array.make card 0 in
       ignore (write_tids_of_words words ~wlo:0 ~whi:(Array.length words) out);
       out
-
-let tidset_of_tids ~n ~dense tids =
-  if n < 0 then invalid_arg "Vertical.tidset_of_tids: negative n";
-  Array.iteri
-    (fun i tid ->
-      if tid < 0 || tid >= n then
-        invalid_arg "Vertical.tidset_of_tids: tid out of range";
-      if i > 0 && tids.(i - 1) >= tid then
-        invalid_arg "Vertical.tidset_of_tids: tids not strictly increasing")
-    tids;
-  if dense then begin
-    let words = Array.make (Bitset.words_for n) 0 in
-    Array.iter
-      (fun tid ->
-        let w = tid / bits_per_word in
-        words.(w) <- words.(w) lor (1 lsl (tid mod bits_per_word)))
-      tids;
-    Dense words
-  end
-  else Sparse (Array.copy tids)
 
 (* Result representation follows the memory break-even rule: sparse as
    soon as the tid array is no larger than the bitmap.  Exact-size
@@ -183,26 +159,14 @@ let inter_tidsets a b =
       if Array.length wb <> nw then
         invalid_arg "Vertical.inter_tidsets: dense word counts differ";
       let card = and_words_card wa wb ~wlo:0 ~whi:nw in
+      let words = Array.make nw 0 in
+      ignore (and_words_into wa wb words ~wlo:0 ~whi:nw);
       if card < nw then begin
         let tids = Array.make card 0 in
-        let k = ref 0 in
-        for w = 0 to nw - 1 do
-          let v = ref (wa.(w) land wb.(w)) in
-          let base = w * bits_per_word in
-          while !v <> 0 do
-            let bit = !v land (- !v) in
-            tids.(!k) <- base + Bitset.popcount (bit - 1);
-            incr k;
-            v := !v land (!v - 1)
-          done
-        done;
+        ignore (write_tids_of_words words ~wlo:0 ~whi:nw tids);
         (Sparse tids, card)
       end
-      else begin
-        let words = Array.make nw 0 in
-        ignore (and_words_into wa wb words ~wlo:0 ~whi:nw);
-        (Dense words, card)
-      end
+      else (Dense words, card)
   | Dense words, Sparse tids | Sparse tids, Dense words ->
       let shi = Array.length tids in
       let card = probe_card words tids ~slo:0 ~shi in
@@ -236,51 +200,16 @@ let emit_load_metrics t =
     Ppdm_obs.Metrics.add "vertical.load.bytes" (resident_bytes t)
   end
 
-let of_db ?dense_cutoff db =
-  (match dense_cutoff with
-  | Some c when not (c >= 0.) ->
-      invalid_arg "Vertical.of_db: dense_cutoff must be >= 0"
-  | _ -> ());
-  Ppdm_obs.Span.with_ ~name:"vertical.load" (fun () ->
-      let n = Db.length db in
-      let universe = Db.universe db in
-      let n_words = Bitset.words_for n in
-      let counts = Db.item_counts db in
-      let tidsets =
-        Array.init universe (fun item ->
-            if Bitset.dense_for ?cutoff:dense_cutoff ~n counts.(item) then
-              Dense (Array.make n_words 0)
-            else Sparse (Array.make counts.(item) 0))
-      in
-      let cursor = Array.make (max universe 1) 0 in
-      Db.iteri
-        (fun tid tx ->
-          let items = Itemset.unsafe_to_array tx in
-          for idx = 0 to Array.length items - 1 do
-            match tidsets.(items.(idx)) with
-            | Dense words ->
-                let w = tid / bits_per_word in
-                words.(w) <- words.(w) lor (1 lsl (tid mod bits_per_word))
-            | Sparse tids ->
-                let item = items.(idx) in
-                tids.(cursor.(item)) <- tid;
-                cursor.(item) <- cursor.(item) + 1
-          done)
-        db;
-      let t = { n; n_words; universe; tidsets; counts } in
-      emit_load_metrics t;
-      t)
-
 (* Adopted, not copied: a caller that fills its own arrays (the private
    miner's report store) must not pay a second transpose. *)
-let of_payloads ~n ~counts payloads =
+let adopt ?cutoff ~n ~counts payloads =
   let universe = Array.length counts and n_words = Bitset.words_for n in
   if Array.length payloads <> universe then
     invalid_arg "Vertical.of_payloads: one payload per item";
   let tidsets =
     Array.mapi
       (fun item p ->
-        let dense = Bitset.dense_for ~n counts.(item) in
+        let dense = Bitset.dense_for ?cutoff ~n counts.(item) in
         if Array.length p <> if dense then n_words else counts.(item) then
           invalid_arg
             "Vertical.of_payloads: payload length disagrees with its shape";
@@ -291,6 +220,23 @@ let of_payloads ~n ~counts payloads =
   emit_load_metrics t;
   t
 
+let of_payloads ~n ~counts payloads = adopt ~n ~counts payloads
+
+let of_db ?dense_cutoff db =
+  (match dense_cutoff with
+  | Some c when not (c >= 0.) ->
+      invalid_arg "Vertical.of_db: dense_cutoff must be >= 0"
+  | _ -> ());
+  Ppdm_obs.Span.with_ ~name:"vertical.load" (fun () ->
+      let n = Db.length db and counts = Db.item_counts db in
+      let b = Bitset.builder ?cutoff:dense_cutoff ~n counts in
+      Db.iteri
+        (fun tid tx ->
+          let items = Itemset.unsafe_to_array tx in
+          Bitset.fill_row b ~tid items ~off:0 ~len:(Array.length items))
+        db;
+      adopt ?cutoff:dense_cutoff ~n ~counts (Bitset.finish b))
+
 (* A PPDMC payload already is the tid-set in the shape [of_db] picks, so
    the load adopts what the reader validated: one pass over the file, no
    second layout. *)
@@ -300,26 +246,13 @@ let of_colfile cf =
       of_payloads ~n:(Colfile.length cf) ~counts
         (Array.init (Array.length counts) (Colfile.payload cf)))
 
-let iter_tidset f = function
-  | Sparse tids -> Array.iter f tids
-  | Dense words ->
-      for w = 0 to Array.length words - 1 do
-        let v = ref words.(w) in
-        let base = w * bits_per_word in
-        while !v <> 0 do
-          let bit = !v land (- !v) in
-          f (base + Bitset.popcount (bit - 1));
-          v := !v land (!v - 1)
-        done
-      done
-
 let to_db t =
   let buckets = Array.make (max t.n 1) [] in
   (* items walked downward so each tid's cons list comes out ascending *)
   for item = t.universe - 1 downto 0 do
-    iter_tidset
+    Array.iter
       (fun tid -> buckets.(tid) <- item :: buckets.(tid))
-      t.tidsets.(item)
+      (tidset_tids t.tidsets.(item))
   done;
   Db.create ~universe:t.universe
     (Array.init t.n (fun tid -> Itemset.of_list buckets.(tid)))

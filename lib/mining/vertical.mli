@@ -35,8 +35,9 @@ type t
     counts.  Immutable once built; safe to share across domains. *)
 
 val of_db : ?dense_cutoff:float -> Db.t -> t
-(** Transpose an in-RAM database (one pass after {!Db.item_counts}).  An
-    item goes dense when its support fraction is at least [dense_cutoff]
+(** Transpose an in-RAM database: {!Db.item_counts}, then one pass that
+    feeds every row to a {!Ppdm_data.Bitset.builder}.  An item goes dense
+    when its support fraction is at least [dense_cutoff]
     ({!Ppdm_data.Bitset.dense_for}); the default 1/62 is the memory
     break-even point, where the bitmap is no larger than the tid array it
     replaces.
@@ -96,18 +97,11 @@ val sparse_items : t -> int
 type tidset
 
 val item_tidset : t -> int -> tidset
-val tidset_cardinal : tidset -> int
 
 val tidset_is_dense : tidset -> bool
 
 val tidset_tids : tidset -> int array
 (** The ascending tids, materialized (fresh array). *)
-
-val tidset_of_tids : n:int -> dense:bool -> int array -> tidset
-(** Build a tid-set over [n] transactions from strictly increasing tids in
-    [0..n-1], forcing the given representation — the test harness uses
-    this to cross-check every intersection kernel pair.
-    @raise Invalid_argument on out-of-range or non-increasing tids. *)
 
 val inter_tidsets : tidset -> tidset -> tidset * int
 (** Intersection and its cardinality.  The result representation is

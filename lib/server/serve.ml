@@ -45,12 +45,14 @@ type shared = {
   accepting : bool Atomic.t; (* acceptor loop is live (feeds /readyz) *)
 }
 
+let min_max_frame = 16
+
 let validate config =
   if config.jobs < 1 then invalid_arg "Serve: jobs < 1";
   if config.shards < 1 then invalid_arg "Serve: shards < 1";
   if config.batch < 1 then invalid_arg "Serve: batch < 1";
   if config.queue_capacity < 1 then invalid_arg "Serve: queue capacity < 1";
-  if config.max_frame < 16 then invalid_arg "Serve: max_frame < 16";
+  if config.max_frame < min_max_frame then invalid_arg "Serve: max_frame < 16";
   if config.sampler_period_ns < 1_000_000 then
     invalid_arg "Serve: sampler period < 1ms";
   if config.itemsets = [] then invalid_arg "Serve: no tracked itemsets"

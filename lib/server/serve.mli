@@ -28,7 +28,8 @@ type config = {
   shards : int;  (** ingest shards, one folder domain each *)
   batch : int;  (** max reports folded per batch *)
   queue_capacity : int;  (** per-shard queue bound (the backpressure knob) *)
-  max_frame : int;  (** frame payload cap on every session *)
+  max_frame : int;
+      (** frame payload cap on every session, at least {!min_max_frame} *)
   scheme : Randomizer.t;  (** the operator clients must match *)
   itemsets : Itemset.t list;  (** tracked itemsets (estimates served) *)
   admin_port : int option;
@@ -39,6 +40,9 @@ type config = {
           wire protocol and every snapshot byte are unaffected. *)
   sampler_period_ns : int;  (** admin sampler period (min 1ms) *)
 }
+
+val min_max_frame : int
+(** The smallest [max_frame] a server accepts (16 bytes). *)
 
 val default_config : scheme:Randomizer.t -> itemsets:Itemset.t list -> config
 (** port 0, jobs 2, shards 2, batch 256, queue capacity 4096,
@@ -52,7 +56,8 @@ type t
 
 val start : config -> t
 (** Bind and start serving; returns once the socket is listening.
-    @raise Invalid_argument on a non-positive jobs/shards/batch/capacity.
+    @raise Invalid_argument on a non-positive jobs/shards/batch/capacity
+    or a [max_frame] below {!min_max_frame}.
     @raise Unix.Unix_error if the port cannot be bound. *)
 
 val port : t -> int

@@ -1,25 +1,12 @@
-(** Fixed-width bitsets over the item universe: the dense counterpart of
-    {!Itemset} for workloads where transactions cover a large fraction of
-    the universe (dense databases, small universes).  Provides the same
-    set algebra with word-parallel operations and popcount-based
-    cardinalities. *)
+(** The packed tid-set layout and its one builder.
 
-type t
-(** A mutable-free bitset of a fixed [width]; items are [0..width-1]. *)
-
-val create : width:int -> t
-(** The empty bitset.  @raise Invalid_argument if [width <= 0]. *)
-
-val width : t -> int
-
-val of_itemset : width:int -> Itemset.t -> t
-(** @raise Invalid_argument if an item is outside [0..width-1]. *)
-
-val to_itemset : t -> Itemset.t
-
-val add : int -> t -> t
-val remove : int -> t -> t
-val mem : int -> t -> bool
+    Every vertical tid-set in the repo (the vertical engine's, the
+    private miner's report store's, the PPDMC file's) is, per item,
+    either a bitmap of [words_for n] words carrying [bits_per_word] bits
+    each (bit [tid mod bits_per_word] of word [tid / bits_per_word], the
+    bits above [n] zero) or an array of its tids.  {!dense_for} picks the
+    shape from the item's count, and a {!builder} fills every item's
+    payload from rows in one pass, so the layout is written down once. *)
 
 val bits_per_word : int
 (** How many bits each word of the packed representation carries (62: all
@@ -32,19 +19,18 @@ val words_for : int -> int
 val last_word_mask : width:int -> int
 (** The bits the final word of a packed set of [width] bits actually
     uses: all [bits_per_word] bits when the width is a multiple, the low
-    [width mod bits_per_word] bits otherwise.  Every packed
-    representation (this module, the vertical engine, the dense PPDMC
-    payloads) keeps the bits above its width zero; this is the single
-    definition of the mask they zero against.
+    [width mod bits_per_word] bits otherwise.  Every bitmap (the vertical
+    engine's, the dense PPDMC payloads) keeps the bits above its width
+    zero; this is the single definition of the mask they zero against.
     @raise Invalid_argument if [width <= 0]. *)
 
 val dense_for : ?cutoff:float -> n:int -> int -> bool
 (** Whether a tid-set of this many tids among [n] transactions is held
-    as a packed bitmap of [words_for n] words rather than as an
-    ascending tid array: its support fraction is at least [cutoff].  The
-    default [1 / bits_per_word] is the memory break-even point, where the
-    bitmap is no larger than the tid array it replaces.  The one density
-    rule of the vertical engine, the report store's freeze and the PPDMC
+    as a packed bitmap of [words_for n] words rather than as a tid
+    array: its support fraction is at least [cutoff].  The default
+    [1 / bits_per_word] is the memory break-even point, where the bitmap
+    is no larger than the tid array it replaces.  The one density rule
+    of the vertical engine, the report store's freeze and the PPDMC
     file. *)
 
 val popcount : int -> int
@@ -53,28 +39,30 @@ val popcount : int -> int
     representations here only ever store [bits_per_word]-bit words.
     Shared with the vertical counting engine ({!Ppdm_mining.Vertical}). *)
 
-val cardinal : t -> int
-(** Population count. *)
+(** {2 Builder} *)
 
-val union : t -> t -> t
-val inter : t -> t -> t
-val diff : t -> t -> t
+type builder
+(** The payloads of a universe of items over [n] transactions, being
+    filled row by row.  Item [i] holds [counts.(i)] tids: its payload is
+    a zeroed [words_for n]-word bitmap when [dense_for ?cutoff ~n
+    counts.(i)], an exact-size tid array otherwise. *)
 
-val complement : t -> t
-(** Every item of [0..width-1] not in the set:
-    [mem i (complement t) = not (mem i t)].  Satisfies
-    [diff a b = inter a (complement b)] and
-    [cardinal (complement t) = width t - cardinal t]. *)
+val builder : ?cutoff:float -> n:int -> int array -> builder
+(** [builder ?cutoff ~n counts] allocates the payloads; [counts] is read,
+    never written, and must stay unchanged until {!finish}. *)
 
-val inter_cardinal : t -> t -> int
-(** [cardinal (inter a b)] without allocating the intersection — the hot
-    operation of dense partial-support counting. *)
+val fill_row : builder -> tid:int -> int array -> off:int -> len:int -> unit
+(** [fill_row b ~tid items ~off ~len] puts row [tid] into the tid-set of
+    each of [items.(off .. off + len - 1)]: it sets the row's bit in a
+    bitmap and appends [tid] to a tid array.  Tid arrays keep the order
+    the rows are fed in, so a caller that wants them ascending feeds
+    ascending tids or sorts afterwards.
+    @raise Invalid_argument on a tid outside [\[0, n)] or a sparse item
+    fed more rows than its count. *)
 
-val subset : t -> t -> bool
-val equal : t -> t -> bool
-val is_empty : t -> bool
-
-val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
-(** Fold over members in increasing order. *)
-
-val pp : Format.formatter -> t -> unit
+val finish : builder -> int array array
+(** The payloads, indexed by item, once every item holds exactly its
+    count: the rows a tid array was fed, the bits set in a bitmap (by
+    popcount, so a row fed twice does not pass).
+    @raise Invalid_argument on an item short of (or, for a bitmap, at
+    odds with) its count. *)

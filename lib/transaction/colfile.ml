@@ -287,9 +287,9 @@ type convert_stats = {
 
 (* Two streaming passes through [Io.fold_transactions]: the first counts
    each item's tids, which fixes every payload's shape and exact size;
-   the second sets the bits and appends the tids.  The source database is
-   never resident — the working set is the output's payloads.  The second
-   pass must see the rows the first one counted. *)
+   the second feeds the rows to a [Bitset.builder], which rejects rows
+   the first pass did not count.  The source database is never resident
+   — the working set is the output's payloads. *)
 let convert ?universe ~src ~dst () =
   (match universe with
   | Some u when u < 1 -> invalid_arg "Colfile.convert: universe must be positive"
@@ -314,37 +314,21 @@ let convert ?universe ~src ~dst () =
     Array.init universe (fun i ->
         if i < Array.length !counts then !counts.(i) else 0)
   in
-  let dense = Array.map (fun c -> fst (payload_shape ~n c)) counts in
-  let payloads =
-    Array.mapi
-      (fun i c -> Array.make (if dense.(i) then Bitset.words_for n else c) 0)
-      counts
-  in
   let changed () =
     failwith
       "the source changed between convert's two passes (it must be a file, \
        not a pipe)"
   in
-  let filled = Array.make universe 0 in
+  let b = Bitset.builder ~n counts in
   let fill tid tx =
-    if tid >= n then changed ();
     let items = Itemset.unsafe_to_array tx in
-    for idx = 0 to Array.length items - 1 do
-      let item = items.(idx) in
-      let k = filled.(item) in
-      if k = counts.(item) then changed ();
-      filled.(item) <- k + 1;
-      let p = payloads.(item) in
-      if dense.(item) then begin
-        let w = tid / Bitset.bits_per_word in
-        p.(w) <- p.(w) lor (1 lsl (tid mod Bitset.bits_per_word))
-      end
-      else p.(k) <- tid
-    done;
+    (try Bitset.fill_row b ~tid items ~off:0 ~len:(Array.length items)
+     with Invalid_argument _ -> changed ());
     tid + 1
   in
   let seen, _ = Io.fold_transactions ~universe src ~init:0 ~f:fill in
-  if seen <> n || filled <> counts then changed ();
+  if seen <> n then changed ();
+  let payloads = try Bitset.finish b with Invalid_argument _ -> changed () in
   let payload_bytes = write_payloads dst ~n ~counts payloads in
   if Ppdm_obs.Metrics.enabled () then
     Ppdm_obs.Metrics.add "columnar.bytes" payload_bytes;

@@ -94,8 +94,8 @@ type convert_stats = {
 val convert : ?universe:int -> src:string -> dst:string -> unit -> convert_stats
 (** Streaming transpose of a transaction file (FIMI or header format,
     sniffed by {!Io.fold_transactions}) into a PPDMC file, in two passes
-    over the source: the first counts each item's tids, the second fills
-    exact-size payloads.  The source database is never resident; the
+    over the source: the first counts each item's tids, the second feeds
+    the rows to a {!Bitset.builder}, which fills exact-size payloads.  The source database is never resident; the
     working set is the output's payloads.  Emits the
     ["columnar.convert"] span and the [columnar.bytes] counter when
     observation is enabled.

@@ -11,7 +11,10 @@
 # empty itemset or an item outside the input's universe on both routes
 # as a usage error, exit 2, and so does convert a non-positive
 # --universe; convert names its output when it cannot write it, and
-# rejects a source that changes between its two passes (a pipe).
+# rejects a source that changes between its two passes (a pipe).  An
+# out-of-range operator, universe, size or serve flag is a usage error,
+# exit 2, "<cmd>: --flag "; load against a closed port or a server that
+# refuses its operator exits 1 as "load: 127.0.0.1:<port>: ".
 # Usage: bad_input.sh PPDM_CLI
 set -eu
 # Bare names (no slash) are files in the current directory.
@@ -156,5 +159,61 @@ if [ "$status" -ne 1 ] || ! grep -q "^convert: /dev/stdin: " "$dir/err"; then
   cat "$dir/err" >&2
   failures=$((failures + 1))
 fi
+
+# Out-of-range flags are usage errors, exit 2, found before any input is
+# read (the inputs named here do not exist, and no server listens on
+# port 1).  No serve below gets as far as binding its port.
+for cmd in analyze randomize private recover load; do
+  case $cmd in
+  randomize) io="--in $dir/missing.txt -o $dir/out.tagged" ;;
+  private) io="--in $dir/missing.txt" ;;
+  recover) io="--in $dir/missing.tagged --itemset 1" ;;
+  load) io="--port 1" ;;
+  *) io="" ;;
+  esac
+  for flags in "--operator uniform --p-keep 2" "--operator uniform --p-add 1.5" \
+    "--operator cutpaste --rho 1.5" "--operator optimized --rho 1.5" \
+    "--gamma 0.5" "--gamma nan"; do
+    flag=${flags##*--}
+    # shellcheck disable=SC2086
+    expect_fail 2 "^$cmd: --${flag%% *} " "$cmd" $io $flags
+  done
+done
+expect_fail 2 "^randomize: --rho 3 " randomize --in "$dir/db.txt" \
+  -o "$dir/out.tagged" --operator cutpaste --rho 3
+expect_fail 2 "^gen: --universe 0 " gen --universe 0 -o "$dir/gen.txt"
+expect_fail 2 "^gen: --size 200 " gen --kind fixed --size 200 --universe 100 \
+  -o "$dir/gen.txt"
+expect_fail 2 "^analyze: --universe 0 " analyze --universe 0
+expect_fail 2 "^analyze: --size 20 " analyze --universe 10 --size 20
+expect_fail 2 "^load: --universe 0 " load --port 1 --universe 0
+for flags in "universe 0" "shards 0" "batch 0" "queue-capacity 0" "max-frame 8"; do
+  # shellcheck disable=SC2086
+  expect_fail 2 "^serve: --$flags " serve --port 0 --$flags
+done
+
+# load: a server that is not there, or that refuses the operator, is
+# "load: 127.0.0.1:<port>: ", exit 1.
+expect_fail 1 "^load: 127.0.0.1:1: " load --port 1 --count 10
+"$cli" serve --port 0 --universe 64 --singletons 3 >"$dir/serve.out" 2>&1 &
+serve_pid=$!
+port=
+for _ in $(seq 1 100); do
+  port=$(sed -n 's/.*listening on 127.0.0.1:\([0-9]*\) .*/\1/p' "$dir/serve.out")
+  [ -n "$port" ] && break
+  sleep 0.1
+done
+if [ -z "$port" ]; then
+  echo "FAIL: serve did not start" >&2
+  cat "$dir/serve.out" >&2
+  kill "$serve_pid" 2>/dev/null || true
+  failures=$((failures + 1))
+else
+  expect_fail 1 "^load: 127.0.0.1:$port: scheme-mismatch: " load --port "$port" \
+    --universe 64 --count 100 --size 4 --operator uniform
+  "$cli" load --port "$port" --universe 64 --count 10 --size 4 --shutdown \
+    >/dev/null
+fi
+wait "$serve_pid" || true
 
 test "$failures" -eq 0

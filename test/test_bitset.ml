@@ -1,184 +1,142 @@
-(* Bitset tests: agreement with the sorted-array Itemset implementation on
-   every operation (the two representations must be interchangeable). *)
+(* Bitset tests: the SWAR popcount against a bit loop, and the tid-set
+   builder against a naive fill and on every input it must reject. *)
 
 open Ppdm_data
 
-let of_l width l = Bitset.of_itemset ~width (Itemset.of_list l)
+let rng () = Ppdm_prng.Rng.create ~seed:628 ()
 
-let test_roundtrip () =
-  let s = Itemset.of_list [ 0; 7; 62; 63; 100 ] in
-  let b = Bitset.of_itemset ~width:128 s in
-  Alcotest.(check (list int)) "roundtrip" (Itemset.to_list s)
-    (Itemset.to_list (Bitset.to_itemset b))
-
-let test_word_boundaries () =
-  (* items straddling the 62-bit word boundary *)
-  let b = of_l 200 [ 60; 61; 62; 63; 123; 124; 199 ] in
-  List.iter
-    (fun i ->
-      Alcotest.(check bool) (string_of_int i)
-        (List.mem i [ 60; 61; 62; 63; 123; 124; 199 ])
-        (Bitset.mem i b))
-    [ 0; 59; 60; 61; 62; 63; 64; 122; 123; 124; 125; 198; 199 ];
-  Alcotest.(check int) "cardinal" 7 (Bitset.cardinal b)
-
-let test_add_remove () =
-  let b = Bitset.create ~width:70 in
-  Alcotest.(check bool) "empty" true (Bitset.is_empty b);
-  let b = Bitset.add 65 b in
-  Alcotest.(check bool) "added" true (Bitset.mem 65 b);
-  Alcotest.(check int) "one" 1 (Bitset.cardinal b);
-  let b = Bitset.remove 65 b in
-  Alcotest.(check bool) "removed" true (Bitset.is_empty b)
-
-let test_validation () =
-  Alcotest.check_raises "bad width"
-    (Invalid_argument "Bitset.create: width must be positive") (fun () ->
-      ignore (Bitset.create ~width:0));
-  let b = Bitset.create ~width:10 in
-  Alcotest.check_raises "out of width"
-    (Invalid_argument "Bitset: item outside the width") (fun () ->
-      ignore (Bitset.mem 10 b));
-  Alcotest.check_raises "of_itemset out of width"
-    (Invalid_argument "Bitset.of_itemset: item outside width") (fun () ->
-      ignore (of_l 5 [ 7 ]));
-  let other = Bitset.create ~width:11 in
-  Alcotest.check_raises "width mismatch"
-    (Invalid_argument "Bitset.union: width mismatch") (fun () ->
-      ignore (Bitset.union b other))
-
-let test_complement_boundaries () =
-  (* widths at, below, and above the 62-bit word boundary: the tail-word
-     mask must leave no phantom members *)
-  List.iter
-    (fun width ->
-      let full = Bitset.complement (Bitset.create ~width) in
-      Alcotest.(check int)
-        (Printf.sprintf "full at width %d" width)
-        width (Bitset.cardinal full);
-      Alcotest.(check bool)
-        (Printf.sprintf "empty again at width %d" width)
-        true
-        (Bitset.is_empty (Bitset.complement full)))
-    [ 1; 61; 62; 63; 124; 150 ]
-
-(* Set-algebra laws, as properties on the ppdm_check harness (failures
-   replay from the printed seed). *)
-let algebra_tests =
-  let open Ppdm_check in
-  let width = 150 in
-  let bit s = Bitset.of_itemset ~width s in
-  let set_g = Ppdm_check.Gen.itemset ~universe:width in
-  let pair2 = Ppdm_check.Gen.pair set_g set_g in
-  let triple = Ppdm_check.Gen.pair set_g pair2 in
-  let t name g p =
-    Alcotest.test_case name `Quick (fun () ->
-        Property.assert_ok (Property.check ~max_size:60 ~name g p))
+let test_popcount () =
+  let naive v =
+    let c = ref 0 in
+    for bit = 0 to 62 do
+      if v lsr bit land 1 = 1 then incr c
+    done;
+    !c
   in
-  [
-    t "complement is an involution" set_g (fun s ->
-        Bitset.equal (Bitset.complement (Bitset.complement (bit s))) (bit s));
-    t "complement cardinality" set_g (fun s ->
-        Bitset.cardinal (Bitset.complement (bit s))
-        = width - Itemset.cardinal s);
-    t "complement flips every membership" set_g (fun s ->
-        let c = Bitset.complement (bit s) in
-        let ok = ref true in
-        for i = 0 to width - 1 do
-          if Bitset.mem i c = Itemset.mem i s then ok := false
-        done;
-        !ok);
-    t "excluded middle" set_g (fun s ->
-        let b = bit s in
-        let c = Bitset.complement b in
-        Bitset.is_empty (Bitset.inter b c)
-        && Bitset.cardinal (Bitset.union b c) = width);
-    t "De Morgan" pair2 (fun (a, b) ->
-        let ba = bit a and bb = bit b in
-        Bitset.equal
-          (Bitset.complement (Bitset.union ba bb))
-          (Bitset.inter (Bitset.complement ba) (Bitset.complement bb))
-        && Bitset.equal
-             (Bitset.complement (Bitset.inter ba bb))
-             (Bitset.union (Bitset.complement ba) (Bitset.complement bb)));
-    t "diff is inter with complement" pair2 (fun (a, b) ->
-        Bitset.equal
-          (Bitset.diff (bit a) (bit b))
-          (Bitset.inter (bit a) (Bitset.complement (bit b))));
-    t "union and inter are commutative" pair2 (fun (a, b) ->
-        let ba = bit a and bb = bit b in
-        Bitset.equal (Bitset.union ba bb) (Bitset.union bb ba)
-        && Bitset.equal (Bitset.inter ba bb) (Bitset.inter bb ba));
-    t "union and inter are associative" triple (fun (a, (b, c)) ->
-        let ba = bit a and bb = bit b and bc = bit c in
-        Bitset.equal
-          (Bitset.union ba (Bitset.union bb bc))
-          (Bitset.union (Bitset.union ba bb) bc)
-        && Bitset.equal
-             (Bitset.inter ba (Bitset.inter bb bc))
-             (Bitset.inter (Bitset.inter ba bb) bc));
-    t "inter distributes over union" triple (fun (a, (b, c)) ->
-        let ba = bit a and bb = bit b and bc = bit c in
-        Bitset.equal
-          (Bitset.inter ba (Bitset.union bb bc))
-          (Bitset.union (Bitset.inter ba bb) (Bitset.inter ba bc)));
-    t "inclusion-exclusion" pair2 (fun (a, b) ->
-        let ba = bit a and bb = bit b in
-        Bitset.cardinal ba + Bitset.cardinal bb
-        = Bitset.cardinal (Bitset.union ba bb)
-          + Bitset.cardinal (Bitset.inter ba bb));
-  ]
+  let full = (1 lsl Bitset.bits_per_word) - 1 in
+  Alcotest.(check int) "zero" 0 (Bitset.popcount 0);
+  Alcotest.(check int) "2^62 - 1" 62 (Bitset.popcount full);
+  let rng = rng () in
+  for _ = 1 to 2000 do
+    let v = Int64.to_int (Ppdm_prng.Rng.bits64 rng) land full in
+    (* thinned words too, so low and high counts both show up *)
+    let v =
+      if Ppdm_prng.Rng.bool rng then
+        v land Int64.to_int (Ppdm_prng.Rng.bits64 rng)
+      else v
+    in
+    Alcotest.(check int)
+      (Printf.sprintf "word %#x" v) (naive v) (Bitset.popcount v)
+  done
 
-let gen_items = QCheck.Gen.(list_size (int_range 0 40) (int_range 0 149))
+(* Rows [rows.(tid)] fed as one flat buffer, as the report store holds
+   them. *)
+let fill ?cutoff ~n ~universe rows =
+  let counts = Array.make universe 0 in
+  Array.iter (Array.iter (fun i -> counts.(i) <- counts.(i) + 1)) rows;
+  let b = Bitset.builder ?cutoff ~n counts in
+  let flat = Array.concat (Array.to_list rows) and off = ref 0 in
+  Array.iteri
+    (fun tid row ->
+      let len = Array.length row in
+      Bitset.fill_row b ~tid flat ~off:!off ~len;
+      off := !off + len)
+    rows;
+  (counts, Bitset.finish b)
 
-let arb_items =
-  QCheck.make
-    ~print:(fun l -> String.concat "," (List.map string_of_int l))
-    gen_items
-
-let qcheck_tests =
-  let open QCheck in
-  let width = 150 in
-  let check2 name f_bit f_set =
-    Test.make ~name ~count:300 (pair arb_items arb_items) (fun (a, b) ->
-        let sa = Itemset.of_list a and sb = Itemset.of_list b in
-        let ba = Bitset.of_itemset ~width sa and bb = Bitset.of_itemset ~width sb in
-        Itemset.equal (Bitset.to_itemset (f_bit ba bb)) (f_set sa sb))
+let naive_payload ?cutoff ~n ~counts rows item =
+  let tids =
+    List.filter (fun tid -> Array.mem item rows.(tid)) (List.init n Fun.id)
   in
-  [
-    check2 "union agrees with Itemset" Bitset.union Itemset.union;
-    check2 "inter agrees with Itemset" Bitset.inter Itemset.inter;
-    check2 "diff agrees with Itemset" Bitset.diff Itemset.diff;
-    Test.make ~name:"cardinal agrees" ~count:300 arb_items (fun a ->
-        let s = Itemset.of_list a in
-        Bitset.cardinal (Bitset.of_itemset ~width s) = Itemset.cardinal s);
-    Test.make ~name:"inter_cardinal agrees" ~count:300 (pair arb_items arb_items)
-      (fun (a, b) ->
-        let sa = Itemset.of_list a and sb = Itemset.of_list b in
-        Bitset.inter_cardinal (Bitset.of_itemset ~width sa) (Bitset.of_itemset ~width sb)
-        = Itemset.inter_size sa sb);
-    Test.make ~name:"subset agrees" ~count:300 (pair arb_items arb_items)
-      (fun (a, b) ->
-        let sa = Itemset.of_list a and sb = Itemset.of_list b in
-        Bitset.subset (Bitset.of_itemset ~width sa) (Bitset.of_itemset ~width sb)
-        = Itemset.subset sa sb);
-    Test.make ~name:"fold visits members in order" ~count:300 arb_items (fun a ->
-        let s = Itemset.of_list a in
-        let b = Bitset.of_itemset ~width s in
-        List.rev (Bitset.fold (fun i acc -> i :: acc) b []) = Itemset.to_list s);
-    Test.make ~name:"equal is structural" ~count:300 arb_items (fun a ->
-        let s = Itemset.of_list a in
-        Bitset.equal (Bitset.of_itemset ~width s) (Bitset.of_itemset ~width s));
-  ]
+  if Bitset.dense_for ?cutoff ~n counts.(item) then begin
+    let words = Array.make (Bitset.words_for n) 0 in
+    List.iter
+      (fun tid ->
+        let w = tid / Bitset.bits_per_word in
+        words.(w) <- words.(w) lor (1 lsl (tid mod Bitset.bits_per_word)))
+      tids;
+    words
+  end
+  else Array.of_list tids
+
+let test_builder_vs_naive () =
+  let rng = rng () in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun cutoff ->
+          let universe = 12 in
+          (* item i is in a row with probability about 2^-(i/2): the hot
+             items go dense, the cold ones stay sparse *)
+          let rows =
+            Array.init n (fun _ ->
+                Array.of_list
+                  (List.filter
+                     (fun i -> Ppdm_prng.Rng.int rng (1 lsl (i / 2)) = 0)
+                     (List.init universe Fun.id)))
+          in
+          let counts, payloads = fill ?cutoff ~n ~universe rows in
+          Array.iteri
+            (fun item p ->
+              Alcotest.(check (array int))
+                (Printf.sprintf "n %d item %d" n item)
+                (naive_payload ?cutoff ~n ~counts rows item)
+                p)
+            payloads)
+        [ None; Some 0.; Some 1.1 ])
+    [ 1; 61; 62; 63; 123; 124; 125; 200 ]
+
+let invalid name f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" name
+  | exception Invalid_argument _ -> ()
+
+(* Item 0 is dense (3 of 4 rows), item 1 sparse (1 of 4 at cutoff 0.5). *)
+let small () = Bitset.builder ~cutoff:0.5 ~n:4 [| 3; 1 |]
+let both = [| 0; 1 |]
+
+let test_tid_range () =
+  invalid "tid n" (fun () -> Bitset.fill_row (small ()) ~tid:4 both ~off:0 ~len:2);
+  invalid "tid -1" (fun () ->
+      Bitset.fill_row (small ()) ~tid:(-1) both ~off:0 ~len:2)
+
+let test_sparse_past_count () =
+  invalid "sparse item past its count" (fun () ->
+      let b = small () in
+      Bitset.fill_row b ~tid:0 both ~off:0 ~len:2;
+      Bitset.fill_row b ~tid:1 both ~off:1 ~len:1)
+
+let test_short_at_finish () =
+  invalid "dense item short of its count" (fun () ->
+      let b = small () in
+      Bitset.fill_row b ~tid:0 both ~off:0 ~len:2;
+      Bitset.fill_row b ~tid:1 both ~off:0 ~len:1;
+      Bitset.finish b);
+  invalid "dense row fed twice" (fun () ->
+      let b = small () in
+      Bitset.fill_row b ~tid:0 both ~off:0 ~len:2;
+      Bitset.fill_row b ~tid:1 both ~off:0 ~len:1;
+      Bitset.fill_row b ~tid:1 both ~off:0 ~len:1;
+      Bitset.finish b);
+  invalid "sparse item short of its count" (fun () ->
+      let b = small () in
+      List.iter (fun tid -> Bitset.fill_row b ~tid both ~off:0 ~len:1) [ 0; 1; 2 ];
+      Bitset.finish b);
+  (* the same rows, complete, pass *)
+  let b = small () in
+  Bitset.fill_row b ~tid:0 both ~off:0 ~len:2;
+  Bitset.fill_row b ~tid:1 both ~off:0 ~len:1;
+  Bitset.fill_row b ~tid:3 both ~off:0 ~len:1;
+  Alcotest.(check (array (array int)))
+    "complete rows" [| [| 0b1011 |]; [| 0 |] |] (Bitset.finish b)
 
 let suite =
   [
-    Alcotest.test_case "roundtrip" `Quick test_roundtrip;
-    Alcotest.test_case "word boundaries" `Quick test_word_boundaries;
-    Alcotest.test_case "add and remove" `Quick test_add_remove;
-    Alcotest.test_case "validation" `Quick test_validation;
-    Alcotest.test_case "complement word boundaries" `Quick
-      test_complement_boundaries;
+    Alcotest.test_case "popcount vs bit loop" `Quick test_popcount;
+    Alcotest.test_case "builder = naive fill" `Quick test_builder_vs_naive;
+    Alcotest.test_case "builder rejects a tid out of range" `Quick test_tid_range;
+    Alcotest.test_case "builder rejects a sparse item past its count" `Quick
+      test_sparse_past_count;
+    Alcotest.test_case "builder finish rejects an item short of its count"
+      `Quick test_short_at_finish;
   ]
-  @ algebra_tests
-  @ List.map QCheck_alcotest.to_alcotest qcheck_tests

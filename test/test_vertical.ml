@@ -57,30 +57,39 @@ let test_representation_choice () =
 
 (* Every intersection kernel pair (dense/dense, dense/sparse,
    sparse/dense, sparse/sparse) against the sorted-array reference, on
-   random tid-sets straddling several word boundaries. *)
+   random tid-sets straddling several word boundaries.  Each operand's
+   shape is forced through [of_db]'s cutoff: 0 makes every item dense,
+   1.1 none. *)
 let test_inter_kernels_vs_reference () =
   let n = 150 in
   let rng = Ppdm_prng.Rng.create ~seed:404 () in
   for round = 1 to 25 do
     let random_tids () =
       List.filter (fun _ -> Ppdm_prng.Rng.int rng 3 = 0) (List.init n Fun.id)
-      |> Array.of_list
     in
     let ta = random_tids () and tb = random_tids () in
     let reference =
-      Itemset.inter (Itemset.of_array ta) (Itemset.of_array tb)
+      Itemset.inter (Itemset.of_list ta) (Itemset.of_list tb)
       |> Itemset.to_array
+    in
+    let db = db_of_tidsets ~universe:2 ~n [ ta; tb ] in
+    let shaped dense =
+      Vertical.of_db ~dense_cutoff:(if dense then 0. else 1.1) db
+    in
+    let all_dense = shaped true and all_sparse = shaped false in
+    let tidset dense item =
+      Vertical.item_tidset (if dense then all_dense else all_sparse) item
     in
     List.iter
       (fun (da, db_) ->
-        let a = Vertical.tidset_of_tids ~n ~dense:da ta in
-        let b = Vertical.tidset_of_tids ~n ~dense:db_ tb in
+        let a = tidset da 0 and b = tidset db_ 1 in
+        Alcotest.(check (pair bool bool))
+          "operand shapes" (da, db_)
+          (Vertical.tidset_is_dense a, Vertical.tidset_is_dense b);
         let joint, card = Vertical.inter_tidsets a b in
         let label = Printf.sprintf "round %d %b/%b" round da db_ in
         Alcotest.(check int)
           (label ^ " cardinality") (Array.length reference) card;
-        Alcotest.(check int)
-          (label ^ " consistent cardinal") card (Vertical.tidset_cardinal joint);
         Alcotest.(check (array int))
           (label ^ " tids") reference (Vertical.tidset_tids joint))
       [ (true, true); (true, false); (false, true); (false, false) ]
