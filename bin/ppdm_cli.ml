@@ -502,23 +502,20 @@ let private_cmd =
 
 (* -------------------------------------------------------------- recover *)
 
+(* A requested itemset is a usage error when it is empty or names an item
+   outside the universe: recover checks it against its input's universe
+   once the header is read, serve against --universe. *)
+let check_itemset ~who ~universe items =
+  if items = [] then usage_error ~who "--itemset: empty itemset";
+  List.iter
+    (fun item ->
+      if item < 0 || item >= universe then
+        usage_error ~who "--itemset: item %d outside the universe [0, %d)" item
+          universe)
+    items;
+  Itemset.of_list items
+
 let recover_cmd =
-  (* Checked against the input's universe once it is read, so both
-     routes reject the same itemsets as a usage error. *)
-  let check_itemset ~universe items =
-    let reject why =
-      Printf.eprintf "recover: --itemset: %s\n" why;
-      exit 2
-    in
-    if items = [] then reject "empty itemset";
-    List.iter
-      (fun item ->
-        if item < 0 || item >= universe then
-          reject
-            (Printf.sprintf "item %d outside the universe [0, %d)" item universe))
-      items;
-    Itemset.of_list items
-  in
   let itemset_term =
     Arg.(required & opt (some (list int)) None & info [ "itemset" ] ~doc:"Comma-separated item ids.")
   in
@@ -535,7 +532,9 @@ let recover_cmd =
            direct count, no estimator and no variance *)
         with_obs stats trace @@ fun () ->
         let vt = load_colfile ~who:"recover" path in
-        let itemset = check_itemset ~universe:(Vertical.universe vt) items in
+        let itemset =
+          check_itemset ~who:"recover" ~universe:(Vertical.universe vt) items
+        in
         let n = Vertical.length vt in
         let count = Vertical.support_count vt itemset in
         emit @@ fun () ->
@@ -545,23 +544,37 @@ let recover_cmd =
           n
     | `Row input ->
     with_obs stats trace @@ fun () ->
-    let universe, data = with_input ~who:"recover" input Io.read_tagged in
-    if Array.length data = 0 then
-      input_error ~who:"recover" input "no transactions";
-    let scheme =
-      match scheme_file with
-      | Some path -> with_input ~who:"recover" path Scheme_io.read_file
-      | None -> scheme_of_spec ~universe spec
+    (* The header fixes the universe, so the scheme and the accumulator
+       are built before the first row, and each row is folded as it is
+       decoded: no row outlives the fold. *)
+    let start (h : Io.stream_info) =
+      if h.transactions = 0 then failwith "no transactions";
+      let scheme =
+        match scheme_file with
+        | Some path ->
+            let scheme = with_input ~who:"recover" path Scheme_io.read_file in
+            if Randomizer.universe scheme <> h.universe then
+              input_error ~who:"recover" path
+                (Printf.sprintf "universe %d, but %s declares %d"
+                   (Randomizer.universe scheme) input h.universe);
+            scheme
+        | None -> scheme_of_spec ~universe:h.universe spec
+      in
+      Stream.create ~scheme
+        ~itemset:(check_itemset ~who:"recover" ~universe:h.universe items)
     in
-    let itemset = check_itemset ~universe items in
-    let e =
-      recoverable ~who:"recover" @@ fun () ->
-      Estimator.estimate ~scheme ~data ~itemset
+    let acc, _ =
+      with_input ~who:"recover" input (fun path ->
+          Io.read_tagged path ~init:start ~f:(fun acc (size, y) ->
+              Stream.observe acc ~size y;
+              acc))
     in
+    Ppdm_obs.Metrics.add "stream.observed" (Stream.observed acc);
+    let e = recoverable ~who:"recover" @@ fun () -> Stream.estimate acc in
     emit @@ fun () ->
     Printf.printf "estimated support of %s: %.5f (sigma %.5f, N = %d)\n"
-      (Itemset.to_string itemset) e.Estimator.support e.Estimator.sigma
-      e.Estimator.n_transactions
+      (Itemset.to_string (Stream.itemset acc))
+      e.Estimator.support e.Estimator.sigma e.Estimator.n_transactions
   in
   Cmd.v
     (Cmd.info "recover"
@@ -771,10 +784,11 @@ let serve_cmd =
     check_at_least ~who "batch" 1 batch;
     check_at_least ~who "queue-capacity" 1 queue_capacity;
     check_at_least ~who "max-frame" Ppdm_server.Serve.min_max_frame max_frame;
+    check_at_least ~who "singletons" 0 singletons;
+    let explicit = List.map (check_itemset ~who ~universe) itemsets in
     with_obs stats trace @@ fun () ->
     let scheme = scheme_of_spec ~universe spec in
     let tracked =
-      let explicit = List.map Itemset.of_list itemsets in
       let singles =
         List.init (min singletons universe) (fun i -> Itemset.singleton i)
       in

@@ -68,6 +68,21 @@ let with_temp_db f =
       Io.write_file path db;
       Fun.protect ~finally:Io.clear_fault_injection (fun () -> f db path))
 
+(* The same rows as a tagged file, folded: a truncated body fails the
+   fold after it has seen the surviving rows, it never returns. *)
+let tagged_truncation_rejected db =
+  let path = Filename.temp_file "ppdm_fault" ".tagged" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Io.write_tagged path ~universe:(Db.universe db)
+        (Array.map (fun tx -> (Itemset.cardinal tx, tx)) (Db.transactions db));
+      Io.inject_read_truncation ~lines:3;
+      match Io.read_tagged path ~init:(fun _ -> 0) ~f:(fun n _ -> n + 1) with
+      | n, _ -> Error (Printf.sprintf "truncated tagged fold returned %d rows" n)
+      | exception Failure _ -> Ok ()
+      | exception e -> Error ("undocumented exception: " ^ Printexc.to_string e))
+
 let io_truncated_read_rejected () =
   with_temp_db (fun db path ->
       (* header + 2 of the 4 declared transactions survive *)
@@ -88,7 +103,8 @@ let io_truncated_read_rejected () =
       | Ok () -> (
           Io.clear_fault_injection ();
           match Io.read_file path with
-          | full when Db.length full = Db.length db -> Ok ()
+          | full when Db.length full = Db.length db ->
+              tagged_truncation_rejected db
           | full ->
               Error
                 (Printf.sprintf "clean re-read lost transactions: %d of %d"
@@ -217,16 +233,27 @@ let server_mid_session_disconnect () =
 
 let server_scheme_mismatch_rejected () =
   with_server (fun server ->
-      let other = Randomizer.uniform ~universe:16 ~p_keep:0.3 ~p_add:0.2 in
-      let verdict =
+      let refused ~scheme ~sizes ~code what =
         with_client server (fun c ->
-            match Sclient.handshake c ~scheme:other ~sizes:[ 3 ] () with
-            | _ -> Error "a mismatched scheme was welcomed"
-            | exception Sclient.Server_error (Wire.Scheme_mismatch, _) -> Ok ()
+            match Sclient.handshake c ~scheme ~sizes () with
+            | _ -> Error (what ^ " was welcomed")
+            | exception Sclient.Server_error (got, _) when got = code -> Ok ()
             | exception e ->
-                Error ("expected a scheme-mismatch error, got " ^ Printexc.to_string e))
+                Error (what ^ ": wrong refusal " ^ Printexc.to_string e))
       in
-      match verdict with Error _ as e -> e | Ok () -> still_serving server)
+      let other = Randomizer.uniform ~universe:16 ~p_keep:0.3 ~p_add:0.2 in
+      match
+        refused ~scheme:other ~sizes:[ 3 ] ~code:Wire.Scheme_mismatch
+          "a mismatched scheme"
+      with
+      | Error _ as e -> e
+      | Ok () -> (
+          match
+            refused ~scheme:server_scheme ~sizes:[ 3; 17 ]
+              ~code:Wire.Protocol_violation "a size above the universe"
+          with
+          | Error _ as e -> e
+          | Ok () -> still_serving server))
 
 let server_invalid_reports_rejected () =
   with_server (fun server ->

@@ -25,7 +25,9 @@ val io_truncated_read_rejected : unit -> (unit, string) result
 (** Write a database, arm a truncation mid-body, and assert
     {!Ppdm_data.Io.read_file} raises its documented [Failure] ("fewer
     transactions than declared") instead of returning a partial database
-    — then that the same file reads back fully once disarmed. *)
+    — then that the same file reads back fully once disarmed, and that
+    the same rows as a tagged file fail {!Ppdm_data.Io.read_tagged}'s fold
+    the same way. *)
 
 val io_truncated_header_rejected : unit -> (unit, string) result
 (** Truncation before the header must fail as "empty input". *)
@@ -61,7 +63,8 @@ val server_mid_session_disconnect : unit -> (unit, string) result
 
 val server_scheme_mismatch_rejected : unit -> (unit, string) result
 (** A hello whose operator parameters differ from the server's earns
-    [Scheme_mismatch] at handshake time. *)
+    [Scheme_mismatch] at handshake time, and one declaring a size above
+    the universe earns [Protocol_violation]. *)
 
 val server_invalid_reports_rejected : unit -> (unit, string) result
 (** An out-of-universe item and a size outside the handshake each earn

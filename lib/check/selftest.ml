@@ -197,6 +197,108 @@ let estimator_kernel_differential ~seed ~count =
                  (fun () ->
                    Oracle.reference_predicted_sigma p ~k ~partials ~n)))
 
+(* ------------------------------------------- recover route differential *)
+
+(* [recover]'s route, restated on the library calls it makes: a tagged
+   file folded row by row into one accumulator built from the header. *)
+let streamed_recover ~scheme ~itemset path =
+  let acc, _ =
+    Io.read_tagged path
+      ~init:(fun _ -> Stream.create ~scheme ~itemset)
+      ~f:(fun acc (size, y) ->
+        Stream.observe acc ~size y;
+        acc)
+  in
+  Stream.estimate acc
+
+(* The per-size histograms counted row by row for each size in turn,
+   sharing nothing with the library's layout. *)
+let reference_counts data ~itemset =
+  let k = Itemset.cardinal itemset in
+  List.map
+    (fun size ->
+      let c = Array.make (k + 1) 0 in
+      Array.iter
+        (fun (m, y) ->
+          if m = size then
+            let l = Itemset.inter_size itemset y in
+            c.(l) <- c.(l) + 1)
+        data;
+      (size, c))
+    (List.sort_uniq Int.compare (Array.to_list (Array.map fst data)))
+
+let recover_route_differential ~seed ~count =
+  let universe = 16 in
+  let optimized =
+    Optimizer.scheme_for_estimation ~rho:0.2 ~universe ~gamma:19. ()
+  in
+  let bits = Int64.bits_of_float in
+  let same (a : Estimator.t) (b : Estimator.t) =
+    Int64.equal (bits a.support) (bits b.support)
+    && Int64.equal (bits a.sigma) (bits b.sigma)
+    && Array.for_all2 (fun x y -> Int64.equal (bits x) (bits y)) a.partials b.partials
+    && a.n_transactions = b.n_transactions
+  in
+  let outcome f =
+    match f () with
+    | e -> Ok e
+    | exception (Estimator.Unrecoverable _ as e) -> Error e
+  in
+  let show = function
+    | Ok (e : Estimator.t) ->
+        Printf.sprintf "support %h sigma %h N %d" e.support e.sigma e.n_transactions
+    | Error e -> Printexc.to_string e
+  in
+  prop
+    (Property.check_result ~seed ~count:(max 20 count)
+       ~name:"streamed recover == Estimator.estimate == matrix route"
+       (Gen.int_range 0 1_000_000)
+       (fun key ->
+         let rng = Rng.create ~seed:key () in
+         let scheme =
+           match Rng.int rng 3 with
+           | 0 ->
+               Randomizer.uniform ~universe
+                 ~p_keep:(0.5 +. (0.45 *. Rng.float rng))
+                 ~p_add:(0.01 +. (0.2 *. Rng.float rng))
+           | 1 ->
+               Randomizer.cut_and_paste ~universe ~cutoff:(1 + Rng.int rng 6)
+                 ~rho:(0.01 +. (0.3 *. Rng.float rng))
+           | _ -> optimized
+         in
+         let k = 1 + Rng.int rng 4 in
+         let itemset =
+           Itemset.of_list (List.init k (fun i -> (i * 3) + Rng.int rng 3))
+         in
+         let db =
+           Db.create ~universe
+             (Array.init (30 + Rng.int rng 300) (fun _ ->
+                  Itemset.of_list
+                    (List.init (Rng.int rng 9) (fun _ -> Rng.int rng universe))))
+         in
+         let data = Randomizer.apply_db_tagged scheme rng db in
+         let path = Filename.temp_file "ppdm_selftest" ".tagged" in
+         let streamed =
+           Fun.protect
+             ~finally:(fun () -> Sys.remove path)
+             (fun () ->
+               Io.write_tagged path ~universe data;
+               outcome (fun () -> streamed_recover ~scheme ~itemset path))
+         in
+         let batch = outcome (fun () -> Estimator.estimate ~scheme ~data ~itemset) in
+         let matrix =
+           outcome (fun () ->
+               Oracle.reference_estimate ~scheme ~k (reference_counts data ~itemset))
+         in
+         match (streamed, batch, matrix) with
+         | Ok a, Ok b, Ok c when same a b && same a c -> Ok ()
+         | Error a, Error b, Error c when a = b && a = c -> Ok ()
+         | _ ->
+             Error
+               (Printf.sprintf "%s k=%d: streamed %s, estimate %s, matrix route %s"
+                  (Randomizer.name scheme) k (show streamed) (show batch)
+                  (show matrix))))
+
 (* ------------------------------------------- private miner differential *)
 
 (* Six hot items carry the patterns over a background universe.  Sizes
@@ -853,7 +955,11 @@ let fuzz_roundtrip_checks ~seed ~count =
                  && survives (fun p -> Io.read_fimi p) s
                  && survives
                       (fun p ->
-                        try ignore (Io.read_tagged p)
+                        try
+                          ignore
+                            (Io.read_tagged p ~init:(fun _ -> 0)
+                               ~f:(fun n (size, y) ->
+                                 n + size + Itemset.cardinal y))
                         with Io.Item_out_of_universe _ -> ())
                       s
                  && survives Scheme_io.read_file s
@@ -925,6 +1031,9 @@ let run ?count ?(seed = 42) ?(log = ignore) () =
             fun () -> report_store_differential ~seed pools );
           ( "differential: estimator kernel == matrix route, bit for bit",
             fun () -> estimator_kernel_differential ~seed ~count );
+          ( "differential: streamed recover == estimate == matrix route, \
+             bit for bit",
+            fun () -> recover_route_differential ~seed ~count );
           ( "differential: estimator vs brute-force reference",
             fun () -> estimator_reference_check ~seed ~count );
           ( "differential: operator design on the basis == direct form",

@@ -36,6 +36,16 @@ val estimator_kernel_differential : seed:int -> count:int -> (unit, string) resu
     Support, σ, every partial and the count must agree bit for bit, and
     an unrecoverable class must fail both routes alike. *)
 
+val recover_route_differential : seed:int -> count:int -> (unit, string) result
+(** [recover]'s streamed route (a tagged file folded by
+    {!Ppdm_data.Io.read_tagged} into one {!Ppdm.Stream}) against
+    {!Ppdm.Estimator.estimate} on the same rows and against
+    {!Oracle.reference_estimate} on histograms counted size by size, on
+    [max 20 count] randomized databases (sizes 0..8, so classes smaller
+    than [k]): uniform, cut-and-paste and optimized operators, [k = 1..4].
+    Support, σ, every partial and N must agree bit for bit, and an
+    unrecoverable class must fail all three alike. *)
+
 val private_miner_differential : seed:int -> (unit, string) result
 (** {!Ppdm.Ppmining.mine} against {!Oracle.ppmining_reference} on
     randomized databases over universes 60 and 1500, under cut-and-paste,

@@ -8,33 +8,29 @@ type t = {
   n_transactions : int;
 }
 
-type by_size = (int, int array) Hashtbl.t
-
-let size_slot by_size ~k size =
-  match Hashtbl.find_opt by_size size with
-  | Some counts -> counts
-  | None ->
-      let counts = Array.make (k + 1) 0 in
-      Hashtbl.replace by_size size counts;
-      counts
-
-(* Sort on the size key alone: polymorphic compare would descend into the
-   histogram arrays (sizes are unique, so the key determines the order). *)
-let sorted_by_size by_size =
-  List.sort
-    (fun (a, _) (b, _) -> Int.compare a b)
-    (Hashtbl.fold (fun size c acc -> (size, c) :: acc) by_size [])
-
-let observed_partial_counts data ~itemset =
-  let k = Itemset.cardinal itemset in
-  let by_size = Hashtbl.create 8 in
+(* The statistic's one layout: the histogram of |y ∩ A| for original size
+   s at [counts.(s (k+1) ..)], as long as the largest size present. *)
+let count_by_size data ~itemset =
+  let dim = Itemset.cardinal itemset + 1 in
+  let top = Array.fold_left (fun m (size, _) -> max m size) (-1) data in
+  let counts = Array.make ((top + 1) * dim) 0 in
   Array.iter
     (fun (size, y) ->
-      let counts = size_slot by_size ~k size in
-      let l' = Itemset.inter_size itemset y in
-      counts.(l') <- counts.(l') + 1)
+      let i = (size * dim) + Itemset.inter_size itemset y in
+      counts.(i) <- counts.(i) + 1)
     data;
-  sorted_by_size by_size
+  counts
+
+let observed_sizes ~k counts =
+  List.filter
+    (fun s -> Array.exists (( <> ) 0) (Array.sub counts (s * (k + 1)) (k + 1)))
+    (List.init (Array.length counts / (k + 1)) Fun.id)
+
+let observed_partial_counts data ~itemset =
+  let k = Itemset.cardinal itemset and counts = count_by_size data ~itemset in
+  List.map
+    (fun s -> (s, Array.sub counts (s * (k + 1)) (k + 1)))
+    (observed_sizes ~k counts)
 
 exception Unrecoverable of { size : int; k : int }
 
@@ -113,6 +109,7 @@ let class_solver scheme ~size ~k =
 
 type batch = {
   k : int;
+  sizes : int array;
   solvers : class_solver array;
   short : float array;  (** one class's partials, P⁺ · observed *)
   w : float array;  (** their weights in Cov(ŝ') *)
@@ -121,22 +118,23 @@ type batch = {
 let batch ~scheme ~k sizes =
   {
     k;
+    sizes;
     solvers = Array.map (fun size -> class_solver scheme ~size ~k) sizes;
     short = Array.make (k + 1) 0.;
     w = Array.make (k + 1) 0.;
   }
 
-(* Every estimate goes through here.  Class c's histogram is
-   [counts.(c (k+1) ..)]; each class is solved into [b.short], and its
-   partials and its σ² entry are pooled with the class weight, in class
-   order.  A rectangular class (m < k) has s_l = 0 exactly for l > m, so
-   its partials are padded with zeros and its (k, k) entry is 0. *)
+(* Every estimate goes through here.  The class of size s is read at
+   [counts.(s (k+1) ..)]; each is solved into [b.short], and its partials
+   and its σ² entry are pooled with the class weight, in batch order.  A
+   rectangular class (m < k) has s_l = 0 exactly for l > m, so its
+   partials are padded with zeros and its (k, k) entry is 0. *)
 let pooled b counts =
   let k = b.k and dim = b.k + 1 in
   let total = Array.fold_left ( + ) 0 counts in
   let partials = Array.make dim 0. and var = ref 0. in
   for c = 0 to Array.length b.solvers - 1 do
-    let { cols; p; pinv } = b.solvers.(c) and off = c * dim in
+    let { cols; p; pinv } = b.solvers.(c) and off = b.sizes.(c) * dim in
     let n = ref 0 in
     for l = 0 to k do
       n := !n + counts.(off + l)
@@ -174,34 +172,29 @@ let pooled b counts =
     n_transactions = total;
   }
 
-(* The list-of-histograms route ([recover], [Stream], the [serve]
-   snapshot): validate, drop the all-zero classes (they carry no
-   observations), factorize the rest and pool them. *)
-let estimate_from_counts ~scheme ~k ~counts =
+let estimate_by_size ~scheme ~k counts =
   Ppdm_obs.Span.with_ ~name:"estimator.estimate" @@ fun () ->
-  let total =
-    List.fold_left
-      (fun acc (_, c) -> acc + Array.fold_left ( + ) 0 c)
-      0 counts
-  in
-  if total = 0 then invalid_arg "Estimator.estimate_from_counts: empty counts";
+  match observed_sizes ~k counts with
+  | [] -> invalid_arg "Estimator: empty counts"
+  | sizes -> pooled (batch ~scheme ~k (Array.of_list sizes)) counts
+
+let estimate_from_counts ~scheme ~k ~counts =
+  let dim = k + 1 in
+  let top = List.fold_left (fun m (size, _) -> max m size) 0 counts in
+  let layout = Array.make ((top + 1) * dim) 0 in
   List.iter
-    (fun (_, c) ->
-      if Array.length c <> k + 1 then
-        invalid_arg "Estimator.estimate_from_counts: count vector length")
+    (fun (size, c) ->
+      if size < 0 || Array.length c <> dim then
+        invalid_arg "Estimator.estimate_from_counts: bad size or count vector";
+      Array.blit c 0 layout (size * dim) dim)
     counts;
-  let groups = List.filter (fun (_, c) -> Array.exists (( <> ) 0) c) counts in
-  let sizes = Array.of_list (List.map fst groups) in
-  pooled (batch ~scheme ~k sizes) (Array.concat (List.map snd groups))
+  estimate_by_size ~scheme ~k layout
 
 let estimate ~scheme ~data ~itemset =
   if Array.length data = 0 then invalid_arg "Estimator.estimate: empty data";
-  let k = Itemset.cardinal itemset in
-  let counts =
-    Ppdm_obs.Span.with_ ~name:"estimator.count" @@ fun () ->
-    observed_partial_counts data ~itemset
-  in
-  estimate_from_counts ~scheme ~k ~counts
+  let count () = count_by_size data ~itemset in
+  let counts = Ppdm_obs.Span.with_ ~name:"estimator.count" count in
+  estimate_by_size ~scheme ~k:(Itemset.cardinal itemset) counts
 
 let predicted_sigma_of_matrix p ~k ~partials ~n =
   if Mat.rows p <> k + 1 || Mat.cols p <> k + 1 then

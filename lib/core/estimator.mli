@@ -29,26 +29,26 @@ exception Unrecoverable of { size : int; k : int }
     number [‖P‖∞·‖P⁺‖∞] exceeds [1e12], as when an operator's keep and add
     probabilities coincide. *)
 
+(** {2 The by-size layout}
+
+    The sufficient statistic of a [k]-itemset, as {!Stream}, {!Ppmining}
+    and every estimate below lay it out: one flat [int array] with the
+    histogram of [|y ∩ A| = l'] for original transaction size [s] at
+    [counts.(s * (k+1) + l')], as long as the largest size present (a
+    size with no observation holds zeros). *)
+
+val observed_sizes : k:int -> int array -> int list
+(** The sizes whose histogram is not all zero, in increasing order. *)
+
 val observed_partial_counts :
   (int * Itemset.t) array -> itemset:Itemset.t -> ((int * int array) list)
-(** Group the tagged randomized data by original transaction size; for
-    each size, the counts of [|y ∩ A| = l'] for [l' = 0..k]. *)
+(** The tagged randomized data's histogram for each {!observed_sizes}
+    size, as [(size, counts of |y ∩ A| = l' for l' = 0..k)]. *)
 
-(** {2 The size-keyed accumulator}
-
-    The sufficient statistic of a [k]-itemset, shared by
-    {!observed_partial_counts} and {!Stream}: per original transaction
-    size, a histogram of length [k+1]. *)
-
-type by_size = (int, int array) Hashtbl.t
-
-val size_slot : by_size -> k:int -> int -> int array
-(** The histogram for one size, allocated (zeroed, length [k+1]) on
-    first use. *)
-
-val sorted_by_size : by_size -> (int * int array) list
-(** The histograms in increasing size order — the [counts] argument of
-    {!estimate_from_counts}.  The arrays are shared, not copied. *)
+val estimate_by_size : scheme:Randomizer.t -> k:int -> int array -> t
+(** {!batch} over the {!observed_sizes}, then {!pooled}.
+    @raise Invalid_argument if every histogram is zero.
+    @raise Unrecoverable on an unrecoverable size class. *)
 
 val estimate :
   scheme:Randomizer.t ->
@@ -56,18 +56,16 @@ val estimate :
   itemset:Itemset.t ->
   t
 (** Full pipeline on tagged randomized data (see
-    {!Randomizer.apply_db_tagged}): {!observed_partial_counts} under the
-    span ["estimator.count"], then {!estimate_from_counts}.
+    {!Randomizer.apply_db_tagged}): the rows counted into the layout
+    under the span ["estimator.count"], then {!estimate_by_size}.
     @raise Invalid_argument on empty data. *)
 
 val estimate_from_counts :
   scheme:Randomizer.t -> k:int -> counts:(int * int array) list -> t
-(** Estimation from pre-aggregated observations: for each original
-    transaction size, the counts of [|y ∩ A| = l'] (length [k+1]).  This
-    is the sufficient statistic — {!Stream} accumulates it online and
-    {!estimate} is the one-shot wrapper.  All-zero size classes are
-    skipped (they carry no observations).
-    @raise Invalid_argument on empty counts or mis-sized vectors.
+(** {!estimate_by_size} on pre-aggregated observations: one histogram
+    of [|y ∩ A| = l'] (length [k+1]) per original transaction size.
+    @raise Invalid_argument on empty counts, a negative size or a
+    mis-sized vector.
     @raise Unrecoverable on an unrecoverable size class (see {!batch}). *)
 
 (** {2 Batch estimation}
@@ -88,11 +86,11 @@ val batch : scheme:Randomizer.t -> k:int -> int array -> batch
     @raise Unrecoverable at the first size whose class is unrecoverable. *)
 
 val pooled : batch -> int array -> t
-(** [pooled b counts] is the estimate from class [c]'s histogram of
-    [|y ∩ A| = l'], [l' = 0..k], at [counts.(c (k+1) ..)] for each class of
-    [b] in order: the same result, bit for bit, as
-    {!estimate_from_counts} on those classes.
-    @raise Invalid_argument if a class's histogram is all zero. *)
+(** [pooled b counts] is the estimate from the layout [counts], which
+    holds no observation outside [b]'s sizes: each size's histogram, in
+    [b]'s order, pooled with its class weight.  Allocates only the
+    returned estimate.
+    @raise Invalid_argument if a size's histogram is all zero. *)
 
 val predicted_sigma :
   Randomizer.resolved -> k:int -> partials:float array -> n:int -> float

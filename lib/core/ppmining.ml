@@ -63,11 +63,12 @@ let level (cl : Reports.frozen) supports ~scheme ~verdict ~k candidates =
   let classes = Array.length cl.sizes and full = (1 lsl k) - 1 in
   (* Reused by every candidate: each subset mask's per-class supports,
      one lookup key per subset size, the Möbius table and the classes'
-     histograms. *)
+     histograms, in the estimator's by-size layout. *)
   let subsets = Array.make (full + 1) cl.rows in
   let keys = Array.init (k + 1) (fun j -> Array.make j 0) in
   let exact = Array.make (full + 1) 0 in
-  let counts = Array.make (classes * (k + 1)) 0 in
+  let top = Array.fold_left max 0 cl.sizes in
+  let counts = Array.make ((top + 1) * (k + 1)) 0 in
   let survivors = ref [] and over_cap = ref 0 and below = ref 0 in
   Array.iteri
     (fun i itemset ->
@@ -88,7 +89,7 @@ let level (cl : Reports.frozen) supports ~scheme ~verdict ~k candidates =
         for mask = 0 to full do
           exact.(mask) <- subsets.(mask).(c)
         done;
-        mobius_into ~k exact counts ~off:(c * (k + 1))
+        mobius_into ~k exact counts ~off:(cl.sizes.(c) * (k + 1))
       done;
       let e = Estimator.pooled batch counts in
       let d =

@@ -4,7 +4,7 @@ type t = {
   scheme : Randomizer.t;
   itemset : Itemset.t;
   k : int;
-  by_size : Estimator.by_size;
+  mutable counts : int array;  (** the by-size layout of {!Estimator} *)
   mutable observed : int;
 }
 
@@ -13,23 +13,31 @@ let create ~scheme ~itemset =
     scheme;
     itemset;
     k = Itemset.cardinal itemset;
-    by_size = Hashtbl.create 8;
+    counts = [||];
     observed = 0;
   }
 
 let itemset t = t.itemset
 let observed t = t.observed
 
-let slot t size = Estimator.size_slot t.by_size ~k:t.k size
+(* Grow the layout to [len] counts, exactly: it stays as long as the
+   largest size seen. *)
+let reserve t len =
+  let missing = len - Array.length t.counts in
+  if missing > 0 then t.counts <- Array.append t.counts (Array.make missing 0)
 
 let observe t ~size y =
-  Ppdm_obs.Metrics.incr "stream.observed";
-  let counts = slot t size in
-  let l' = Itemset.inter_size t.itemset y in
-  counts.(l') <- counts.(l') + 1;
+  if size < 0 || size > Randomizer.universe t.scheme then
+    invalid_arg "Stream.observe: size outside [0, universe]";
+  let off = size * (t.k + 1) in
+  if off >= Array.length t.counts then reserve t (off + t.k + 1);
+  let i = off + Itemset.inter_size t.itemset y in
+  t.counts.(i) <- t.counts.(i) + 1;
   t.observed <- t.observed + 1
 
-let observe_all t data = Array.iter (fun (size, y) -> observe t ~size y) data
+let observe_all t data =
+  Array.iter (fun (size, y) -> observe t ~size y) data;
+  Ppdm_obs.Metrics.add "stream.observed" (Array.length data)
 
 let merge_into t ~from =
   if not (Itemset.equal t.itemset from.itemset) then
@@ -40,18 +48,14 @@ let merge_into t ~from =
      size either side has observed (parameters, not names — a scheme
      round-tripped through Scheme_io still matches). *)
   let sizes =
-    let tbl = Hashtbl.create 8 in
-    Hashtbl.iter (fun size _ -> Hashtbl.replace tbl size ()) t.by_size;
-    Hashtbl.iter (fun size _ -> Hashtbl.replace tbl size ()) from.by_size;
-    Hashtbl.fold (fun size () acc -> size :: acc) tbl []
+    List.sort_uniq Int.compare
+      (Estimator.observed_sizes ~k:t.k t.counts
+      @ Estimator.observed_sizes ~k:t.k from.counts)
   in
   if not (Randomizer.same_parameters t.scheme from.scheme ~sizes) then
     invalid_arg "Stream.merge_into: scheme mismatch";
-  Hashtbl.iter
-    (fun size counts ->
-      let mine = slot t size in
-      Array.iteri (fun l c -> mine.(l) <- mine.(l) + c) counts)
-    from.by_size;
+  reserve t (Array.length from.counts);
+  Array.iteri (fun i c -> t.counts.(i) <- t.counts.(i) + c) from.counts;
   t.observed <- t.observed + from.observed
 
 let merge = function
@@ -66,5 +70,4 @@ let merge = function
 let estimate t =
   if t.observed = 0 then invalid_arg "Stream.estimate: no observations yet";
   Ppdm_obs.Span.with_ ~name:"stream.estimate" (fun () ->
-      Estimator.estimate_from_counts ~scheme:t.scheme ~k:t.k
-        ~counts:(Estimator.sorted_by_size t.by_size))
+      Estimator.estimate_by_size ~scheme:t.scheme ~k:t.k t.counts)

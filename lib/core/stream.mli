@@ -2,10 +2,11 @@
 
     The estimator's sufficient statistic is tiny — per original
     transaction size, the histogram of [|y ∩ A|] — so a server can track
-    an itemset's support over an unbounded stream in O(k · #sizes) memory,
-    and aggregators can {!merge} partial accumulators (the statistic is a
-    sum).  Results are bit-identical to batch {!Estimator.estimate} over
-    the same observations. *)
+    an itemset's support over an unbounded stream in {!Estimator}'s
+    by-size layout, (k+1)·(s+1) counts for the largest size s seen (never
+    sized by the universe), and aggregators can {!merge} partial
+    accumulators (the statistic is a sum).  Results are bit-identical to
+    batch {!Estimator.estimate} over the same observations. *)
 
 open Ppdm_data
 
@@ -20,9 +21,13 @@ val observed : t -> int
 (** Number of transactions absorbed so far. *)
 
 val observe : t -> size:int -> Itemset.t -> unit
-(** Absorb one randomized transaction tagged with its original size. *)
+(** Absorb one randomized transaction tagged with its original size;
+    allocates only to grow to a larger size.  A caller folding many adds
+    their number to the ["stream.observed"] counter once.
+    @raise Invalid_argument on a size outside [[0, universe]]. *)
 
 val observe_all : t -> (int * Itemset.t) array -> unit
+(** {!observe} each row, then add their number to ["stream.observed"]. *)
 
 val merge_into : t -> from:t -> unit
 (** [merge_into acc ~from] adds [from]'s statistic to [acc] (for

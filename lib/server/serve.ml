@@ -55,7 +55,15 @@ let validate config =
   if config.max_frame < min_max_frame then invalid_arg "Serve: max_frame < 16";
   if config.sampler_period_ns < 1_000_000 then
     invalid_arg "Serve: sampler period < 1ms";
-  if config.itemsets = [] then invalid_arg "Serve: no tracked itemsets"
+  if config.itemsets = [] then invalid_arg "Serve: no tracked itemsets";
+  let universe = Randomizer.universe config.scheme in
+  List.iter
+    (fun itemset ->
+      let k = Itemset.cardinal itemset in
+      if k = 0 then invalid_arg "Serve: empty tracked itemset";
+      if Itemset.nth itemset (k - 1) >= universe then
+        invalid_arg "Serve: tracked item outside the universe")
+    config.itemsets
 
 let make_shared config =
   {

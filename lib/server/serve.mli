@@ -56,8 +56,10 @@ type t
 
 val start : config -> t
 (** Bind and start serving; returns once the socket is listening.
-    @raise Invalid_argument on a non-positive jobs/shards/batch/capacity
-    or a [max_frame] below {!min_max_frame}.
+    @raise Invalid_argument on a non-positive jobs/shards/batch/capacity,
+    a [max_frame] below {!min_max_frame}, no tracked itemset, or a
+    tracked itemset that is empty or holds an item outside the scheme's
+    universe.
     @raise Unix.Unix_error if the port cannot be bound. *)
 
 val port : t -> int

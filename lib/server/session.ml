@@ -50,8 +50,9 @@ let run config ~shards fd =
            Wire.protocol_version);
       `Stop
     end
-    else if List.exists (fun m -> m < 0) sizes then begin
-      send_error fd Wire.Protocol_violation "negative transaction size";
+    else if List.exists (fun m -> m < 0 || m > config.universe) sizes then begin
+      send_error fd Wire.Protocol_violation
+        (Printf.sprintf "transaction size outside [0, %d]" config.universe);
       `Stop
     end
     else begin

@@ -1,7 +1,8 @@
 (** Server side of one client connection: the protocol state machine.
 
     A session must open with [Hello]; the server checks the protocol
-    version and — when the client declares report sizes — that the
+    version, that every declared report size lies in [[0, universe]], and
+    — when the client declares report sizes — that the
     client's operator parameters match its own scheme at exactly those
     sizes ({!Ppdm.Randomizer.same_parameters} over the in-band
     {!Ppdm.Scheme_io} text), replying [Welcome] with the universe and the

@@ -30,6 +30,8 @@ let fold_batch t batch =
         (fun (size, y, _) ->
           List.iter (fun acc -> Stream.observe acc ~size y) t.accs)
         batch;
+      Ppdm_obs.Metrics.add "stream.observed"
+        (Array.length batch * List.length t.accs);
       t.folded <- t.folded + Array.length batch)
 
 let fold_loop t ~batch =

@@ -110,9 +110,10 @@ type _ format =
 type stream_info = { universe : int; transactions : int }
 
 (* The one line loop: fold [f] over the rows of [ic] in [format], from
-   [init n] with [n] the declared row count (0 for FIMI), after [first]
-   if the caller has already read that line.  [universe] is FIMI's
-   declared universe; a plain header must agree with it. *)
+   [init h] with [h] the header's universe and row count (FIMI declares
+   neither: [universe] or [max_int], and 0 rows), after [first] if the
+   caller has already read that line.  [universe] is FIMI's declared
+   universe; a plain header must agree with it. *)
 let fold_lines (type r) (format : r format) ?universe ?first ic ~init
     ~(f : 'a -> r -> 'a) =
   Ppdm_obs.Span.with_ ~name:"io.read" @@ fun () ->
@@ -143,7 +144,8 @@ let fold_lines (type r) (format : r format) ?universe ?first ic ~init
     if universe <> None && universe <> Some declared then
       failwith
         "Io.fold_transactions: universe override disagrees with the header";
-    let row = row declared and acc = ref (init count) in
+    let header = { universe = declared; transactions = count } in
+    let row = row declared and acc = ref (init header) in
     for _ = 1 to count do
       match input_line ic with
       | line -> acc := f !acc (row line)
@@ -156,7 +158,7 @@ let fold_lines (type r) (format : r format) ?universe ?first ic ~init
            failwith (who ^ ": trailing content after the declared transactions")
        done
      with End_of_file -> ());
-    (!acc, { universe = declared; transactions = count })
+    (!acc, header)
   in
   match format with
   | Plain ->
@@ -177,7 +179,7 @@ let fold_lines (type r) (format : r format) ?universe ?first ic ~init
                   String.sub line (bar + 1) (String.length line - bar - 1)
                 in
                 match int_of_string_opt (String.trim size) with
-                | Some size when size >= 0 ->
+                | Some size when size >= 0 && size <= universe ->
                     ( size,
                       decode s ~who ~universe ~negative_is_bad:false ~outside
                         items )
@@ -193,7 +195,9 @@ let fold_lines (type r) (format : r format) ?universe ?first ic ~init
         | line -> rows (f acc (row line)) (n + 1)
         | exception End_of_file -> (acc, n)
       in
-      let acc, transactions = rows (init 0) 0 in
+      let acc, transactions =
+        rows (init { universe = bound; transactions = 0 }) 0
+      in
       let universe = Option.value universe ~default:(max 1 (s.max_item + 1)) in
       (acc, { universe; transactions })
 
@@ -203,7 +207,7 @@ let fold_lines (type r) (format : r format) ?universe ?first ic ~init
    before its short body fails it. *)
 let read_all format ?universe ic =
   let rows = ref [||] and n = ref 0 and size = ref 0 in
-  let init declared = size := max 64 (min declared (1 lsl 20)) in
+  let init h = size := max 64 (min h.transactions (1 lsl 20)) in
   let (), info =
     fold_lines format ?universe ic ~init ~f:(fun () row ->
         if !n = Array.length !rows then begin
@@ -235,7 +239,8 @@ let write_tagged path ~universe data =
           output_transaction oc items)
         data)
 
-let read_tagged path = In_channel.with_open_text path (read_all Tagged)
+let read_tagged path ~init ~f =
+  In_channel.with_open_text path (fold_lines Tagged ~init ~f)
 
 let write_fimi path db =
   with_out path (fun oc -> Db.iter (output_transaction oc) db)

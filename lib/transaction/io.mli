@@ -39,13 +39,25 @@ val read_file : string -> Db.t
 
 val write_tagged : string -> universe:int -> (int * Itemset.t) array -> unit
 
-val read_tagged : string -> int * (int * Itemset.t) array
-(** The declared universe and the rows, on the same decoder and count
-    contract as {!read_channel}.
+type stream_info = { universe : int; transactions : int }
+(** A file's universe and row count: as its header declares them, or as
+    a fold found them. *)
+
+val read_tagged :
+  string ->
+  init:(stream_info -> 'a) ->
+  f:('a -> int * Itemset.t -> 'a) ->
+  'a * stream_info
+(** The tagged fold: [f] over the [(size, items)] rows as they are
+    decoded, from [init] applied to the header, on the same decoder and
+    count contract as {!read_channel}.  No row outlives its call to [f],
+    so a file of any length reads in the memory of one row.  Returns the
+    fold and the header.
     @raise Failure on malformed input, with a message starting
     ["Io.read_tagged: "]: those of {!read_channel}, plus ["row without
     a size|items separator"] and ["bad size \"tok\""] (a negative or
-    non-integer size).
+    non-integer size, or one above the declared universe).  A failure
+    can come after [f] has seen earlier rows.
     @raise Item_out_of_universe on an item outside the declared
     universe, a negative one included. *)
 
@@ -73,8 +85,6 @@ val read_fimi : ?universe:int -> string -> Db.t
     explicitly given [universe] is read — an out-of-range item is never
     silently folded into a too-small universe.  An empty file yields an
     empty database over a 1-item universe. *)
-
-type stream_info = { universe : int; transactions : int }
 
 val fold_transactions :
   ?universe:int -> string -> init:'a -> f:('a -> Itemset.t -> 'a) -> 'a * stream_info

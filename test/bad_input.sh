@@ -9,9 +9,12 @@
 # private, recover) reject a garbage, a missing, a truncated and a
 # version-1 .ppdmc file as "<cmd>: <path>: ", exit 1.  recover rejects an
 # empty itemset or an item outside the input's universe on both routes
-# as a usage error, exit 2, and so does convert a non-positive
-# --universe; convert names its output when it cannot write it, and
-# rejects a source that changes between its two passes (a pipe).  An
+# as a usage error, exit 2, and serve rejects such a tracked itemset the
+# same way; recover rejects a tagged size above the universe and a
+# --scheme file for another universe as "recover: <path>: ", exit 1.
+# convert rejects a non-positive --universe as a usage error, names its
+# output when it cannot write it, and rejects a source that changes
+# between its two passes (a pipe).  An
 # out-of-range operator, universe, size or serve flag is a usage error,
 # exit 2, "<cmd>: --flag "; load against a closed port or a server that
 # refuses its operator exits 1 as "load: 127.0.0.1:<port>: ".
@@ -138,6 +141,19 @@ done
 expect_fail 1 "^mine: $dir/v1.ppdmc: unsupported PPDMC version 1$" \
   mine --db "$dir/v1.ppdmc" --min-support 0.5
 
+# A tagged size above the declared universe is malformed, and a scheme
+# file must be for the tagged file's universe.
+printf 'tagged 10 transactions 2\n50|1 2\n3|1\n' >"$dir/above.tagged"
+printf 'tagged 10 transactions 1\n4611686018427387903|1\n' >"$dir/max.tagged"
+for f in "$dir/above.tagged" "$dir/max.tagged"; do
+  expect_fail 1 "^recover: $f: " recover --in "$f" --itemset 1
+done
+"$cli" randomize --in "$dir/db.txt" -o "$dir/scheme.tagged" \
+  --scheme-out "$dir/db.scheme" >/dev/null
+printf 'tagged 11 transactions 1\n3|1\n' >"$dir/wider.tagged"
+expect_fail 1 "^recover: $dir/db.scheme: " recover --in "$dir/wider.tagged" \
+  --scheme "$dir/db.scheme" --itemset 1
+
 # recover --itemset: empty or outside the universe (10) on both routes.
 for itemset in "" 500; do
   expect_fail 2 "^recover: --itemset: " recover --in "$dir/db.tagged" \
@@ -191,6 +207,13 @@ for flags in "universe 0" "shards 0" "batch 0" "queue-capacity 0" "max-frame 8";
   # shellcheck disable=SC2086
   expect_fail 2 "^serve: --$flags " serve --port 0 --$flags
 done
+# serve's tracked itemsets are checked as recover's: not empty, inside
+# --universe; --singletons is not negative.
+for itemset in 7 -2 ""; do
+  expect_fail 2 "^serve: --itemset: " serve --port 0 --universe 5 \
+    "--itemset=$itemset"
+done
+expect_fail 2 "^serve: --singletons -1 " serve --port 0 --singletons=-1
 
 # load: a server that is not there, or that refuses the operator, is
 # "load: 127.0.0.1:<port>: ", exit 1.

@@ -101,6 +101,14 @@ let read_string_with read s =
 
 let read_string = read_string_with Io.read_file
 
+(* The tagged fold, collected: the header's universe and the rows in
+   order. *)
+let read_tagged path =
+  let rows, header =
+    Io.read_tagged path ~init:(fun _ -> []) ~f:(fun acc row -> row :: acc)
+  in
+  (header.Io.universe, Array.of_list (List.rev rows))
+
 let test_io_malformed () =
   let expect_failure msg input =
     match read_string input with
@@ -138,7 +146,7 @@ let test_tagged_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Io.write_tagged path ~universe:10 rows;
-      let universe, back = Io.read_tagged path in
+      let universe, back = read_tagged path in
       Alcotest.(check int) "universe" 10 universe;
       Alcotest.(check int) "rows" (Array.length rows) (Array.length back);
       Array.iteri
@@ -151,7 +159,7 @@ let test_tagged_roundtrip () =
         rows)
 
 let test_tagged_malformed () =
-  let read = read_string_with Io.read_tagged in
+  let read = read_string_with read_tagged in
   let expect_failure msg input =
     match read input with
     | exception Failure _ -> ()
@@ -161,6 +169,7 @@ let test_tagged_malformed () =
   expect_failure "truncated body" "tagged 10 transactions 2\n2|1 3\n";
   expect_failure "bad size field" "tagged 10 transactions 1\nz|1 3\n";
   expect_failure "negative size" "tagged 10 transactions 1\n-1|1 3\n";
+  expect_failure "size above the universe" "tagged 10 transactions 1\n11|1 3\n";
   expect_failure "missing separator" "tagged 10 transactions 1\n1 3\n";
   expect_failure "bad header" "universe 10 transactions 1\n2|1 3\n";
   expect_failure "empty input" "";
@@ -184,7 +193,7 @@ type outcome =
 
 let reader_contract =
   let plain s = read_string_with Io.read_file s in
-  let tagged s = read_string_with Io.read_tagged s in
+  let tagged s = read_string_with read_tagged s in
   let fimi ?universe s = read_string_with (Io.read_fimi ?universe) s in
   let fold ?universe s =
     read_string_with
@@ -240,6 +249,15 @@ let reader_contract =
      Fails "Io.read_tagged: bad size \" z\"");
     ("tagged: negative size", (fun () -> tagged_rows "tagged 10 transactions 1\n-1|1 3\n"),
      Fails "Io.read_tagged: bad size \"-1\"");
+    ("tagged: size above the universe",
+     (fun () -> tagged_rows "tagged 10 transactions 2\n50|1 2\n3|1\n"),
+     Fails "Io.read_tagged: bad size \"50\"");
+    ("tagged: size at max_int",
+     (fun () -> tagged_rows "tagged 10 transactions 1\n4611686018427387903|1\n"),
+     Fails "Io.read_tagged: bad size \"4611686018427387903\"");
+    ("tagged: size at the universe",
+     (fun () -> tagged_rows "tagged 10 transactions 1\n10|1\n"),
+     Rows (10, [ [ 10; 1 ] ]));
     ("tagged: truncated", (fun () -> tagged_rows "tagged 10 transactions 2\n2|1 3\n"),
      Fails "Io.read_tagged: fewer transactions than declared");
     ("tagged: trailing", (fun () -> tagged_rows "tagged 10 transactions 1\n2|1\n2|4\n"),

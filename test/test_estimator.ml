@@ -303,6 +303,14 @@ let test_kernel_matches_matrix_route () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
+(* recover's route (the tagged file folded into one accumulator), the
+   batch estimate on the same rows and the matrix route agree bit for
+   bit. *)
+let test_recover_route () =
+  match Ppdm_check.Selftest.recover_route_differential ~seed:11 ~count:200 with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
 (* A level estimates thousands of candidates over every size class: the
    kernel allocates only the estimate it returns, whatever the number of
    classes (13 here, square and rectangular). *)
@@ -341,4 +349,6 @@ let suite =
     Alcotest.test_case "kernel == matrix route, bit for bit" `Quick
       test_kernel_matches_matrix_route;
     Alcotest.test_case "kernel allocation guard" `Quick test_kernel_allocation_guard;
+    Alcotest.test_case "streamed recover == estimate == matrix route" `Quick
+      test_recover_route;
   ]

@@ -388,6 +388,32 @@ let test_span_feeds_trace () =
           Alcotest.(check bool) "timeline has the begin/end pair" true
             (pairs = [ (Trace.Begin, "both"); (Trace.End, "both") ])))
 
+(* Stream.observe records nothing; each fold adds its observations to
+   "stream.observed" once: observe_all per call, a shard per batch (rows
+   times tracked itemsets). *)
+let test_stream_observed_per_fold () =
+  let scheme = Randomizer.uniform ~universe:8 ~p_keep:0.7 ~p_add:0.1 in
+  let rows = Array.init 10 (fun i -> (i mod 3, Itemset.of_list [ i mod 8 ])) in
+  let itemsets = List.map Itemset.of_list [ [ 1 ]; [ 2; 3 ]; [ 0; 4; 7 ] ] in
+  scoped (fun () ->
+      Metrics.set_enabled true;
+      let observed () =
+        Option.value ~default:0
+          (List.assoc_opt "stream.observed" (Metrics.snapshot ()).Metrics.counters)
+      in
+      let stream = Stream.create ~scheme ~itemset:(List.hd itemsets) in
+      Stream.observe stream ~size:1 Itemset.empty;
+      Alcotest.(check int) "observe alone" 0 (observed ());
+      Stream.observe_all stream rows;
+      Alcotest.(check int) "observe_all" 10 (observed ());
+      let shard = Ppdm_server.Shard.create ~scheme ~itemsets ~capacity:16 in
+      Array.iter
+        (fun (size, y) -> ignore (Ppdm_server.Shard.submit shard (size, y, 0)))
+        rows;
+      Ppdm_server.Shard.close shard;
+      Ppdm_server.Shard.fold_loop shard ~batch:4;
+      Alcotest.(check int) "shard batches" (10 + (10 * 3)) (observed ()))
+
 let suite =
   [
     Alcotest.test_case "disabled is a no-op" `Quick test_disabled_noop;
@@ -407,4 +433,6 @@ let suite =
     Alcotest.test_case "instrumentation coverage" `Quick
       test_instrumentation_coverage;
     Alcotest.test_case "span feeds trace" `Quick test_span_feeds_trace;
+    Alcotest.test_case "stream.observed once per fold" `Quick
+      test_stream_observed_per_fold;
   ]

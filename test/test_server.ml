@@ -406,6 +406,20 @@ let test_snapshot_json () =
                 | _ -> false)
           | _ -> Alcotest.fail "snapshot lacks an itemsets list"))
 
+(* A tracked itemset must be one a report can contain: the config is
+   refused before any port is bound. *)
+let test_tracked_itemsets_validated () =
+  let scheme = Randomizer.uniform ~universe:5 ~p_keep:0.7 ~p_add:0.1 in
+  List.iter
+    (fun (itemsets, msg) ->
+      Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+          ignore (Serve.start (Serve.default_config ~scheme ~itemsets))))
+    [
+      ([ Itemset.of_list [ 1; 7 ] ], "Serve: tracked item outside the universe");
+      ([ Itemset.singleton 5 ], "Serve: tracked item outside the universe");
+      ([ Itemset.singleton 0; Itemset.empty ], "Serve: empty tracked itemset");
+    ]
+
 let suite =
   [
     Alcotest.test_case "wire round-trip" `Quick test_wire_roundtrip;
@@ -424,4 +438,6 @@ let suite =
       test_e2e_bit_identical;
     Alcotest.test_case "fault scenarios" `Quick test_fault_scenarios;
     Alcotest.test_case "snapshot json" `Quick test_snapshot_json;
+    Alcotest.test_case "tracked itemsets validated" `Quick
+      test_tracked_itemsets_validated;
   ]

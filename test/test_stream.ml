@@ -157,6 +157,54 @@ let test_estimate_is_pure () =
     b.Estimator.support;
   Alcotest.(check int) "observed unchanged" (Array.length data) (Stream.observed acc)
 
+(* Shards whose largest sizes differ: merging grows the target to the
+   larger layout, in either order, and equals one sequential fold bit for
+   bit. *)
+let test_merge_grows () =
+  let universe = 30 in
+  let rng = Rng.create ~seed:11 () in
+  let db =
+    Db.create ~universe
+      (Array.init 900 (fun i ->
+           Itemset.of_list (List.init (i mod 10) (fun j -> (i + (3 * j)) mod universe))))
+  in
+  let scheme = Randomizer.cut_and_paste ~universe ~cutoff:4 ~rho:0.1 in
+  let data = Randomizer.apply_db_tagged scheme rng db in
+  let itemset = Itemset.of_list [ 2; 5 ] in
+  let fold rows =
+    let acc = Stream.create ~scheme ~itemset in
+    Array.iter (fun (size, y) -> Stream.observe acc ~size y) rows;
+    acc
+  in
+  let small = fold (Array.of_list (List.filter (fun (m, _) -> m <= 3) (Array.to_list data)))
+  and large = fold (Array.of_list (List.filter (fun (m, _) -> m > 3) (Array.to_list data))) in
+  let want = Stream.estimate (fold data) in
+  List.iter
+    (fun (label, shards) ->
+      let got = Stream.estimate (Stream.merge shards) in
+      Alcotest.(check (float 0.)) (label ^ " support") want.Estimator.support
+        got.Estimator.support;
+      Alcotest.(check (float 0.)) (label ^ " sigma") want.Estimator.sigma
+        got.Estimator.sigma;
+      Alcotest.(check int) (label ^ " N") want.Estimator.n_transactions
+        got.Estimator.n_transactions)
+    [ ("small then large", [ small; large ]); ("large then small", [ large; small ]) ];
+  Stream.merge_into small ~from:large;
+  Alcotest.(check (float 0.)) "merge_into grows its target" want.Estimator.sigma
+    (Stream.estimate small).Estimator.sigma
+
+let test_observe_size_range () =
+  let scheme = Randomizer.uniform ~universe:10 ~p_keep:0.7 ~p_add:0.1 in
+  let acc = Stream.create ~scheme ~itemset:(Itemset.singleton 1) in
+  Stream.observe acc ~size:10 (Itemset.singleton 1);
+  List.iter
+    (fun size ->
+      Alcotest.check_raises (Printf.sprintf "size %d" size)
+        (Invalid_argument "Stream.observe: size outside [0, universe]")
+        (fun () -> Stream.observe acc ~size Itemset.empty))
+    [ -1; 11; max_int ];
+  Alcotest.(check int) "rejected sizes not counted" 1 (Stream.observed acc)
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -184,5 +232,7 @@ let suite =
     Alcotest.test_case "empty estimate" `Quick test_empty_estimate;
     Alcotest.test_case "online convergence" `Quick test_online_convergence;
     Alcotest.test_case "estimate is pure" `Quick test_estimate_is_pure;
+    Alcotest.test_case "merge grows to the larger sizes" `Quick test_merge_grows;
+    Alcotest.test_case "observe size range" `Quick test_observe_size_range;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_tests
