@@ -99,6 +99,29 @@ let operator_term ~who =
 let seed_term =
   Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed (all commands are deterministic).")
 
+(* ---------------------------------------------------------- file errors *)
+
+(* The one error path for a file: a malformed, missing or empty input,
+   or an output that cannot be written, is "<cmd>: <path>: <message>"
+   and exit 1, never an uncaught exception. *)
+let file_error ~who path msg =
+  Printf.eprintf "%s: %s: %s\n" who path msg;
+  exit 1
+
+(* An open failure's message already starts with "<path>: ". *)
+let strip_path path msg =
+  let n = String.length path + 2 in
+  if String.starts_with ~prefix:(path ^ ": ") msg then
+    Some (String.sub msg n (String.length msg - n))
+  else None
+
+let sys_error ~who path msg =
+  file_error ~who path (Option.value (strip_path path msg) ~default:msg)
+
+(* [write path], with a file it cannot open, write or close on that path. *)
+let with_output ~who path write =
+  try write path with Sys_error msg -> sys_error ~who path msg
+
 (* --------------------------------------------------------- stats / trace *)
 
 let stats_term =
@@ -132,7 +155,7 @@ let trace_term =
    afterwards — also on failure, so a crashed run still shows where time
    went (and the trace shows where it died).  Stdout is untouched:
    results must be byte-identical with and without --stats/--trace. *)
-let with_obs stats trace f =
+let with_obs ~who stats trace f =
   if stats = None && trace = None then f ()
   else begin
     if trace <> None then Ppdm_obs.Trace.set_enabled true;
@@ -146,7 +169,9 @@ let with_obs stats trace f =
             prerr_string (Ppdm_obs.Report.to_string fmt);
             flush stderr)
           stats;
-        Option.iter Ppdm_obs.Trace.write_file trace)
+        Option.iter
+          (fun path -> with_output ~who path Ppdm_obs.Trace.write_file)
+          trace)
       f
   end
 
@@ -186,7 +211,7 @@ let gen_cmd =
           usage_error ~who "--size %d must be at most --universe %d" size universe
     | `Quest -> check_at_least ~who "size" 1 size
     | `Zipf -> check_at_least ~who "size" 0 size);
-    with_obs stats trace @@ fun () ->
+    with_obs ~who:"gen" stats trace @@ fun () ->
     let rng = Rng.create ~seed () in
     let db =
       Ppdm_obs.Span.with_ ~name:"datagen.generate" @@ fun () ->
@@ -205,7 +230,7 @@ let gen_cmd =
             ~avg_size:(float_of_int size) ~count
     in
     emit @@ fun () ->
-    Io.write_file out db;
+    with_output ~who out (fun out -> Io.write_file out db);
     Printf.printf "wrote %d transactions over %d items to %s (avg size %.2f)\n"
       (Db.length db) (Db.universe db) out (Db.avg_size db)
   in
@@ -252,30 +277,15 @@ let resolve_source ~who input dbfile =
       Printf.eprintf "%s: one of --in or --db is required\n" who;
       exit 2
 
-(* The one error path for an input file: a malformed, missing or empty
-   file is "<cmd>: <path>: <message>" and exit 1, never an uncaught
-   exception. *)
-let input_error ~who path msg =
-  Printf.eprintf "%s: %s: %s\n" who path msg;
-  exit 1
-
-(* An open failure's message already starts with "<path>: ". *)
-let strip_path path msg =
-  let n = String.length path + 2 in
-  if String.starts_with ~prefix:(path ^ ": ") msg then
-    Some (String.sub msg n (String.length msg - n))
-  else None
-
 let with_input ~who path read =
-  let fail = input_error ~who path in
+  let fail = file_error ~who path in
   match read path with
   | v -> v
   | exception Failure msg -> fail msg
   | exception Io.Item_out_of_universe { item; universe } ->
       fail (Printf.sprintf "item %d outside the declared universe %d" item universe)
   | exception Colfile.Error e -> fail (Colfile.error_message e)
-  | exception Sys_error msg ->
-      fail (Option.value (strip_path path msg) ~default:msg)
+  | exception Sys_error msg -> sys_error ~who path msg
 
 (* An operator under which a size class carries no signal fails the
    estimate with a typed error: "<cmd>: size class S is unrecoverable at
@@ -302,23 +312,27 @@ let randomize_cmd =
          & info [ "scheme-out" ] ~doc:"Also write the operator parameters (for the server).")
   in
   let run input out scheme_out spec seed jobs stats trace =
-    with_obs stats trace @@ fun () ->
-    let db = with_input ~who:"randomize" input Io.read_file in
-    let scheme = scheme_of_spec ~universe:(Db.universe db) spec in
+    let who = "randomize" in
+    with_obs ~who stats trace @@ fun () ->
+    let db = with_input ~who input Io.read_file in
+    let universe = Db.universe db in
+    let scheme = scheme_of_spec ~universe spec in
     let rng = Rng.create ~seed () in
-    let data =
-      Pool.with_pool ~jobs (fun pool ->
-          Parallel.randomize_db_tagged pool scheme rng db)
+    let store =
+      Pool.with_pool ~jobs (fun pool -> Parallel.randomize pool scheme rng db)
     in
     emit @@ fun () ->
-    Io.write_tagged out ~universe:(Db.universe db) data;
+    with_output ~who out (fun out ->
+        Io.write_tagged_rows out ~universe ~rows:(Reports.length store)
+          (Reports.iter_rows store));
     Option.iter
       (fun path ->
-        Scheme_io.write_file path scheme ~sizes:(Scheme_io.sizes_of_db db);
+        with_output ~who path (fun path ->
+            Scheme_io.write_file path scheme ~sizes:(Scheme_io.sizes_of_db db));
         Printf.printf "scheme parameters -> %s\n" path)
       scheme_out;
-    Printf.printf "randomized %d transactions with %s -> %s\n" (Array.length data)
-      (Randomizer.name scheme) out
+    Printf.printf "randomized %d transactions with %s -> %s\n"
+      (Reports.length store) (Randomizer.name scheme) out
   in
   Cmd.v
     (Cmd.info "randomize" ~doc:"Apply a randomization operator to a database (client side).")
@@ -339,7 +353,7 @@ let analyze_cmd =
     check_at_least ~who "size" 0 size;
     if size > universe then
       usage_error ~who "--size %d must be at most --universe %d" size universe;
-    with_obs stats trace @@ fun () ->
+    with_obs ~who:"analyze" stats trace @@ fun () ->
     let scheme = scheme_of_spec ~universe spec in
     let r = Randomizer.resolve scheme ~size in
     Printf.printf "operator: %s at transaction size %d\n" (Randomizer.name scheme) size;
@@ -417,7 +431,7 @@ let mine_cmd =
     let source = resolve_source ~who:"mine" input dbfile in
     check_min_support ~who:"mine" min_support;
     check_counter ~who:"mine" counter;
-    with_obs stats trace @@ fun () ->
+    with_obs ~who:"mine" stats trace @@ fun () ->
     let n, frequent =
       match source with
       | `Row path ->
@@ -458,7 +472,7 @@ let private_cmd =
   let run input dbfile spec min_support max_size seed jobs stats trace =
     let source = resolve_source ~who:"private" input dbfile in
     check_min_support ~who:"private" min_support;
-    with_obs stats trace @@ fun () ->
+    with_obs ~who:"private" stats trace @@ fun () ->
     let path, db =
       match source with
       | `Row path -> (path, with_input ~who:"private" path Io.read_file)
@@ -467,7 +481,7 @@ let private_cmd =
              transactions), so a columnar source is transposed back *)
           (path, Vertical.to_db (load_colfile ~who:"private" path))
     in
-    if Db.length db = 0 then input_error ~who:"private" path "no transactions";
+    if Db.length db = 0 then file_error ~who:"private" path "no transactions";
     let scheme = scheme_of_spec ~universe:(Db.universe db) spec in
     let rng = Rng.create ~seed () in
     let reports, truth =
@@ -530,7 +544,7 @@ let recover_cmd =
     | `Columnar path ->
         (* the un-randomized columnar file: the itemset's support is a
            direct count, no estimator and no variance *)
-        with_obs stats trace @@ fun () ->
+        with_obs ~who:"recover" stats trace @@ fun () ->
         let vt = load_colfile ~who:"recover" path in
         let itemset =
           check_itemset ~who:"recover" ~universe:(Vertical.universe vt) items
@@ -543,7 +557,7 @@ let recover_cmd =
           (if n = 0 then 0. else float_of_int count /. float_of_int n)
           n
     | `Row input ->
-    with_obs stats trace @@ fun () ->
+    with_obs ~who:"recover" stats trace @@ fun () ->
     (* The header fixes the universe, so the scheme and the accumulator
        are built before the first row, and each row is folded as it is
        decoded: no row outlives the fold. *)
@@ -554,7 +568,7 @@ let recover_cmd =
         | Some path ->
             let scheme = with_input ~who:"recover" path Scheme_io.read_file in
             if Randomizer.universe scheme <> h.universe then
-              input_error ~who:"recover" path
+              file_error ~who:"recover" path
                 (Printf.sprintf "universe %d, but %s declares %d"
                    (Randomizer.universe scheme) input h.universe);
             scheme
@@ -594,7 +608,7 @@ let stats_cmd =
     Arg.(value & flag & info [ "fimi" ] ~doc:"Read the input in FIMI format.")
   in
   let run input fimi stats trace =
-    with_obs stats trace @@ fun () ->
+    with_obs ~who:"stats" stats trace @@ fun () ->
     let db =
       with_input ~who:"stats" input
         (if fimi then fun path -> Io.read_fimi path else Io.read_file)
@@ -636,7 +650,7 @@ let experiment_cmd =
       & info [] ~docv:"ID" ~doc:"Experiment id: t1, t2, f1, f5, a1, a4, or e1.")
   in
   let run which stats trace =
-    with_obs stats trace @@ fun () ->
+    with_obs ~who:"experiment" stats trace @@ fun () ->
     match which with
     | `T1 ->
         List.iter
@@ -703,7 +717,7 @@ let selftest_cmd =
        instrumented region, report, then exit — a failing selftest still
        gets its stats and trace written. *)
     let ok =
-      with_obs stats trace @@ fun () ->
+      with_obs ~who:"selftest" stats trace @@ fun () ->
       let report = Ppdm_check.Selftest.run ?count ~seed ~log:print_endline () in
       Printf.printf "selftest: %d passed, %d failed\n"
         report.Ppdm_check.Selftest.passed report.Ppdm_check.Selftest.failed;
@@ -786,7 +800,7 @@ let serve_cmd =
     check_at_least ~who "max-frame" Ppdm_server.Serve.min_max_frame max_frame;
     check_at_least ~who "singletons" 0 singletons;
     let explicit = List.map (check_itemset ~who ~universe) itemsets in
-    with_obs stats trace @@ fun () ->
+    with_obs ~who:"serve" stats trace @@ fun () ->
     let scheme = scheme_of_spec ~universe spec in
     let tracked =
       let singles =
@@ -880,7 +894,7 @@ let load_cmd =
       exit 1
     in
     let load () =
-      with_obs stats trace @@ fun () ->
+      with_obs ~who:"load" stats trace @@ fun () ->
       let scheme = scheme_of_spec ~universe spec in
       let rng = Rng.create ~seed () in
       let db = Simple.fixed_size rng ~universe ~size ~count in
@@ -1217,7 +1231,7 @@ let convert_cmd =
     | Some u when u < 1 ->
         usage_error ~who:"convert" "--universe %d must be positive" u
     | _ -> ());
-    with_obs stats trace @@ fun () ->
+    with_obs ~who:"convert" stats trace @@ fun () ->
     let s =
       with_input ~who:"convert" src (fun src ->
           match Colfile.convert ?universe ~src ~dst () with
@@ -1225,7 +1239,7 @@ let convert_cmd =
           | exception (Sys_error msg as e) -> (
               (* the output's failures name the output, not the source *)
               match strip_path dst msg with
-              | Some msg -> input_error ~who:"convert" dst msg
+              | Some msg -> file_error ~who:"convert" dst msg
               | None -> raise e))
     in
     emit @@ fun () ->

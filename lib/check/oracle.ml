@@ -652,3 +652,38 @@ let server_matches_sequential ~jobs ~shards ~clients ~scheme ~itemsets ~data =
                        e'.Estimator.n_transactions jobs shards))
       in
       check served)
+
+(* --------------------------------------------- text writer reference *)
+
+(* The writers [Io] had before its block encoder: one [string_of_int]
+   and one channel call per item. *)
+let output_transaction oc tx =
+  Array.iteri
+    (fun i x ->
+      if i > 0 then output_char oc ' ';
+      output_string oc (string_of_int x))
+    (Itemset.to_array tx);
+  output_char oc '\n'
+
+let with_out path f =
+  let oc = open_out path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
+
+let reference_write_file path db =
+  with_out path (fun oc ->
+      Printf.fprintf oc "universe %d transactions %d\n" (Db.universe db)
+        (Db.length db);
+      Db.iter (output_transaction oc) db)
+
+let reference_write_fimi path db =
+  with_out path (fun oc -> Db.iter (output_transaction oc) db)
+
+let reference_write_tagged path ~universe data =
+  with_out path (fun oc ->
+      Printf.fprintf oc "tagged %d transactions %d\n" universe
+        (Array.length data);
+      Array.iter
+        (fun (size, items) ->
+          Printf.fprintf oc "%d|" size;
+          output_transaction oc items)
+        data)

@@ -174,3 +174,18 @@ val same_explored :
 (** The two results explored the same itemsets, in the same order, with
     the same estimate and σ bit for bit; [Error] names the first
     difference. *)
+
+(** {1 Text writer reference} *)
+
+val reference_write_file : string -> Db.t -> unit
+(** {!Ppdm_data.Io.write_file} as it was before the block encoder: a
+    [Printf] header, then one [string_of_int] and one channel call per
+    item.  The block writer must match it byte for byte. *)
+
+val reference_write_fimi : string -> Db.t -> unit
+(** {!Ppdm_data.Io.write_fimi} the same way. *)
+
+val reference_write_tagged :
+  string -> universe:int -> (int * Itemset.t) array -> unit
+(** {!Ppdm_data.Io.write_tagged} the same way, each row's ["size|"]
+    through [Printf]. *)

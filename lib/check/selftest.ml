@@ -495,6 +495,204 @@ let report_store_differential ~seed pools =
        (fun case -> List.map (fun c -> (case, c)) [ 1; 7; 64; 1024 ])
        cases)
 
+(* ------------------------------------------------- writer differential *)
+
+(* Ids of 1 to 7 digits, item 0 among them: a digit count first, then an
+   id of that many digits. *)
+let writer_universe = 1_100_000
+
+let writer_row rng =
+  let rec pow10 d = if d = 0 then 1 else 10 * pow10 (d - 1) in
+  let item () =
+    let d = 1 + Rng.int rng 7 in
+    let lo = if d = 1 then 0 else pow10 (d - 1) in
+    lo + Rng.int rng (min writer_universe (pow10 d) - lo)
+  in
+  match Rng.int rng 10 with
+  | 0 -> Itemset.empty
+  | 1 -> Itemset.singleton 0
+  | _ -> Itemset.of_array (Array.init (1 + Rng.int rng 15) (fun _ -> item ()))
+
+(* Original sizes of 1 to 3 digits. *)
+let writer_tagged rng rows = Array.map (fun y -> (Rng.int rng 120, y)) rows
+
+let file_contents path = In_channel.with_open_bin path In_channel.input_all
+
+(* [write] and [reference] into two temporary files, compared byte for
+   byte; the reference's length on success. *)
+let same_output ~what write reference =
+  let got = Filename.temp_file "ppdm_writer" ".txt"
+  and want = Filename.temp_file "ppdm_writer" ".txt" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove got;
+      Sys.remove want)
+    (fun () ->
+      write got;
+      reference want;
+      let g = file_contents got and w = file_contents want in
+      if String.equal g w then Ok (String.length w)
+      else
+        let n = min (String.length g) (String.length w) in
+        let rec first i = if i < n && g.[i] = w.[i] then first (i + 1) else i in
+        Error
+          (Printf.sprintf
+             "%s: %d bytes, the reference %d, first difference at %d" what
+             (String.length g) (String.length w) (first 0)))
+
+(* Every writer against its reference on one database: plain, FIMI,
+   tagged, and tagged from the report store of the same rows. *)
+let writers_agree ~name ~universe rows tagged =
+  let db = Db.create ~universe rows in
+  let ( let* ) = Result.bind in
+  let what format = name ^ ", " ^ format in
+  let* plain =
+    same_output ~what:(what "plain") (fun p -> Io.write_file p db) (fun p ->
+        Oracle.reference_write_file p db)
+  in
+  let* fimi =
+    same_output ~what:(what "FIMI") (fun p -> Io.write_fimi p db) (fun p ->
+        Oracle.reference_write_fimi p db)
+  in
+  let reference p = Oracle.reference_write_tagged p ~universe tagged in
+  let* tag =
+    same_output ~what:(what "tagged")
+      (fun p -> Io.write_tagged p ~universe tagged)
+      reference
+  in
+  let store = Reports.of_tagged ~universe tagged in
+  let* _ =
+    same_output ~what:(what "tagged from a store")
+      (fun p ->
+        Io.write_tagged_rows p ~universe ~rows:(Reports.length store)
+          (Reports.iter_rows store))
+      reference
+  in
+  Ok (plain, fimi, tag)
+
+(* Rows grown with empty ones ([pad n] of them) until [measure] of them
+   is a whole, nonzero number of blocks. *)
+let rec padded ~measure ~pad rows =
+  let len = measure rows in
+  let gap = (Io.block_size - (len mod Io.block_size)) mod Io.block_size in
+  if gap = 0 && len > 0 then rows
+  else
+    let more = pad (if gap = 0 then Io.block_size else gap) in
+    padded ~measure ~pad (Array.append rows more)
+
+let reference_length write =
+  let path = Filename.temp_file "ppdm_writer" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      write path;
+      String.length (file_contents path))
+
+(* The block writer against the [Printf] reference, byte for byte, on
+   random databases with empty rows, item 0 and ids of 1 to 7 digits; on
+   a row longer than a block; on files of exactly whole blocks in each
+   format; and on the report store [randomize] writes, against the
+   tagged rows of [Parallel.randomize_db_tagged] at the same seed. *)
+let writer_differential ~seed ~count pool =
+  let rng = Rng.create ~seed () in
+  let universe = writer_universe in
+  let random_case i =
+    let rows = Array.init (Rng.int rng 300) (fun _ -> writer_row rng) in
+    writers_agree ~name:(Printf.sprintf "database %d" i) ~universe rows
+      (writer_tagged rng rows)
+  in
+  let long_row () =
+    let long =
+      Itemset.of_array (Array.init 10_000 (fun i -> 1_000_000 + (9 * i)))
+    in
+    let rows = [| Itemset.empty; long; Itemset.singleton 0 |] in
+    writers_agree ~name:"a row longer than a block" ~universe rows
+      (writer_tagged rng rows)
+  in
+  let whole_blocks () =
+    let base = Array.init 200 (fun _ -> writer_row rng) in
+    let empty n = Array.make n Itemset.empty in
+    let plain =
+      padded ~pad:empty base ~measure:(fun rows ->
+          reference_length (fun p ->
+              Oracle.reference_write_file p (Db.create ~universe rows)))
+    and fimi =
+      padded ~pad:empty base ~measure:(fun rows ->
+          reference_length (fun p ->
+              Oracle.reference_write_fimi p (Db.create ~universe rows)))
+    and tagged =
+      (* "0|" and "10|" rows, 3 and 4 bytes: [b] of the latter make up
+         any gap of at least 8 *)
+      padded ~measure:(fun data ->
+          reference_length (fun p ->
+              Oracle.reference_write_tagged p ~universe data))
+        (writer_tagged rng base) ~pad:(fun gap ->
+          let gap = if gap < 8 then gap + Io.block_size else gap in
+          let b = gap mod 3 in
+          Array.append
+            (Array.make b (10, Itemset.empty))
+            (Array.make ((gap - (4 * b)) / 3) (0, Itemset.empty)))
+    in
+    let whole what len =
+      if len > 0 && len mod Io.block_size = 0 then Ok ()
+      else Error (Printf.sprintf "%s: padding left %d bytes" what len)
+    in
+    let ( let* ) = Result.bind in
+    let* len, _, _ =
+      writers_agree ~name:"whole blocks, plain" ~universe plain
+        (writer_tagged rng plain)
+    in
+    let* () = whole "plain" len in
+    let* _, len, _ =
+      writers_agree ~name:"whole blocks, FIMI" ~universe fimi
+        (writer_tagged rng fimi)
+    in
+    let* () = whole "FIMI" len in
+    let* _, _, len =
+      writers_agree ~name:"whole blocks, tagged" ~universe
+        (Array.map snd tagged) tagged
+    in
+    whole "tagged" len
+  in
+  let randomized (name, scheme) =
+    let universe = Randomizer.universe scheme in
+    let db = store_case_db ~universe rng in
+    let key = Rng.int rng 1_000_000 in
+    let store =
+      Parallel.randomize pool ~chunk:64 scheme (Rng.create ~seed:key ()) db
+    and tagged =
+      Parallel.randomize_db_tagged pool ~chunk:64 scheme
+        (Rng.create ~seed:key ()) db
+    in
+    Result.map ignore
+      (same_output ~what:("randomized store, " ^ name)
+         (fun p ->
+           Io.write_tagged_rows p ~universe ~rows:(Reports.length store)
+             (Reports.iter_rows store))
+         (fun p -> Oracle.reference_write_tagged p ~universe tagged))
+  in
+  let rec all = function
+    | [] -> Ok ()
+    | check :: rest -> (
+        match check () with Ok _ -> all rest | Error _ as e -> e)
+  in
+  all
+    (List.init (max 3 (count / 10)) (fun i () ->
+         Result.map ignore (random_case i))
+    @ [
+        (fun () -> Result.map ignore (long_row ()));
+        whole_blocks;
+        (fun () ->
+          randomized
+            ( "optimized, universe 60",
+              Optimizer.scheme_for_estimation ~k:2 ~representative_size:4
+                ~universe:60 ~gamma:19. () ));
+        (fun () ->
+          randomized
+            ( "cut-and-paste, universe 1500",
+              Randomizer.cut_and_paste ~universe:1500 ~cutoff:5 ~rho:0.001 ));
+      ])
+
 (* ------------------------------------------ operator design differential *)
 
 let design_gammas = [ 3.; 9.; 19.; 50. ]
@@ -1029,6 +1227,8 @@ let run ?count ?(seed = 42) ?(log = ignore) () =
           ( "differential: report store == sequential apply and regrouped \
              transpose at jobs 1/2/4",
             fun () -> report_store_differential ~seed pools );
+          ( "differential: block writer == Printf reference, byte for byte",
+            fun () -> writer_differential ~seed ~count pool2 );
           ( "differential: estimator kernel == matrix route, bit for bit",
             fun () -> estimator_kernel_differential ~seed ~count );
           ( "differential: streamed recover == estimate == matrix route, \

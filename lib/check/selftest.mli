@@ -67,6 +67,21 @@ val report_store_differential :
     {!Oracle.reference_transpose} of those rows in windows, shapes and
     tids. *)
 
+val writer_differential :
+  seed:int -> count:int -> Ppdm_runtime.Pool.t -> (unit, string) result
+(** The block writers of {!Ppdm_data.Io} against the [Printf] writers
+    kept in {!Oracle}, byte for byte: plain, FIMI, tagged, and tagged
+    from a {!Ppdm.Reports} store ({!Ppdm_data.Io.write_tagged_rows} over
+    {!Ppdm.Reports.iter_rows}), on [max 3 (count / 10)] random databases
+    with empty rows, item 0 and ids of 1 to 7 digits, on a row longer
+    than {!Ppdm_data.Io.block_size}, and on files of exactly whole
+    blocks in each format.  Also the report store
+    {!Ppdm_runtime.Parallel.randomize} fills, written, against
+    {!Oracle.reference_write_tagged} of
+    {!Ppdm_runtime.Parallel.randomize_db_tagged} at the same seed (the
+    route [randomize] writes against the one it had), under an optimized
+    and a sparse cut-and-paste operator. *)
+
 val operator_design_differential :
   max_m:int -> rhos:float list -> design_max_m:int -> (unit, string) result
 (** The operator design against {!Oracle}'s direct transition form, for

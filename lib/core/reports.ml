@@ -36,6 +36,16 @@ let create ~universe ~rows ~chunk =
 let length t =
   Array.fold_left (fun acc c -> acc + Array.length c.lens) 0 t.chunks
 
+let iter_rows t row =
+  Array.iter
+    (fun c ->
+      let off = ref 0 in
+      for j = 0 to Array.length c.lens - 1 do
+        row c.tags.(j) c.items !off c.lens.(j);
+        off := !off + c.lens.(j)
+      done)
+    t.chunks
+
 let count_items ~universe items =
   let counts = Array.make universe 0 in
   Array.iter (fun item -> counts.(item) <- counts.(item) + 1) items;

@@ -41,6 +41,13 @@ val of_tagged : universe:int -> (int * Itemset.t) array -> t
 
 val length : t -> int
 
+val iter_rows : t -> (int -> int array -> int -> int -> unit) -> unit
+(** [iter_rows t row] calls [row size items off len] on every row in
+    input order: the original size and the report as the slice
+    [items.(off .. off + len - 1)], ascending.  The slice aliases the
+    store; [row] must not keep or change it.  This is the row iterator
+    {!Ppdm_data.Io.write_tagged_rows} takes. *)
+
 val freeze : t -> frozen
 (** Feed every row, in input order and with its class-window tid, to one
     {!Ppdm_data.Bitset.builder} over the padded length (the counts were

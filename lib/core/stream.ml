@@ -46,14 +46,17 @@ let merge_into t ~from =
      inverts t's transition matrices, so foreign counts would silently
      produce wrong estimates.  Compare the operator parameters at every
      size either side has observed (parameters, not names — a scheme
-     round-tripped through Scheme_io still matches). *)
-  let sizes =
+     round-tripped through Scheme_io still matches).  One scheme value,
+     as every shard of a server shares, needs no comparison. *)
+  let sizes () =
     List.sort_uniq Int.compare
       (Estimator.observed_sizes ~k:t.k t.counts
       @ Estimator.observed_sizes ~k:t.k from.counts)
   in
-  if not (Randomizer.same_parameters t.scheme from.scheme ~sizes) then
-    invalid_arg "Stream.merge_into: scheme mismatch";
+  if
+    t.scheme != from.scheme
+    && not (Randomizer.same_parameters t.scheme from.scheme ~sizes:(sizes ()))
+  then invalid_arg "Stream.merge_into: scheme mismatch";
   reserve t (Array.length from.counts);
   Array.iteri (fun i c -> t.counts.(i) <- t.counts.(i) + c) from.counts;
   t.observed <- t.observed + from.observed

@@ -86,20 +86,24 @@ let shared_estimates sh ~flush =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock sh.scheme_lock)
     (fun () ->
-      (* Per-shard copies are atomic w.r.t. batch folds; merging the
-         copies sums integer histograms, so the result equals a
-         sequential fold of the same reports regardless of how sessions
-         and shards interleaved. *)
-      let copies = Array.map Shard.snapshot sh.shards in
-      List.mapi
-        (fun i itemset ->
-          let per_shard =
-            Array.to_list (Array.map (fun streams -> List.nth streams i) copies)
-          in
-          let merged = Stream.merge per_shard in
-          if Stream.observed merged = 0 then (itemset, None)
-          else (itemset, Some (Stream.estimate merged)))
-        sh.config.itemsets)
+      (* Each shard adds its accumulators into one fresh accumulator per
+         tracked itemset, atomically w.r.t. its batch folds; the sums are
+         integer histograms, so the result equals a sequential fold of
+         the same reports regardless of how sessions and shards
+         interleaved. *)
+      let scheme = sh.config.scheme in
+      let totals =
+        List.map
+          (fun itemset -> Stream.create ~scheme ~itemset)
+          sh.config.itemsets
+      in
+      Array.iter (fun shard -> Shard.merge_into shard totals) sh.shards;
+      List.map
+        (fun acc ->
+          let itemset = Stream.itemset acc in
+          if Stream.observed acc = 0 then (itemset, None)
+          else (itemset, Some (Stream.estimate acc)))
+        totals)
 
 let shared_folded sh =
   Array.fold_left (fun acc shard -> acc + Shard.folded shard) 0 sh.shards

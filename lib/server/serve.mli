@@ -13,8 +13,8 @@
 
     Every queue is bounded, so a slow stage pushes back on its producers
     (ultimately on the clients' TCP windows) instead of growing memory.
-    Estimates update incrementally per batch; a snapshot merges the
-    per-shard accumulators with {!Ppdm.Stream.merge} and inverts
+    Estimates update incrementally per batch; a snapshot adds every
+    shard's accumulators into fresh ones ({!Shard.merge_into}) and inverts
     [ŝ = P⁻¹ŝ'] — the statistic is a sum of integer histograms, so the
     result is bit-identical to a sequential fold of the same reports at
     any job and shard count. *)

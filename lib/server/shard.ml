@@ -64,13 +64,12 @@ let fold_loop t ~batch =
 let close t = Ingest.close t.queue
 let quiesce t = Ingest.wait_idle t.queue
 
-let snapshot t =
+let merge_into t into =
   Mutex.lock t.acc_lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.acc_lock)
-    (* [Stream.merge] of a single accumulator is a deep copy: a fresh
-       accumulator holding the same summed statistic. *)
-    (fun () -> List.map (fun acc -> Stream.merge [ acc ]) t.accs)
+    (fun () ->
+      List.iter2 (fun acc from -> Stream.merge_into acc ~from) into t.accs)
 
 let folded t =
   Mutex.lock t.acc_lock;

@@ -6,7 +6,7 @@
     accumulator — support estimates update per batch, never by re-mining.
     The sufficient statistic is a per-size histogram of integer counts, so
     folding order and shard assignment cannot change it: merging all
-    shards' accumulators ({!snapshot}) is bit-identical to a sequential
+    shards' accumulators ({!merge_into}) is bit-identical to a sequential
     fold of the same reports, whatever the interleaving was. *)
 
 open Ppdm_data
@@ -38,10 +38,13 @@ val quiesce : t -> unit
 (** Block until every report submitted so far has been folded.  Callers
     quiet the producers first when they need a global barrier. *)
 
-val snapshot : t -> Stream.t list
-(** Fresh copies of the accumulators (same order as [itemsets]), taken
-    atomically with respect to batch folds: a fold is entirely in or
-    entirely out of the copy, so cross-itemset counts are consistent. *)
+val merge_into : t -> Stream.t list -> unit
+(** [merge_into t accs] adds the shard's statistic into [accs], one
+    accumulator per tracked itemset in the order of [itemsets], under
+    the shard's lock: a batch fold is entirely in or entirely out, so
+    cross-itemset counts are consistent.  Nothing is copied.
+    @raise Invalid_argument as {!Ppdm.Stream.merge_into}, or if the
+    lists differ in length. *)
 
 val folded : t -> int
 (** Reports folded so far. *)

@@ -1,22 +1,78 @@
-(* One transaction as a line of space-separated item ids. *)
-let output_transaction oc tx =
-  Array.iteri
-    (fun i x ->
-      if i > 0 then output_char oc ' ';
-      output_string oc (string_of_int x))
-    (Itemset.to_array tx);
-  output_char oc '\n'
+(* ------------------------------------------------------- the encoder *)
 
-let write_channel oc db =
-  Printf.fprintf oc "universe %d transactions %d\n" (Db.universe db)
-    (Db.length db);
-  Db.iter (output_transaction oc) db
+(* Every writer formats into one block of [block_size] bytes, reused for
+   the whole file, and hands it to the channel with one [output] per
+   block.  Items are encoded by hand: a [string_of_int] and a channel
+   call per item cost several times the formatting itself. *)
+let block_size = 65_536
 
-let with_out path f =
+type sink = { oc : out_channel; block : Bytes.t; mutable pos : int }
+
+let drain s =
+  output s.oc s.block 0 s.pos;
+  s.pos <- 0
+
+let put_char s c =
+  if s.pos = block_size then drain s;
+  Bytes.unsafe_set s.block s.pos c;
+  s.pos <- s.pos + 1
+
+let put_string s str = String.iter (put_char s) str
+
+(* The decimal digits of [x], as [string_of_int] writes them.  They are
+   taken from the non-positive [-|x|], which [min_int] has too; with the
+   sign they are at most 20 bytes. *)
+let put_int s x =
+  if s.pos > block_size - 20 then drain s;
+  if x < 0 then put_char s '-';
+  let v = if x < 0 then x else -x in
+  let rec digits v n = if v > -10 then n else digits (v / 10) (n + 1) in
+  let last = s.pos + digits v 1 - 1 in
+  let v = ref v in
+  for p = last downto s.pos do
+    Bytes.unsafe_set s.block p (Char.unsafe_chr (48 - (!v mod 10)));
+    v := !v / 10
+  done;
+  s.pos <- last + 1
+
+(* One row: the items [items.(off .. off + len - 1)], space-separated. *)
+let put_row s items off len =
+  for i = off to off + len - 1 do
+    if i > off then put_char s ' ';
+    put_int s items.(i)
+  done;
+  put_char s '\n'
+
+let put_itemset s tx =
+  let items = Itemset.unsafe_to_array tx in
+  put_row s items 0 (Array.length items)
+
+let put_header s ~tag ~universe ~count =
+  put_string s tag;
+  put_char s ' ';
+  put_int s universe;
+  put_string s " transactions ";
+  put_int s count;
+  put_char s '\n'
+
+(* A failure to open, write or close [path] is its [Sys_error]. *)
+let with_sink path f =
   let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
+  match
+    let s = { oc; block = Bytes.create block_size; pos = 0 } in
+    f s;
+    drain s
+  with
+  | () -> close_out oc
+  | exception e ->
+      close_out_noerr oc;
+      raise e
 
-let write_file path db = with_out path (fun oc -> write_channel oc db)
+let write_file path db =
+  with_sink path (fun s ->
+      put_header s ~tag:"universe" ~universe:(Db.universe db)
+        ~count:(Db.length db);
+      Db.iter (put_itemset s) db)
 
 (* --------------------------------------------------- fault injection *)
 
@@ -229,21 +285,30 @@ let read_file path = In_channel.with_open_text path read_channel
 
 (* ------------------------------------------ tagged randomized data *)
 
+let write_tagged_rows path ~universe ~rows iter =
+  with_sink path (fun s ->
+      put_header s ~tag:"tagged" ~universe ~count:rows;
+      let written = ref 0 in
+      iter (fun size items off len ->
+          put_int s size;
+          put_char s '|';
+          put_row s items off len;
+          incr written);
+      if !written <> rows then
+        invalid_arg "Io.write_tagged_rows: rows differ from the count")
+
 let write_tagged path ~universe data =
-  with_out path (fun oc ->
-      Printf.fprintf oc "tagged %d transactions %d\n" universe
-        (Array.length data);
+  write_tagged_rows path ~universe ~rows:(Array.length data) (fun row ->
       Array.iter
-        (fun (size, items) ->
-          Printf.fprintf oc "%d|" size;
-          output_transaction oc items)
+        (fun (size, y) ->
+          let items = Itemset.unsafe_to_array y in
+          row size items 0 (Array.length items))
         data)
 
 let read_tagged path ~init ~f =
   In_channel.with_open_text path (fold_lines Tagged ~init ~f)
 
-let write_fimi path db =
-  with_out path (fun oc -> Db.iter (output_transaction oc) db)
+let write_fimi path db = with_sink path (fun s -> Db.iter (put_itemset s) db)
 
 let read_fimi ?universe path =
   In_channel.with_open_text path (fun ic ->

@@ -12,9 +12,17 @@
     the set.  A header format takes exactly the declared count of rows,
     then only blank lines.  The count sizes the row array only up to
     2{^20} rows, so a corrupt count fails as a short body rather than
-    as an allocation. *)
+    as an allocation.
 
-val write_channel : out_channel -> Db.t -> unit
+    Every writer runs on one row encoder: items are encoded in decimal
+    by hand into one reused 64 KB block, written with one [output] per
+    block, in the bytes [string_of_int] and [Printf] would write.  A
+    file that cannot be opened, written or closed raises its
+    [Sys_error]. *)
+
+val block_size : int
+(** The writers' block, in bytes (64 KB): a constant, not a knob. *)
+
 val write_file : string -> Db.t -> unit
 
 val read_channel : in_channel -> Db.t
@@ -37,7 +45,18 @@ val read_file : string -> Db.t
     ["tagged <universe> transactions <count>"], then one ["size|items"]
     line per row, the items as in the plain format. *)
 
+val write_tagged_rows :
+  string -> universe:int -> rows:int ->
+  ((int -> int array -> int -> int -> unit) -> unit) -> unit
+(** [write_tagged_rows path ~universe ~rows iter] writes the header, then
+    one line per call [row size items off len] that [iter row] makes, in
+    order: the original [size] and the report
+    [items.(off .. off + len - 1)], ascending.  The rows are slices, so a
+    store of flat buffers writes without a pair or an itemset per row.
+    @raise Invalid_argument if [iter] makes other than [rows] calls. *)
+
 val write_tagged : string -> universe:int -> (int * Itemset.t) array -> unit
+(** {!write_tagged_rows} over the array's rows. *)
 
 type stream_info = { universe : int; transactions : int }
 (** A file's universe and row count: as its header declares them, or as

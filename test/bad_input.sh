@@ -14,7 +14,9 @@
 # --scheme file for another universe as "recover: <path>: ", exit 1.
 # convert rejects a non-positive --universe as a usage error, names its
 # output when it cannot write it, and rejects a source that changes
-# between its two passes (a pipe).  An
+# between its two passes (a pipe).  gen's and randomize's outputs,
+# randomize's --scheme-out and any command's --trace file that cannot
+# be written are "<cmd>: <path>: ", exit 1.  An
 # out-of-range operator, universe, size or serve flag is a usage error,
 # exit 2, "<cmd>: --flag "; load against a closed port or a server that
 # refuses its operator exits 1 as "load: 127.0.0.1:<port>: ".
@@ -167,6 +169,15 @@ expect_fail 2 "^convert: --universe 0 must be positive$" \
   convert --universe 0 "$dir/db.txt" "$dir/out.ppdmc"
 expect_fail 1 "^convert: $dir/no/such/dir/out.ppdmc: " \
   convert "$dir/db.txt" "$dir/no/such/dir/out.ppdmc"
+# Outputs that cannot be written: every writer names its file.
+nowhere="$dir/no/such/dir"
+expect_fail 1 "^gen: $nowhere/x.txt: " gen --count 10 -o "$nowhere/x.txt"
+expect_fail 1 "^randomize: $nowhere/r.tagged: " randomize --in "$dir/db.txt" \
+  -o "$nowhere/r.tagged"
+expect_fail 1 "^randomize: $nowhere/s: " randomize --in "$dir/db.txt" \
+  -o "$dir/out.tagged" --scheme-out "$nowhere/s"
+expect_fail 1 "^mine: $nowhere/t.json: " mine --in "$dir/db.txt" \
+  --min-support 0.5 --trace "$nowhere/t.json"
 status=0
 cat "$dir/db.txt" | "$cli" convert /dev/stdin "$dir/out.ppdmc" >/dev/null \
   2>"$dir/err" || status=$?

@@ -400,6 +400,23 @@ let qcheck_tests =
         partials.(Itemset.cardinal a) = Db.support_count db a);
   ]
 
+(* Every text writer is the block encoder: byte for byte the Printf
+   writers kept in lib/check, and a tagged writer held to its count. *)
+let test_block_writer () =
+  Ppdm_runtime.Pool.with_pool ~jobs:2 (fun pool ->
+      match Ppdm_check.Selftest.writer_differential ~seed:5 ~count:100 pool with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+  let path = Filename.temp_file "ppdm_tagged" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Alcotest.check_raises "a row short of the count"
+        (Invalid_argument "Io.write_tagged_rows: rows differ from the count")
+        (fun () ->
+          Io.write_tagged_rows path ~universe:10 ~rows:2 (fun row ->
+              row 1 [| 4 |] 0 1)))
+
 let suite =
   [
     Alcotest.test_case "create validation" `Quick test_create_validation;
@@ -417,5 +434,7 @@ let suite =
     Alcotest.test_case "fimi round-trip" `Quick test_fimi_roundtrip;
     Alcotest.test_case "fimi malformed" `Quick test_fimi_malformed;
     Alcotest.test_case "reader contract" `Quick test_reader_contract;
+    Alcotest.test_case "block writer == Printf reference" `Quick
+      test_block_writer;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_tests
