@@ -11,6 +11,8 @@ open Ppdm_data
 open Ppdm_mining
 open Ppdm_runtime
 module Count = Ppdm_check.Count
+module Draw = Ppdm_check.Draw
+module Experiment = Ppdm_check.Experiment
 module Eclat = Ppdm_check.Eclat
 module Fptree = Ppdm_check.Fptree
 
@@ -277,7 +279,7 @@ let b3 () =
     Randomizer.select_a_size ~universe ~size ~keep_dist:d.Optimizer.dist
       ~rho:d.Optimizer.rho
   in
-  let data = Randomizer.apply_db_tagged scheme rng db in
+  let data = Draw.tagged scheme rng db in
   let tests =
     List.map
       (fun k ->
@@ -304,7 +306,7 @@ let b4 () =
     Pool.with_pool ~jobs (fun pool ->
         let rng = Rng.create ~seed:99 () in
         let t0 = Unix.gettimeofday () in
-        let tagged = Parallel.randomize_db_tagged pool scheme rng db in
+        let tagged = Draw.rows (Parallel.randomize pool scheme rng db) in
         let noisy = Db.create ~universe (Array.map snd tagged) in
         let counts =
           Parallel.support_counts_vertical pool (Vertical.of_db noisy)
@@ -374,7 +376,7 @@ let b5 () =
     (fun () ->
       Pool.with_pool ~jobs:4 (fun pool ->
           let rng = Rng.create ~seed:7 () in
-          let tagged = Parallel.randomize_db_tagged pool scheme rng db in
+          let tagged = Draw.rows (Parallel.randomize pool scheme rng db) in
           let noisy = Db.create ~universe (Array.map snd tagged) in
           ignore (Parallel.apriori_mine pool noisy ~min_support:0.05 ~max_size:3);
           let itemset = Itemset.of_list [ 0; 1 ] in
@@ -472,7 +474,7 @@ let b8 () =
   let scheme = Randomizer.uniform ~universe ~p_keep:0.7 ~p_add:0.02 in
   let rng = Rng.create ~seed:31 () in
   let db = Ppdm_datagen.Simple.fixed_size rng ~universe ~size ~count in
-  let data = Randomizer.apply_db_tagged scheme rng db in
+  let data = Draw.tagged scheme rng db in
   let itemsets = [ Itemset.of_list [ 0; 1 ]; Itemset.of_list [ 2 ] ] in
   let clients = 2 in
   let run ~shards ~batch =
@@ -689,7 +691,7 @@ let b11 () =
   let scheme = Randomizer.uniform ~universe ~p_keep:0.7 ~p_add:0.02 in
   let rng = Rng.create ~seed:31 () in
   let db = Ppdm_datagen.Simple.fixed_size rng ~universe ~size ~count in
-  let data = Randomizer.apply_db_tagged scheme rng db in
+  let data = Draw.tagged scheme rng db in
   let itemsets = [ Itemset.of_list [ 0; 1 ]; Itemset.of_list [ 2 ] ] in
   let clients = 2 in
   let run ~admin =

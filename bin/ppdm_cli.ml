@@ -26,6 +26,7 @@ open Ppdm_datagen
 open Ppdm_mining
 open Ppdm
 open Ppdm_runtime
+module Experiment = Ppdm_check.Experiment
 
 (* ------------------------------------------------------- operator specs *)
 
@@ -860,33 +861,17 @@ let serve_cmd =
 (* -------------------------------------------------------------- load *)
 
 let load_cmd =
-  let universe =
-    Arg.(
-      value & opt int 1000
-      & info [ "universe" ] ~doc:"Item universe size (must match the server).")
-  in
   let clients =
     Arg.(value & opt int 2 & info [ "clients" ] ~doc:"Concurrent reporting connections.")
-  in
-  let count =
-    Arg.(value & opt int 10000 & info [ "count" ] ~doc:"Transactions to generate and report.")
-  in
-  let size =
-    Arg.(value & opt int 5 & info [ "size" ] ~doc:"Transaction size.")
   in
   let do_shutdown =
     Arg.(
       value & flag
       & info [ "shutdown" ] ~doc:"Send a shutdown frame once done (stops the server).")
   in
-  let run port clients count size spec universe seed do_shutdown stats trace =
+  let run port clients input spec seed do_shutdown stats trace =
     let who = "load" in
     check_at_least ~who "clients" 1 clients;
-    check_at_least ~who "universe" 1 universe;
-    check_at_least ~who "count" 0 count;
-    check_at_least ~who "size" 0 size;
-    if size > universe then
-      usage_error ~who "--size %d must be at most --universe %d" size universe;
     (* A server that cannot be reached or refuses the session is "load:
        127.0.0.1:<port>: …" and exit 1, as a bad input file is. *)
     let server_error msg =
@@ -894,30 +879,36 @@ let load_cmd =
       exit 1
     in
     let load () =
-      with_obs ~who:"load" stats trace @@ fun () ->
-      let scheme = scheme_of_spec ~universe spec in
+      with_obs ~who stats trace @@ fun () ->
+      let db = with_input ~who input Io.read_file in
+      (* The draw of [randomize] and [private]: the same seed and file
+         give the same reports, whatever the route. *)
+      let scheme = scheme_of_spec ~universe:(Db.universe db) spec in
       let rng = Rng.create ~seed () in
-      let db = Simple.fixed_size rng ~universe ~size ~count in
-      let data = Randomizer.apply_db_tagged scheme rng db in
-      (* One domain per client, each owning a contiguous slice and its
-         whole connection lifecycle.  A server runs at most [jobs]
-         sessions at once, so surplus clients wait for a free worker —
-         progress needs every client to eventually disconnect on its own,
-         which is why the connections must not be driven in lockstep from
-         one thread.  Every client is joined before a failure is raised. *)
-      let slice i =
-        let lo = i * count / clients and hi = (i + 1) * count / clients in
-        Array.sub data lo (hi - lo)
+      let reports =
+        Pool.with_pool ~jobs:1 (fun pool ->
+            Parallel.randomize pool scheme rng db)
       in
-      let drive part () =
+      let sizes = Scheme_io.sizes_of_db db in
+      let count = Reports.length reports in
+      (* One domain per client, each owning a contiguous row range of the
+         store and its whole connection lifecycle.  A server runs at most
+         [jobs] sessions at once, so surplus clients wait for a free
+         worker — progress needs every client to eventually disconnect on
+         its own, which is why the connections must not be driven in
+         lockstep from one thread.  Every client is joined before a
+         failure is raised. *)
+      let drive i () =
+        let lo = i * count / clients and hi = (i + 1) * count / clients in
         let c = Ppdm_server.Client.connect ~port () in
         Fun.protect
           ~finally:(fun () -> Ppdm_server.Client.close c)
           (fun () ->
-            ignore (Ppdm_server.Client.handshake c ~scheme ~sizes:[ size ] ());
-            Array.iter
-              (fun (sz, y) -> Ppdm_server.Client.report c ~size:sz y)
-              part;
+            ignore (Ppdm_server.Client.handshake c ~scheme ~sizes ());
+            Reports.iter_rows ~lo ~hi reports (fun size items off len ->
+                Ppdm_server.Client.report c ~size
+                  (Itemset.of_sorted_array_unchecked
+                     (Array.sub items off len)));
             (* A snapshot round-trip is a sync barrier: the server handles
                a session's frames in order, so replying proves every
                report above has been routed into the shard queues. *)
@@ -925,7 +916,7 @@ let load_cmd =
       in
       Array.init clients (fun i ->
           Domain.spawn (fun () ->
-              match drive (slice i) () with
+              match drive i () with
               | () -> Ok ()
               | exception e -> Error e))
       |> Array.map Domain.join
@@ -957,13 +948,14 @@ let load_cmd =
     (Cmd.info "load"
        ~doc:
          "Load-generate against a running ppdm serve: randomize a \
-          synthetic database client-side, stream the reports over \
-          loopback connections, then print the server's flushed snapshot \
-          JSON (exits non-zero if it does not parse).")
+          database file client-side (the draw of $(b,randomize) at the \
+          same seed), stream the reports over loopback connections, then \
+          print the server's flushed snapshot JSON (exits non-zero if it \
+          does not parse).")
     Term.(
-      const run $ port_term $ clients $ count $ size
+      const run $ port_term $ clients $ in_term
       $ operator_term ~who:"load"
-      $ universe $ seed_term $ do_shutdown $ stats_term $ trace_term)
+      $ seed_term $ do_shutdown $ stats_term $ trace_term)
 
 (* ----------------------------------------------------------- top / stat *)
 

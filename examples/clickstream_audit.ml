@@ -14,6 +14,7 @@ open Ppdm_prng
 open Ppdm_data
 open Ppdm_datagen
 open Ppdm
+open Ppdm_runtime
 
 let () =
   let universe = 300 and count = 12_000 in
@@ -24,7 +25,18 @@ let () =
 
   let gamma = 9. in
   let scheme = Optimizer.scheme_for_estimation ~universe ~gamma () in
-  let randomized = Randomizer.apply_db scheme rng db in
+  (* the reports the site collects, drawn as [ppdm randomize] draws them;
+     the audit pairs each with its original session *)
+  let reports =
+    Pool.with_pool ~jobs:1 (fun pool -> Parallel.randomize pool scheme rng db)
+  in
+  let randomized =
+    let rows = ref [] in
+    Reports.iter_rows reports (fun _ items off len ->
+        let y = Itemset.of_sorted_array_unchecked (Array.sub items off len) in
+        rows := y :: !rows);
+    Db.create ~universe (Array.of_list (List.rev !rows))
+  in
 
   let n = float_of_int (Db.length db) in
   let item_counts = Db.item_counts db in

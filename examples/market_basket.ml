@@ -17,6 +17,7 @@ open Ppdm_data
 open Ppdm_datagen
 open Ppdm_mining
 open Ppdm
+open Ppdm_runtime
 
 let () =
   let rng = Rng.create ~seed:99 () in
@@ -38,11 +39,17 @@ let () =
   let scheme =
     Optimizer.scheme_for_estimation ~universe:(Db.universe db) ~gamma ()
   in
-  let data = Randomizer.apply_db_tagged scheme rng db in
+  (* Randomize into a report store and mine it: the route of
+     [ppdm private]. *)
+  let reports =
+    Pool.with_pool ~jobs:1 (fun pool -> Parallel.randomize pool scheme rng db)
+  in
 
   let min_support = 0.05 in
   let truth = Apriori.mine db ~min_support ~max_size:3 in
-  let mined = Ppmining.mine ~scheme ~data ~min_support ~max_size:3 () in
+  let mined =
+    Ppmining.mine_reports ~scheme ~reports ~min_support ~max_size:3 ()
+  in
   let acc = Ppmining.accuracy_vs ~truth ~mined in
   Printf.printf
     "minsup %.2f: %d truly frequent | mined: %d true positives, %d false positives, %d false drops\n"
@@ -51,7 +58,7 @@ let () =
 
   (* Rules from estimated supports: scale estimates back to pseudo-counts
      so the rule generator can run unchanged on private results. *)
-  let n = Array.length data in
+  let n = Reports.length reports in
   let estimated_frequent =
     List.map
       (fun d ->

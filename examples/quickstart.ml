@@ -14,6 +14,7 @@ open Ppdm_prng
 open Ppdm_data
 open Ppdm_datagen
 open Ppdm
+open Ppdm_runtime
 
 let () =
   let universe = 200 and size = 5 and count = 20_000 in
@@ -41,11 +42,19 @@ let () =
     *. Amplification.posterior_upper_bound ~gamma:design.Optimizer.gamma
          ~prior:0.05);
 
-  (* Clients randomize; the server sees only the tagged outputs. *)
-  let data = Randomizer.apply_db_tagged scheme rng db in
+  (* Clients randomize (the route of [ppdm randomize]); the server sees
+     only the reports, each tagged with its original size. *)
+  let reports =
+    Pool.with_pool ~jobs:1 (fun pool -> Parallel.randomize pool scheme rng db)
+  in
 
-  (* Support recovery on the server. *)
-  let e = Estimator.estimate ~scheme ~data ~itemset:secret in
+  (* Support recovery on the server: every report folded into one
+     accumulator, as [ppdm recover] folds a tagged file. *)
+  let acc = Stream.create ~scheme ~itemset:secret in
+  Reports.iter_rows reports (fun size items off len ->
+      Stream.observe acc ~size
+        (Itemset.of_sorted_array_unchecked (Array.sub items off len)));
+  let e = Stream.estimate acc in
   let lo, hi = Estimator.confidence_interval e ~level:0.95 in
   Printf.printf "recovered support: %.4f  (sigma %.4f, 95%% CI [%.4f, %.4f])\n"
     e.Estimator.support e.Estimator.sigma lo hi;

@@ -23,6 +23,7 @@ open Ppdm_prng
 open Ppdm_data
 open Ppdm_datagen
 open Ppdm
+open Ppdm_runtime
 open Ppdm_server
 
 let () =
@@ -44,8 +45,13 @@ let () =
       ~rho:design.Optimizer.rho
   in
   (* what the clients send: randomized transactions, tagged with their
-     (public) original size *)
-  let stream = Randomizer.apply_db_tagged scheme rng db in
+     (public) original size — drawn as [ppdm load] draws them *)
+  let stream =
+    Pool.with_pool ~jobs:1 (fun pool -> Parallel.randomize pool scheme rng db)
+  in
+  let report_of items off len =
+    Itemset.of_sorted_array_unchecked (Array.sub items off len)
+  in
 
   (* the server: 2 session workers, 2 ingest shards, batched folds *)
   let server =
@@ -63,22 +69,20 @@ let () =
   (* three concurrent clients, each streaming a contiguous slice of the
      reports over its own connection *)
   let clients = 3 in
-  let slice i =
+  let drive i () =
     let lo = i * count / clients and hi = (i + 1) * count / clients in
-    Array.sub stream lo (hi - lo)
-  in
-  let drive part () =
     let c = Client.connect ~port () in
     Fun.protect
       ~finally:(fun () -> Client.close c)
       (fun () ->
         ignore (Client.handshake c ~scheme ~sizes:[ size ] ());
-        Array.iter (fun (sz, y) -> Client.report c ~size:sz y) part;
+        Reports.iter_rows ~lo ~hi stream (fun sz items off len ->
+            Client.report c ~size:sz (report_of items off len));
         (* snapshot round-trip = sync barrier: the reply proves every
            report above reached the shard queues *)
         ignore (Client.snapshot c ~flush:false))
   in
-  Array.init clients (fun i -> Domain.spawn (drive (slice i)))
+  Array.init clients (fun i -> Domain.spawn (drive i))
   |> Array.iter Domain.join;
 
   (* a live estimate over the wire, exactly as an external client sees it *)
@@ -94,7 +98,8 @@ let () =
     | _ -> failwith "no estimate for the hot itemset"
   in
   let seq = Stream.create ~scheme ~itemset:hot in
-  Array.iter (fun (sz, y) -> Stream.observe seq ~size:sz y) stream;
+  Reports.iter_rows stream (fun sz items off len ->
+      Stream.observe seq ~size:sz (report_of items off len));
   let whole = Stream.estimate seq in
   Printf.printf "shard merge check: %.6f = %.6f -> %b (%d reports)\n"
     served.Estimator.support whole.Estimator.support

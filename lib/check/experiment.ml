@@ -3,6 +3,7 @@ open Ppdm_data
 open Ppdm_datagen
 open Ppdm_mining
 open Ppdm_linalg
+open Ppdm
 
 (* ------------------------------------------------------------------ T1 *)
 
@@ -207,7 +208,7 @@ let f3_sigma_validation ?(trials = 24) ?(count = 20_000) () =
           in
           predicted := Estimator.predicted_sigma resolved ~k ~partials ~n:count
         end;
-        let data = Randomizer.apply_db_tagged scheme rng db in
+        let data = Draw.tagged scheme rng db in
         let e = Estimator.estimate ~scheme ~data ~itemset in
         estimates.(t) <- e.Estimator.support
       done;
@@ -271,11 +272,13 @@ let f4_mining_accuracy ?(count = 100_000) () =
     (fun gamma_budget ->
       let scheme = optimized_family ~universe ~gamma:gamma_budget () in
       let rng = Rng.create ~seed:(7000 + int_of_float gamma_budget) () in
-      let data = Randomizer.apply_db_tagged scheme rng db in
+      let reports = Draw.reports scheme rng db in
       List.map
         (fun min_support ->
           let truth = List.assoc min_support truths in
-          let mined = Ppmining.mine ~scheme ~data ~min_support ~max_size:3 () in
+          let mined =
+            Ppmining.mine_reports ~scheme ~reports ~min_support ~max_size:3 ()
+          in
           let acc = Ppmining.accuracy_vs ~truth ~mined in
           {
             gamma_budget;
@@ -350,12 +353,13 @@ let a2_slack_ablation ?(count = 100_000) () =
   let min_support = 0.05 and gamma = 49. in
   let scheme = optimized_family ~universe ~gamma () in
   let rng = Rng.create ~seed:515151 () in
-  let data = Randomizer.apply_db_tagged scheme rng db in
+  let reports = Draw.reports scheme rng db in
   let truth = Apriori.mine db ~min_support ~max_size:3 in
   List.map
     (fun sigma_slack ->
       let mined =
-        Ppmining.mine ~scheme ~data ~min_support ~max_size:3 ~sigma_slack ()
+        Ppmining.mine_reports ~scheme ~reports ~min_support ~max_size:3
+          ~sigma_slack ()
       in
       let acc = Ppmining.accuracy_vs ~truth ~mined in
       {
@@ -392,7 +396,7 @@ let a4_inversion_vs_em ?(trials = 16) () =
         let rng = Rng.create ~seed:(40_000 + (trials * count) + t) () in
         let db = Simple.planted rng ~universe ~size ~count ~itemset ~support in
         let truth = Db.support db itemset in
-        let data = Randomizer.apply_db_tagged scheme rng db in
+        let data = Draw.tagged scheme rng db in
         let inv = Estimator.estimate ~scheme ~data ~itemset in
         let em = Em.estimate ~scheme ~data ~itemset () in
         inv_err.(t) <- inv.Estimator.support -. truth;
@@ -444,7 +448,9 @@ let f5_bound_validation ?(count = 8_000) () =
       in
       let rng = Rng.create ~seed:(9000 + universe) () in
       let db = Simple.fixed_size rng ~universe ~size ~count in
-      let randomized = Randomizer.apply_db scheme rng db in
+      let randomized =
+        Db.create ~universe (Array.map snd (Draw.tagged scheme rng db))
+      in
       {
         prior;
         analytic_posterior = Breach.worst_item_posterior resolved ~prior;

@@ -80,7 +80,7 @@ let estimator_reference_check ~seed ~count =
        ~name:"estimator matches the brute-force reference" case
        (fun (db, scheme) ->
          let rng = Rng.create ~seed:(Db.length db + seed) () in
-         let data = Randomizer.apply_db_tagged scheme rng db in
+         let data = Draw.tagged scheme rng db in
          let reference =
            Oracle.brute_force_support_estimate ~scheme ~data ~itemset
          in
@@ -276,7 +276,7 @@ let recover_route_differential ~seed ~count =
                   Itemset.of_list
                     (List.init (Rng.int rng 9) (fun _ -> Rng.int rng universe))))
          in
-         let data = Randomizer.apply_db_tagged scheme rng db in
+         let data = Draw.tagged scheme rng db in
          let path = Filename.temp_file "ppdm_selftest" ".tagged" in
          let streamed =
            Fun.protect
@@ -298,6 +298,151 @@ let recover_route_differential ~seed ~count =
                (Printf.sprintf "%s k=%d: streamed %s, estimate %s, matrix route %s"
                   (Randomizer.name scheme) k (show streamed) (show batch)
                   (show matrix))))
+
+(* ---------------------------------------------- route parity differential *)
+
+(* One store, the three server routes the CLI takes, bit for bit: the
+   private miner ([private]), one accumulator folded over the rows
+   ([recover]), and the rows cut into client slices, routed round-robin
+   onto shards by each session, folded there and merged into fresh
+   accumulators ([load] into [serve]).  With no σ cap and no support
+   floor to speak of, the miner explores every probe, however noisy its
+   estimate. *)
+let route_parity_differential ~seed ~count =
+  let universe = 16 in
+  let optimized =
+    Optimizer.scheme_for_estimation ~rho:0.2 ~universe ~gamma:19. ()
+  in
+  let bits = Int64.bits_of_float in
+  let same_float a b = Int64.equal (bits a) (bits b) in
+  let show_e (e : Estimator.t) =
+    Printf.sprintf "support %h sigma %h N %d" e.support e.sigma
+      e.n_transactions
+  in
+  let report_of items off len =
+    Itemset.of_sorted_array_unchecked (Array.sub items off len)
+  in
+  Pool.with_pool ~jobs:1 @@ fun pool ->
+  prop
+    (Property.check_result ~seed ~count:(max 20 (count / 2))
+       ~name:"private == recover == serve on one store"
+       (Gen.int_range 0 1_000_000)
+       (fun key ->
+         let rng = Rng.create ~seed:key () in
+         let scheme =
+           match Rng.int rng 3 with
+           | 0 ->
+               Randomizer.uniform ~universe
+                 ~p_keep:(0.7 +. (0.25 *. Rng.float rng))
+                 ~p_add:(0.01 +. (0.09 *. Rng.float rng))
+           | 1 ->
+               Randomizer.cut_and_paste ~universe ~cutoff:(3 + Rng.int rng 4)
+                 ~rho:(0.02 +. (0.18 *. Rng.float rng))
+           | _ -> optimized
+         in
+         (* sizes 0..6; the first rows are empty, hold item 0 and hold
+            item [universe - 1] *)
+         let db =
+           Db.create ~universe
+             (Array.init (300 + Rng.int rng 700) (fun i ->
+                  if i = 0 then Itemset.empty
+                  else if i = 1 then Itemset.singleton 0
+                  else if i = 2 then Itemset.singleton (universe - 1)
+                  else
+                    Itemset.of_sorted_array_unchecked
+                      (Dist.sample_distinct rng ~k:(Rng.int rng 7)
+                         ~bound:universe)))
+         in
+         let store =
+           Parallel.randomize pool ~chunk:(1 + Rng.int rng 64) scheme rng db
+         in
+         let probes =
+           List.map Itemset.of_list
+             [
+               [ 0 ];
+               [ universe - 1 ];
+               [ 0; universe - 1 ];
+               [ 0; 1 + Rng.int rng (universe - 2); universe - 1 ];
+             ]
+           @ List.init 3 (fun k ->
+                 Itemset.of_sorted_array_unchecked
+                   (Dist.sample_distinct rng ~k:(k + 1) ~bound:universe))
+         in
+         let mined =
+           Ppmining.mine_reports ~max_size:3 ~sigma_slack:1e6
+             ~sigma_cap:Float.infinity ~scheme ~reports:store ~min_support:1e-6
+             ()
+         in
+         let recover itemset =
+           let acc = Stream.create ~scheme ~itemset in
+           Reports.iter_rows store (fun size items off len ->
+               Stream.observe acc ~size (report_of items off len));
+           Stream.estimate acc
+         in
+         let served =
+           let n = Reports.length store in
+           let clients = 1 + Rng.int rng 3 and shards = 1 + Rng.int rng 3 in
+           let shard_of =
+             Array.init shards (fun _ ->
+                 Ppdm_server.Shard.create ~scheme ~itemsets:probes
+                   ~capacity:(n + 1))
+           in
+           for i = 0 to clients - 1 do
+             let next = ref 0 in
+             Reports.iter_rows store
+               ~lo:(i * n / clients) ~hi:((i + 1) * n / clients)
+               (fun size items off len ->
+                 ignore
+                   (Ppdm_server.Shard.submit shard_of.(!next)
+                      (size, report_of items off len, 0));
+                 next := (!next + 1) mod shards)
+           done;
+           let totals =
+             List.map (fun itemset -> Stream.create ~scheme ~itemset) probes
+           in
+           Array.iter
+             (fun shard ->
+               Ppdm_server.Shard.close shard;
+               Ppdm_server.Shard.fold_loop shard ~batch:(1 + Rng.int rng 64);
+               Ppdm_server.Shard.merge_into shard totals)
+             shard_of;
+           List.map Stream.estimate totals
+         in
+         let rec check = function
+           | [] -> Ok ()
+           | (itemset, (s : Estimator.t)) :: rest -> (
+               let r = recover itemset in
+               let fail what =
+                 Error
+                   (Printf.sprintf "%s, %s: recover %s, %s"
+                      (Randomizer.name scheme) (Itemset.to_string itemset)
+                      (show_e r) what)
+               in
+               match
+                 List.find_opt
+                   (fun (d : Ppmining.discovery) ->
+                     Itemset.equal d.itemset itemset)
+                   mined.explored
+               with
+               | None -> fail "private did not explore it"
+               | Some d ->
+                   if
+                     not
+                       (same_float r.support s.support
+                       && same_float r.sigma s.sigma
+                       && r.n_transactions = s.n_transactions)
+                   then fail ("serve " ^ show_e s)
+                   else if
+                     not
+                       (same_float r.support d.est_support
+                       && same_float r.sigma d.sigma)
+                   then
+                     fail
+                       (Printf.sprintf "private support %h sigma %h"
+                          d.est_support d.sigma)
+                   else check rest)
+         in
+         check (List.combine probes served)))
 
 (* ------------------------------------------- private miner differential *)
 
@@ -355,17 +500,17 @@ let private_miner_differential ~seed =
     | [] -> Ok ()
     | (universe, name, scheme, min_support) :: rest ->
         let db = private_case_db ~universe rng in
-        let data = Randomizer.apply_db_tagged scheme rng db in
+        let reports = Draw.reports scheme rng db in
         let reference =
           Oracle.ppmining_reference ~max_size:4 ~sigma_slack ~sigma_cap ~scheme
-            ~data ~min_support
+            ~data:(Draw.rows reports) ~min_support
         in
         let rec caps max_size =
           if max_size > 4 then go rest
           else
             let got =
-              Ppmining.mine ~max_size ~sigma_slack ~sigma_cap ~scheme ~data
-                ~min_support ()
+              Ppmining.mine_reports ~max_size ~sigma_slack ~sigma_cap ~scheme
+                ~reports ~min_support ()
             in
             match Oracle.same_explored ~got ~want:(up_to max_size reference) with
             | Ok () -> caps (max_size + 1)
@@ -1204,16 +1349,15 @@ let run ?count ?(seed = 42) ?(log = ignore) () =
                      let scheme =
                        Gen.generate (Gen.scheme ~universe:u) rng ~size:4
                      in
-                     let out = Randomizer.apply_db scheme rng db in
+                     let out = Draw.tagged scheme rng db in
                      if
-                       Db.length out = Db.length db
-                       && Db.fold
-                            (fun acc tx ->
-                              acc
-                              && Itemset.fold
-                                   (fun i acc -> acc && i >= 0 && i < u)
-                                   tx true)
-                            true out
+                       Array.length out = Db.length db
+                       && Array.for_all
+                            (fun (_, y) ->
+                              Itemset.fold
+                                (fun i acc -> acc && i >= 0 && i < u)
+                                y true)
+                            out
                      then Ok ()
                      else Error "randomized output escaped the universe")) );
           ( "differential: apriori trie+vertical/eclat/fp-growth/parallel at \
@@ -1234,6 +1378,9 @@ let run ?count ?(seed = 42) ?(log = ignore) () =
           ( "differential: streamed recover == estimate == matrix route, \
              bit for bit",
             fun () -> recover_route_differential ~seed ~count );
+          ( "differential: private == recover == serve on one store, bit \
+             for bit",
+            fun () -> route_parity_differential ~seed ~count );
           ( "differential: estimator vs brute-force reference",
             fun () -> estimator_reference_check ~seed ~count );
           ( "differential: operator design on the basis == direct form",
@@ -1286,7 +1433,7 @@ let run ?count ?(seed = 42) ?(log = ignore) () =
               let scheme =
                 Randomizer.uniform ~universe:12 ~p_keep:0.75 ~p_add:0.08
               in
-              let data = Randomizer.apply_db_tagged scheme rng db in
+              let data = Draw.tagged scheme rng db in
               let itemsets = [ Itemset.of_list [ 0; 1 ]; Itemset.of_list [ 3 ] ] in
               let rec configs = function
                 | [] -> Ok ()

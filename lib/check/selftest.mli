@@ -46,6 +46,20 @@ val recover_route_differential : seed:int -> count:int -> (unit, string) result
     Support, σ, every partial and N must agree bit for bit, and an
     unrecoverable class must fail all three alike. *)
 
+val route_parity_differential : seed:int -> count:int -> (unit, string) result
+(** One report store drawn by {!Ppdm_runtime.Parallel.randomize}, read
+    by the three server routes of the CLI: {!Ppdm.Ppmining.mine_reports}
+    with no σ cap, so that every probe is explored ([private]); one
+    {!Ppdm.Stream} folded over {!Ppdm.Reports.iter_rows} ([recover]);
+    and the rows cut into client
+    slices, routed round-robin onto {!Ppdm_server.Shard}s, folded there
+    and read through {!Ppdm_server.Shard.merge_into} ([serve]).  On
+    [max 20 (count / 2)] random databases (empty rows, item 0 and item
+    [universe - 1]), under uniform, cut-and-paste and optimized
+    operators, every probe ([k = 1..3]) must get the same support and σ
+    bit for bit by all three, and the same N from [recover] and
+    [serve]. *)
+
 val private_miner_differential : seed:int -> (unit, string) result
 (** {!Ppdm.Ppmining.mine} against {!Oracle.ppmining_reference} on
     randomized databases over universes 60 and 1500, under cut-and-paste,

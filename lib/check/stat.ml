@@ -246,7 +246,7 @@ let estimator_bias_pvalue ?trials ~scheme ~db ~itemset rng =
   let ests =
     Array.init trials (fun i ->
         let child = Rng.derive rng ~index:i in
-        let data = Randomizer.apply_db_tagged scheme child db in
+        let data = Draw.tagged scheme child db in
         (Estimator.estimate ~scheme ~data ~itemset).Estimator.support)
   in
   let mean = Stats.mean ests in
@@ -287,12 +287,10 @@ let private_sigma_zs ~scheme ~db ~trials rng =
   let u = Db.universe db in
   let singles = ref [] and pairs = ref [] in
   for trial = 0 to trials - 1 do
-    let data =
-      Randomizer.apply_db_tagged scheme (Rng.derive rng ~index:trial) db
-    in
+    let reports = Draw.reports scheme (Rng.derive rng ~index:trial) db in
     let mined =
-      Ppmining.mine ~max_size:2 ~sigma_slack:10. ~sigma_cap:1. ~scheme ~data
-        ~min_support:0.01 ()
+      Ppmining.mine_reports ~max_size:2 ~sigma_slack:10. ~sigma_cap:1. ~scheme
+        ~reports ~min_support:0.01 ()
     in
     let z itemset =
       match

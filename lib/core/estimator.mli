@@ -55,8 +55,9 @@ val estimate :
   data:(int * Itemset.t) array ->
   itemset:Itemset.t ->
   t
-(** Full pipeline on tagged randomized data (see
-    {!Randomizer.apply_db_tagged}): the rows counted into the layout
+(** Full pipeline on tagged randomized data, [(original size, report)]
+    rows in input order as a report store holds them
+    ({!Reports.iter_rows}): the rows counted into the layout
     under the span ["estimator.count"], then {!estimate_by_size}.
     @raise Invalid_argument on empty data. *)
 

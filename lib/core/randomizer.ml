@@ -193,17 +193,3 @@ let apply t rng tx =
   let buf = scratch t.universe in
   let len = apply_into t rng tx buf ~off:0 in
   Itemset.of_sorted_array_unchecked (Array.sub buf 0 len)
-
-let apply_db t rng db =
-  if Db.universe db <> t.universe then
-    invalid_arg "Randomizer.apply_db: universe mismatch";
-  Ppdm_obs.Span.with_ ~name:"randomizer.apply_db" (fun () ->
-      Db.map (apply t rng) db)
-
-let apply_db_tagged t rng db =
-  if Db.universe db <> t.universe then
-    invalid_arg "Randomizer.apply_db_tagged: universe mismatch";
-  Ppdm_obs.Span.with_ ~name:"randomizer.apply_db" (fun () ->
-      Array.map
-        (fun tx -> (Itemset.cardinal tx, apply t rng tx))
-        (Db.transactions db))

@@ -94,12 +94,3 @@ val apply_into : t -> Rng.t -> Itemset.t -> int array -> off:int -> int
     length.  It allocates nothing.
     @raise Invalid_argument as {!apply} does, or if [buf] has fewer than
     [universe t] slots from [off] on. *)
-
-val apply_db : t -> Rng.t -> Db.t -> Db.t
-(** Randomize a whole database. *)
-
-val apply_db_tagged : t -> Rng.t -> Db.t -> (int * Itemset.t) array
-(** Randomize a database keeping each output paired with the *original*
-    transaction size.  The paper's server-side estimator needs the size
-    (the operator parameters are public and size-indexed); disclosing
-    [|t|] is part of the protocol. *)

@@ -36,15 +36,22 @@ let create ~universe ~rows ~chunk =
 let length t =
   Array.fold_left (fun acc c -> acc + Array.length c.lens) 0 t.chunks
 
-let iter_rows t row =
-  Array.iter
-    (fun c ->
+(* Chunk [i] holds rows [i * chunk_rows ..]; a row's slice starts where
+   the lengths before it in its chunk end. *)
+let iter_rows ?(lo = 0) ?hi t row =
+  let n = length t in
+  let hi = Option.value hi ~default:n in
+  if lo < 0 || hi > n || lo > hi then
+    invalid_arg "Reports.iter_rows: row range outside the store";
+  if lo < hi then
+    for i = lo / t.chunk_rows to (hi - 1) / t.chunk_rows do
+      let c = t.chunks.(i) and base = i * t.chunk_rows in
       let off = ref 0 in
-      for j = 0 to Array.length c.lens - 1 do
-        row c.tags.(j) c.items !off c.lens.(j);
+      for j = 0 to min (Array.length c.lens) (hi - base) - 1 do
+        if base + j >= lo then row c.tags.(j) c.items !off c.lens.(j);
         off := !off + c.lens.(j)
-      done)
-    t.chunks
+      done
+    done
 
 let count_items ~universe items =
   let counts = Array.make universe 0 in

@@ -41,12 +41,16 @@ val of_tagged : universe:int -> (int * Itemset.t) array -> t
 
 val length : t -> int
 
-val iter_rows : t -> (int -> int array -> int -> int -> unit) -> unit
+val iter_rows :
+  ?lo:int -> ?hi:int -> t -> (int -> int array -> int -> int -> unit) -> unit
 (** [iter_rows t row] calls [row size items off len] on every row in
     input order: the original size and the report as the slice
     [items.(off .. off + len - 1)], ascending.  The slice aliases the
     store; [row] must not keep or change it.  This is the row iterator
-    {!Ppdm_data.Io.write_tagged_rows} takes. *)
+    {!Ppdm_data.Io.write_tagged_rows} takes.  [~lo] and [~hi] (default
+    [0] and {!length}) restrict it to the rows [lo .. hi - 1], as a
+    client sending its share of the store does.
+    @raise Invalid_argument unless [0 <= lo <= hi <= length t]. *)
 
 val freeze : t -> frozen
 (** Feed every row, in input order and with its class-window tid, to one

@@ -8,12 +8,14 @@
     runs on the vertical tid-sets only and shards over a {!Grid} plan
     that depends only on the data shape, never on the job count.
 
-    Two caveats inherited from the seeding scheme:
+    {!randomize} is the one way a database is randomized: [randomize],
+    [private] and [load] draw through it, and so do the experiments and
+    the checks.  Two caveats inherited from its seeding scheme:
 
-    - the randomizing function consumes the caller's [Rng.t] differently
-      from [Randomizer.apply_db]'s single sequential stream (each chunk
-      uses a derived child), so their output matches the [jobs = 1] run of
-      the {e same} function, not the legacy single-stream pass;
+    - each chunk of rows draws from its own derived child of the caller's
+      [Rng.t], so a report depends on the seed, the chunk size and its
+      row, never on the job count; a chunk size other than the default
+      ({!Pool.default_chunk}) gives other reports;
     - a scheme's per-size cache is warmed here before fan-out
       ({!Ppdm.Randomizer.warm_cache}), after which concurrent [apply]
       calls only read it. *)

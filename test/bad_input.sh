@@ -16,10 +16,12 @@
 # output when it cannot write it, and rejects a source that changes
 # between its two passes (a pipe).  gen's and randomize's outputs,
 # randomize's --scheme-out and any command's --trace file that cannot
-# be written are "<cmd>: <path>: ", exit 1.  An
-# out-of-range operator, universe, size or serve flag is a usage error,
-# exit 2, "<cmd>: --flag "; load against a closed port or a server that
-# refuses its operator exits 1 as "load: 127.0.0.1:<port>: ".
+# be written are "<cmd>: <path>: ", exit 1.  load reads its --in file
+# before it connects, so a bad one is "load: <path>: ", exit 1, even
+# with no server.  An out-of-range operator, universe, size or serve
+# flag is a usage error, exit 2, "<cmd>: --flag "; load against a closed
+# port or a server that refuses its operator exits 1 as
+# "load: 127.0.0.1:<port>: ".
 # Usage: bad_input.sh PPDM_CLI
 set -eu
 # Bare names (no slash) are files in the current directory.
@@ -195,7 +197,7 @@ for cmd in analyze randomize private recover load; do
   randomize) io="--in $dir/missing.txt -o $dir/out.tagged" ;;
   private) io="--in $dir/missing.txt" ;;
   recover) io="--in $dir/missing.tagged --itemset 1" ;;
-  load) io="--port 1" ;;
+  load) io="--in $dir/missing.txt --port 1" ;;
   *) io="" ;;
   esac
   for flags in "--operator uniform --p-keep 2" "--operator uniform --p-add 1.5" \
@@ -213,7 +215,6 @@ expect_fail 2 "^gen: --size 200 " gen --kind fixed --size 200 --universe 100 \
   -o "$dir/gen.txt"
 expect_fail 2 "^analyze: --universe 0 " analyze --universe 0
 expect_fail 2 "^analyze: --size 20 " analyze --universe 10 --size 20
-expect_fail 2 "^load: --universe 0 " load --port 1 --universe 0
 for flags in "universe 0" "shards 0" "batch 0" "queue-capacity 0" "max-frame 8"; do
   # shellcheck disable=SC2086
   expect_fail 2 "^serve: --$flags " serve --port 0 --$flags
@@ -226,9 +227,15 @@ for itemset in 7 -2 ""; do
 done
 expect_fail 2 "^serve: --singletons -1 " serve --port 0 --singletons=-1
 
-# load: a server that is not there, or that refuses the operator, is
+# load: a bad --in file is named before any connection; a server that
+# is not there, or that refuses the operator, is
 # "load: 127.0.0.1:<port>: ", exit 1.
-expect_fail 1 "^load: 127.0.0.1:1: " load --port 1 --count 10
+for kind in malformed missing huge; do
+  expect_fail 1 "^load: $dir/$kind.txt: " load --in "$dir/$kind.txt" --port 1
+done
+"$cli" gen --kind fixed --universe 64 --size 4 --count 100 --seed 1 \
+  -o "$dir/db64.txt" >/dev/null
+expect_fail 1 "^load: 127.0.0.1:1: " load --in "$dir/db64.txt" --port 1
 "$cli" serve --port 0 --universe 64 --singletons 3 >"$dir/serve.out" 2>&1 &
 serve_pid=$!
 port=
@@ -244,9 +251,8 @@ if [ -z "$port" ]; then
   failures=$((failures + 1))
 else
   expect_fail 1 "^load: 127.0.0.1:$port: scheme-mismatch: " load --port "$port" \
-    --universe 64 --count 100 --size 4 --operator uniform
-  "$cli" load --port "$port" --universe 64 --count 10 --size 4 --shutdown \
-    >/dev/null
+    --in "$dir/db64.txt" --operator uniform
+  "$cli" load --port "$port" --in "$dir/db64.txt" --shutdown >/dev/null
 fi
 wait "$serve_pid" || true
 

@@ -6,6 +6,12 @@ open Ppdm_data
 open Ppdm_datagen
 open Ppdm
 
+(* The reports of [Parallel.randomize], as a database the adversary
+   pairs with the original. *)
+let randomize_db scheme rng db =
+  Db.create ~universe:(Db.universe db)
+    (Array.map snd (Ppdm_check.Draw.tagged scheme rng db))
+
 let test_keep_probability () =
   let r : Randomizer.resolved = { keep_dist = [| 0.2; 0.3; 0.5 |]; rho = 0.1 } in
   Alcotest.(check (float 1e-12)) "weighted mean / m"
@@ -59,7 +65,7 @@ let test_empirical_matches_analytic () =
   let rng = Rng.create ~seed:5 () in
   let db = Simple.fixed_size rng ~universe ~size ~count:30_000 in
   let scheme = Randomizer.cut_and_paste ~universe ~cutoff:6 ~rho:0.1 in
-  let randomized = Randomizer.apply_db scheme rng db in
+  let randomized = randomize_db scheme rng db in
   let r = Randomizer.resolve scheme ~size in
   let prior = float_of_int size /. float_of_int universe in
   let expected_present = Breach.item_posterior_present r ~prior in
@@ -94,7 +100,7 @@ let test_empirical_worst_below_amplification_bound () =
     Randomizer.select_a_size ~universe ~size ~keep_dist:d.Optimizer.dist
       ~rho:d.Optimizer.rho
   in
-  let randomized = Randomizer.apply_db scheme rng db in
+  let randomized = randomize_db scheme rng db in
   let prior = float_of_int size /. float_of_int universe in
   let bound = Amplification.posterior_upper_bound ~gamma:d.Optimizer.gamma ~prior in
   let worst = Breach.empirical_worst_item_posterior ~original:db ~randomized in
@@ -116,7 +122,7 @@ let test_bernoulli_model_exactness () =
   (* keep only size-6 transactions so one resolved operator applies *)
   let db = Db.filter (fun t -> Itemset.cardinal t = 6) db_all in
   let scheme = Randomizer.cut_and_paste ~universe ~cutoff:6 ~rho:0.1 in
-  let randomized = Randomizer.apply_db scheme rng db in
+  let randomized = randomize_db scheme rng db in
   let r = Randomizer.resolve scheme ~size:6 in
   (* conditional prior of an item given |t| = 6 (hypergeometric-free: by
      exchangeability it is 6/30 with all probs equal) *)

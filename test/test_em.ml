@@ -13,7 +13,7 @@ let setup ~seed ~count =
   let itemset = Itemset.of_list [ 2; 7 ] in
   let db = Simple.planted rng ~universe ~size ~count ~itemset ~support:0.15 in
   let scheme = Randomizer.cut_and_paste ~universe ~cutoff:5 ~rho:0.05 in
-  let data = Randomizer.apply_db_tagged scheme rng db in
+  let data = Ppdm_check.Draw.tagged scheme rng db in
   (scheme, itemset, db, data)
 
 let check_simplex partials =
@@ -71,7 +71,7 @@ let test_identity_exact () =
   let itemset = Itemset.of_list [ 1; 2 ] in
   let db = Simple.planted rng ~universe ~size:5 ~count:800 ~itemset ~support:0.25 in
   let scheme = Randomizer.uniform ~universe ~p_keep:1. ~p_add:0. in
-  let data = Randomizer.apply_db_tagged scheme rng db in
+  let data = Ppdm_check.Draw.tagged scheme rng db in
   let e = Em.estimate ~scheme ~data ~itemset () in
   Alcotest.(check bool)
     (Printf.sprintf "em support %.6f = 0.25" e.Em.support)

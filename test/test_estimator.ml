@@ -16,7 +16,7 @@ let test_identity_exact_recovery () =
   let itemset = Itemset.of_list [ 2; 5 ] in
   let db = Simple.planted rng ~universe ~size:6 ~count:500 ~itemset ~support:0.2 in
   let scheme = identity_scheme universe in
-  let data = Randomizer.apply_db_tagged scheme rng db in
+  let data = Ppdm_check.Draw.tagged scheme rng db in
   let e = Estimator.estimate ~scheme ~data ~itemset in
   Alcotest.(check (float 1e-9)) "support exact" 0.2 e.Estimator.support;
   Alcotest.(check (float 1e-9)) "sigma zero" 0. e.Estimator.sigma;
@@ -60,7 +60,7 @@ let test_randomized_recovery_within_5_sigma () =
       ~keep_dist:[| 0.02; 0.03; 0.05; 0.1; 0.15; 0.2; 0.2; 0.15; 0.1 |]
       ~rho:0.05
   in
-  let data = Randomizer.apply_db_tagged scheme rng db in
+  let data = Ppdm_check.Draw.tagged scheme rng db in
   let e = Estimator.estimate ~scheme ~data ~itemset in
   Alcotest.(check bool)
     (Printf.sprintf "estimate %.4f within 5 sigma (%.4f) of %.4f"
@@ -80,7 +80,7 @@ let test_unbiasedness_and_sigma_calibration () =
   for i = 0 to trials - 1 do
     let rng = Rng.create ~seed:(100 + i) () in
     let db = Simple.planted rng ~universe ~size ~count ~itemset ~support in
-    let data = Randomizer.apply_db_tagged scheme rng db in
+    let data = Ppdm_check.Draw.tagged scheme rng db in
     let e = Estimator.estimate ~scheme ~data ~itemset in
     estimates.(i) <- e.Estimator.support;
     sigmas.(i) <- e.Estimator.sigma
@@ -109,7 +109,7 @@ let test_predicted_sigma_matches_estimated () =
   let truth = Db.partial_support_counts db itemset in
   let partials = Array.map (fun c -> float_of_int c /. float_of_int count) truth in
   let predicted = Estimator.predicted_sigma resolved ~k:2 ~partials ~n:count in
-  let data = Randomizer.apply_db_tagged scheme rng db in
+  let data = Ppdm_check.Draw.tagged scheme rng db in
   let e = Estimator.estimate ~scheme ~data ~itemset in
   Alcotest.(check bool)
     (Printf.sprintf "predicted %.5f near plug-in %.5f" predicted e.Estimator.sigma)
@@ -129,7 +129,7 @@ let test_mixed_sizes () =
   let db = Db.append with_itemset small in
   let true_support = Db.support db itemset in
   let scheme = Randomizer.cut_and_paste ~universe ~cutoff:6 ~rho:0.03 in
-  let data = Randomizer.apply_db_tagged scheme rng db in
+  let data = Ppdm_check.Draw.tagged scheme rng db in
   let e = Estimator.estimate ~scheme ~data ~itemset in
   Alcotest.(check bool)
     (Printf.sprintf "pooled estimate %.4f within 5 sigma (%.4f) of %.4f"
@@ -190,7 +190,7 @@ let test_partials_sum_to_one () =
   let universe = 60 in
   let db = Simple.fixed_size rng ~universe ~size:5 ~count:2000 in
   let scheme = Randomizer.cut_and_paste ~universe ~cutoff:5 ~rho:0.1 in
-  let data = Randomizer.apply_db_tagged scheme rng db in
+  let data = Ppdm_check.Draw.tagged scheme rng db in
   List.iter
     (fun items ->
       let itemset = Itemset.of_list items in
@@ -260,8 +260,8 @@ let test_condition_gauges () =
           ~itemset:(Itemset.of_list [ 1; 2 ]) ~support:0.3
       in
       let scheme = Randomizer.uniform ~universe ~p_keep:0.8 ~p_add:0.05 in
-      let data = Randomizer.apply_db_tagged scheme rng db in
-      ignore (Ppmining.mine ~scheme ~data ~min_support:0.1 ~max_size:2 ());
+      let reports = Ppdm_check.Draw.reports scheme rng db in
+      ignore (Ppmining.mine_reports ~scheme ~reports ~min_support:0.1 ~max_size:2 ());
       let snap = Metrics.snapshot () in
       let solves =
         Option.value (List.assoc_opt "estimator.solves" snap.Metrics.counters)
@@ -311,6 +311,13 @@ let test_recover_route () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
+(* The same store gives the same estimate and σ by every server route:
+   the private miner, recover's fold and the sharded serve fold. *)
+let test_route_parity () =
+  match Ppdm_check.Selftest.route_parity_differential ~seed:13 ~count:200 with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
 (* A level estimates thousands of candidates over every size class: the
    kernel allocates only the estimate it returns, whatever the number of
    classes (13 here, square and rectangular). *)
@@ -351,4 +358,6 @@ let suite =
     Alcotest.test_case "kernel allocation guard" `Quick test_kernel_allocation_guard;
     Alcotest.test_case "streamed recover == estimate == matrix route" `Quick
       test_recover_route;
+    Alcotest.test_case "private == recover == serve on one store" `Quick
+      test_route_parity;
   ]

@@ -4,6 +4,7 @@
    the bench reproducible as the library evolves. *)
 
 open Ppdm
+open Ppdm_check
 
 let test_t1_shape () =
   let rows = Experiment.t1_breach_limits () in

@@ -71,7 +71,7 @@ let test_rr_estimation_end_to_end () =
   in
   let eps = Ldp.rr_epsilon_for_gamma ~size ~gamma:19. in
   let scheme = Ldp.randomized_response ~universe ~epsilon_per_item:eps in
-  let data = Randomizer.apply_db_tagged scheme rng db in
+  let data = Ppdm_check.Draw.tagged scheme rng db in
   let e = Estimator.estimate ~scheme ~data ~itemset in
   Alcotest.(check bool)
     (Printf.sprintf "estimate %.3f within 5 sigma (%.4f) of 0.3"

@@ -269,7 +269,10 @@ let test_stats_do_not_change_results () =
             let rng = Rng.create ~seed:77 () in
             (* small chunks so multi-piece batches actually hit the pool's
                parallel path at jobs > 1 *)
-            let tagged = Parallel.randomize_db_tagged pool ~chunk:128 scheme rng db in
+            let tagged =
+              Ppdm_check.Draw.rows
+                (Parallel.randomize pool ~chunk:128 scheme rng db)
+            in
             let mined =
               Parallel.apriori_mine pool ~chunk:128 db ~min_support:0.05 ~max_size:3
             in
@@ -315,15 +318,16 @@ let test_instrumentation_coverage () =
           let rng = Rng.create ~seed:5 () in
           (* chunk small enough that batches span several tasks: the
              queue-wait histogram only exists on the parallel path *)
-          let tagged = Parallel.randomize_db_tagged pool ~chunk:64 scheme rng db in
+          let reports = Parallel.randomize pool ~chunk:64 scheme rng db in
           ignore (Parallel.apriori_mine pool ~chunk:64 db ~min_support:0.05 ~max_size:2);
           let itemset = Itemset.of_list [ 1; 2 ] in
           let stream = Stream.create ~scheme ~itemset in
-          Stream.observe_all stream tagged;
+          Stream.observe_all stream (Ppdm_check.Draw.rows reports);
           ignore (Stream.estimate stream);
           mined :=
             List.length
-              (Ppmining.mine ~scheme ~data:tagged ~min_support:0.05 ~max_size:2 ())
+              (Ppmining.mine_reports ~scheme ~reports ~min_support:0.05
+                 ~max_size:2 ())
                 .Ppmining.explored);
       let snap = Metrics.snapshot () in
       let counter name = List.mem_assoc name snap.Metrics.counters in

@@ -18,10 +18,10 @@ let test_identity_equals_apriori () =
   let params = { Quest.default with n_transactions = 800; universe = 60 } in
   let db = Quest.generate rng params in
   let scheme = identity_scheme 60 in
-  let data = Randomizer.apply_db_tagged scheme rng db in
+  let reports = Ppdm_check.Draw.reports scheme rng db in
   let min_support = 0.04 in
   let truth = Apriori.mine db ~min_support in
-  let mined = Ppmining.mine ~scheme ~data ~min_support () in
+  let mined = Ppmining.mine_reports ~scheme ~reports ~min_support () in
   Alcotest.(check (list string)) "same itemsets as Apriori"
     (List.map (fun (s, _) -> Itemset.to_string s) truth)
     (List.map Itemset.to_string (itemset_list mined));
@@ -45,8 +45,8 @@ let test_planted_recovery_under_randomization () =
   let itemset = Itemset.of_list [ 4; 9 ] in
   let db = Simple.planted rng ~universe ~size ~count ~itemset ~support:0.25 in
   let scheme = Randomizer.cut_and_paste ~universe ~cutoff:6 ~rho:0.03 in
-  let data = Randomizer.apply_db_tagged scheme rng db in
-  let mined = Ppmining.mine ~scheme ~data ~min_support:0.15 ~max_size:2 () in
+  let reports = Ppdm_check.Draw.reports scheme rng db in
+  let mined = Ppmining.mine_reports ~scheme ~reports ~min_support:0.15 ~max_size:2 () in
   Alcotest.(check bool) "planted pair discovered" true
     (List.exists (fun s -> Itemset.equal s itemset) (itemset_list mined));
   (* its estimate should be near the truth *)
@@ -62,8 +62,8 @@ let test_max_size_respected () =
   let rng = Rng.create ~seed:3 () in
   let db = Quest.generate rng { Quest.default with n_transactions = 500; universe = 50 } in
   let scheme = identity_scheme 50 in
-  let data = Randomizer.apply_db_tagged scheme rng db in
-  let mined = Ppmining.mine ~scheme ~data ~min_support:0.02 ~max_size:1 () in
+  let reports = Ppdm_check.Draw.reports scheme rng db in
+  let mined = Ppmining.mine_reports ~scheme ~reports ~min_support:0.02 ~max_size:1 () in
   List.iter
     (fun d -> Alcotest.(check int) "singletons only" 1 (Itemset.cardinal d.Ppmining.itemset))
     mined.Ppmining.discovered
@@ -72,8 +72,8 @@ let test_explored_superset () =
   let rng = Rng.create ~seed:4 () in
   let db = Quest.generate rng { Quest.default with n_transactions = 500; universe = 50 } in
   let scheme = Randomizer.cut_and_paste ~universe:50 ~cutoff:8 ~rho:0.05 in
-  let data = Randomizer.apply_db_tagged scheme rng db in
-  let mined = Ppmining.mine ~scheme ~data ~min_support:0.05 ~max_size:3 () in
+  let reports = Ppdm_check.Draw.reports scheme rng db in
+  let mined = Ppmining.mine_reports ~scheme ~reports ~min_support:0.05 ~max_size:3 () in
   let explored = Hashtbl.create 64 in
   List.iter (fun d -> Hashtbl.replace explored d.Ppmining.itemset ()) mined.Ppmining.explored;
   List.iter
@@ -91,9 +91,11 @@ let test_level_two_fast_path_consistency () =
   let universe = 40 in
   let db = Quest.generate rng { Quest.default with n_transactions = 600; universe } in
   let scheme = Randomizer.cut_and_paste ~universe ~cutoff:6 ~rho:0.08 in
-  let data = Randomizer.apply_db_tagged scheme rng db in
+  let reports = Ppdm_check.Draw.reports scheme rng db in
+  let data = Ppdm_check.Draw.rows reports in
   let mined =
-    Ppmining.mine ~scheme ~data ~min_support:0.03 ~max_size:2 ~sigma_cap:1. ()
+    Ppmining.mine_reports ~scheme ~reports ~min_support:0.03 ~max_size:2
+      ~sigma_cap:1. ()
   in
   let pairs =
     List.filter (fun d -> Itemset.cardinal d.Ppmining.itemset = 2) mined.Ppmining.explored
@@ -116,8 +118,8 @@ let test_sigma_cap_prunes () =
   let universe = 40 in
   let db = Quest.generate rng { Quest.default with n_transactions = 300; universe } in
   let scheme = Randomizer.cut_and_paste ~universe ~cutoff:3 ~rho:0.2 in
-  let data = Randomizer.apply_db_tagged scheme rng db in
-  let mined = Ppmining.mine ~scheme ~data ~min_support:0.05 ~max_size:2 ~sigma_cap:1e-9 () in
+  let reports = Ppdm_check.Draw.reports scheme rng db in
+  let mined = Ppmining.mine_reports ~scheme ~reports ~min_support:0.05 ~max_size:2 ~sigma_cap:1e-9 () in
   Alcotest.(check int) "nothing explored under a zero cap" 0
     (List.length mined.Ppmining.explored)
 
@@ -181,7 +183,7 @@ let test_partial_counts_inversion () =
          let universe = Db.universe db in
          let rng = Rng.create ~seed:key () in
          let scheme = Gen.generate (Gen.scheme ~universe) rng ~size:4 in
-         let data = Randomizer.apply_db_tagged scheme rng db in
+         let data = Ppdm_check.Draw.tagged scheme rng db in
          let rec ks k =
            if k > 4 then Ok ()
            else begin
@@ -243,8 +245,8 @@ let test_max_size_zero () =
   let rng = Rng.create ~seed:8 () in
   let db = Quest.generate rng { Quest.default with n_transactions = 100; universe = 20 } in
   let scheme = identity_scheme 20 in
-  let data = Randomizer.apply_db_tagged scheme rng db in
-  let mined = Ppmining.mine ~scheme ~data ~min_support:0.05 ~max_size:0 () in
+  let reports = Ppdm_check.Draw.reports scheme rng db in
+  let mined = Ppmining.mine_reports ~scheme ~reports ~min_support:0.05 ~max_size:0 () in
   Alcotest.(check int) "nothing explored" 0 (List.length mined.Ppmining.explored)
 
 let suite =

@@ -15,9 +15,10 @@ let test_identity_operator () =
   let rng = Rng.create ~seed:1 () in
   let scheme = Randomizer.uniform ~universe:30 ~p_keep:1. ~p_add:0. in
   let db = fixed_db rng ~universe:30 ~size:5 ~count:50 in
-  let out = Randomizer.apply_db scheme rng db in
+  let out = Ppdm_check.Draw.tagged scheme rng db in
   Db.iteri
-    (fun i tx -> Alcotest.(check bool) "unchanged" true (Itemset.equal tx (Db.get out i)))
+    (fun i tx ->
+      Alcotest.(check bool) "unchanged" true (Itemset.equal tx (snd out.(i))))
     db
 
 let test_erasing_operator () =
@@ -39,12 +40,12 @@ let test_output_in_universe () =
   let rng = Rng.create ~seed:4 () in
   let scheme = Randomizer.cut_and_paste ~universe:25 ~cutoff:3 ~rho:0.2 in
   let db = fixed_db rng ~universe:25 ~size:6 ~count:100 in
-  let out = Randomizer.apply_db scheme rng db in
-  Db.iter
-    (fun tx ->
+  let out = Ppdm_check.Draw.tagged scheme rng db in
+  Array.iter
+    (fun (_, y) ->
       Itemset.iter
         (fun x -> Alcotest.(check bool) "in universe" true (x >= 0 && x < 25))
-        tx)
+        y)
     out
 
 let test_uniform_induced_dist () =
@@ -203,24 +204,33 @@ let test_transition_probability_formula () =
   in
   Alcotest.(check bool) "observed outputs carry most closed-form mass" true (mass > 0.99)
 
+(* The one client route, [Parallel.randomize], on fresh schemes and
+   pools: the same seed gives the same reports, at any job count. *)
 let test_determinism () =
   let db = fixed_db (Rng.create ~seed:10 ()) ~universe:50 ~size:6 ~count:200 in
-  let run () =
+  let run jobs =
     let scheme = Randomizer.cut_and_paste ~universe:50 ~cutoff:4 ~rho:0.1 in
-    Randomizer.apply_db scheme (Rng.create ~seed:99 ()) db
+    Ppdm_runtime.Pool.with_pool ~jobs (fun pool ->
+        Ppdm_check.Draw.rows
+          (Ppdm_runtime.Parallel.randomize pool ~chunk:16 scheme
+             (Rng.create ~seed:99 ()) db))
   in
-  let a = run () and b = run () in
-  Alcotest.(check bool) "same seed, same outputs" true
-    (Array.for_all2 Itemset.equal (Db.transactions a) (Db.transactions b))
+  let a = run 1 and b = run 1 and c = run 2 in
+  let same x y =
+    Array.for_all2
+      (fun (s, y) (s', y') -> s = s' && Itemset.equal y y')
+      x y
+  in
+  Alcotest.(check bool) "same seed, same outputs" true (same a b && same a c)
 
-let test_apply_db_tagged () =
+let test_tagged_application () =
   let rng = Rng.create ~seed:9 () in
   let scheme = Randomizer.cut_and_paste ~universe:30 ~cutoff:2 ~rho:0.1 in
   let db =
     Db.create ~universe:30
       (Array.of_list (List.map Itemset.of_list [ [ 1; 2; 3 ]; [ 4 ]; []; [ 5; 6 ] ]))
   in
-  let tagged = Randomizer.apply_db_tagged scheme rng db in
+  let tagged = Ppdm_check.Draw.tagged scheme rng db in
   Alcotest.(check (list int)) "original sizes preserved" [ 3; 1; 0; 2 ]
     (Array.to_list (Array.map fst tagged))
 
@@ -229,8 +239,8 @@ let test_universe_mismatch () =
   let scheme = Randomizer.uniform ~universe:10 ~p_keep:0.5 ~p_add:0.1 in
   let db = Db.create ~universe:20 [| Itemset.singleton 1 |] in
   Alcotest.check_raises "universe mismatch"
-    (Invalid_argument "Randomizer.apply_db: universe mismatch") (fun () ->
-      ignore (Randomizer.apply_db scheme rng db))
+    (Invalid_argument "Parallel.randomize: universe mismatch") (fun () ->
+      ignore (Ppdm_check.Draw.reports scheme rng db))
 
 (* Distribution of the one-pass sampler.  Each check is a chi-square
    goodness of fit at the p-value floor of the [Stat] helpers (0.001). *)
@@ -488,7 +498,7 @@ let suite =
     Alcotest.test_case "oversize transaction fails before resolving" `Quick
       test_oversize_checked_first;
     Alcotest.test_case "determinism" `Quick test_determinism;
-    Alcotest.test_case "tagged application" `Quick test_apply_db_tagged;
+    Alcotest.test_case "tagged application" `Quick test_tagged_application;
     Alcotest.test_case "universe mismatch" `Quick test_universe_mismatch;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_tests

@@ -100,7 +100,7 @@ let test_estimation_through_roundtrip () =
       ~support:0.15
   in
   let scheme = Randomizer.cut_and_paste ~universe ~cutoff:5 ~rho:0.04 in
-  let data = Randomizer.apply_db_tagged scheme rng db in
+  let data = Ppdm_check.Draw.tagged scheme rng db in
   with_temp (fun path ->
       Scheme_io.write_file path scheme ~sizes:(Scheme_io.sizes_of_db db);
       let back = Scheme_io.read_file path in

@@ -307,7 +307,7 @@ let e2e_case () =
   in
   let scheme = Randomizer.uniform ~universe:10 ~p_keep:0.8 ~p_add:0.1 in
   let rng = Rng.create ~seed:5 () in
-  let data = Randomizer.apply_db_tagged scheme rng db in
+  let data = Ppdm_check.Draw.tagged scheme rng db in
   let itemsets =
     [ Itemset.of_list [ 0; 1 ]; Itemset.of_list [ 2 ]; Itemset.of_list [ 7 ] ]
   in

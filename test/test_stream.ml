@@ -12,7 +12,7 @@ let setup ~seed =
   let itemset = Itemset.of_list [ 1; 4 ] in
   let db = Simple.planted rng ~universe ~size ~count:5000 ~itemset ~support:0.2 in
   let scheme = Randomizer.cut_and_paste ~universe ~cutoff:5 ~rho:0.05 in
-  let data = Randomizer.apply_db_tagged scheme rng db in
+  let data = Ppdm_check.Draw.tagged scheme rng db in
   (scheme, itemset, data)
 
 let test_batch_equivalence () =
@@ -169,7 +169,7 @@ let test_merge_grows () =
            Itemset.of_list (List.init (i mod 10) (fun j -> (i + (3 * j)) mod universe))))
   in
   let scheme = Randomizer.cut_and_paste ~universe ~cutoff:4 ~rho:0.1 in
-  let data = Randomizer.apply_db_tagged scheme rng db in
+  let data = Ppdm_check.Draw.tagged scheme rng db in
   let itemset = Itemset.of_list [ 2; 5 ] in
   let fold rows =
     let acc = Stream.create ~scheme ~itemset in
