@@ -825,20 +825,29 @@ let serve_cmd =
       }
     in
     let stats =
-      Ppdm_server.Serve.run config
-        ~ready:(fun port ->
-          Printf.printf
-            "ppdm serve: listening on 127.0.0.1:%d (operator %s, %d itemsets, \
-             jobs %d, shards %d, batch %d)\n\
-             %!"
-            port (Randomizer.name scheme) (List.length tracked) (max 1 jobs)
-            shards batch)
-        ~admin_ready:(fun port ->
-          Printf.printf
-            "ppdm serve: admin plane on 127.0.0.1:%d (/metrics /healthz \
-             /readyz)\n\
-             %!"
-            port)
+      match
+        Ppdm_server.Serve.run config
+          ~ready:(fun port ->
+            Printf.printf
+              "ppdm serve: listening on 127.0.0.1:%d (operator %s, %d itemsets, \
+               jobs %d, shards %d, batch %d)\n\
+               %!"
+              port (Randomizer.name scheme) (List.length tracked) (max 1 jobs)
+              shards batch)
+          ~admin_ready:(fun port ->
+            Printf.printf
+              "ppdm serve: admin plane on 127.0.0.1:%d (/metrics /healthz \
+               /readyz)\n\
+               %!"
+              port)
+      with
+      | stats -> stats
+      | exception Unix.Unix_error (e, "bind", addr) ->
+          (* A port that cannot be bound (in use, privileged) is
+             "serve: 127.0.0.1:<port>: …" and exit 1, as load reports a
+             server it cannot reach. *)
+          Printf.eprintf "serve: %s: %s\n" addr (Unix.error_message e);
+          exit 1
     in
     Printf.printf "ppdm serve: stopped after %d sessions, %d reports folded\n"
       stats.Ppdm_server.Serve.sessions stats.Ppdm_server.Serve.reports

@@ -444,6 +444,119 @@ let route_parity_differential ~seed ~count =
          in
          check (List.combine probes served)))
 
+(* ------------------------------------------ indexed shard fold differential *)
+
+(* The shard folds each report by item and derives each layout's l = 0
+   entries from its per-size row count.  Against one [Stream.observe] per
+   tracked itemset, count for count: tracked itemsets that overlap and
+   repeat, items 0 and [universe - 1], empty and full reports, sizes up
+   to the universe, 1-4 shards folding on their own domains in random
+   batches.  Each shard is read once mid-stream and again at the end, so
+   a stale l = 0 entry shows; an extra shard folds nothing. *)
+let shard_fold_differential ~seed ~count =
+  let show a =
+    "[" ^ String.concat ";" (Array.to_list (Array.map string_of_int a)) ^ "]"
+  in
+  prop
+    (Property.check_result ~seed ~count
+       ~name:"indexed shard fold == Stream.observe per itemset"
+       (Gen.int_range 0 1_000_000)
+       (fun key ->
+         let rng = Rng.create ~seed:key () in
+         let universe = 1 + Rng.int rng 40 in
+         let scheme = Randomizer.uniform ~universe ~p_keep:0.8 ~p_add:0.05 in
+         let subset k =
+           Itemset.of_sorted_array_unchecked
+             (Dist.sample_distinct rng ~k ~bound:universe)
+         in
+         let drawn =
+           List.init (1 + Rng.int rng 6) (fun _ ->
+               subset (1 + Rng.int rng (min 4 universe)))
+         in
+         (* the first drawn itemset repeats, and grows into a superset *)
+         let head = List.hd drawn and tail = List.nth drawn (List.length drawn - 1) in
+         let tracked =
+           [ Itemset.singleton 0; Itemset.singleton (universe - 1) ]
+           @ drawn
+           @ [ head; Itemset.union head tail; Itemset.of_list [ 0; universe - 1 ] ]
+         in
+         let report () =
+           let y =
+             match Rng.int rng 6 with
+             | 0 -> Itemset.empty
+             | 1 -> Itemset.of_list [ 0; universe - 1 ]
+             | 2 -> subset universe
+             | _ -> subset (Rng.int rng (universe + 1))
+           in
+           (Rng.int rng (universe + 1), y)
+         in
+         let first = Array.init (Rng.int rng 300) (fun _ -> report ()) in
+         let second = Array.init (Rng.int rng 300) (fun _ -> report ()) in
+         let n_shards = 1 + Rng.int rng 4 in
+         let create () =
+           Ppdm_server.Shard.create ~scheme ~itemsets:tracked
+             ~capacity:(1 + Rng.int rng 64)
+         in
+         let shards = Array.init n_shards (fun _ -> create ()) in
+         let idle = create () in
+         let folders =
+           Array.map
+             (fun shard ->
+               let batch = 1 + Rng.int rng 64 in
+               Domain.spawn (fun () -> Ppdm_server.Shard.fold_loop shard ~batch))
+             shards
+         in
+         let submit rows =
+           Array.iter
+             (fun (size, y) ->
+               ignore
+                 (Ppdm_server.Shard.submit shards.(Rng.int rng n_shards)
+                    (size, y, 0)))
+             rows
+         in
+         let merged shards =
+           let totals =
+             List.map (fun itemset -> Stream.create ~scheme ~itemset) tracked
+           in
+           Array.iter (fun shard -> Ppdm_server.Shard.merge_into shard totals) shards;
+           totals
+         in
+         let check what rows totals =
+           List.combine tracked totals
+           |> List.find_map (fun (itemset, got) ->
+                  let want = Stream.create ~scheme ~itemset in
+                  Array.iter (fun (size, y) -> Stream.observe want ~size y) rows;
+                  if
+                    Stream.counts got = Stream.counts want
+                    && Stream.observed got = Stream.observed want
+                  then None
+                  else
+                    Some
+                      (Printf.sprintf
+                         "%s, universe %d, %d shard(s), %s: shard %s (%d), \
+                          observe %s (%d)"
+                         what universe n_shards (Itemset.to_string itemset)
+                         (show (Stream.counts got)) (Stream.observed got)
+                         (show (Stream.counts want)) (Stream.observed want)))
+         in
+         submit first;
+         Array.iter Ppdm_server.Shard.quiesce shards;
+         let mid = check "mid-stream" first (merged shards) in
+         submit second;
+         Array.iter Ppdm_server.Shard.close shards;
+         Array.iter Domain.join folders;
+         Ppdm_server.Shard.close idle;
+         Ppdm_server.Shard.fold_loop idle ~batch:1;
+         let all = Array.append first second in
+         match
+           [ mid;
+             check "final" all (merged (Array.append shards [| idle |]));
+             check "idle shard" [||] (merged [| idle |]) ]
+           |> List.find_map Fun.id
+         with
+         | None -> Ok ()
+         | Some e -> Error e))
+
 (* ------------------------------------------- private miner differential *)
 
 (* Six hot items carry the patterns over a background universe.  Sizes
@@ -1381,6 +1494,9 @@ let run ?count ?(seed = 42) ?(log = ignore) () =
           ( "differential: private == recover == serve on one store, bit \
              for bit",
             fun () -> route_parity_differential ~seed ~count );
+          ( "differential: indexed shard fold == Stream.observe per \
+             itemset, count for count",
+            fun () -> shard_fold_differential ~seed ~count );
           ( "differential: estimator vs brute-force reference",
             fun () -> estimator_reference_check ~seed ~count );
           ( "differential: operator design on the basis == direct form",

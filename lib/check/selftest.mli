@@ -60,6 +60,17 @@ val route_parity_differential : seed:int -> count:int -> (unit, string) result
     bit for bit by all three, and the same N from [recover] and
     [serve]. *)
 
+val shard_fold_differential : seed:int -> count:int -> (unit, string) result
+(** {!Ppdm_server.Shard}'s fold by item against one
+    {!Ppdm.Stream.observe} per tracked itemset, count for count
+    ({!Ppdm.Stream.counts} and {!Ppdm.Stream.observed}), on [count]
+    random cases: universes 1..40, tracked itemsets that overlap and
+    repeat (item 0, item [universe - 1], both), reports that are empty,
+    full or random with sizes up to the universe, 1..4 shards folding on
+    their own domains in random batches.  The shards are merged once
+    mid-stream and once at the end; a shard that folded nothing merges
+    as an empty statistic. *)
+
 val private_miner_differential : seed:int -> (unit, string) result
 (** {!Ppdm.Ppmining.mine} against {!Oracle.ppmining_reference} on
     randomized databases over universes 60 and 1500, under cut-and-paste,

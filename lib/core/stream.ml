@@ -19,6 +19,7 @@ let create ~scheme ~itemset =
 
 let itemset t = t.itemset
 let observed t = t.observed
+let counts t = Array.copy t.counts
 
 (* Grow the layout to [len] counts, exactly: it stays as long as the
    largest size seen. *)
@@ -39,9 +40,12 @@ let observe_all t data =
   Array.iter (fun (size, y) -> observe t ~size y) data;
   Ppdm_obs.Metrics.add "stream.observed" (Array.length data)
 
-let merge_into t ~from =
-  if not (Itemset.equal t.itemset from.itemset) then
-    invalid_arg "Stream.merge_into: itemset mismatch";
+(* The one add loop: [merge_into] and every shard merge go through it. *)
+let add ~who t ~scheme ~itemset ~observed counts =
+  if not (Itemset.equal t.itemset itemset) then
+    invalid_arg (who ^ ": itemset mismatch");
+  if Array.length counts mod (t.k + 1) <> 0 then
+    invalid_arg (who ^ ": layout length is not a multiple of k + 1");
   (* Accumulators built under different schemes must not merge: estimate
      inverts t's transition matrices, so foreign counts would silently
      produce wrong estimates.  Compare the operator parameters at every
@@ -51,15 +55,21 @@ let merge_into t ~from =
   let sizes () =
     List.sort_uniq Int.compare
       (Estimator.observed_sizes ~k:t.k t.counts
-      @ Estimator.observed_sizes ~k:t.k from.counts)
+      @ Estimator.observed_sizes ~k:t.k counts)
   in
   if
-    t.scheme != from.scheme
-    && not (Randomizer.same_parameters t.scheme from.scheme ~sizes:(sizes ()))
-  then invalid_arg "Stream.merge_into: scheme mismatch";
-  reserve t (Array.length from.counts);
-  Array.iteri (fun i c -> t.counts.(i) <- t.counts.(i) + c) from.counts;
-  t.observed <- t.observed + from.observed
+    t.scheme != scheme
+    && not (Randomizer.same_parameters t.scheme scheme ~sizes:(sizes ()))
+  then invalid_arg (who ^ ": scheme mismatch");
+  reserve t (Array.length counts);
+  Array.iteri (fun i c -> t.counts.(i) <- t.counts.(i) + c) counts;
+  t.observed <- t.observed + observed
+
+let add_layout = add ~who:"Stream.add_layout"
+
+let merge_into t ~from =
+  add ~who:"Stream.merge_into" t ~scheme:from.scheme ~itemset:from.itemset
+    ~observed:from.observed from.counts
 
 let merge = function
   | [] -> invalid_arg "Stream.merge: empty list"

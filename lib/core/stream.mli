@@ -20,6 +20,11 @@ val itemset : t -> Itemset.t
 val observed : t -> int
 (** Number of transactions absorbed so far. *)
 
+val counts : t -> int array
+(** A copy of the statistic: [counts.(size * (k+1) + l)] is the number of
+    transactions of original size [size] whose report holds [l] of the
+    itemset's [k] items, up to the largest size observed. *)
+
 val observe : t -> size:int -> Itemset.t -> unit
 (** Absorb one randomized transaction tagged with its original size;
     allocates only to grow to a larger size.  A caller folding many adds
@@ -36,6 +41,17 @@ val merge_into : t -> from:t -> unit
     accumulators' schemes disagree (universe or operator parameters at
     any observed size, per {!Randomizer.same_parameters}) — mixed-scheme
     counts would silently corrupt {!estimate}. *)
+
+val add_layout :
+  t -> scheme:Randomizer.t -> itemset:Itemset.t -> observed:int -> int array ->
+  unit
+(** [add_layout acc ~scheme ~itemset ~observed counts] adds a statistic
+    kept elsewhere in the layout of {!counts} — [observed] transactions
+    of [itemset] randomized under [scheme] — into [acc], as {!merge_into}
+    adds another accumulator's ({!merge_into} is this add).  [counts] is
+    unchanged.
+    @raise Invalid_argument as {!merge_into}, or if the length of
+    [counts] is not a multiple of k + 1. *)
 
 val merge : t list -> t
 (** [merge ts] is a fresh accumulator holding the summed statistic of all

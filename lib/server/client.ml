@@ -1,6 +1,11 @@
 open Ppdm
 
-type t = { sock : Unix.file_descr; max_frame : int; mutable closed : bool }
+type t = {
+  sock : Unix.file_descr;
+  reader : Framing.reader;
+  max_frame : int;
+  mutable closed : bool;
+}
 
 exception Server_error of Wire.error_code * string
 
@@ -9,7 +14,7 @@ let connect ?(retries = 100) ?(max_frame = Framing.default_max_frame) ~port () =
   let rec attempt left =
     let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     match Unix.connect sock addr with
-    | () -> { sock; max_frame; closed = false }
+    | () -> { sock; reader = Framing.reader sock; max_frame; closed = false }
     | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.EINTR), _, _)
       when left > 1 ->
         Unix.close sock;
@@ -42,7 +47,7 @@ let send_raw t raw =
   go 0
 
 let read t =
-  match Framing.read ~max_frame:t.max_frame t.sock with
+  match Framing.read ~max_frame:t.max_frame t.reader with
   | Error e -> Error (Framing.read_error_to_string e)
   | Ok payload -> Wire.decode payload
 

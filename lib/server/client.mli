@@ -56,10 +56,12 @@ val send_raw : t -> bytes -> unit
 (** Write bytes verbatim — no framing, no validation. *)
 
 val read : t -> (Wire.message, string) result
-(** Read and decode one frame.  [Error] describes transport or decode
+(** Read and decode one frame, through the session's own 64 KB
+    {!Framing.reader}.  [Error] describes transport or decode
     trouble (["closed"], ["truncated ..."], ...) — a successfully decoded
     [Wire.Error] frame is [Ok (Error _)], not [Error _]. *)
 
 val fd : t -> Unix.file_descr
 (** The underlying socket, for surgical fault injection ([shutdown] of
-    one direction, abrupt close mid-frame). *)
+    one direction, abrupt close mid-frame).  Do not read from it: frames
+    the server already sent may sit in {!read}'s buffer. *)

@@ -30,36 +30,72 @@ let write ?(max_frame = default_max_frame) fd payload =
     invalid_arg
       (Printf.sprintf "Framing.write: payload length %d exceeds cap %d" len
          max_frame);
-  let header = Bytes.create 4 in
-  Bytes.set_int32_be header 0 (Int32.of_int len);
-  write_all fd header 0 4;
-  write_all fd payload 0 len
+  (* Header and payload in one write: two writes per frame leave a small
+     segment for Nagle to hold until the peer's delayed ACK. *)
+  let frame = Bytes.create (4 + len) in
+  Bytes.set_int32_be frame 0 (Int32.of_int len);
+  Bytes.blit payload 0 frame 4 len;
+  write_all fd frame 0 (4 + len)
 
-(* Read exactly [len] bytes; [Ok ()] or how many actually arrived before
-   EOF.  [Unix.read] returning 0 is the EOF signal on sockets. *)
-let read_exact fd b len =
-  let rec go pos =
-    if pos = len then Ok ()
+type reader = {
+  fd : Unix.file_descr;
+  buf : Bytes.t;
+  mutable pos : int;  (** next unread byte of [buf] *)
+  mutable lim : int;  (** end of the bytes read into [buf] *)
+}
+
+let reader fd = { fd; buf = Bytes.create 65536; pos = 0; lim = 0 }
+
+(* Refill [buf] after its unread bytes until [need] of them are there or
+   the peer closes; the number then unread.  [Unix.read] returning 0 is
+   the EOF signal on sockets. *)
+let fill r need =
+  if r.pos = r.lim then begin
+    r.pos <- 0;
+    r.lim <- 0
+  end
+  else if r.pos + need > Bytes.length r.buf then begin
+    Bytes.blit r.buf r.pos r.buf 0 (r.lim - r.pos);
+    r.lim <- r.lim - r.pos;
+    r.pos <- 0
+  end;
+  let rec go () =
+    if r.lim - r.pos >= need then need
     else
-      match Unix.read fd b pos (len - pos) with
-      | 0 -> Error pos
-      | n -> go (pos + n)
+      match Unix.read r.fd r.buf r.lim (Bytes.length r.buf - r.lim) with
+      | 0 -> r.lim - r.pos
+      | n ->
+          r.lim <- r.lim + n;
+          go ()
+  in
+  go ()
+
+(* The payload's bytes, each refill of [buf] blitted into it. *)
+let read_payload r payload =
+  let declared = Bytes.length payload in
+  let rec go got =
+    if got = declared then Ok payload
+    else if r.lim > r.pos then begin
+      let n = min (r.lim - r.pos) (declared - got) in
+      Bytes.blit r.buf r.pos payload got n;
+      r.pos <- r.pos + n;
+      go (got + n)
+    end
+    else
+      match fill r 1 with
+      | 0 -> Error (Truncated { expected = declared; got })
+      | _ -> go got
   in
   go 0
 
-let read ?(max_frame = default_max_frame) fd =
-  let header = Bytes.create 4 in
-  match read_exact fd header 4 with
-  | Error 0 -> Error Closed
-  | Error got -> Error (Truncated { expected = 4; got })
-  | Ok () ->
-      let declared = Int32.to_int (Bytes.get_int32_be header 0) in
+let read ?(max_frame = default_max_frame) r =
+  match fill r 4 with
+  | 0 -> Error Closed
+  | got when got < 4 -> Error (Truncated { expected = 4; got })
+  | _ ->
+      let declared = Int32.to_int (Bytes.get_int32_be r.buf r.pos) in
+      r.pos <- r.pos + 4;
       if declared <= 0 then Error (Bad_length declared)
       else if declared > max_frame then
         Error (Too_large { declared; limit = max_frame })
-      else begin
-        let payload = Bytes.create declared in
-        match read_exact fd payload declared with
-        | Ok () -> Ok payload
-        | Error got -> Error (Truncated { expected = declared; got })
-      end
+      else read_payload r (Bytes.create declared)

@@ -161,11 +161,15 @@ let shared_snapshot_json sh ~flush =
 
 (* ------------------------------------------------------------- sockets *)
 
+(* A failed bind names the address it wanted in the error's argument,
+   so the CLI can report "127.0.0.1:<port>: Address already in use". *)
 let bind_listener port =
   let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   match
     Unix.setsockopt listener Unix.SO_REUSEADDR true;
-    Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+    (try Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+     with Unix.Unix_error (e, fn, _) ->
+       raise (Unix.Unix_error (e, fn, Printf.sprintf "127.0.0.1:%d" port)));
     Unix.listen listener 64;
     Unix.getsockname listener
   with

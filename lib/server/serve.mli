@@ -60,7 +60,8 @@ val start : config -> t
     a [max_frame] below {!min_max_frame}, no tracked itemset, or a
     tracked itemset that is empty or holds an item outside the scheme's
     universe.
-    @raise Unix.Unix_error if the port cannot be bound. *)
+    @raise Unix.Unix_error [(e, "bind", "127.0.0.1:<port>")] if a port
+    cannot be bound. *)
 
 val port : t -> int
 (** The actual listening port (useful with [port = 0]). *)
@@ -85,4 +86,5 @@ val run : ?ready:(int -> unit) -> ?admin_ready:(int -> unit) -> config -> stats
 (** Blocking variant for the CLI: serve until a client sends [Shutdown].
     [ready] is called with the bound data port once listening;
     [admin_ready] with the bound admin port when the admin plane is
-    configured. *)
+    configured.
+    @raise Invalid_argument and [Unix.Unix_error] as {!start}. *)

@@ -145,8 +145,9 @@ let run config ~shards fd =
           "server-to-client message on the client-to-server direction";
         `Stop
   in
+  let reader = Framing.reader fd in
   let rec loop () =
-    match Framing.read ~max_frame:config.max_frame fd with
+    match Framing.read ~max_frame:config.max_frame reader with
     | Error Framing.Closed -> ()
     | Error (Framing.Truncated _) ->
         (* The peer vanished mid-frame: nothing to answer, just count. *)

@@ -21,7 +21,8 @@
 # with no server.  An out-of-range operator, universe, size or serve
 # flag is a usage error, exit 2, "<cmd>: --flag "; load against a closed
 # port or a server that refuses its operator exits 1 as
-# "load: 127.0.0.1:<port>: ".
+# "load: 127.0.0.1:<port>: ", and serve on a port another serve holds
+# exits 1 as "serve: 127.0.0.1:<port>: Address already in use".
 # Usage: bad_input.sh PPDM_CLI
 set -eu
 # Bare names (no slash) are files in the current directory.
@@ -252,6 +253,22 @@ if [ -z "$port" ]; then
 else
   expect_fail 1 "^load: 127.0.0.1:$port: scheme-mismatch: " load --port "$port" \
     --in "$dir/db64.txt" --operator uniform
+  # a second serve on the port the first holds; killed if it ever binds
+  "$cli" serve --port "$port" --universe 64 >/dev/null 2>"$dir/err" &
+  second_pid=$!
+  for _ in $(seq 1 100); do
+    kill -0 "$second_pid" 2>/dev/null || break
+    sleep 0.1
+  done
+  kill "$second_pid" 2>/dev/null || true
+  status=0
+  wait "$second_pid" || status=$?
+  if [ "$status" -ne 1 ] ||
+    ! grep -q "^serve: 127.0.0.1:$port: Address already in use$" "$dir/err"; then
+    echo "FAIL: serve on a port in use: exit $status" >&2
+    cat "$dir/err" >&2
+    failures=$((failures + 1))
+  fi
   "$cli" load --port "$port" --in "$dir/db64.txt" --shutdown >/dev/null
 fi
 wait "$serve_pid" || true

@@ -115,13 +115,26 @@ let test_wire_truncation_strict () =
 
 (* ---------------------------------------------------------- framing *)
 
+(* [f] gets a frame reader on the read end of a pipe, and the write end. *)
 let with_pipe f =
   let r, w = Unix.pipe () in
   Fun.protect
     ~finally:(fun () ->
       (try Unix.close r with Unix.Unix_error _ -> ());
       try Unix.close w with Unix.Unix_error _ -> ())
-    (fun () -> f r w)
+    (fun () -> f (Framing.reader r) w)
+
+(* [f] gets a frame reader on a file holding [bytes].  A file read fills
+   the buffer as far as the file allows, so a stream longer than the
+   buffer lands at known offsets of it, with no writer to run beside. *)
+let with_file bytes f =
+  let path = Filename.temp_file "framing" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc bytes);
+      let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> f (Framing.reader fd)))
 
 let write_raw w b = ignore (Unix.write w b 0 (Bytes.length b))
 
@@ -130,27 +143,33 @@ let header_declaring n =
   Bytes.set_int32_be h 0 (Int32.of_int n);
   h
 
+(* The bytes of one frame, as [Framing.write] sends them. *)
+let frame_bytes payload =
+  Bytes.cat (header_declaring (String.length payload)) (Bytes.of_string payload)
+
 let read_err_testable =
   Alcotest.testable
     (fun fmt e -> Format.pp_print_string fmt (Framing.read_error_to_string e))
     ( = )
+
+let expect_frame ?max_frame r what payload =
+  match Framing.read ?max_frame r with
+  | Ok p -> Alcotest.(check string) what payload (Bytes.to_string p)
+  | Error e -> Alcotest.fail (what ^ ": " ^ Framing.read_error_to_string e)
+
+let expect_error ?max_frame r what err =
+  Alcotest.(check (result reject read_err_testable))
+    what (Error err) (Framing.read ?max_frame r)
 
 let test_framing_roundtrip () =
   with_pipe (fun r w ->
       Framing.write w (Bytes.of_string "hello");
       Framing.write w (Bytes.of_string "x");
       Unix.close w;
-      (match Framing.read r with
-      | Ok p -> Alcotest.(check string) "frame 1" "hello" (Bytes.to_string p)
-      | Error e -> Alcotest.fail (Framing.read_error_to_string e));
-      (match Framing.read r with
-      | Ok p -> Alcotest.(check string) "frame 2" "x" (Bytes.to_string p)
-      | Error e -> Alcotest.fail (Framing.read_error_to_string e));
-      match Framing.read r with
-      | Error Framing.Closed -> ()
-      | Ok _ -> Alcotest.fail "read past the last frame"
-      | Error e ->
-          Alcotest.fail ("clean EOF misreported: " ^ Framing.read_error_to_string e))
+      expect_frame r "frame 1" "hello";
+      expect_frame r "frame 2" "x";
+      expect_error r "clean EOF at a frame boundary" Framing.Closed;
+      expect_error r "and again" Framing.Closed)
 
 let test_framing_truncations () =
   with_pipe (fun r w ->
@@ -158,37 +177,57 @@ let test_framing_truncations () =
       write_raw w (header_declaring 10);
       write_raw w (Bytes.of_string "abc");
       Unix.close w;
-      Alcotest.(check (result reject read_err_testable))
-        "payload truncated"
-        (Error (Framing.Truncated { expected = 10; got = 3 }))
-        (Framing.read r));
+      expect_error r "payload truncated"
+        (Framing.Truncated { expected = 10; got = 3 }));
   with_pipe (fun r w ->
       write_raw w (Bytes.of_string "ab");
       Unix.close w;
-      Alcotest.(check (result reject read_err_testable))
-        "header truncated"
-        (Error (Framing.Truncated { expected = 4; got = 2 }))
-        (Framing.read r))
+      expect_error r "header truncated"
+        (Framing.Truncated { expected = 4; got = 2 }));
+  (* EOF mid-header and mid-payload after frames the reader buffered in
+     the same read *)
+  List.iter
+    (fun (what, tail, err) ->
+      with_pipe (fun r w ->
+          write_raw w
+            (Bytes.concat Bytes.empty
+               [ frame_bytes "first"; frame_bytes "second"; tail ]);
+          Unix.close w;
+          expect_frame r (what ^ ": frame 1") "first";
+          expect_frame r (what ^ ": frame 2") "second";
+          expect_error r what err))
+    [
+      ( "header truncated after buffered frames",
+        Bytes.of_string "\000\000",
+        Framing.Truncated { expected = 4; got = 2 } );
+      ( "payload truncated after buffered frames",
+        Bytes.cat (header_declaring 10) (Bytes.of_string "abc"),
+        Framing.Truncated { expected = 10; got = 3 } );
+    ];
+  (* a payload larger than the 64 KB buffer, cut short past its end *)
+  with_file
+    (Bytes.cat (header_declaring 200_000) (Bytes.make 100_000 'z'))
+    (fun r ->
+      expect_error r "long payload truncated"
+        (Framing.Truncated { expected = 200_000; got = 100_000 }))
 
 let test_framing_bad_lengths () =
   with_pipe (fun r w ->
       write_raw w (header_declaring 0);
-      Alcotest.(check (result reject read_err_testable))
-        "zero length"
-        (Error (Framing.Bad_length 0))
-        (Framing.read r));
+      expect_error r "zero length" (Framing.Bad_length 0));
   with_pipe (fun r w ->
       write_raw w (Bytes.make 4 '\xff');
-      Alcotest.(check (result reject read_err_testable))
-        "negative length (garbage prefix)"
-        (Error (Framing.Bad_length (-1)))
-        (Framing.read r));
+      expect_error r "negative length (garbage prefix)" (Framing.Bad_length (-1)));
   with_pipe (fun r w ->
       write_raw w (header_declaring 65);
-      Alcotest.(check (result reject read_err_testable))
-        "over the cap"
-        (Error (Framing.Too_large { declared = 65; limit = 64 }))
-        (Framing.read ~max_frame:64 r));
+      expect_error ~max_frame:64 r "over the cap"
+        (Framing.Too_large { declared = 65; limit = 64 }));
+  (* a buffered frame ahead of a bad header still arrives *)
+  with_pipe (fun r w ->
+      write_raw w (Bytes.cat (frame_bytes "ok") (header_declaring 1_000_000));
+      expect_frame ~max_frame:64 r "frame before the bad header" "ok";
+      expect_error ~max_frame:64 r "then over the cap"
+        (Framing.Too_large { declared = 1_000_000; limit = 64 }));
   Alcotest.check_raises "empty payload rejected"
     (Invalid_argument "Framing.write: empty payload") (fun () ->
       with_pipe (fun _ w -> Framing.write w Bytes.empty))
@@ -204,9 +243,53 @@ let test_framing_write_cap () =
   with_pipe (fun r w ->
       Framing.write ~max_frame:16 w (Bytes.make 9 'x');
       Unix.close w;
-      match Framing.read ~max_frame:16 r with
-      | Ok p -> Alcotest.(check int) "frame arrives" 9 (Bytes.length p)
-      | Error e -> Alcotest.fail (Framing.read_error_to_string e))
+      expect_frame ~max_frame:16 r "frame arrives" (String.make 9 'x'))
+
+(* The reader's buffer is 64 KB.  Many frames in one pipe write come out
+   of one read one by one; in a longer stream frames straddle the
+   buffer's end, and frames larger than it are copied out a refill at a
+   time. *)
+let test_framing_buffered () =
+  let small i =
+    String.init (1 + (i * 7 mod 61)) (fun j -> Char.chr (65 + ((i + j) mod 26)))
+  in
+  let stream payloads = Bytes.concat Bytes.empty (List.map frame_bytes payloads) in
+  let expect_all r what payloads =
+    List.iteri (fun i p -> expect_frame r (Printf.sprintf "%s, frame %d" what i) p) payloads;
+    expect_error r (what ^ ": closed") Framing.Closed
+  in
+  (* 200 frames, ~7 KB, all in the pipe before the first read *)
+  let few = List.init 200 small in
+  with_pipe (fun r w ->
+      write_raw w (stream few);
+      Unix.close w;
+      expect_all r "one read" few);
+  (* 4000 frames, ~140 KB: the buffer refills mid-frame *)
+  let many = List.init 4000 small in
+  with_file (stream many) (fun r -> expect_all r "longer than the buffer" many);
+  (* a header, then a payload, across the buffer's end at byte 65536 *)
+  List.iter
+    (fun (what, at, next) ->
+      let payloads = [ String.make (at - 4) 'a'; next; "tail" ] in
+      with_file (stream payloads) (fun r -> expect_all r what payloads))
+    [
+      ("header straddles the buffer's end", 65534, "straddler");
+      ("payload straddles the buffer's end", 65520, String.make 40 'p');
+    ];
+  (* a frame above the 64 KB buffer but within the cap, written
+     from another domain while the reader drains the pipe *)
+  let big = String.init 200_000 (fun i -> Char.chr (i mod 251)) in
+  with_pipe (fun r w ->
+      let writer =
+        Domain.spawn (fun () ->
+            Framing.write w (Bytes.of_string "before");
+            Framing.write w (Bytes.of_string big);
+            Framing.write w (Bytes.of_string "after"))
+      in
+      expect_frame r "small frame" "before";
+      expect_frame r "frame larger than the buffer" big;
+      expect_frame r "small frame after it" "after";
+      Domain.join writer)
 
 (* ------------------------------------------------------------ ingest *)
 
@@ -420,6 +503,30 @@ let test_tracked_itemsets_validated () =
       ([ Itemset.singleton 0; Itemset.empty ], "Serve: empty tracked itemset");
     ]
 
+let test_shard_fold_differential () =
+  (match Selftest.shard_fold_differential ~seed:17 ~count:60 with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let scheme = Randomizer.uniform ~universe:4 ~p_keep:0.8 ~p_add:0.1 in
+  let itemsets = [ Itemset.singleton 1; Itemset.of_list [ 1; 2 ] ] in
+  let shard = Shard.create ~scheme ~itemsets ~capacity:4 in
+  Alcotest.check_raises "one accumulator per tracked itemset"
+    (Invalid_argument "Shard.merge_into: one accumulator per tracked itemset")
+    (fun () ->
+      Shard.merge_into shard [ Stream.create ~scheme ~itemset:(Itemset.singleton 1) ]);
+  (* a size outside [0, universe] rejects its whole batch *)
+  List.iter
+    (fun size -> ignore (Shard.submit shard (size, Itemset.singleton 1, 0)))
+    [ 2; 5 ];
+  Shard.close shard;
+  Alcotest.check_raises "size above the universe"
+    (Invalid_argument "Shard.fold_batch: size outside [0, universe]")
+    (fun () -> Shard.fold_loop shard ~batch:2);
+  let totals = List.map (fun itemset -> Stream.create ~scheme ~itemset) itemsets in
+  Shard.merge_into shard totals;
+  Alcotest.(check (list int)) "nothing of the batch folded" [ 0; 0 ]
+    (List.map Stream.observed totals)
+
 let suite =
   [
     Alcotest.test_case "wire round-trip" `Quick test_wire_roundtrip;
@@ -429,11 +536,14 @@ let suite =
     Alcotest.test_case "framing truncations" `Quick test_framing_truncations;
     Alcotest.test_case "framing bad lengths" `Quick test_framing_bad_lengths;
     Alcotest.test_case "framing write cap" `Quick test_framing_write_cap;
+    Alcotest.test_case "framing buffered reader" `Quick test_framing_buffered;
     Alcotest.test_case "ingest fifo" `Quick test_ingest_fifo;
     Alcotest.test_case "ingest batches" `Quick test_ingest_batches;
     Alcotest.test_case "ingest linger with blocked producer" `Quick
       test_ingest_linger_with_blocked_producer;
     Alcotest.test_case "ingest backpressure" `Quick test_ingest_backpressure;
+    Alcotest.test_case "indexed fold == Stream.observe per itemset" `Quick
+      test_shard_fold_differential;
     Alcotest.test_case "e2e bit-identical at any jobs/shards" `Quick
       test_e2e_bit_identical;
     Alcotest.test_case "fault scenarios" `Quick test_fault_scenarios;

@@ -86,7 +86,20 @@ let test_merge_mismatch () =
   let b = Stream.create ~scheme ~itemset:(Itemset.singleton 0) in
   Alcotest.check_raises "itemset mismatch"
     (Invalid_argument "Stream.merge_into: itemset mismatch") (fun () ->
-      Stream.merge_into a ~from:b)
+      Stream.merge_into a ~from:b);
+  (* a layout kept elsewhere (a server shard's) is checked the same way,
+     and its length must be whole size classes *)
+  Alcotest.check_raises "add_layout itemset mismatch"
+    (Invalid_argument "Stream.add_layout: itemset mismatch") (fun () ->
+      Stream.add_layout a ~scheme ~itemset:(Itemset.singleton 0) ~observed:1
+        [| 1; 0 |]);
+  Alcotest.check_raises "add_layout partial size class"
+    (Invalid_argument
+       "Stream.add_layout: layout length is not a multiple of k + 1")
+    (fun () ->
+      Stream.add_layout a ~scheme ~itemset ~observed:1
+        (Array.make (Itemset.cardinal itemset + 2) 0));
+  Alcotest.(check int) "rejected adds left it untouched" 0 (Stream.observed a)
 
 let test_merge_scheme_mismatch () =
   (* accumulators built under different operator parameters must not
