@@ -36,14 +36,15 @@ type operator_spec =
   | Op_optimized of float * float option (* gamma, fixed rho *)
 
 (* Operator design gets its own span, so --stats accounts for it (the
-   optimized ρ search is the bulk of it). *)
-let scheme_of_spec ~universe spec =
+   optimized ρ search is the bulk of it).  A command holding a pool passes
+   [Pool.run pool] as [run], and the ρ search's batches spread over it. *)
+let scheme_of_spec ?run ~universe spec =
   Ppdm_obs.Span.with_ ~name:"scheme" @@ fun () ->
   match spec with
   | Op_uniform (p_keep, p_add) -> Randomizer.uniform ~universe ~p_keep ~p_add
   | Op_cut_and_paste (cutoff, rho) -> Randomizer.cut_and_paste ~universe ~cutoff ~rho
   | Op_optimized (gamma, rho) ->
-      Optimizer.scheme_for_estimation ?rho ~universe ~gamma ()
+      Optimizer.scheme_for_estimation ?rho ?run ~universe ~gamma ()
 
 (* A flag value out of range is "<cmd>: --flag …" and exit 2, found
    while the flags are parsed, before any input is read. *)
@@ -317,10 +318,11 @@ let randomize_cmd =
     with_obs ~who stats trace @@ fun () ->
     let db = with_input ~who input Io.read_file in
     let universe = Db.universe db in
-    let scheme = scheme_of_spec ~universe spec in
     let rng = Rng.create ~seed () in
-    let store =
-      Pool.with_pool ~jobs (fun pool -> Parallel.randomize pool scheme rng db)
+    let scheme, store =
+      Pool.with_pool ~jobs (fun pool ->
+          let scheme = scheme_of_spec ~run:(Pool.run pool) ~universe spec in
+          (scheme, Parallel.randomize pool scheme rng db))
     in
     emit @@ fun () ->
     with_output ~who out (fun out ->
@@ -483,12 +485,15 @@ let private_cmd =
           (path, Vertical.to_db (load_colfile ~who:"private" path))
     in
     if Db.length db = 0 then file_error ~who:"private" path "no transactions";
-    let scheme = scheme_of_spec ~universe:(Db.universe db) spec in
     let rng = Rng.create ~seed () in
-    let reports, truth =
+    let scheme, (reports, truth) =
       Pool.with_pool ~jobs (fun pool ->
-          ( Parallel.randomize pool scheme rng db,
-            Parallel.apriori_mine pool db ~min_support ~max_size ))
+          let scheme =
+            scheme_of_spec ~run:(Pool.run pool) ~universe:(Db.universe db) spec
+          in
+          ( scheme,
+            ( Parallel.randomize pool scheme rng db,
+              Parallel.apriori_mine pool db ~min_support ~max_size ) ))
     in
     let mined =
       recoverable ~who:"private" (fun () ->

@@ -325,6 +325,10 @@ let reference_estimate ~scheme ~k counts =
     n_transactions = total;
   }
 
+let identity n = Mat.init ~rows:n ~cols:n (fun i j -> if i = j then 1. else 0.)
+
+let cond_inf a = Mat.norm_inf a *. Mat.norm_inf (Lu.inverse (Lu.decompose a))
+
 let reference_predicted_sigma p ~k ~partials ~n =
   let cov_obs = conditional_cov p partials n in
   let pinv = Lu.inverse (Lu.decompose p) in
@@ -363,6 +367,57 @@ let transition_matrix (r : Randomizer.resolved) ~k =
   Mat.init ~rows:(k + 1) ~cols:(min k m + 1) (fun l' l ->
       transition_probability r ~k ~l ~l')
 
+(* The keep distribution of vertex [high]: p_j ∝ g_j (γ where high.(j)),
+   normalized through log-sum-exp. *)
+let reference_dist ~m ~rho ~gamma high =
+  let logs =
+    Array.init (m + 1) (fun j ->
+        Binomial.log_choose m j
+        +. (float_of_int j *. (log rho -. log (1. -. rho)))
+        +. if high.(j) then log gamma else 0.)
+  in
+  let top = Array.fold_left Float.max neg_infinity logs in
+  let unnorm = Array.map (fun l -> exp (l -. top)) logs in
+  let total = Array.fold_left ( +. ) 0. unnorm in
+  Array.map (fun v -> v /. total) unnorm
+
+let reference_vertex_scorer ~m ~rho ~gamma objective =
+  let sigmas ~n ~p_bg ~support ks =
+    let terms =
+      List.map
+        (fun k ->
+          ( k,
+            Transition.basis ~m ~rho ~k,
+            Estimator.binomial_profile ~k ~p_bg ~support ))
+        ks
+    in
+    fun dist ->
+      match
+        List.fold_left
+          (fun acc (k, basis, partials) ->
+            acc
+            +. reference_predicted_sigma
+                 (Transition.weighted_sum basis dist)
+                 ~k ~partials ~n)
+          0. terms
+      with
+      | total -> -.total
+      | exception Lu.Singular -> neg_infinity
+  in
+  let score =
+    match objective with
+    | Optimizer.Max_kept ->
+        fun dist ->
+          let acc = ref 0. in
+          Array.iteri (fun j p -> acc := !acc +. (p *. float_of_int j)) dist;
+          !acc /. float_of_int m
+    | Optimizer.Min_sigma { k; n; p_bg; support } ->
+        sigmas ~n ~p_bg ~support [ k ]
+    | Optimizer.Min_sigma_upto { k_max; n; p_bg; support } ->
+        sigmas ~n ~p_bg ~support (List.init (min k_max m) (fun i -> i + 1))
+  in
+  fun high -> score (reference_dist ~m ~rho ~gamma high)
+
 (* The optimizer's vertex search and ρ search, restated with every
    transition matrix built by [transition_matrix].  Same objective as
    [Optimizer.design_for_estimation]'s defaults: Σ_{k ≤ min 3 m} σ_k. *)
@@ -385,18 +440,7 @@ let reference_search ~m ~rho ~gamma =
     | total -> -.total
     | exception Lu.Singular -> neg_infinity
   in
-  let dist_of high =
-    let logs =
-      Array.init (m + 1) (fun j ->
-          Binomial.log_choose m j
-          +. (float_of_int j *. (log rho -. log (1. -. rho)))
-          +. if high.(j) then log gamma else 0.)
-    in
-    let top = Array.fold_left Float.max neg_infinity logs in
-    let unnorm = Array.map (fun l -> exp (l -. top)) logs in
-    let total = Array.fold_left ( +. ) 0. unnorm in
-    Array.map (fun v -> v /. total) unnorm
-  in
+  let dist_of = reference_dist ~m ~rho ~gamma in
   let best = ref None in
   let consider high =
     let dist = dist_of high in

@@ -115,6 +115,14 @@ val reference_predicted_sigma :
     full inverse conjugating the full conditional covariance.
     @raise Ppdm_linalg.Lu.Singular on a singular matrix. *)
 
+val identity : int -> Ppdm_linalg.Mat.t
+(** The [n × n] identity: the exact operator, for tests. *)
+
+val cond_inf : Ppdm_linalg.Mat.t -> float
+(** [‖A‖∞ · ‖A⁻¹‖∞], the exact infinity-norm condition number, through
+    the explicit inverse.
+    @raise Ppdm_linalg.Lu.Singular on a singular matrix. *)
+
 (** {1 Transition and operator-design reference} *)
 
 val transition_probability :
@@ -127,6 +135,16 @@ val transition_probability :
 val transition_matrix : Randomizer.resolved -> k:int -> Ppdm_linalg.Mat.t
 (** The [(k+1) × (min(k,m)+1)] matrix of {!transition_probability}
     entries: the reference for {!Ppdm.Transition.rect_matrix}. *)
+
+val reference_vertex_scorer :
+  m:int -> rho:float -> gamma:float -> Optimizer.objective -> bool array -> float
+(** {!Ppdm.Optimizer.score_vertex} by the matrix route: applied to
+    [~m ~rho ~gamma objective] it builds each [k]'s
+    {!Ppdm.Transition.basis} and profile; applied to a vertex it restates
+    the keep distribution in log space, builds each matrix afresh as a
+    {!Ppdm.Transition.weighted_sum} and scores it by
+    {!reference_predicted_sigma}; [neg_infinity] on a singular
+    matrix. *)
 
 val reference_keep_dist : m:int -> rho:float -> gamma:float -> float array
 (** {!Ppdm.Optimizer.keep_dist} for the [Min_sigma_upto] objective with

@@ -193,7 +193,8 @@ let estimator_kernel_differential ~seed ~count =
                       (Randomizer.name scheme) m n)
                  ~same:same_float ~show:(Printf.sprintf "%h")
                  (fun () ->
-                   Estimator.predicted_sigma_of_matrix p ~k ~partials ~n)
+                   Estimator.predicted_sigma_of_matrix (Estimator.scratch ~k)
+                     (Ppdm_linalg.Mat.flat p) ~partials ~n)
                  (fun () ->
                    Oracle.reference_predicted_sigma p ~k ~partials ~n)))
 
@@ -954,6 +955,7 @@ let writer_differential ~seed ~count pool =
 (* ------------------------------------------ operator design differential *)
 
 let design_gammas = [ 3.; 9.; 19.; 50. ]
+let vertex_rhos = [ 1e-3; 0.02; 0.1; 0.3; 0.5 ]
 
 (* Basis-built matrices against the direct form, entry by entry; the
    vertex the optimizer picks against the one picked when every vertex
@@ -1014,6 +1016,66 @@ let operator_design_differential ~max_m ~rhos ~design_max_m =
         (List.concat_map
            (fun m -> List.map (fun gamma -> (m, gamma)) design_gammas)
            (List.init design_max_m (fun i -> i + 1)))
+
+(* The thresholds u_j = γ for j >= j*, and every single flip of each:
+   the vertices the flip descent starts from and takes its first step
+   to. *)
+let threshold_neighbourhood m =
+  let threshold t = Array.init (m + 1) (fun j -> j >= t) in
+  List.concat_map
+    (fun t ->
+      threshold t
+      :: List.init (m + 1) (fun j ->
+             let v = threshold t in
+             v.(j) <- not v.(j);
+             v))
+    (List.init (m + 2) Fun.id)
+
+let vertex_scorer_differential ~exhaustive_m ~max_m ~gammas ~rhos =
+  let bits = Int64.bits_of_float in
+  let singular = ref 0 in
+  let check_case (m, gamma, rho) =
+    let objective =
+      Optimizer.Min_sigma_upto
+        { k_max = min 3 m; n = 100_000; p_bg = 0.02; support = 0.01 }
+    in
+    let s = Optimizer.scorer ~m ~rho ~gamma objective in
+    let reference = Oracle.reference_vertex_scorer ~m ~rho ~gamma objective in
+    let vertices =
+      if m <= exhaustive_m then
+        List.init (1 lsl (m + 1)) (fun mask ->
+            Array.init (m + 1) (fun j -> mask land (1 lsl j) <> 0))
+      else threshold_neighbourhood m
+    in
+    List.find_map
+      (fun high ->
+        let got = Optimizer.score_vertex s high in
+        let want = reference high in
+        if want = neg_infinity then incr singular;
+        if Int64.equal (bits got) (bits want) then None
+        else
+          Some
+            (Printf.sprintf
+               "m=%d gamma=%g rho=%g vertex %s: scorer %h, matrix route %h" m
+               gamma rho
+               (String.concat ""
+                  (Array.to_list
+                     (Array.map (fun h -> if h then "1" else "0") high)))
+               got want))
+      vertices
+  in
+  let cases =
+    List.concat_map
+      (fun m ->
+        List.concat_map
+          (fun gamma -> List.map (fun rho -> (m, gamma, rho)) rhos)
+          gammas)
+      (List.init max_m (fun i -> i + 1))
+  in
+  match List.find_map check_case cases with
+  | Some e -> Error e
+  | None when !singular = 0 -> Error "no vertex was singular: the -inf case is not reached"
+  | None -> Ok ()
 
 let p_floor = 0.001
 
@@ -1511,6 +1573,14 @@ let run ?count ?(seed = 42) ?(log = ignore) () =
               else
                 operator_design_differential ~max_m:12 ~rhos:[ 0.1 ]
                   ~design_max_m:3 );
+          ( "differential: vertex scorer == matrix route, bit for bit",
+            fun () ->
+              if count >= 1000 then
+                vertex_scorer_differential ~exhaustive_m:8 ~max_m:21
+                  ~gammas:design_gammas ~rhos:vertex_rhos
+              else
+                vertex_scorer_differential ~exhaustive_m:5 ~max_m:10
+                  ~gammas:[ 19. ] ~rhos:[ 0.02; 0.3 ] );
           ("statistical: apply matches transition matrix (chi-square)", fun () ->
               transition_check ~rng ());
           ("statistical: amplification bound on sampled pairs", fun () ->

@@ -107,6 +107,22 @@ val writer_differential :
     route [randomize] writes against the one it had), under an optimized
     and a sparse cut-and-paste operator. *)
 
+val vertex_scorer_differential :
+  exhaustive_m:int ->
+  max_m:int ->
+  gammas:float list ->
+  rhos:float list ->
+  (unit, string) result
+(** {!Ppdm.Optimizer.score_vertex} against
+    {!Oracle.reference_vertex_scorer} (the keep distribution's
+    {!Ppdm.Transition.weighted_sum} scored by
+    {!Oracle.reference_predicted_sigma}), bit for bit, under
+    [design_for_estimation]'s objective, for every [m <= max_m], γ in
+    [gammas] and ρ in [rhos]: every vertex for [m <= exhaustive_m], and
+    above it every threshold vertex and each of its single flips.  A
+    vertex whose matrix is singular scores [neg_infinity] by both, and
+    at least one must be met. *)
+
 val operator_design_differential :
   max_m:int -> rhos:float list -> design_max_m:int -> (unit, string) result
 (** The operator design against {!Oracle}'s direct transition form, for

@@ -47,29 +47,33 @@ exception Unrecoverable of { size : int; k : int }
    [P⁻¹ (Cov P⁻ᵀ)] built with [Mat.mul]: each Cov(i, j) is the same sum
    over l in the same order, and both products add their terms in the
    same order and skip the same zero factors.  [w] (length k+1) is
-   scratch for the class weights s_l / N; nothing is allocated. *)
-let conjugated_kk ~dim ~p ~pinv ~row ~partials ~n ~w =
+   scratch for the class weights s_l / N; nothing is allocated.  Callers
+   pass [p] with dim² entries and [pinv] with a row at [row], so the
+   inner loops skip the bounds check. *)
+let[@inline] conjugated_kk ~dim ~p ~pinv ~row ~partials ~n ~w =
   for l = 0 to dim - 1 do
     w.(l) <- Float.max 0. partials.(l) /. float_of_int n
   done;
   let acc = ref 0. in
   for i = 0 to dim - 1 do
-    let a = pinv.(row + i) in
+    let a = Array.unsafe_get pinv (row + i) in
     if a <> 0. then begin
       (* (Cov P⁻ᵀ)(i, k) *)
       let t = ref 0. in
       for j = 0 to dim - 1 do
         let c = ref 0. in
         for l = 0 to dim - 1 do
-          if w.(l) > 0. then begin
-            let pi = p.((i * dim) + l) in
+          let wl = Array.unsafe_get w l in
+          if wl > 0. then begin
+            let pi = Array.unsafe_get p ((i * dim) + l) in
             let v =
-              if i = j then pi *. (1. -. pi) else -.(pi *. p.((j * dim) + l))
+              if i = j then pi *. (1. -. pi)
+              else -.(pi *. Array.unsafe_get p ((j * dim) + l))
             in
-            c := !c +. (w.(l) *. v)
+            c := !c +. (wl *. v)
           end
         done;
-        if !c <> 0. then t := !t +. (!c *. pinv.(row + j))
+        if !c <> 0. then t := !t +. (!c *. Array.unsafe_get pinv (row + j))
       done;
       acc := !acc +. (a *. !t)
     end
@@ -196,24 +200,35 @@ let estimate ~scheme ~data ~itemset =
   let counts = Ppdm_obs.Span.with_ ~name:"estimator.count" count in
   estimate_by_size ~scheme ~k:(Itemset.cardinal itemset) counts
 
-let predicted_sigma_of_matrix p ~k ~partials ~n =
-  if Mat.rows p <> k + 1 || Mat.cols p <> k + 1 then
+type scratch = { lu : Lu.t; row : float array; w : float array }
+
+let scratch ~k =
+  if k < 0 then invalid_arg "Estimator.scratch: negative k";
+  {
+    lu = Lu.create (k + 1);
+    row = Array.make (k + 1) 0.;
+    w = Array.make (k + 1) 0.;
+  }
+
+let predicted_sigma_of_matrix s p ~partials ~n =
+  let dim = Array.length s.row in
+  if Array.length p <> dim * dim then
     invalid_arg "Estimator.predicted_sigma: P must be (k+1) x (k+1)";
-  if Array.length partials <> k + 1 then
+  if Array.length partials <> dim then
     invalid_arg "Estimator.predicted_sigma: partials must have length k+1";
   if n <= 0 then invalid_arg "Estimator.predicted_sigma: n must be positive";
-  let row = Lu.inverse_last_row (Lu.decompose p) in
-  let var =
-    conjugated_kk ~dim:(k + 1) ~p:(Mat.flat p) ~pinv:row ~row:0 ~partials ~n
-      ~w:(Array.make (k + 1) 0.)
-  in
+  Lu.factor s.lu p;
+  Lu.inverse_last_row s.lu s.row;
+  let var = conjugated_kk ~dim ~p ~pinv:s.row ~row:0 ~partials ~n ~w:s.w in
   sqrt (Float.max 0. var)
 
 let predicted_sigma (resolved : Randomizer.resolved) ~k ~partials ~n =
   let m = Array.length resolved.keep_dist - 1 in
   if k > m then invalid_arg "Estimator.predicted_sigma: k exceeds size";
   try
-    predicted_sigma_of_matrix (Transition.matrix resolved ~k) ~k ~partials ~n
+    predicted_sigma_of_matrix (scratch ~k)
+      (Mat.flat (Transition.matrix resolved ~k))
+      ~partials ~n
   with Lu.Singular -> raise (Unrecoverable { size = m; k })
 
 let confidence_interval t ~level =

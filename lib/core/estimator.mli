@@ -14,7 +14,6 @@
     variant. *)
 
 open Ppdm_data
-open Ppdm_linalg
 
 type t = {
   support : float;  (** estimated support [ŝ_k] (may fall outside [0,1]) *)
@@ -101,15 +100,27 @@ val predicted_sigma :
     optimizer).  Requires [k <= m].
     @raise Unrecoverable when the transition matrix is singular. *)
 
+type scratch
+(** What {!predicted_sigma_of_matrix} writes into at one [k]: a
+    factorization and two rows.  Holds mutable state: keep it to one
+    domain. *)
+
+val scratch : k:int -> scratch
+(** @raise Invalid_argument on a negative [k]. *)
+
 val predicted_sigma_of_matrix :
-  Mat.t -> k:int -> partials:float array -> n:int -> float
-(** {!predicted_sigma} for a transition matrix already built (a
-    {!Transition.weighted_sum}), so a caller scoring many operators at one
-    ρ does not rebuild it: the [(k, k)] entry of [P⁻¹] conjugating the
-    conditional covariance, from the last row of [P⁻¹] alone
-    ({!Ppdm_linalg.Lu.inverse_last_row}).
+  scratch -> float array -> partials:float array -> n:int -> float
+(** [predicted_sigma_of_matrix s p ~partials ~n] is {!predicted_sigma} for
+    a transition matrix already built, given row-major in [p] (as
+    {!Transition.weighted_sum_into} writes it), at the [k] of [s], so a
+    caller scoring many operators at one ρ rebuilds nothing: [P]
+    factorized into [s] ({!Ppdm_linalg.Lu.factor}), the last row of
+    [P⁻¹] alone ({!Ppdm_linalg.Lu.inverse_last_row}), and the [(k, k)]
+    entry of [P⁻¹] conjugating the conditional covariance.  Allocates
+    only the float it returns; [p] is not modified.
     @raise Ppdm_linalg.Lu.Singular on a singular [P].
-    @raise Invalid_argument unless [P] is [(k+1) × (k+1)]. *)
+    @raise Invalid_argument unless [p] has [(k+1)²] entries and
+    [partials] [k+1]. *)
 
 val confidence_interval : t -> level:float -> float * float
 (** Normal-approximation confidence interval for the recovered support at

@@ -8,61 +8,6 @@ type objective =
 let log_g ~m ~rho j =
   Binomial.log_choose m j +. (float_of_int j *. (log rho -. log (1. -. rho)))
 
-(* Normalized keep distribution from a vertex u ∈ {1, γ}^(m+1), computed
-   through log-sum-exp so extreme m / rho combinations stay finite.
-   [log_gs] holds log g_j for j = 0..m. *)
-let dist_of_vertex ~log_gs ~log_gamma high =
-  let logs =
-    Array.mapi (fun j lg -> lg +. if high.(j) then log_gamma else 0.) log_gs
-  in
-  let top = Array.fold_left Float.max neg_infinity logs in
-  let unnorm = Array.map (fun l -> exp (l -. top)) logs in
-  let total = Array.fold_left ( +. ) 0. unnorm in
-  Array.map (fun v -> v /. total) unnorm
-
-(* Σ_k σ_k for the given itemset sizes.  The transition-matrix basis of
-   each k is built once per ρ; every vertex is then one weighted sum per
-   k.  An uninformative vertex (all u_j equal) has a singular transition
-   matrix: infinite sigma, never optimal. *)
-let sigma_scorer ~m ~rho ~n ~p_bg ~support ks =
-  let terms =
-    List.map
-      (fun k ->
-        if k > m then invalid_arg "Optimizer: itemset size exceeds m";
-        ( k,
-          Transition.basis ~m ~rho ~k,
-          Estimator.binomial_profile ~k ~p_bg ~support ))
-      ks
-  in
-  fun dist ->
-    match
-      List.fold_left
-        (fun acc (k, basis, partials) ->
-          acc
-          +. Estimator.predicted_sigma_of_matrix
-               (Transition.weighted_sum basis dist)
-               ~k ~partials ~n)
-        0. terms
-    with
-    (* Negated so that "higher is better" holds for every objective. *)
-    | total -> -.total
-    | exception Lu.Singular -> neg_infinity
-
-(* Build the scoring closure once per (rho, objective): the bases and
-   profiles are shared by every vertex evaluation. *)
-let make_scorer ~m ~rho objective =
-  match objective with
-  | Max_kept ->
-      fun dist ->
-        let acc = ref 0. in
-        Array.iteri (fun j p -> acc := !acc +. (p *. float_of_int j)) dist;
-        !acc /. float_of_int m
-  | Min_sigma { k; n; p_bg; support } ->
-      sigma_scorer ~m ~rho ~n ~p_bg ~support [ k ]
-  | Min_sigma_upto { k_max; n; p_bg; support } ->
-      sigma_scorer ~m ~rho ~n ~p_bg ~support
-        (List.init (min k_max m) (fun i -> i + 1))
-
 let validate ~m ~rho ~gamma =
   if m < 1 then invalid_arg "Optimizer: m must be >= 1";
   if rho <= 0. || rho >= 1. then invalid_arg "Optimizer: rho must be in (0,1)";
@@ -71,55 +16,165 @@ let validate ~m ~rho ~gamma =
   | g when Float.is_nan g -> invalid_arg "Optimizer: gamma is NaN"
   | _ -> ())
 
-(* The best vertex's keep distribution and its objective value. *)
-let search ~m ~rho ~gamma objective =
+(* One itemset size of a σ objective at one ρ: the transition-matrix
+   basis and the profile, built once, and the matrix and σ scratch every
+   vertex writes into. *)
+type term = {
+  basis : Transition.basis;
+  partials : float array;
+  p : float array;
+  work : Estimator.scratch;
+}
+
+type kind = Kept | Sigma of { n : int; terms : term array }
+
+type scorer = {
+  m : int;
+  log_gs : float array;  (** log g_j for j = 0..m *)
+  log_gamma : float;
+  dist : float array;  (** the keep distribution of the vertex last scored *)
+  kind : kind;
+}
+
+let scorer ~m ~rho ~gamma objective =
   validate ~m ~rho ~gamma;
-  let scorer = make_scorer ~m ~rho objective in
-  let log_gs = Array.init (m + 1) (log_g ~m ~rho) and log_gamma = log gamma in
-  let vertices = ref 0 in
-  let score high =
-    incr vertices;
-    let dist = dist_of_vertex ~log_gs ~log_gamma high in
-    (dist, scorer dist)
+  let sigma ~n ~p_bg ~support ks =
+    let term k =
+      if k > m then invalid_arg "Optimizer: itemset size exceeds m";
+      {
+        basis = Transition.basis ~m ~rho ~k;
+        partials = Estimator.binomial_profile ~k ~p_bg ~support;
+        p = Array.make ((k + 1) * (k + 1)) 0.;
+        work = Estimator.scratch ~k;
+      }
+    in
+    Sigma { n; terms = Array.of_list (List.map term ks) }
   in
-  let best = ref None in
-  let consider high =
-    let dist, value = score high in
-    match !best with
-    | Some (_, v) when v >= value -> ()
-    | _ -> best := Some ((Array.copy high, dist), value)
+  let kind =
+    match objective with
+    | Max_kept -> Kept
+    | Min_sigma { k; n; p_bg; support } -> sigma ~n ~p_bg ~support [ k ]
+    | Min_sigma_upto { k_max; n; p_bg; support } ->
+        sigma ~n ~p_bg ~support (List.init (min k_max m) (fun i -> i + 1))
+  in
+  {
+    m;
+    log_gs = Array.init (m + 1) (log_g ~m ~rho);
+    log_gamma = log gamma;
+    dist = Array.make (m + 1) 0.;
+    kind;
+  }
+
+(* The normalized keep distribution of a vertex u ∈ {1, γ}^(m+1), through
+   log-sum-exp so extreme m / rho combinations stay finite, written into
+   [s.dist]. *)
+let dist_of_vertex s high =
+  let d = s.dist in
+  for j = 0 to s.m do
+    d.(j) <- s.log_gs.(j) +. if high.(j) then s.log_gamma else 0.
+  done;
+  let top = ref neg_infinity in
+  for j = 0 to s.m do
+    top := Float.max !top d.(j)
+  done;
+  let total = ref 0. in
+  for j = 0 to s.m do
+    d.(j) <- exp (d.(j) -. !top);
+    total := !total +. d.(j)
+  done;
+  for j = 0 to s.m do
+    d.(j) <- d.(j) /. !total
+  done
+
+(* Σ_k σ_k, each k's matrix one weighted sum of its basis.  An
+   uninformative vertex (all u_j equal) has a singular transition matrix:
+   infinite sigma, never optimal. *)
+let[@inline] sigma_total ~n terms dist =
+  let total = ref 0. in
+  for i = 0 to Array.length terms - 1 do
+    let t = terms.(i) in
+    Transition.weighted_sum_into t.basis dist t.p;
+    total :=
+      !total
+      +. Estimator.predicted_sigma_of_matrix t.work t.p ~partials:t.partials ~n
+  done;
+  !total
+
+let score_vertex s high =
+  dist_of_vertex s high;
+  match s.kind with
+  | Kept ->
+      let acc = ref 0. in
+      for j = 0 to s.m do
+        acc := !acc +. (s.dist.(j) *. float_of_int j)
+      done;
+      !acc /. float_of_int s.m
+  | Sigma { n; terms } -> (
+      (* Negated so that "higher is better" holds for every objective. *)
+      match sigma_total ~n terms s.dist with
+      | total -> -.total
+      | exception Lu.Singular -> neg_infinity)
+
+(* The best vertex's keep distribution and its objective value.  The
+   vertex arrays and the best distribution are the only storage, made
+   once; a vertex copies into them only when it becomes the best. *)
+let search ~m ~rho ~gamma objective =
+  let s = scorer ~m ~rho ~gamma objective in
+  let vertices = ref 0 in
+  let high = Array.make (m + 1) false and start = Array.make (m + 1) false in
+  let best_high = Array.make (m + 1) false and best_dist = Array.make (m + 1) 0. in
+  let found = ref false and best_value = ref neg_infinity in
+  let take value =
+    Array.blit high 0 best_high 0 (m + 1);
+    Array.blit s.dist 0 best_dist 0 (m + 1);
+    best_value := value;
+    found := true
+  in
+  let consider () =
+    incr vertices;
+    let value = score_vertex s high in
+    if not (!found && !best_value >= value) then take value
   in
   (* All threshold vertices: u_j = γ exactly for j >= j*. *)
   for threshold = 0 to m + 1 do
-    consider (Array.init (m + 1) (fun j -> j >= threshold))
+    for j = 0 to m do
+      high.(j) <- j >= threshold
+    done;
+    consider ()
   done;
   (match objective with
   | Max_kept -> () (* threshold vertices are provably optimal *)
   | (Min_sigma _ | Min_sigma_upto _) when m <= 8 ->
       (* Small sizes: the vertex set is tiny, enumerate it exactly. *)
       for mask = 0 to (1 lsl (m + 1)) - 1 do
-        consider (Array.init (m + 1) (fun j -> mask land (1 lsl j) <> 0))
+        for j = 0 to m do
+          high.(j) <- mask land (1 lsl j) <> 0
+        done;
+        consider ()
       done
   | Min_sigma _ | Min_sigma_upto _ ->
-      (* Coordinate-flip descent from the best threshold vertex. *)
+      (* Coordinate-flip descent from the best threshold vertex: every
+         flip of the round's starting vertex is scored against the
+         round's starting value, and the last one that beats it wins. *)
       let improved = ref true and rounds = ref 0 in
       while !improved && !rounds < 10 do
         improved := false;
         incr rounds;
-        let (high, _), value = Option.get !best in
+        Array.blit best_high 0 start 0 (m + 1);
+        let value = !best_value in
         for j = 0 to m do
-          let candidate = Array.copy high in
-          candidate.(j) <- not candidate.(j);
-          let dist, v = score candidate in
+          Array.blit start 0 high 0 (m + 1);
+          high.(j) <- not high.(j);
+          incr vertices;
+          let v = score_vertex s high in
           if v > value +. 1e-15 then begin
-            best := Some ((candidate, dist), v);
+            take v;
             improved := true
           end
         done
       done);
   Ppdm_obs.Metrics.add "optimizer.vertices" !vertices;
-  let (_, dist), value = Option.get !best in
-  (dist, value)
+  (best_dist, !best_value)
 
 let keep_dist ~m ~rho ~gamma objective = fst (search ~m ~rho ~gamma objective)
 
@@ -139,28 +194,36 @@ let evaluate_rho ~m ~gamma objective rho =
   Ppdm_obs.Metrics.incr "optimizer.rho_evals";
   search ~m ~rho ~gamma objective
 
-let design ?(rho_grid = default_rho_grid) ~m ~gamma objective =
+type runner = (unit -> float array * float) array -> (float array * float) array
+
+let in_order tasks = Array.map (fun task -> task ()) tasks
+
+(* The grid's ρ values are one batch of [run], each golden-section step's
+   two another; every batch is reduced in index order, so the design is
+   the same whichever domains ran the searches. *)
+let design ?(rho_grid = default_rho_grid) ?(run = in_order) ~m ~gamma objective =
   if Array.length rho_grid = 0 then invalid_arg "Optimizer.design: empty grid";
+  let evaluate rhos =
+    run (Array.map (fun rho () -> evaluate_rho ~m ~gamma objective rho) rhos)
+  in
   let best_rho = ref rho_grid.(0) and best_value = ref neg_infinity in
   let best_dist = ref [||] in
-  Array.iter
-    (fun rho ->
-      let dist, value = evaluate_rho ~m ~gamma objective rho in
+  Array.iteri
+    (fun i (dist, value) ->
       if value > !best_value then begin
         best_value := value;
-        best_rho := rho;
+        best_rho := rho_grid.(i);
         best_dist := dist
       end)
-    rho_grid;
+    (evaluate rho_grid);
   (* Golden-section refinement on log rho around the best grid point. *)
   let lo = Float.max 1e-4 (!best_rho /. 3.) and hi = Float.min 0.5 (!best_rho *. 3.) in
   let phi = (sqrt 5. -. 1.) /. 2. in
   let a = ref (log lo) and b = ref (log hi) in
   for _ = 1 to 14 do
     let x1 = !b -. (phi *. (!b -. !a)) and x2 = !a +. (phi *. (!b -. !a)) in
-    let _, v1 = evaluate_rho ~m ~gamma objective (exp x1) in
-    let _, v2 = evaluate_rho ~m ~gamma objective (exp x2) in
-    if v1 > v2 then b := x2 else a := x1
+    let pair = evaluate [| exp x1; exp x2 |] in
+    if snd pair.(0) > snd pair.(1) then b := x2 else a := x1
   done;
   let rho_refined = exp (0.5 *. (!a +. !b)) in
   let dist_refined, value_refined = evaluate_rho ~m ~gamma objective rho_refined in
@@ -174,19 +237,19 @@ let design ?(rho_grid = default_rho_grid) ~m ~gamma objective =
   { rho; dist; value; gamma = realized }
 
 let design_for_estimation ?k ?(n = 100_000) ?(p_bg = 0.02) ?(support = 0.01)
-    ~m ~gamma () =
+    ?run ~m ~gamma () =
   let k_max = min (Option.value k ~default:3) m in
-  design ~m ~gamma (Min_sigma_upto { k_max; n; p_bg; support })
+  design ?run ~m ~gamma (Min_sigma_upto { k_max; n; p_bg; support })
 
 let scheme_for_estimation ?k ?(n = 100_000) ?(p_bg = 0.02) ?(support = 0.01)
-    ?(representative_size = 8) ?rho ~universe ~gamma () =
+    ?(representative_size = 8) ?rho ?run ~universe ~gamma () =
   let name, shared_rho =
     match rho with
     | Some rho -> (Printf.sprintf "optimized-sas(gamma=%g,rho=%g)" gamma rho, rho)
     | None ->
         let rho =
-          (design_for_estimation ?k ~n ~p_bg ~support ~m:representative_size
-             ~gamma ())
+          (design_for_estimation ?k ~n ~p_bg ~support ?run
+             ~m:representative_size ~gamma ())
             .rho
         in
         (Printf.sprintf "optimized-sas(gamma=%g,rho=%.4g)" gamma rho, rho)

@@ -12,9 +12,13 @@
       over all [2^(m+1)] vertices for [m <= 8], otherwise starting from
       the best threshold vertex and descending by single-coordinate flips.
 
-    For one ρ the σ objectives build each [k]'s {!Transition.basis} once;
-    every vertex is then a {!Transition.weighted_sum} per [k], scored by
-    {!Estimator.predicted_sigma_of_matrix}. *)
+    For one ρ the σ objectives build each [k]'s {!Transition.basis} and
+    scratch once ({!scorer}); every vertex is then a
+    {!Transition.weighted_sum_into} per [k], scored by
+    {!Estimator.predicted_sigma_of_matrix}, with nothing allocated but the
+    boxed σ each call returns.  The ρ search runs its searches in batches
+    through an injected runner, so a caller with a domain pool spreads
+    them over it. *)
 
 type objective =
   | Max_kept  (** maximize the expected fraction of items kept *)
@@ -37,6 +41,23 @@ val keep_dist : m:int -> rho:float -> gamma:float -> objective -> float array
     @raise Invalid_argument unless [m >= 1], [0 < rho < 1], and
     [gamma >= 1]. *)
 
+type scorer
+(** One ρ's vertex scorer: the objective's bases, profiles and scratch.
+    Holds mutable state: keep it to one domain. *)
+
+val scorer : m:int -> rho:float -> gamma:float -> objective -> scorer
+(** @raise Invalid_argument as {!keep_dist}, or when a σ objective's
+    itemset size exceeds [m]. *)
+
+val score_vertex : scorer -> bool array -> float
+(** [score_vertex s high] is the objective at the vertex with [u_j = γ]
+    exactly where [high.(j)] (length [m + 1]), higher is better: the
+    expected fraction kept, or [-Σ_k σ_k]; [neg_infinity] when a
+    transition matrix is singular.  The search scores every vertex here,
+    and the value is bit for bit that of the keep distribution's
+    transition matrices built by {!Transition.weighted_sum} and scored by
+    the matrix route ([Ppdm_check.Oracle.reference_predicted_sigma]). *)
+
 type design = {
   rho : float;
   dist : float array;
@@ -44,17 +65,31 @@ type design = {
   gamma : float;  (** realized amplification (≤ requested) *)
 }
 
+type runner = (unit -> float array * float) array -> (float array * float) array
+(** Runs a batch of one-ρ searches, returning their results in task
+    order: [Ppdm_runtime.Pool.run pool] spreads them over a pool.  The
+    default runs them one after the other in the caller. *)
+
 val design :
-  ?rho_grid:float array -> m:int -> gamma:float -> objective -> design
+  ?rho_grid:float array ->
+  ?run:runner ->
+  m:int ->
+  gamma:float ->
+  objective ->
+  design
 (** Optimize ρ jointly with the keep distribution by scanning a ρ grid
-    (default: 20 log-spaced points in [1e-3, 0.5]) and refining with
-    golden-section search around the best grid point. *)
+    (default: 20 log-spaced points in [1e-3, 0.5]) and refining with 14
+    golden-section steps around the best grid point.  The grid is one
+    batch of [run] and each step's two points another; results are
+    reduced in index order, so the design is bit for bit the same under
+    any runner. *)
 
 val design_for_estimation :
   ?k:int ->
   ?n:int ->
   ?p_bg:float ->
   ?support:float ->
+  ?run:runner ->
   m:int ->
   gamma:float ->
   unit ->
@@ -74,6 +109,7 @@ val scheme_for_estimation :
   ?support:float ->
   ?representative_size:int ->
   ?rho:float ->
+  ?run:runner ->
   universe:int ->
   gamma:float ->
   unit ->
@@ -84,7 +120,9 @@ val scheme_for_estimation :
     size gets its own optimal keep distribution at that ρ (solved lazily
     on first use and cached).  This is the constructor applications should
     reach for.  A given [?rho] skips the ρ search and is used as is; the
-    name then prints it with [%g] instead of [%.4g].
+    name then prints it with [%g] instead of [%.4g].  [run] runs the ρ
+    search's batches (see {!design}); the per-size keep distributions are
+    searched where they are first used.
 
     Each ρ the design scores bumps the ["optimizer.rho_evals"] counter,
     and every keep-distribution search adds the vertices it scored to

@@ -9,11 +9,13 @@ type resolved = { keep_dist : float array; rho : float }
    where there is no choice) and [log1p (-rho)] for the noise gaps. *)
 type entry = { op : resolved; sampler : Dist.discrete option; log_q : float }
 
+(* [cache.(size)] holds the entry of [size] once it has been produced;
+   the array grows to the largest size resolved. *)
 type t = {
   universe : int;
   name : string;
   produce : int -> resolved;
-  cache : (int, entry) Hashtbl.t;
+  mutable cache : entry option array;
 }
 
 let validate_resolved ~size { keep_dist; rho } =
@@ -29,21 +31,34 @@ let validate_resolved ~size { keep_dist; rho } =
 
 let make ~universe ~name produce =
   if universe <= 0 then invalid_arg "Randomizer: universe must be positive";
-  { universe; name; produce; cache = Hashtbl.create 8 }
+  { universe; name; produce; cache = [||] }
 
-let resolved_cached t size =
-  match Hashtbl.find t.cache size with
-  | entry ->
-      Ppdm_obs.Metrics.incr "randomizer.cache.hit";
-      entry
-  | exception Not_found ->
+let cached t size =
+  if size >= 0 && size < Array.length t.cache then t.cache.(size) else None
+
+(* The entry of [size], produced and cached on a miss.  A hit is the
+   caller's to count. *)
+let entry t size =
+  match cached t size with
+  | Some entry -> entry
+  | None ->
       Ppdm_obs.Metrics.incr "randomizer.cache.miss";
       let op = t.produce size in
       validate_resolved ~size op;
       let sampler = if size = 0 then None else Some (Dist.discrete op.keep_dist) in
       let entry = { op; sampler; log_q = Float.log1p (-.op.rho) } in
-      Hashtbl.replace t.cache size entry;
+      if size >= Array.length t.cache then begin
+        let grown = Array.make (max (size + 1) (2 * Array.length t.cache)) None in
+        Array.blit t.cache 0 grown 0 (Array.length t.cache);
+        t.cache <- grown
+      end;
+      t.cache.(size) <- Some entry;
       entry
+
+let resolved_cached t size =
+  if Option.is_some (cached t size) then
+    Ppdm_obs.Metrics.incr "randomizer.cache.hit";
+  entry t size
 
 let universe t = t.universe
 let name t = t.name
@@ -158,12 +173,11 @@ let[@inline] next_noise rng ~log_q ~n rank =
    is checked before the operator is resolved, so an impossible size
    never reaches [produce] or the cache. *)
 let apply_into t rng tx buf ~off =
-  Ppdm_obs.Metrics.incr "randomizer.apply";
   let m = Itemset.cardinal tx in
   if m > t.universe then invalid_arg "Randomizer.apply: transaction too large";
   if off < 0 || Array.length buf - off < t.universe then
     invalid_arg "Randomizer.apply_into: fewer than universe slots after off";
-  let e = resolved_cached t m in
+  let e = entry t m in
   let j =
     match e.sampler with None -> 0 | Some s -> Dist.discrete_sample rng s
   in
@@ -189,7 +203,16 @@ let apply_into t rng tx buf ~off =
   done;
   !len - off
 
+let count_applies n =
+  Ppdm_obs.Metrics.add "randomizer.apply" n;
+  Ppdm_obs.Metrics.add "randomizer.cache.hit" n
+
+(* One call counts itself, its size's lookup as a hit or a miss; an
+   oversize transaction is left for [apply_into] to reject unresolved. *)
 let apply t rng tx =
+  Ppdm_obs.Metrics.incr "randomizer.apply";
+  let m = Itemset.cardinal tx in
+  if m <= t.universe then ignore (resolved_cached t m);
   let buf = scratch t.universe in
   let len = apply_into t rng tx buf ~off:0 in
   Itemset.of_sorted_array_unchecked (Array.sub buf 0 len)

@@ -83,7 +83,8 @@ val apply : t -> Rng.t -> Itemset.t -> Itemset.t
     time: selection sampling picks the kept items and geometric gaps over
     the complement pick the noise.  Apart from a per-domain scratch buffer
     sized to the universe on first use, it allocates only its result:
-    {!apply_into} on that buffer plus one exact copy.
+    {!apply_into} on that buffer plus one exact copy.  Counts one
+    ["randomizer.apply"] and a cache hit or miss.
     @raise Invalid_argument if the transaction is larger than the
     universe (checked before the size's operator is resolved) or the
     scheme does not cover its size. *)
@@ -91,6 +92,13 @@ val apply : t -> Rng.t -> Itemset.t -> Itemset.t
 val apply_into : t -> Rng.t -> Itemset.t -> int array -> off:int -> int
 (** [apply_into t rng tx buf ~off] writes the report {!apply} would return
     (same draws, same order) ascending into [buf.(off ..)] and returns its
-    length.  It allocates nothing.
+    length.  It allocates nothing, finds its size's operator by one array
+    read, and counts nothing but a cache miss: a caller applying it to
+    many rows adds them with {!count_applies}.
     @raise Invalid_argument as {!apply} does, or if [buf] has fewer than
     [universe t] slots from [off] on. *)
+
+val count_applies : int -> unit
+(** [count_applies n] adds [n] to the ["randomizer.apply"] and
+    ["randomizer.cache.hit"] counters: [n] rows of {!apply_into} on
+    sizes already cached (see {!warm_cache}), counted once. *)

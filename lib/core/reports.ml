@@ -80,6 +80,7 @@ let randomize_chunk t i scheme rng txs =
     c.lens.(j) <- len;
     off := !off + len
   done;
+  Randomizer.count_applies (Array.length c.lens);
   c.items <- Array.sub !buf 0 !off;
   c.counts <- count_items ~universe:u c.items
 

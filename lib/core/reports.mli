@@ -31,7 +31,8 @@ val randomize_chunk :
 (** [randomize_chunk t i scheme rng txs] fills chunk [i] with
     {!Randomizer.apply_into} of its rows of [txs], in order, from [rng].
     Distinct chunks may be filled on different domains at once, once the
-    scheme's cache is warm. *)
+    scheme's cache is warm; the chunk's rows are counted once, as that
+    many applies and cache hits ({!Randomizer.count_applies}). *)
 
 val of_tagged : universe:int -> (int * Itemset.t) array -> t
 (** The store of tagged rows [(original size, report)], as one chunk.

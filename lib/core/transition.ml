@@ -56,18 +56,28 @@ let basis ~m ~rho ~k =
     bins = Array.sub bins 0 !n;
   }
 
-let weighted_sum b keep_dist =
+let weighted_sum_into b keep_dist out =
   if Array.length keep_dist <> b.m + 1 then
     invalid_arg "Transition.weighted_sum: keep_dist length must be m + 1";
-  let data =
-    Array.init (b.rows * b.cols) (fun e ->
-        let acc = ref 0. in
-        for t = b.starts.(e) to b.starts.(e + 1) - 1 do
-          let pj = keep_dist.(b.js.(t)) in
-          if pj > 0. then acc := !acc +. (pj *. b.hyps.(t) *. b.bins.(t))
-        done;
-        !acc)
-  in
+  if Array.length out <> b.rows * b.cols then
+    invalid_arg "Transition.weighted_sum_into: out must have rows * cols entries";
+  (* The operator search runs this per vertex.  Every index is in range
+     by construction (the lengths are checked above, [starts] bounds the
+     terms and [js] holds 0..m), so the reads skip the bounds check. *)
+  let { starts; js; hyps; bins; _ } = b in
+  for e = 0 to (b.rows * b.cols) - 1 do
+    let acc = ref 0. in
+    for t = Array.unsafe_get starts e to Array.unsafe_get starts (e + 1) - 1 do
+      let pj = Array.unsafe_get keep_dist (Array.unsafe_get js t) in
+      if pj > 0. then
+        acc := !acc +. (pj *. Array.unsafe_get hyps t *. Array.unsafe_get bins t)
+    done;
+    Array.unsafe_set out e !acc
+  done
+
+let weighted_sum b keep_dist =
+  let data = Array.make (b.rows * b.cols) 0. in
+  weighted_sum_into b keep_dist data;
   Mat.of_flat ~rows:b.rows ~cols:b.cols data
 
 let rect_matrix (r : Randomizer.resolved) ~k =

@@ -35,6 +35,12 @@ val weighted_sum : basis -> float array -> Mat.t
     [m + 1]) at the basis's ρ and [k].
     @raise Invalid_argument on a length mismatch. *)
 
+val weighted_sum_into : basis -> float array -> float array -> unit
+(** [weighted_sum_into b p out] writes the entries of {!weighted_sum}[ b p],
+    row-major, into [out] (length [(k+1) · (min(k,m)+1)]), bit for bit
+    and without allocating.
+    @raise Invalid_argument on a length mismatch. *)
+
 val matrix : Randomizer.resolved -> k:int -> Mat.t
 (** Square [(k+1) × (k+1)] matrix, entry [(l', l) = P(l' | l)].  Requires
     [k <= m] (every partial-support level realizable).

@@ -1,23 +1,27 @@
 (* Memoized table of ln n!.  Grown geometrically; exact summation keeps the
-   relative error at the float rounding level for all n we use. *)
-let table = ref [| 0. |]
+   relative error at the float rounding level for all n we use.  Domains
+   may grow it at once: each reads the table it grew (or found) and
+   published through the atomic, and every table holds the same values at
+   the same indices, so whichever is published last only costs a regrow. *)
+let table = Atomic.make [| 0. |]
 
 let ensure n =
-  let cur = Array.length !table in
-  if n >= cur then begin
-    let len = max (n + 1) (2 * cur) in
-    let t = Array.make len 0. in
-    Array.blit !table 0 t 0 cur;
-    for i = cur to len - 1 do
+  let cur = Atomic.get table in
+  let have = Array.length cur in
+  if n < have then cur
+  else begin
+    let t = Array.make (max (n + 1) (2 * have)) 0. in
+    Array.blit cur 0 t 0 have;
+    for i = have to Array.length t - 1 do
       t.(i) <- t.(i - 1) +. log (float_of_int i)
     done;
-    table := t
+    Atomic.set table t;
+    t
   end
 
 let log_factorial n =
   if n < 0 then invalid_arg "Binomial.log_factorial: negative argument";
-  ensure n;
-  !table.(n)
+  (ensure n).(n)
 
 let log_choose n k =
   if k < 0 || k > n || n < 0 then neg_infinity

@@ -3,8 +3,8 @@
     functions used by the randomization-operator transition matrices. *)
 
 val log_factorial : int -> float
-(** [log_factorial n] is [ln n!], exact summation with memoization.
-    Requires [n >= 0]. *)
+(** [log_factorial n] is [ln n!], exact summation with memoization (the
+    table may be grown from several domains at once).  Requires [n >= 0]. *)
 
 val log_choose : int -> int -> float
 (** [log_choose n k] is [ln C(n,k)]; [neg_infinity] outside [0 <= k <= n]. *)

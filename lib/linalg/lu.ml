@@ -1,67 +1,96 @@
-type t = { lu : float array array; perm : int array; sign : float }
+(* [lu] holds the n × n factors row-major: the unit-diagonal L strictly
+   below the diagonal, U on and above it.  [x] is a row of scratch. *)
+type t = { n : int; lu : float array; perm : int array; x : float array }
 
 exception Singular
 
-let decompose m =
-  let n = Mat.rows m in
-  if Mat.cols m <> n then invalid_arg "Lu.decompose: matrix is not square";
-  let lu = Mat.to_arrays m in
-  let perm = Array.init n (fun i -> i) in
-  let sign = ref 1. in
+let create n =
+  if n < 1 then invalid_arg "Lu.create: size must be positive";
+  {
+    n;
+    lu = Array.make (n * n) 0.;
+    perm = Array.make n 0;
+    x = Array.make n 0.;
+  }
+
+(* The one factorization routine: Gaussian elimination with partial
+   pivoting, in place on the flat [lu].  The update loop here and in
+   [forward] runs per vertex of the operator search; its indices stay
+   below n², so it skips the bounds check. *)
+let factor_in_place { n; lu; perm; _ } =
+  for i = 0 to n - 1 do
+    perm.(i) <- i
+  done;
   for k = 0 to n - 1 do
     (* Partial pivoting: bring the largest remaining entry of column k up. *)
     let pivot_row = ref k in
     for i = k + 1 to n - 1 do
-      if Float.abs lu.(i).(k) > Float.abs lu.(!pivot_row).(k) then
+      if Float.abs lu.((i * n) + k) > Float.abs lu.((!pivot_row * n) + k) then
         pivot_row := i
     done;
-    if !pivot_row <> k then begin
-      let tmp = lu.(k) in
-      lu.(k) <- lu.(!pivot_row);
-      lu.(!pivot_row) <- tmp;
+    let p = !pivot_row in
+    if p <> k then begin
+      for j = 0 to n - 1 do
+        let tmp = lu.((k * n) + j) in
+        lu.((k * n) + j) <- lu.((p * n) + j);
+        lu.((p * n) + j) <- tmp
+      done;
       let tmp = perm.(k) in
-      perm.(k) <- perm.(!pivot_row);
-      perm.(!pivot_row) <- tmp;
-      sign := -. !sign
+      perm.(k) <- perm.(p);
+      perm.(p) <- tmp
     end;
-    let pivot = lu.(k).(k) in
+    let pivot = lu.((k * n) + k) in
     if pivot = 0. then raise Singular;
     for i = k + 1 to n - 1 do
-      let factor = lu.(i).(k) /. pivot in
-      lu.(i).(k) <- factor;
+      let factor = lu.((i * n) + k) /. pivot in
+      lu.((i * n) + k) <- factor;
       for j = k + 1 to n - 1 do
-        lu.(i).(j) <- lu.(i).(j) -. (factor *. lu.(k).(j))
+        Array.unsafe_set lu ((i * n) + j)
+          (Array.unsafe_get lu ((i * n) + j)
+          -. (factor *. Array.unsafe_get lu ((k * n) + j)))
       done
     done
-  done;
-  { lu; perm; sign = !sign }
+  done
 
-let dim t = Array.length t.lu
+let factor t a =
+  if Array.length a <> t.n * t.n then invalid_arg "Lu.factor: size mismatch";
+  Array.blit a 0 t.lu 0 (t.n * t.n);
+  factor_in_place t
+
+let decompose m =
+  let n = Mat.rows m in
+  if Mat.cols m <> n then invalid_arg "Lu.decompose: matrix is not square";
+  let t = create n in
+  factor t (Mat.flat m);
+  t
 
 (* Forward substitution with the unit-diagonal L, in place. *)
 let forward t x =
-  for i = 1 to Array.length x - 1 do
+  let n = t.n and lu = t.lu in
+  for i = 1 to n - 1 do
     for j = 0 to i - 1 do
-      x.(i) <- x.(i) -. (t.lu.(i).(j) *. x.(j))
+      Array.unsafe_set x i
+        (Array.unsafe_get x i
+        -. (Array.unsafe_get lu ((i * n) + j) *. Array.unsafe_get x j))
     done
   done
 
 let solve t b =
-  let n = dim t in
+  let n = t.n in
   if Array.length b <> n then invalid_arg "Lu.solve: dimension mismatch";
   let x = Array.init n (fun i -> b.(t.perm.(i))) in
   forward t x;
   (* Backward substitution with U. *)
   for i = n - 1 downto 0 do
     for j = i + 1 to n - 1 do
-      x.(i) <- x.(i) -. (t.lu.(i).(j) *. x.(j))
+      x.(i) <- x.(i) -. (t.lu.((i * n) + j) *. x.(j))
     done;
-    x.(i) <- x.(i) /. t.lu.(i).(i)
+    x.(i) <- x.(i) /. t.lu.((i * n) + i)
   done;
   x
 
 let solve_mat t b =
-  let n = dim t in
+  let n = t.n in
   if Mat.rows b <> n then invalid_arg "Lu.solve_mat: dimension mismatch";
   let cols = Mat.cols b in
   let out = Mat.create ~rows:n ~cols in
@@ -74,7 +103,7 @@ let solve_mat t b =
   out
 
 let inverse t =
-  let n = dim t in
+  let n = t.n in
   let out = Array.make (n * n) 0. in
   for j = 0 to n - 1 do
     let x = solve t (Array.init n (fun i -> if i = j then 1. else 0.)) in
@@ -86,24 +115,13 @@ let inverse t =
 
 (* Entry (n-1, j) of the inverse is the last component of [solve] on e_j:
    the whole forward pass, then only the first back-substitution step. *)
-let inverse_last_row t =
-  let n = dim t in
-  let x = Array.make n 0. in
-  Array.init n (fun j ->
-      for i = 0 to n - 1 do
-        x.(i) <- (if t.perm.(i) = j then 1. else 0.)
-      done;
-      forward t x;
-      x.(n - 1) /. t.lu.(n - 1).(n - 1))
-
-let det t =
-  let n = dim t in
-  let d = ref t.sign in
-  for i = 0 to n - 1 do
-    d := !d *. t.lu.(i).(i)
-  done;
-  !d
-
-let cond_inf_estimate m =
-  let inv = inverse (decompose m) in
-  Mat.norm_inf m *. Mat.norm_inf inv
+let inverse_last_row t out =
+  let n = t.n and x = t.x in
+  if Array.length out <> n then invalid_arg "Lu.inverse_last_row: dimension mismatch";
+  for j = 0 to n - 1 do
+    for i = 0 to n - 1 do
+      x.(i) <- (if t.perm.(i) = j then 1. else 0.)
+    done;
+    forward t x;
+    out.(j) <- x.(n - 1) /. t.lu.((n * n) - 1)
+  done

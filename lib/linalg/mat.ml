@@ -20,8 +20,6 @@ let of_flat ~rows ~cols data =
 
 let flat m = m.data
 
-let identity n = init ~rows:n ~cols:n (fun i j -> if i = j then 1. else 0.)
-
 let of_arrays arr =
   let rows = Array.length arr in
   if rows = 0 then invalid_arg "Mat.of_arrays: empty";
@@ -44,8 +42,6 @@ let set m i j v =
   if i < 0 || i >= m.rows || j < 0 || j >= m.cols then
     invalid_arg "Mat.set: index out of bounds";
   m.data.((i * m.cols) + j) <- v
-
-let to_arrays m = Array.init m.rows (fun i -> Array.sub m.data (i * m.cols) m.cols)
 
 let copy m = { m with data = Array.copy m.data }
 let transpose m =
@@ -88,15 +84,6 @@ let mul_vec m v =
 let col m j =
   if j < 0 || j >= m.cols then invalid_arg "Mat.col: index out of bounds";
   Array.init m.rows (fun i -> m.data.((i * m.cols) + j))
-let row m i = Array.init m.cols (fun j -> get m i j)
-
-let outer u v =
-  init ~rows:(Array.length u) ~cols:(Array.length v) (fun i j ->
-      u.(i) *. v.(j))
-
-let diag v =
-  let n = Array.length v in
-  init ~rows:n ~cols:n (fun i j -> if i = j then v.(i) else 0.)
 
 let max_abs_diff a b =
   same_shape "max_abs_diff" a b;
@@ -116,14 +103,3 @@ let norm_inf m =
     best := Float.max !best !s
   done;
   !best
-
-let pp fmt m =
-  Format.fprintf fmt "@[<v>";
-  for i = 0 to m.rows - 1 do
-    Format.fprintf fmt "[";
-    for j = 0 to m.cols - 1 do
-      Format.fprintf fmt "%s%10.6g" (if j = 0 then "" else " ") (get m i j)
-    done;
-    Format.fprintf fmt "]@,"
-  done;
-  Format.fprintf fmt "@]"

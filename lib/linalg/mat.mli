@@ -17,12 +17,8 @@ val flat : t -> float array
 (** The row-major entries, shared with the matrix (not copied): the
     inverse of {!of_flat}. *)
 
-val identity : int -> t
-
 val of_arrays : float array array -> t
 (** Rows must be non-empty and of equal length. *)
-
-val to_arrays : t -> float array array
 
 val rows : t -> int
 val cols : t -> int
@@ -40,18 +36,9 @@ val mul_vec : t -> float array -> float array
 (** Matrix-vector product. *)
 
 val col : t -> int -> float array
-val row : t -> int -> float array
-
-val outer : float array -> float array -> t
-(** Outer product [u v^T]. *)
-
-val diag : float array -> t
-(** Diagonal matrix from a vector. *)
 
 val max_abs_diff : t -> t -> float
 (** L-infinity distance between same-shape matrices. *)
 
 val norm_inf : t -> float
 (** Maximum absolute row sum (the operator infinity-norm). *)
-
-val pp : Format.formatter -> t -> unit

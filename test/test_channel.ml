@@ -31,7 +31,7 @@ let test_rr_gamma () =
     [ (2, 1.); (5, 0.5); (10, 2.); (3, 0.) ]
 
 let test_identity_gamma_infinite () =
-  let c = Channel.create (Mat.identity 3) in
+  let c = Channel.create (Ppdm_check.Oracle.identity 3) in
   Alcotest.(check (float 0.)) "identity discloses everything" infinity
     (Channel.gamma c)
 

@@ -278,7 +278,7 @@ let test_condition_gauges () =
         (fun k ->
           let name = Printf.sprintf "estimator.cond.s5.k%d" k in
           let want =
-            Ppdm_linalg.Lu.cond_inf_estimate (Transition.of_scheme scheme ~size:5 ~k)
+            Ppdm_check.Oracle.cond_inf (Transition.of_scheme scheme ~size:5 ~k)
           in
           match List.assoc_opt name cond with
           | None -> Alcotest.failf "missing gauge %s" name

@@ -209,6 +209,79 @@ let test_design_differential () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
+(* The vertex scorer writes every matrix into scratch; the matrix route
+   builds each one afresh and conjugates the whole covariance. *)
+let test_vertex_scorer_differential () =
+  match
+    Ppdm_check.Selftest.vertex_scorer_differential ~exhaustive_m:8 ~max_m:21
+      ~gammas:[ 3.; 9.; 19.; 50. ] ~rhos:[ 1e-3; 0.02; 0.1; 0.3; 0.5 ]
+  with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
+(* Scoring a vertex writes into the scorer's scratch: the matrices, the
+   factorizations and the σ rows are made once per ρ.  What is left is
+   the boxed σ each k returns across the module boundary; building the
+   matrices afresh, as the search did before, cost ≈ 550 words a vertex. *)
+let test_scorer_allocation_guard () =
+  let m = 8 in
+  let s =
+    Optimizer.scorer ~m ~rho:0.2949 ~gamma:19.
+      (Optimizer.Min_sigma_upto
+         { k_max = 3; n = 100_000; p_bg = 0.02; support = 0.01 })
+  in
+  let high = Array.init (m + 1) (fun j -> j mod 3 = 0) in
+  ignore (Optimizer.score_vertex s high);
+  let calls = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Optimizer.score_vertex s high))
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per vertex <= 16" per_call)
+    true (per_call <= 16.)
+
+(* The ρ search on a pool designs the same operator, bit for bit, and
+   does the same work: counters recorded on the workers are summed. *)
+let test_design_on_pool () =
+  let design ?run () =
+    with_metrics (fun () ->
+        let scheme =
+          Optimizer.scheme_for_estimation ?run ~universe:100 ~gamma:19. ()
+        in
+        let counters = (Ppdm_obs.Metrics.snapshot ()).Ppdm_obs.Metrics.counters in
+        let get name = Option.value (List.assoc_opt name counters) ~default:0 in
+        ( List.init 22 (fun size -> Randomizer.resolve scheme ~size),
+          get "optimizer.rho_evals",
+          get "optimizer.vertices" ))
+  in
+  let bits (r : Randomizer.resolved) =
+    ( Int64.bits_of_float r.rho,
+      Array.map Int64.bits_of_float r.keep_dist )
+  in
+  let want, _, _ = design () in
+  List.iter
+    (fun jobs ->
+      Ppdm_runtime.Pool.with_pool ~jobs (fun pool ->
+          let got, rho_evals, vertices =
+            design ~run:(Ppdm_runtime.Pool.run pool) ()
+          in
+          List.iteri
+            (fun size (g, w) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "jobs %d size %d: same operator" jobs size)
+                true
+                (bits g = bits w))
+            (List.combine got want);
+          Alcotest.(check int)
+            (Printf.sprintf "jobs %d: rho evaluations" jobs)
+            49 rho_evals;
+          Alcotest.(check int)
+            (Printf.sprintf "jobs %d: vertices" jobs)
+            (49 * (10 + 512)) vertices))
+    [ 1; 2; 4 ]
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -242,5 +315,8 @@ let suite =
     Alcotest.test_case "design counters" `Quick test_design_counters;
     Alcotest.test_case "fixed-rho scheme" `Quick test_fixed_rho_scheme;
     Alcotest.test_case "basis vs direct-form design" `Quick test_design_differential;
+    Alcotest.test_case "vertex scorer == matrix route" `Quick test_vertex_scorer_differential;
+    Alcotest.test_case "design on a pool at jobs 1/2/4" `Quick test_design_on_pool;
+    Alcotest.test_case "vertex scorer allocation guard" `Quick test_scorer_allocation_guard;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_tests

@@ -40,7 +40,7 @@ let test_identity_operator_matrix () =
   (* keep everything, add nothing: P is the identity *)
   let r = sas ~universe:50 ~size:4 ~keep_dist:[| 0.; 0.; 0.; 0.; 1. |] ~rho:0. in
   let p = Transition.matrix r ~k:3 in
-  Alcotest.(check bool) "identity" true (Mat.max_abs_diff p (Mat.identity 4) < 1e-12)
+  Alcotest.(check bool) "identity" true (Mat.max_abs_diff p (Ppdm_check.Oracle.identity 4) < 1e-12)
 
 let test_k1_hand_case () =
   (* k = 1: P = [[1-rho, 1-q],[rho, q]] with q the keep probability *)
