@@ -807,7 +807,12 @@ let serve_cmd =
     check_at_least ~who "singletons" 0 singletons;
     let explicit = List.map (check_itemset ~who ~universe) itemsets in
     with_obs ~who:"serve" stats trace @@ fun () ->
-    let scheme = scheme_of_spec ~universe spec in
+    (* Designed on a pool of [jobs] domains, as [private] and
+       [randomize] design theirs; the server's own workers start after. *)
+    let scheme =
+      Pool.with_pool ~jobs (fun pool ->
+          scheme_of_spec ~run:(Pool.run pool) ~universe spec)
+    in
     let tracked =
       let singles =
         List.init (min singletons universe) (fun i -> Itemset.singleton i)

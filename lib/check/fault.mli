@@ -86,6 +86,12 @@ val client_oversized_send_rejected : unit -> (unit, string) result
     to a sequential fold of the same reports.  The admin plane may
     degrade under abuse; the data plane may not move. *)
 
+val admin_raw : port:int -> string -> string
+(** Write raw bytes to the admin port at 127.0.0.1:[port] and return
+    everything read back until the server closes ([""] when it closes
+    without answering).  {!Ppdm_server.Admin.fetch} speaks only
+    well-formed GET. *)
+
 val admin_garbage_request_rejected : unit -> (unit, string) result
 (** Raw non-HTTP bytes at the admin port earn a 400; the admin loop
     answers the next scrape and the estimates are unchanged. *)

@@ -258,3 +258,21 @@ let corrupt_scheme_text =
       in
       Printf.sprintf "ppdm-scheme 1\nuniverse 10\nname fuzz\nsize %d rho %g keep %s\n"
         m rho (String.concat " " probs))
+
+(* ------------------------------------------------ databases from a model *)
+
+let bernoulli_db rng ~item_probs ~count =
+  let universe = Array.length item_probs in
+  Array.iter
+    (fun p ->
+      if p < 0. || p > 1. then
+        invalid_arg "Gen.bernoulli_db: probability out of [0,1]")
+    item_probs;
+  let make _ =
+    let items = ref [] in
+    for item = universe - 1 downto 0 do
+      if Rng.float rng < item_probs.(item) then items := item :: !items
+    done;
+    Itemset.of_sorted_array_unchecked (Array.of_list !items)
+  in
+  Db.create ~universe (Array.init count make)

@@ -106,11 +106,20 @@ val garbage_string : string t
 (** Arbitrary bytes (0-255), length up to [2 * size]. *)
 
 val almost_db_text : string t
-(** Structured-ish garbage for {!Ppdm_data.Io.read_channel}: a header
+(** Structured-ish garbage for {!Ppdm_data.Io.read_file}: a header
     with possibly-wrong numbers followed by a partial body with items
     possibly negative or outside the universe. *)
 
 val corrupt_scheme_text : string t
-(** Structured-ish garbage for {!Ppdm.Scheme_io.read_channel}: a
+(** Structured-ish garbage for {!Ppdm.Scheme_io.read_file}: a
     syntactically plausible scheme file with out-of-range sizes, rhos,
     and keep distributions. *)
+
+(** {1 Databases from a model} *)
+
+val bernoulli_db : Rng.t -> item_probs:float array -> count:int -> Db.t
+(** Independent-items model: item [i] appears in each transaction
+    independently with probability [item_probs.(i)] (the universe is the
+    array length).  This is the distribution under which the item-level
+    breach analysis of {!Ppdm.Breach} is exact, so it calibrates those
+    tests.  @raise Invalid_argument on probabilities outside [0,1]. *)

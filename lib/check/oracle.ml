@@ -731,3 +731,122 @@ let reference_write_tagged path ~universe data =
           Printf.fprintf oc "%d|" size;
           output_transaction oc items)
         data)
+
+(* ---------------------------------------------------- privacy references *)
+
+let column_stochastic ?(tolerance = 1e-9) m =
+  let ok = ref true in
+  for j = 0 to Mat.cols m - 1 do
+    let sum = ref 0. in
+    for i = 0 to Mat.rows m - 1 do
+      let v = Mat.get m i j in
+      if v < -.tolerance then ok := false;
+      sum := !sum +. v
+    done;
+    if Float.abs (!sum -. 1.) > tolerance then ok := false
+  done;
+  !ok
+
+let rr_channel ~size ~epsilon =
+  if size < 2 then invalid_arg "Oracle.rr_channel: need >= 2 symbols";
+  if epsilon < 0. then invalid_arg "Oracle.rr_channel: negative epsilon";
+  let e = exp epsilon in
+  let keep = e /. (e +. float_of_int (size - 1)) in
+  let other = (1. -. keep) /. float_of_int (size - 1) in
+  Channel.create
+    (Mat.init ~rows:size ~cols:size (fun y x -> if y = x then keep else other))
+
+let compose_channels second first =
+  let a = Channel.matrix second and b = Channel.matrix first in
+  if Mat.cols a <> Mat.rows b then
+    invalid_arg "Oracle.compose_channels: domain mismatch";
+  Channel.create (Mat.mul a b)
+
+let channel_posterior c ~prior ~y =
+  let m = Channel.matrix c in
+  if Array.length prior <> Mat.cols m then
+    invalid_arg "Oracle.channel_posterior: prior dimension mismatch";
+  let total = Array.fold_left ( +. ) 0. prior in
+  if Float.abs (total -. 1.) > 1e-9 || Array.exists (fun p -> p < 0.) prior then
+    invalid_arg "Oracle.channel_posterior: prior is not a probability vector";
+  let weighted = Array.mapi (fun x p -> p *. Mat.get m y x) prior in
+  let mass = Array.fold_left ( +. ) 0. weighted in
+  if mass <= 0. then
+    invalid_arg
+      "Oracle.channel_posterior: output has zero probability under the prior";
+  Array.map (fun w -> w /. mass) weighted
+
+let channel_inversion c ~counts =
+  let n = Array.fold_left ( + ) 0 counts in
+  let observed = Array.map (fun c -> float_of_int c /. float_of_int n) counts in
+  Lu.solve (Lu.decompose (Channel.matrix c)) observed
+
+let item_posteriors (r : Randomizer.resolved) ~prior =
+  if prior < 0. || prior > 1. then
+    invalid_arg "Oracle.item_posteriors: prior out of [0,1]";
+  let m = Array.length r.keep_dist - 1 in
+  let q_in =
+    if m = 0 then 1.
+    else begin
+      let acc = ref 0. in
+      Array.iteri (fun j p -> acc := !acc +. (p *. float_of_int j)) r.keep_dist;
+      !acc /. float_of_int m
+    end
+  in
+  let bayes ~kept ~noise =
+    let num = prior *. kept in
+    let denom = num +. ((1. -. prior) *. noise) in
+    if denom <= 0. then 0. else num /. denom
+  in
+  ( bayes ~kept:q_in ~noise:r.rho,
+    bayes ~kept:(1. -. q_in) ~noise:(1. -. r.rho) )
+
+let itemset_posterior r ~partials =
+  let k = Array.length partials - 1 in
+  let total = Array.fold_left ( +. ) 0. partials in
+  if Float.abs (total -. 1.) > 1e-6 then
+    invalid_arg "Oracle.itemset_posterior: partials must sum to 1";
+  (* P(A ⊆ R(t)) = Σ_l s_l P(k | l); the l = k term is the "cause". *)
+  let p = Transition.matrix r ~k in
+  let denom = ref 0. in
+  for l = 0 to k do
+    if partials.(l) > 0. then
+      denom := !denom +. (partials.(l) *. Mat.get p k l)
+  done;
+  if !denom <= 0. then 0. else partials.(k) *. Mat.get p k k /. !denom
+
+let posterior_lower_bound ~gamma ~prior =
+  if prior < 0. || prior > 1. then
+    invalid_arg "Oracle.posterior_lower_bound: prior out of [0,1]";
+  if gamma = infinity then 0.
+  else prior /. ((gamma *. (1. -. prior)) +. prior)
+
+let item_epsilon_of_uniform ~p_keep ~p_add =
+  let ratio a b =
+    if a = b then 0.
+    else if b <= 0. || a <= 0. then infinity
+    else Float.abs (log (a /. b))
+  in
+  Float.max (ratio p_keep p_add) (ratio (1. -. p_keep) (1. -. p_add))
+
+(* ------------------------------------------------- partial-count reference *)
+
+let partial_counts_of_supports ~k support =
+  let popcount mask =
+    let rec go m acc = if m = 0 then acc else go (m land (m - 1)) (acc + 1) in
+    go mask 0
+  in
+  let full = (1 lsl k) - 1 in
+  let n = Array.make (k + 1) 0 in
+  for mask = 0 to full do
+    (* rows holding exactly the items of [mask] among those of A *)
+    let exact = ref 0 in
+    for sup = mask to full do
+      if sup land mask = mask then begin
+        let sign = if popcount (sup lxor mask) land 1 = 0 then 1 else -1 in
+        exact := !exact + (sign * support sup)
+      end
+    done;
+    n.(popcount mask) <- n.(popcount mask) + !exact
+  done;
+  n

@@ -193,6 +193,14 @@ val same_explored :
     the same estimate and σ bit for bit; [Error] names the first
     difference. *)
 
+val partial_counts_of_supports : k:int -> (int -> int) -> int array
+(** The partial counts [N_l = #(|y ∩ A| = l)], [l = 0..k], of a
+    [k]-itemset [A] from [support mask], the number of rows containing
+    the items of [A] at the set bits of [mask]: for each [mask] the rows
+    holding exactly those items, by inclusion-exclusion over its
+    supersets, summed by popcount: the reference for the private miner's
+    in-place Möbius transform. *)
+
 (** {1 Text writer reference} *)
 
 val reference_write_file : string -> Db.t -> unit
@@ -207,3 +215,60 @@ val reference_write_tagged :
   string -> universe:int -> (int * Itemset.t) array -> unit
 (** {!Ppdm_data.Io.write_tagged} the same way, each row's ["size|"]
     through [Printf]. *)
+
+(** {1 Privacy references}
+
+    The general channel algebra, the per-item posteriors and the bounds
+    that the amplification theorem's tests check the library against.
+    The library computes only what its experiments and commands report:
+    {!Ppdm.Channel.gamma}, {!Ppdm.Breach.worst_item_posterior},
+    {!Ppdm.Amplification.posterior_upper_bound}. *)
+
+val column_stochastic : ?tolerance:float -> Ppdm_linalg.Mat.t -> bool
+(** All entries non-negative and every column summing to 1 within the
+    tolerance (default 1e-9). *)
+
+val rr_channel : size:int -> epsilon:float -> Channel.t
+(** The classical ε-LDP randomized-response channel over [size] symbols:
+    keep the true symbol with probability [e^ε / (e^ε + size - 1)],
+    otherwise emit a uniformly random other symbol.  Its γ is exactly
+    [e^ε]. *)
+
+val compose_channels : Channel.t -> Channel.t -> Channel.t
+(** [compose_channels second first] feeds outputs of [first] into
+    [second].
+    @raise Invalid_argument when [second]'s inputs are not [first]'s
+    outputs. *)
+
+val channel_posterior : Channel.t -> prior:float array -> y:int -> float array
+(** Exact Bayes posterior over inputs given output [y] under a prior.
+    @raise Invalid_argument if the output has zero probability under the
+    prior or the prior is not a probability vector. *)
+
+val channel_inversion : Channel.t -> counts:int array -> float array
+(** Unbiased recovery of the input distribution from output counts:
+    [C⁻¹ ĉ/N], for a square channel.
+    @raise Ppdm_linalg.Lu.Singular on non-invertible channels. *)
+
+val item_posteriors : Randomizer.resolved -> prior:float -> float * float
+(** [(P(a ∈ t | a ∈ R(t)), P(a ∈ t | a ∉ R(t)))] for an item with
+    marginal prior [prior] under the operator: Bayes with the keep
+    probability [Σ_j p_j j / m] against the noise rate ρ.
+    {!Ppdm.Breach.worst_item_posterior} is their maximum.
+    @raise Invalid_argument if [prior] is outside [0,1]. *)
+
+val itemset_posterior : Randomizer.resolved -> partials:float array -> float
+(** [P(A ⊆ t | A ⊆ R(t))] for a [k]-itemset with true partial-support
+    vector [partials] (length [k+1], summing to 1): the "cause" breach of
+    seeing a whole itemset survive.  Requires [k <= m]. *)
+
+val posterior_lower_bound : gamma:float -> prior:float -> float
+(** The floor mirroring {!Ppdm.Amplification.posterior_upper_bound}:
+    under a γ-amplifying operator every posterior is at least
+    [π / (γ(1-π) + π)] (no downward breach below this value). *)
+
+val item_epsilon_of_uniform : p_keep:float -> p_add:float -> float
+(** Per-item ε of a uniform operator: the largest log-likelihood ratio any
+    single bit's report can carry,
+    [max(|ln(p_keep/p_add)|, |ln((1-p_keep)/(1-p_add))|].
+    Infinite when a bit can be revealed with certainty. *)

@@ -100,6 +100,18 @@ let chi_square_pvalue ~dof x =
 
 let z_pvalue z = erfc (Float.abs z /. sqrt 2.)
 
+let chi_square_uniform counts =
+  let buckets = Array.length counts in
+  if buckets = 0 then invalid_arg "Stat.chi_square_uniform: no buckets";
+  let total = Array.fold_left ( + ) 0 counts in
+  let expected = float_of_int total /. float_of_int buckets in
+  if expected <= 0. then invalid_arg "Stat.chi_square_uniform: empty sample";
+  Array.fold_left
+    (fun acc c ->
+      let d = float_of_int c -. expected in
+      acc +. (d *. d /. expected))
+    0. counts
+
 let chi_square_fit ~observed ~expected =
   let n = Array.length observed in
   if Array.length expected <> n then

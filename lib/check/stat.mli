@@ -25,6 +25,10 @@ val chi_square_pvalue : dof:int -> float -> float
 (** Upper-tail p-value of a chi-square statistic (regularized incomplete
     gamma).  @raise Invalid_argument if [dof <= 0]. *)
 
+val chi_square_uniform : int array -> float
+(** Chi-square statistic of observed bucket counts against the uniform
+    distribution over the buckets; used by the PRNG sanity tests. *)
+
 val chi_square_fit : observed:int array -> expected:float array -> float
 (** Goodness-of-fit p-value of observed bucket counts against expected
     ones.  Buckets with expected mass below 5 are pooled with their right

@@ -2,10 +2,10 @@ open Ppdm_linalg
 
 let log_odds_ratio rho = log (1. -. rho) -. log rho
 
+(* [f(a)] of the closed form: the size-independent part of
+   [ln p(t → y)] as a function of [a = |t ∩ y|]. *)
 let log_transition (r : Randomizer.resolved) ~intersection =
   let m = Array.length r.keep_dist - 1 in
-  if intersection < 0 || intersection > m then
-    invalid_arg "Amplification.log_transition: intersection out of range";
   let p = r.keep_dist.(intersection) in
   if p <= 0. then neg_infinity
   else
@@ -34,22 +34,8 @@ let gamma_breach_limit ~rho1 ~rho2 =
     invalid_arg "Amplification.gamma_breach_limit: need 0 < rho1 < rho2 < 1";
   rho2 *. (1. -. rho1) /. (rho1 *. (1. -. rho2))
 
-let prevents_breach ~gamma ~rho1 ~rho2 =
-  gamma < gamma_breach_limit ~rho1 ~rho2
-
-(* Downward ρ2→ρ1: posterior odds >= prior odds / γ, so the posterior can
-   fall below ρ1 from a prior above ρ2 only when γ >= the same constant. *)
-let prevents_downward_breach ~gamma ~rho1 ~rho2 =
-  gamma < gamma_breach_limit ~rho1 ~rho2
-
 let posterior_upper_bound ~gamma ~prior =
   if prior < 0. || prior > 1. then
     invalid_arg "Amplification.posterior_upper_bound: prior out of [0,1]";
   if gamma = infinity then 1.
   else gamma *. prior /. (1. +. ((gamma -. 1.) *. prior))
-
-let posterior_lower_bound ~gamma ~prior =
-  if prior < 0. || prior > 1. then
-    invalid_arg "Amplification.posterior_lower_bound: prior out of [0,1]";
-  if gamma = infinity then 0.
-  else prior /. ((gamma *. (1. -. prior)) +. prior)

@@ -26,29 +26,10 @@ val gamma : Randomizer.t -> size:int -> float
 
 val gamma_breach_limit : rho1:float -> rho2:float -> float
 (** Largest γ that provably prevents every upward ρ1-to-ρ2 breach:
-    [ρ2 (1 - ρ1) / (ρ1 (1 - ρ2))].  Requires [0 < rho1 < rho2 < 1]. *)
-
-val prevents_breach : gamma:float -> rho1:float -> rho2:float -> bool
-(** Whether a γ-amplifying operator rules out upward ρ1-to-ρ2 breaches. *)
-
-val prevents_downward_breach : gamma:float -> rho1:float -> rho2:float -> bool
-(** Whether it also rules out *downward* ρ2-to-ρ1 breaches (a property
-    with prior at least ρ2 being revealed to have posterior at most ρ1).
-    By the symmetric odds inequality the threshold is the same
-    [ρ2(1−ρ1)/(ρ1(1−ρ2))] constant, so this coincides with
-    {!prevents_breach}; it is exposed separately because the paper states
-    the two notions separately. *)
+    [ρ2 (1 - ρ1) / (ρ1 (1 - ρ2))].  Requires [0 < rho1 < rho2 < 1].  By
+    the symmetric odds inequality the same constant rules out the
+    downward ρ2-to-ρ1 breaches. *)
 
 val posterior_upper_bound : gamma:float -> prior:float -> float
 (** Distribution-free posterior ceiling: for any property with prior π,
     every posterior is at most [γπ / (1 + (γ-1)π)]. *)
-
-val posterior_lower_bound : gamma:float -> prior:float -> float
-(** Symmetric floor: every posterior is at least [π / (γ(1-π) + π)]
-    (no downward breach below this value). *)
-
-val log_transition : Randomizer.resolved -> intersection:int -> float
-(** [log_transition r ~intersection:a] is the size-independent part of
-    [ln p(t → y)] as a function of [a = |t ∩ y|], i.e. [f(a)] above plus
-    output-only terms dropped; exposed for tests that brute-force
-    transition probabilities on tiny universes. *)

@@ -34,21 +34,6 @@ let item_posterior_absent r ~prior =
 let worst_item_posterior r ~prior =
   Float.max (item_posterior_present r ~prior) (item_posterior_absent r ~prior)
 
-let itemset_posterior r ~partials =
-  let k = Array.length partials - 1 in
-  let total = Array.fold_left ( +. ) 0. partials in
-  if Float.abs (total -. 1.) > 1e-6 then
-    invalid_arg "Breach.itemset_posterior: partials must sum to 1";
-  (* P(A ⊆ R(t)) = Σ_l s_l P(k | l); the l = k term is the "cause". *)
-  let p = Transition.matrix r ~k in
-  let denom = ref 0. in
-  for l = 0 to k do
-    if partials.(l) > 0. then
-      denom := !denom +. (partials.(l) *. Ppdm_linalg.Mat.get p k l)
-  done;
-  if !denom <= 0. then 0.
-  else partials.(k) *. Ppdm_linalg.Mat.get p k k /. !denom
-
 let empirical_item_posteriors ~original ~randomized ~item =
   if Db.length original <> Db.length randomized then
     invalid_arg "Breach.empirical_item_posteriors: database length mismatch";

@@ -8,27 +8,14 @@
 
 open Ppdm_data
 
-val keep_probability : Randomizer.resolved -> float
-(** [P(a ∈ R(t) | a ∈ t) = Σ_j p_j · j / m]: the chance a given
-    transaction item survives randomization (1 if [m = 0], vacuously). *)
-
-val item_posterior_present : Randomizer.resolved -> prior:float -> float
-(** [P(a ∈ t | a ∈ R(t))] when item [a] has marginal prior [P(a ∈ t)] and
-    transactions have the operator's size: Bayes with the keep probability
-    against the noise rate ρ. *)
-
-val item_posterior_absent : Randomizer.resolved -> prior:float -> float
-(** [P(a ∈ t | a ∉ R(t))]: what the *absence* of an item reveals. *)
-
 val worst_item_posterior : Randomizer.resolved -> prior:float -> float
-(** Max of the two observable posteriors: the item-level ρ1-to-ρ2 breach
-    level this operator admits at the given prior. *)
-
-val itemset_posterior :
-  Randomizer.resolved -> partials:float array -> float
-(** [P(A ⊆ t | A ⊆ R(t))] for a [k]-itemset with true partial-support
-    vector [partials] (length [k+1], summing to 1): the "cause" breach of
-    seeing a whole itemset survive.  Requires [k <= m]. *)
+(** The larger of the two observable posteriors of an item [a] with
+    marginal prior [P(a ∈ t)] in transactions of the operator's size:
+    [P(a ∈ t | a ∈ R(t))] and [P(a ∈ t | a ∉ R(t))], by Bayes with the
+    keep probability [Σ_j p_j · j / m] against the noise rate ρ.  It is
+    the item-level ρ1-to-ρ2 breach level this operator admits at the
+    given prior.
+    @raise Invalid_argument if [prior] is outside [0,1]. *)
 
 val empirical_item_posteriors :
   original:Db.t -> randomized:Db.t -> item:int -> float * float

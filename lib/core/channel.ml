@@ -34,16 +34,10 @@ let create m =
 let inputs t = Mat.cols t.matrix
 let outputs t = Mat.rows t.matrix
 
-let probability t ~x ~y =
-  if x < 0 || x >= inputs t || y < 0 || y >= outputs t then
-    invalid_arg "Channel.probability: symbol out of range";
-  Mat.get t.matrix y x
-
 let matrix t = Mat.copy t.matrix
 
+(* Amplification restricted to output [y]. *)
 let gamma_for_output t ~y =
-  if y < 0 || y >= outputs t then
-    invalid_arg "Channel.gamma_for_output: symbol out of range";
   let hi = ref 0. and lo = ref infinity in
   for x = 0 to inputs t - 1 do
     let v = Mat.get t.matrix y x in
@@ -61,15 +55,6 @@ let gamma t =
     if g > !worst then worst := g
   done;
   !worst
-
-let randomized_response ~size ~epsilon =
-  if size < 2 then invalid_arg "Channel.randomized_response: need >= 2 symbols";
-  if epsilon < 0. then invalid_arg "Channel.randomized_response: negative epsilon";
-  let e = exp epsilon in
-  let keep = e /. (e +. float_of_int (size - 1)) in
-  let other = (1. -. keep) /. float_of_int (size - 1) in
-  of_matrix
-    (Mat.init ~rows:size ~cols:size (fun y x -> if y = x then keep else other))
 
 let geometric_noise ~size ~alpha =
   if size < 1 then invalid_arg "Channel.geometric_noise: empty domain";
@@ -90,36 +75,9 @@ let geometric_noise ~size ~alpha =
   in
   of_matrix normalized
 
-let compose second first =
-  if inputs second <> outputs first then
-    invalid_arg "Channel.compose: domain mismatch";
-  of_matrix (Mat.mul second.matrix first.matrix)
-
 let apply t rng x =
   if x < 0 || x >= inputs t then invalid_arg "Channel.apply: symbol out of range";
   Dist.discrete_sample rng (Lazy.force t.samplers).(x)
-
-let posterior t ~prior ~y =
-  if Array.length prior <> inputs t then
-    invalid_arg "Channel.posterior: prior dimension mismatch";
-  let total = Array.fold_left ( +. ) 0. prior in
-  if Float.abs (total -. 1.) > 1e-9 || Array.exists (fun p -> p < 0.) prior then
-    invalid_arg "Channel.posterior: prior is not a probability vector";
-  let weighted = Array.mapi (fun x p -> p *. Mat.get t.matrix y x) prior in
-  let mass = Array.fold_left ( +. ) 0. weighted in
-  if mass <= 0. then
-    invalid_arg "Channel.posterior: output has zero probability under the prior";
-  Array.map (fun w -> w /. mass) weighted
-
-let estimate_inversion t ~counts =
-  if Array.length counts <> outputs t then
-    invalid_arg "Channel.estimate_inversion: counts dimension mismatch";
-  if inputs t <> outputs t then
-    invalid_arg "Channel.estimate_inversion: channel is not square";
-  let n = Array.fold_left ( + ) 0 counts in
-  if n = 0 then invalid_arg "Channel.estimate_inversion: empty counts";
-  let observed = Array.map (fun c -> float_of_int c /. float_of_int n) counts in
-  Lu.solve (Lu.decompose t.matrix) observed
 
 let estimate_em ?(max_iterations = 10_000) ?(tolerance = 1e-10) t ~counts =
   if Array.length counts <> outputs t then

@@ -61,12 +61,14 @@ let em_class (resolved : Randomizer.resolved) ~k ~max_iterations ~tolerance
   Array.blit s 0 partials 0 levels;
   (partials, n, !iterations, !log_likelihood)
 
-let estimate_from_counts ?(max_iterations = 10_000) ?(tolerance = 1e-10)
-    ~scheme ~k ~counts () =
+let estimate ?(max_iterations = 10_000) ?(tolerance = 1e-10) ~scheme ~data
+    ~itemset () =
+  if Array.length data = 0 then invalid_arg "Em.estimate: empty data";
+  let k = Itemset.cardinal itemset in
+  let counts = Estimator.observed_partial_counts data ~itemset in
   let total =
     List.fold_left (fun acc (_, c) -> acc + Array.fold_left ( + ) 0 c) 0 counts
   in
-  if total = 0 then invalid_arg "Em.estimate_from_counts: empty counts";
   let partials = Array.make (k + 1) 0. in
   let iterations = ref 0 and log_likelihood = ref 0. in
   List.iter
@@ -88,9 +90,3 @@ let estimate_from_counts ?(max_iterations = 10_000) ?(tolerance = 1e-10)
     iterations = !iterations;
     log_likelihood = !log_likelihood;
   }
-
-let estimate ?max_iterations ?tolerance ~scheme ~data ~itemset () =
-  if Array.length data = 0 then invalid_arg "Em.estimate: empty data";
-  let k = Itemset.cardinal itemset in
-  let counts = Estimator.observed_partial_counts data ~itemset in
-  estimate_from_counts ?max_iterations ?tolerance ~scheme ~k ~counts ()

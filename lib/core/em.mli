@@ -38,14 +38,3 @@ val estimate :
     {!Estimator.estimate}.  Convergence: max-abs change of the partials
     below [tolerance] (default 1e-10) or [max_iterations] (default 10_000).
     @raise Invalid_argument on empty data. *)
-
-val estimate_from_counts :
-  ?max_iterations:int ->
-  ?tolerance:float ->
-  scheme:Randomizer.t ->
-  k:int ->
-  counts:(int * int array) list ->
-  unit ->
-  t
-(** Count-based variant (same sufficient statistic as
-    {!Estimator.estimate_from_counts}). *)

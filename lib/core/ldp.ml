@@ -1,28 +1,8 @@
-let epsilon_of_gamma gamma =
-  if gamma < 1. then invalid_arg "Ldp.epsilon_of_gamma: gamma must be >= 1";
-  log gamma
-
-let gamma_of_epsilon epsilon =
-  if epsilon < 0. then invalid_arg "Ldp.gamma_of_epsilon: negative epsilon";
-  exp epsilon
-
 let rr_keep_probability ~epsilon_per_item =
   if epsilon_per_item < 0. then
     invalid_arg "Ldp.rr_keep_probability: negative epsilon";
   let e = exp epsilon_per_item in
   e /. (1. +. e)
-
-let randomized_response ~universe ~epsilon_per_item =
-  let p = rr_keep_probability ~epsilon_per_item in
-  Randomizer.uniform ~universe ~p_keep:p ~p_add:(1. -. p)
-
-let item_epsilon_of_uniform ~p_keep ~p_add =
-  let ratio a b =
-    if a = b then 0.
-    else if b <= 0. || a <= 0. then infinity
-    else Float.abs (log (a /. b))
-  in
-  Float.max (ratio p_keep p_add) (ratio (1. -. p_keep) (1. -. p_add))
 
 let gamma_uniform ~size ~p_keep ~p_add =
   (* A dummy universe: amplification only depends on the per-size

@@ -3,40 +3,21 @@
     Amplification is an ε-LDP statement in disguise: an operator that is at
     most γ-amplifying over size-[m] transactions satisfies ε-local
     differential privacy with [ε = ln γ] for that input space, and
-    conversely.  This module makes the translation explicit and provides
-    the classical symmetric randomized-response (RR) frequency oracle as a
-    baseline operator — RR is a {!Randomizer.uniform} instance, so the
-    whole transition/estimation machinery applies to it unchanged.  The
+    conversely.  This module provides the classical symmetric
+    randomized-response (RR) frequency oracle as a baseline operator —
+    RR is a {!Randomizer.uniform} instance, so the whole
+    transition/estimation machinery applies to it unchanged.  The
     ablation benchmark A1 uses this to compare the paper's optimized
     select-a-size designs against RR at matched privacy. *)
 
-val epsilon_of_gamma : float -> float
-(** [ln γ].  Requires [γ >= 1]; infinite γ maps to [infinity]. *)
-
-val gamma_of_epsilon : float -> float
-(** [exp ε].  Requires [ε >= 0]. *)
-
-val randomized_response : universe:int -> epsilon_per_item:float -> Randomizer.t
-(** Symmetric per-item randomized response with budget ε per item: each
-    bit of the characteristic vector is reported truthfully with
-    probability [e^ε / (1 + e^ε)].  Satisfies ε-LDP {e per item}; the
-    transaction-level amplification follows from {!gamma_uniform}. *)
-
 val rr_keep_probability : epsilon_per_item:float -> float
-(** [e^ε / (1 + e^ε)], the per-bit truth rate of symmetric RR. *)
-
-val item_epsilon_of_uniform : p_keep:float -> p_add:float -> float
-(** Per-item ε of a uniform operator: the largest log-likelihood ratio any
-    single bit's report can carry,
-    [max(|ln(p_keep/p_add)|, |ln((1-p_keep)/(1-p_add))|].
-    Infinite when a bit can be revealed with certainty. *)
-
-val gamma_uniform : size:int -> p_keep:float -> p_add:float -> float
-(** Transaction-level amplification of a uniform operator at the given
-    transaction size (shorthand for building the operator and calling
-    {!Amplification.gamma_resolved}). *)
+(** [e^ε / (1 + e^ε)], the per-bit truth rate of symmetric RR: each bit
+    of the characteristic vector is reported truthfully with this
+    probability, which is {!Randomizer.uniform} with [p_keep] this and
+    [p_add] its complement, and satisfies ε-LDP {e per item}. *)
 
 val rr_epsilon_for_gamma : size:int -> gamma:float -> float
 (** The per-item ε making symmetric RR exactly γ-amplifying at the given
-    transaction size (bisection on the closed form); the inverse of
-    [gamma_uniform] along the symmetric-RR family.  Requires [gamma > 1]. *)
+    transaction size (bisection on the closed form of
+    {!Amplification.gamma} along the symmetric-RR family).  Requires
+    [gamma > 1]. *)

@@ -24,12 +24,6 @@ let mobius_into ~k exact out ~off =
     out.(l) <- out.(l) + exact.(mask)
   done
 
-let partial_counts ~k support =
-  if k < 0 || k > 30 then invalid_arg "Ppmining.partial_counts: k outside [0, 30]";
-  let n = Array.make (k + 1) 0 in
-  mobius_into ~k (Array.init (1 lsl k) support) n ~off:0;
-  n
-
 module Table = Hashtbl.Make (struct
   type t = Itemset.t
 

@@ -66,14 +66,6 @@ val mine_reports :
     [Reports.of_tagged data].  The store is frozen once, in the span
     ["ppmining.transpose"]. *)
 
-val partial_counts : k:int -> (int -> int) -> int array
-(** The partial counts [N_l = #(|y ∩ A| = l)], [l = 0..k], of a
-    [k]-itemset [A] over one set of rows, from [support mask]: the number
-    of rows containing the items of [A] at the set bits of [mask]
-    ([support 0] is the row count).  Inclusion-exclusion over the subset
-    supports, exact in integers.
-    @raise Invalid_argument unless [0 <= k <= 30]. *)
-
 type accuracy = {
   true_positives : int;
   false_positives : int;  (** discovered but not truly frequent *)

@@ -22,12 +22,16 @@ let validate_resolved ~size { keep_dist; rho } =
   if Array.length keep_dist <> size + 1 then
     invalid_arg "Randomizer: keep_dist length must be size + 1";
   Array.iter
-    (fun p -> if p < 0. then invalid_arg "Randomizer: negative keep probability")
+    (fun p ->
+      if not (Float.is_finite p) then
+        invalid_arg "Randomizer: keep probability is not finite";
+      if p < 0. then invalid_arg "Randomizer: negative keep probability")
     keep_dist;
   let total = Array.fold_left ( +. ) 0. keep_dist in
   if Float.abs (total -. 1.) > 1e-9 then
     invalid_arg "Randomizer: keep_dist must sum to 1";
-  if rho < 0. || rho > 1. then invalid_arg "Randomizer: rho out of [0,1]"
+  (* negated so that a NaN rho fails too *)
+  if not (rho >= 0. && rho <= 1.) then invalid_arg "Randomizer: rho out of [0,1]"
 
 let make ~universe ~name produce =
   if universe <= 0 then invalid_arg "Randomizer: universe must be positive";

@@ -49,6 +49,13 @@ val per_size : universe:int -> name:string -> (int -> resolved) -> t
 (** General per-size family; [f m] must return a valid resolved operator
     for every size that occurs in the data (validated on first use). *)
 
+val validate_resolved : size:int -> resolved -> unit
+(** Check one operator for transaction size [size] as {!per_size} does
+    on first use.
+    @raise Invalid_argument if [keep_dist] does not have [size + 1]
+    entries, one is negative or not finite, they do not sum to 1
+    (tolerance 1e-9), or [rho] is NaN or outside [0,1]. *)
+
 val universe : t -> int
 val name : t -> string
 

@@ -15,9 +15,6 @@ let write_lines ~out scheme ~sizes =
       out (Buffer.contents buf))
     sizes
 
-let write_channel oc scheme ~sizes =
-  write_lines ~out:(output_string oc) scheme ~sizes
-
 let to_string scheme ~sizes =
   let buf = Buffer.create 256 in
   write_lines ~out:(Buffer.add_string buf) scheme ~sizes;
@@ -27,14 +24,15 @@ let write_file path scheme ~sizes =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> write_channel oc scheme ~sizes)
+    (fun () -> write_lines ~out:(output_string oc) scheme ~sizes)
 
 let fail fmt = Printf.ksprintf failwith fmt
 
-(* The parser is written against a line source so the channel reader and
+(* The parser is written against a line source so the file reader and
    the string reader (the wire handshake carries a scheme in-band) share
-   one code path. *)
-let read_lines line =
+   one code path.  With [check], each operator is validated as its line
+   is decoded; without, on first use ({!Randomizer.per_size}). *)
+let read_lines ~check line =
   (match line () with
   | Some "ppdm-scheme 1" -> ()
   | _ -> fail "Scheme_io.read: bad magic");
@@ -73,7 +71,13 @@ let read_lines line =
                 in
                 if Array.length keep_dist <> m + 1 then
                   fail "Scheme_io.read: keep_dist length mismatch at size %d" m;
-                Hashtbl.replace table m { Randomizer.keep_dist; rho };
+                let r = { Randomizer.keep_dist; rho } in
+                (if check then
+                   match Randomizer.validate_resolved ~size:m r with
+                   | () -> ()
+                   | exception Invalid_argument msg ->
+                       fail "Scheme_io.read: size %d: %s" m msg);
+                Hashtbl.replace table m r;
                 read_sizes ()
             | _ -> fail "Scheme_io.read: malformed size line")
         | [ "" ] -> read_sizes ()
@@ -89,12 +93,9 @@ let read_lines line =
             (Printf.sprintf
                "Scheme_io: deserialized scheme has no operator for size %d" size))
 
-let read_channel ic =
-  read_lines (fun () -> try Some (input_line ic) with End_of_file -> None)
-
 let of_string s =
   let lines = ref (String.split_on_char '\n' s) in
-  read_lines (fun () ->
+  read_lines ~check:false (fun () ->
       match !lines with
       | [] -> None
       | l :: rest ->
@@ -105,7 +106,9 @@ let read_file path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
-    (fun () -> read_channel ic)
+    (fun () ->
+      read_lines ~check:true (fun () ->
+          try Some (input_line ic) with End_of_file -> None))
 
 let sizes_of_db db =
   List.map fst (Ppdm_data.Db.size_histogram db)

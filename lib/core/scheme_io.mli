@@ -16,26 +16,28 @@
     ...
     v} *)
 
-val write_channel : out_channel -> Randomizer.t -> sizes:int list -> unit
+val write_file : string -> Randomizer.t -> sizes:int list -> unit
 (** Serialize the operators the scheme uses at the given sizes
     (deduplicated; each size resolved once).
     @raise Invalid_argument if the scheme does not cover one of them. *)
 
-val write_file : string -> Randomizer.t -> sizes:int list -> unit
-
-val read_channel : in_channel -> Randomizer.t
-(** @raise Failure on malformed input. *)
-
 val read_file : string -> Randomizer.t
+(** @raise Failure on malformed input, including an operator that is not
+    a distribution ({!Randomizer.validate_resolved}), found as its line
+    is read. *)
 
 val to_string : Randomizer.t -> sizes:int list -> string
 (** The serialized form as a string — the in-band representation the
     network handshake sends ({!Ppdm_server.Wire.Hello} carries one), byte
-    identical to what {!write_channel} emits. *)
+    identical to what {!write_file} writes. *)
 
 val of_string : string -> Randomizer.t
-(** Parse a scheme from its serialized string form.  Same grammar and
-    errors as {!read_channel}. *)
+(** Parse a scheme from its serialized string form.  Same grammar as
+    {!read_file}, but an operator that is not a distribution raises
+    [Invalid_argument] on first use, as a {!Randomizer.per_size} family
+    does: the server's handshake answers such a scheme with a scheme
+    mismatch.
+    @raise Failure on malformed input. *)
 
 val sizes_of_db : Ppdm_data.Db.t -> int list
 (** The distinct transaction sizes of a database, ascending — the size

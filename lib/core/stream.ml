@@ -40,7 +40,7 @@ let observe_all t data =
   Array.iter (fun (size, y) -> observe t ~size y) data;
   Ppdm_obs.Metrics.add "stream.observed" (Array.length data)
 
-(* The one add loop: [merge_into] and every shard merge go through it. *)
+(* The one add loop: [merge] and every shard merge go through it. *)
 let add ~who t ~scheme ~itemset ~observed counts =
   if not (Itemset.equal t.itemset itemset) then
     invalid_arg (who ^ ": itemset mismatch");
@@ -67,17 +67,16 @@ let add ~who t ~scheme ~itemset ~observed counts =
 
 let add_layout = add ~who:"Stream.add_layout"
 
-let merge_into t ~from =
-  add ~who:"Stream.merge_into" t ~scheme:from.scheme ~itemset:from.itemset
-    ~observed:from.observed from.counts
-
 let merge = function
   | [] -> invalid_arg "Stream.merge: empty list"
-  | first :: rest ->
+  | first :: _ as ts ->
       Ppdm_obs.Span.with_ ~name:"stream.merge" (fun () ->
           let acc = create ~scheme:first.scheme ~itemset:first.itemset in
-          merge_into acc ~from:first;
-          List.iter (fun t -> merge_into acc ~from:t) rest;
+          List.iter
+            (fun t ->
+              add ~who:"Stream.merge" acc ~scheme:t.scheme ~itemset:t.itemset
+                ~observed:t.observed t.counts)
+            ts;
           acc)
 
 let estimate t =

@@ -34,32 +34,26 @@ val observe : t -> size:int -> Itemset.t -> unit
 val observe_all : t -> (int * Itemset.t) array -> unit
 (** {!observe} each row, then add their number to ["stream.observed"]. *)
 
-val merge_into : t -> from:t -> unit
-(** [merge_into acc ~from] adds [from]'s statistic to [acc] (for
-    distributed aggregation).  [from] is unchanged.
-    @raise Invalid_argument if the itemsets differ, or if the two
-    accumulators' schemes disagree (universe or operator parameters at
-    any observed size, per {!Randomizer.same_parameters}) — mixed-scheme
-    counts would silently corrupt {!estimate}. *)
-
 val add_layout :
   t -> scheme:Randomizer.t -> itemset:Itemset.t -> observed:int -> int array ->
   unit
 (** [add_layout acc ~scheme ~itemset ~observed counts] adds a statistic
     kept elsewhere in the layout of {!counts} — [observed] transactions
-    of [itemset] randomized under [scheme] — into [acc], as {!merge_into}
-    adds another accumulator's ({!merge_into} is this add).  [counts] is
-    unchanged.
-    @raise Invalid_argument as {!merge_into}, or if the length of
-    [counts] is not a multiple of k + 1. *)
+    of [itemset] randomized under [scheme] — into [acc], as {!merge}
+    adds each accumulator's (with this add).  [counts] is unchanged.
+    @raise Invalid_argument as {!merge}, or if the length of [counts] is
+    not a multiple of k + 1. *)
 
 val merge : t list -> t
 (** [merge ts] is a fresh accumulator holding the summed statistic of all
-    of [ts], none of which is modified — the N-way fold of {!merge_into}
-    used to combine per-shard accumulators (e.g. one per domain of the
-    parallel runtime).  The statistic is a sum, so the result does not
-    depend on the order of [ts].
-    @raise Invalid_argument on the empty list or an itemset mismatch. *)
+    of [ts], none of which is modified — used to combine per-shard
+    accumulators (e.g. one per domain of the parallel runtime).  The
+    statistic is a sum, so the result does not depend on the order of
+    [ts].
+    @raise Invalid_argument on the empty list, if the itemsets differ, or
+    if two accumulators' schemes disagree (universe or operator
+    parameters at any observed size, per {!Randomizer.same_parameters})
+    — mixed-scheme counts would silently corrupt {!estimate}. *)
 
 val estimate : t -> Estimator.t
 (** Current estimate.  @raise Invalid_argument before any observation. *)

@@ -93,15 +93,3 @@ let matrix (r : Randomizer.resolved) ~k =
 
 let of_scheme scheme ~size ~k = matrix (Randomizer.resolve scheme ~size) ~k
 
-let is_column_stochastic ?(tolerance = 1e-9) m =
-  let ok = ref true in
-  for j = 0 to Mat.cols m - 1 do
-    let sum = ref 0. in
-    for i = 0 to Mat.rows m - 1 do
-      let v = Mat.get m i j in
-      if v < -.tolerance then ok := false;
-      sum := !sum +. v
-    done;
-    if Float.abs (!sum -. 1.) > tolerance then ok := false
-  done;
-  !ok

@@ -55,6 +55,3 @@ val rect_matrix : Randomizer.resolved -> k:int -> Mat.t
 val of_scheme : Randomizer.t -> size:int -> k:int -> Mat.t
 (** {!matrix} of the operator a scheme uses at [size]. *)
 
-val is_column_stochastic : ?tolerance:float -> Mat.t -> bool
-(** Sanity check used by the test suite: all entries non-negative and
-    every column summing to 1 within the tolerance (default 1e-9). *)

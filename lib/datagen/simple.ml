@@ -25,22 +25,6 @@ let zipf_clickstream rng ~universe ~exponent ~avg_size ~count =
   in
   Db.create ~universe (Array.init count make)
 
-let bernoulli rng ~item_probs ~count =
-  let universe = Array.length item_probs in
-  Array.iter
-    (fun p ->
-      if p < 0. || p > 1. then
-        invalid_arg "Simple.bernoulli: probability out of [0,1]")
-    item_probs;
-  let make _ =
-    let items = ref [] in
-    for item = universe - 1 downto 0 do
-      if Rng.float rng < item_probs.(item) then items := item :: !items
-    done;
-    Itemset.of_sorted_array_unchecked (Array.of_list !items)
-  in
-  Db.create ~universe (Array.init count make)
-
 let planted rng ~universe ~size ~count ~itemset ~support =
   let k = Itemset.cardinal itemset in
   if k > size then invalid_arg "Simple.planted: itemset larger than size";

@@ -15,13 +15,6 @@ val zipf_clickstream :
     Poisson-distributed transaction sizes: the shape of the WorldCup'98
     [soccer] clickstream used by the original mining experiments. *)
 
-val bernoulli : Rng.t -> item_probs:float array -> count:int -> Db.t
-(** Independent-items model: item [i] appears in each transaction
-    independently with probability [item_probs.(i)] (the universe is the
-    array length).  This is the distribution under which the item-level
-    breach analysis of {!Ppdm.Breach} is exact, so it calibrates those
-    tests.  @raise Invalid_argument on probabilities outside [0,1]. *)
-
 val planted :
   Rng.t ->
   universe:int ->

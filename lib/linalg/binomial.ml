@@ -27,11 +27,8 @@ let log_choose n k =
   if k < 0 || k > n || n < 0 then neg_infinity
   else log_factorial n -. log_factorial k -. log_factorial (n - k)
 
-let choose n k =
-  if k < 0 || k > n || n < 0 then 0.
-  else if k = 0 || k = n then 1.
-  else exp (log_choose n k)
-
+(* [k ln p], with [log_pow 0. 0 = 0.] so that [exp] of it is [p^k]
+   including [0^0 = 1]. *)
 let log_pow p k =
   if k = 0 then 0.
   else if p <= 0. then neg_infinity

@@ -20,16 +20,6 @@ let of_flat ~rows ~cols data =
 
 let flat m = m.data
 
-let of_arrays arr =
-  let rows = Array.length arr in
-  if rows = 0 then invalid_arg "Mat.of_arrays: empty";
-  let cols = Array.length arr.(0) in
-  Array.iter
-    (fun r ->
-      if Array.length r <> cols then invalid_arg "Mat.of_arrays: ragged rows")
-    arr;
-  init ~rows ~cols (fun i j -> arr.(i).(j))
-
 let rows m = m.rows
 let cols m = m.cols
 

@@ -17,9 +17,6 @@ val flat : t -> float array
 (** The row-major entries, shared with the matrix (not copied): the
     inverse of {!of_flat}. *)
 
-val of_arrays : float array array -> t
-(** Rows must be non-empty and of equal length. *)
-
 val rows : t -> int
 val cols : t -> int
 

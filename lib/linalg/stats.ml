@@ -3,9 +3,9 @@ let mean xs =
   if n = 0 then invalid_arg "Stats.mean: empty sample";
   Array.fold_left ( +. ) 0. xs /. float_of_int n
 
-let variance xs =
+let std xs =
   let n = Array.length xs in
-  if n < 2 then invalid_arg "Stats.variance: need at least two samples";
+  if n < 2 then invalid_arg "Stats.std: need at least two samples";
   let m = mean xs in
   let acc = ref 0. in
   Array.iter
@@ -13,44 +13,7 @@ let variance xs =
       let d = x -. m in
       acc := !acc +. (d *. d))
     xs;
-  !acc /. float_of_int (n - 1)
-
-let std xs = sqrt (variance xs)
-
-let covariance xs ys =
-  let n = Array.length xs in
-  if Array.length ys <> n then invalid_arg "Stats.covariance: length mismatch";
-  if n < 2 then invalid_arg "Stats.covariance: need at least two samples";
-  let mx = mean xs and my = mean ys in
-  let acc = ref 0. in
-  for i = 0 to n - 1 do
-    acc := !acc +. ((xs.(i) -. mx) *. (ys.(i) -. my))
-  done;
-  !acc /. float_of_int (n - 1)
-
-let quantile xs q =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Stats.quantile: empty sample";
-  if q < 0. || q > 1. then invalid_arg "Stats.quantile: q out of [0,1]";
-  let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
-  let pos = q *. float_of_int (n - 1) in
-  let lo = int_of_float (Float.floor pos) in
-  let hi = min (lo + 1) (n - 1) in
-  let frac = pos -. float_of_int lo in
-  ((1. -. frac) *. sorted.(lo)) +. (frac *. sorted.(hi))
-
-let chi_square_uniform counts =
-  let buckets = Array.length counts in
-  if buckets = 0 then invalid_arg "Stats.chi_square_uniform: no buckets";
-  let total = Array.fold_left ( + ) 0 counts in
-  let expected = float_of_int total /. float_of_int buckets in
-  if expected <= 0. then invalid_arg "Stats.chi_square_uniform: empty sample";
-  Array.fold_left
-    (fun acc c ->
-      let d = float_of_int c -. expected in
-      acc +. (d *. d /. expected))
-    0. counts
+  sqrt (!acc /. float_of_int (n - 1))
 
 let rmse xs ys =
   let n = Array.length xs in

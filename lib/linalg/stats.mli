@@ -3,23 +3,9 @@
 val mean : float array -> float
 (** Arithmetic mean.  Requires a non-empty array. *)
 
-val variance : float array -> float
-(** Unbiased sample variance (n-1 denominator).  Requires at least two
-    samples. *)
-
 val std : float array -> float
-(** Square root of {!variance}. *)
-
-val covariance : float array -> float array -> float
-(** Unbiased sample covariance of paired samples of equal length >= 2. *)
-
-val quantile : float array -> float -> float
-(** [quantile xs q] with [0 <= q <= 1]: linear interpolation between order
-    statistics.  Requires a non-empty array.  Does not modify [xs]. *)
-
-val chi_square_uniform : int array -> float
-(** Chi-square statistic of observed bucket counts against the uniform
-    distribution over the buckets; used by the PRNG sanity tests. *)
+(** Square root of the unbiased sample variance (n-1 denominator).
+    Requires at least two samples. *)
 
 val rmse : float array -> float array -> float
 (** Root-mean-square error between paired arrays of equal length. *)

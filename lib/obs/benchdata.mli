@@ -22,9 +22,6 @@ type measurement = {
 val key : measurement -> string
 (** Identity within a file: ["<section>/<name>/j<jobs>"]. *)
 
-val to_json : measurement list -> Json.t
-val of_json : Json.t -> (measurement list, string) result
-
 val write_file : string -> measurement list -> unit
 
 val read_file : string -> (measurement list, string) result

@@ -26,13 +26,6 @@ val note_start : ?now:int -> unit -> unit
 (** Pin the observation origin used for [ppdm_pool_busy_fraction]
     (busy_ns / elapsed).  Until called, the family is omitted. *)
 
-val sanitize_name : string -> string
-(** [ppdm_] + the name with every character outside
-    [[A-Za-z0-9_:]] replaced by [_]. *)
-
-val escape_label : string -> string
-(** Escape a label value: backslash, double quote, and newline. *)
-
 (** {2 Parsing and validation}
 
     A small consumer-side parser, enough for [ppdm top] and the CI

@@ -261,16 +261,3 @@ let snapshot () =
   let counters, gauges, histograms = Sink_impl.merge sinks in
   { counters; gauges; histograms }
 
-(* Re-export the explicit-sink API with the snapshot type of this module. *)
-module Sink = struct
-  type t = Sink_impl.t
-
-  let create = Sink_impl.create
-  let add = Sink_impl.add
-  let gauge = Sink_impl.gauge
-  let observe = Sink_impl.observe
-
-  let merge sinks =
-    let counters, gauges, histograms = Sink_impl.merge sinks in
-    { counters; gauges; histograms }
-end

@@ -121,23 +121,3 @@ val trace_enabled : unit -> bool
 
 val any_enabled : unit -> bool
 (** True iff metrics or tracing (or both) are enabled — one atomic load. *)
-
-(** {2 Explicit sinks}
-
-    The sharded-sink mechanism itself, exposed for tests (merge
-    order-independence) and for callers that want an isolated registry.
-    Sink operations record unconditionally — the {!enabled} flag guards
-    only the global entry points above. *)
-
-module Sink : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> string -> int -> unit
-  val gauge : t -> string -> float -> unit
-  val observe : t -> string -> int -> unit
-
-  val merge : t list -> snapshot
-  (** Commutative fold of the given sinks: the result is independent of
-      list order.  The sinks are not modified. *)
-end

@@ -1,11 +1,5 @@
 type format = Human | Json
 
-let format_of_string s =
-  match String.lowercase_ascii s with
-  | "human" -> Some Human
-  | "json" -> Some Json
-  | _ -> None
-
 (* --------------------------------------------------------------- human *)
 
 let pretty_ns ns =

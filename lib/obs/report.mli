@@ -13,12 +13,6 @@
 
 type format = Human | Json
 
-val format_of_string : string -> format option
-(** ["human"] / ["json"] (case-insensitive). *)
-
-val human_of : Metrics.snapshot -> Span.t list -> string
-val json_lines_of : Metrics.snapshot -> Span.t list -> string
-
 val to_string : format -> string
 (** Render the current global state ({!Metrics.snapshot} +
     {!Span.tree}). *)

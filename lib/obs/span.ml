@@ -97,5 +97,3 @@ let reset () =
       st.root.n_total <- 0;
       st.root.n_calls <- 0)
     states
-
-let total_ns roots = List.fold_left (fun acc t -> acc + t.total_ns) 0 roots

@@ -35,6 +35,3 @@ val tree : unit -> t list
 
 val reset : unit -> unit
 (** Drop every recorded span. *)
-
-val total_ns : t list -> int
-(** Sum of [total_ns] over the given roots. *)

@@ -1,13 +1,5 @@
-type phase = Begin | End | Instant
+open Timeline
 
-type event = {
-  phase : phase;
-  name : string;
-  cat : string;
-  ts_ns : int;
-  domain : int;
-  seq : int;
-}
 
 (* A fixed-capacity ring per domain: [start] indexes the oldest event,
    [len] how many are live.  Overwriting the oldest slot on overflow keeps
@@ -15,7 +7,7 @@ type event = {
    on; the drop is counted, never silent. *)
 type ring = {
   r_domain : int;
-  mutable buf : event array;
+  buf : event array;
   mutable start : int;
   mutable len : int;
   mutable dropped : int;
@@ -25,12 +17,7 @@ type ring = {
 let dummy_event =
   { phase = Instant; name = ""; cat = ""; ts_ns = 0; domain = 0; seq = 0 }
 
-let default_capacity = 1 lsl 16
-let capacity = Atomic.make default_capacity
-
-let set_capacity n =
-  if n <= 0 then invalid_arg "Trace.set_capacity: capacity must be positive";
-  Atomic.set capacity n
+let capacity = 1 lsl 16
 
 let set_enabled = Metrics.set_trace_enabled
 let enabled = Metrics.trace_enabled
@@ -43,7 +30,7 @@ let ring_key =
       let r =
         {
           r_domain = (Domain.self () :> int);
-          buf = Array.make (Atomic.get capacity) dummy_event;
+          buf = Array.make capacity dummy_event;
           start = 0;
           len = 0;
           dropped = 0;
@@ -62,13 +49,9 @@ let rings () =
   rs
 
 let reset () =
-  (* Also re-reads the capacity, so [set_capacity] between runs takes
-     effect on rings that already exist. *)
-  let cap = Atomic.get capacity in
   List.iter
     (fun r ->
-      if Array.length r.buf <> cap then r.buf <- Array.make cap dummy_event
-      else Array.fill r.buf 0 cap dummy_event;
+      Array.fill r.buf 0 capacity dummy_event;
       r.start <- 0;
       r.len <- 0;
       r.dropped <- 0;
@@ -130,136 +113,6 @@ let events () =
              | c -> c)
          | c -> c)
 
-(* ------------------------------------------------- Chrome trace export *)
-
-(* The trace-event format: a JSON array of {ph, ts, pid, tid, name, cat}
-   objects, ts in microseconds.  Loadable by chrome://tracing, Perfetto,
-   and catapult tooling.  One synthetic counter event reports drops. *)
-let to_chrome_json ?(dropped = 0) evs =
-  let us_of_ns ns = float_of_int ns /. 1e3 in
-  let base =
-    List.map
-      (fun ev ->
-        let ph =
-          match ev.phase with Begin -> "B" | End -> "E" | Instant -> "i"
-        in
-        let fields =
-          [
-            ("name", Json.String ev.name);
-            ("cat", Json.String ev.cat);
-            ("ph", Json.String ph);
-            ("ts", Json.Float (us_of_ns ev.ts_ns));
-            ("pid", Json.Int 1);
-            ("tid", Json.Int ev.domain);
-          ]
-        in
-        (* Instants carry thread scope so viewers draw them as marks. *)
-        let fields =
-          if ev.phase = Instant then fields @ [ ("s", Json.String "t") ]
-          else fields
-        in
-        Json.Obj fields)
-      evs
-  in
-  let tail =
-    if dropped = 0 then []
-    else
-      [
-        Json.Obj
-          [
-            ("name", Json.String "trace.dropped");
-            ("cat", Json.String "trace");
-            ("ph", Json.String "C");
-            ("ts",
-             Json.Float
-               (match List.rev evs with
-               | last :: _ -> us_of_ns last.ts_ns
-               | [] -> 0.));
-            ("pid", Json.Int 1);
-            ("tid", Json.Int 0);
-            ("args", Json.Obj [ ("dropped", Json.Int dropped) ]);
-          ];
-      ]
-  in
-  Json.List (base @ tail)
-
-(* ------------------------------------------------- folded-stack export *)
-
-(* One frame of the reconstruction: name, begin timestamp, and the time
-   already attributed to children (subtracted to get self time). *)
-type frame = { f_name : string; f_ts : int; mutable f_child_ns : int }
-
-(* Fold each domain's events (in record order) into "a;b;c self_ns"
-   lines, flamegraph.pl-compatible.  Durations clamp at 0 — the wall
-   clock can step backwards (see Metrics.now_ns).  Unpaired events are
-   tolerated, they are expected after ring overflow: an End with no
-   matching open frame is skipped; a Begin still open when the events run
-   out closes at the last timestamp seen on its domain. *)
-let to_folded evs =
-  let totals : (string, int) Hashtbl.t = Hashtbl.create 32 in
-  let add_total path ns =
-    Hashtbl.replace totals path
-      (ns + Option.value ~default:0 (Hashtbl.find_opt totals path))
-  in
-  let by_domain : (int, event list ref) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun ev ->
-      match Hashtbl.find_opt by_domain ev.domain with
-      | Some l -> l := ev :: !l
-      | None -> Hashtbl.replace by_domain ev.domain (ref [ ev ]))
-    evs;
-  let close stack ts =
-    match stack with
-    | [] -> []
-    | frame :: rest ->
-        let dur = max 0 (ts - frame.f_ts) in
-        let self = max 0 (dur - frame.f_child_ns) in
-        let path =
-          String.concat ";"
-            (List.rev_map (fun f -> f.f_name) (frame :: rest))
-        in
-        add_total path self;
-        (match rest with
-        | parent :: _ -> parent.f_child_ns <- parent.f_child_ns + dur
-        | [] -> ());
-        rest
-  in
-  let domains =
-    Hashtbl.fold (fun d l acc -> (d, List.rev !l) :: acc) by_domain []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  List.iter
-    (fun ((_, evs) : int * event list) ->
-      let evs = List.sort (fun (a : event) b -> compare a.seq b.seq) evs in
-      let last_ts =
-        List.fold_left (fun acc ev -> max acc ev.ts_ns) 0 evs
-      in
-      let stack =
-        List.fold_left
-          (fun stack ev ->
-            match ev.phase with
-            | Begin -> { f_name = ev.name; f_ts = ev.ts_ns; f_child_ns = 0 } :: stack
-            | End -> (
-                match stack with
-                | top :: _ when top.f_name = ev.name -> close stack ev.ts_ns
-                | _ -> stack (* orphan End: its Begin was dropped *))
-            | Instant -> stack)
-          [] evs
-      in
-      (* close frames left open (their End dropped, or tracing stopped
-         mid-span) at the domain's last timestamp *)
-      let rec drain stack =
-        match stack with [] -> () | _ -> drain (close stack last_ts)
-      in
-      drain stack)
-    domains;
-  let lines =
-    Hashtbl.fold (fun path ns acc -> (path, ns) :: acc) totals []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  String.concat ""
-    (List.map (fun (path, ns) -> Printf.sprintf "%s %d\n" path ns) lines)
-
 let write_file path =
   let evs = events () in
   let oc = open_out path in
@@ -267,9 +120,10 @@ let write_file path =
     ~finally:(fun () -> close_out oc)
     (fun () ->
       if Filename.check_suffix path ".folded" then
-        output_string oc (to_folded evs)
+        output_string oc (Timeline.to_folded evs)
       else begin
         output_string oc
-          (Json.to_string (to_chrome_json ~dropped:(dropped ()) evs));
+          (Json.to_string
+             (Timeline.to_chrome_json ~dropped:(dropped ()) evs));
         output_char oc '\n'
       end)

@@ -17,27 +17,17 @@
     + {b No contention.}  Each domain records into its own ring; rings
       touch no shared state after the one-time registration.  Recording
       changes no computed result at any job count.
-    + {b Bounded memory.}  Rings have fixed capacity.  On overflow the
-      oldest event is overwritten and the drop counted ({!dropped}, plus
-      the ["trace.dropped"] metrics counter when metrics are on) — a long
-      run keeps the {e newest} window of events rather than growing
-      without bound or silently losing the information that it dropped.
+    + {b Bounded memory.}  Rings hold 65536 events each.  On overflow the
+      oldest event is overwritten and the drop counted (in the written
+      trace, plus the ["trace.dropped"] metrics counter when metrics are
+      on) — a long run keeps the {e newest} window of events rather than
+      growing without bound or silently losing the information that it
+      dropped.
 
     Timestamps come from {!Metrics.now_ns}, a wall clock that can step
     backwards under NTP; consumers of event pairs clamp negative
-    durations to 0 (see {!to_folded}).  Take {!events}, {!reset}, or
-    {!write_file} only at a quiescent point, like {!Metrics.snapshot}. *)
-
-type phase = Begin | End | Instant
-
-type event = {
-  phase : phase;
-  name : string;
-  cat : string;  (** coarse grouping: "span", "pool", "trace", ... *)
-  ts_ns : int;  (** {!Metrics.now_ns} at record time *)
-  domain : int;  (** recording domain's id — the timeline lane *)
-  seq : int;  (** per-domain record order; ties and pairing use it *)
-}
+    durations to 0 (see {!Timeline.to_folded}).  Call {!reset} or {!write_file}
+    only at a quiescent point, like {!Metrics.snapshot}. *)
 
 val set_enabled : bool -> unit
 (** Turn tracing on or off (off initially; independent of
@@ -45,13 +35,9 @@ val set_enabled : bool -> unit
 
 val enabled : unit -> bool
 
-val set_capacity : int -> unit
-(** Per-domain ring capacity (default 65536 events).  Existing rings
-    adopt a new capacity at the next {!reset}; rings created afterwards
-    use it immediately.  Raises [Invalid_argument] when non-positive. *)
-
 val reset : unit -> unit
-(** Drop every recorded event and drop count, in every ring. *)
+(** Drop every recorded event and drop count, in every ring.  No command
+    calls it: each traces once per process. *)
 
 val begin_ : name:string -> cat:string -> unit
 (** Open a slice on the current domain's timeline.  No-op when off. *)
@@ -67,29 +53,9 @@ val with_ : name:string -> cat:string -> (unit -> 'a) -> 'a
     is emitted even when [f] raises, so timelines stay paired across
     exceptions.  When off, this is [f ()] after one flag check. *)
 
-val dropped : unit -> int
-(** Total events dropped to overflow across all rings since the last
-    {!reset}. *)
-
-val events : unit -> event list
-(** The merged timeline of every ring, sorted by timestamp with
-    (domain, seq) breaking ties.  Quiescent points only. *)
-
-val to_chrome_json : ?dropped:int -> event list -> Json.t
-(** Render events as a Chrome trace-event array: one object per event
-    with [ph] ("B"/"E"/"i"), [ts] (microseconds), [pid] (always 1),
-    [tid] (domain id), [name], and [cat] fields.  When [dropped > 0] a
-    final counter event named ["trace.dropped"] records the loss in the
-    trace itself. *)
-
-val to_folded : event list -> string
-(** Render events as folded-stack lines (["a;b;c self_ns\n"], the input
-    of [flamegraph.pl] and speedscope): per domain, begin/end pairs are
-    matched in record order, durations clamp at 0 (wall clock), self
-    time is duration minus children.  Unpaired events — expected after
-    ring overflow — are tolerated: an orphan End is skipped, a
-    still-open Begin closes at its domain's last timestamp. *)
-
 val write_file : string -> unit
-(** Write the current timeline to a file: folded stacks when the path
-    ends in [.folded], Chrome trace JSON otherwise. *)
+(** Write the merged timeline of every ring, sorted by timestamp with
+    (domain, seq) breaking ties, to a file: folded stacks
+    ({!Timeline.to_folded}) when the path ends in [.folded], Chrome
+    trace-event JSON ({!Timeline.to_chrome_json}, with the rings' drop
+    count) otherwise. *)

@@ -1,7 +1,3 @@
-let bernoulli rng p =
-  if p < 0. || p > 1. then invalid_arg "Dist.bernoulli: p out of [0,1]";
-  Rng.float rng < p
-
 let rec poisson rng ~mean =
   if mean < 0. then invalid_arg "Dist.poisson: negative mean";
   if mean = 0. then 0
@@ -92,19 +88,6 @@ let discrete_sample rng { prob; alias } =
   let n = Array.length prob in
   let i = Rng.int rng n in
   if float_of_int (Rng.bits53 rng) *. 0x1p-53 < prob.(i) then i else alias.(i)
-
-let categorical rng weights =
-  let total = Array.fold_left ( +. ) 0. weights in
-  if not (total > 0.) then invalid_arg "Dist.categorical: weights sum to zero";
-  let u = Rng.float rng *. total in
-  let n = Array.length weights in
-  let rec scan i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. weights.(i) in
-      if u < acc then i else scan (i + 1) acc
-  in
-  scan 0 0.
 
 type zipf = { cdf : float array }
 

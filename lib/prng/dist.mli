@@ -2,10 +2,6 @@
 
     All samplers take an explicit {!Rng.t}; none uses global state. *)
 
-val bernoulli : Rng.t -> float -> bool
-(** [bernoulli rng p] is [true] with probability [p].  Requires
-    [0 <= p <= 1]. *)
-
 val poisson : Rng.t -> mean:float -> int
 (** Poisson sample.  Knuth's product method, accurate for the moderate
     means used by the data generators.  Requires [mean >= 0]. *)
@@ -38,10 +34,6 @@ val discrete : float array -> discrete
 
 val discrete_sample : Rng.t -> discrete -> int
 (** Sample an index with probability proportional to its weight. *)
-
-val categorical : Rng.t -> float array -> int
-(** One-shot weighted choice by linear scan; use {!discrete} for repeated
-    sampling from the same weights. *)
 
 type zipf
 (** Pre-processed Zipf distribution over {0, ..., n-1}. *)

@@ -2,9 +2,9 @@
    with the unboxed native-endian int64 primitives of [Bytes].  A record of
    [mutable int64] fields would box a fresh Int64 on every store, i.e.
    several allocations per draw on the randomizer's hot path.  Every
-   buffer comes from [of_seed64] or [Bytes.copy] of one, so word offsets
-   0..3 are always in range and the accessors skip the bounds check (with
-   it, a draw costs about 4x as long). *)
+   buffer comes from [of_seed64], so word offsets 0..3 are always in
+   range and the accessors skip the bounds check (with it, a draw costs
+   about 4x as long). *)
 type t = Bytes.t
 
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
@@ -16,8 +16,8 @@ let[@inline] set t i v = set64 t (i * 8) v
 let default_seed = 0x1E3779B97F4A7C15
 
 (* SplitMix64: used only to expand a seed into the xoshiro state, and to
-   derive split children.  Its guarantee of distinct, well-mixed outputs for
-   distinct inputs is what makes [split] streams decorrelated. *)
+   derive children.  Its guarantee of distinct, well-mixed outputs for
+   distinct inputs is what makes [derive] streams decorrelated. *)
 let splitmix64_next state =
   let open Int64 in
   state := add !state 0x9E3779B97F4A7C15L;
@@ -36,8 +36,6 @@ let of_seed64 seed =
 
 let create ?(seed = default_seed) () = of_seed64 (Int64.of_int seed)
 
-let copy = Bytes.copy
-
 let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
@@ -52,11 +50,6 @@ let[@inline] bits64 t =
   set t 2 (logxor s2 (shift_left s1 17));
   set t 3 (rotl s3 45);
   result
-
-let split t =
-  let state = ref (bits64 t) in
-  let seed = splitmix64_next state in
-  of_seed64 seed
 
 let derive t ~index =
   if index < 0 then invalid_arg "Rng.derive: index must be non-negative";

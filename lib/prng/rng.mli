@@ -13,15 +13,6 @@ val create : ?seed:int -> unit -> t
     seed is a fixed constant, so two programs that never pass [~seed]
     observe identical streams. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator starting from the current state
-    of [t]; advancing one does not affect the other. *)
-
-val split : t -> t
-(** [split t] derives a new generator from [t], advancing [t].  The two
-    streams are decorrelated (the child is re-seeded through SplitMix64
-    from fresh output of the parent). *)
-
 val derive : t -> index:int -> t
 (** [derive t ~index] is a child generator determined entirely by the
     current state of [t] and [index]; [t] is {e not} advanced.  Children

@@ -10,7 +10,7 @@ type cell = { word_lo : int; word_hi : int; cand_lo : int; cand_hi : int }
 
 type t = { word_chunk : int; cand_chunk : int; cells : cell array }
 
-let default_l2_bytes = 1 lsl 20
+let l2_bytes = 1 lsl 20
 
 (* A counting cell streams, per candidate, up to three live dense
    word-windows (the running prefix intersection, the item being ANDed
@@ -20,8 +20,7 @@ let default_l2_bytes = 1 lsl 20
    finer than the PR 5 default (at most 64 windows of >= 256 words), so
    the planner only deviates from the 1-D sharding once the database is
    big enough that an L2-sized window is the smaller of the two. *)
-let word_chunk_for ?(l2_bytes = default_l2_bytes) ~n_words () =
-  if l2_bytes <= 0 then invalid_arg "Grid: l2_bytes must be positive";
+let word_chunk_for ~n_words =
   let l2_cap = max 256 (l2_bytes / 48) in
   max 256 (min l2_cap ((n_words + 63) / 64))
 
@@ -39,7 +38,7 @@ let positive name = function
       invalid_arg (Printf.sprintf "Grid.plan: %s must be positive" name)
   | c -> c
 
-let plan ?l2_bytes ?word_chunk ?cand_chunk ~runs ~n_candidates () =
+let plan ?word_chunk ?cand_chunk ~runs ~n_candidates () =
   if n_candidates < 0 then invalid_arg "Grid.plan: negative n_candidates";
   let n_words, _ =
     Array.fold_left
@@ -52,7 +51,7 @@ let plan ?l2_bytes ?word_chunk ?cand_chunk ~runs ~n_candidates () =
   let word_chunk =
     match positive "word_chunk" word_chunk with
     | Some c -> c
-    | None -> word_chunk_for ?l2_bytes ~n_words ()
+    | None -> word_chunk_for ~n_words
   in
   let cand_chunk =
     match positive "cand_chunk" cand_chunk with

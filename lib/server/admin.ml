@@ -28,8 +28,8 @@ let status_text = function
 let openmetrics_content_type =
   "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
-(* Pure request -> response mapping, unit-testable without sockets.
-   [request] is everything up to (not including) the header terminator. *)
+(* Pure request -> response mapping.  [request] is everything up to (not
+   including) the header terminator. *)
 let handle_request handlers request =
   let first_line =
     match String.index_opt request '\r' with

@@ -15,20 +15,13 @@ type handlers = {
   ready : unit -> bool * string;  (** readiness verdict + reason body *)
 }
 
-val handle_request : handlers -> string -> int * string * string
-(** Pure request → (status, content-type, body) mapping over the raw
-    request text (request line + headers), exposed for unit tests.
-    Non-GET methods answer 405, unknown paths 404, malformed request
-    lines 400. *)
-
 val serve_loop : Unix.file_descr -> stop:bool Atomic.t -> handlers -> unit
 (** Accept and answer requests one at a time until [stop] is set
     (checked every 50ms while idle); closes the listener on exit.  Run
-    as one pool task next to the data-plane stages. *)
+    as one pool task next to the data-plane stages.  Non-GET methods
+    answer 405, unknown paths 404, malformed request lines 400. *)
 
 val fetch : port:int -> string -> (int * string, string) result
 (** Minimal client: one HTTP/1.0 GET to 127.0.0.1:[port], read to EOF.
     [Ok (status, body)], or [Error message] on connect/read failure —
     used by [ppdm top], [ppdm stat], tests, and fault scenarios. *)
-
-val openmetrics_content_type : string

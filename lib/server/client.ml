@@ -32,8 +32,6 @@ let close t =
     try Unix.close t.sock with Unix.Unix_error _ -> ()
   end
 
-let fd t = t.sock
-
 (* The cap applies on both directions: emitting a frame the peer's
    reader is guaranteed to reject would only surface as an opaque
    remote [Frame_too_large]. *)

@@ -21,7 +21,7 @@ val connect : ?retries:int -> ?max_frame:int -> port:int -> unit -> t
 (** Connect to 127.0.0.1:[port].  [retries] (default 100) connection
     attempts 10 ms apart cover the race against a server still binding.
     [max_frame] (default {!Framing.default_max_frame}) caps frames in
-    {e both} directions: reads reject larger frames, and {!send} raises
+    {e both} directions: reads reject larger frames, and sends raise
     [Invalid_argument] rather than emit one the peer would reject.
     @raise Unix.Unix_error when every attempt fails. *)
 
@@ -49,9 +49,6 @@ val shutdown : t -> unit
 
 (** {2 Low-level access (fault injection, tests)} *)
 
-val send : t -> Wire.message -> unit
-(** Encode, frame, write. *)
-
 val send_raw : t -> bytes -> unit
 (** Write bytes verbatim — no framing, no validation. *)
 
@@ -60,8 +57,3 @@ val read : t -> (Wire.message, string) result
     {!Framing.reader}.  [Error] describes transport or decode
     trouble (["closed"], ["truncated ..."], ...) — a successfully decoded
     [Wire.Error] frame is [Ok (Error _)], not [Error _]. *)
-
-val fd : t -> Unix.file_descr
-(** The underlying socket, for surgical fault injection ([shutdown] of
-    one direction, abrupt close mid-frame).  Do not read from it: frames
-    the server already sent may sit in {!read}'s buffer. *)

@@ -22,16 +22,6 @@ let iteri f db = Array.iteri f db.transactions
 let fold f init db = Array.fold_left f init db.transactions
 let map f db = { db with transactions = Array.map f db.transactions }
 
-let filter p db =
-  {
-    db with
-    transactions =
-      Array.of_list (List.filter p (Array.to_list db.transactions));
-  }
-
-let sub db ~pos ~len =
-  { db with transactions = Array.sub db.transactions pos len }
-
 let append a b =
   if a.universe <> b.universe then invalid_arg "Db.append: universe mismatch";
   { a with transactions = Array.append a.transactions b.transactions }
@@ -76,11 +66,6 @@ let density db =
     float_of_int (fold (fun acc tx -> acc + Itemset.cardinal tx) 0 db)
     /. float_of_int (length db * db.universe)
 
-let split db ~at =
-  if at < 0 || at > length db then invalid_arg "Db.split: index out of bounds";
-  ( { db with transactions = Array.sub db.transactions 0 at },
-    { db with transactions = Array.sub db.transactions at (length db - at) } )
-
 let avg_size db =
   if length db = 0 then 0.
   else
@@ -91,8 +76,7 @@ let item_frequency_quantiles db qs =
   if length db = 0 then invalid_arg "Db.item_frequency_quantiles: empty database";
   let n = float_of_int (length db) in
   let freqs = Array.map (fun c -> float_of_int c /. n) (item_counts db) in
-  (* Stats lives above this library, so compute the quantiles locally with
-     the same interpolation convention. *)
+  (* linear interpolation between order statistics *)
   let sorted = Array.copy freqs in
   Array.sort Float.compare sorted;
   List.map

@@ -22,15 +22,9 @@ val transactions : t -> Itemset.t array
 
 val iter : (Itemset.t -> unit) -> t -> unit
 val iteri : (int -> Itemset.t -> unit) -> t -> unit
-val fold : ('a -> Itemset.t -> 'a) -> 'a -> t -> 'a
 
 val map : (Itemset.t -> Itemset.t) -> t -> t
 (** Transaction-wise map; keeps the universe. *)
-
-val filter : (Itemset.t -> bool) -> t -> t
-
-val sub : t -> pos:int -> len:int -> t
-(** Contiguous slice of transactions. *)
 
 val append : t -> t -> t
 (** Concatenation; universes must agree. *)
@@ -59,11 +53,8 @@ val density : t -> float
 (** Fraction of the item-transaction matrix that is set:
     [Σ|t| / (length * universe)]; 0 for the empty database. *)
 
-val split : t -> at:int -> t * t
-(** [(first at transactions, the rest)].
-    @raise Invalid_argument unless [0 <= at <= length]. *)
-
 val item_frequency_quantiles : t -> float list -> float list
-(** Quantiles of the per-item support fractions (see
-    {!Ppdm_linalg.Stats.quantile} semantics); useful to characterize the
-    popularity skew of a workload.  Requires a non-empty database. *)
+(** Quantiles of the per-item support fractions, each [q] in [0,1] by
+    linear interpolation between order statistics; useful to
+    characterize the popularity skew of a workload.  Requires a
+    non-empty database. *)

@@ -25,8 +25,8 @@ val block_size : int
 
 val write_file : string -> Db.t -> unit
 
-val read_channel : in_channel -> Db.t
-(** Reads to the end of the channel.  @raise Failure on malformed input,
+val read_file : string -> Db.t
+(** Reads to the end of the file.  @raise Failure on malformed input,
     with a message starting ["Io.read: "]: ["empty input"], ["malformed
     header"], ["malformed header values"], ["bad item \"tok\""], ["item
     outside the declared universe"] (a negative id included), ["fewer
@@ -34,8 +34,6 @@ val read_channel : in_channel -> Db.t
     declared transactions"].  Either direction of a count/body mismatch
     is an error, so a truncated or corrupted header never silently
     under-reads the file. *)
-
-val read_file : string -> Db.t
 
 (** {1 Tagged randomized data}
 
@@ -69,11 +67,11 @@ val read_tagged :
   'a * stream_info
 (** The tagged fold: [f] over the [(size, items)] rows as they are
     decoded, from [init] applied to the header, on the same decoder and
-    count contract as {!read_channel}.  No row outlives its call to [f],
+    count contract as {!read_file}.  No row outlives its call to [f],
     so a file of any length reads in the memory of one row.  Returns the
     fold and the header.
     @raise Failure on malformed input, with a message starting
-    ["Io.read_tagged: "]: those of {!read_channel}, plus ["row without
+    ["Io.read_tagged: "]: those of {!read_file}, plus ["row without
     a size|items separator"] and ["bad size \"tok\""] (a negative or
     non-integer size, or one above the declared universe).  A failure
     can come after [f] has seen earlier rows.
@@ -112,10 +110,10 @@ val fold_transactions :
     converter transpose files larger than RAM.  The format is sniffed
     from the first line: a line whose first token is ["universe"] selects
     the header format (declared universe and count enforced exactly as
-    {!read_channel}); anything else is FIMI.  Returns the fold result
+    {!read_file}); anything else is FIMI.  Returns the fold result
     plus the resolved universe (declared, overridden, or inferred as
     max item + 1) and the number of transactions folded.
-    @raise Failure as {!read_channel}/{!read_fimi}, or if a [universe]
+    @raise Failure as {!read_file}/{!read_fimi}, or if a [universe]
     override disagrees with a header's declared universe.
     @raise Item_out_of_universe as {!read_fimi} (FIMI mode only; header
     mode keeps its documented [Failure]). *)

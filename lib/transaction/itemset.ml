@@ -48,22 +48,6 @@ let mem x s =
   done;
   !found
 
-let inter a b =
-  let la = Array.length a and lb = Array.length b in
-  let buf = Array.make (min la lb) 0 in
-  let i = ref 0 and j = ref 0 and k = ref 0 in
-  while !i < la && !j < lb do
-    if a.(!i) = b.(!j) then begin
-      buf.(!k) <- a.(!i);
-      incr k;
-      incr i;
-      incr j
-    end
-    else if a.(!i) < b.(!j) then incr i
-    else incr j
-  done;
-  Array.sub buf 0 !k
-
 let inter_size a b =
   let la = Array.length a and lb = Array.length b in
   let i = ref 0 and j = ref 0 and k = ref 0 in
@@ -140,8 +124,6 @@ let diff a b =
   Array.sub buf 0 !k
 
 let subset a b = inter_size a b = Array.length a
-let add x s = union s (singleton x)
-let remove x s = diff s (singleton x)
 let equal a b = a = b
 
 let compare a b =

@@ -36,13 +36,10 @@ val unsafe_to_array : t -> item array
 
 val cardinal : t -> int
 val mem : item -> t -> bool
-val add : item -> t -> t
-val remove : item -> t -> t
 
 val subset : t -> t -> bool
 (** [subset a b] is true iff every item of [a] is in [b]. *)
 
-val inter : t -> t -> t
 val union : t -> t -> t
 val diff : t -> t -> t
 

@@ -11,7 +11,8 @@
 # empty itemset or an item outside the input's universe on both routes
 # as a usage error, exit 2, and serve rejects such a tracked itemset the
 # same way; recover rejects a tagged size above the universe and a
-# --scheme file for another universe as "recover: <path>: ", exit 1.
+# --scheme file for another universe or with an operator that is not a
+# distribution (NaN included) as "recover: <path>: ", exit 1.
 # convert rejects a non-positive --universe as a usage error, names its
 # output when it cannot write it, and rejects a source that changes
 # between its two passes (a pipe).  gen's and randomize's outputs,
@@ -158,6 +159,18 @@ done
 printf 'tagged 11 transactions 1\n3|1\n' >"$dir/wider.tagged"
 expect_fail 1 "^recover: $dir/db.scheme: " recover --in "$dir/wider.tagged" \
   --scheme "$dir/db.scheme" --itemset 1
+# An operator that is not a distribution is a bad scheme file, found
+# when the file is read: keep summing to 1.4, rho above 1, a NaN keep
+# probability, a NaN rho.
+bad_scheme=1
+for op in "rho 0.1 keep 0.4 0.4 0.3 0.3" "rho 1.5 keep 0.25 0.25 0.25 0.25" \
+  "rho 0.1 keep nan 1 0 0" "rho nan keep 0.25 0.25 0.25 0.25"; do
+  f="$dir/bad$bad_scheme.scheme"
+  printf 'ppdm-scheme 1\nuniverse 10\nname bad\nsize 3 %s\n' "$op" >"$f"
+  expect_fail 1 "^recover: $f: " recover --in "$dir/db.tagged" \
+    --scheme "$f" --itemset 1
+  bad_scheme=$((bad_scheme + 1))
+done
 
 # recover --itemset: empty or outside the universe (10) on both routes.
 for itemset in "" 500; do

@@ -5,6 +5,7 @@
 
 open Ppdm_linalg
 open Ppdm
+module Oracle = Ppdm_check.Oracle
 
 (* Direct maximization of the pairwise ratio
    (p_a1 / C(m,a1)) ((1-rho)/rho)^a1  over  (p_a2 / C(m,a2)) ((1-rho)/rho)^a2
@@ -15,7 +16,7 @@ let brute_gamma (r : Randomizer.resolved) =
   else if r.rho <= 0. || r.rho >= 1. then infinity
   else begin
     let weight a =
-      r.keep_dist.(a) /. Binomial.choose m a
+      r.keep_dist.(a) /. exp (Binomial.log_choose m a)
       *. Float.pow ((1. -. r.rho) /. r.rho) (float_of_int a)
     in
     let best = ref 0. in
@@ -80,27 +81,22 @@ let test_breach_limit_constants () =
     (Amplification.gamma_breach_limit ~rho1:0.05 ~rho2:0.5);
   Alcotest.(check (float 1e-9)) "10% -> 50%" 9.
     (Amplification.gamma_breach_limit ~rho1:0.1 ~rho2:0.5);
-  Alcotest.(check bool) "prevents below" true
-    (Amplification.prevents_breach ~gamma:18.9 ~rho1:0.05 ~rho2:0.5);
-  Alcotest.(check bool) "fails at the limit" false
-    (Amplification.prevents_breach ~gamma:19. ~rho1:0.05 ~rho2:0.5);
   Alcotest.check_raises "bad arguments"
     (Invalid_argument "Amplification.gamma_breach_limit: need 0 < rho1 < rho2 < 1")
     (fun () -> ignore (Amplification.gamma_breach_limit ~rho1:0.5 ~rho2:0.1))
 
 let test_downward_breach () =
-  (* the two breach directions share the threshold constant *)
+  (* the upward limit also rules out downward breaches: with gamma below
+     it, the posterior floor at prior rho2 stays above rho1, and at the
+     limit it reaches rho1 *)
   List.iter
-    (fun (rho1, rho2, gamma) ->
-      Alcotest.(check bool) "directions agree"
-        (Amplification.prevents_breach ~gamma ~rho1 ~rho2)
-        (Amplification.prevents_downward_breach ~gamma ~rho1 ~rho2))
-    [ (0.05, 0.5, 18.); (0.05, 0.5, 19.5); (0.1, 0.9, 80.); (0.1, 0.9, 82.) ];
-  (* semantics: with gamma below the limit, the lower bound at prior rho2
-     stays above rho1 *)
-  let gamma = 18. and rho1 = 0.05 and rho2 = 0.5 in
-  Alcotest.(check bool) "floor above rho1" true
-    (Amplification.posterior_lower_bound ~gamma ~prior:rho2 > rho1)
+    (fun (rho1, rho2) ->
+      let limit = Amplification.gamma_breach_limit ~rho1 ~rho2 in
+      Alcotest.(check bool) "floor above rho1 below the limit" true
+        (Oracle.posterior_lower_bound ~gamma:(0.95 *. limit) ~prior:rho2 > rho1);
+      Alcotest.(check (float 1e-9)) "floor at the limit" rho1
+        (Oracle.posterior_lower_bound ~gamma:limit ~prior:rho2))
+    [ (0.05, 0.5); (0.1, 0.9) ]
 
 let test_posterior_bounds_shape () =
   (* bound at the breach-limit gamma applied at prior rho1 gives exactly rho2 *)
@@ -116,7 +112,7 @@ let test_posterior_bounds_shape () =
     (Amplification.posterior_upper_bound ~gamma:infinity ~prior:0.01);
   (* lower bound mirrors: at prior rho2 with the same gamma, floor is rho1 *)
   Alcotest.(check (float 1e-9)) "lower bound tight" rho1
-    (Amplification.posterior_lower_bound ~gamma ~prior:rho2)
+    (Oracle.posterior_lower_bound ~gamma ~prior:rho2)
 
 (* The breach-prevention theorem, checked analytically: for every operator
    and every prior, the exact item posteriors stay within the gamma
@@ -135,9 +131,8 @@ let test_theorem_item_posteriors () =
       List.iter
         (fun prior ->
           let upper = Amplification.posterior_upper_bound ~gamma ~prior in
-          let lower = Amplification.posterior_lower_bound ~gamma ~prior in
-          let present = Breach.item_posterior_present r ~prior in
-          let absent = Breach.item_posterior_absent r ~prior in
+          let lower = Oracle.posterior_lower_bound ~gamma ~prior in
+          let present, absent = Oracle.item_posteriors r ~prior in
           List.iter
             (fun post ->
               Alcotest.(check bool)
@@ -145,7 +140,7 @@ let test_theorem_item_posteriors () =
                    post lower upper)
                 true
                 (post <= upper +. 1e-12 && post >= lower -. 1e-12))
-            [ present; absent ])
+            [ present; absent; Breach.worst_item_posterior r ~prior ])
         [ 0.001; 0.01; 0.05; 0.1; 0.3; 0.5; 0.9 ])
     operators
 
@@ -158,7 +153,7 @@ let test_theorem_itemset_posterior () =
   List.iter
     (fun prior ->
       let partials = Estimator.binomial_profile ~k:3 ~p_bg:0.1 ~support:prior in
-      let post = Breach.itemset_posterior r ~partials in
+      let post = Oracle.itemset_posterior r ~partials in
       let upper = Amplification.posterior_upper_bound ~gamma ~prior in
       Alcotest.(check bool)
         (Printf.sprintf "itemset prior %.3f post %.4f <= %.4f" prior post upper)
@@ -193,11 +188,10 @@ let qcheck_tests =
       (pair arb_operator (float_range 0.001 0.999)) (fun (r, prior) ->
         let gamma = Amplification.gamma_resolved r in
         let upper = Amplification.posterior_upper_bound ~gamma ~prior in
-        let lower = Amplification.posterior_lower_bound ~gamma ~prior in
-        let p1 = Breach.item_posterior_present r ~prior in
-        let p2 = Breach.item_posterior_absent r ~prior in
-        p1 <= upper +. 1e-9 && p2 <= upper +. 1e-9 && p1 >= lower -. 1e-9
-        && p2 >= lower -. 1e-9);
+        let lower = Oracle.posterior_lower_bound ~gamma ~prior in
+        let p1, p2 = Oracle.item_posteriors r ~prior in
+        Breach.worst_item_posterior r ~prior <= upper +. 1e-9
+        && p1 >= lower -. 1e-9 && p2 >= lower -. 1e-9);
     Test.make ~name:"posterior bound is monotone in the prior" ~count:200
       (triple arb_operator (float_range 0.01 0.5) (float_range 0.01 0.5))
       (fun (r, a, b) ->

@@ -1,24 +1,32 @@
 (* Generic-channel tests: validation, gamma closed cases, composition
-   (data-processing inequality), Bayes posteriors, and both recovery
-   methods against known input distributions. *)
+   (data-processing inequality), Bayes posteriors, and EM recovery
+   against known input distributions and the inversion reference.  The
+   randomized-response channel, composition, posteriors and inversion are
+   the references of Ppdm_check.Oracle. *)
 
 open Ppdm_prng
 open Ppdm_linalg
 open Ppdm
+module Oracle = Ppdm_check.Oracle
 
-let rr size epsilon = Channel.randomized_response ~size ~epsilon
+let rr size epsilon = Oracle.rr_channel ~size ~epsilon
+let entry c ~x ~y = Mat.get (Channel.matrix c) y x
+
+let of_rows rows =
+  Mat.init ~rows:(Array.length rows) ~cols:(Array.length rows.(0)) (fun i j ->
+      rows.(i).(j))
 
 let test_create_validation () =
   Alcotest.check_raises "negative entry"
     (Invalid_argument "Channel.create: negative probability") (fun () ->
-      ignore (Channel.create (Mat.of_arrays [| [| 1.5 |]; [| -0.5 |] |])));
+      ignore (Channel.create (of_rows [| [| 1.5 |]; [| -0.5 |] |])));
   Alcotest.check_raises "bad column"
     (Invalid_argument "Channel.create: column does not sum to 1") (fun () ->
-      ignore (Channel.create (Mat.of_arrays [| [| 0.5 |]; [| 0.4 |] |])));
-  let c = Channel.create (Mat.of_arrays [| [| 0.9; 0.2 |]; [| 0.1; 0.8 |] |]) in
-  Alcotest.(check int) "inputs" 2 (Channel.inputs c);
-  Alcotest.(check int) "outputs" 2 (Channel.outputs c);
-  Alcotest.(check (float 1e-12)) "entry" 0.2 (Channel.probability c ~x:1 ~y:0)
+      ignore (Channel.create (of_rows [| [| 0.5 |]; [| 0.4 |] |])));
+  let c = Channel.create (of_rows [| [| 0.9; 0.2 |]; [| 0.1; 0.8 |] |]) in
+  Alcotest.(check int) "inputs" 2 (Mat.cols (Channel.matrix c));
+  Alcotest.(check int) "outputs" 2 (Mat.rows (Channel.matrix c));
+  Alcotest.(check (float 1e-12)) "entry" 0.2 (entry c ~x:1 ~y:0)
 
 let test_rr_gamma () =
   List.iter
@@ -39,13 +47,13 @@ let test_geometric_noise () =
   let c = Channel.geometric_noise ~size:6 ~alpha:0.5 in
   (* columns sum to 1 by construction *)
   Alcotest.(check bool) "valid channel" true
-    (Transition.is_column_stochastic (Channel.matrix c));
+    (Oracle.column_stochastic (Channel.matrix c));
   (* the diagonal dominates within each column *)
   for x = 0 to 5 do
     for y = 0 to 5 do
       if y <> x then
         Alcotest.(check bool) "diagonal maximal" true
-          (Channel.probability c ~x ~y:x > Channel.probability c ~x ~y)
+          (entry c ~x ~y:x > entry c ~x ~y)
     done
   done;
   (* less noise (smaller alpha) means a larger gamma *)
@@ -56,17 +64,17 @@ let test_geometric_noise () =
 
 let test_composition () =
   let a = rr 4 1.5 and b = rr 4 1.0 in
-  let ab = Channel.compose b a in
+  let ab = Oracle.compose_channels b a in
   Alcotest.(check bool) "processing cannot amplify" true
     (Channel.gamma ab <= Float.min (Channel.gamma a) (Channel.gamma b) +. 1e-9);
   Alcotest.check_raises "domain mismatch"
-    (Invalid_argument "Channel.compose: domain mismatch") (fun () ->
-      ignore (Channel.compose (rr 3 1.) (rr 4 1.)))
+    (Invalid_argument "Oracle.compose_channels: domain mismatch") (fun () ->
+      ignore (Oracle.compose_channels (rr 3 1.) (rr 4 1.)))
 
 let test_posterior_bayes () =
-  let c = Channel.create (Mat.of_arrays [| [| 0.9; 0.2 |]; [| 0.1; 0.8 |] |]) in
+  let c = Channel.create (of_rows [| [| 0.9; 0.2 |]; [| 0.1; 0.8 |] |]) in
   let prior = [| 0.5; 0.5 |] in
-  let post = Channel.posterior c ~prior ~y:0 in
+  let post = Oracle.channel_posterior c ~prior ~y:0 in
   (* P(x=0 | y=0) = 0.9 / (0.9 + 0.2) *)
   Alcotest.(check (float 1e-12)) "bayes" (0.9 /. 1.1) post.(0);
   Alcotest.(check (float 1e-9)) "normalized" 1. (Array.fold_left ( +. ) 0. post);
@@ -78,8 +86,8 @@ let test_posterior_bayes () =
 let test_posterior_validation () =
   let c = rr 3 1. in
   Alcotest.check_raises "bad prior"
-    (Invalid_argument "Channel.posterior: prior is not a probability vector")
-    (fun () -> ignore (Channel.posterior c ~prior:[| 0.5; 0.2; 0.2 |] ~y:0))
+    (Invalid_argument "Oracle.channel_posterior: prior is not a probability vector")
+    (fun () -> ignore (Oracle.channel_posterior c ~prior:[| 0.5; 0.2; 0.2 |] ~y:0))
 
 let test_apply_distribution () =
   let c = rr 3 (log 4.) in
@@ -97,7 +105,7 @@ let test_apply_distribution () =
 
 let observe channel rng truth_dist n =
   let sampler = Dist.discrete truth_dist in
-  let counts = Array.make (Channel.outputs channel) 0 in
+  let counts = Array.make (Mat.rows (Channel.matrix channel)) 0 in
   for _ = 1 to n do
     let x = Dist.discrete_sample rng sampler in
     let y = Channel.apply channel rng x in
@@ -110,7 +118,7 @@ let test_recovery_both_methods () =
   let c = rr 4 1.2 in
   let rng = Rng.create ~seed:6 () in
   let counts = observe c rng truth 60_000 in
-  let inv = Channel.estimate_inversion c ~counts in
+  let inv = Oracle.channel_inversion c ~counts in
   let em = Channel.estimate_em c ~counts in
   Array.iteri
     (fun x p ->
@@ -145,7 +153,7 @@ let qcheck_tests =
         in
         return (Channel.create m))
     in
-    make ~print:(fun c -> Printf.sprintf "<channel %d>" (Channel.inputs c)) gen
+    make ~print:(fun c -> Printf.sprintf "<channel %d>" (Mat.cols (Channel.matrix c))) gen
   in
   [
     Test.make ~name:"gamma >= 1 and finite for positive channels" ~count:200
@@ -154,10 +162,10 @@ let qcheck_tests =
         g >= 1. && Float.is_finite g);
     Test.make ~name:"posterior never exceeds the gamma bound" ~count:200
       (pair arb_channel (int_range 0 5)) (fun (c, y) ->
-        QCheck.assume (y < Channel.outputs c);
-        let d = Channel.inputs c in
+        let d = Mat.cols (Channel.matrix c) in
+        QCheck.assume (y < Mat.rows (Channel.matrix c));
         let prior = Array.make d (1. /. float_of_int d) in
-        let post = Channel.posterior c ~prior ~y in
+        let post = Oracle.channel_posterior c ~prior ~y in
         Array.for_all
           (fun p ->
             p
@@ -167,8 +175,8 @@ let qcheck_tests =
           post);
     Test.make ~name:"composition never increases gamma" ~count:200
       (pair arb_channel arb_channel) (fun (a, b) ->
-        QCheck.assume (Channel.inputs a = Channel.inputs b);
-        Channel.gamma (Channel.compose b a)
+        QCheck.assume (Mat.cols (Channel.matrix a) = Mat.cols (Channel.matrix b));
+        Channel.gamma (Oracle.compose_channels b a)
         <= Float.min (Channel.gamma a) (Channel.gamma b) +. 1e-9);
   ]
 

@@ -49,7 +49,7 @@ let test_zipf_clickstream () =
 let test_bernoulli_marginals () =
   let rng = Rng.create ~seed:14 () in
   let item_probs = [| 0.8; 0.05; 0.3; 0. |] in
-  let db = Simple.bernoulli rng ~item_probs ~count:5000 in
+  let db = Ppdm_check.Gen.bernoulli_db rng ~item_probs ~count:5000 in
   let counts = Db.item_counts db in
   Array.iteri
     (fun i c ->
@@ -60,8 +60,8 @@ let test_bernoulli_marginals () =
         (Float.abs (freq -. item_probs.(i)) < 0.02))
     counts;
   Alcotest.check_raises "bad probability"
-    (Invalid_argument "Simple.bernoulli: probability out of [0,1]") (fun () ->
-      ignore (Simple.bernoulli rng ~item_probs:[| 1.2 |] ~count:1))
+    (Invalid_argument "Gen.bernoulli_db: probability out of [0,1]") (fun () ->
+      ignore (Ppdm_check.Gen.bernoulli_db rng ~item_probs:[| 1.2 |] ~count:1))
 
 let test_planted_exact_support () =
   let rng = Rng.create ~seed:4 () in

@@ -44,30 +44,19 @@ let test_size_histogram () =
     [ (0, 1); (2, 1); (3, 2); (4, 1) ]
     (Db.size_histogram sample)
 
-let test_map_filter_sub_append () =
-  let bumped = Db.map (Itemset.add 0) sample in
+let test_map_append () =
+  let bumped = Db.map (Itemset.union (Itemset.singleton 0)) sample in
   Alcotest.(check int) "map keeps length" 5 (Db.length bumped);
   Alcotest.(check int) "item 0 everywhere" 5 (Db.support_count bumped (Itemset.singleton 0));
-  let nonempty = Db.filter (fun t -> not (Itemset.is_empty t)) sample in
-  Alcotest.(check int) "filter" 4 (Db.length nonempty);
-  let slice = Db.sub sample ~pos:1 ~len:2 in
-  Alcotest.(check int) "sub" 2 (Db.length slice);
   let doubled = Db.append sample sample in
   Alcotest.(check int) "append" 10 (Db.length doubled);
   Alcotest.check_raises "append universe mismatch"
     (Invalid_argument "Db.append: universe mismatch") (fun () ->
       ignore (Db.append sample (mk 11 [])))
 
-let test_density_split_quantiles () =
+let test_density_quantiles () =
   Alcotest.(check bool) "density" true
     (Float.abs (Db.density sample -. (12. /. 50.)) < 1e-12);
-  let a, b = Db.split sample ~at:2 in
-  Alcotest.(check int) "left" 2 (Db.length a);
-  Alcotest.(check int) "right" 3 (Db.length b);
-  Alcotest.(check (list int)) "right starts at third" [ 3; 4; 5 ]
-    (Itemset.to_list (Db.get b 0));
-  Alcotest.check_raises "bad split" (Invalid_argument "Db.split: index out of bounds")
-    (fun () -> ignore (Db.split sample ~at:6));
   let quantiles = Db.item_frequency_quantiles sample [ 0.; 1. ] in
   Alcotest.(check (list (float 1e-12))) "min and max item frequency"
     [ 0.; 0.8 ] quantiles
@@ -388,8 +377,11 @@ let qcheck_tests =
     Test.make ~name:"split then append is the identity" ~count:100
       (pair arb_db (int_range 0 100)) (fun (db, percent) ->
         let at = Db.length db * percent / 100 in
-        let a, b = Db.split db ~at in
-        let back = Db.append a b in
+        let slice pos len =
+          Db.create ~universe:(Db.universe db)
+            (Array.sub (Db.transactions db) pos len)
+        in
+        let back = Db.append (slice 0 at) (slice at (Db.length db - at)) in
         Db.length back = Db.length db
         && Array.for_all2 Itemset.equal (Db.transactions back) (Db.transactions db));
     Test.make ~name:"top partial equals support count" ~count:100
@@ -425,8 +417,8 @@ let suite =
     Alcotest.test_case "partial supports" `Quick test_partial_supports;
     Alcotest.test_case "item counts" `Quick test_item_counts;
     Alcotest.test_case "size histogram" `Quick test_size_histogram;
-    Alcotest.test_case "map/filter/sub/append" `Quick test_map_filter_sub_append;
-    Alcotest.test_case "density/split/quantiles" `Quick test_density_split_quantiles;
+    Alcotest.test_case "map/append" `Quick test_map_append;
+    Alcotest.test_case "density/quantiles" `Quick test_density_quantiles;
     Alcotest.test_case "io round-trip" `Quick test_io_roundtrip;
     Alcotest.test_case "io malformed inputs" `Quick test_io_malformed;
     Alcotest.test_case "tagged round-trip" `Quick test_tagged_roundtrip;

@@ -91,13 +91,6 @@ let test_convergence_metadata () =
     true
     (e.Em.log_likelihood >= loose.Em.log_likelihood -. 1e-6)
 
-let test_counts_variant () =
-  let scheme, itemset, _, data = setup ~seed:5 ~count:2000 in
-  let counts = Estimator.observed_partial_counts data ~itemset in
-  let a = Em.estimate ~scheme ~data ~itemset () in
-  let b = Em.estimate_from_counts ~scheme ~k:2 ~counts () in
-  Alcotest.(check (float 0.)) "identical" a.Em.support b.Em.support
-
 let test_empty_rejected () =
   let scheme = Randomizer.uniform ~universe:10 ~p_keep:1. ~p_add:0. in
   Alcotest.check_raises "empty" (Invalid_argument "Em.estimate: empty data")
@@ -123,7 +116,6 @@ let suite =
       test_feasible_when_inversion_is_not;
     Alcotest.test_case "identity exact" `Quick test_identity_exact;
     Alcotest.test_case "convergence metadata" `Quick test_convergence_metadata;
-    Alcotest.test_case "counts variant" `Quick test_counts_variant;
     Alcotest.test_case "empty rejected" `Quick test_empty_rejected;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_tests

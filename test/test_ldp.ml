@@ -1,17 +1,16 @@
-(* LDP-bridge tests: translation identities, randomized-response
-   properties, and the inverse design (epsilon for a target gamma). *)
+(* LDP-bridge tests: the per-item epsilon of randomized response, its
+   operator, and the inverse design (epsilon for a target gamma). *)
 
 open Ppdm
+module Oracle = Ppdm_check.Oracle
 
-let test_translation () =
-  Alcotest.(check (float 1e-12)) "eps of gamma 1" 0. (Ldp.epsilon_of_gamma 1.);
-  Alcotest.(check (float 1e-9)) "round trip" 7.3
-    (Ldp.gamma_of_epsilon (Ldp.epsilon_of_gamma 7.3));
-  Alcotest.(check (float 0.)) "infinite gamma" infinity
-    (Ldp.epsilon_of_gamma infinity);
-  Alcotest.check_raises "gamma < 1"
-    (Invalid_argument "Ldp.epsilon_of_gamma: gamma must be >= 1") (fun () ->
-      ignore (Ldp.epsilon_of_gamma 0.5))
+(* Transaction-level amplification of a uniform operator at a size. *)
+let gamma_uniform ?(universe = 100) ~size ~p_keep ~p_add () =
+  Amplification.gamma (Randomizer.uniform ~universe ~p_keep ~p_add) ~size
+
+let rr ~universe ~epsilon_per_item =
+  let p = Ldp.rr_keep_probability ~epsilon_per_item in
+  Randomizer.uniform ~universe ~p_keep:p ~p_add:(1. -. p)
 
 let test_rr_keep_probability () =
   Alcotest.(check (float 1e-12)) "eps 0 is a fair coin" 0.5
@@ -20,32 +19,34 @@ let test_rr_keep_probability () =
   Alcotest.(check (float 1e-12)) "eps ln3 -> 3/4" 0.75 p
 
 let test_rr_is_uniform_operator () =
-  let scheme = Ldp.randomized_response ~universe:100 ~epsilon_per_item:(log 3.) in
+  let scheme = rr ~universe:100 ~epsilon_per_item:(log 3.) in
   let r = Randomizer.resolve scheme ~size:4 in
   Alcotest.(check (float 1e-12)) "rho = 1 - p" 0.25 r.Randomizer.rho;
-  Alcotest.(check (float 1e-9)) "keep prob" 0.75 (Breach.keep_probability r)
+  Alcotest.(check (float 1e-9)) "keep prob" 0.75
+    (Randomizer.expected_kept_fraction scheme ~size:4)
 
 let test_item_epsilon_of_uniform () =
   (* symmetric RR: both ratios equal e^eps *)
-  let eps = Ldp.item_epsilon_of_uniform ~p_keep:0.75 ~p_add:0.25 in
+  let eps = Oracle.item_epsilon_of_uniform ~p_keep:0.75 ~p_add:0.25 in
   Alcotest.(check (float 1e-9)) "symmetric" (log 3.) eps;
   Alcotest.(check (float 0.)) "deterministic bit" infinity
-    (Ldp.item_epsilon_of_uniform ~p_keep:1. ~p_add:0.25);
+    (Oracle.item_epsilon_of_uniform ~p_keep:1. ~p_add:0.25);
   Alcotest.(check (float 1e-12)) "identical channels leak nothing" 0.
-    (Ldp.item_epsilon_of_uniform ~p_keep:0.3 ~p_add:0.3)
+    (Oracle.item_epsilon_of_uniform ~p_keep:0.3 ~p_add:0.3)
 
 let test_gamma_uniform_vs_amplification () =
-  let gamma = Ldp.gamma_uniform ~size:3 ~p_keep:0.7 ~p_add:0.1 in
-  let scheme = Randomizer.uniform ~universe:100 ~p_keep:0.7 ~p_add:0.1 in
-  Alcotest.(check (float 1e-9)) "agrees with Amplification" gamma
-    (Amplification.gamma scheme ~size:3)
+  (* amplification depends on the per-size operator only, so the
+     3-size universe the RR design assumes gives the same gamma *)
+  Alcotest.(check (float 1e-9)) "agrees with Amplification"
+    (gamma_uniform ~size:3 ~p_keep:0.7 ~p_add:0.1 ())
+    (gamma_uniform ~universe:9 ~size:3 ~p_keep:0.7 ~p_add:0.1 ())
 
 let test_rr_epsilon_for_gamma () =
   List.iter
     (fun (size, gamma) ->
       let eps = Ldp.rr_epsilon_for_gamma ~size ~gamma in
       let p = Ldp.rr_keep_probability ~epsilon_per_item:eps in
-      let realized = Ldp.gamma_uniform ~size ~p_keep:p ~p_add:(1. -. p) in
+      let realized = gamma_uniform ~size ~p_keep:p ~p_add:(1. -. p) () in
       Alcotest.(check bool)
         (Printf.sprintf "size %d: realized %.4f near target %.4f" size realized gamma)
         true
@@ -56,7 +57,7 @@ let test_rr_transaction_gamma_grows_with_size () =
   (* Transaction-level amplification composes over bits, so it must grow
      with the transaction size at fixed per-item epsilon. *)
   let p = Ldp.rr_keep_probability ~epsilon_per_item:1. in
-  let g size = Ldp.gamma_uniform ~size ~p_keep:p ~p_add:(1. -. p) in
+  let g size = gamma_uniform ~size ~p_keep:p ~p_add:(1. -. p) () in
   Alcotest.(check bool) "monotone" true (g 1 < g 2 && g 2 < g 4 && g 4 < g 8)
 
 let test_rr_estimation_end_to_end () =
@@ -70,7 +71,7 @@ let test_rr_estimation_end_to_end () =
     Ppdm_datagen.Simple.planted rng ~universe ~size ~count ~itemset ~support:0.3
   in
   let eps = Ldp.rr_epsilon_for_gamma ~size ~gamma:19. in
-  let scheme = Ldp.randomized_response ~universe ~epsilon_per_item:eps in
+  let scheme = rr ~universe ~epsilon_per_item:eps in
   let data = Ppdm_check.Draw.tagged scheme rng db in
   let e = Estimator.estimate ~scheme ~data ~itemset in
   Alcotest.(check bool)
@@ -89,18 +90,16 @@ let qcheck_tests =
     Test.make ~name:"per-item epsilon of RR is its budget" ~count:200
       (float_range 0.01 8.) (fun eps ->
         let p = Ldp.rr_keep_probability ~epsilon_per_item:eps in
-        let back = Ldp.item_epsilon_of_uniform ~p_keep:p ~p_add:(1. -. p) in
+        let back = Oracle.item_epsilon_of_uniform ~p_keep:p ~p_add:(1. -. p) in
         Float.abs (back -. eps) < 1e-9);
     Test.make ~name:"gamma_uniform >= per-item gamma" ~count:100
       (pair (int_range 1 8) (float_range 0.1 4.)) (fun (size, eps) ->
         let p = Ldp.rr_keep_probability ~epsilon_per_item:eps in
-        Ldp.gamma_uniform ~size ~p_keep:p ~p_add:(1. -. p)
-        >= Ldp.gamma_of_epsilon eps -. 1e-9);
+        gamma_uniform ~size ~p_keep:p ~p_add:(1. -. p) () >= exp eps -. 1e-9);
   ]
 
 let suite =
   [
-    Alcotest.test_case "gamma/epsilon translation" `Quick test_translation;
     Alcotest.test_case "rr keep probability" `Quick test_rr_keep_probability;
     Alcotest.test_case "rr is a uniform operator" `Quick test_rr_is_uniform_operator;
     Alcotest.test_case "item epsilon of uniform" `Quick test_item_epsilon_of_uniform;

@@ -110,7 +110,8 @@ let test_gamma_one_is_uninformative () =
   Alcotest.(check (float 1e-9)) "gamma realized 1" 1. (realized_gamma ~rho dist);
   (* such an operator's output distribution is that of a fresh Bernoulli
      process: keep probability must equal rho *)
-  let q = Breach.keep_probability { Randomizer.keep_dist = dist; rho } in
+  let scheme = Randomizer.select_a_size ~universe:20 ~size:4 ~keep_dist:dist ~rho in
+  let q = Randomizer.expected_kept_fraction scheme ~size:4 in
   Alcotest.(check (float 1e-9)) "keep prob = rho" rho q
 
 let test_design_joint () =

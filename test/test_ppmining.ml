@@ -171,7 +171,8 @@ let test_reference_differential () =
   | Error e -> Alcotest.fail e
 
 (* Binomial inversion of subset supports, taken straight from the rows of
-   each size class, must reproduce the per-class partial counts. *)
+   each size class, must reproduce the per-class partial counts the
+   estimator observes. *)
 let test_partial_counts_inversion () =
   let open Ppdm_check in
   Property.assert_ok
@@ -211,7 +212,7 @@ let test_partial_counts_inversion () =
                          else acc)
                        0 data
                    in
-                   (size, Ppmining.partial_counts ~k support))
+                   (size, Oracle.partial_counts_of_supports ~k support))
                  sizes
              in
              if inverted = Estimator.observed_partial_counts data ~itemset then

@@ -174,7 +174,7 @@ let test_transition_probability_formula () =
     let ys = Itemset.of_list y in
     let a = Itemset.inter_size tx ys and s = Itemset.cardinal ys in
     keep_dist.(a)
-    /. Binomial.choose m a
+    /. exp (Binomial.log_choose m a)
     *. Float.pow rho (float_of_int (s - a))
     *. Float.pow (1. -. rho) (float_of_int (universe - m - s + a))
   in

@@ -260,21 +260,25 @@ let test_grid_plan () =
     (List.init 7 (fun i ->
          let c = g.Grid.cells.(i) in
          (c.Grid.word_lo, c.Grid.cand_lo)));
+  let default_chunks ~n_words ~n_candidates =
+    let g = Grid.plan ~runs:[| (0, n_words) |] ~n_candidates () in
+    (g.Grid.word_chunk, g.Grid.cand_chunk)
+  in
   Alcotest.(check int) "default window sized by the runs' words, not their span"
-    (Grid.word_chunk_for ~n_words:164_000 ())
+    (fst (default_chunks ~n_words:164_000 ~n_candidates:1))
     (Grid.plan ~runs:[| (0, 100_000); (200_000, 264_000) |] ~n_candidates:1 ())
       .Grid.word_chunk;
   Alcotest.(check int) "no words, no cells" 0
     (Array.length (Grid.plan ~runs:[| (0, 0) |] ~n_candidates:5 ()).Grid.cells);
   Alcotest.(check int) "small db keeps the 1-D default" 256
-    (Grid.word_chunk_for ~n_words:100 ());
-  Alcotest.(check int) "huge db capped by the L2 budget"
-    (Grid.default_l2_bytes / 48)
-    (Grid.word_chunk_for ~n_words:10_000_000 ());
+    (fst (default_chunks ~n_words:100 ~n_candidates:1));
+  Alcotest.(check int) "huge db capped by the 1 MiB L2 budget"
+    ((1 lsl 20) / 48)
+    (fst (default_chunks ~n_words:10_000_000 ~n_candidates:1));
   Alcotest.(check int) "small batch stays one column" 512
-    (Grid.cand_chunk_for ~n_candidates:100);
+    (snd (default_chunks ~n_words:1 ~n_candidates:100));
   Alcotest.(check int) "huge batch capped at 4096" 4096
-    (Grid.cand_chunk_for ~n_candidates:1_000_000);
+    (snd (default_chunks ~n_words:1 ~n_candidates:1_000_000));
   List.iter
     (fun runs ->
       Alcotest.check_raises "runs must be ascending and disjoint"
@@ -283,10 +287,7 @@ let test_grid_plan () =
     [ [| (-1, 3) |]; [| (3, 2) |]; [| (0, 4); (3, 6) |] ];
   Alcotest.check_raises "word_chunk must be positive"
     (Invalid_argument "Grid.plan: word_chunk must be positive") (fun () ->
-      ignore (Grid.plan ~word_chunk:0 ~runs:[| (0, 1) |] ~n_candidates:1 ()));
-  Alcotest.check_raises "l2_bytes must be positive"
-    (Invalid_argument "Grid: l2_bytes must be positive") (fun () ->
-      ignore (Grid.word_chunk_for ~l2_bytes:0 ~n_words:1 ()))
+      ignore (Grid.plan ~word_chunk:0 ~runs:[| (0, 1) |] ~n_candidates:1 ()))
 
 (* Queue-wait accounting: a task's wait must land on the histogram of
    the worker that executed it.  Task 0 parks whichever worker takes it

@@ -36,11 +36,12 @@ let test_merge () =
   let right = Stream.create ~scheme ~itemset in
   Stream.observe_all left (Array.sub data 0 (n / 2));
   Stream.observe_all right (Array.sub data (n / 2) (n - (n / 2)));
-  Stream.merge_into left ~from:right;
-  Alcotest.(check int) "merged count" n (Stream.observed left);
+  let merged = Stream.merge [ left; right ] in
+  Alcotest.(check int) "merged count" n (Stream.observed merged);
+  Alcotest.(check int) "inputs untouched" (n / 2) (Stream.observed left);
   Alcotest.(check (float 0.)) "merged support"
     (Stream.estimate whole).Estimator.support
-    (Stream.estimate left).Estimator.support
+    (Stream.estimate merged).Estimator.support
 
 let test_merge_nway () =
   (* Stream.merge over k shards equals one accumulator over the whole
@@ -85,8 +86,8 @@ let test_merge_mismatch () =
   let a = Stream.create ~scheme ~itemset in
   let b = Stream.create ~scheme ~itemset:(Itemset.singleton 0) in
   Alcotest.check_raises "itemset mismatch"
-    (Invalid_argument "Stream.merge_into: itemset mismatch") (fun () ->
-      Stream.merge_into a ~from:b);
+    (Invalid_argument "Stream.merge: itemset mismatch") (fun () ->
+      ignore (Stream.merge [ a; b ]));
   (* a layout kept elsewhere (a server shard's) is checked the same way,
      and its length must be whole size classes *)
   Alcotest.check_raises "add_layout itemset mismatch"
@@ -112,12 +113,9 @@ let test_merge_scheme_mismatch () =
   let b = Stream.create ~scheme:noisier ~itemset in
   Stream.observe_all b (Array.sub data 20 20);
   Alcotest.check_raises "different rho rejected"
-    (Invalid_argument "Stream.merge_into: scheme mismatch") (fun () ->
-      Stream.merge_into a ~from:b);
-  Alcotest.check_raises "merge list rejects too"
-    (Invalid_argument "Stream.merge_into: scheme mismatch") (fun () ->
+    (Invalid_argument "Stream.merge: scheme mismatch") (fun () ->
       ignore (Stream.merge [ a; b ]));
-  Alcotest.(check int) "failed merge left target untouched" 20 (Stream.observed a);
+  Alcotest.(check int) "failed merge left its input untouched" 20 (Stream.observed a);
   (* parameters are compared, not names: a scheme round-tripped through
      Scheme_io (different name, same operator) still merges *)
   let sizes =
@@ -133,8 +131,8 @@ let test_merge_scheme_mismatch () =
   in
   let c = Stream.create ~scheme:roundtripped ~itemset in
   Stream.observe_all c (Array.sub data 20 20);
-  Stream.merge_into a ~from:c;
-  Alcotest.(check int) "round-tripped scheme merges" 40 (Stream.observed a)
+  Alcotest.(check int) "round-tripped scheme merges" 40
+    (Stream.observed (Stream.merge [ a; c ]))
 
 let test_empty_estimate () =
   let scheme, itemset, _ = setup ~seed:4 in
@@ -202,8 +200,10 @@ let test_merge_grows () =
       Alcotest.(check int) (label ^ " N") want.Estimator.n_transactions
         got.Estimator.n_transactions)
     [ ("small then large", [ small; large ]); ("large then small", [ large; small ]) ];
-  Stream.merge_into small ~from:large;
-  Alcotest.(check (float 0.)) "merge_into grows its target" want.Estimator.sigma
+  (* a layout kept elsewhere adds in the same way, growing its target *)
+  Stream.add_layout small ~scheme ~itemset ~observed:(Stream.observed large)
+    (Stream.counts large);
+  Alcotest.(check (float 0.)) "add_layout grows its target" want.Estimator.sigma
     (Stream.estimate small).Estimator.sigma
 
 let test_observe_size_range () =
@@ -230,9 +230,9 @@ let qcheck_tests =
         Stream.observe_all acc (Array.sub data 0 cut);
         let other = Stream.create ~scheme ~itemset in
         Stream.observe_all other (Array.sub data cut (n - cut));
-        Stream.merge_into acc ~from:other;
         let batch = Estimator.estimate ~scheme ~data ~itemset in
-        (Stream.estimate acc).Estimator.support = batch.Estimator.support);
+        (Stream.estimate (Stream.merge [ acc; other ])).Estimator.support
+        = batch.Estimator.support);
   ]
 
 let suite =

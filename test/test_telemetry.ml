@@ -149,10 +149,8 @@ let test_window_rotation_determinism () =
 
 let test_exposition_escaping () =
   let raw = "a\\b\"c\nd" in
-  let doc =
-    "# TYPE ppdm_x gauge\nppdm_x{k=\"" ^ Exposition.escape_label raw
-    ^ "\"} 1\n# EOF\n"
-  in
+  (* the label value [raw], escaped as [render] escapes it *)
+  let doc = "# TYPE ppdm_x gauge\nppdm_x{k=\"a\\\\b\\\"c\\nd\"} 1\n# EOF\n" in
   (match Exposition.validate doc with
   | Error e -> Alcotest.fail ("escaped label rejected: " ^ e)
   | Ok [ s ] ->
@@ -164,9 +162,14 @@ let test_exposition_escaping () =
       Alcotest.(check (float 0.)) "value" 1.0 s.Exposition.value
   | Ok l ->
       Alcotest.fail (Printf.sprintf "expected one sample, got %d" (List.length l)));
-  Alcotest.(check string)
-    "dotted names sanitize" "ppdm_server_fold_latency_ns"
-    (Exposition.sanitize_name "server.fold.latency_ns")
+  scoped (fun () ->
+      Metrics.set_enabled true;
+      Metrics.gauge "server.fold.latency_ns" 1.;
+      let body = Exposition.render ~now:0 () in
+      Alcotest.(check bool) "dotted names sanitize" true
+        (List.exists
+           (fun s -> s.Exposition.name = "ppdm_server_fold_latency_ns")
+           (Result.get_ok (Exposition.validate body))))
 
 let test_render_validates () =
   scoped (fun () ->
@@ -244,9 +247,9 @@ let test_validate_rejects () =
 
 (* --------------------------------------------------------- admin plane *)
 
-(* healthz and readyz answer different questions: the unit test drives
-   the pure handler with a fake readiness probe and checks that the
-   process can be alive (200 healthz) while not ready (503 readyz). *)
+(* healthz and readyz answer different questions: an admin loop with a
+   fake readiness probe must report the process alive (200 healthz)
+   while not ready (503 readyz). *)
 let test_healthz_readyz_ordering () =
   let ready_flag = ref false in
   let handlers =
@@ -257,33 +260,64 @@ let test_healthz_readyz_ordering () =
         (fun () -> (!ready_flag, if !ready_flag then "ok" else "draining"));
     }
   in
-  let status request =
-    let s, _, _ = Admin.handle_request handlers request in
-    s
+  let with_admin handlers f =
+    let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+    Unix.listen listener 8;
+    let port =
+      match Unix.getsockname listener with
+      | Unix.ADDR_INET (_, p) -> p
+      | _ -> Alcotest.fail "no port"
+    in
+    let stop = Atomic.make false in
+    let loop = Domain.spawn (fun () -> Admin.serve_loop listener ~stop handlers) in
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set stop true;
+        Domain.join loop)
+      (fun () -> f port)
   in
-  let body request =
-    let _, _, b = Admin.handle_request handlers request in
-    b
+  (* status code and body of the response to one raw request *)
+  let ask port request =
+    let response = Ppdm_check.Fault.admin_raw ~port request in
+    match String.split_on_char ' ' response with
+    | _ :: code :: _ ->
+        let n = String.length response in
+        let rec body i =
+          if i + 4 > n then ""
+          else if String.sub response i 4 = "\r\n\r\n" then
+            String.sub response (i + 4) (n - i - 4)
+          else body (i + 1)
+        in
+        let body = body 0 in
+        (int_of_string code, body)
+    | _ -> Alcotest.fail ("no status line: " ^ response)
   in
-  Alcotest.(check int) "healthz up" 200 (status "GET /healthz HTTP/1.0\r\n\r\n");
-  Alcotest.(check int)
-    "readyz 503 while not ready" 503
-    (status "GET /readyz HTTP/1.0\r\n\r\n");
-  Alcotest.(check string)
-    "readyz explains itself" "draining\n"
-    (body "GET /readyz HTTP/1.0\r\n\r\n");
-  ready_flag := true;
-  Alcotest.(check int)
-    "readyz follows the probe" 200
-    (status "GET /readyz HTTP/1.0\r\n\r\n");
-  Alcotest.(check int) "unknown path" 404 (status "GET /nope HTTP/1.0\r\n\r\n");
-  Alcotest.(check int)
-    "non-GET method" 405
-    (status "POST /metrics HTTP/1.0\r\n\r\n");
-  Alcotest.(check int) "malformed request line" 400 (status "garbage\r\n\r\n");
+  with_admin handlers (fun port ->
+      let status request = fst (ask port request) in
+      Alcotest.(check int) "healthz up" 200
+        (status "GET /healthz HTTP/1.0\r\n\r\n");
+      Alcotest.(check int)
+        "readyz 503 while not ready" 503
+        (status "GET /readyz HTTP/1.0\r\n\r\n");
+      Alcotest.(check string)
+        "readyz explains itself" "draining\n"
+        (snd (ask port "GET /readyz HTTP/1.0\r\n\r\n"));
+      ready_flag := true;
+      Alcotest.(check int)
+        "readyz follows the probe" 200
+        (status "GET /readyz HTTP/1.0\r\n\r\n");
+      Alcotest.(check int) "unknown path" 404
+        (status "GET /nope HTTP/1.0\r\n\r\n");
+      Alcotest.(check int)
+        "non-GET method" 405
+        (status "POST /metrics HTTP/1.0\r\n\r\n");
+      Alcotest.(check int) "malformed request line" 400
+        (status "garbage\r\n\r\n"));
   let broken = { handlers with Admin.metrics = (fun () -> failwith "boom") } in
-  let s, _, _ = Admin.handle_request broken "GET /metrics HTTP/1.0\r\n\r\n" in
-  Alcotest.(check int) "render exception answers 500" 500 s
+  with_admin broken (fun port ->
+      Alcotest.(check int) "render exception answers 500" 500
+        (fst (ask port "GET /metrics HTTP/1.0\r\n\r\n")))
 
 (* End to end: a live server with the admin plane answers healthz, then
    readyz, then serves a structurally valid OpenMetrics document. *)

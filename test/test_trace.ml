@@ -11,8 +11,8 @@ open Ppdm_runtime
 open Ppdm_obs
 
 (* Every test restores the trace layer to its initial state: disabled,
-   default capacity, empty rings.  Metrics are scoped too because the
-   overflow test counts drops through the metrics registry. *)
+   empty rings.  Metrics are scoped too because the overflow test counts
+   drops through the metrics registry. *)
 let scoped f =
   Metrics.reset ();
   Span.reset ();
@@ -21,11 +21,28 @@ let scoped f =
     ~finally:(fun () ->
       Metrics.set_enabled false;
       Trace.set_enabled false;
-      Trace.set_capacity 65536;
       Metrics.reset ();
       Span.reset ();
       Trace.reset ())
     f
+
+(* The recorded timeline, as the Chrome JSON objects [Trace.write_file]
+   writes. *)
+let written () =
+  let path = Filename.temp_file "ppdm_trace" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Trace.write_file path;
+      match Json.parse (In_channel.with_open_text path In_channel.input_all) with
+      | Ok (Json.List objs) -> objs
+      | Ok _ -> Alcotest.fail "chrome export is not a JSON array"
+      | Error e -> Alcotest.fail ("chrome export does not parse: " ^ e))
+
+let field key ev =
+  match Json.member key ev with
+  | Some (Json.String s) -> s
+  | _ -> Alcotest.fail ("no string field " ^ key)
 
 let test_disabled_leaves_no_state () =
   scoped (fun () ->
@@ -33,40 +50,45 @@ let test_disabled_leaves_no_state () =
       Trace.instant ~name:"b" ~cat:"test";
       Trace.end_ ~name:"a" ~cat:"test";
       Trace.with_ ~name:"c" ~cat:"test" (fun () -> ());
-      Alcotest.(check int) "no events recorded" 0 (List.length (Trace.events ()));
-      Alcotest.(check int) "no drops" 0 (Trace.dropped ());
+      Alcotest.(check int) "no events recorded, no drops" 0
+        (List.length (written ()));
       let snap = Metrics.snapshot () in
       Alcotest.(check int) "metrics untouched" 0
         (List.length snap.Metrics.counters))
 
+(* A ring holds 65536 events. *)
 let test_ring_overflow_drops_oldest () =
   scoped (fun () ->
-      Trace.set_capacity 4;
-      Trace.reset ();
+      let capacity = 65536 in
       Trace.set_enabled true;
       Metrics.set_enabled true;
-      for i = 0 to 9 do
+      for i = 0 to capacity + 5 do
         Trace.instant ~name:(Printf.sprintf "ev%d" i) ~cat:"test"
       done;
       Trace.set_enabled false;
-      let evs = Trace.events () in
-      Alcotest.(check int) "ring holds capacity" 4 (List.length evs);
-      Alcotest.(check (list string))
-        "newest window survives, oldest dropped first"
-        [ "ev6"; "ev7"; "ev8"; "ev9" ]
-        (List.map (fun (e : Trace.event) -> e.Trace.name) evs);
-      Alcotest.(check int) "dropped counter matches" 6 (Trace.dropped ());
       let snap = Metrics.snapshot () in
       Alcotest.(check (list (pair string int)))
         "drops surface as a metrics counter"
         [ ("trace.dropped", 6) ]
         snap.Metrics.counters;
       (* export of an overflowed ring is still a well-formed trace *)
-      match Trace.to_chrome_json ~dropped:(Trace.dropped ()) evs with
-      | Json.List objs ->
-          Alcotest.(check int) "events + drop counter event" 5
-            (List.length objs)
-      | _ -> Alcotest.fail "chrome export is not a JSON array")
+      let objs = written () in
+      Alcotest.(check int) "ring holds capacity, plus the drop counter event"
+        (capacity + 1) (List.length objs);
+      let names = List.map (field "name") objs in
+      Alcotest.(check (list string))
+        "newest window survives, oldest dropped first"
+        [ "ev6"; "ev7" ]
+        (List.filteri (fun i _ -> i < 2) names);
+      Alcotest.(check string) "newest event last"
+        (Printf.sprintf "ev%d" (capacity + 5))
+        (List.nth names (capacity - 1));
+      let counter = List.nth objs capacity in
+      Alcotest.(check string) "drop counter event" "trace.dropped"
+        (field "name" counter);
+      Alcotest.(check bool) "dropped count matches" true
+        (Option.bind (Json.member "args" counter) (Json.member "dropped")
+        = Some (Json.Int 6)))
 
 exception Boom
 
@@ -76,61 +98,66 @@ let test_pairing_survives_exceptions () =
       (try Trace.with_ ~name:"outer" ~cat:"test" (fun () -> raise Boom)
        with Boom -> ());
       Trace.set_enabled false;
-      let phases =
-        List.map (fun (e : Trace.event) -> e.Trace.phase) (Trace.events ())
-      in
-      Alcotest.(check bool) "begin/end pair emitted" true
-        (phases = [ Trace.Begin; Trace.End ]))
+      Alcotest.(check (list string))
+        "begin/end pair emitted" [ "B"; "E" ]
+        (List.map (field "ph") (written ())))
 
+(* Synthetic events: a slice with an instant inside it, plus one
+   dropped event. *)
 let test_chrome_json_fields () =
-  scoped (fun () ->
-      Trace.set_enabled true;
-      Trace.with_ ~name:"slice" ~cat:"span" (fun () ->
-          Trace.instant ~name:"mark" ~cat:"test");
-      Trace.set_enabled false;
-      match Trace.to_chrome_json ~dropped:1 (Trace.events ()) with
-      | Json.List objs ->
-          Alcotest.(check int) "three events plus counter" 4 (List.length objs);
-          List.iter
-            (fun ev ->
-              let str key =
-                match Json.member key ev with
-                | Some (Json.String s) -> Some s
-                | _ -> None
-              in
-              let num key =
-                match Json.member key ev with
-                | Some (Json.Int _ | Json.Float _) -> true
-                | _ -> false
-              in
-              Alcotest.(check bool) "has name" true (str "name" <> None);
-              let ph =
-                match str "ph" with Some p -> p | None -> Alcotest.fail "ph"
-              in
-              Alcotest.(check bool) "known phase" true
-                (List.mem ph [ "B"; "E"; "i"; "C" ]);
-              if ph <> "C" then
-                Alcotest.(check bool) "has cat" true (str "cat" <> None);
-              Alcotest.(check bool) "numeric ts/pid/tid" true
-                (num "ts" && num "pid" && num "tid"))
-            objs
-      | _ -> Alcotest.fail "chrome export is not a JSON array")
+  let ev phase name ts_ns seq =
+    { Timeline.phase; name; cat = "span"; ts_ns; domain = 0; seq }
+  in
+  match
+    Timeline.to_chrome_json ~dropped:1
+      [
+        ev Timeline.Begin "slice" 1_000 0;
+        ev Timeline.Instant "mark" 1_500 1;
+        ev Timeline.End "slice" 2_000 2;
+      ]
+  with
+  | Json.List objs ->
+      Alcotest.(check int) "three events plus counter" 4 (List.length objs);
+      List.iter
+        (fun ev ->
+          let str key =
+            match Json.member key ev with
+            | Some (Json.String s) -> Some s
+            | _ -> None
+          in
+          let num key =
+            match Json.member key ev with
+            | Some (Json.Int _ | Json.Float _) -> true
+            | _ -> false
+          in
+          Alcotest.(check bool) "has name" true (str "name" <> None);
+          let ph =
+            match str "ph" with Some p -> p | None -> Alcotest.fail "ph"
+          in
+          Alcotest.(check bool) "known phase" true
+            (List.mem ph [ "B"; "E"; "i"; "C" ]);
+          if ph <> "C" then
+            Alcotest.(check bool) "has cat" true (str "cat" <> None);
+          Alcotest.(check bool) "numeric ts/pid/tid" true
+            (num "ts" && num "pid" && num "tid"))
+        objs
+  | _ -> Alcotest.fail "chrome export is not a JSON array"
 
 (* Synthetic events let us feed the exporter a backwards clock: the
    folded output must clamp the negative duration to 0, never emit a
    negative self time. *)
 let test_folded_clamps_backwards_clock () =
   let ev phase name ts_ns seq =
-    { Trace.phase; name; cat = "test"; ts_ns; domain = 0; seq }
+    { Timeline.phase; name; cat = "test"; ts_ns; domain = 0; seq }
   in
   let folded =
-    Trace.to_folded
+    Timeline.to_folded
       [
-        ev Trace.Begin "stepped" 1_000 0;
-        ev Trace.End "stepped" 400 1;
+        ev Timeline.Begin "stepped" 1_000 0;
+        ev Timeline.End "stepped" 400 1;
         (* NTP step: ends before it began *)
-        ev Trace.Begin "fine" 2_000 2;
-        ev Trace.End "fine" 2_500 3;
+        ev Timeline.Begin "fine" 2_000 2;
+        ev Timeline.End "fine" 2_500 3;
       ]
   in
   Alcotest.(check bool) "clamped frame present" true
@@ -165,7 +192,7 @@ let test_trace_does_not_change_results () =
                  plain traced))
         [ 1; 2; 4 ];
       Alcotest.(check bool) "trace captured the mining run" true
-        (Trace.events () <> []))
+        (written () <> []))
 
 let m section name jobs ns =
   {

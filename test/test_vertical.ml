@@ -69,8 +69,7 @@ let test_inter_kernels_vs_reference () =
     in
     let ta = random_tids () and tb = random_tids () in
     let reference =
-      Itemset.inter (Itemset.of_list ta) (Itemset.of_list tb)
-      |> Itemset.to_array
+      Array.of_list (List.filter (fun t -> List.mem t tb) ta)
     in
     let db = db_of_tidsets ~universe:2 ~n [ ta; tb ] in
     let shaped dense =
